@@ -17,6 +17,7 @@ import (
 	qucloud "repro"
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/nisqbench"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -72,9 +73,9 @@ func run(args []string, w io.Writer) error {
 	cfg.Epsilon = *eps
 	cfg.Lookahead = *look
 	cfg.MaxColocate = *maxCo
-	if d.NumQubits() > 20 {
-		cfg.Omega = 0.40
-	}
+	comp := qucloud.NewCompiler(d)
+	comp.Attempts = 2
+	cfg.Omega = comp.Omega
 	batches, err := sched.Schedule(d, jobs, cfg)
 	if err != nil {
 		return err
@@ -82,8 +83,6 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintf(w, "chip %s, %d jobs -> %d batches (eps=%.2f, N=%d)\n\n",
 		d.Name, len(jobs), len(batches), *eps, *look)
-	comp := qucloud.NewCompiler(d)
-	comp.Attempts = 2
 	noise := sim.DefaultNoise()
 	totalPST, count := 0.0, 0
 	for bi, b := range batches {
@@ -93,11 +92,7 @@ func run(args []string, w io.Writer) error {
 			progs[i] = byID[id]
 			names[i] = progs[i].Name
 		}
-		strat := qucloud.CDAPXSwap
-		if len(progs) == 1 {
-			strat = qucloud.Separate
-		}
-		res, err := comp.Compile(progs, strat)
+		res, err := comp.Compile(progs, core.StrategyFor(len(progs)))
 		if err != nil {
 			res, err = comp.Compile(progs, qucloud.Separate)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/community"
+	"repro/internal/core"
 	"repro/internal/nisqbench"
 	"repro/internal/partition"
 	"repro/internal/pool"
@@ -315,11 +316,7 @@ func runBatches(d *arch.Device, jobs []sched.Job, batches []sched.Batch, trials 
 		for i, id := range b.JobIDs {
 			progs[i] = byID[id]
 		}
-		strat := CDAPXSwap
-		if len(progs) == 1 {
-			strat = Separate
-		}
-		res, err := comp.Compile(progs, strat)
+		res, err := comp.Compile(progs, core.StrategyFor(len(progs)))
 		if err != nil {
 			// Co-location infeasible at compile time: run separately.
 			res, err = comp.Compile(progs, Separate)

@@ -1,8 +1,9 @@
-// Package cloudsim simulates a quantum cloud service: jobs arrive over
-// time at a single NISQ backend, a scheduling policy decides which jobs
-// run together (multi-programming), and queueing metrics — waiting
-// time, turnaround, makespan, throughput, qubit utilization — are
-// collected. It substantiates the paper's motivation (§II-E: >120
+// Package cloudsim simulates a quantum cloud service on virtual time:
+// jobs arrive over time at a fleet of NISQ backends, the scheduler
+// kernel qucloudd runs (sched.Kernel) routes each to a chip and decides
+// which jobs run together (multi-programming), and queueing metrics —
+// waiting time, turnaround, makespan, throughput, qubit utilization —
+// are collected. It substantiates the paper's motivation (§II-E: >120
 // queued jobs/day on IBMQ Vigo) and quantifies how much the QuCloud
 // scheduler's co-location relieves the queue versus separate execution.
 package cloudsim
@@ -10,7 +11,6 @@ package cloudsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -62,11 +62,9 @@ type Config struct {
 	LayerSeconds        float64
 	ShotOverheadSeconds float64
 	CompileSeconds      float64
-	// FleetPolicy optionally breaks RunFleet's idle-backend ties with
-	// an internal/fleet allocation policy (the same scoring the live
-	// service dispatches with), so offline simulation and qucloudd
-	// agree on placement. nil keeps the pure earliest-free rule with
-	// the deterministic name tie-break.
+	// FleetPolicy is the internal/fleet allocation policy that routes
+	// each arriving job to a backend, as qucloudd's -fleet-policy does;
+	// nil is the daemon's default, balanced.
 	FleetPolicy fleet.Policy
 }
 
@@ -102,155 +100,130 @@ type Metrics struct {
 	QubitUtilization float64
 }
 
-// Run simulates the backend serving the jobs under the configured
-// policy and returns the metrics with the per-batch trace.
-func Run(d *arch.Device, jobs []Job, cfg Config) (*Metrics, []BatchRecord, error) {
+// schedConfig is the policy as a preset of the one scheduler: separate
+// execution is Algorithm 4 with batches of one, unconditional pairing
+// is Algorithm 4 with no fidelity threshold over a window of two, and
+// QuCloud is the paper's.
+func (cfg Config) schedConfig() sched.Config {
+	switch cfg.Policy {
+	case FIFOSeparate:
+		return sched.Config{MaxColocate: 1}
+	case FIFOPairs:
+		return sched.Config{Epsilon: math.Inf(1), Lookahead: 2, MaxColocate: 2}
+	}
+	return sched.Config{Epsilon: cfg.Epsilon, Lookahead: cfg.Lookahead, MaxColocate: cfg.MaxColocate}
+}
+
+// FleetMetrics aggregates a multi-backend simulation.
+type FleetMetrics struct {
+	Metrics
+	// PerDevice maps device name to the jobs it completed.
+	PerDevice map[string]int
+}
+
+// RunFleet simulates a cloud service with several backends. Each job is
+// routed to a backend when it arrives (cfg.FleetPolicy over the chips'
+// queue depths and smoothed service times), and an idle backend claims
+// its next batch, per the policy, from the jobs routed to it — the
+// scheduler kernel qucloudd runs, on virtual time. A batch occupies its
+// backend for CompileSeconds plus Shots executions of the compiled
+// depth. Devices must have distinct names. Returns aggregate metrics
+// plus each backend's batch trace.
+func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, map[string][]BatchRecord, error) {
+	if len(devices) == 0 {
+		return nil, nil, fmt.Errorf("cloudsim: fleet needs at least one device")
+	}
+	seen := map[string]bool{}
+	for _, d := range devices {
+		if seen[d.Name] {
+			return nil, nil, fmt.Errorf("cloudsim: duplicate device name %q", d.Name)
+		}
+		seen[d.Name] = true
+	}
+	m := &FleetMetrics{PerDevice: map[string]int{}}
+	traces := map[string][]BatchRecord{}
 	if len(jobs) == 0 {
-		return &Metrics{}, nil, nil
+		return m, traces, nil
 	}
 	if cfg.Shots <= 0 {
 		return nil, nil, fmt.Errorf("cloudsim: shots must be positive")
 	}
-	queue := append([]Job(nil), jobs...)
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
 
-	comp := core.NewCompiler(d)
-	comp.Attempts = 1
+	comps := make([]*core.Compiler, len(devices))
+	totalQubits := 0
+	for i, d := range devices {
+		comps[i] = core.NewCompiler(d)
+		comps[i].Attempts = 1
+		totalQubits += d.NumQubits()
+		m.PerDevice[d.Name] = 0
+	}
+	arrivals := make([]sched.Arrival, len(jobs))
+	for i, j := range jobs {
+		arrivals[i] = sched.Arrival{At: j.Arrival, Item: &sched.Item{Job: sched.Job{ID: j.ID, Circ: j.Circ}, Owner: j}}
+	}
 
-	var (
-		records []BatchRecord
-		now     float64
-		waitSum float64
-		turnSum float64
-		busyQS  float64 // qubit-seconds busy
-	)
-	for len(queue) > 0 {
-		// The backend idles until the next job arrives.
-		if queue[0].Arrival > now {
-			now = queue[0].Arrival
-		}
-		// Jobs available for batching: arrived by `now`.
-		avail := 0
-		for avail < len(queue) && queue[avail].Arrival <= now {
-			avail++
-		}
-		batchJobs := pickBatch(d, queue[:avail], cfg)
-		progs := make([]*circuit.Circuit, len(batchJobs))
-		ids := make([]int, len(batchJobs))
-		for i, j := range batchJobs {
-			progs[i] = j.Circ
-			ids[i] = j.ID
-		}
-		strat := core.CDAPXSwap
-		if len(progs) == 1 {
-			strat = core.Separate
-		}
-		res, err := comp.Compile(progs, strat)
+	var waitSum, turnSum, busyQS float64
+	exec := func(chip int, batch []*sched.Item, now float64) (float64, error) {
+		name := devices[chip].Name
+		progs := sched.Programs(batch)
+		strat := core.StrategyFor(len(batch))
+		res, err := comps[chip].Compile(progs, strat)
 		if err != nil {
-			// Cannot co-locate after all: run the head job alone.
-			strat = core.Separate
-			batchJobs = batchJobs[:1]
-			progs = progs[:1]
-			ids = ids[:1]
-			res, err = comp.Compile(progs, strat)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cloudsim: job %d unschedulable: %w", ids[0], err)
-			}
+			return 0, fmt.Errorf("cloudsim: job %d unschedulable on %s: %w", batch[0].ID, name, err)
 		}
-
 		service := cfg.CompileSeconds +
 			float64(cfg.Shots)*(cfg.ShotOverheadSeconds+float64(res.Depth)*cfg.LayerSeconds)
-		start := now
-		finish := start + service
+		finish := now + service
 		qubits := 0
 		for _, p := range progs {
 			qubits += p.NumQubits
 		}
-		records = append(records, BatchRecord{
-			JobIDs:     ids,
-			Start:      start,
+		traces[name] = append(traces[name], BatchRecord{
+			JobIDs:     sched.IDs(batch),
+			Start:      now,
 			Finish:     finish,
 			Depth:      res.Depth,
 			CNOTs:      res.CNOTs,
 			Strategy:   strat,
 			QubitsUsed: qubits,
 		})
-		for _, j := range batchJobs {
-			waitSum += start - j.Arrival
-			turnSum += finish - j.Arrival
+		for _, it := range batch {
+			arrived := it.Owner.(Job).Arrival
+			waitSum += now - arrived
+			turnSum += finish - arrived
 		}
 		busyQS += float64(qubits) * service
-		now = finish
-
-		inBatch := map[int]bool{}
-		for _, id := range ids {
-			inBatch[id] = true
+		m.PerDevice[name] += len(batch)
+		m.Batches++
+		if finish > m.Makespan {
+			m.Makespan = finish
 		}
-		var rest []Job
-		for _, j := range queue {
-			if !inBatch[j.ID] {
-				rest = append(rest, j)
-			}
-		}
-		queue = rest
+		return service, nil
+	}
+	if err := sched.NewKernel(devices, cfg.FleetPolicy, cfg.schedConfig()).Run(arrivals, exec); err != nil {
+		return nil, nil, err
 	}
 
-	m := &Metrics{
-		Makespan:      now,
-		AvgWait:       waitSum / float64(len(jobs)),
-		AvgTurnaround: turnSum / float64(len(jobs)),
-		Batches:       len(records),
-		TRF:           float64(len(jobs)) / float64(len(records)),
+	n := float64(len(jobs))
+	m.AvgWait = waitSum / n
+	m.AvgTurnaround = turnSum / n
+	m.TRF = n / float64(m.Batches)
+	if m.Makespan > 0 {
+		m.ThroughputPerHour = n / m.Makespan * 3600
+		m.QubitUtilization = busyQS / (float64(totalQubits) * m.Makespan)
 	}
-	if now > 0 {
-		m.ThroughputPerHour = float64(len(jobs)) / now * 3600
-		m.QubitUtilization = busyQS / (float64(d.NumQubits()) * now)
-	}
-	return m, records, nil
+	return m, traces, nil
 }
 
-// pickBatch selects the next batch from the arrived portion of the
-// queue according to the policy. The head job is always included.
-func pickBatch(d *arch.Device, arrived []Job, cfg Config) []Job {
-	switch cfg.Policy {
-	case FIFOSeparate:
-		return arrived[:1]
-	case FIFOPairs:
-		n := 2
-		if n > len(arrived) {
-			n = len(arrived)
-		}
-		return append([]Job(nil), arrived[:n]...)
-	case QuCloud:
-		sjobs := make([]sched.Job, len(arrived))
-		for i, j := range arrived {
-			sjobs[i] = j.SchedJob()
-		}
-		scfg := sched.DefaultConfig()
-		scfg.Epsilon = cfg.Epsilon
-		scfg.Lookahead = cfg.Lookahead
-		scfg.MaxColocate = cfg.MaxColocate
-		if d.NumQubits() > 20 {
-			scfg.Omega = 0.40
-		}
-		batches, err := sched.Schedule(d, sjobs, scfg)
-		if err != nil || len(batches) == 0 {
-			return arrived[:1]
-		}
-		first := batches[0]
-		inFirst := map[int]bool{}
-		for _, id := range first.JobIDs {
-			inFirst[id] = true
-		}
-		var out []Job
-		for _, j := range arrived {
-			if inFirst[j.ID] {
-				out = append(out, j)
-			}
-		}
-		return out
+// Run simulates one backend serving the jobs under the configured
+// policy and returns the metrics with the per-batch trace: RunFleet
+// over a fleet of one.
+func Run(d *arch.Device, jobs []Job, cfg Config) (*Metrics, []BatchRecord, error) {
+	fm, traces, err := RunFleet([]*arch.Device{d}, jobs, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	return arrived[:1]
+	return &fm.Metrics, traces[d.Name], nil
 }
 
 // PoissonArrivals generates n jobs with exponential inter-arrival times

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/fleet"
 )
 
 func saturatedJobs(n int) []Job {
@@ -89,58 +88,6 @@ func TestFleetBeatsSingleBackendOnMakespan(t *testing.T) {
 	}
 	if fleet.AvgWait >= single.AvgWait {
 		t.Fatalf("fleet wait %v >= single-backend %v", fleet.AvgWait, single.AvgWait)
-	}
-}
-
-// TestFleetIdleTieBreaksOnName pins the regression where two backends
-// free at the same instant were picked by slice order: the
-// lexicographically smaller device name must win from either position.
-func TestFleetIdleTieBreaksOnName(t *testing.T) {
-	mk := func(name string, free float64) *fleetBackend {
-		d := arch.IBMQ16(0)
-		d.Name = name
-		return &fleetBackend{dev: d, freeAt: free}
-	}
-	head := saturatedJobs(1)[0]
-	za := []*fleetBackend{mk("zeta", 3), mk("alpha", 3)}
-	az := []*fleetBackend{mk("alpha", 3), mk("zeta", 3)}
-	for _, backends := range [][]*fleetBackend{za, az} {
-		if got := selectBackend(backends, head, nil).dev.Name; got != "alpha" {
-			t.Fatalf("freeAt tie broke to %q, want alpha", got)
-		}
-	}
-	// An earlier-free backend still wins outright, whatever its name.
-	late := []*fleetBackend{mk("alpha", 5), mk("zeta", 3)}
-	if got := selectBackend(late, head, nil).dev.Name; got != "zeta" {
-		t.Fatalf("earliest-free backend lost to %q", got)
-	}
-}
-
-// TestFleetIdleTieUsesPolicy: with a fleet policy configured, a freeAt
-// tie is decided by policy score (here fidelity: the cleaner chip),
-// not by name.
-func TestFleetIdleTieUsesPolicy(t *testing.T) {
-	clean := arch.IBMQ16(0)
-	clean.Name = "zz-clean"
-	noisy := arch.IBMQ16(7)
-	noisy.Name = "aa-noisy"
-	for q := range noisy.ReadoutErr {
-		noisy.ReadoutErr[q] = 0.2
-	}
-	for l, e := range noisy.CNOTErr {
-		noisy.CNOTErr[l] = e + 0.05
-	}
-	p, err := fleet.New("fidelity")
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends := []*fleetBackend{
-		{dev: noisy},
-		{dev: clean},
-	}
-	got := selectBackend(backends, saturatedJobs(1)[0], p).dev.Name
-	if got != "zz-clean" {
-		t.Fatalf("fidelity tie-break picked %q, want zz-clean", got)
 	}
 }
 

@@ -3,28 +3,15 @@ package cloudsim
 import (
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
-// Job is one submitted quantum program. It is the single job shape
-// shared by the offline simulators in this package and the live
-// service in internal/service: the service stores a Job per submission
-// (ID is the service-assigned sequence number, Arrival the submission
-// time in seconds since service start) and persists ID and Arrival in
-// the client-visible job record alongside its own lifecycle fields.
+// Job is one submitted quantum program: the arrival the simulators in
+// this package feed the scheduler kernel with.
 type Job struct {
 	ID   int
 	Circ *circuit.Circuit
-	// Arrival is the submission time in seconds from simulation (or
-	// service) start.
+	// Arrival is the submission time in seconds from simulation start.
 	Arrival float64
-}
-
-// SchedJob projects the job onto the EPST scheduler's queue-item
-// shape, so every consumer (cloudsim policies, the live service)
-// feeds sched.Schedule identically.
-func (j Job) SchedJob() sched.Job {
-	return sched.Job{ID: j.ID, Circ: j.Circ}
 }
 
 // BatchRecord describes one executed batch. internal/service reuses

@@ -360,6 +360,16 @@ func OmegaSweep(d *arch.Device, days []arch.Calibration, omegas []float64) []flo
 	return out
 }
 
+// KneeOmega is the ω every CDAP consumer (compiler, scheduler) builds
+// the device's hierarchy tree with: the paper's knee, 0.95 for chips up
+// to 20 qubits (IBMQ16) and 0.40 above (IBMQ50).
+func KneeOmega(d *arch.Device) float64 {
+	if d.NumQubits() > 20 {
+		return 0.40
+	}
+	return 0.95
+}
+
 // Knee returns the index of the knee point of a decreasing series using
 // the max-distance-to-chord method: the point farthest from the straight
 // line joining the first and last samples. The paper picks ω at the knee

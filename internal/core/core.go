@@ -67,6 +67,15 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
+// StrategyFor is how every scheduler driver compiles a batch of n
+// programs: CDAP+X-SWAP when co-located, Separate when a job runs alone.
+func StrategyFor(n int) Strategy {
+	if n > 1 {
+		return CDAPXSwap
+	}
+	return Separate
+}
+
 // MarshalJSON renders the strategy by name, so API payloads that embed
 // compiled-batch records stay readable.
 func (s Strategy) MarshalJSON() ([]byte, error) {
@@ -132,13 +141,9 @@ type Compiler struct {
 // NewCompiler returns a Compiler with the paper's defaults for the
 // device (ω = 0.95 for chips up to 20 qubits, 0.40 above).
 func NewCompiler(d *arch.Device) *Compiler {
-	omega := 0.95
-	if d.NumQubits() > 20 {
-		omega = 0.40
-	}
 	return &Compiler{
 		Device:       d,
-		Omega:        omega,
+		Omega:        community.KneeOmega(d),
 		Attempts:     5,
 		Traversals:   3,
 		NoisePenalty: 2,

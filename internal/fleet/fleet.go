@@ -198,13 +198,16 @@ func (balancedPolicy) Score(c Candidate, j Job) float64 {
 		balancedFairWeight*perQubitLoad(c)
 }
 
+// Balanced returns the default policy.
+func Balanced() Policy { return balancedPolicy{} }
+
 // policies is the allocation-strategies map: selectable by name, like
 // the QCloud simulator exemplar.
 var policies = map[string]func() Policy{
 	"speed":    func() Policy { return speedPolicy{} },
 	"fidelity": func() Policy { return fidelityPolicy{} },
 	"fairness": func() Policy { return fairnessPolicy{} },
-	"balanced": func() Policy { return balancedPolicy{} },
+	"balanced": Balanced,
 }
 
 // Names lists the registered policy names, sorted.

@@ -103,13 +103,16 @@ func (p *Package) resolvesToFunc(fun ast.Expr) bool {
 
 // deterministicPkgs are the compiler/simulator packages whose results
 // must be a pure function of their inputs: reading the wall clock
-// there either leaks into a result or tempts someone to make it.
-// service, cloudsim, quos, cmd/, and the root experiment driver are
-// deliberately NOT listed — they measure real latency.
+// there either leaks into a result or tempts someone to make it. That
+// includes the scheduler kernel (sched) and its virtual-clock driver
+// (cloudsim), whose time is an argument. service, cmd/, and the root
+// experiment driver are deliberately NOT listed — they measure real
+// latency.
 var deterministicPkgs = map[string]bool{
 	"internal/arch":      true,
 	"internal/ccache":    true,
 	"internal/circuit":   true,
+	"internal/cloudsim":  true,
 	"internal/community": true,
 	"internal/core":      true,
 	"internal/fleet":     true,
@@ -133,7 +136,6 @@ var deterministicPkgs = map[string]bool{
 // TestPackageClassification — so new packages are classified on
 // purpose, not by omission.
 var latencyPkgs = map[string]bool{
-	"internal/cloudsim":    true,
 	"internal/faultinject": true,
 	"internal/lint":        true,
 	"internal/quos":        true,

@@ -142,102 +142,71 @@ func SeparateEstimateContext(ctx context.Context, comp *core.Compiler, progs []*
 	return est / float64(len(progs)), nil
 }
 
-// Run processes the queue adaptively: schedule the next batch with the
-// current epsilon, compile and "execute" it (Monte-Carlo simulation
-// stands in for hardware), compare the observed fidelity against the
-// separate-execution expectation, and adapt epsilon.
+// Run processes the queue adaptively on the scheduler kernel qucloudd
+// runs (one chip, every job queued at time 0): claim the next batch
+// with the current epsilon, compile and "execute" it (Monte-Carlo
+// simulation stands in for hardware), compare the observed fidelity
+// against the separate-execution expectation, and adapt epsilon. A
+// batch that cannot be co-located after all runs its head job alone
+// and returns its tail to the queue.
 func Run(d *arch.Device, jobs []sched.Job, cfg Config, seed int64) (*Result, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("quos: trials must be positive")
 	}
-	if len(jobs) == 0 {
-		return &Result{FinalEpsilon: cfg.InitialEpsilon}, nil
-	}
 	ctrl := NewController(cfg)
-	queue := append([]sched.Job(nil), jobs...)
 	comp := core.NewCompiler(d)
 	comp.Attempts = 2
 	noise := sim.DefaultNoise()
+	k := sched.NewKernel([]*arch.Device{d}, nil, sched.Config{
+		Epsilon:     cfg.InitialEpsilon,
+		Lookahead:   cfg.Lookahead,
+		MaxColocate: cfg.MaxColocate,
+	})
+	arrivals := make([]sched.Arrival, len(jobs))
+	for i, j := range jobs {
+		arrivals[i].Item = &sched.Item{Job: j}
+	}
 
-	var (
-		reports  []BatchReport
-		pstSum   float64
-		pstCount int
-	)
-	for len(queue) > 0 {
-		scfg := sched.DefaultConfig()
-		scfg.Epsilon = ctrl.Epsilon()
-		scfg.Lookahead = cfg.Lookahead
-		scfg.MaxColocate = cfg.MaxColocate
-		if d.NumQubits() > 20 {
-			scfg.Omega = 0.40
-		}
-		batches, err := sched.Schedule(d, queue, scfg)
+	out := &Result{}
+	pstSum, pstCount := 0.0, 0
+	exec := func(_ int, batch []*sched.Item, _ float64) (float64, error) {
+		progs := sched.Programs(batch)
+		res, err := comp.Compile(progs, core.StrategyFor(len(progs)))
 		if err != nil {
-			return nil, fmt.Errorf("quos: %w", err)
+			return 0, fmt.Errorf("quos: job %d unschedulable: %w", batch[0].ID, err)
 		}
-		batch := batches[0]
-		byID := map[int]*circuit.Circuit{}
-		for _, j := range queue {
-			byID[j.ID] = j.Circ
-		}
-		progs := make([]*circuit.Circuit, len(batch.JobIDs))
-		for i, id := range batch.JobIDs {
-			progs[i] = byID[id]
-		}
-		strat := core.CDAPXSwap
-		if len(progs) == 1 {
-			strat = core.Separate
-		}
-		res, err := comp.Compile(progs, strat)
+		psts, err := comp.Simulate(res, cfg.Trials, seed+int64(len(out.Reports)), noise)
 		if err != nil {
-			res, err = comp.Compile(progs, core.Separate)
-			if err != nil {
-				return nil, fmt.Errorf("quos: job %d unschedulable: %w", batch.JobIDs[0], err)
-			}
+			return 0, err
 		}
-		psts, err := comp.Simulate(res, cfg.Trials, seed+int64(len(reports)), noise)
-		if err != nil {
-			return nil, err
-		}
-		avg := 0.0
-		for _, p := range psts {
-			avg += p
-			pstSum += p
-			pstCount++
-		}
-		avg /= float64(len(psts))
-
 		sepEst, err := SeparateEstimate(comp, progs, noise)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-
+		sum := 0.0
+		for _, p := range psts {
+			sum += p
+		}
+		pstSum += sum
+		pstCount += len(psts)
+		avg := sum / float64(len(psts))
 		violated := ctrl.Observe(len(progs) > 1, avg, sepEst)
-		reports = append(reports, BatchReport{
-			JobIDs:           batch.JobIDs,
+		k.SetEpsilon(0, ctrl.Epsilon())
+		out.Reports = append(out.Reports, BatchReport{
+			JobIDs:           sched.IDs(batch),
 			AvgPST:           avg,
 			SeparateEstimate: sepEst,
 			EpsilonAfter:     ctrl.Epsilon(),
 			Violated:         violated,
 		})
-
-		inBatch := map[int]bool{}
-		for _, id := range batch.JobIDs {
-			inBatch[id] = true
-		}
-		var rest []sched.Job
-		for _, j := range queue {
-			if !inBatch[j.ID] {
-				rest = append(rest, j)
-			}
-		}
-		queue = rest
+		return 0, nil
 	}
-	out := &Result{
-		Reports:      reports,
-		FinalEpsilon: ctrl.Epsilon(),
-		TRF:          float64(len(jobs)) / float64(len(reports)),
+	if err := k.Run(arrivals, exec); err != nil {
+		return nil, err
+	}
+	out.FinalEpsilon = ctrl.Epsilon()
+	if len(out.Reports) > 0 {
+		out.TRF = float64(len(jobs)) / float64(len(out.Reports))
 	}
 	if pstCount > 0 {
 		out.AvgPST = pstSum / float64(pstCount)

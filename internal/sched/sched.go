@@ -3,11 +3,11 @@
 // when the estimated fidelity loss stays under a threshold. Fidelity is
 // estimated with EPST (Equation 4) on the regions the CDAP partitioner
 // would allocate; the throughput gain is reported as the Trial Reduction
-// Factor (TRF).
+// Factor (TRF). kernel.go wraps the scheduler in the queue → dispatch →
+// claim state machine the daemon and the offline simulators share.
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -123,6 +123,36 @@ func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circui
 	return out, nil
 }
 
+// withDefaults fills Algorithm 4's zero bounds: N = 10 and pairs.
+func (cfg Config) withDefaults() Config {
+	if cfg.Lookahead <= 0 {
+		cfg.Lookahead = 10
+	}
+	if cfg.MaxColocate <= 0 {
+		cfg.MaxColocate = 2
+	}
+	return cfg
+}
+
+// sepEPSTFunc returns a job's separate-execution EPST, memoized per
+// job ID; it fails when the job cannot be placed even alone.
+type sepEPSTFunc func(Job) (float64, error)
+
+func memoSepEPST(d *arch.Device, tree *community.Tree) sepEPSTFunc {
+	cache := map[int]float64{}
+	return func(j Job) (float64, error) {
+		if v, ok := cache[j.ID]; ok {
+			return v, nil
+		}
+		v, err := SeparateEPST(d, tree, j.Circ)
+		if err != nil {
+			return 0, fmt.Errorf("sched: job %d cannot run even alone: %w", j.ID, err)
+		}
+		cache[j.ID] = v
+		return v, nil
+	}
+}
+
 // Schedule runs Algorithm 4 over the job queue and returns the batches
 // in submission order. Jobs that cannot be co-located within the
 // violation threshold run separately. An error is returned only when a
@@ -132,71 +162,69 @@ func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circui
 // from concurrent goroutines as long as each call uses its own queue
 // slice; the device and circuits are only read.
 func Schedule(d *arch.Device, jobs []Job, cfg Config) ([]Batch, error) {
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 10
-	}
-	if cfg.MaxColocate <= 0 {
-		cfg.MaxColocate = 2
-	}
+	cfg = cfg.withDefaults()
 	tree := community.BuildCached(d, cfg.Omega)
-	sepCache := map[int]float64{}
-	sepEPST := func(j Job) (float64, error) {
-		if v, ok := sepCache[j.ID]; ok {
-			return v, nil
-		}
-		v, err := SeparateEPST(d, tree, j.Circ)
-		if err != nil {
-			return 0, fmt.Errorf("sched: job %d cannot run even alone: %w", j.ID, err)
-		}
-		sepCache[j.ID] = v
-		return v, nil
-	}
-
+	sepEPST := memoSepEPST(d, tree)
 	queue := append([]Job(nil), jobs...)
 	var batches []Batch
 	for len(queue) > 0 {
-		cur := []Job{queue[0]}
-		if _, err := sepEPST(queue[0]); err != nil {
+		b, err := next(d, tree, queue, cfg, sepEPST)
+		if err != nil {
 			return nil, err
 		}
-		idx := 1
-		for idx < len(queue) && idx < cfg.Lookahead && len(cur) < cfg.MaxColocate {
-			trial := append(append([]Job(nil), cur...), queue[idx])
-			if violationOK(d, tree, trial, sepEPST, cfg.Epsilon) {
-				cur = trial
-			}
-			idx++
-		}
-		ids := make([]int, len(cur))
-		inBatch := map[int]bool{}
-		for i, j := range cur {
-			ids[i] = j.ID
-			inBatch[j.ID] = true
-		}
-		batches = append(batches, Batch{JobIDs: ids})
-		var rest []Job
+		batches = append(batches, b)
+		// The batch is a subsequence of the queue: drop it in one pass.
+		rest, k := queue[:0], 0
 		for _, j := range queue {
-			if !inBatch[j.ID] {
-				rest = append(rest, j)
+			if k < len(b.JobIDs) && j.ID == b.JobIDs[k] {
+				k++
+				continue
 			}
+			rest = append(rest, j)
 		}
 		queue = rest
 	}
 	return batches, nil
 }
 
+// Next is one iteration of Algorithm 4's outer loop: the queue head
+// extended over the lookahead window, which is Schedule's first batch.
+// Online callers that execute one batch at a time (Kernel.Claim) use it
+// instead of scheduling the whole queue and discarding the rest. The
+// queue must be non-empty.
+func Next(d *arch.Device, jobs []Job, cfg Config) (Batch, error) {
+	cfg = cfg.withDefaults()
+	tree := community.BuildCached(d, cfg.Omega)
+	return next(d, tree, jobs, cfg, memoSepEPST(d, tree))
+}
+
+func next(d *arch.Device, tree *community.Tree, queue []Job, cfg Config, sepEPST sepEPSTFunc) (Batch, error) {
+	if _, err := sepEPST(queue[0]); err != nil {
+		return Batch{}, err
+	}
+	cur := []Job{queue[0]}
+	for idx := 1; idx < len(queue) && idx < cfg.Lookahead && len(cur) < cfg.MaxColocate; idx++ {
+		trial := append(cur[:len(cur):len(cur)], queue[idx])
+		if violationOK(d, tree, trial, sepEPST, cfg.Epsilon) {
+			cur = trial
+		}
+	}
+	ids := make([]int, len(cur))
+	for i, j := range cur {
+		ids[i] = j.ID
+	}
+	return Batch{JobIDs: ids}, nil
+}
+
 // violationOK reports whether every job in the trial batch keeps its
-// EPST violation within epsilon.
-func violationOK(d *arch.Device, tree *community.Tree, trial []Job, sepEPST func(Job) (float64, error), epsilon float64) bool {
+// EPST violation within epsilon; a batch CDAP cannot place is not OK.
+func violationOK(d *arch.Device, tree *community.Tree, trial []Job, sepEPST sepEPSTFunc, epsilon float64) bool {
 	progs := make([]*circuit.Circuit, len(trial))
 	for i, j := range trial {
 		progs[i] = j.Circ
 	}
 	co, err := ColocatedEPST(d, tree, progs)
 	if err != nil {
-		if errors.Is(err, partition.ErrNoRegion) {
-			return false
-		}
 		return false
 	}
 	for i, j := range trial {

@@ -156,7 +156,7 @@ func TestWaitObservedOncePerJob(t *testing.T) {
 	}
 	svc.mu.Lock()
 	j := svc.jobs[rec.ID]
-	w := svc.workers[j.assigned]
+	w := svc.workers[j.item.Chip]
 	svc.mu.Unlock()
 
 	// First claim: the job leaves the queue and its wait is observed.

@@ -1,16 +1,19 @@
 package service
 
 import (
+	"repro/internal/circuit"
 	"repro/internal/fleet"
+	"repro/internal/sched"
 )
 
-// This file is the service side of the fleet dispatcher: every
-// admitted job is routed to a backend at submit time by
-// internal/fleet's policy scoring, workers claim only their own
-// assignments, and when a backend's circuit breaker opens its
-// still-queued jobs migrate back through the dispatcher onto healthy
-// chips. All routing runs under Service.mu, so dispatch decisions are
-// linearized with claims and requeues.
+// This file is the service side of the fleet dispatcher. Routing is the
+// scheduler kernel's: every admitted job goes to a backend at submit
+// time by internal/fleet's policy scoring, workers claim only their own
+// assignments, and when a backend's circuit breaker opens its queued
+// jobs go back through the dispatcher onto healthy chips. The service
+// calls the kernel under Service.mu, so dispatch is linearized with
+// claims and requeues, and keeps what an operator sees of it: counters,
+// the decision trace and the /v1/fleet view.
 
 // DispatchDecision is one routing decision in the recent-dispatch
 // trace served on /v1/fleet. Migrated decisions record the backend the
@@ -44,53 +47,31 @@ type FleetStatus struct {
 	RecentDecisions []DispatchDecision  `json:"recent_decisions,omitempty"`
 }
 
-// candidatesLocked assembles the dispatcher's view of every backend:
-// static calibration summary plus live queue depth, busy flag,
-// smoothed service time, cumulative dispatches, and breaker state.
-// Only a fully open breaker counts as BreakerOpen — a half-open
-// backend must stay eligible or its probe batch would starve while any
-// healthy chip exists. Callers hold s.mu.
-func (s *Service) candidatesLocked() []fleet.Candidate {
-	depth := make([]int, len(s.workers))
-	for _, j := range s.queue {
-		depth[j.assigned]++
-	}
-	cands := make([]fleet.Candidate, len(s.workers))
-	for i, w := range s.workers {
-		cands[i] = fleet.Candidate{
-			Chip: s.chips[i],
-			Load: fleet.Load{
-				QueueDepth:         depth[i],
-				Busy:               w.busy,
-				EWMAServiceSeconds: w.ewma.Value(),
-				Dispatched:         w.dispatched,
-				BreakerOpen:        w.brk.state == breakerOpen,
-			},
-		}
-	}
-	return cands
-}
-
-// dispatchLocked routes one job. from is -1 for a fresh submission, or
-// the index of the worker the job is migrating away from (the pick
-// must then land elsewhere; staying put is reported as false and the
-// job keeps its assignment). It returns false when no backend can take
-// the job. Callers hold s.mu.
-func (s *Service) dispatchLocked(j *job, from int) bool {
-	cands := s.candidatesLocked()
-	idx := fleet.Pick(s.policy, cands, j.fj)
-	if idx < 0 || idx == from {
+// enqueueLocked hands an admitted job to the scheduler kernel, which
+// routes, tags and queues it; false, with nothing queued, means no
+// backend can take the job. Callers hold s.mu.
+func (s *Service) enqueueLocked(j *job, circ *circuit.Circuit) bool {
+	j.item = sched.Item{Job: sched.Job{ID: j.rec.Seq, Circ: circ}, Flow: j.tenant.flow, Owner: j}
+	if !s.kernel.Submit(&j.item) {
 		return false
 	}
-	j.assigned = idx
-	j.rec.Backend = s.workers[idx].dev.Name
-	s.workers[idx].dispatched++
+	s.dispatchedLocked(j, -1)
+	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
+	return true
+}
+
+// dispatchedLocked records one routing decision of the kernel (backend,
+// counter, /v1/fleet decision trace). from is -1 for a fresh submission
+// or the worker the job migrated away from. Callers hold s.mu.
+func (s *Service) dispatchedLocked(j *job, from int) {
+	name := s.workers[j.item.Chip].dev.Name
+	j.rec.Backend = name
 	s.metrics.Dispatches.Inc()
 	d := DispatchDecision{
 		Seq:     j.rec.Seq,
 		Qubits:  j.rec.Qubits,
-		Backend: s.workers[idx].dev.Name,
-		Score:   s.policy.Score(cands[idx], j.fj),
+		Backend: name,
+		Score:   j.item.Score,
 	}
 	if from >= 0 {
 		d.Migrated = true
@@ -100,7 +81,6 @@ func (s *Service) dispatchLocked(j *job, from int) bool {
 	if len(s.decisions) > s.cfg.TraceDepth {
 		s.decisions = s.decisions[len(s.decisions)-s.cfg.TraceDepth:]
 	}
-	return true
 }
 
 // migrateLocked re-routes every job still queued for the given worker
@@ -113,18 +93,13 @@ func (s *Service) migrateLocked(from *worker) {
 	if s.draining {
 		return
 	}
-	moved := 0
-	for _, j := range s.queue {
-		if j.assigned != from.index || j.rec.State != StateQueued {
-			continue
-		}
-		if s.dispatchLocked(j, from.index) {
-			s.metrics.JobsMigrated.Inc()
-			from.migrated++
-			moved++
-		}
+	moved := s.kernel.Migrate(from.index)
+	for _, it := range moved {
+		s.dispatchedLocked(it.Owner.(*job), from.index)
+		s.metrics.JobsMigrated.Inc()
+		from.migrated++
 	}
-	if moved > 0 {
+	if len(moved) > 0 {
 		s.cond.Broadcast()
 	}
 }
@@ -134,19 +109,19 @@ func (s *Service) Fleet() FleetStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := FleetStatus{
-		Policy:          s.policy.Name(),
+		Policy:          s.cfg.FleetPolicy,
 		Dispatches:      s.metrics.Dispatches.Value(),
 		JobsMigrated:    s.metrics.JobsMigrated.Value(),
 		RecentDecisions: append([]DispatchDecision(nil), s.decisions...),
 	}
-	cands := s.candidatesLocked()
-	st.Devices = make([]FleetDeviceStatus, len(cands))
-	for i, c := range cands {
+	st.Devices = make([]FleetDeviceStatus, len(s.workers))
+	for i, w := range s.workers {
+		c := s.kernel.Candidate(i)
 		st.Devices[i] = FleetDeviceStatus{
 			Chip:         c.Chip,
 			Load:         c.Load,
-			Migrated:     s.workers[i].migrated,
-			BreakerState: s.workers[i].brk.state,
+			Migrated:     w.migrated,
+			BreakerState: w.brk.state,
 		}
 	}
 	return st

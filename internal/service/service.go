@@ -35,9 +35,9 @@ import (
 	"repro/internal/ccache"
 	"repro/internal/circuit"
 	"repro/internal/cloudsim"
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/wal"
 )
@@ -205,10 +205,10 @@ var (
 	ErrTooLarge = errors.New("service: program too large for every backend")
 )
 
-// JobRecord is the persisted, client-visible view of a job. Alongside
-// the service's own lifecycle fields it persists the shared
-// cloudsim.Job identity: Seq is the cloudsim.Job.ID and ArrivalSeconds
-// its Arrival (seconds since service start).
+// JobRecord is the persisted, client-visible view of a job. Seq is the
+// job's ID inside the scheduler (sched.Job.ID, the IDs batch records
+// list) and ArrivalSeconds its submission time in seconds since
+// service start.
 type JobRecord struct {
 	ID             string    `json:"id"`
 	Seq            int       `json:"seq"`
@@ -227,19 +227,16 @@ type JobRecord struct {
 	Error          string    `json:"error,omitempty"`
 }
 
-// job pairs the client-visible record with the queue-item shape shared
-// with internal/cloudsim. All fields are guarded by Service.mu except
-// tenant/vstart/vfinish/idemKey, which are immutable after admission.
+// job pairs the client-visible record with the job's scheduler-kernel
+// item (item.Owner points back at the job; item.Chip is the worker the
+// dispatcher routed it to). All fields are guarded by Service.mu except
+// tenant/idemKey, which are immutable after admission.
 type job struct {
-	rec      JobRecord
-	item     cloudsim.Job
-	fj       fleet.Job // width and gate counts for dispatch scoring
-	assigned int       // worker index the dispatcher routed the job to
-	claimed  time.Time
+	rec     JobRecord
+	item    sched.Item
+	claimed time.Time
 
 	tenant  *tenantState // owning tenant; immutable after admission
-	vstart  float64      // WFQ virtual start tag; immutable after admission
-	vfinish float64      // WFQ virtual finish tag (queue sort key); immutable after admission
 	idemKey string       // idempotency key binding to release on eviction; immutable
 
 	lastQueued   time.Time // guarded by mu; when the job last entered the queue
@@ -292,11 +289,6 @@ type Service struct {
 	metrics   *Registry
 	workers   []*worker
 	maxQubits int
-	// policy routes every admitted job to a backend; chips caches each
-	// worker's calibration summary by worker index. Both are immutable
-	// after New.
-	policy fleet.Policy
-	chips  []fleet.Chip
 	// cache is the compile-result cache shared by every worker (keys
 	// embed the device name and calibration version, so backends never
 	// collide); nil when Config.CacheSize disables caching.
@@ -324,13 +316,14 @@ type Service struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
-	mu          sync.Mutex
-	cond        *sync.Cond         // signals queue/lifecycle changes; Wait called with mu held
-	queue       []*job             // guarded by mu
+	mu   sync.Mutex
+	cond *sync.Cond // signals queue/lifecycle changes; Wait called with mu held
+	// kernel is the scheduler state machine shared with the offline
+	// simulators: fair queue, per-chip dispatch load, per-chip EPST claim.
+	kernel      *sched.Kernel      // guarded by mu
 	jobs        map[string]*job    // guarded by mu
 	terminalIDs []string           // guarded by mu; terminal job ids, oldest first (eviction order)
 	seq         int                // guarded by mu
-	vtime       float64            // guarded by mu; WFQ global virtual time
 	accepting   bool               // guarded by mu
 	draining    bool               // guarded by mu
 	forced      bool               // guarded by mu
@@ -430,7 +423,6 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 		cfg:          cfg,
 		start:        time.Now(),
 		metrics:      NewRegistry(),
-		policy:       fleetPolicy,
 		jobs:         map[string]*job{},
 		stopCh:       make(chan struct{}),
 		accepting:    true,
@@ -466,8 +458,12 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 			s.maxQubits = n
 		}
 		s.workers = append(s.workers, newWorker(s, i, d))
-		s.chips = append(s.chips, fleet.ChipOf(d))
 	}
+	s.kernel = sched.NewKernel(devices, fleetPolicy, sched.Config{
+		Epsilon:     cfg.Epsilon,
+		Lookahead:   cfg.Lookahead,
+		MaxColocate: cfg.MaxColocate,
+	})
 	s.metrics.fleetSource = s.fleetMetrics
 	s.metrics.tenantSource = func() (bool, []TenantMetrics) { return s.authRequired, s.TenantStats() }
 	if cfg.DataDir != "" {
@@ -624,9 +620,7 @@ func (s *Service) restorePendingLocked(p wal.Record) {
 	if err == nil {
 		j.rec.Qubits = circ.NumQubits
 		j.rec.Gates = len(circ.Gates)
-		j.item = cloudsim.Job{ID: p.Seq, Circ: circ, Arrival: p.Arrival}
-		j.fj = fleet.Job{Qubits: circ.NumQubits, CNOTs: circ.CNOTCount(), Gate1s: circ.Gate1Count()}
-		if !s.dispatchLocked(j, -1) {
+		if !s.enqueueLocked(j, circ) {
 			err = fmt.Errorf("%w: program %q needs %d qubits", ErrTooLarge, p.Name, circ.NumQubits)
 		}
 	}
@@ -638,9 +632,7 @@ func (s *Service) restorePendingLocked(p wal.Record) {
 		s.metrics.JobsFailed.Inc()
 		return
 	}
-	s.tagLocked(tn, j)
 	s.setStateLocked(j, StateQueued)
-	s.enqueueLocked(j)
 	tn.submitted++
 	s.metrics.WALReplayedJobs.Inc()
 	s.metrics.JobsAccepted.Inc()
@@ -712,7 +704,6 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		return JobRecord{}, false, fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
 			ErrTooLarge, circ.Name, circ.NumQubits, s.maxQubits)
 	}
-	fj := fleet.Job{Qubits: circ.NumQubits, CNOTs: circ.CNOTCount(), Gate1s: circ.Gate1Count()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, err := s.tenantLocked(opts.Tenant)
@@ -741,17 +732,17 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		t.rejected++
 		return JobRecord{}, false, ErrShuttingDown
 	}
-	if len(s.queue) >= s.cfg.QueueSize {
+	if s.kernel.Len() >= s.cfg.QueueSize {
 		s.metrics.JobsRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, ErrQueueFull
 	}
-	if t.queued >= t.maxQueued {
+	if queued := t.flow.Queued(); queued >= t.maxQueued {
 		s.metrics.JobsRejected.Inc()
 		s.metrics.TenantRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, fmt.Errorf("%w: tenant %q has %d jobs queued (cap %d)",
-			ErrTenantQuota, t.cfg.ID, t.queued, t.maxQueued)
+			ErrTenantQuota, t.cfg.ID, queued, t.maxQueued)
 	}
 	seq := s.seq
 	s.seq++
@@ -768,28 +759,22 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 			SubmittedAt:    now,
 			ArrivalSeconds: arrival,
 		},
-		item:       cloudsim.Job{ID: seq, Circ: circ, Arrival: arrival},
-		fj:         fj,
 		tenant:     t,
 		idemKey:    opts.IdempotencyKey,
 		lastQueued: now,
 	}
-	// Route before enqueueing so the candidate queue depths exclude the
-	// job being placed.
-	if !s.dispatchLocked(j, -1) {
+	if !s.enqueueLocked(j, circ) {
 		s.seq-- // roll back: the job was never admitted
 		s.metrics.JobsRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, fmt.Errorf("%w: program %q needs %d qubits",
 			ErrTooLarge, circ.Name, circ.NumQubits)
 	}
-	s.tagLocked(t, j)
 	s.setStateLocked(j, StateQueued)
 	// Log before acknowledging: once SubmitJob returns, the job must
 	// survive a process kill. An append failure is counted but does not
 	// reject the job — availability over durability.
 	s.walSubmitLocked(j, circ, fp)
-	s.enqueueLocked(j)
 	s.jobs[j.rec.ID] = j
 	t.submitted++
 	if opts.IdempotencyKey != "" {
@@ -941,15 +926,14 @@ func (s *Service) closeWAL() {
 func (s *Service) failRemaining(msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.queue {
+	for _, it := range s.kernel.Drain() {
+		j := it.Owner.(*job)
 		j.rec.Error = msg
 		s.setStateLocked(j, StateFailed)
-		s.dequeuedLocked(j)
 		s.markTerminalLocked(j)
 		s.metrics.JobsFailed.Inc()
 		s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
 	}
-	s.queue = nil
 	s.metrics.QueueDepth.Set(0)
 }
 
@@ -1011,21 +995,4 @@ func snapshotRecord(j *job) JobRecord {
 	rec := j.rec
 	rec.CoJobs = append([]int(nil), j.rec.CoJobs...)
 	return rec
-}
-
-// omegaFor mirrors core.NewCompiler's knee: 0.95 up to 20 qubits, 0.40
-// above.
-func omegaFor(d *arch.Device) float64 {
-	if d.NumQubits() > 20 {
-		return 0.40
-	}
-	return 0.95
-}
-
-// strategyFor picks the compilation strategy for a batch size.
-func strategyFor(n int) core.Strategy {
-	if n > 1 {
-		return core.CDAPXSwap
-	}
-	return core.Separate
 }

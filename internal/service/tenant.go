@@ -9,26 +9,18 @@ import (
 
 	"repro/internal/ccache"
 	"repro/internal/circuit"
+	"repro/internal/sched"
 )
 
 // This file is the multi-tenant front end: static API-key
-// authentication, weighted-fair queueing across tenants, and
-// per-tenant admission control.
-//
-// Fairness is start-time fair queueing over a single shared queue:
-// every admitted job gets a virtual start/finish tag
-//
-//	vstart  = max(service vtime, tenant's last vfinish)
-//	vfinish = vstart + 1/weight
-//
-// and the queue is kept sorted by (vfinish, seq). Workers claim jobs
-// in queue order, so a tenant with weight w receives a w-proportional
-// share of claim slots whenever it is backlogged, while an idle
-// tenant's unused share is redistributed (its next job restarts at the
-// current virtual time instead of accumulating credit). Admission
-// control caps each tenant's queued jobs at its weighted share of
-// QueueSize (or an explicit MaxQueued), so one saturating tenant gets
-// 429s while everyone else's share stays available.
+// authentication and per-tenant admission control. Fairness across
+// tenants is the scheduler kernel's start-time fair queueing: each
+// tenant is one sched.Flow of its weight, so a backlogged tenant of
+// weight w receives a w-proportional share of claim slots and an idle
+// tenant's unused share is redistributed. Admission control caps each
+// tenant's queued jobs at its weighted share of QueueSize (or an
+// explicit MaxQueued), so one saturating tenant gets 429s while
+// everyone else's share stays available.
 
 // Tenant is one API tenant: a static bearer key mapped to an identity
 // with a fair-queueing weight and an admission cap. The set is loaded
@@ -91,8 +83,7 @@ type tenantState struct {
 	weight    float64 // normalized (>0); immutable
 	maxQueued int     // resolved admission cap; immutable
 
-	vfinish   float64              // guarded by Service.mu; virtual finish tag of the last admitted job
-	queued    int                  // guarded by Service.mu; jobs currently in the queue
+	flow      *sched.Flow          // guarded by Service.mu; the tenant's fair-queueing share and queued count
 	submitted int64                // guarded by Service.mu
 	completed int64                // guarded by Service.mu
 	failed    int64                // guarded by Service.mu
@@ -145,6 +136,7 @@ func buildTenants(cfg Config) (byID map[string]*tenantState, byKey map[string]*t
 			cfg:       t,
 			weight:    t.Weight,
 			maxQueued: cap,
+			flow:      sched.NewFlow(t.Weight),
 			idem:      map[string]idemEntry{},
 		}
 		byID[t.ID] = st
@@ -180,44 +172,6 @@ func (s *Service) tenantLocked(id string) (*tenantState, error) {
 	return t, nil
 }
 
-// tagLocked assigns the WFQ virtual start/finish tags for one job of
-// tenant t. Callers hold s.mu.
-func (s *Service) tagLocked(t *tenantState, j *job) {
-	start := s.vtime
-	if t.vfinish > start {
-		start = t.vfinish
-	}
-	t.vfinish = start + 1/t.weight
-	j.vstart, j.vfinish = start, t.vfinish
-}
-
-// enqueueLocked inserts the job into the shared queue, keeping it
-// sorted by (vfinish, seq), and charges the tenant's queued share.
-// Callers hold s.mu.
-func (s *Service) enqueueLocked(j *job) {
-	i := sort.Search(len(s.queue), func(i int) bool {
-		q := s.queue[i]
-		if q.vfinish > j.vfinish {
-			return true
-		}
-		if q.vfinish < j.vfinish {
-			return false
-		}
-		return q.rec.Seq > j.rec.Seq
-	})
-	s.queue = append(s.queue, nil)
-	copy(s.queue[i+1:], s.queue[i:])
-	s.queue[i] = j
-	j.tenant.queued++
-	s.metrics.QueueDepth.Set(int64(len(s.queue)))
-}
-
-// dequeuedLocked settles accounting for a job that left the queue (by
-// claim, failure, or drain). Callers hold s.mu.
-func (s *Service) dequeuedLocked(j *job) {
-	j.tenant.queued--
-}
-
 // contentFingerprint is the idempotency identity of a submission: the
 // ccache content fingerprint of the program alone (no device, no
 // calibration, no knobs — a retried request must collapse onto its
@@ -249,7 +203,7 @@ func (s *Service) TenantStats() []TenantMetrics {
 			ID:        t.cfg.ID,
 			Weight:    t.weight,
 			MaxQueued: t.maxQueued,
-			Queued:    t.queued,
+			Queued:    t.flow.Queued(),
 			Submitted: t.submitted,
 			Completed: t.completed,
 			Failed:    t.failed,

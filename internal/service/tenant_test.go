@@ -188,14 +188,16 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
-// queueTenants snapshots the tenant ID of every queued job in claim
-// order.
+// queueTenants lists the tenant ID of every queued job in claim order.
+// It empties the scheduler kernel's queue to read it, so a test calls
+// it last.
 func queueTenants(svc *Service) []string {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	out := make([]string, len(svc.queue))
-	for i, j := range svc.queue {
-		out[i] = j.rec.Tenant
+	items := svc.kernel.Drain()
+	out := make([]string, len(items))
+	for i, it := range items {
+		out[i] = it.Owner.(*job).rec.Tenant
 	}
 	return out
 }

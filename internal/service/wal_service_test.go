@@ -82,7 +82,10 @@ func TestWALReplayAfterKill(t *testing.T) {
 	// Third daemon: the drained jobs replay as terminal history, not as
 	// runnable work.
 	third := newWALService(t, cfg)
-	if depth := len(queueTenants(third)); depth != 0 {
+	third.mu.Lock()
+	depth := third.kernel.Len()
+	third.mu.Unlock()
+	if depth != 0 {
 		t.Fatalf("terminal jobs re-entered the queue: depth %d", depth)
 	}
 	for _, id := range ids {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/fleet"
 	"repro/internal/quos"
 	"repro/internal/sched"
 )
@@ -37,11 +36,12 @@ type breaker struct {
 }
 
 // worker owns one backend device: it claims EPST batches from the
-// shared queue, compiles and simulates them, and writes results back.
-// Mutable fields (eps, busy, counters, trace, breaker) are guarded by
-// Service.mu; comp, ctrl, and the seed counter are touched only by the
-// worker's own goroutine, so each worker is deterministic and
-// race-free without sharing any random state.
+// scheduler kernel, compiles and simulates them, and writes results
+// back. Mutable fields (counters, trace, breaker) are guarded by
+// Service.mu, as is the kernel, which holds the backend's epsilon, busy
+// flag and dispatch load; comp, ctrl, and the seed counter are touched
+// only by the worker's own goroutine, so each worker is deterministic
+// and race-free without sharing any random state.
 //
 // The worker loop is panic-isolated: a panic while claiming fails only
 // the head job, a panic while executing fails only the claimed batch,
@@ -57,8 +57,6 @@ type worker struct {
 	ctrl  *quos.Controller // nil under PolicyStatic
 	seed  int64            // per-worker deterministic seed counter
 
-	eps            float64                // guarded by svc.mu
-	busy           bool                   // guarded by svc.mu
 	jobsDone       int64                  // guarded by svc.mu
 	batchesDone    int64                  // guarded by svc.mu
 	cacheHits      int64                  // guarded by svc.mu
@@ -67,10 +65,8 @@ type worker struct {
 	trace          []cloudsim.BatchRecord // guarded by svc.mu
 	schedErrs      int64                  // guarded by svc.mu
 	lastSchedErr   string                 // guarded by svc.mu
-	brk            breaker                // guarded by svc.mu
-	dispatched     int64                  // guarded by svc.mu; jobs routed here by the dispatcher
+	brk            breaker                // guarded by svc.mu; setBreakerLocked keeps the kernel's availability in step
 	migrated       int64                  // guarded by svc.mu; jobs moved away after this breaker opened
-	ewma           fleet.EWMA             // guarded by svc.mu; smoothed per-job service seconds
 }
 
 // newWorker wires a worker for the device.
@@ -84,15 +80,11 @@ func newWorker(s *Service, index int, dev *arch.Device) *worker {
 		dev:   dev,
 		comp:  comp,
 		seed:  s.cfg.Seed + int64(index)*1_000_003,
-		eps:   s.cfg.Epsilon,
 		brk:   breaker{state: breakerClosed},
-		ewma:  fleet.NewEWMA(0.3),
 	}
 	if s.cfg.Policy == PolicyAdaptive {
 		qcfg := quos.DefaultConfig()
 		qcfg.InitialEpsilon = s.cfg.Epsilon
-		qcfg.Lookahead = s.cfg.Lookahead
-		qcfg.MaxColocate = s.cfg.MaxColocate
 		w.ctrl = quos.NewController(qcfg)
 	}
 	return w
@@ -145,13 +137,22 @@ func (w *worker) breakerWait(ctx context.Context) bool {
 		}
 		wait := s.cfg.BreakerCooldown - time.Since(w.brk.openedAt)
 		if wait <= 0 || s.draining {
-			w.brk.state = breakerHalfOpen
+			w.setBreakerLocked(breakerHalfOpen)
 			s.mu.Unlock()
 			return true
 		}
 		s.mu.Unlock()
 		sleepInterruptible(ctx, s.stopCh, wait)
 	}
+}
+
+// setBreakerLocked moves the breaker to state and tells the dispatcher
+// whether the backend is available. Only a fully open breaker is not:
+// a half-open backend must stay eligible or its probe batch would
+// starve while any healthy chip exists. Callers hold Service.mu.
+func (w *worker) setBreakerLocked(state string) {
+	w.brk.state = state
+	w.svc.kernel.SetAvailable(w.index, state != breakerOpen)
 }
 
 // claimIsolated runs claim behind a recover: a panic while selecting a
@@ -171,26 +172,30 @@ func (w *worker) claimIsolated(ctx context.Context) (batch []*job, exit bool) {
 }
 
 // claim blocks until jobs the dispatcher routed to this backend are
-// queued, then selects the next EPST batch among them and removes it
-// from the queue. It returns nil when the worker should exit: the
-// service is draining and holds nothing assigned here, or a forced
-// stop was requested.
+// queued, then takes the kernel's next EPST batch among them. It
+// returns nil when the worker should exit: the service is draining and
+// holds nothing assigned here, or a forced stop was requested.
 func (w *worker) claim(ctx context.Context) []*job {
 	s := w.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var cands []*job
+	pick := func(d *arch.Device, window []sched.Job, cfg sched.Config) (sched.Batch, error) {
+		return w.nextBatch(ctx, d, window, cfg)
+	}
+	var (
+		items []*sched.Item
+		err   error
+		now   time.Time
+	)
 	for {
 		if s.forced {
 			return nil
 		}
-		cands = cands[:0]
-		for _, j := range s.queue {
-			if j.assigned == w.index {
-				cands = append(cands, j)
-			}
-		}
-		if len(cands) > 0 {
+		// Scheduling happens under the service lock: the EPST pass over
+		// Lookahead tiny programs is milliseconds, and holding the lock
+		// keeps claim/requeue linearizable across workers.
+		now = time.Now()
+		if items, err = s.kernel.Claim(w.index, now.Sub(s.start).Seconds(), pick); items != nil {
 			break
 		}
 		if s.draining {
@@ -198,66 +203,20 @@ func (w *worker) claim(ctx context.Context) []*job {
 		}
 		s.cond.Wait()
 	}
-
-	// Scheduling happens under the service lock: the EPST pass over
-	// Lookahead tiny programs is milliseconds, and holding the lock
-	// keeps claim/requeue linearizable across workers.
-	look := len(cands)
-	if look > s.cfg.Lookahead {
-		look = s.cfg.Lookahead
-	}
-	sjobs := make([]sched.Job, look)
-	for i, j := range cands[:look] {
-		sjobs[i] = j.item.SchedJob()
-	}
-	scfg := sched.Config{
-		Epsilon:     w.eps,
-		Lookahead:   s.cfg.Lookahead,
-		MaxColocate: s.cfg.MaxColocate,
-		Omega:       omegaFor(w.dev),
-	}
-	selected := map[int]bool{}
-	// The schedule fault hook fires here in claim (not inside
-	// scheduleSafe's recover) so an injected panic unwinds into
-	// claimIsolated and exercises the failHead path.
-	var batches []sched.Batch
-	err := s.cfg.Faults.Visit(ctx, faultinject.SiteSchedule)
-	if err == nil {
-		batches, err = w.scheduleSafe(sjobs, scfg)
-	}
-	if err == nil && len(batches) > 0 {
-		for _, id := range batches[0].JobIDs {
-			selected[id] = true
-		}
-	} else {
-		// Head-of-line fallback: the oldest fitting job runs alone. A
-		// scheduler error must not be silent — record it for
-		// BackendStatus and the metrics snapshot.
-		if err != nil {
-			w.schedErrs++
-			w.lastSchedErr = err.Error()
-			s.metrics.SchedulerErrors.Inc()
-		}
-		selected[cands[0].rec.Seq] = true
+	if err != nil {
+		// The kernel fell back to the head job alone. A scheduler error
+		// must not be silent — record it for BackendStatus and the
+		// metrics snapshot.
+		w.schedErrs++
+		w.lastSchedErr = err.Error()
+		s.metrics.SchedulerErrors.Inc()
 	}
 
-	var batch []*job
-	rest := s.queue[:0]
-	for _, j := range s.queue {
-		if selected[j.rec.Seq] {
-			batch = append(batch, j)
-		} else {
-			rest = append(rest, j)
-		}
-	}
-	s.queue = rest
-
-	now := time.Now()
-	seqs := make([]int, len(batch))
-	for i, j := range batch {
-		seqs[i] = j.rec.Seq
-	}
-	for _, j := range batch {
+	seqs := sched.IDs(items)
+	batch := make([]*job, len(items))
+	for i, it := range items {
+		j := it.Owner.(*job)
+		batch[i] = j
 		j.rec.Backend = w.dev.Name
 		j.rec.CoJobs = seqs
 		// WaitSeconds accumulates across requeues (co-location fallback,
@@ -271,32 +230,29 @@ func (w *worker) claim(ctx context.Context) []*job {
 			s.observeLatency(s.metrics.QueueLatency, j.rec.WaitSeconds)
 		}
 		s.setStateLocked(j, StateBatched)
-		s.dequeuedLocked(j)
-		// Advance the WFQ virtual clock to the claimed work's start tag
-		// so an idle tenant's next job restarts at the current virtual
-		// time instead of draining accumulated credit.
-		if j.vstart > s.vtime {
-			s.vtime = j.vstart
-		}
 	}
-	w.busy = true
-	s.metrics.QueueDepth.Set(int64(len(s.queue)))
+	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
 	s.metrics.InFlight.Add(int64(len(batch)))
 	return batch
 }
 
-// scheduleSafe runs the EPST scheduler with panic containment: a
-// scheduler panic becomes an error handled by the head-of-line
-// fallback instead of unwinding claim. Called with Service.mu held
-// (the schedule pass is part of the linearized claim).
-func (w *worker) scheduleSafe(sjobs []sched.Job, scfg sched.Config) (batches []sched.Batch, err error) {
+// nextBatch is the kernel's batch picker as the daemon runs it:
+// sched.Next with panic containment, so a scheduler panic becomes an
+// error the kernel answers with its head-of-line fallback. The schedule
+// fault hook fires outside the recover: an injected panic unwinds
+// through Kernel.Claim, which has changed nothing yet, into
+// claimIsolated and exercises the failHead path. Service.mu is held.
+func (w *worker) nextBatch(ctx context.Context, d *arch.Device, window []sched.Job, cfg sched.Config) (b sched.Batch, err error) {
+	if err := w.svc.cfg.Faults.Visit(ctx, faultinject.SiteSchedule); err != nil {
+		return sched.Batch{}, err
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			w.svc.metrics.PanicsRecovered.Inc()
-			batches, err = nil, fmt.Errorf("scheduler panic: %v", r)
+			b, err = sched.Batch{}, fmt.Errorf("scheduler panic: %v", r)
 		}
 	}()
-	return sched.Schedule(w.dev, sjobs, scfg)
+	return sched.Next(d, window, cfg)
 }
 
 // failHead marks the oldest queued job assigned to this backend failed
@@ -306,41 +262,40 @@ func (w *worker) failHead(msg string) {
 	s := w.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, j := range s.queue {
-		if j.assigned != w.index {
-			continue
-		}
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		j.rec.Error = msg
-		j.rec.Backend = w.dev.Name
-		s.setStateLocked(j, StateFailed)
-		s.dequeuedLocked(j)
-		s.markTerminalLocked(j)
-		s.metrics.JobsFailed.Inc()
-		s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
-		s.metrics.QueueDepth.Set(int64(len(s.queue)))
+	it := s.kernel.FailHead(w.index)
+	if it == nil {
 		return
 	}
+	j := it.Owner.(*job)
+	j.rec.Error = msg
+	j.rec.Backend = w.dev.Name
+	s.setStateLocked(j, StateFailed)
+	s.markTerminalLocked(j)
+	s.metrics.JobsFailed.Inc()
+	s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
+	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
 }
 
 // requeueFront returns unexecuted jobs to the queue (used when a
 // co-located compilation falls back to running the head alone). The
 // jobs stay assigned to this backend, so Backend is kept; only the
-// batch membership is undone. Each job re-enters at its original WFQ
-// position — the sorted insert lands it where it sat before the claim
-// relative to everything still queued — and its wait clock restarts so
-// the next claim adds only the new queueing time.
+// batch membership is undone. The kernel puts each job back at its
+// original WFQ position, and its wait clock restarts so the next claim
+// adds only the new queueing time.
 func (w *worker) requeueFront(tail []*job) {
 	s := w.svc
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range tail {
+	items := make([]*sched.Item, len(tail))
+	for i, j := range tail {
+		items[i] = &j.item
 		j.rec.CoJobs = nil
 		j.lastQueued = now
 		s.setStateLocked(j, StateQueued)
-		s.enqueueLocked(j)
 	}
+	s.kernel.Requeue(items)
+	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
 	s.metrics.InFlight.Add(-int64(len(tail)))
 	s.cond.Broadcast()
 }
@@ -416,12 +371,12 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 	}()
 
 	m := s.metrics
-	strat := strategyFor(len(batch))
+	strat := core.StrategyFor(len(batch))
 	res, err := w.compile(ctx, progs, strat)
 	s.observeLatency(m.CompileLatency, time.Since(start).Seconds())
 	if err != nil && len(batch) > 1 && ctx.Err() == nil {
 		// Co-location failed after all: put the tail back and run the
-		// head alone, as the offline cloudsim does. The fallback
+		// head alone, as sched.Kernel.Run does on virtual time. The fallback
 		// retry's duration is measured on its own — the failed
 		// co-located attempt must not inflate its compile latency.
 		m.FallbackBatches.Inc()
@@ -487,14 +442,12 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 			s.markTerminalLocked(j)
 		}
 		if adapted {
-			w.eps = newEps
+			s.kernel.SetEpsilon(w.index, newEps)
 		}
-		w.busy = false
+		// Frees the backend and feeds the dispatcher's wait estimator.
+		s.kernel.Done(w.index, executed.Sub(s.start).Seconds(), true)
 		w.jobsDone += int64(len(batch))
 		w.batchesDone++
-		// Feed the dispatcher's wait estimator: the batch's wall time
-		// amortized over its jobs approximates per-job service cost.
-		w.ewma.Observe(executed.Sub(start).Seconds() / float64(len(batch)))
 		w.trace = append(w.trace, cloudsim.BatchRecord{
 			JobIDs:     seqs,
 			Start:      start.Sub(s.start).Seconds(),
@@ -625,7 +578,7 @@ func (w *worker) fail(batch []*job, err error) {
 			s.setStateLocked(j, StateFailed)
 			s.markTerminalLocked(j)
 		}
-		w.busy = false
+		s.kernel.Done(w.index, now.Sub(s.start).Seconds(), false)
 		w.batchesDone++
 	}()
 	s.metrics.BatchesExecuted.Inc()
@@ -644,7 +597,7 @@ func (w *worker) breakerSuccess() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w.brk.state != breakerClosed {
-		w.brk.state = breakerClosed
+		w.setBreakerLocked(breakerClosed)
 		s.metrics.OpenBreakers.Add(-1)
 	}
 	w.brk.fails = 0
@@ -660,14 +613,14 @@ func (w *worker) breakerFailure() {
 	w.brk.fails++
 	switch w.brk.state {
 	case breakerHalfOpen:
-		w.brk.state = breakerOpen
+		w.setBreakerLocked(breakerOpen)
 		w.brk.openedAt = time.Now()
 		w.brk.opens++
 		s.metrics.BreakerTrips.Inc()
 		s.migrateLocked(w)
 	case breakerClosed:
 		if s.cfg.BreakerThreshold > 0 && w.brk.fails >= s.cfg.BreakerThreshold {
-			w.brk.state = breakerOpen
+			w.setBreakerLocked(breakerOpen)
 			w.brk.openedAt = time.Now()
 			w.brk.opens++
 			s.metrics.BreakerTrips.Inc()
@@ -721,8 +674,8 @@ func (w *worker) statusLocked() BackendStatus {
 		Name:            w.dev.Name,
 		Qubits:          w.dev.NumQubits(),
 		Policy:          w.svc.cfg.Policy,
-		Epsilon:         w.eps,
-		Busy:            w.busy,
+		Epsilon:         w.svc.kernel.Epsilon(w.index),
+		Busy:            w.svc.kernel.Candidate(w.index).Load.Busy,
 		JobsCompleted:   w.jobsDone,
 		BatchesExecuted: w.batchesDone,
 		Cache: CacheCounters{
