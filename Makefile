@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test race chaos bench bench-json bench-parallel-json bench-compare fuzz-smoke cover experiments examples clean
+.PHONY: all build vet lint lint-json loc test race chaos bench bench-json bench-parallel-json bench-compare benchmark benchmark-compare bench-selftest fuzz-smoke cover experiments examples clean
 
 all: build test
 
@@ -68,7 +68,8 @@ fuzz-smoke:
 
 # Machine-readable benchmark records: the sequential-vs-parallel
 # Simulate micro-benches, the packed-vs-boolean tableau pair, the
-# SABRE/X-SWAP routing benches, and the Table 2 compile pipeline go to
+# SABRE/X-SWAP routing benches (the two-program IBMQ16 pair and the
+# IBMQ50 4-program mixes), and the Table 2 compile pipeline go to
 # BENCH_parallel.json; the cold-vs-warm compile-cache pair goes to
 # BENCH_cache.json with a derived warm_speedup ratio; the 1-vs-4-chip
 # fleet dispatch sweep (throughput and p99 wait per policy) goes to
@@ -80,7 +81,8 @@ bench-parallel-json:
 	$(GO) test -run '^$$' -bench 'Benchmark(PackedVsBooleanTableau|TableauMeasureHeavy)/' -benchtime 10x ./internal/sim \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label tableau -append \
 			-ratio packed_speedup=PackedVsBooleanTableau/boolean/PackedVsBooleanTableau/packed
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute(SABRE|XSWAP)$$' -benchtime 50x . \
+	( $(GO) test -run '^$$' -bench 'BenchmarkRoute(SABRE|XSWAP)$$' -benchtime 50x . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkRouteMix50$$' -benchtime 5x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label route -append
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2$$' -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label table2 -append
@@ -113,6 +115,19 @@ bench-compare:
 	$(MAKE) bench-parallel-json BENCH_PARALLEL=BENCH_parallel.new.json
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) BENCH_parallel.json BENCH_parallel.new.json
 	rm -f BENCH_parallel.new.json
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): every
+# workload untraced into .bench_out; two result files compared under the
+# benchmark's own bounds (exit 1 on a regression); the harness's own
+# tests (bench/ is its own module, so `go test ./...` here skips it).
+benchmark:
+	bash bench/run.sh -workload all -trace 0 -out .bench_out -commit $$(git rev-parse HEAD)
+
+benchmark-compare:
+	bash bench/run.sh -compare $(A) $(B)
+
+bench-selftest:
+	cd bench && $(GO) vet . && $(GO) test .
 
 cover:
 	$(GO) test -cover ./...

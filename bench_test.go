@@ -12,6 +12,7 @@ package qucloud
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -207,6 +208,37 @@ func BenchmarkRouteSABRE(b *testing.B) { routeBench(b, router.DefaultOptions()) 
 // BenchmarkRouteXSWAP measures Algorithm 3 (inter-program SWAPs +
 // critical-gate prioritization) on the same workload.
 func BenchmarkRouteXSWAP(b *testing.B) { routeBench(b, router.XSWAPOptions()) }
+
+// BenchmarkRouteMix50 is the large-chip router reference: one
+// CDAP+X-SWAP attempt (partition, joint reverse traversal, final route)
+// of a typical Table III mix and of Mix_5, whose reverse-traversal
+// passes spend most of their SWAP decisions in stall windows, on IBMQ50.
+func BenchmarkRouteMix50(b *testing.B) {
+	d := arch.IBMQ50(0)
+	d.Hops()
+	for _, mi := range []int{0, 4} {
+		progs := make([]*circuit.Circuit, len(Table3Mixes[mi]))
+		for i, name := range Table3Mixes[mi] {
+			progs[i] = nisqbench.MustGet(name)
+		}
+		b.Run(fmt.Sprintf("Mix_%d", mi+1), func(b *testing.B) {
+			comp := NewCompiler(d)
+			comp.Attempts, comp.Workers = 1, 1
+			comp.Tree()
+			b.ReportAllocs()
+			b.ResetTimer()
+			swaps := 0
+			for i := 0; i < b.N; i++ {
+				res, err := comp.Compile(progs, CDAPXSwap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				swaps = res.Swaps
+			}
+			b.ReportMetric(float64(swaps), "swaps")
+		})
+	}
+}
 
 // BenchmarkRouteXSWAPAblations measures the two X-SWAP ingredients in
 // isolation: the gain term and the critical-gate restriction (the

@@ -1,6 +1,9 @@
 package circuit
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DAG is the data-dependency graph of a circuit: gate i precedes gate j
 // when they share a qubit and i comes first, with transitively implied
@@ -99,12 +102,29 @@ func (d *DAG) CriticalPathLen() int {
 // State tracks routing progress over a DAG: which gates have been
 // emitted and which are currently in the front layer (no unexecuted
 // predecessors). It is the per-program "program context" of Algorithm 3.
+//
+// The front layer is kept as a sorted slice that Execute edits in place,
+// and the two look-ahead queries routing asks once per SWAP decision —
+// ExtendedSet and CriticalGates — are memoised: both depend only on the
+// DAG frontier, so Execute is the single mutation that invalidates them.
 type State struct {
 	dag      *DAG
 	executed []bool
 	npred    []int
-	front    map[int]bool
+	front    []int // sorted ascending
+	inFront  []bool
 	done     int
+
+	ext      []int // ExtendedSet(extLimit) while extOK
+	extLimit int
+	extOK    bool
+	crit     []int // CriticalGates() while critOK
+	critOK   bool
+	// Traversal scratch: seen[i] == stamp marks gate i visited by the
+	// current walk, so clearing the set is one increment.
+	seen  []uint32
+	stamp uint32
+	work  []int
 }
 
 // NewState returns a fresh routing state with the initial front layer
@@ -115,12 +135,14 @@ func NewState(d *DAG) *State {
 		dag:      d,
 		executed: make([]bool, n),
 		npred:    make([]int, n),
-		front:    make(map[int]bool),
+		inFront:  make([]bool, n),
+		seen:     make([]uint32, n),
 	}
 	for i := 0; i < n; i++ {
 		s.npred[i] = len(d.Pred[i])
 		if s.npred[i] == 0 {
-			s.front[i] = true
+			s.front = append(s.front, i)
+			s.inFront[i] = true
 		}
 	}
 	return s
@@ -135,57 +157,45 @@ func (s *State) Done() bool { return s.done == len(s.executed) }
 // Remaining returns the number of unexecuted gates.
 func (s *State) Remaining() int { return len(s.executed) - s.done }
 
-// Front returns the current front layer as a sorted gate-index slice.
-func (s *State) Front() []int {
-	out := make([]int, 0, len(s.front))
-	for i := range s.front {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
+// Front returns the current front layer as a sorted gate-index slice,
+// freshly allocated.
+func (s *State) Front() []int { return s.AppendFront(make([]int, 0, len(s.front))) }
 
-// FrontTwoQubit returns the front-layer gates that are two-qubit gates
-// (the only ones that can be hardware-incompliant), sorted.
-func (s *State) FrontTwoQubit() []int {
-	var out []int
-	for i := range s.front {
-		if s.dag.Circ.Gates[i].IsTwoQubit() {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// AppendFront appends the front layer to dst in ascending order and
+// returns the extended slice: the allocation-free form of Front for
+// callers that execute gates while walking a snapshot of the layer.
+func (s *State) AppendFront(dst []int) []int { return append(dst, s.front...) }
 
-// AppendFrontTwoQubit appends the front-layer two-qubit gate indices to
-// dst in ascending order and returns the extended slice — the
-// allocation-free form of FrontTwoQubit for callers that reuse a
-// scratch buffer across queries.
+// AppendFrontTwoQubit appends the front-layer two-qubit gates (the only
+// ones that can be hardware-incompliant) to dst in ascending order and
+// returns the extended slice.
 func (s *State) AppendFrontTwoQubit(dst []int) []int {
-	start := len(dst)
-	for i := range s.front {
+	for _, i := range s.front {
 		if s.dag.Circ.Gates[i].IsTwoQubit() {
 			dst = append(dst, i)
 		}
 	}
-	sort.Ints(dst[start:])
 	return dst
 }
 
 // Execute marks gate i as done, updating the front layer. It panics if
 // i is not currently in the front layer (dependency violation).
 func (s *State) Execute(i int) {
-	if !s.front[i] {
+	if i < 0 || i >= len(s.inFront) || !s.inFront[i] {
 		panic("circuit: executing a gate outside the front layer")
 	}
-	delete(s.front, i)
+	at, _ := slices.BinarySearch(s.front, i)
+	s.front = slices.Delete(s.front, at, at+1)
+	s.inFront[i] = false
 	s.executed[i] = true
 	s.done++
+	s.extOK, s.critOK = false, false
 	for _, succ := range s.dag.Succ[i] {
 		s.npred[succ]--
 		if s.npred[succ] == 0 && !s.executed[succ] {
-			s.front[succ] = true
+			at, _ := slices.BinarySearch(s.front, succ)
+			s.front = slices.Insert(s.front, at, succ)
+			s.inFront[succ] = true
 		}
 	}
 }
@@ -193,24 +203,37 @@ func (s *State) Execute(i int) {
 // Executed reports whether gate i has been executed.
 func (s *State) Executed(i int) bool { return s.executed[i] }
 
+// newWalk starts a traversal: it empties the visited set and returns the
+// work list, emptied.
+func (s *State) newWalk() []int {
+	s.stamp++
+	if s.stamp == 0 { // wrapped: stale marks could alias the new stamp
+		for i := range s.seen {
+			s.seen[i] = 0
+		}
+		s.stamp = 1
+	}
+	return s.work[:0]
+}
+
 // CriticalGates returns the front-layer two-qubit gates that have at
 // least one two-qubit successor whose remaining dependencies would be
 // (partly) resolved by executing them — the paper's Critical Gates (CG):
 // CNOTs in F with successors on the second layer. Resolving them first
-// advances the front layer fastest.
+// advances the front layer fastest. The result is sorted, owned by the
+// state and valid until the next Execute; callers must not modify it.
 func (s *State) CriticalGates() []int {
-	var out []int
-	for i := range s.front {
-		g := s.dag.Circ.Gates[i]
-		if !g.IsTwoQubit() {
-			continue
-		}
-		if s.hasTwoQubitDescendantInSecondLayer(i) {
-			out = append(out, i)
+	if s.critOK {
+		return s.crit
+	}
+	s.crit = s.crit[:0]
+	for _, i := range s.front {
+		if s.dag.Circ.Gates[i].IsTwoQubit() && s.hasTwoQubitDescendantInSecondLayer(i) {
+			s.crit = append(s.crit, i)
 		}
 	}
-	sort.Ints(out)
-	return out
+	s.critOK = true
+	return s.crit
 }
 
 // hasTwoQubitDescendantInSecondLayer reports whether front gate i has a
@@ -218,41 +241,44 @@ func (s *State) CriticalGates() []int {
 // single-qubit gates — i.e. a CNOT on the "second layer" that executing
 // i helps unblock.
 func (s *State) hasTwoQubitDescendantInSecondLayer(i int) bool {
-	seen := map[int]bool{}
-	stack := append([]int(nil), s.dag.Succ[i]...)
+	stack := append(s.newWalk(), s.dag.Succ[i]...)
+	found := false
 	for len(stack) > 0 {
 		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[j] || s.executed[j] {
+		if s.seen[j] == s.stamp || s.executed[j] {
 			continue
 		}
-		seen[j] = true
-		g := s.dag.Circ.Gates[j]
-		if g.IsTwoQubit() {
-			return true
+		s.seen[j] = s.stamp
+		if s.dag.Circ.Gates[j].IsTwoQubit() {
+			found = true
+			break
 		}
 		// 1q gates and barriers are free; look through them.
 		stack = append(stack, s.dag.Succ[j]...)
 	}
-	return false
+	s.work = stack[:0]
+	return found
 }
 
 // ExtendedSet returns up to limit unexecuted two-qubit gates that follow
-// the front layer in dependency order (SABRE's look-ahead window E).
+// the front layer in dependency order (SABRE's look-ahead window E). The
+// result is sorted, owned by the state and valid until the next Execute;
+// callers must not modify it.
 func (s *State) ExtendedSet(limit int) []int {
-	var out []int
-	seen := map[int]bool{}
+	if s.extOK && s.extLimit == limit {
+		return s.ext
+	}
+	out := s.ext[:0]
 	// BFS from the front layer through the DAG.
-	queue := s.Front()
-	for len(queue) > 0 && len(out) < limit {
-		i := queue[0]
-		queue = queue[1:]
-		for _, succ := range s.dag.Succ[i] {
-			if seen[succ] || s.executed[succ] {
+	queue := append(s.newWalk(), s.front...)
+	for head := 0; head < len(queue) && len(out) < limit; head++ {
+		for _, succ := range s.dag.Succ[queue[head]] {
+			if s.seen[succ] == s.stamp || s.executed[succ] {
 				continue
 			}
-			seen[succ] = true
-			if s.dag.Circ.Gates[succ].IsTwoQubit() && !s.front[succ] {
+			s.seen[succ] = s.stamp
+			if s.dag.Circ.Gates[succ].IsTwoQubit() && !s.inFront[succ] {
 				out = append(out, succ)
 				if len(out) >= limit {
 					break
@@ -261,6 +287,8 @@ func (s *State) ExtendedSet(limit int) []int {
 			queue = append(queue, succ)
 		}
 	}
+	s.work = queue[:0]
 	sort.Ints(out)
+	s.ext, s.extLimit, s.extOK = out, limit, true
 	return out
 }

@@ -84,11 +84,11 @@ func TestFrontTwoQubitSkips1Q(t *testing.T) {
 	c := New("c", 2)
 	c.H(0).CX(0, 1)
 	s := NewState(NewDAG(c))
-	if got := s.FrontTwoQubit(); len(got) != 0 {
+	if got := s.AppendFrontTwoQubit(nil); len(got) != 0 {
 		t.Fatalf("front 2q = %v, want empty (cx blocked by h)", got)
 	}
 	s.Execute(0)
-	if got := s.FrontTwoQubit(); !reflect.DeepEqual(got, []int{1}) {
+	if got := s.AppendFrontTwoQubit(nil); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("front 2q = %v, want [1]", got)
 	}
 }

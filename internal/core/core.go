@@ -185,6 +185,10 @@ type Result struct {
 	// Swaps and InterSwaps total the inserted SWAPs.
 	Swaps      int
 	InterSwaps int
+	// TraversalFallback reports that the joint reverse traversal failed
+	// and the schedule was routed from the partitioner's unrefined
+	// mapping instead.
+	TraversalFallback bool
 }
 
 // Compile compiles the workload under the given strategy, trying
@@ -349,11 +353,10 @@ func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit
 	for _, u := range units {
 		out.Schedules = append(out.Schedules, u.sched)
 		out.Initial = append(out.Initial, [][]int{u.mapping})
-		out.CNOTs += u.sched.CNOTCount()
+		cnots, depth := u.sched.Counts()
+		out.CNOTs += cnots
 		out.Swaps += u.sched.SwapCount
-		if d := u.sched.Depth(); d > out.Depth {
-			out.Depth = d
-		}
+		out.Depth = max(out.Depth, depth)
 	}
 	return out, nil
 }
@@ -410,13 +413,19 @@ func (c *Compiler) routeJoint(progs []*circuit.Circuit, res *partition.Result, o
 	// Refine the partitioner's GWEF mapping with joint reverse
 	// traversal under the same SWAP policy that will route the final
 	// pass (Das et al.'s baseline inherits SABRE's traversal too).
+	fallback := false
 	if c.Traversals > 0 {
-		refined, err := router.ReverseTraversalMulti(c.Device, progs, initial, c.Traversals, opts)
-		if err == nil {
+		if refined, err := router.ReverseTraversalMulti(c.Device, progs, initial, c.Traversals, opts); err == nil {
 			initial = refined
+		} else {
+			fallback = true
 		}
 	}
-	return c.routeJointMappings(progs, initial, opts, strat)
+	out, err := c.routeJointMappings(progs, initial, opts, strat)
+	if err == nil {
+		out.TraversalFallback = fallback
+	}
+	return out, err
 }
 
 func (c *Compiler) routeJointMappings(progs []*circuit.Circuit, initial [][]int, opts router.Options, strat Strategy) (*Result, error) {
@@ -424,13 +433,14 @@ func (c *Compiler) routeJointMappings(progs []*circuit.Circuit, initial [][]int,
 	if err != nil {
 		return nil, err
 	}
+	cnots, depth := s.Counts()
 	return &Result{
 		Strategy:   strat,
 		Programs:   progs,
 		Schedules:  []*router.Schedule{s},
 		Initial:    [][][]int{initial},
-		CNOTs:      s.CNOTCount(),
-		Depth:      s.Depth(),
+		CNOTs:      cnots,
+		Depth:      depth,
 		Swaps:      s.SwapCount,
 		InterSwaps: s.InterSwapCount,
 	}, nil

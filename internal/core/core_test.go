@@ -7,6 +7,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/nisqbench"
+	"repro/internal/partition"
+	"repro/internal/router"
 	"repro/internal/sim"
 )
 
@@ -267,5 +269,42 @@ func TestBridgeOptionReducesOrMatchesCNOTs(t *testing.T) {
 	}
 	if rw.CNOTs > ro.CNOTs {
 		t.Fatalf("bridge-enabled CNOTs %d > swap-only %d", rw.CNOTs, ro.CNOTs)
+	}
+}
+
+// TestTraversalFallbackIsCounted pins the one silent path in routeJoint:
+// when the joint reverse traversal fails (here intra-only routing walks
+// the two programs into a position a later pass cannot leave) the
+// workload is still routed from the partitioner's mapping, and the
+// Result says so.
+func TestTraversalFallbackIsCounted(t *testing.T) {
+	a := circuit.New("a", 3).CX(2, 0).CX(2, 0).CX(2, 1)
+	b := circuit.New("b", 3).CX(2, 1).CX(1, 0).CX(0, 1)
+	progs := []*circuit.Circuit{a, b}
+	part := &partition.Result{Assignments: []partition.Assignment{
+		{Program: 0, InitialMapping: []int{11, 13, 8}},
+		{Program: 1, InitialMapping: []int{0, 4, 9}},
+	}}
+	c := NewCompiler(arch.IBMQ16(0))
+	opts := router.DefaultOptions()
+	if _, err := router.ReverseTraversalMulti(c.Device, progs, [][]int{{11, 13, 8}, {0, 4, 9}}, c.Traversals, opts); err == nil {
+		t.Fatal("the reverse traversal of this workload no longer fails; pick another fallback case")
+	}
+	res, err := c.routeJoint(progs, part, opts, CDAPOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.TraversalFallback {
+		t.Fatal("routed from the unrefined mapping without reporting TraversalFallback")
+	}
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := c.Compile(pairWorkload(), CDAPOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok.TraversalFallback {
+		t.Fatal("TraversalFallback set on a compilation whose traversal succeeded")
 	}
 }

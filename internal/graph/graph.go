@@ -8,8 +8,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -41,9 +43,18 @@ func (e Edge) Other(x int) int {
 
 // Graph is an undirected graph with optional per-edge weights.
 // The zero value is not usable; create instances with New.
+//
+// Every derived index (adjacency bitmap, sorted adjacency, sorted edge
+// list) is maintained by AddWeightedEdge, never filled lazily: a device's
+// coupling graph is read by concurrent compilers, so read accessors must
+// not write.
 type Graph struct {
 	n      int
-	adj    [][]int
+	adj    [][]int // neighbors in insertion order
+	sorted [][]int // neighbors in ascending order
+	bits   []uint64
+	words  int    // bitmap words per row
+	edges  []Edge // sorted by (U, V)
 	weight map[Edge]float64
 }
 
@@ -52,9 +63,13 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
+	words := (n + 63) / 64
 	return &Graph{
 		n:      n,
 		adj:    make([][]int, n),
+		sorted: make([][]int, n),
+		bits:   make([]uint64, n*words),
+		words:  words,
 		weight: make(map[Edge]float64),
 	}
 }
@@ -63,7 +78,7 @@ func New(n int) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of (collapsed, undirected) edges.
-func (g *Graph) M() int { return len(g.weight) }
+func (g *Graph) M() int { return len(g.edges) }
 
 // AddEdge inserts the undirected edge {u, v} with weight 1. Adding an
 // existing edge is a no-op (the original weight is kept). Self-loops are
@@ -81,20 +96,38 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) {
 	g.checkVertex(u)
 	g.checkVertex(v)
 	e := NewEdge(u, v)
-	if _, ok := g.weight[e]; !ok {
+	if !g.has(u, v) {
 		g.adj[u] = append(g.adj[u], v)
 		g.adj[v] = append(g.adj[v], u)
+		g.sorted[u] = insertSorted(g.sorted[u], v)
+		g.sorted[v] = insertSorted(g.sorted[v], u)
+		g.bits[u*g.words+v>>6] |= 1 << (v & 63)
+		g.bits[v*g.words+u>>6] |= 1 << (u & 63)
+		i, _ := slices.BinarySearchFunc(g.edges, e, func(o, e Edge) int {
+			return cmp.Or(cmp.Compare(o.U, e.U), cmp.Compare(o.V, e.V))
+		})
+		g.edges = slices.Insert(g.edges, i, e)
 	}
 	g.weight[e] = w
 }
 
+// insertSorted inserts v into the ascending slice s.
+func insertSorted(s []int, v int) []int {
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Insert(s, i, v)
+}
+
+// has reads the adjacency bitmap; u and v must be in range.
+func (g *Graph) has(u, v int) bool {
+	return g.bits[u*g.words+v>>6]&(1<<(v&63)) != 0
+}
+
 // HasEdge reports whether the undirected edge {u, v} exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
+	if u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return false
 	}
-	_, ok := g.weight[NewEdge(u, v)]
-	return ok
+	return g.has(u, v)
 }
 
 // Weight returns the weight of edge {u, v}, or 0 if the edge is absent.
@@ -118,24 +151,14 @@ func (g *Graph) Degree(u int) int {
 // Edges returns all edges sorted by (U, V); the slice is freshly
 // allocated on each call.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.weight))
-	for e := range g.weight {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
+	return append(make([]Edge, 0, len(g.edges)), g.edges...)
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for e, w := range g.weight {
-		c.AddWeightedEdge(e.U, e.V, w)
+	for _, e := range g.edges {
+		c.AddWeightedEdge(e.U, e.V, g.weight[e])
 	}
 	return c
 }
@@ -179,39 +202,33 @@ func (g *Graph) AllPairsHops() [][]int {
 	return d
 }
 
-// RestrictedHops returns the all-pairs hop-distance matrix on the vertex-
-// induced subgraph containing only vertices with allowed[v] == true.
-// Pairs that are not connected inside the subgraph (or involve a
-// disallowed vertex) get -1.
-func (g *Graph) RestrictedHops(allowed []bool) [][]int {
-	if len(allowed) != g.n {
-		panic("graph: allowed mask has wrong length")
+// RestrictedHopsFrom fills dist (length N) with the hop distances from
+// src on the subgraph induced by the vertices with allowed[v] == true:
+// vertices not connected to src inside the subgraph, and every vertex
+// when src itself is disallowed, get -1. queue is BFS scratch; with
+// capacity N the call does not allocate.
+func (g *Graph) RestrictedHopsFrom(src int, allowed []bool, dist, queue []int) {
+	g.checkVertex(src)
+	if len(allowed) != g.n || len(dist) != g.n {
+		panic("graph: allowed mask or distance row has wrong length")
 	}
-	d := make([][]int, g.n)
-	for i := range d {
-		d[i] = make([]int, g.n)
-		for j := range d[i] {
-			d[i][j] = -1
-		}
+	for i := range dist {
+		dist[i] = -1
 	}
-	for src := 0; src < g.n; src++ {
-		if !allowed[src] {
-			continue
-		}
-		d[src][src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if allowed[v] && d[src][v] < 0 {
-					d[src][v] = d[src][u] + 1
-					queue = append(queue, v)
-				}
+	if !allowed[src] {
+		return
+	}
+	dist[src] = 0
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.adj[u] {
+			if allowed[v] && dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
 			}
 		}
 	}
-	return d
 }
 
 // Dijkstra returns weighted shortest-path distances from src using the
@@ -253,8 +270,18 @@ func (g *Graph) Dijkstra(src int) []float64 {
 // unreachable. Ties are broken toward lower-numbered vertices so the
 // result is deterministic.
 func (g *Graph) ShortestPath(src, dst int) []int {
+	return g.ShortestPathWithin(src, dst, nil)
+}
+
+// ShortestPathWithin is ShortestPath on the subgraph induced by the
+// vertices with allowed[v] == true (nil allows every vertex); it returns
+// nil when either endpoint is disallowed.
+func (g *Graph) ShortestPathWithin(src, dst int, allowed []bool) []int {
 	g.checkVertex(src)
 	g.checkVertex(dst)
+	if allowed != nil && (!allowed[src] || !allowed[dst]) {
+		return nil
+	}
 	if src == dst {
 		return []int{src}
 	}
@@ -269,10 +296,8 @@ func (g *Graph) ShortestPath(src, dst int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		nbrs := append([]int(nil), g.adj[u]...)
-		sort.Ints(nbrs)
-		for _, v := range nbrs {
-			if dist[v] < 0 {
+		for _, v := range g.sorted[u] {
+			if dist[v] < 0 && (allowed == nil || allowed[v]) {
 				dist[v] = dist[u] + 1
 				prev[v] = u
 				queue = append(queue, v)
@@ -362,14 +387,17 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// InducedEdges returns the edges of the subgraph induced by verts.
+// InducedEdges returns the edges of the subgraph induced by verts,
+// sorted by (U, V).
 func (g *Graph) InducedEdges(verts []int) []Edge {
-	in := make(map[int]bool, len(verts))
+	in := make([]bool, g.n)
 	for _, v := range verts {
-		in[v] = true
+		if v >= 0 && v < g.n {
+			in[v] = true
+		}
 	}
 	var out []Edge
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if in[e.U] && in[e.V] {
 			out = append(out, e)
 		}

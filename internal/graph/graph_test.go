@@ -2,7 +2,10 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -126,12 +129,23 @@ func TestRestrictedHops(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 0)
 	allowed := []bool{true, false, true, true}
-	d := g.RestrictedHops(allowed)
+	d := make([][]int, 4)
+	queue := make([]int, 0, 4)
+	for src := range d {
+		d[src] = make([]int, 4)
+		g.RestrictedHopsFrom(src, allowed, d[src], queue)
+	}
 	if d[0][2] != 2 {
 		t.Fatalf("restricted d[0][2] = %d, want 2 (via 3)", d[0][2])
 	}
-	if d[0][1] != -1 || d[1][0] != -1 {
-		t.Fatal("distances to disallowed vertices must be -1")
+	if d[0][1] != -1 || d[1][0] != -1 || d[1][1] != -1 {
+		t.Fatal("distances to and from disallowed vertices must be -1")
+	}
+	if p := g.ShortestPathWithin(0, 2, allowed); !reflect.DeepEqual(p, []int{0, 3, 2}) {
+		t.Fatalf("restricted path = %v, want [0 3 2]", p)
+	}
+	if p := g.ShortestPathWithin(0, 1, allowed); p != nil {
+		t.Fatalf("path to a disallowed vertex = %v, want nil", p)
 	}
 }
 
@@ -141,7 +155,8 @@ func TestRestrictedHopsWrongMaskLen(t *testing.T) {
 			t.Fatal("wrong mask length must panic")
 		}
 	}()
-	ladder(3).RestrictedHops([]bool{true})
+	g := ladder(3)
+	g.RestrictedHopsFrom(0, []bool{true}, make([]int, g.N()), nil)
 }
 
 func TestDijkstra(t *testing.T) {
@@ -334,5 +349,68 @@ func TestShortestPathLengthMatchesBFS(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDerivedIndexesTrackInserts checks the indexes AddWeightedEdge
+// maintains — adjacency bitmap (two words per row here), sorted
+// adjacency, sorted edge list — against the plain adjacency lists after
+// random-order inserts with repeats, and that Clone copies them.
+func TestDerivedIndexesTrackInserts(t *testing.T) {
+	const n = 70
+	rng := rand.New(rand.NewSource(3))
+	g := New(n)
+	want := map[Edge]bool{}
+	for k := 0; k < 400; k++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		g.AddWeightedEdge(u, v, float64(k))
+		want[NewEdge(u, v)] = true
+	}
+	if g.M() != len(want) {
+		t.Fatalf("M = %d, want %d", g.M(), len(want))
+	}
+	edges := g.Edges()
+	if len(edges) != len(want) {
+		t.Fatalf("%d edges listed, want %d", len(edges), len(want))
+	}
+	for i, e := range edges {
+		if !want[e] {
+			t.Fatalf("listed edge %v was never inserted", e)
+		}
+		if i > 0 && (edges[i-1].U > e.U || (edges[i-1].U == e.U && edges[i-1].V >= e.V)) {
+			t.Fatalf("edge list out of order at %d: %v then %v", i, edges[i-1], e)
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if got := g.HasEdge(u, v); got != want[NewEdge(u, v)] {
+				t.Fatalf("HasEdge(%d,%d) = %v", u, v, got)
+			}
+		}
+		nbrs := append([]int(nil), g.Neighbors(u)...)
+		sort.Ints(nbrs)
+		if !reflect.DeepEqual(nbrs, append([]int(nil), g.sorted[u]...)) {
+			t.Fatalf("sorted adjacency of %d = %v, want %v", u, g.sorted[u], nbrs)
+		}
+	}
+	if g.HasEdge(-1, 0) || g.HasEdge(0, n) {
+		t.Fatal("out-of-range HasEdge must be false")
+	}
+	verts := []int{-4, 3, 9, 17, 21, 40, 41, 66, n + 5}
+	var induced []Edge
+	for _, e := range edges {
+		if slices.Contains(verts, e.U) && slices.Contains(verts, e.V) {
+			induced = append(induced, e)
+		}
+	}
+	if got := g.InducedEdges(verts); !reflect.DeepEqual(got, induced) {
+		t.Fatalf("InducedEdges = %v, want %v", got, induced)
+	}
+	c := g.Clone()
+	if !reflect.DeepEqual(c.Edges(), edges) || c.Weight(edges[0].U, edges[0].V) != g.Weight(edges[0].U, edges[0].V) {
+		t.Fatal("Clone lost edges or weights")
 	}
 }

@@ -27,7 +27,7 @@ func testRun(tb testing.TB, opts Options) *run {
 // the cache — the oracle for the invalidation tests.
 func freshBlockedFront(r *run, p *progCtx) []int {
 	var out []int
-	for _, gi := range p.state.FrontTwoQubit() {
+	for _, gi := range p.state.AppendFrontTwoQubit(nil) {
 		g := p.circ.Gates[gi]
 		a, b := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
 		if !r.d.Coupling.HasEdge(a, b) {
@@ -85,35 +85,53 @@ func TestBlockedFrontCacheTracksMutations(t *testing.T) {
 	}
 }
 
-// TestRestrictedHopsMemo checks both memo behaviors: a repeat call with
-// unchanged ownership returns the cached matrix, and an ownership
-// change produces the same matrix a fresh computation would.
+// TestRestrictedHopsMemo checks the lazy D'_p rows: a row is kept across
+// intra-program SWAPs (ownership unchanged), and a SWAP that moves a
+// program boundary makes every program's rows equal a fresh BFS again.
 func TestRestrictedHopsMemo(t *testing.T) {
 	r := testRun(t, XSWAPOptions())
-	first := r.restrictedHops(0)
-	if second := r.restrictedHops(0); &second[0] != &first[0] {
-		t.Fatal("unchanged ownership recomputed the restricted-hops matrix")
-	}
-	fresh := func(p int) [][]int {
-		allowed := make([]bool, r.d.NumQubits())
-		for q := range allowed {
-			allowed[q] = r.owner[q] == -1 || r.owner[q] == p
-		}
-		return r.d.Coupling.RestrictedHops(allowed)
-	}
-	if !reflect.DeepEqual(first, fresh(0)) {
-		t.Fatal("memoized restricted hops differ from a fresh computation")
-	}
-	// Move a program boundary: swap one of program 0's qubits with a
-	// free neighbor, which changes the allowed mask for both programs.
-	var moved bool
-	for _, nb := range r.d.Coupling.Neighbors(r.progs[0].l2p[0]) {
-		if r.owner[nb] == -1 {
-			a, b := r.progs[0].l2p[0], nb
-			if a > b {
-				a, b = b, a
+	hops := r.d.Hops()
+	n := r.d.NumQubits()
+	checkAll := func(when string) {
+		t.Helper()
+		for _, p := range r.progs {
+			want := refRestrictedHops(r, p.idx)
+			for src := 0; src < n; src++ {
+				if got := r.restrictedRow(p, src); !sameInts(got, want[src]) {
+					t.Fatalf("%s: program %d row %d = %v, fresh BFS %v", when, p.idx, src, got, want[src])
+				}
 			}
-			r.applySwap(swapCandidate{a: a, b: b, trigger: 0}, r.d.Hops())
+		}
+	}
+	checkAll("initial")
+
+	// Swap two of program 0's own qubits: the row buffer must be reused
+	// as is — poison one entry and see it survive.
+	p0 := r.progs[0]
+	src := p0.l2p[0]
+	const poison = -7
+	r.restrictedRow(p0, src)[src] = poison
+	var intra bool
+	for _, nb := range r.d.Coupling.Neighbors(p0.l2p[1]) {
+		if r.owner[nb] == 0 {
+			r.applySwap(swapCandidate{a: min(p0.l2p[1], nb), b: max(p0.l2p[1], nb), trigger: 0}, hops)
+			intra = true
+			break
+		}
+	}
+	if !intra {
+		t.Fatal("program 0 has no adjacent pair of its own qubits")
+	}
+	if got := r.restrictedRow(p0, src)[src]; got != poison {
+		t.Fatal("an intra-program SWAP recomputed a restricted-distance row")
+	}
+
+	// Move a program boundary: swap one of program 0's qubits with a
+	// free neighbor, which changes the ownership mask of every program.
+	var moved bool
+	for _, nb := range r.d.Coupling.Neighbors(p0.l2p[0]) {
+		if r.owner[nb] == -1 {
+			r.applySwap(swapCandidate{a: min(p0.l2p[0], nb), b: max(p0.l2p[0], nb), trigger: 0}, hops)
 			moved = true
 			break
 		}
@@ -121,11 +139,7 @@ func TestRestrictedHopsMemo(t *testing.T) {
 	if !moved {
 		t.Skip("no free neighbor to move a program boundary")
 	}
-	for p := range r.progs {
-		if got, want := r.restrictedHops(p), fresh(p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("program %d: post-swap restricted hops differ from fresh computation", p)
-		}
-	}
+	checkAll("after a boundary SWAP") // the poisoned row included
 }
 
 // TestSwapCandidatesAllocs is the router-side allocation guard: once
@@ -140,15 +154,56 @@ func TestSwapCandidatesAllocs(t *testing.T) {
 			p.fbOK = false // force the front recomputation too
 			r.swapCandidates()
 		})
-		if opts.CriticalGatesOnly {
-			// CriticalGates itself allocates its result; allow it but
-			// nothing unbounded.
-			if allocs > 8 {
-				t.Fatalf("critical-gates candidate step allocates %.1f per run, want <= 8", allocs)
-			}
-		} else if allocs > 0 {
+		if allocs > 0 {
 			t.Fatalf("candidate step allocates %.1f per run, want 0", allocs)
 		}
+	}
+}
+
+// mix50Run builds a mid-route X-SWAP run of four programs on IBMQ50 and
+// drains the compliant prefix, leaving every program blocked.
+func mix50Run(tb testing.TB) *run {
+	tb.Helper()
+	d := arch.IBMQ50(0)
+	var progs []*circuit.Circuit
+	var initial [][]int
+	for i, name := range []string{"aj-e11_165", "alu-v2_31", "4gt4-v0_72", "sf_276"} {
+		c := nisqbench.MustGet(name)
+		m := make([]int, c.NumQubits)
+		for l := range m {
+			m[l] = 10*i + l // one row of the chip's 5x10 grid each
+		}
+		progs, initial = append(progs, c), append(initial, m)
+	}
+	r, err := newRun(d, progs, initial, XSWAPOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.executeCompliant()
+	return r
+}
+
+// TestSwapStepAllocs is the allocation guard for the routing loop's
+// steady state — a stall window, where SWAP follows SWAP with no gate
+// executing: candidates, lowering, scoring every candidate and applying
+// the winner must all run in the run's own scratch. Each step undoes its
+// SWAP (no gate is ever executed here, so a one-way walk would run out
+// of blocked gates), which also drives D'_p through an invalidation in
+// both directions.
+func TestSwapStepAllocs(t *testing.T) {
+	r := mix50Run(t)
+	hops := r.d.Hops()
+	step := func() {
+		c := r.pickSwap(r.swapCandidates(), hops)
+		r.applySwap(c, hops)
+		r.applySwap(c, hops)
+	}
+	for i := 0; i < 100; i++ {
+		step() // warm scratch and the D'_p backing stores
+	}
+	r.sched.Ops = append(make([]Op, 0, len(r.sched.Ops)+1000), r.sched.Ops...)
+	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
+		t.Fatalf("steady-state SWAP step allocates %.1f per run, want 0", allocs)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -146,6 +145,13 @@ func (s *Schedule) CNOTCount() int { return s.PhysicalCircuit().CNOTCount() }
 
 // Depth returns the post-compilation circuit depth (SWAP = 3 layers).
 func (s *Schedule) Depth() int { return s.PhysicalCircuit().Depth() }
+
+// Counts returns CNOTCount and Depth from one rendering of the physical
+// circuit; callers that need both should prefer it.
+func (s *Schedule) Counts() (cnots, depth int) {
+	c := s.PhysicalCircuit()
+	return c.CNOTCount(), c.Depth()
+}
 
 // Validate re-simulates the schedule's qubit movements and checks that
 // every two-qubit op touches coupled qubits, every source gate appears
@@ -320,11 +326,26 @@ func newRun(d *arch.Device, progs []*circuit.Circuit, initial [][]int, opts Opti
 		return nil, fmt.Errorf("router: %d programs but %d mappings", len(progs), len(initial))
 	}
 	r := &run{
-		d:     d,
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		sched: &Schedule{Device: d, SwapsByProgram: make([]int, len(progs))},
-		decay: make([]float64, d.NumQubits()),
+		d:      d,
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(opts.Seed)),
+		sched:  &Schedule{Device: d, SwapsByProgram: make([]int, len(progs))},
+		decay:  make([]float64, d.NumQubits()),
+		queue:  make([]int, 0, d.NumQubits()),
+		ownGen: 1,
+	}
+	if opts.NoisePenalty > 0 {
+		// Noise-awareness penalizes unreliable links; the term depends
+		// only on the edge, so it is computed once per run.
+		n := d.NumQubits()
+		r.noise = make([]float64, n*n)
+		for _, e := range d.Coupling.Edges() {
+			rel := 1 - d.CNOTError(e.U, e.V)
+			if rel < 1e-9 {
+				rel = 1e-9
+			}
+			r.noise[e.U*n+e.V] = opts.NoisePenalty * 3 * -math.Log(rel)
+		}
 	}
 	r.owner = make([]int, d.NumQubits())
 	r.physLog = make([]int, d.NumQubits())
@@ -391,19 +412,22 @@ type progCtx struct {
 	// Blocked-front cache: fb holds the blocked front-layer two-qubit
 	// gates, valid while fbOK. It is invalidated whenever the front
 	// layer advances (run.exec) or the program's mapping moves
-	// (applySwap); frontBuf is the scratch for the DAG front query.
-	// Routing asks for the blocked front several times per SWAP step
-	// (bridges, candidates, scoring) — the cache makes all but the
-	// first ask free.
+	// (applySwap). Routing asks for the blocked front several times per
+	// SWAP step (bridges, candidates, scoring) — the cache makes all but
+	// the first ask free. frontBuf is executeCompliant's snapshot of the
+	// whole front layer.
 	fb       []int
 	fbOK     bool
 	frontBuf []int
-	// Restricted-hops memo (Equation 2's D'_p): rhops is the all-pairs
-	// BFS result for ownership mask rhAllowed. The mask only changes
-	// when a SWAP moves a program boundary, so most pickSwap calls
-	// reuse the matrix instead of redoing n BFS traversals.
-	rhAllowed []bool
-	rhops     [][]int
+	// Restricted distances (Equation 2's D'_p): hop counts over the
+	// qubits that are free or owned by this program, one row per source
+	// qubit, filled on first touch. They depend on the ownership map
+	// alone, whose changes run.ownGen counts: row src is valid while
+	// rowGen[src] == ownGen, and mask while maskGen == ownGen.
+	mask    []bool
+	maskGen int
+	rows    []int // n*n backing store, row src at [src*n, (src+1)*n)
+	rowGen  []int
 }
 
 type run struct {
@@ -414,18 +438,30 @@ type run struct {
 	sched   *Schedule
 	owner   []int // phys -> program or -1
 	physLog []int // phys -> logical within owner or -1
-	decay   []float64
-	nswaps  int
+	// ownGen counts the SWAPs that changed owner (inter-program, or
+	// moving a free qubit); intra-program SWAPs leave it alone.
+	ownGen int
+	decay  []float64
+	nswaps int
 	// Per-step scratch (see DESIGN.md, "Hot-path memory discipline"):
 	// the candidate/scoring loop runs once per inserted SWAP, so its
 	// working sets are reused instead of reallocated.
-	allowedBuf []bool          // restrictedHops mask scratch
-	seenEdge   []bool          // swapCandidates dedup, indexed a*n+b
-	seenKeys   []int           // touched seenEdge entries to clear
-	candBuf    []swapCandidate // swapCandidates output buffer
-	critBuf    []int           // candidateGates critical-subset buffer
-	snapsBuf   []progSnapshot  // pickSwap per-program snapshots
-	bestBuf    []swapCandidate // pickSwap tied-best buffer
+	queue    []int           // restrictedRow BFS scratch
+	seenEdge []bool          // swapCandidates dedup, indexed a*n+b
+	seenKeys []int           // touched seenEdge entries to clear
+	candBuf  []swapCandidate // swapCandidates output buffer
+	critBuf  []int           // candidateGates critical-subset buffer
+	bestBuf  []swapCandidate // pickSwap tied-best buffer
+	noise    []float64       // noise term per coupling edge, indexed a*n+b
+	pairs    []int           // current chunk of SWAP operand slices
+	// One SWAP decision's lowered scoring state, rebuilt by lower and
+	// read by scoreSwap (see DESIGN.md, "Routing cost model").
+	snaps   []progSnapshot
+	gates   []loweredGate
+	gains   []gainEntry
+	incHead []int // per physical qubit: its first incidence, or -1
+	incNext []int // incidence 2k (2k+1) is gate k's endpoint a (b)
+	delta   []int // per scoring slot: the candidate's distance-sum change
 }
 
 // exec advances program p past gate gi and invalidates its cached
@@ -490,7 +526,8 @@ func (r *run) executeCompliant() bool {
 	for {
 		progress := false
 		for _, p := range r.progs {
-			for _, gi := range p.state.Front() {
+			p.frontBuf = p.state.AppendFront(p.frontBuf[:0])
+			for _, gi := range p.frontBuf {
 				g := p.circ.Gates[gi]
 				switch {
 				case g.IsBarrier():
@@ -705,9 +742,9 @@ func (r *run) blockedFront(p *progCtx) []int {
 	if p.fbOK {
 		return p.fb
 	}
-	p.frontBuf = p.state.AppendFrontTwoQubit(p.frontBuf[:0])
-	p.fb = p.fb[:0]
-	for _, gi := range p.frontBuf {
+	front := p.state.AppendFrontTwoQubit(p.fb[:0])
+	p.fb = front[:0]
+	for _, gi := range front {
 		g := p.circ.Gates[gi]
 		a, b := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
 		if !r.d.Coupling.HasEdge(a, b) {
@@ -732,91 +769,143 @@ func (r *run) swapAllowed(prog, a, b int) bool {
 	return true
 }
 
-// restrictedHops returns D'_p: hop distances over the qubits free or
-// owned by program p (Equation 2's per-program matrix). The matrix is
-// memoized per program against its ownership mask: intra-program SWAPs
-// leave the mask untouched, so the all-pairs BFS only reruns when a
-// SWAP actually moves a program boundary. Callers must treat the
-// returned matrix as read-only.
-func (r *run) restrictedHops(p int) [][]int {
-	pr := r.progs[p]
-	if r.allowedBuf == nil {
-		r.allowedBuf = make([]bool, r.d.NumQubits())
+// ownMask returns the qubits program p may route over without crossing
+// another program: those that are free or its own.
+func (r *run) ownMask(p *progCtx) []bool {
+	if p.mask == nil {
+		n := r.d.NumQubits()
+		p.mask = make([]bool, n)
+		p.rows = make([]int, n*n)
+		p.rowGen = make([]int, n)
 	}
-	allowed := r.allowedBuf
-	same := pr.rhops != nil
-	for q := range allowed {
-		a := r.owner[q] == -1 || r.owner[q] == p
-		allowed[q] = a
-		if same && pr.rhAllowed[q] != a {
-			same = false
+	if p.maskGen != r.ownGen {
+		for q, o := range r.owner {
+			p.mask[q] = o == -1 || o == p.idx
 		}
+		p.maskGen = r.ownGen
 	}
-	if same {
-		return pr.rhops
-	}
-	pr.rhAllowed = append(pr.rhAllowed[:0], allowed...)
-	pr.rhops = r.d.Coupling.RestrictedHops(allowed)
-	return pr.rhops
+	return p.mask
 }
 
-// progSnapshot caches everything score evaluation needs about one
-// program for one SWAP decision, so candidates don't recompute it.
+// restrictedRow returns row src of D'_p: hop distances from src over
+// ownMask(p), -1 where unreachable (Equation 2's per-program matrix).
+// Rows are filled on first touch and kept until a SWAP moves one of p's
+// boundaries; callers must treat the row as read-only.
+func (r *run) restrictedRow(p *progCtx, src int) []int {
+	mask := r.ownMask(p)
+	n := len(mask)
+	row := p.rows[src*n : (src+1)*n]
+	if p.rowGen[src] != r.ownGen {
+		r.d.Coupling.RestrictedHopsFrom(src, mask, row, r.queue)
+		p.rowGen[src] = r.ownGen
+	}
+	return row
+}
+
+// progSnapshot is one program's share of a SWAP decision: its blocked
+// front gates gates[f0:f1] and extended set gates[f1:e1] lowered to
+// physical endpoints, with their distance sums under the current
+// mapping, and its Equation 2 gains gains[g0:g1].
 type progSnapshot struct {
-	p     *progCtx
-	front []int   // blocked front-layer 2q gate indices
-	ext   []int   // extended-set gate indices
-	dist  [][]int // distance matrix used by H (D or D'_p)
-	// gainOf[k] is Equation 2's gain for front[k] (0 when irrelevant),
-	// and gainST[k] the gate's current physical endpoints.
-	gainOf []float64
-	gainST [][2]int
+	p          *progCtx
+	f0, f1, e1 int
+	sumF, sumE int
+	g0, g1     int
 }
 
-// pickSwap scores every candidate with the heuristic cost function
-// (Equation 3) and returns the minimum; ties break uniformly at random.
-func (r *run) pickSwap(cands []swapCandidate, hops [][]int) swapCandidate {
-	snaps := r.snapsBuf[:0]
+// loweredGate is a front or extended-set gate on physical qubits: d is
+// its current distance (H's summand) and slot the delta it accumulates
+// into (2·snapshot for front gates, 2·snapshot+1 for the extended set).
+type loweredGate struct {
+	a, b, d, slot int
+}
+
+// gainEntry is Equation 2's gain (< 0) for a front gate between
+// physical qubits s and t.
+type gainEntry struct {
+	s, t, gain int
+}
+
+// distance is H's per-gate summand between physical qubits x and y for
+// program p: global hops under X-SWAP, D'_p otherwise; pairs the
+// restriction disconnects are strongly discouraged.
+func (r *run) distance(p *progCtx, hops [][]int, x, y int) int {
+	var d int
+	if r.opts.InterProgram {
+		d = hops[x][y]
+	} else {
+		d = r.restrictedRow(p, x)[y]
+	}
+	if d < 0 {
+		return r.d.NumQubits()
+	}
+	return d
+}
+
+// lower rebuilds the scoring state for one SWAP decision: per program
+// with a blocked front, the lowered gates, their base distance sums, the
+// per-qubit incidence lists scoreSwap walks, and the gains.
+func (r *run) lower(hops [][]int) {
+	if r.incHead == nil {
+		r.incHead = make([]int, r.d.NumQubits())
+	}
+	for q := range r.incHead {
+		r.incHead[q] = -1
+	}
+	r.snaps, r.gates, r.gains, r.incNext = r.snaps[:0], r.gates[:0], r.gains[:0], r.incNext[:0]
+	lowerGates := func(p *progCtx, gis []int, slot int) (sum int) {
+		for _, gi := range gis {
+			g := p.circ.Gates[gi]
+			a, b := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
+			d := r.distance(p, hops, a, b)
+			k := len(r.gates)
+			r.gates = append(r.gates, loweredGate{a: a, b: b, d: d, slot: slot})
+			r.incNext = append(r.incNext, r.incHead[a], r.incHead[b])
+			r.incHead[a], r.incHead[b] = 2*k, 2*k+1
+			sum += d
+		}
+		return sum
+	}
 	for _, p := range r.progs {
 		front := r.blockedFront(p)
 		if len(front) == 0 {
 			continue
 		}
-		snap := progSnapshot{p: p, front: front}
+		slot := 2 * len(r.snaps)
+		snap := progSnapshot{p: p, f0: len(r.gates), g0: len(r.gains)}
+		snap.sumF = lowerGates(p, front, slot)
+		snap.f1 = len(r.gates)
 		if r.opts.ExtendedSetWeight > 0 && r.opts.ExtendedSetSize > 0 {
-			snap.ext = p.state.ExtendedSet(r.opts.ExtendedSetSize)
+			snap.sumE = lowerGates(p, p.state.ExtendedSet(r.opts.ExtendedSetSize), slot+1)
 		}
-		if r.opts.InterProgram {
-			snap.dist = hops
-		} else {
-			snap.dist = r.restrictedHops(p.idx)
-		}
+		snap.e1 = len(r.gates)
 		if r.opts.InterProgram && r.opts.GainTerm {
-			dp := r.restrictedHops(p.idx)
-			snap.gainOf = make([]float64, len(front))
-			snap.gainST = make([][2]int, len(front))
-			for k, gi := range front {
-				g := p.circ.Gates[gi]
-				s, t := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
-				snap.gainST[k] = [2]int{s, t}
-				dGlobal := hops[s][t]
-				dOwn := dp[s][t]
+			for _, g := range r.gates[snap.f0:snap.f1] {
+				dOwn := r.restrictedRow(p, g.a)[g.b]
 				if dOwn < 0 {
 					dOwn = r.d.NumQubits() * 2
 				}
-				if gain := float64(dGlobal - dOwn); gain < 0 {
-					snap.gainOf[k] = gain
+				if gain := hops[g.a][g.b] - dOwn; gain < 0 {
+					r.gains = append(r.gains, gainEntry{s: g.a, t: g.b, gain: gain})
 				}
 			}
 		}
-		snaps = append(snaps, snap)
+		snap.g1 = len(r.gains)
+		r.snaps = append(r.snaps, snap)
 	}
-	r.snapsBuf = snaps
+	for len(r.delta) < 2*len(r.snaps) {
+		r.delta = append(r.delta, 0)
+	}
+}
 
+// pickSwap scores every candidate with the heuristic cost function
+// (Equation 3) and returns the minimum; ties break uniformly at random.
+func (r *run) pickSwap(cands []swapCandidate, hops [][]int) swapCandidate {
+	r.lower(hops)
 	best := r.bestBuf[:0]
 	bestScore := math.Inf(1)
 	for _, c := range cands {
-		s := r.scoreSwap(c, hops, snaps)
+		s := r.scoreSwap(c, hops)
 		switch {
 		case s < bestScore-1e-9:
 			bestScore = s
@@ -831,62 +920,56 @@ func (r *run) pickSwap(cands []swapCandidate, hops [][]int) swapCandidate {
 }
 
 // scoreSwap computes score(SWAP) = H(SWAP) + Σ_i (1/|F_i|) Σ_g
-// gain(g)·I(SWAP,g) plus the decay and noise terms.
-func (r *run) scoreSwap(c swapCandidate, hops [][]int, snaps []progSnapshot) float64 {
-	h := 0.0
-	for si := range snaps {
-		snap := &snaps[si]
-		p := snap.p
-		// Trial mapping: where each logical qubit would be after the swap.
-		trial := func(l int) int {
-			phys := p.l2p[l]
-			switch phys {
+// gain(g)·I(SWAP,g) plus the decay and noise terms, against the state
+// lower built. Only gates with an endpoint on c.a or c.b change distance
+// under the SWAP, so H is the base sums plus those gates' deltas; the
+// sums are small integers, which float64 adds exactly, so each
+// program's term equals a gate-by-gate float accumulation bit for bit.
+func (r *run) scoreSwap(c swapCandidate, hops [][]int) float64 {
+	for _, q := range [2]int{c.a, c.b} {
+		for e := r.incHead[q]; e >= 0; e = r.incNext[e] {
+			g := &r.gates[e>>1]
+			// Trial mapping: where the endpoints would be after the
+			// swap. A gate spanning the candidate edge is visited from
+			// both ends and adds 0 twice (distances are symmetric).
+			x, y := g.a, g.b
+			switch x {
 			case c.a:
-				return c.b
+				x = c.b
 			case c.b:
-				return c.a
+				x = c.a
 			}
-			return phys
-		}
-		sum := 0.0
-		for _, gi := range snap.front {
-			g := p.circ.Gates[gi]
-			dd := snap.dist[trial(g.Qubits[0])][trial(g.Qubits[1])]
-			if dd < 0 {
-				dd = r.d.NumQubits() // unreachable under restriction: strongly discourage
+			switch y {
+			case c.a:
+				y = c.b
+			case c.b:
+				y = c.a
 			}
-			sum += float64(dd)
+			r.delta[g.slot] += r.distance(r.snaps[g.slot>>1].p, hops, x, y) - g.d
 		}
-		h += sum / float64(len(snap.front))
-		if len(snap.ext) > 0 {
-			esum := 0.0
-			for _, gi := range snap.ext {
-				g := p.circ.Gates[gi]
-				dd := snap.dist[trial(g.Qubits[0])][trial(g.Qubits[1])]
-				if dd < 0 {
-					dd = r.d.NumQubits()
-				}
-				esum += float64(dd)
-			}
-			h += r.opts.ExtendedSetWeight * esum / float64(len(snap.ext))
+	}
+	h := 0.0
+	for si := range r.snaps {
+		snap := &r.snaps[si]
+		nf := float64(snap.f1 - snap.f0)
+		h += float64(snap.sumF+r.delta[2*si]) / nf
+		if ne := snap.e1 - snap.f1; ne > 0 {
+			h += r.opts.ExtendedSetWeight * float64(snap.sumE+r.delta[2*si+1]) / float64(ne)
 		}
+		r.delta[2*si], r.delta[2*si+1] = 0, 0
 
 		// Gain term (Equations 2-3): prioritize SWAPs lying on the
 		// global shortest path of gates for which inter-program routing
-		// is shorter than intra-program routing; gain(g) = D - D'_i <= 0
+		// is shorter than intra-program routing; gain(g) = D - D'_i < 0
 		// lowers the score of such SWAPs.
-		if snap.gainOf != nil {
-			gsum := 0.0
-			for k := range snap.front {
-				if snap.gainOf[k] >= 0 { // gains are negative where set, 0 where irrelevant
-					continue
-				}
-				st := snap.gainST[k]
-				if onShortestPath(hops, st[0], st[1], c.a, c.b) {
-					gsum += snap.gainOf[k]
+		if r.opts.InterProgram && r.opts.GainTerm {
+			gsum := 0
+			for _, ge := range r.gains[snap.g0:snap.g1] {
+				if onShortestPath(hops, ge.s, ge.t, c.a, c.b) {
+					gsum += ge.gain
 				}
 			}
-			h += gsum / float64(len(snap.front))
+			h += float64(gsum) / nf
 		}
 	}
 
@@ -897,13 +980,8 @@ func (r *run) scoreSwap(c swapCandidate, hops [][]int, snaps []progSnapshot) flo
 	}
 	h *= 1 + dec
 
-	// Noise-awareness: penalize unreliable links.
-	if r.opts.NoisePenalty > 0 {
-		rel := 1 - r.d.CNOTError(c.a, c.b)
-		if rel < 1e-9 {
-			rel = 1e-9
-		}
-		h += r.opts.NoisePenalty * 3 * -math.Log(rel)
+	if r.noise != nil {
+		h += r.noise[c.a*r.d.NumQubits()+c.b]
 	}
 	return h
 }
@@ -921,12 +999,23 @@ func onShortestPath(hops [][]int, s, t, a, b int) bool {
 	return hops[s][b] >= 0 && hops[a][t] >= 0 && hops[s][b]+1+hops[a][t] == d
 }
 
+// operands returns {a, b} as a SWAP's operand slice, carved out of a
+// chunk shared by a few hundred SWAPs (capacity-limited, so appending to
+// one never reaches its neighbor) instead of allocated per SWAP.
+func (r *run) operands(a, b int) []int {
+	if len(r.pairs)+2 > cap(r.pairs) {
+		r.pairs = make([]int, 0, 512)
+	}
+	r.pairs = append(r.pairs, a, b)
+	return r.pairs[len(r.pairs)-2 : len(r.pairs) : len(r.pairs)]
+}
+
 // applySwap emits the SWAP and updates mappings, ownership and decay.
 func (r *run) applySwap(c swapCandidate, hops [][]int) {
 	inter := r.owner[c.a] != -1 && r.owner[c.b] != -1 && r.owner[c.a] != r.owner[c.b]
 	r.sched.Ops = append(r.sched.Ops, Op{
 		Program:        -1,
-		Gate:           circuit.Gate{Name: circuit.GateSWAP, Qubits: []int{c.a, c.b}},
+		Gate:           circuit.Gate{Name: circuit.GateSWAP, Qubits: r.operands(c.a, c.b)},
 		IsSwap:         true,
 		InterProgram:   inter,
 		GateIndex:      -1,
@@ -952,6 +1041,9 @@ func (r *run) applySwap(c swapCandidate, hops [][]int) {
 	}
 	r.owner[c.a], r.owner[c.b] = ob, oa
 	r.physLog[c.a], r.physLog[c.b] = lb, la
+	if oa != ob {
+		r.ownGen++ // a program boundary moved: every D'_p row is stale
+	}
 
 	r.nswaps++
 	if r.opts.DecayResetInterval > 0 && r.nswaps%r.opts.DecayResetInterval == 0 {
@@ -983,7 +1075,7 @@ func (r *run) forceProgress(hops [][]int) error {
 			if r.opts.InterProgram {
 				pth = r.d.Coupling.ShortestPath(s, t)
 			} else {
-				pth = r.restrictedPath(p.idx, s, t)
+				pth = r.d.Coupling.ShortestPathWithin(s, t, r.ownMask(p))
 			}
 			if pth == nil {
 				continue
@@ -998,66 +1090,7 @@ func (r *run) forceProgress(hops [][]int) error {
 	}
 	// Swap the source endpoint along the path until adjacent.
 	for i := 0; i+2 < len(path); i++ {
-		r.applySwap(swapCandidate{a: min2(path[i], path[i+1]), b: max2(path[i], path[i+1]), trigger: bp.idx}, hops)
+		r.applySwap(swapCandidate{a: min(path[i], path[i+1]), b: max(path[i], path[i+1]), trigger: bp.idx}, hops)
 	}
 	return nil
-}
-
-// restrictedPath returns a shortest path from s to t over qubits free or
-// owned by program p.
-func (r *run) restrictedPath(p, s, t int) []int {
-	allowed := make([]bool, r.d.NumQubits())
-	for q := range allowed {
-		allowed[q] = r.owner[q] == -1 || r.owner[q] == p
-	}
-	if !allowed[s] || !allowed[t] {
-		return nil
-	}
-	// BFS with deterministic tie-break.
-	prev := make([]int, r.d.NumQubits())
-	dist := make([]int, r.d.NumQubits())
-	for i := range prev {
-		prev[i] = -1
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		nbrs := append([]int(nil), r.d.Coupling.Neighbors(u)...)
-		sort.Ints(nbrs)
-		for _, v := range nbrs {
-			if allowed[v] && dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				prev[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	if dist[t] < 0 {
-		return nil
-	}
-	var path []int
-	for at := t; at != -1; at = prev[at] {
-		path = append(path, at)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

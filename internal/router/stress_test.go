@@ -94,7 +94,7 @@ func TestRouteStress(t *testing.T) {
 		var progs []*circuit.Circuit
 		remaining := total
 		for i := 0; i < nprogs && remaining >= 2; i++ {
-			n := 2 + rng.Intn(min2(3, remaining-1))
+			n := 2 + rng.Intn(min(3, remaining-1))
 			if n > remaining {
 				n = remaining
 			}
