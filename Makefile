@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test race chaos bench bench-json bench-parallel-json bench-compare benchmark benchmark-compare bench-selftest fuzz-smoke cover experiments examples clean
+.PHONY: all build fmt vet lint lint-json loc test test-short race chaos bench bench-json bench-parallel-json bench-service-json bench-compare benchmark benchmark-compare bench-selftest fuzz-smoke cover experiments examples clean
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the offenders, when gofmt would
+# rewrite any file.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -31,11 +36,11 @@ lint-json:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
-# The default test path runs vet and qulint first, then the full
-# suite, then the race detector over the concurrent packages (the
-# service, its scheduler dependencies, the daemon, and the sharded
+# The default test path runs the fmt gate, vet and qulint first, then
+# the full suite, then the race detector over the concurrent packages
+# (the service, its scheduler dependencies, the daemon, and the sharded
 # simulation/compile engines plus their worker pool).
-test: vet lint
+test: fmt vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/service/... ./internal/fleet/... ./internal/sched/... ./internal/cloudsim/... ./internal/quos/... ./cmd/qucloudd/... ./internal/sim/... ./internal/core/... ./internal/pool/... ./internal/ccache/...
 	$(MAKE) chaos

@@ -142,10 +142,10 @@ func TestEPSTUnderPenalizesHostileNeighbors(t *testing.T) {
 
 func TestCrosstalkValidation(t *testing.T) {
 	cases := map[string]CrosstalkMatrix{
-		"missing link":      {EdgePair{Victim: graph.NewEdge(0, 5), Aggressor: graph.NewEdge(2, 3)}: 0.1},
-		"non-normalized":    {EdgePair{Victim: graph.Edge{U: 1, V: 0}, Aggressor: graph.NewEdge(2, 3)}: 0.1},
-		"self pair":         {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(0, 1)}: 0.1},
-		"shared qubit":      {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(1, 2)}: 0.1},
+		"missing link":       {EdgePair{Victim: graph.NewEdge(0, 5), Aggressor: graph.NewEdge(2, 3)}: 0.1},
+		"non-normalized":     {EdgePair{Victim: graph.Edge{U: 1, V: 0}, Aggressor: graph.NewEdge(2, 3)}: 0.1},
+		"self pair":          {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(0, 1)}: 0.1},
+		"shared qubit":       {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(1, 2)}: 0.1},
 		"error out of range": {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(2, 3)}: 1.0},
 	}
 	for name, m := range cases {

@@ -460,6 +460,15 @@ func (c *Compiler) Simulate(r *Result, trials int, seed int64, noise sim.NoiseMo
 // remaining Monte-Carlo budget. An uncancelled context yields results
 // bit-identical to Simulate.
 func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
+	return c.simulate(ctx, r, trials, seed, noise, sim.SimulateScheduleCtx)
+}
+
+// simEngine is the shape of sim's two Monte-Carlo entry points.
+type simEngine func(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise sim.NoiseModel, workers int) (*sim.Outcome, error)
+
+// simulate runs one Monte-Carlo engine over the result: per program
+// with seed+i for Separate, once over the joint schedule otherwise.
+func (c *Compiler) simulate(ctx context.Context, r *Result, trials int, seed int64, noise sim.NoiseModel, engine simEngine) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -469,7 +478,7 @@ func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, s
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out, err := sim.SimulateScheduleCtx(ctx, c.Device, r.Schedules[i], []*circuit.Circuit{p}, trials, seed+int64(i), noise, c.Workers)
+			out, err := engine(ctx, c.Device, r.Schedules[i], []*circuit.Circuit{p}, trials, seed+int64(i), noise, c.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -477,7 +486,7 @@ func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, s
 		}
 		return psts, nil
 	}
-	out, err := sim.SimulateScheduleCtx(ctx, c.Device, r.Schedules[0], r.Programs, trials, seed, noise, c.Workers)
+	out, err := engine(ctx, c.Device, r.Schedules[0], r.Programs, trials, seed, noise, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -507,26 +516,5 @@ func (c *Compiler) SimulateClifford(r *Result, trials int, seed int64, noise sim
 // SimulateCliffordContext is SimulateClifford with a caller-supplied
 // context, checked at shard boundaries like SimulateContext.
 func (c *Compiler) SimulateCliffordContext(ctx context.Context, r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if r.Strategy == Separate {
-		psts := make([]float64, len(r.Programs))
-		for i, p := range r.Programs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out, err := sim.SimulateScheduleCliffordCtx(ctx, c.Device, r.Schedules[i], []*circuit.Circuit{p}, trials, seed+int64(i), noise, c.Workers)
-			if err != nil {
-				return nil, err
-			}
-			psts[i] = out.PST[0]
-		}
-		return psts, nil
-	}
-	out, err := sim.SimulateScheduleCliffordCtx(ctx, c.Device, r.Schedules[0], r.Programs, trials, seed, noise, c.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return out.PST, nil
+	return c.simulate(ctx, r, trials, seed, noise, sim.SimulateScheduleCliffordCtx)
 }

@@ -179,11 +179,11 @@ func inspectSameThread(n ast.Node, visit func(ast.Node)) {
 type lockEdge struct{ from, to string }
 
 type lockOrderPass struct {
-	m       *Module
-	sums    map[*FuncInfo]*lockSummary
-	fset    *token.FileSet
-	edgePos map[lockEdge]token.Pos // representative (earliest) site
-	edgeFn  map[lockEdge]string    // function holding `from` there
+	m        *Module
+	sums     map[*FuncInfo]*lockSummary
+	fset     *token.FileSet
+	edgePos  map[lockEdge]token.Pos // representative (earliest) site
+	edgeFn   map[lockEdge]string    // function holding `from` there
 	findings []Finding
 }
 

@@ -4,6 +4,7 @@
 package router_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,7 +89,7 @@ func checkSchedule(t *testing.T, d *arch.Device, s *router.Schedule, progs []*ci
 // match each program's device-free stabilizer reference.
 func checkCliffordEquivalence(t *testing.T, d *arch.Device, s *router.Schedule, progs []*circuit.Circuit, seed int64) {
 	t.Helper()
-	out, err := sim.SimulateScheduleClifford(d, s, progs, 1, seed, sim.NoiseModel{})
+	out, err := sim.SimulateScheduleCliffordCtx(context.Background(), d, s, progs, 1, seed, sim.NoiseModel{}, 0)
 	if err != nil {
 		t.Fatalf("SimulateScheduleClifford: %v", err)
 	}

@@ -3,187 +3,47 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
-// SimulateScheduleClifford estimates per-program PSTs like
-// SimulateSchedule, but with the stabilizer tableau backend: it handles
+// SimulateScheduleCliffordCtx estimates per-program PSTs like
+// SimulateScheduleCtx, but on the stabilizer-tableau engine: it handles
 // any number of active qubits (50-qubit chips included) as long as
 // every gate in the schedule is Clifford. The reference outcome is the
-// noiseless run with random measurement outcomes resolved to 0,
-// matching the statevector engine's lowest-index modal convention.
-//
-// Trials run sharded over the default worker pool; results are
-// identical at every worker count (see SimulateScheduleWorkers).
-func SimulateScheduleClifford(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel) (*Outcome, error) {
-	return SimulateScheduleCliffordWorkers(d, sched, progs, trials, seed, noise, 0)
-}
-
-// SimulateScheduleCliffordWorkers is SimulateScheduleClifford with an
-// explicit worker count (0 selects pool.Default(), 1 forces sequential
-// execution) and the same shard-per-RNG determinism contract as
-// SimulateScheduleWorkers.
-func SimulateScheduleCliffordWorkers(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	return SimulateScheduleCliffordCtx(context.Background(), d, sched, progs, trials, seed, noise, workers)
-}
-
-// SimulateScheduleCliffordCtx is SimulateScheduleCliffordWorkers with a
-// caller-supplied context, checked at shard boundaries like
-// SimulateScheduleCtx.
+// noiseless run measured in (program, logical) order with random
+// outcomes resolved to 0, matching the statevector engine's
+// lowest-index modal convention. workers, ctx and the determinism
+// contract are SimulateScheduleCtx's.
 func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	lay := layerize(sched)
-	if noise.Enabled && noise.SerializeCrosstalk {
-		lay = serializeCrosstalk(d, lay)
-	}
-	// Lowering validates the gate set: any non-Clifford gate fails here,
-	// before the reference run (see hotpath.go).
-	cp, err := compileLayers(d, lay, noise, engineTableau)
-	if err != nil {
-		return nil, err
-	}
-	measOf := make([][]router.Measurement, len(progs))
-	for _, m := range lay.measures {
-		if m.Program < 0 || m.Program >= len(progs) {
-			return nil, fmt.Errorf("sim: measurement for unknown program %d", m.Program)
-		}
-		measOf[m.Program] = append(measOf[m.Program], m)
-	}
-	// Global deterministic measurement order: program, then logical.
-	var order []router.Measurement
-	for p := range measOf {
-		ms := measOf[p]
-		for i := 0; i < len(ms); i++ {
-			min := i
-			for j := i + 1; j < len(ms); j++ {
-				if ms[j].Logical < ms[min].Logical {
-					min = j
-				}
-			}
-			ms[i], ms[min] = ms[min], ms[i]
-		}
-		order = append(order, ms...)
-	}
-
-	// Reference: noiseless run, random outcomes resolved to 0. The
-	// compiled gate sequence is identical to the noisy one; only the
-	// draw thresholds differ, and a noiseless run never reads them.
-	ref := newPtab(cp.nq)
-	cp.runTableauNoiseless(ref)
-	pickZero := func() bool { return false }
-	// The measurement plan flattens the (program, logical)-ordered
-	// measurement list with each point's trial-invariant inputs resolved,
-	// replacing the per-trial map lookups of the legacy path.
-	plan := make([]struct {
-		prog    int
-		compact int
-		readout float64
-		correct int
-	}, len(order))
-	correct := make([]string, len(progs))
-	bufs := make([][]byte, len(progs))
-	for p := range progs {
-		bufs[p] = make([]byte, 0, len(measOf[p]))
-	}
-	for i, m := range order {
-		b := ref.measure(lay.compact[m.Phys], pickZero)
-		plan[i].prog = m.Program
-		plan[i].compact = lay.compact[m.Phys]
-		plan[i].readout = d.ReadoutErr[m.Phys]
-		plan[i].correct = b
-		bufs[m.Program] = append(bufs[m.Program], byte('0'+b))
-	}
-	for p := range progs {
-		correct[p] = string(bufs[p])
-	}
-	doReadout := noise.Enabled && noise.Readout
-
-	shards := numShards(trials)
-	workers = shardWorkers(workers, trials, cp.trialWork)
-	perShard := make([][]int, shards)
-	ferr := pool.ForEach(ctx, shards, workers, func(s int) error {
-		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
-		lo, hi := shardRange(s, trials)
-		succ := make([]int, len(progs))
-		tb := newPtab(cp.nq)
-		pick := func() bool { return rng.Intn(2) == 1 }
-		ok := make([]bool, len(progs))
-		for trial := lo; trial < hi; trial++ {
-			tb.reset()
-			cp.runTableau(tb, rng)
-			for p := range ok {
-				ok[p] = true
-			}
-			for i := range plan {
-				mp := &plan[i]
-				b := tb.measure(mp.compact, pick)
-				if doReadout && rng.Float64() < mp.readout {
-					b ^= 1
-				}
-				if b != mp.correct {
-					ok[mp.prog] = false
-				}
-			}
-			for p := range progs {
-				if ok[p] {
-					succ[p]++
-				}
-			}
-		}
-		perShard[s] = succ
-		return nil
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	succ := make([]int, len(progs))
-	for s := 0; s < shards; s++ {
-		for p, v := range perShard[s] {
-			succ[p] += v
-		}
-	}
-	out := &Outcome{PST: make([]float64, len(progs)), Correct: correct, Trials: trials}
-	for p := range progs {
-		out.PST[p] = float64(succ[p]) / float64(trials)
-	}
-	return out, nil
+	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineTableau, nil)
 }
 
 // CliffordOutcome computes a logical Clifford circuit's noiseless
 // reference bitstring without any device or routing: all non-measure
 // gates run on a stabilizer tableau in program order, then every
 // measured qubit is read in ascending qubit order with random outcomes
-// resolved to 0 — the same convention SimulateScheduleClifford uses for
-// its reference run. Property tests compare it against routed
+// resolved to 0 — the same convention SimulateScheduleCliffordCtx uses
+// for its reference run. Property tests compare it against routed
 // schedules' Correct strings; that comparison assumes the circuit's
 // measurements are terminal (e.g. MeasureAll), matching the router's
 // measure-deferral semantics.
 func CliffordOutcome(c *circuit.Circuit) (string, error) {
-	// Packed tableau by default: the boolean tableau survives only as
-	// the property-test cross-check (TestPackedMatchesBooleanTableau).
 	tb := newPtab(c.NumQubits)
 	measured := make([]bool, c.NumQubits)
-	ident := func(q int) int { return q }
 	for _, g := range c.Gates {
+		op, err := lowerGate(g, engineTableau)
 		switch {
+		case err != nil:
+			return "", err
 		case g.IsMeasure():
 			measured[g.Qubits[0]] = true
-		case g.IsBarrier():
-			// no-op
+		case op.kind == op1Q:
+			return "", fmt.Errorf("sim: gate %s is not Clifford", g.Name)
 		default:
-			if err := tb.applyCliffordGate(g, ident); err != nil {
-				return "", err
-			}
+			tb.apply(&op)
 		}
 	}
 	var buf []byte
@@ -197,74 +57,13 @@ func CliffordOutcome(c *circuit.Circuit) (string, error) {
 	return string(buf), nil
 }
 
-// cliffordBackend is satisfied by both stabilizer implementations: the
-// boolean reference tableau and the bit-packed ptab. The direct gate
-// methods let the compiled hot path (hotpath.go) dispatch on a small op
-// kind instead of re-resolving gate names per trial.
-type cliffordBackend interface {
-	applyCliffordGate(g circuit.Gate, qmap func(int) int) error
-	injectPauliT(q int, rng *rand.Rand)
-	decayT(q int, rng *rand.Rand)
-	measure(q int, pick func() bool) int
-	h(q int)
-	s(q int)
-	sdg(q int)
-	xg(q int)
-	yg(q int)
-	zg(q int)
-	cx(c, t int)
-	cz(a, b int)
-	swap(a, b int)
-}
-
-// runTrialT is runTrial over a stabilizer backend.
-func runTrialT(tb cliffordBackend, d *arch.Device, lay *layered, noise NoiseModel, rng *rand.Rand) error {
-	qmapOf := func(g circuit.Gate) func(int) int {
-		return func(q int) int { return lay.compact[q] }
-	}
-	for _, layer := range lay.layers {
-		cnotEdges := layer2qEdges(d, layer, noise)
-		busy := map[int]bool{}
-		for _, op := range layer {
-			g := op.Gate
-			if g.IsMeasure() || g.IsBarrier() {
-				continue
-			}
-			for _, q := range g.Qubits {
-				busy[q] = true
-			}
-			if err := tb.applyCliffordGate(g, qmapOf(g)); err != nil {
-				return err
-			}
-			if !noise.Enabled {
-				continue
-			}
-			switch {
-			case g.Name == circuit.GateSWAP:
-				errRate := effective2qErr(d, noise, cnotEdges, g.Qubits[0], g.Qubits[1])
-				for k := 0; k < 3; k++ {
-					if rng.Float64() < errRate {
-						tb.injectPauliT(pick2(lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]], rng), rng)
-					}
-				}
-			case g.IsTwoQubit():
-				errRate := effective2qErr(d, noise, cnotEdges, g.Qubits[0], g.Qubits[1])
-				if rng.Float64() < errRate {
-					tb.injectPauliT(pick2(lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]], rng), rng)
-				}
-			default:
-				if rng.Float64() < d.Gate1Err[g.Qubits[0]] {
-					tb.injectPauliT(lay.compact[g.Qubits[0]], rng)
-				}
-			}
-		}
-		if noise.Enabled && noise.IdleErrPerLayer > 0 {
-			for _, q := range lay.active {
-				if !busy[q] && rng.Float64() < noise.IdleErrPerLayer {
-					tb.decayT(lay.compact[q], rng)
-				}
-			}
+// IsClifford reports whether every gate in the circuit is simulable by
+// the stabilizer engine (Clifford gates, measurements, barriers).
+func IsClifford(c *circuit.Circuit) bool {
+	for _, g := range c.Gates {
+		if op, err := lowerGate(g, engineTableau); err != nil || op.kind == op1Q {
+			return false
 		}
 	}
-	return nil
+	return true
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -164,7 +165,7 @@ func TestCompiledMatchesLegacyWithMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		stB := newState(cp.nq)
-		cp.runStatevector(stB, rngB)
+		cp.runStatevector(stB, rngB, true)
 		if !reflect.DeepEqual(stA.amps, stB.amps) {
 			t.Fatalf("seed=%d: compiled statevector diverges from legacy under matrix", seed)
 		}
@@ -180,7 +181,7 @@ func TestCompiledMatchesLegacyWithMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		tbB := newPtab(cpT.nq)
-		cpT.runTableau(tbB, rngB)
+		cpT.runTableau(tbB, rngB, true)
 		if !reflect.DeepEqual(tbA.xbits, tbB.xbits) || !reflect.DeepEqual(tbA.zbits, tbB.zbits) || !reflect.DeepEqual(tbA.r, tbB.r) {
 			t.Fatalf("seed=%d: compiled tableau diverges from legacy under matrix", seed)
 		}
@@ -207,7 +208,7 @@ func TestMatrixCrosstalkLowersPST(t *testing.T) {
 	noise.CrosstalkFactor = 0 // isolate the matrix's effect
 	run := func(m arch.CrosstalkMatrix) float64 {
 		d.Crosstalk = m
-		out, err := SimulateSchedule(d, s, progs, 3000, 7, noise)
+		out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 3000, 7, noise, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestAnalyticESPMatrixDifferential(t *testing.T) {
 		t.Fatalf("matrix did not lower ESP: %v vs %v", espMat.PerProgram[0], espFree.PerProgram[0])
 	}
 
-	out, err := SimulateSchedule(d, s, progs, 4000, 3, noise)
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 4000, 3, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,37 +137,100 @@ func layerize(sched *router.Schedule) *layered {
 	}
 }
 
-// SimulateSchedule runs the compiled schedule for the given number of
-// noisy trials and returns per-program PSTs. The correct answer per
-// program is its modal bitstring under a noiseless run of the same
-// schedule. progs must be the source programs the schedule was built
-// from (for qubit counts); seed drives all stochastic channels.
+// SimulateScheduleCtx runs the compiled schedule for the given number of
+// noisy trials on the statevector engine and returns per-program PSTs.
+// The correct answer per program is its modal bitstring under a
+// noiseless run of the same schedule (lowest basis index on ties). progs
+// must be the source programs the schedule was built from (for qubit
+// counts); seed drives all stochastic channels.
 //
-// Trials run sharded over the default worker pool; the outcome is a
-// pure function of the arguments regardless of GOMAXPROCS (see
-// SimulateScheduleWorkers).
-func SimulateSchedule(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel) (*Outcome, error) {
-	return SimulateScheduleWorkers(d, sched, progs, trials, seed, noise, 0)
-}
-
-// SimulateScheduleWorkers is SimulateSchedule with an explicit worker
-// count (0 selects pool.Default(), 1 forces sequential execution). The
-// trial budget is split into fixed shards, each with its own
-// counter-derived RNG, so every worker count produces bit-identical
-// PSTs.
-func SimulateScheduleWorkers(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	return SimulateScheduleCtx(context.Background(), d, sched, progs, trials, seed, noise, workers)
-}
-
-// SimulateScheduleCtx is SimulateScheduleWorkers with a caller-supplied
-// context: cancellation is checked at shard boundaries, so a service
-// deadline abandons the remaining trial budget and returns the
-// context's error. An uncancelled context leaves the result
-// bit-identical to SimulateScheduleWorkers.
+// workers is the shard fan-out (0 selects pool.Default(), 1 forces
+// sequential execution); the outcome is a pure function of the other
+// arguments at every worker count and GOMAXPROCS. Cancellation of ctx is
+// checked at shard boundaries, so a service deadline abandons the
+// remaining trial budget and returns the context's error.
 func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineStatevector, nil)
+}
+
+// measPoint is one measurement with its trial-invariant inputs
+// resolved: the program it belongs to and its position in that program's
+// outcome, the compact qubit index, the qubit's readout-error rate, and
+// the reference run's correct bit.
+type measPoint struct {
+	prog, bit int
+	q         int
+	readout   float64
+	correct   int
+}
+
+// register is one shard's reusable engine state: the driver resets it,
+// runs one trial's gates and noise on it, then measures the plan.
+// correctBits is the engine's reference rule, applied to a register
+// that has just run the program noiselessly.
+type register interface {
+	reset()
+	run(cp *compiledProgram, rng *rand.Rand, noisy bool)
+	measure(q int, rng *rand.Rand) int
+	correctBits(plan []measPoint)
+}
+
+func (s *state) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
+	cp.runStatevector(s, rng, noisy)
+}
+
+// correctBits reads every point off the modal basis state (lowest index
+// on ties).
+func (s *state) correctBits(plan []measPoint) {
+	modal := s.modal()
+	for i := range plan {
+		plan[i].correct = (modal >> uint(plan[i].q)) & 1
 	}
+}
+
+// tableauRegister adapts *ptab, whose measure takes a pick function.
+type tableauRegister struct{ *ptab }
+
+func (r tableauRegister) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
+	cp.runTableau(r.ptab, rng, noisy)
+}
+
+func (r tableauRegister) measure(q int, rng *rand.Rand) int { return r.measureT(q, rng) }
+
+// correctBits measures in plan order with random outcomes resolved to
+// 0, matching the statevector engine's lowest-index convention.
+func (r tableauRegister) correctBits(plan []measPoint) {
+	for i := range plan {
+		plan[i].correct = r.ptab.measure(plan[i].q, func() bool { return false })
+	}
+}
+
+func newRegister(engine engineKind, nq int) register {
+	if engine == engineTableau {
+		return tableauRegister{newPtab(nq)}
+	}
+	return newState(nq)
+}
+
+// histograms asks monteCarlo for each program's dense outcome counts
+// (index bit i = the program's i-th measured qubit in logical order) and
+// for the measurement plan they are indexed by.
+type histograms struct {
+	counts [][]int
+	plan   []measPoint
+}
+
+// maxHistogramBits bounds a program's measured qubits when histograms
+// are requested (they are dense).
+const maxHistogramBits = 16
+
+// monteCarlo is the one Monte-Carlo driver behind every Simulate entry
+// point: validate, layerize, group the measurements into a plan in
+// (program, logical) order — the order every trial measures and draws
+// readout flips in — lower the schedule for the engine, fix the correct
+// outcome with a noiseless reference run, run the trial budget in
+// fixed shards with counter-derived RNGs, and reduce in shard order.
+func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int, engine engineKind, hist *histograms) (*Outcome, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
 	}
@@ -175,10 +238,9 @@ func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Sche
 	if noise.Enabled && noise.SerializeCrosstalk {
 		lay = serializeCrosstalk(d, lay)
 	}
-	if len(lay.active) > 24 {
+	if engine == engineStatevector && len(lay.active) > 24 {
 		return nil, fmt.Errorf("sim: %d active qubits exceed the statevector limit", len(lay.active))
 	}
-	// Group measurements per program in logical order.
 	measOf := make([][]router.Measurement, len(progs))
 	for _, m := range lay.measures {
 		if m.Program < 0 || m.Program >= len(progs) {
@@ -186,153 +248,112 @@ func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Sche
 		}
 		measOf[m.Program] = append(measOf[m.Program], m)
 	}
-	for p := range measOf {
-		sort.Slice(measOf[p], func(i, j int) bool { return measOf[p][i].Logical < measOf[p][j].Logical })
+	var plan []measPoint
+	for p, ms := range measOf {
+		if hist != nil && len(ms) > maxHistogramBits {
+			return nil, fmt.Errorf("sim: program %d measures %d qubits; mitigation supports <= %d", p, len(ms), maxHistogramBits)
+		}
+		sort.Slice(ms, func(i, j int) bool { return ms[i].Logical < ms[j].Logical })
+		for i, m := range ms {
+			plan = append(plan, measPoint{prog: p, bit: i, q: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys]})
+		}
 	}
 
 	// Lower the schedule once: compact indices, folded error rates, 1q
-	// matrices, and idle lists are trial-invariant (see hotpath.go).
-	cp, err := compileLayers(d, lay, noise, engineStatevector)
+	// matrices, and idle lists are trial-invariant (see hotpath.go). For
+	// the tableau engine this is also where a non-Clifford gate fails.
+	cp, err := compileLayers(d, lay, noise, engine)
 	if err != nil {
 		return nil, err
 	}
 
-	// Noiseless reference run fixes the correct outcome.
-	ref := newState(cp.nq)
-	cp.runStatevectorNoiseless(ref)
-	modal := ref.modal()
-	correct := make([]string, len(progs))
-	plan := make([][]measPoint, len(progs))
-	for p := range progs {
-		buf := make([]byte, len(measOf[p]))
-		plan[p] = make([]measPoint, len(measOf[p]))
-		for i, m := range measOf[p] {
-			b := (modal >> uint(lay.compact[m.Phys])) & 1
-			buf[i] = byte('0' + b)
-			plan[p][i] = measPoint{compact: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys], correct: b}
-		}
-		correct[p] = string(buf)
+	// The noiseless reference run fixes the correct outcome; it draws
+	// from no RNG.
+	ref := newRegister(engine, cp.nq)
+	ref.run(cp, nil, false)
+	ref.correctBits(plan)
+	bufs := make([][]byte, len(progs))
+	for _, mp := range plan {
+		bufs[mp.prog] = append(bufs[mp.prog], byte('0'+mp.correct))
 	}
 	doReadout := noise.Enabled && noise.Readout
 
 	// Shard the trial budget: shard s runs trials [lo, hi) with its own
 	// counter-derived RNG, so per-shard counts do not depend on how the
-	// shards are spread over goroutines. Each shard reuses one state
-	// buffer across its trials.
+	// shards are spread over goroutines. Each shard reuses one register
+	// across its trials.
+	type shardCounts struct {
+		succ   []int
+		counts [][]int
+	}
 	shards := numShards(trials)
-	workers = shardWorkers(workers, trials, cp.trialWork)
-	perShard := make([][]int, shards)
-	ferr := pool.ForEach(ctx, shards, workers, func(s int) error {
+	perShard := make([]shardCounts, shards)
+	ferr := pool.ForEach(ctx, shards, shardWorkers(workers, trials, cp.trialWork), func(s int) error {
 		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
 		lo, hi := shardRange(s, trials)
-		succ := make([]int, len(progs))
-		st := newState(cp.nq)
+		sc := shardCounts{succ: make([]int, len(progs))}
+		if hist != nil {
+			sc.counts = make([][]int, len(progs))
+			for p := range progs {
+				sc.counts[p] = make([]int, 1<<uint(len(measOf[p])))
+			}
+		}
+		reg := newRegister(engine, cp.nq)
+		wrong := make([]int, len(progs)) // per program: any bit off
+		index := make([]int, len(progs)) // per program: outcome index, for hist
 		for trial := lo; trial < hi; trial++ {
-			st.reset()
-			cp.runStatevector(st, rng)
-			for p := range plan {
-				ok := true
-				for i := range plan[p] {
-					mp := &plan[p][i]
-					b := st.measure(mp.compact, rng)
-					if doReadout && rng.Float64() < mp.readout {
-						b ^= 1
-					}
-					if b != mp.correct {
-						ok = false
-					}
+			reg.reset()
+			reg.run(cp, rng, true)
+			clear(wrong)
+			clear(index)
+			for i := range plan {
+				mp := &plan[i]
+				b := reg.measure(mp.q, rng)
+				if doReadout && rng.Float64() < mp.readout {
+					b ^= 1
 				}
-				if ok {
-					succ[p]++
+				wrong[mp.prog] |= b ^ mp.correct
+				if hist != nil {
+					index[mp.prog] |= b << uint(mp.bit)
+				}
+			}
+			for p := range progs {
+				if wrong[p] == 0 {
+					sc.succ[p]++
+				}
+				if hist != nil {
+					sc.counts[p][index[p]]++
 				}
 			}
 		}
-		perShard[s] = succ
+		perShard[s] = sc
 		return nil
 	})
 	if ferr != nil {
 		return nil, ferr
 	}
 	// Reduce in shard-index order (integer sums are order-independent,
-	// but the fixed order keeps the pattern uniform across engines).
-	succ := make([]int, len(progs))
-	for s := 0; s < shards; s++ {
-		for p, v := range perShard[s] {
-			succ[p] += v
+	// but the fixed order keeps the pattern uniform).
+	total := perShard[0]
+	for _, sc := range perShard[1:] {
+		for p := range progs {
+			total.succ[p] += sc.succ[p]
+			if hist != nil {
+				for i, c := range sc.counts[p] {
+					total.counts[p][i] += c
+				}
+			}
 		}
 	}
-	out := &Outcome{PST: make([]float64, len(progs)), Correct: correct, Trials: trials}
+	out := &Outcome{PST: make([]float64, len(progs)), Correct: make([]string, len(progs)), Trials: trials}
 	for p := range progs {
-		out.PST[p] = float64(succ[p]) / float64(trials)
+		out.PST[p] = float64(total.succ[p]) / float64(trials)
+		out.Correct[p] = string(bufs[p])
+	}
+	if hist != nil {
+		hist.counts, hist.plan = total.counts, plan
 	}
 	return out, nil
-}
-
-// runTrial executes all layers on st (without final measurements),
-// injecting stochastic errors per the noise model.
-func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng *rand.Rand) error {
-	for _, layer := range lay.layers {
-		// Count CNOT-layer adjacency for crosstalk.
-		cnotEdges := layer2qEdges(d, layer, noise)
-		busy := map[int]bool{}
-		for _, op := range layer {
-			g := op.Gate
-			for _, q := range g.Qubits {
-				busy[q] = true
-			}
-			switch {
-			case g.Name == circuit.GateSWAP:
-				a, b := lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
-				st.applySWAP(a, b)
-				if noise.Enabled {
-					// Three physical CNOTs' worth of error on the link.
-					errRate := effective2qErr(d, noise, cnotEdges, g.Qubits[0], g.Qubits[1])
-					for k := 0; k < 3; k++ {
-						if rng.Float64() < errRate {
-							st.injectPauli(pick2(a, b, rng), rng)
-						}
-					}
-				}
-			case g.Name == circuit.GateCX:
-				c, t := lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
-				st.applyCNOT(c, t)
-				if noise.Enabled {
-					errRate := effective2qErr(d, noise, cnotEdges, g.Qubits[0], g.Qubits[1])
-					if rng.Float64() < errRate {
-						st.injectPauli(pick2(c, t, rng), rng)
-					}
-				}
-			case g.Name == circuit.GateCZ:
-				a, b := lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
-				st.applyCZ(a, b)
-				if noise.Enabled {
-					if rng.Float64() < d.CNOTError(g.Qubits[0], g.Qubits[1]) {
-						st.injectPauli(pick2(a, b, rng), rng)
-					}
-				}
-			case g.IsMeasure() || g.IsBarrier():
-				// Measures are deferred; barriers are no-ops here.
-			default:
-				m, err := gateMatrix(g)
-				if err != nil {
-					return err
-				}
-				q := lay.compact[g.Qubits[0]]
-				st.apply1q(m, q)
-				if noise.Enabled && rng.Float64() < d.Gate1Err[g.Qubits[0]] {
-					st.injectPauli(q, rng)
-				}
-			}
-		}
-		if noise.Enabled && noise.IdleErrPerLayer > 0 {
-			for _, q := range lay.active {
-				if !busy[q] && rng.Float64() < noise.IdleErrPerLayer {
-					st.decay(lay.compact[q], rng)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // layer2qEdges collects the normalized links of a layer's two-qubit ops
@@ -343,6 +364,12 @@ func layer2qEdges(d *arch.Device, layer []router.Op, noise NoiseModel) []graph.E
 	if !noise.Enabled || (noise.CrosstalkFactor <= 0 && !d.HasCrosstalk()) {
 		return nil
 	}
+	return twoQubitLinks(layer)
+}
+
+// twoQubitLinks returns the normalized links a layer's two-qubit ops
+// fire on, in op order.
+func twoQubitLinks(layer []router.Op) []graph.Edge {
 	var edges []graph.Edge
 	for _, op := range layer {
 		if op.Gate.IsTwoQubit() {
@@ -474,25 +501,19 @@ func SimulateIdeal(c *circuit.Circuit) (string, float64, error) {
 	if c.NumQubits > 24 {
 		return "", 0, fmt.Errorf("sim: %d qubits exceed the statevector limit", c.NumQubits)
 	}
-	st := newState(c.NumQubits)
+	var ops []compiledOp
 	for _, g := range c.Gates {
-		switch {
-		case g.IsMeasure() || g.IsBarrier():
-			continue
-		case g.Name == circuit.GateCX:
-			st.applyCNOT(g.Qubits[0], g.Qubits[1])
-		case g.Name == circuit.GateCZ:
-			st.applyCZ(g.Qubits[0], g.Qubits[1])
-		case g.Name == circuit.GateSWAP:
-			st.applySWAP(g.Qubits[0], g.Qubits[1])
-		default:
-			m, err := gateMatrix(g)
-			if err != nil {
-				return "", 0, err
-			}
-			st.apply1q(m, g.Qubits[0])
+		op, err := lowerGate(g, engineStatevector)
+		if err != nil {
+			return "", 0, err
+		}
+		if op.kind != opNone {
+			ops = append(ops, op)
 		}
 	}
+	// The lowered gates run as one layer of the statevector engine.
+	st := newState(c.NumQubits)
+	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runStatevector(st, nil, false)
 	modal := st.modal()
 	a := st.amps[modal]
 	prob := real(a)*real(a) + imag(a)*imag(a)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/graph"
 	"repro/internal/router"
 )
@@ -86,15 +87,13 @@ func AnalyticESP(d *arch.Device, sched *router.Schedule, numPrograms int, idlePe
 		}
 	}
 
+	var lay *layered
+	if useMatrix || idlePerLayer > 0 {
+		lay = layerize(sched)
+	}
 	if useMatrix {
-		lay := layerize(sched)
 		for _, layer := range lay.layers {
-			var edges []graph.Edge
-			for _, op := range layer {
-				if op.Gate.IsTwoQubit() {
-					edges = append(edges, graph.NewEdge(op.Gate.Qubits[0], op.Gate.Qubits[1]))
-				}
-			}
+			edges := twoQubitLinks(layer)
 			for _, op := range layer {
 				if !op.Gate.IsTwoQubit() {
 					continue
@@ -110,20 +109,17 @@ func AnalyticESP(d *arch.Device, sched *router.Schedule, numPrograms int, idlePe
 	}
 
 	if idlePerLayer > 0 {
-		lay := layerize(sched)
 		total := len(lay.layers)
-		// lastBusy[q] = last layer index where q participated; the
-		// qubit then idles until the schedule (and measurement) ends.
-		lastBusy := map[int]int{}
+		// busySum[q] is the number of layers q spends in a gate; every
+		// other layer of the co-located schedule it idles.
 		busySum := map[int]int{}
-		for li, layer := range lay.layers {
+		for _, layer := range lay.layers {
 			for _, op := range layer {
 				cost := 1
-				if op.Gate.Name == "swap" {
+				if op.Gate.Name == circuit.GateSWAP {
 					cost = 3
 				}
 				for _, q := range op.Gate.Qubits {
-					lastBusy[q] = li + cost
 					busySum[q] += cost
 				}
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestAnalyticESPTracksMonteCarloOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 600, 5, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 600, 5, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,210 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/circuit"
+	"repro/internal/nisqbench"
+	"repro/internal/pool"
+	"repro/internal/router"
+)
+
+// Golden PSTs: the other determinism tests compare two runs of the same
+// tree (worker counts, GOMAXPROCS, compiled vs oracle); these literals
+// pin the absolute values across commits, so a refactor of the driver,
+// the lowering or an engine that shifts one RNG draw or one float
+// expression fails here. Each literal is the Float64bits of every PST
+// (then every MitigatedPST) and the Correct strings, recorded on the
+// tree before the three drivers were merged and checked in a clean
+// clone of that commit.
+
+// goldenTrials spans two shards, the second partial.
+const goldenTrials = 700
+
+// adjacentPair16 co-locates two programs on neighbouring IBMQ16 regions
+// so same-layer CNOTs are crosstalk-adjacent; d may carry a matrix.
+func adjacentPair16(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circuit) {
+	tb.Helper()
+	progs := []*circuit.Circuit{nisqbench.MustGet("bv_n3"), nisqbench.MustGet("3_17_13")}
+	s, err := router.Route(d, progs, [][]int{{0, 1, 2}, {3, 4, 5}}, router.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, progs
+}
+
+// cliffordMix50 routes four Clifford programs (28 logical qubits) on
+// IBMQ50 under X-SWAP: past the statevector limit, tableau only.
+func cliffordMix50(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circuit) {
+	tb.Helper()
+	progs := []*circuit.Circuit{
+		nisqbench.MustGet("bv_n10"),
+		nisqbench.GHZ(8),
+		nisqbench.BernsteinVazirani(6),
+		nisqbench.GHZ(4),
+	}
+	initial, err := newTestCompiler(d)(progs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := router.Route(d, progs, initial, router.XSWAPOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n := len(layerize(s).active); n < 25 {
+		tb.Fatalf("fixture has %d active qubits, want >= 25", n)
+	}
+	return s, progs
+}
+
+// corners16 is a Clifford pair both engines accept that walks the two
+// places they differ by design — a CZ firing next to another program's
+// two-qubit gate (no crosstalk on the statevector side) and a barrier
+// (busy for the statevector idle channel only) — plus every Clifford
+// gate name the lowering knows. Analytic ESPs are pinned on it too.
+func corners16(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circuit) {
+	tb.Helper()
+	a := circuit.New("a", 3).H(0).CZ(0, 1).S(1).Y(2).CX(1, 2).Sdg(0).SWAP(0, 1).MeasureAll()
+	b := circuit.New("b", 2).X(0).CZ(0, 1).H(1).CX(0, 1).Z(0).CZ(0, 1).MeasureAll()
+	progs := []*circuit.Circuit{a, b}
+	s, err := router.Route(d, progs, [][]int{{0, 1, 2}, {3, 4}}, router.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The router consumes barriers, so one is spliced into the schedule.
+	mid := len(s.Ops) / 2
+	barrier := router.Op{Gate: circuit.Gate{Name: circuit.GateBarrier, Qubits: []int{0, 1, 2}}}
+	s.Ops = append(s.Ops[:mid:mid], append([]router.Op{barrier}, s.Ops[mid:]...)...)
+	return s, progs
+}
+
+func goldenLine(o *Outcome, mitigated []float64) string {
+	var parts []string
+	for _, v := range o.PST {
+		parts = append(parts, fmt.Sprintf("%016x", math.Float64bits(v)))
+	}
+	for _, v := range mitigated {
+		parts = append(parts, fmt.Sprintf("m%016x", math.Float64bits(v)))
+	}
+	return strings.Join(append(parts, o.Correct...), " ")
+}
+
+// goldenPST maps engine/fixture/noise-variant to its recorded line.
+var goldenPST = map[string]string{
+	"clifford/corners16/default":       "3fde2be2be2be2be 3fddfd130463796b 001 10",
+	"clifford/corners16/matrix":        "3fdd41d41d41d41d 3fdccccccccccccd 001 10",
+	"clifford/corners16/noiseless":     "3fe03a83a83a83a8 3fde898231bcb565 001 10",
+	"clifford/corners16/serialized":    "3fdc9dfd13046379 3fdcfb9c86953620 001 10",
+	"clifford/mix50/default":           "3fb1eb851eb851ec 3fc30463796ac9e0 3fcb101767dce435 3fd08c6f2d593bfa 1111111110 00000000 111110 0000",
+	"clifford/mix50/matrix":            "3fb18de5ab277f45 3fc2492492492492 3fcd70a3d70a3d71 3fcdfd130463796b 1111111110 00000000 111110 0000",
+	"clifford/mix50/noiseless":         "3ff0000000000000 3fe03a83a83a83a8 3ff0000000000000 3fde898231bcb565 1111111110 00000000 111110 0000",
+	"clifford/mix50/serialized":        "3fa8de5ab277f44c 3fc6db6db6db6db7 3fc6ac9dfd130463 3fd2608c6f2d593c 1111111110 00000000 111110 0000",
+	"esp/corners16/default":            "3fe7d36276687073 3fea3842ab021e44",
+	"esp/corners16/matrix":             "3fe76d4dce8a3056 3fea2b5557d296d6",
+	"esp/corners16/noiseless":          "3fe806ddc38f4231 3fea70ea3f13eef3",
+	"esp/corners16/serialized":         "3fe7b144e32e463f 3fea12b7878b5fdb",
+	"esp/pair16/default":               "3fe09f6e66704996 3fd5136d9b565276",
+	"esp/pair16/matrix":                "3fe058361d6ded58 3fd5090983fc9c1c",
+	"esp/pair16/noiseless":             "3fe344b0f83eb39d 3fd6161850f99a04",
+	"esp/pair16/serialized":            "3fde200fdc88e93f 3fd46d6da31910e3",
+	"mitigated/corners16/default":      "3fdc9dfd13046379 3fda6c405d9f7391 m3fde9c246c74771a m3fdb8af0cbacffa0 001 10",
+	"mitigated/corners16/matrix":       "3fdbe2be2be2be2c 3fdb6db6db6db6db m3fdd9d98c0e1b891 m3fdccd31b4b7b36c 001 10",
+	"mitigated/corners16/noiseless":    "3fe130463796ac9e 3fe069536202ecfc m3fe130463796ac9e m3fe069536202ecfc 001 10",
+	"mitigated/corners16/serialized":   "3fda2608c6f2d594 3fdd9f7390d2a6c4 m3fdb3b2472f82b83 m3fdf64d7e200ebf9 001 10",
+	"mitigated/pair16/default":         "3fe428f5c28f5c29 3fdbfa2608c6f2d6 m3fe7b421460058cf m3fe01bd6559be01a 110 111",
+	"mitigated/pair16/matrix":          "3fe41d41d41d41d4 3fdeb851eb851eb8 m3fe7a9d6e00011be m3fe1cceff1491292 110 111",
+	"mitigated/pair16/noiseless":       "3ff0000000000000 3ff0000000000000 m3ff0000000000000 m3ff0000000000000 110 111",
+	"mitigated/pair16/serialized":      "3fe2f8af8af8af8b 3fdee721a54d880c m3fe648373b817770 m3fe1e62c9c9cb738 110 111",
+	"statevector/corners16/default":    "3fdc9dfd13046379 3fda6c405d9f7391 001 10",
+	"statevector/corners16/matrix":     "3fdbe2be2be2be2c 3fdb6db6db6db6db 001 10",
+	"statevector/corners16/noiseless":  "3fe130463796ac9e 3fe069536202ecfc 001 10",
+	"statevector/corners16/serialized": "3fda2608c6f2d594 3fdd9f7390d2a6c4 001 10",
+	"statevector/pair16/default":       "3fe428f5c28f5c29 3fdbfa2608c6f2d6 110 111",
+	"statevector/pair16/matrix":        "3fe41d41d41d41d4 3fdeb851eb851eb8 110 111",
+	"statevector/pair16/noiseless":     "3ff0000000000000 3ff0000000000000 110 111",
+	"statevector/pair16/serialized":    "3fe2f8af8af8af8b 3fdee721a54d880c 110 111",
+}
+
+type goldenFixture func(testing.TB, *arch.Device) (*router.Schedule, []*circuit.Circuit)
+
+func TestGoldenPST(t *testing.T) {
+	defer pool.SetDefault(0)
+	serialized := NoiseModel{Enabled: true, IdleErrPerLayer: 0.002, CrosstalkFactor: 0.5, Readout: true, SerializeCrosstalk: true}
+	matrix50 := arch.IBMQ50(0)
+	matrix50.Crosstalk = arch.GenerateHostileCrosstalk(matrix50, 5, 0.3, 3, 5)
+	variants := []struct {
+		name     string
+		d16, d50 *arch.Device
+		noise    NoiseModel
+	}{
+		{"noiseless", arch.IBMQ16(0), arch.IBMQ50(0), NoiseModel{}},
+		{"default", arch.IBMQ16(0), arch.IBMQ50(0), DefaultNoise()},
+		{"serialized", arch.IBMQ16(0), arch.IBMQ50(0), serialized},
+		{"matrix", matrixDevice16(t, 11), matrix50, DefaultNoise()},
+	}
+	cases := []struct {
+		engine, fixture string
+		fx              goldenFixture
+		chip50          bool
+	}{
+		{"statevector", "pair16", adjacentPair16, false},
+		{"mitigated", "pair16", adjacentPair16, false},
+		{"statevector", "corners16", corners16, false},
+		{"mitigated", "corners16", corners16, false},
+		{"clifford", "corners16", corners16, false},
+		{"clifford", "mix50", cliffordMix50, true},
+		{"esp", "pair16", adjacentPair16, false},
+		{"esp", "corners16", corners16, false},
+	}
+	ctx := context.Background()
+	for _, v := range variants {
+		for _, c := range cases {
+			d := v.d16
+			if c.chip50 {
+				d = v.d50
+			}
+			s, progs := c.fx(t, d)
+			name := c.engine + "/" + c.fixture + "/" + v.name
+			for _, workers := range []int{1, 0} {
+				var line string
+				var err error
+				switch c.engine {
+				case "esp":
+					var e *ESP
+					if e, err = AnalyticESP(d, s, len(progs), v.noise.IdleErrPerLayer); err == nil {
+						line = goldenLine(&Outcome{PST: e.PerProgram}, nil)
+					}
+				case "statevector":
+					var o *Outcome
+					if o, err = SimulateScheduleCtx(ctx, d, s, progs, goldenTrials, 3, v.noise, workers); err == nil {
+						line = goldenLine(o, nil)
+					}
+				case "clifford":
+					var o *Outcome
+					if o, err = SimulateScheduleCliffordCtx(ctx, d, s, progs, goldenTrials, 3, v.noise, workers); err == nil {
+						line = goldenLine(o, nil)
+					}
+				default:
+					// The mitigated entry point takes its worker count
+					// from the pool default only.
+					pool.SetDefault(workers)
+					var o *MitigatedOutcome
+					if o, err = SimulateScheduleMitigated(d, s, progs, goldenTrials, 3, v.noise); err == nil {
+						line = goldenLine(&o.Outcome, o.MitigatedPST)
+					}
+				}
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", name, workers, err)
+				}
+				if line != goldenPST[name] {
+					t.Errorf("workers=%d\n%q: %q,\nwant %q", workers, name, line, goldenPST[name])
+				}
+			}
+		}
+	}
+}

@@ -6,14 +6,22 @@ package sim
 // indices, per-op error rates with the crosstalk multiplier folded in,
 // single-qubit gate matrices, per-layer idle-qubit lists — and the
 // per-trial loop becomes a branch on a small op kind with zero map
-// lookups and zero allocations. The legacy interpreters (runTrial,
-// runTrialT) remain as the cross-validation reference; equivalence is
-// enforced by TestCompiledTrialMatchesLegacy*.
+// lookups and zero allocations.
+//
+// lowerGate is the only place a gate name becomes an operation:
+// compileLayers, SimulateIdeal, CliffordOutcome and IsClifford all go
+// through it (gateMatrix in state.go is the table of 2x2 unitaries it
+// looks single-qubit gates up in). The package holds one engine per
+// representation — runStatevector over *state, runTableau over *ptab.
+// The per-layer reference interpreters (runTrial, runTrialT) and the
+// boolean tableau live in oracle_test.go, where
+// TestCompiledTrialMatchesLegacy*, TestCompiledMatchesLegacyWithMatrix
+// and TestPackedMatchesBooleanTableau compare against them.
 //
 // Determinism contract: a compiled program draws from the RNG in
 // exactly the same order, with exactly the same comparisons, as the
-// legacy interpreter it replaces — byte-identical PSTs are a hard
-// invariant (see DESIGN.md, "Hot-path memory discipline").
+// reference interpreter — byte-identical PSTs are a hard invariant (see
+// DESIGN.md, "Hot-path memory discipline").
 
 import (
 	"fmt"
@@ -37,11 +45,14 @@ const (
 
 // opKind is a compiled operation tag. Single-qubit gates compile to
 // their named Clifford kind for the tableau engine and to op1Q (matrix
-// apply) for the statevector engine.
+// apply) for the statevector engine; a gate that is still op1Q after a
+// tableau lowering is not Clifford. opNone marks measurements and
+// barriers, which carry no operation.
 type opKind uint8
 
 const (
 	op1Q opKind = iota
+	opNone
 	opH
 	opX
 	opY
@@ -105,10 +116,14 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		busy := map[int]bool{}
 		for _, op := range layer {
 			g := op.Gate
-			if g.IsMeasure() || g.IsBarrier() {
-				// Barriers carry no compiled op; the statevector
-				// interpreter counts their operands busy, the tableau
-				// interpreter does not (mirrors runTrial vs runTrialT).
+			co, err := lowerGate(g, engine)
+			if err != nil {
+				return nil, err
+			}
+			if co.kind == opNone {
+				// Measurements are deferred to the plan. The statevector
+				// engine counts a barrier's operands busy for the idle
+				// channel, the tableau engine does not.
 				if engine == engineStatevector {
 					for _, q := range g.Qubits {
 						busy[q] = true
@@ -116,45 +131,24 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 				}
 				continue
 			}
+			if engine == engineTableau && co.kind == op1Q {
+				return nil, fmt.Errorf("sim: schedule contains non-Clifford gate %q", g.Name)
+			}
 			for _, q := range g.Qubits {
 				busy[q] = true
 			}
-			co := compiledOp{}
-			switch g.Name {
-			case circuit.GateSWAP:
-				co.kind = opSWAP
-				co.a, co.b = lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
+			co.a = lay.compact[co.a]
+			if co.kind.twoQubit() {
+				co.b = lay.compact[co.b]
 				co.err = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
-			case circuit.GateCX:
-				co.kind = opCX
-				co.a, co.b = lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
-				co.err = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
-			case circuit.GateCZ:
-				co.kind = opCZ
-				co.a, co.b = lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
-				// The statevector interpreter charges CZ its base error
-				// with no crosstalk (scalar or matrix); the tableau
-				// interpreter treats CZ like any two-qubit gate.
-				co.err = d.CNOTError(g.Qubits[0], g.Qubits[1])
-				if engine == engineTableau {
-					co.err = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
+				// The statevector engine charges CZ its base error with no
+				// crosstalk (scalar or matrix); the tableau engine treats
+				// CZ like any two-qubit gate.
+				if co.kind == opCZ && engine == engineStatevector {
+					co.err = d.CNOTError(g.Qubits[0], g.Qubits[1])
 				}
-			default:
-				co.a = lay.compact[g.Qubits[0]]
+			} else {
 				co.err = d.Gate1Err[g.Qubits[0]]
-				if engine == engineStatevector {
-					m, err := gateMatrix(g)
-					if err != nil {
-						return nil, err
-					}
-					co.kind, co.m = op1Q, m
-				} else {
-					k, ok := cliffordKind(g.Name)
-					if !ok {
-						return nil, fmt.Errorf("sim: schedule contains non-Clifford gate %q", g.Name)
-					}
-					co.kind = k
-				}
 			}
 			cl.ops = append(cl.ops, co)
 		}
@@ -169,40 +163,59 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 	return cp, nil
 }
 
-// measPoint is one measurement with its trial-invariant inputs
-// resolved: the compact qubit index, the qubit's readout-error rate,
-// and the reference run's correct bit.
-type measPoint struct {
-	compact int
-	readout float64
-	correct int
-}
-
-// cliffordKind maps a single-qubit Clifford gate name to its op kind.
-func cliffordKind(name string) (opKind, bool) {
-	switch name {
+// lowerGate resolves a gate's name to its operation for the given
+// engine, with a and b set to the gate's own operands (compileLayers
+// replaces them with compact indices and adds the error rate). The
+// statevector engine runs every single-qubit gate as a matrix and fails
+// on a name gateMatrix does not know; the tableau engine keeps the named
+// Clifford kinds and leaves any other single-qubit gate as op1Q, which
+// it cannot run — callers reject it with their own message.
+func lowerGate(g circuit.Gate, engine engineKind) (compiledOp, error) {
+	var co compiledOp
+	switch g.Name {
+	case circuit.GateMeasure, circuit.GateBarrier:
+		co.kind = opNone
+		return co, nil
+	case circuit.GateSWAP:
+		co.kind = opSWAP
+	case circuit.GateCX:
+		co.kind = opCX
+	case circuit.GateCZ:
+		co.kind = opCZ
 	case circuit.GateH:
-		return opH, true
+		co.kind = opH
 	case circuit.GateX:
-		return opX, true
+		co.kind = opX
 	case circuit.GateY:
-		return opY, true
+		co.kind = opY
 	case circuit.GateZ:
-		return opZ, true
+		co.kind = opZ
 	case circuit.GateS:
-		return opS, true
+		co.kind = opS
 	case circuit.GateSdg:
-		return opSdg, true
+		co.kind = opSdg
 	}
-	return 0, false
+	co.a = g.Qubits[0]
+	if co.kind.twoQubit() {
+		co.b = g.Qubits[1]
+	} else if engine == engineStatevector {
+		var err error
+		co.kind = op1Q
+		co.m, err = gateMatrix(g)
+		return co, err
+	}
+	return co, nil
 }
 
-// runStatevector executes one noisy trial on st. The RNG draw sequence
-// is identical to the legacy runTrial: per op one Float64 (three for
-// SWAP) when noise is enabled, then Intn(2)+Intn(3) per injected Pauli,
-// then one Float64 per idle active qubit per layer.
-func (cp *compiledProgram) runStatevector(st *state, rng *rand.Rand) {
-	noisy := cp.noise.Enabled
+func (k opKind) twoQubit() bool { return k == opCX || k == opCZ || k == opSWAP }
+
+// runStatevector executes one trial's gates on st. With noisy set (and
+// the compiled noise model enabled) it draws per op one Float64 (three
+// for SWAP), then Intn(2)+Intn(3) per injected Pauli, then one Float64
+// per idle active qubit per layer; the reference run passes false and a
+// nil RNG and draws nothing.
+func (cp *compiledProgram) runStatevector(st *state, rng *rand.Rand, noisy bool) {
+	noisy = noisy && cp.noise.Enabled
 	idleErr := cp.noise.IdleErrPerLayer
 	for li := range cp.layers {
 		cl := &cp.layers[li]
@@ -212,6 +225,7 @@ func (cp *compiledProgram) runStatevector(st *state, rng *rand.Rand) {
 			case opSWAP:
 				st.applySWAP(op.a, op.b)
 				if noisy {
+					// Three physical CNOTs' worth of error on the link.
 					for k := 0; k < 3; k++ {
 						if rng.Float64() < op.err {
 							st.injectPauli(pick2(op.a, op.b, rng), rng)
@@ -245,38 +259,16 @@ func (cp *compiledProgram) runStatevector(st *state, rng *rand.Rand) {
 	}
 }
 
-// runStatevectorNoiseless executes the gates only — the reference run.
-// It draws nothing from any RNG (the legacy path's reference RNG was
-// never consulted either).
-func (cp *compiledProgram) runStatevectorNoiseless(st *state) {
-	for li := range cp.layers {
-		cl := &cp.layers[li]
-		for oi := range cl.ops {
-			op := &cl.ops[oi]
-			switch op.kind {
-			case opSWAP:
-				st.applySWAP(op.a, op.b)
-			case opCX:
-				st.applyCNOT(op.a, op.b)
-			case opCZ:
-				st.applyCZ(op.a, op.b)
-			default:
-				st.apply1q(op.m, op.a)
-			}
-		}
-	}
-}
-
-// runTableau executes one noisy trial on a stabilizer backend with the
-// same draw sequence as the legacy runTrialT.
-func (cp *compiledProgram) runTableau(tb cliffordBackend, rng *rand.Rand) {
-	noisy := cp.noise.Enabled
+// runTableau is runStatevector over the packed stabilizer tableau, with
+// the same draw sequence.
+func (cp *compiledProgram) runTableau(tb *ptab, rng *rand.Rand, noisy bool) {
+	noisy = noisy && cp.noise.Enabled
 	idleErr := cp.noise.IdleErrPerLayer
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
 			op := &cl.ops[oi]
-			applyTableauOp(tb, op)
+			tb.apply(op)
 			if !noisy {
 				continue
 			}
@@ -307,36 +299,27 @@ func (cp *compiledProgram) runTableau(tb cliffordBackend, rng *rand.Rand) {
 	}
 }
 
-// runTableauNoiseless executes the gates only — the reference run.
-func (cp *compiledProgram) runTableauNoiseless(tb cliffordBackend) {
-	for li := range cp.layers {
-		cl := &cp.layers[li]
-		for oi := range cl.ops {
-			applyTableauOp(tb, &cl.ops[oi])
-		}
-	}
-}
-
-func applyTableauOp(tb cliffordBackend, op *compiledOp) {
+// apply executes one lowered Clifford gate on the tableau.
+func (t *ptab) apply(op *compiledOp) {
 	switch op.kind {
 	case opH:
-		tb.h(op.a)
+		t.h(op.a)
 	case opX:
-		tb.xg(op.a)
+		t.xg(op.a)
 	case opY:
-		tb.yg(op.a)
+		t.yg(op.a)
 	case opZ:
-		tb.zg(op.a)
+		t.zg(op.a)
 	case opS:
-		tb.s(op.a)
+		t.s(op.a)
 	case opSdg:
-		tb.sdg(op.a)
+		t.sdg(op.a)
 	case opCX:
-		tb.cx(op.a, op.b)
+		t.cx(op.a, op.b)
 	case opCZ:
-		tb.cz(op.a, op.b)
+		t.cz(op.a, op.b)
 	case opSWAP:
-		tb.swap(op.a, op.b)
+		t.swap(op.a, op.b)
 	}
 }
 

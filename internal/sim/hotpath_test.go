@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -60,7 +61,7 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 				t.Fatal(err)
 			}
 			stB := newState(cp.nq)
-			cp.runStatevector(stB, rngB)
+			cp.runStatevector(stB, rngB, true)
 			if !reflect.DeepEqual(stA.amps, stB.amps) {
 				t.Fatalf("noise=%+v seed=%d: compiled statevector diverges from legacy", noise, seed)
 			}
@@ -90,7 +91,7 @@ func TestCompiledTrialMatchesLegacyTableau(t *testing.T) {
 				t.Fatal(err)
 			}
 			tbB := newPtab(cp.nq)
-			cp.runTableau(tbB, rngB)
+			cp.runTableau(tbB, rngB, true)
 			for q := 0; q < cp.nq; q++ {
 				a := tbA.measure(q, func() bool { return rngA.Intn(2) == 1 })
 				b := tbB.measure(q, func() bool { return rngB.Intn(2) == 1 })
@@ -184,12 +185,12 @@ func TestCliffordBenchWorkloadGatesSequential(t *testing.T) {
 func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 	d, s, progs := ghzSchedule(t)
 	for _, trials := range []int{shardTrials + 3, 40 * shardTrials} {
-		want, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 13, DefaultNoise(), 1)
+		want, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 13, DefaultNoise(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 2, 8} {
-			got, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 13, DefaultNoise(), workers)
+			got, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 13, DefaultNoise(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,26 +201,39 @@ func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStatevectorTrialAllocs is the steady-state allocation guard: once
-// the shard's scratch state exists, a full trial (gates + noise +
-// measurements) must not allocate.
-func TestStatevectorTrialAllocs(t *testing.T) {
-	d, s, _ := pairSchedule(t)
-	lay, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector)
-	st := newState(cp.nq)
+// trialAllocs counts allocations of one full trial the way the driver's
+// shard loop runs it — through the register interface: reset, gates and
+// noise, then a measurement sweep with a readout draw per point. Once
+// the shard's register exists, none of it may allocate (in particular
+// the tableau adapter must not build a pick closure per measurement).
+func trialAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule) float64 {
+	t.Helper()
+	lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
+	reg := newRegister(engine, cp.nq)
 	rng := rand.New(rand.NewSource(1))
-	compacts := make([]int, 0, len(lay.measures))
+	plan := make([]measPoint, 0, len(lay.measures))
 	for _, m := range lay.measures {
-		compacts = append(compacts, lay.compact[m.Phys])
+		plan = append(plan, measPoint{q: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys]})
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		st.reset()
-		cp.runStatevector(st, rng)
-		for _, c := range compacts {
-			st.measure(c, rng)
+	flips := 0
+	return testing.AllocsPerRun(50, func() {
+		reg.reset()
+		reg.run(cp, rng, true)
+		for i := range plan {
+			b := reg.measure(plan[i].q, rng)
+			if rng.Float64() < plan[i].readout {
+				b ^= 1
+			}
+			flips += b
 		}
 	})
-	if allocs > 0 {
+}
+
+// TestStatevectorTrialAllocs is the steady-state allocation guard for
+// the statevector register.
+func TestStatevectorTrialAllocs(t *testing.T) {
+	d, s, _ := pairSchedule(t)
+	if allocs := trialAllocs(t, engineStatevector, d, s); allocs > 0 {
 		t.Fatalf("statevector trial allocates %.1f times per run, want 0", allocs)
 	}
 }
@@ -228,22 +242,7 @@ func TestStatevectorTrialAllocs(t *testing.T) {
 // including the randomized-measure and decay paths.
 func TestTableauTrialAllocs(t *testing.T) {
 	d, s, _ := ghzSchedule(t)
-	lay, cp := compiledLay(t, d, s, DefaultNoise(), engineTableau)
-	tb := newPtab(cp.nq)
-	rng := rand.New(rand.NewSource(1))
-	pick := func() bool { return rng.Intn(2) == 1 }
-	compacts := make([]int, 0, len(lay.measures))
-	for _, m := range lay.measures {
-		compacts = append(compacts, lay.compact[m.Phys])
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		tb.reset()
-		cp.runTableau(tb, rng)
-		for _, c := range compacts {
-			tb.measure(c, pick)
-		}
-	})
-	if allocs > 0 {
+	if allocs := trialAllocs(t, engineTableau, d, s); allocs > 0 {
 		t.Fatalf("tableau trial allocates %.1f times per run, want 0", allocs)
 	}
 }
@@ -265,7 +264,7 @@ func TestSimulateParallelSpeedupAt8Cores(t *testing.T) {
 	trials := 4 * shardTrials
 	run := func(workers int) time.Duration {
 		start := time.Now()
-		if _, err := SimulateScheduleWorkers(d, s, progs, trials, 7, noise, workers); err != nil {
+		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, noise, workers); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -2,14 +2,10 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/fp"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -25,139 +21,35 @@ type MitigatedOutcome struct {
 	MitigatedPST []float64
 }
 
-// SimulateScheduleMitigated runs the Monte-Carlo simulation like
-// SimulateSchedule and additionally applies tensored readout-error
-// mitigation per program. Programs are limited to 16 measured qubits
-// (the histogram is dense).
+// SimulateScheduleMitigated runs the statevector Monte-Carlo simulation
+// like SimulateScheduleCtx (pool-default workers, no cancellation) and
+// additionally applies tensored readout-error mitigation per program.
+// Programs are limited to 16 measured qubits (the histogram is dense).
 func SimulateScheduleMitigated(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel) (*MitigatedOutcome, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	lay := layerize(sched)
-	if noise.Enabled && noise.SerializeCrosstalk {
-		lay = serializeCrosstalk(d, lay)
-	}
-	if len(lay.active) > 24 {
-		return nil, fmt.Errorf("sim: %d active qubits exceed the statevector limit", len(lay.active))
-	}
-	measOf := make([][]router.Measurement, len(progs))
-	for _, m := range lay.measures {
-		if m.Program < 0 || m.Program >= len(progs) {
-			return nil, fmt.Errorf("sim: measurement for unknown program %d", m.Program)
-		}
-		measOf[m.Program] = append(measOf[m.Program], m)
-	}
-	for p := range measOf {
-		if len(measOf[p]) > 16 {
-			return nil, fmt.Errorf("sim: program %d measures %d qubits; mitigation supports <= 16", p, len(measOf[p]))
-		}
-		sort.Slice(measOf[p], func(i, j int) bool { return measOf[p][i].Logical < measOf[p][j].Logical })
-	}
-
-	cp, err := compileLayers(d, lay, noise, engineStatevector)
+	var hist histograms
+	raw, err := monteCarlo(context.Background(), d, sched, progs, trials, seed, noise, 0, engineStatevector, &hist)
 	if err != nil {
 		return nil, err
 	}
-	ref := newState(cp.nq)
-	cp.runStatevectorNoiseless(ref)
-	modal := ref.modal()
-	correct := make([]string, len(progs))
+	out := &MitigatedOutcome{Outcome: *raw, MitigatedPST: make([]float64, len(progs))}
+	// Per program, in plan (logical) order: each measured qubit's flip
+	// probability and the index of the correct outcome.
+	eps := make([][]float64, len(progs))
 	correctIdx := make([]int, len(progs))
-	plan := make([][]measPoint, len(progs))
-	for p := range progs {
-		buf := make([]byte, len(measOf[p]))
-		plan[p] = make([]measPoint, len(measOf[p]))
-		idx := 0
-		for i, m := range measOf[p] {
-			b := (modal >> uint(lay.compact[m.Phys])) & 1
-			buf[i] = byte('0' + b)
-			idx |= b << uint(i)
-			plan[p][i] = measPoint{compact: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys], correct: b}
+	for _, mp := range hist.plan {
+		e := 0.0
+		if noise.Enabled && noise.Readout {
+			e = mp.readout
 		}
-		correct[p] = string(buf)
-		correctIdx[p] = idx
-	}
-	doReadout := noise.Enabled && noise.Readout
-
-	// Sharded like SimulateScheduleWorkers; per-shard histograms hold
-	// integer counts, so the shard-order reduction is exact and the
-	// result is worker-count-independent.
-	type shardCounts struct {
-		counts [][]int
-		succ   []int
-	}
-	shards := numShards(trials)
-	workers := shardWorkers(0, trials, cp.trialWork)
-	perShard := make([]shardCounts, shards)
-	ferr := pool.ForEach(context.Background(), shards, workers, func(s int) error {
-		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
-		lo, hi := shardRange(s, trials)
-		sc := shardCounts{counts: make([][]int, len(progs)), succ: make([]int, len(progs))}
-		for p := range progs {
-			sc.counts[p] = make([]int, 1<<uint(len(plan[p])))
-		}
-		st := newState(cp.nq)
-		for trial := lo; trial < hi; trial++ {
-			st.reset()
-			cp.runStatevector(st, rng)
-			for p := range plan {
-				idx := 0
-				for i := range plan[p] {
-					mp := &plan[p][i]
-					b := st.measure(mp.compact, rng)
-					if doReadout && rng.Float64() < mp.readout {
-						b ^= 1
-					}
-					idx |= b << uint(i)
-				}
-				sc.counts[p][idx]++
-				if idx == correctIdx[p] {
-					sc.succ[p]++
-				}
-			}
-		}
-		perShard[s] = sc
-		return nil
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	counts := make([][]float64, len(progs))
-	for p := range progs {
-		counts[p] = make([]float64, 1<<uint(len(measOf[p])))
-	}
-	succ := make([]int, len(progs))
-	for s := 0; s < shards; s++ {
-		for p := range progs {
-			for i, c := range perShard[s].counts[p] {
-				counts[p][i] += float64(c)
-			}
-			succ[p] += perShard[s].succ[p]
-		}
-	}
-
-	out := &MitigatedOutcome{
-		Outcome: Outcome{
-			PST:     make([]float64, len(progs)),
-			Correct: correct,
-			Trials:  trials,
-		},
-		MitigatedPST: make([]float64, len(progs)),
+		eps[mp.prog] = append(eps[mp.prog], e)
+		correctIdx[mp.prog] |= mp.correct << uint(mp.bit)
 	}
 	for p := range progs {
-		out.PST[p] = float64(succ[p]) / float64(trials)
-		freq := make([]float64, len(counts[p]))
-		for i, c := range counts[p] {
-			freq[i] = c / float64(trials)
+		freq := make([]float64, len(hist.counts[p]))
+		for i, c := range hist.counts[p] {
+			freq[i] = float64(c) / float64(trials)
 		}
-		eps := make([]float64, len(measOf[p]))
-		for i, m := range measOf[p] {
-			if noise.Enabled && noise.Readout {
-				eps[i] = d.ReadoutErr[m.Phys]
-			}
-		}
-		mitigated := invertReadout(freq, eps)
-		v := mitigated[correctIdx[p]]
+		v := invertReadout(freq, eps[p])[correctIdx[p]]
 		if v < 0 {
 			v = 0
 		}

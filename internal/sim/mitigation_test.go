@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -72,8 +73,8 @@ func TestMitigationRecoversReadoutLoss(t *testing.T) {
 	}
 	// Without readout noise the PST would be ~ (1-0.002)^cnots: compute
 	// that bound and require mitigation to land close.
-	clean, err := SimulateSchedule(d, s, []*circuit.Circuit{p},
-		4000, 5, NoiseModel{Enabled: true, Readout: false})
+	clean, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p},
+		4000, 5, NoiseModel{Enabled: true, Readout: false}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

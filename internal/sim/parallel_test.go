@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -72,12 +73,12 @@ func pairSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Cir
 func TestSimulateWorkersDifferential(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	trials := 2*shardTrials + 100 // 3 shards, last one partial
-	want, err := SimulateScheduleWorkers(d, s, progs, trials, 7, DefaultNoise(), 1)
+	want, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got, err := SimulateScheduleWorkers(d, s, progs, trials, 7, DefaultNoise(), workers)
+		got, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +97,12 @@ func TestSimulateCliffordWorkersDifferential(t *testing.T) {
 	}
 	progs := []*circuit.Circuit{prog}
 	trials := 3*shardTrials + 1
-	want, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 11, DefaultNoise(), 1)
+	want, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 11, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 11, DefaultNoise(), workers)
+		got, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 11, DefaultNoise(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,14 +143,14 @@ func benchSimulate(b *testing.B, workers int) {
 	noise := DefaultNoise()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateScheduleWorkers(d, s, progs, 2*shardTrials, 7, noise, workers); err != nil {
+		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, 2*shardTrials, 7, noise, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSimulateSequential(b *testing.B) { benchSimulate(b, 1) }
-func BenchmarkSimulateParallel(b *testing.B)  { benchSimulate(b, 0) }
+func BenchmarkSimulateParallel(b *testing.B)   { benchSimulate(b, 0) }
 
 func benchSimulateClifford(b *testing.B, workers int) {
 	d := arch.IBMQ16(0)
@@ -162,7 +163,7 @@ func benchSimulateClifford(b *testing.B, workers int) {
 	noise := DefaultNoise()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateScheduleCliffordWorkers(d, s, progs, 4*shardTrials, 7, noise, workers); err != nil {
+		if _, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, 4*shardTrials, 7, noise, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

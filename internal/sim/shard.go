@@ -1,6 +1,6 @@
 package sim
 
-// Trial sharding for the parallel Monte-Carlo engines.
+// Trial sharding for the Monte-Carlo driver (monteCarlo in engine.go).
 //
 // Each simulation's trial budget is split into fixed-size shards and
 // every shard owns a private *rand.Rand whose seed is a pure function of
@@ -19,7 +19,7 @@ const shardTrials = 512
 // shardSeed derives shard s's RNG seed from the caller's seed with a
 // splitmix64-style finalizer, so neighboring (seed, shard) pairs map to
 // decorrelated streams. The +2 offset keeps shard 0 off the raw seed
-// (which seeds the noiseless reference run).
+// (reserved for the noiseless reference run, which draws nothing).
 func shardSeed(seed int64, shard int) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(int64(shard)+2)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -198,7 +199,7 @@ func TestSimulateScheduleNoiselessIsPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{})
+	out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSimulateScheduleNoiseLowersPST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 400, 1, DefaultNoise())
+	noisy, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 400, 1, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestSimulateScheduleTwoPrograms(t *testing.T) {
 	p1 := nisqbench.MustGet("bv_n3")
 	p2 := nisqbench.MustGet("bv_n3")
 	s, progs := compilePair(t, d, p1, p2, []int{0, 1, 2}, []int{11, 12, 13})
-	out, err := SimulateSchedule(d, s, progs, 300, 2, DefaultNoise())
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 300, 2, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestWorseLinksLowerPST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 500, 3, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 500, 3, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestIdleDecoherencePenalizesWaiting(t *testing.T) {
 	noise := NoiseModel{Enabled: true, IdleErrPerLayer: 0.004, Readout: false}
 	pstWith := func(partner *circuit.Circuit) float64 {
 		s, progs := compilePair(t, d, short, partner, []int{0, 1}, []int{3, 4})
-		out, err := SimulateSchedule(d, s, progs, 600, 4, noise)
+		out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 600, 4, noise, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,6 +301,8 @@ func TestIdleDecoherencePenalizesWaiting(t *testing.T) {
 	}
 }
 
+// TestSimulateScheduleErrors walks every rejection the three Monte-Carlo
+// entry points share, with the exact text callers see.
 func TestSimulateScheduleErrors(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n3")
@@ -307,8 +310,58 @@ func TestSimulateScheduleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 0, 1, NoiseModel{}); err == nil {
-		t.Fatal("zero trials must error")
+	one := []*circuit.Circuit{p}
+	stray := *s
+	stray.Measurements = append(append([]router.Measurement(nil), s.Measurements...), router.Measurement{Program: 1, Phys: 3})
+	tof := nisqbench.MustGet("toffoli_3")
+	tofSched, err := router.RouteSingle(d, tof, []int{0, 1, 2}, router.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d50 := arch.IBMQ50(0)
+	big, bigProgs := cliffordMix50(t, d50)
+	wide := &router.Schedule{Device: d50}
+	for q := 0; q < 17; q++ {
+		wide.Measurements = append(wide.Measurements, router.Measurement{Logical: q, Phys: q})
+	}
+	live := context.Background()
+	cancelled, cancel := context.WithCancel(live)
+	cancel()
+
+	const sv, cliff, mit = "statevector", "clifford", "mitigated"
+	cases := []struct {
+		name    string
+		engines []string
+		ctx     context.Context
+		d       *arch.Device
+		sched   *router.Schedule
+		progs   []*circuit.Circuit
+		trials  int
+		want    string
+	}{
+		{"zero trials", []string{sv, cliff, mit}, live, d, s, one, 0, "sim: trials must be positive, got 0"},
+		{"negative trials", []string{sv, cliff, mit}, live, d, s, one, -3, "sim: trials must be positive, got -3"},
+		{"unknown program", []string{sv, cliff, mit}, live, d, &stray, one, 10, "sim: measurement for unknown program 1"},
+		{"too many active qubits", []string{sv, mit}, live, d50, big, bigProgs, 10, "sim: 28 active qubits exceed the statevector limit"},
+		{"non-Clifford gate", []string{cliff}, live, d, tofSched, []*circuit.Circuit{tof}, 10, `sim: schedule contains non-Clifford gate "tdg"`},
+		{"too many measured qubits", []string{mit}, live, d50, wide, one, 10, "sim: program 0 measures 17 qubits; mitigation supports <= 16"},
+		{"cancelled context", []string{sv, cliff}, cancelled, d, s, one, 10, context.Canceled.Error()},
+	}
+	for _, c := range cases {
+		for _, engine := range c.engines {
+			var err error
+			switch engine {
+			case sv:
+				_, err = SimulateScheduleCtx(c.ctx, c.d, c.sched, c.progs, c.trials, 1, DefaultNoise(), 0)
+			case cliff:
+				_, err = SimulateScheduleCliffordCtx(c.ctx, c.d, c.sched, c.progs, c.trials, 1, DefaultNoise(), 0)
+			default:
+				_, err = SimulateScheduleMitigated(c.d, c.sched, c.progs, c.trials, 1, DefaultNoise())
+			}
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, %s: error %v, want %q", c.name, engine, err, c.want)
+			}
+		}
 	}
 }
 
@@ -336,11 +389,11 @@ func TestDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise())
+	a, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise())
+	b, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +418,7 @@ func TestBridgedScheduleSemanticsMatchSwapped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{})
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +452,7 @@ func TestInterProgramBridgeRestoresOtherProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SimulateSchedule(d, s, []*circuit.Circuit{p1, p2}, 50, 2, NoiseModel{})
+	out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p1, p2}, 50, 2, NoiseModel{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +511,11 @@ func TestSerializeCrosstalkImprovesPSTUnderHeavyCrosstalk(t *testing.T) {
 	base := NoiseModel{Enabled: true, CrosstalkFactor: 3.0, IdleErrPerLayer: 0.0001, Readout: false}
 	serial := base
 	serial.SerializeCrosstalk = true
-	outBase, err := SimulateSchedule(d, s, progs, 800, 9, base)
+	outBase, err := SimulateScheduleCtx(context.Background(), d, s, progs, 800, 9, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outSerial, err := SimulateSchedule(d, s, progs, 800, 9, serial)
+	outSerial, err := SimulateScheduleCtx(context.Background(), d, s, progs, 800, 9, serial, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +542,7 @@ func TestSerializeCrosstalkPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	noise := NoiseModel{Enabled: true, SerializeCrosstalk: true}
-	out, err := SimulateSchedule(d, s, progs, 60, 3, noise)
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 60, 3, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +567,7 @@ func TestPSTMonotonicInGateError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 1200, 17, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 1200, 17, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +587,7 @@ func TestPSTMonotonicInReadoutError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 1200, 23, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 1200, 23, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

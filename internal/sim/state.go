@@ -37,7 +37,7 @@ func newState(n int) *state {
 
 // reset returns the state to |0...0> in place, so per-shard trial loops
 // reuse one amplitude buffer instead of allocating 2^n complex128s per
-// trial (the dominant allocation of the legacy hot path).
+// trial.
 func (s *state) reset() {
 	clear(s.amps)
 	s.amps[0] = 1

@@ -3,15 +3,16 @@ package sim
 import (
 	"math/bits"
 	"math/rand"
-
-	"repro/internal/circuit"
 )
 
-// ptab is the bit-packed counterpart of tableau: each Pauli row stores
-// its x/z bits in 64-bit words, so gate updates and row products run
-// word-parallel (~64 qubits per operation). It is the production
-// backend behind SimulateScheduleClifford; the boolean tableau remains
-// as the cross-validation reference.
+// ptab is a bit-packed Aaronson-Gottesman stabilizer tableau over n
+// qubits: rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers; each
+// row is a Pauli string with a sign bit r, its x/z bits stored in 64-bit
+// words so gate updates and row products run word-parallel (~64 qubits
+// per operation). It simulates Clifford circuits in O(n^2) per gate
+// regardless of entanglement — the engine behind 50-qubit fidelity
+// estimation (SimulateScheduleCliffordCtx, CliffordOutcome). The boolean
+// tableau in oracle_test.go is its cross-validation reference.
 type ptab struct {
 	n     int
 	words int
@@ -22,8 +23,8 @@ type ptab struct {
 	// measure scratch rows, reused across measurements.
 	xbits, zbits []uint64
 	sx, sz       []uint64
-	// pickRng/pickFn make decayT's random pick allocation-free: the
-	// closure is built once here instead of once per decay event.
+	// pickRng/pickFn make measureT's random pick allocation-free: the
+	// closure is built once here instead of once per measurement.
 	pickRng *rand.Rand
 	pickFn  func() bool
 }
@@ -208,43 +209,6 @@ func (t *ptab) measure(q int, pick func() bool) int {
 	return b2i(sr)
 }
 
-// applyCliffordGate applies a named Clifford gate (same contract as the
-// boolean tableau's method).
-func (t *ptab) applyCliffordGate(g circuit.Gate, qmap func(int) int) error {
-	q := func(i int) int { return qmap(g.Qubits[i]) }
-	switch g.Name {
-	case circuit.GateH:
-		t.h(q(0))
-	case circuit.GateX:
-		t.xg(q(0))
-	case circuit.GateY:
-		t.yg(q(0))
-	case circuit.GateZ:
-		t.zg(q(0))
-	case circuit.GateS:
-		t.s(q(0))
-	case circuit.GateSdg:
-		t.sdg(q(0))
-	case circuit.GateCX:
-		t.cx(q(0), q(1))
-	case circuit.GateCZ:
-		t.cz(q(0), q(1))
-	case circuit.GateSWAP:
-		t.swap(q(0), q(1))
-	default:
-		return errNotClifford(g.Name)
-	}
-	return nil
-}
-
-func errNotClifford(name string) error {
-	return &notCliffordError{name}
-}
-
-type notCliffordError struct{ gate string }
-
-func (e *notCliffordError) Error() string { return "sim: gate " + e.gate + " is not Clifford" }
-
 func (t *ptab) injectPauliT(q int, rng *rand.Rand) {
 	switch rng.Intn(3) {
 	case 0:
@@ -256,9 +220,23 @@ func (t *ptab) injectPauliT(q int, rng *rand.Rand) {
 	}
 }
 
-func (t *ptab) decayT(q int, rng *rand.Rand) {
+// measureT is measure with random outcomes drawn from rng.
+func (t *ptab) measureT(q int, rng *rand.Rand) int {
 	t.pickRng = rng
-	if t.measure(q, t.pickFn) == 1 {
+	return t.measure(q, t.pickFn)
+}
+
+// decayT is the tableau counterpart of state.decay: projective Z
+// measurement followed by relaxation of |1> to |0>.
+func (t *ptab) decayT(q int, rng *rand.Rand) {
+	if t.measureT(q, rng) == 1 {
 		t.xg(q)
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,7 +193,7 @@ func TestSimulateScheduleCliffordNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SimulateScheduleClifford(d, s, []*circuit.Circuit{p}, 40, 1, NoiseModel{})
+	out, err := SimulateScheduleCliffordCtx(context.Background(), d, s, []*circuit.Circuit{p}, 40, 1, NoiseModel{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +215,11 @@ func TestCliffordMatchesStatevectorPST(t *testing.T) {
 		t.Fatal(err)
 	}
 	noise := DefaultNoise()
-	sv, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 1500, 3, noise)
+	sv, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 1500, 3, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := SimulateScheduleClifford(d, s, []*circuit.Circuit{p}, 1500, 3, noise)
+	cl, err := SimulateScheduleCliffordCtx(context.Background(), d, s, []*circuit.Circuit{p}, 1500, 3, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestCliffordRejectsNonClifford(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateScheduleClifford(d, s, []*circuit.Circuit{p}, 10, 1, NoiseModel{}); err == nil {
+	if _, err := SimulateScheduleCliffordCtx(context.Background(), d, s, []*circuit.Circuit{p}, 10, 1, NoiseModel{}, 0); err == nil {
 		t.Fatal("T gates must be rejected")
 	}
 }
@@ -256,7 +257,7 @@ func TestClifford50QubitWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SimulateScheduleClifford(d, s, progs, 300, 5, DefaultNoise())
+	out, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, 300, 5, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

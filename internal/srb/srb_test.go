@@ -127,7 +127,7 @@ func TestTrainScheduleShape(t *testing.T) {
 	// Noiseless sanity: a CX train on |00> survives with certainty.
 	noise := sim.DefaultNoise()
 	noise.Enabled = false
-	out, err := sim.SimulateScheduleClifford(d, sched, progs, 50, 1, noise)
+	out, err := sim.SimulateScheduleCliffordCtx(context.Background(), d, sched, progs, 50, 1, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
