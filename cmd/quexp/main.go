@@ -3,6 +3,7 @@
 //
 //	quexp -exp table2            # Table II: PST on IBMQ16
 //	quexp -exp table3            # Table III: compilation overheads on IBMQ50
+//	quexp -exp table3pst         # Table III mixes: PST on IBMQ50 (minutes; not part of all)
 //	quexp -exp fig8              # Figure 8: IBM Q London dendrogram
 //	quexp -exp fig9              # Figure 9: omega sweep + knee (both chips)
 //	quexp -exp fig14             # Figure 14: scheduler PST / TRF
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2, table3, fig8, fig9, fig14, scale, clifford, staleness, crosstalk, all")
+		exp      = flag.String("exp", "all", "experiment: table2, table3, table3pst, fig8, fig9, fig14, scale, clifford, staleness, crosstalk, all")
 		seed     = flag.Int64("seed", 0, "calibration seed")
 		trials   = flag.Int("trials", 2000, "Monte-Carlo trials per PST estimate")
 		days     = flag.Int("days", 21, "calibration days for the fig9 sweep")
@@ -36,7 +37,8 @@ func main() {
 	}
 
 	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
+		// table3pst simulates 16-qubit components for minutes: by name only.
+		if *exp != name && (*exp != "all" || name == "table3pst") {
 			return
 		}
 		if err := f(); err != nil {
@@ -46,6 +48,7 @@ func main() {
 	}
 	run("table2", func() error { return table2(*seed, *trials) })
 	run("table3", func() error { return table3(*seed) })
+	run("table3pst", func() error { return table3PST(*seed, *trials) })
 	run("fig8", func() error { return fig8() })
 	run("fig9", func() error { return fig9(*seed, *days) })
 	run("fig14", func() error { return fig14(*seed, *trials) })
@@ -204,6 +207,42 @@ func table3(seed int64) error {
 	sab := float64(tot[qucloud.SABRE][0])
 	fmt.Printf("\nCDAP+X-SWAP vs Baseline: %+.1f%% CNOTs; vs SABRE: %+.1f%% CNOTs\n\n",
 		(qc-base)/base*100, (qc-sab)/sab*100)
+	return nil
+}
+
+func table3PST(seed int64, trials int) error {
+	fmt.Printf("== Table III mixes: PST on IBMQ50, statevector engine (calibration day %d, %d trials)\n\n", seed, trials)
+	all := make([]int, len(qucloud.Table3Mixes))
+	for i := range all {
+		all[i] = i
+	}
+	rows, err := qucloud.RunTable3PST(seed, trials, all)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%-8s", "Mix")
+	for _, s := range qucloud.Table3PSTStrategies {
+		fmt.Printf(" | %-12s %-23s", s, "avg  per-program PST(%)")
+	}
+	fmt.Println(" | sim(s)")
+	sum := map[qucloud.Strategy]float64{}
+	for _, r := range rows {
+		fmt.Printf("%-8s", r.Mix)
+		for _, s := range qucloud.Table3PSTStrategies {
+			fmt.Printf(" | %12.1f", r.Avg(s))
+			for _, p := range r.PST[s] {
+				fmt.Printf(" %5.1f", p)
+			}
+			sum[s] += r.Avg(s)
+		}
+		fmt.Printf(" | %6.2f\n", r.SimSeconds)
+	}
+	fmt.Printf("%-8s", "mean")
+	for _, s := range qucloud.Table3PSTStrategies {
+		fmt.Printf(" | %12.1f %23s", sum[s]/float64(len(rows)), "")
+	}
+	fmt.Println()
+	fmt.Println()
 	return nil
 }
 

@@ -188,6 +188,73 @@ func RunTable3Subset(calSeed int64, mixIndices []int) ([]Table3Row, error) {
 	return rows, nil
 }
 
+// Table3PSTRow is one Table III mix's fidelity on IBMQ50: the PST
+// column the paper could not measure (no 50-qubit hardware) and a joint
+// statevector could not simulate (the compiled mixes keep 23-41 qubits
+// active). The factored register can, because co-located programs never
+// entangle.
+type Table3PSTRow struct {
+	Mix        string
+	Benchmarks []string
+	// PST[strategy] holds the per-program PSTs, in percent.
+	PST map[Strategy][]float64
+	// SimSeconds is the wall time of the mix's simulations (every
+	// strategy), compilation excluded.
+	SimSeconds float64
+}
+
+// Avg returns the row's mean PST (percent) under the strategy.
+func (r Table3PSTRow) Avg(s Strategy) float64 {
+	sum := 0.0
+	for _, p := range r.PST[s] {
+		sum += p
+	}
+	return sum / float64(len(r.PST[s]))
+}
+
+// Table3PSTStrategies are the columns of the Table III PST experiment.
+var Table3PSTStrategies = []Strategy{Baseline, CDAPXSwap}
+
+// RunTable3PST estimates per-program PST for the given Table III mixes
+// (0-based indices into Table3Mixes) on simulated IBMQ50 under the
+// baseline and QuCloud, compiled as in Table II (default compiler) and
+// simulated on the statevector engine. Mixes run one after another so
+// SimSeconds is each mix's own; the trials fan out inside a simulation.
+// A strategy that cannot co-locate a mix reverts to separate execution.
+func RunTable3PST(calSeed int64, trials int, mixIndices []int) ([]Table3PSTRow, error) {
+	d := arch.IBMQ50(calSeed)
+	noise := sim.DefaultNoise()
+	rows := make([]Table3PSTRow, 0, len(mixIndices))
+	for _, mi := range mixIndices {
+		mix := Table3Mixes[mi]
+		progs := make([]*circuit.Circuit, len(mix))
+		for i, name := range mix {
+			progs[i] = nisqbench.MustGet(name)
+		}
+		row := Table3PSTRow{Mix: fmt.Sprintf("Mix_%d", mi+1), Benchmarks: mix, PST: map[Strategy][]float64{}}
+		for _, strat := range Table3PSTStrategies {
+			comp := NewCompiler(d)
+			res, err := comp.Compile(progs, strat)
+			if err != nil {
+				if res, err = comp.Compile(progs, Separate); err != nil {
+					return nil, fmt.Errorf("table3 pst %s %s: %w", row.Mix, strat, err)
+				}
+			}
+			start := time.Now()
+			psts, err := comp.Simulate(res, trials, 3000+int64(mi), noise)
+			if err != nil {
+				return nil, fmt.Errorf("table3 pst %s %s: %w", row.Mix, strat, err)
+			}
+			row.SimSeconds += time.Since(start).Seconds()
+			for _, p := range psts {
+				row.PST[strat] = append(row.PST[strat], p*100)
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
 // Fig9Result is the ω sweep of Figure 9 for one chip.
 type Fig9Result struct {
 	Omegas []float64

@@ -102,6 +102,30 @@ func TestRunTable3SubsetShape(t *testing.T) {
 	}
 }
 
+// TestRunTable3PSTShape simulates Mix_3 — four 10-qubit programs, 40
+// active qubits — on the statevector engine, which only a register
+// factored per program can hold.
+func TestRunTable3PSTShape(t *testing.T) {
+	rows, err := RunTable3PST(0, 32, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rows[0]
+	if r.Mix != "Mix_3" || r.SimSeconds <= 0 {
+		t.Fatalf("mix = %s, sim seconds = %v", r.Mix, r.SimSeconds)
+	}
+	for _, s := range Table3PSTStrategies {
+		if len(r.PST[s]) != len(r.Benchmarks) {
+			t.Fatalf("%s: %d PSTs for %d programs", s, len(r.PST[s]), len(r.Benchmarks))
+		}
+		for _, p := range r.PST[s] {
+			if p < 0 || p > 100 {
+				t.Fatalf("%s PSTs = %v", s, r.PST[s])
+			}
+		}
+	}
+}
+
 func TestRunFig9KneeAndMonotonicity(t *testing.T) {
 	d := arch.IBMQ16(0)
 	res := RunFig9(d, 5, 0.25)

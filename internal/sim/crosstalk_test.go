@@ -157,22 +157,12 @@ func TestCompiledMatchesLegacyWithMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	noise := DefaultNoise()
-	lay, cp := compiledLay(t, d, s, noise, engineStatevector)
-	for seed := int64(0); seed < 5; seed++ {
-		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		stA := newState(len(lay.active))
-		if err := runTrial(stA, d, lay, noise, rngA); err != nil {
-			t.Fatal(err)
-		}
-		stB := newState(cp.nq)
-		cp.runStatevector(stB, rngB, true)
-		if !reflect.DeepEqual(stA.amps, stB.amps) {
-			t.Fatalf("seed=%d: compiled statevector diverges from legacy under matrix", seed)
-		}
-		if rngA.Int63() != rngB.Int63() {
-			t.Fatalf("seed=%d: draw counts diverge under matrix", seed)
-		}
-	}
+	jointMatchesFactored(t, "matrix pair", d, s, noise, 5, 8)
+	adjacent, _ := adjacentPair16(t, d)
+	jointMatchesFactored(t, "matrix adjacentPair16", d, adjacent, noise, 5, 8)
+	corners, _ := corners16(t, d)
+	jointMatchesFactored(t, "matrix corners16", d, corners, noise, 5, 8)
+	jointMatchesFactored(t, "matrix entangled", d, entangledSchedule(t, d, 1), noise, 2, 6)
 	layT, cpT := compiledLay(t, d, s, noise, engineTableau)
 	for seed := int64(0); seed < 5; seed++ {
 		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))

@@ -155,8 +155,9 @@ func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Sche
 
 // measPoint is one measurement with its trial-invariant inputs
 // resolved: the program it belongs to and its position in that program's
-// outcome, the compact qubit index, the qubit's readout-error rate, and
-// the reference run's correct bit.
+// outcome, the operand index of the measured wire once the schedule has
+// run (compiledProgram.fac), the qubit's readout-error rate, and the
+// reference run's correct bit.
 type measPoint struct {
 	prog, bit int
 	q         int
@@ -175,16 +176,68 @@ type register interface {
 	correctBits(plan []measPoint)
 }
 
-func (s *state) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
-	cp.runStatevector(s, rng, noisy)
+// factored is the statevector register: one dense state per component of
+// the compiled program's factoring, addressed by slot.
+type factored struct {
+	*factoring
+	comps []*state
 }
 
-// correctBits reads every point off the modal basis state (lowest index
-// on ties).
-func (s *state) correctBits(plan []measPoint) {
-	modal := s.modal()
+func newFactored(f *factoring) *factored {
+	r := &factored{factoring: f, comps: make([]*state, len(f.sizes))}
+	for c, k := range f.sizes {
+		r.comps[c] = newState(k)
+	}
+	return r
+}
+
+// at resolves a slot to its component's state and its bit there.
+func (r *factored) at(slot int) (*state, int) { return r.comps[r.comp[slot]], r.bit[slot] }
+
+func (r *factored) reset() {
+	for _, st := range r.comps {
+		st.reset()
+	}
+}
+
+func (r *factored) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
+	cp.runStatevector(r, rng, noisy)
+}
+
+func (r *factored) measure(slot int, rng *rand.Rand) int {
+	st, q := r.at(slot)
+	return st.measure(q, rng)
+}
+
+func (r *factored) injectPauli(slot int, rng *rand.Rand) {
+	st, q := r.at(slot)
+	st.injectPauli(q, rng)
+}
+
+// modalBits returns the bit every slot takes in the modal basis state,
+// lowest joint index over the final wires on ties: the joint probability
+// is the product of the components' and the joint index the sum of their
+// bits' weights, so the rule holds component by component, and
+// factoring.finish numbered each component's bits in final-wire order.
+func (r *factored) modalBits() (bits []int, prob float64) {
+	bits, prob = make([]int, len(r.comp)), 1
+	modal := make([]int, len(r.comps))
+	for c, st := range r.comps {
+		modal[c] = st.modal()
+		a := st.amps[modal[c]]
+		prob *= real(a)*real(a) + imag(a)*imag(a)
+	}
+	for slot, c := range r.comp {
+		bits[slot] = (modal[c] >> uint(r.bit[slot])) & 1
+	}
+	return bits, prob
+}
+
+// correctBits reads every point off the modal basis state.
+func (r *factored) correctBits(plan []measPoint) {
+	bits, _ := r.modalBits()
 	for i := range plan {
-		plan[i].correct = (modal >> uint(plan[i].q)) & 1
+		plan[i].correct = bits[plan[i].q]
 	}
 }
 
@@ -205,11 +258,11 @@ func (r tableauRegister) correctBits(plan []measPoint) {
 	}
 }
 
-func newRegister(engine engineKind, nq int) register {
+func newRegister(engine engineKind, cp *compiledProgram) register {
 	if engine == engineTableau {
-		return tableauRegister{newPtab(nq)}
+		return tableauRegister{newPtab(cp.nq)}
 	}
-	return newState(nq)
+	return newFactored(cp.fac)
 }
 
 // histograms asks monteCarlo for each program's dense outcome counts
@@ -238,9 +291,6 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	if noise.Enabled && noise.SerializeCrosstalk {
 		lay = serializeCrosstalk(d, lay)
 	}
-	if engine == engineStatevector && len(lay.active) > 24 {
-		return nil, fmt.Errorf("sim: %d active qubits exceed the statevector limit", len(lay.active))
-	}
 	measOf := make([][]router.Measurement, len(progs))
 	for _, m := range lay.measures {
 		if m.Program < 0 || m.Program >= len(progs) {
@@ -259,17 +309,23 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 		}
 	}
 
-	// Lower the schedule once: compact indices, folded error rates, 1q
-	// matrices, and idle lists are trial-invariant (see hotpath.go). For
-	// the tableau engine this is also where a non-Clifford gate fails.
+	// Lower the schedule once: operand indices, folded error rates, 1q
+	// matrices, idle lists and the statevector factoring are
+	// trial-invariant (see hotpath.go). This is also where a non-Clifford
+	// gate fails the tableau engine and an entangled component too large
+	// for a register fails the statevector engine.
 	cp, err := compileLayers(d, lay, noise, engine)
 	if err != nil {
 		return nil, err
 	}
+	// The plan measures wires; the ops have moved their states.
+	for i := range plan {
+		plan[i].q = cp.fac.slot[plan[i].q]
+	}
 
 	// The noiseless reference run fixes the correct outcome; it draws
 	// from no RNG.
-	ref := newRegister(engine, cp.nq)
+	ref := newRegister(engine, cp)
 	ref.run(cp, nil, false)
 	ref.correctBits(plan)
 	bufs := make([][]byte, len(progs))
@@ -298,7 +354,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 				sc.counts[p] = make([]int, 1<<uint(len(measOf[p])))
 			}
 		}
-		reg := newRegister(engine, cp.nq)
+		reg := newRegister(engine, cp)
 		wrong := make([]int, len(progs)) // per program: any bit off
 		index := make([]int, len(progs)) // per program: outcome index, for hist
 		for trial := lo; trial < hi; trial++ {
@@ -498,9 +554,7 @@ func linksAdjacent(d *arch.Device, a, b []int) bool {
 // noise and returns its modal output bitstring over measured qubits (in
 // qubit order) plus that outcome's probability.
 func SimulateIdeal(c *circuit.Circuit) (string, float64, error) {
-	if c.NumQubits > 24 {
-		return "", 0, fmt.Errorf("sim: %d qubits exceed the statevector limit", c.NumQubits)
-	}
+	fac := newFactoring(c.NumQubits)
 	var ops []compiledOp
 	for _, g := range c.Gates {
 		op, err := lowerGate(g, engineStatevector)
@@ -508,18 +562,20 @@ func SimulateIdeal(c *circuit.Circuit) (string, float64, error) {
 			return "", 0, err
 		}
 		if op.kind != opNone {
+			fac.place(&op)
 			ops = append(ops, op)
 		}
 	}
+	if err := fac.finish(); err != nil {
+		return "", 0, err
+	}
 	// The lowered gates run as one layer of the statevector engine.
-	st := newState(c.NumQubits)
-	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runStatevector(st, nil, false)
-	modal := st.modal()
-	a := st.amps[modal]
-	prob := real(a)*real(a) + imag(a)*imag(a)
+	reg := newFactored(fac)
+	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runStatevector(reg, nil, false)
+	bits, prob := reg.modalBits()
 	buf := make([]byte, c.NumQubits)
-	for q := 0; q < c.NumQubits; q++ {
-		buf[q] = byte('0' + (modal>>uint(q))&1)
+	for q := range buf {
+		buf[q] = byte('0' + bits[fac.slot[q]])
 	}
 	return string(buf), prob, nil
 }

@@ -12,16 +12,23 @@ package sim
 // compileLayers, SimulateIdeal, CliffordOutcome and IsClifford all go
 // through it (gateMatrix in state.go is the table of 2x2 unitaries it
 // looks single-qubit gates up in). The package holds one engine per
-// representation — runStatevector over *state, runTableau over *ptab.
-// The per-layer reference interpreters (runTrial, runTrialT) and the
-// boolean tableau live in oracle_test.go, where
-// TestCompiledTrialMatchesLegacy*, TestCompiledMatchesLegacyWithMatrix
+// representation — runStatevector over the factored register, runTableau
+// over *ptab.
+//
+// The statevector engine simulates what is entangled, not what is
+// co-located: while it lowers, a factoring follows every wire's state
+// through the SWAPs (a SWAP moves no amplitude, it relabels) and unions
+// the states CX and CZ couple, and the register holds one small dense
+// state per component (DESIGN.md, "Factored register"). The joint
+// 2^(active qubits) register and the per-layer reference interpreters
+// (runTrial, runTrialT) and the boolean tableau live in oracle_test.go,
+// where TestCompiledTrialMatchesLegacy*, TestCompiledMatchesLegacyWithMatrix
 // and TestPackedMatchesBooleanTableau compare against them.
 //
 // Determinism contract: a compiled program draws from the RNG in
-// exactly the same order, with exactly the same comparisons, as the
-// reference interpreter — byte-identical PSTs are a hard invariant (see
-// DESIGN.md, "Hot-path memory discipline").
+// exactly the same order, with the same comparisons, as the reference
+// interpreter on the joint register — byte-identical PSTs are a hard
+// invariant (see DESIGN.md, "Hot-path memory discipline").
 
 import (
 	"fmt"
@@ -65,8 +72,10 @@ const (
 )
 
 // compiledOp is one gate with every trial-invariant input resolved:
-// compact operand indices, the noise-draw threshold (crosstalk
-// multiplier already applied), and the 1q unitary where relevant.
+// operand indices (compact wires for the tableau engine, slots of the
+// factoring for the statevector engine), the noise-draw threshold
+// (crosstalk multiplier already applied), and the 1q unitary where
+// relevant.
 type compiledOp struct {
 	kind opKind
 	a, b int
@@ -77,8 +86,9 @@ type compiledOp struct {
 	m [2][2]complex128
 }
 
-// compiledLayer is one depth layer plus the compact indices of active
-// qubits idle in it (in lay.active order — the idle-error draw order).
+// compiledLayer is one depth layer plus the active qubits idle in it,
+// indexed like the ops' operands (in lay.active order — the idle-error
+// draw order).
 type compiledLayer struct {
 	ops  []compiledOp
 	idle []int
@@ -89,24 +99,22 @@ type compiledProgram struct {
 	layers []compiledLayer
 	noise  NoiseModel
 	nq     int // active qubit count
-	// trialWork estimates one trial's cost (op count x per-op touch
-	// cost) for the parallel-dispatch threshold.
+	// fac maps wires to the operands the ops use: slots and their
+	// components for the statevector engine, the identity for the
+	// tableau engine.
+	fac *factoring
+	// trialWork estimates one trial's cost (ops and idle draws, each
+	// priced at what it touches) for the parallel-dispatch threshold.
 	trialWork int64
 }
 
 // compileLayers lowers the layered schedule for the given engine. All
 // gate-name resolution, crosstalk adjacency scans, busy-set and error
-// arithmetic happen here, once, instead of once per trial.
+// arithmetic happen here, once, instead of once per trial — and, for the
+// statevector engine, so does the decision of what to simulate together.
 func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engineKind) (*compiledProgram, error) {
-	cp := &compiledProgram{noise: noise, nq: len(lay.active)}
-	perOpCost := int64(1) << uint(min(len(lay.active), 30))
-	if engine == engineTableau {
-		words := (len(lay.active) + 63) / 64
-		perOpCost = int64(2*len(lay.active)) * int64(words)
-		if perOpCost == 0 {
-			perOpCost = 1
-		}
-	}
+	fac := newFactoring(len(lay.active))
+	cp := &compiledProgram{noise: noise, nq: len(lay.active), fac: fac}
 	for _, layer := range lay.layers {
 		cl := compiledLayer{}
 		// Crosstalk is a property of the layer, not the trial: collect
@@ -150,17 +158,131 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 			} else {
 				co.err = d.Gate1Err[g.Qubits[0]]
 			}
+			if engine == engineStatevector {
+				fac.place(&co)
+			}
 			cl.ops = append(cl.ops, co)
 		}
+		// A layer's ops act on disjoint wires and an idle wire is on none
+		// of them, so its slot is the same before and after the layer.
 		for _, q := range lay.active {
 			if !busy[q] {
-				cl.idle = append(cl.idle, lay.compact[q])
+				cl.idle = append(cl.idle, fac.slot[lay.compact[q]])
 			}
 		}
-		cp.trialWork += int64(len(cl.ops)+len(cl.idle)) * perOpCost
 		cp.layers = append(cp.layers, cl)
 	}
+	// Price a trial: a statevector op or idle draw sweeps its component's
+	// amplitudes, a tableau one the 2n rows' words.
+	words := (cp.nq + 63) / 64
+	cost := func(int) int64 { return max(1, int64(2*cp.nq)*int64(words)) }
+	if engine == engineStatevector {
+		if err := fac.finish(); err != nil {
+			return nil, err
+		}
+		cost = func(slot int) int64 { return 1 << uint(fac.sizes[fac.comp[slot]]) }
+	}
+	for _, cl := range cp.layers {
+		for i := range cl.ops {
+			cp.trialWork += cost(cl.ops[i].a)
+		}
+		for _, q := range cl.idle {
+			cp.trialWork += cost(q)
+		}
+	}
 	return cp, nil
+}
+
+// maxComponentQubits bounds one entangled component's dense state and
+// maxRegisterAmps the amplitudes of all of a register's components; every
+// shard worker holds one register.
+const (
+	maxComponentQubits = 24
+	maxRegisterAmps    = 1 << 25
+)
+
+// factoring is the statevector engine's decision of what to simulate
+// together, taken while the gates are lowered in schedule order. A slot
+// is one qubit's state; it starts on the wire of the same index. SWAP
+// moves no amplitude: the two wires exchange slots, and every later op,
+// idle draw and measurement on a wire addresses the slot then on it. CX
+// and CZ union their slots; after the last gate each union-find class is
+// one component, simulated as its own dense state, and a product of
+// components is exactly the joint state because nothing else couples
+// qubits (noise is single-qubit Paulis and single-qubit measurement).
+type factoring struct {
+	slot   []int // wire -> slot on it (after the gates lowered so far)
+	parent []int // union-find over slots
+	// Filled by finish: each slot's component and bit index within it,
+	// and each component's qubit count.
+	comp, bit, sizes []int
+}
+
+func newFactoring(n int) *factoring {
+	f := &factoring{slot: make([]int, n), parent: make([]int, n)}
+	for i := range f.slot {
+		f.slot[i], f.parent[i] = i, i
+	}
+	return f
+}
+
+// place rewrites a lowered op's operands from wires to slots. A SWAP
+// relabels first, so its noise (three draws, pick2 between a and b) lands
+// where the joint register would apply it: on the wires after the
+// exchange.
+func (f *factoring) place(op *compiledOp) {
+	if op.kind == opSWAP {
+		f.slot[op.a], f.slot[op.b] = f.slot[op.b], f.slot[op.a]
+	}
+	op.a = f.slot[op.a]
+	if !op.kind.twoQubit() {
+		return
+	}
+	op.b = f.slot[op.b]
+	if op.kind != opSWAP {
+		f.parent[f.find(op.a)] = f.find(op.b)
+	}
+}
+
+func (f *factoring) find(s int) int {
+	for f.parent[s] != s {
+		f.parent[s] = f.parent[f.parent[s]]
+		s = f.parent[s]
+	}
+	return s
+}
+
+// finish numbers the components, and the bits within each, in ascending
+// order of the wire a slot ends on. A component's basis index therefore
+// orders its outcomes the way the joint index over the final wires does,
+// which is what keeps the reference rule — modal state, lowest joint
+// index on ties — a per-component rule (factored.correctBits). It fails
+// when the factoring does not fit a register.
+func (f *factoring) finish() error {
+	n := len(f.slot)
+	f.comp, f.bit = make([]int, n), make([]int, n)
+	id := make([]int, n) // union-find root -> component + 1
+	for _, s := range f.slot {
+		r := f.find(s)
+		if id[r] == 0 {
+			f.sizes = append(f.sizes, 0)
+			id[r] = len(f.sizes)
+		}
+		c := id[r] - 1
+		f.comp[s], f.bit[s] = c, f.sizes[c]
+		f.sizes[c]++
+	}
+	amps := 0
+	for _, k := range f.sizes {
+		if k > maxComponentQubits {
+			return fmt.Errorf("sim: an entangled component of %d qubits exceeds the statevector limit of %d", k, maxComponentQubits)
+		}
+		amps += 1 << uint(k)
+	}
+	if amps > maxRegisterAmps {
+		return fmt.Errorf("sim: %d entangled components hold %d amplitudes; a statevector register is limited to %d", len(f.sizes), amps, maxRegisterAmps)
+	}
+	return nil
 }
 
 // lowerGate resolves a gate's name to its operation for the given
@@ -209,50 +331,53 @@ func lowerGate(g circuit.Gate, engine engineKind) (compiledOp, error) {
 
 func (k opKind) twoQubit() bool { return k == opCX || k == opCZ || k == opSWAP }
 
-// runStatevector executes one trial's gates on st. With noisy set (and
-// the compiled noise model enabled) it draws per op one Float64 (three
-// for SWAP), then Intn(2)+Intn(3) per injected Pauli, then one Float64
-// per idle active qubit per layer; the reference run passes false and a
-// nil RNG and draws nothing.
-func (cp *compiledProgram) runStatevector(st *state, rng *rand.Rand, noisy bool) {
+// runStatevector executes one trial's gates on the factored register.
+// With noisy set (and the compiled noise model enabled) it draws per op
+// one Float64 (three for SWAP), then Intn(2)+Intn(3) per injected Pauli,
+// then one Float64 per idle active qubit per layer, and a decay adds a
+// measurement's Float64 — the joint register's sequence, draw for draw;
+// the reference run passes false and a nil RNG and draws nothing. SWAP
+// was lowered to a relabel (factoring.place), so only its noise is left.
+func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy bool) {
 	noisy = noisy && cp.noise.Enabled
 	idleErr := cp.noise.IdleErrPerLayer
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
 			op := &cl.ops[oi]
+			st, a := r.at(op.a)
 			switch op.kind {
 			case opSWAP:
-				st.applySWAP(op.a, op.b)
 				if noisy {
 					// Three physical CNOTs' worth of error on the link.
 					for k := 0; k < 3; k++ {
 						if rng.Float64() < op.err {
-							st.injectPauli(pick2(op.a, op.b, rng), rng)
+							r.injectPauli(pick2(op.a, op.b, rng), rng)
 						}
 					}
 				}
 			case opCX:
-				st.applyCNOT(op.a, op.b)
+				st.applyCNOT(a, r.bit[op.b])
 				if noisy && rng.Float64() < op.err {
-					st.injectPauli(pick2(op.a, op.b, rng), rng)
+					r.injectPauli(pick2(op.a, op.b, rng), rng)
 				}
 			case opCZ:
-				st.applyCZ(op.a, op.b)
+				st.applyCZ(a, r.bit[op.b])
 				if noisy && rng.Float64() < op.err {
-					st.injectPauli(pick2(op.a, op.b, rng), rng)
+					r.injectPauli(pick2(op.a, op.b, rng), rng)
 				}
 			default:
-				st.apply1q(op.m, op.a)
+				st.apply1q(op.m, a)
 				if noisy && rng.Float64() < op.err {
-					st.injectPauli(op.a, rng)
+					st.injectPauli(a, rng)
 				}
 			}
 		}
 		if noisy && idleErr > 0 {
 			for _, q := range cl.idle {
 				if rng.Float64() < idleErr {
-					st.decay(q, rng)
+					st, a := r.at(q)
+					st.decay(a, rng)
 				}
 			}
 		}
@@ -324,12 +449,16 @@ func (t *ptab) apply(op *compiledOp) {
 }
 
 // minParallelWork is the estimated whole-simulation work (trials x
-// per-trial op-touch cost) below which shard fan-out costs more than it
-// buys: small Clifford workloads finish a shard in microseconds, so
-// goroutine dispatch and the pool's cancellation machinery dominate.
-// The threshold never affects results — worker count only decides where
+// per-trial cost, compiledProgram.trialWork) below which shard fan-out
+// costs more than it buys: small workloads finish a shard in
+// microseconds, so goroutine dispatch and the pool's cancellation
+// machinery dominate. One unit measures 0.2-3 ns on the statevector
+// engine (an amplitude sweep at the low end, the fixed cost of an op on a
+// 2^3 component at the high end), so the threshold sits at 0.2-3 ms of
+// sequential work; two workers already win 1.5x on 0.85 ms. The
+// threshold never affects results — worker count only decides where
 // shards run, never what they compute.
-const minParallelWork = 1 << 21
+const minParallelWork = 1 << 20
 
 // shardWorkers applies the dispatch threshold: simulations whose total
 // estimated work is too small run on one worker regardless of the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -41,34 +42,46 @@ func compiledLay(tb testing.TB, d *arch.Device, s *router.Schedule, noise NoiseM
 	return lay, cp
 }
 
-// TestCompiledTrialMatchesLegacyStatevector replays the same seeds
-// through the legacy interpreter (runTrial) and the compiled hot path
-// and demands bit-identical statevectors AND identical RNG positions —
-// the determinism contract behind every simulate entry point.
+// TestCompiledTrialMatchesLegacyStatevector holds the factored register
+// to the joint one (runTrial over a single 2^(active qubits) state, with
+// SWAPs that move amplitudes): same reference outcome, same measured
+// bits trial by trial, same RNG position — the determinism contract
+// behind every statevector entry point. It covers the TestGoldenPST
+// fixtures and seeded schedules with inter-program SWAPs, a bridge across
+// programs, a modal tie and a SWAP right before measurement.
 func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
-	d, s, _ := pairSchedule(t)
-	for _, noise := range []NoiseModel{
+	noises := []NoiseModel{
 		{},
 		DefaultNoise(),
 		{Enabled: true, IdleErrPerLayer: 0.01, CrosstalkFactor: 0.5, Readout: true, SerializeCrosstalk: true},
-	} {
-		lay, cp := compiledLay(t, d, s, noise, engineStatevector)
-		for seed := int64(0); seed < 5; seed++ {
-			rngA := rand.New(rand.NewSource(seed))
-			rngB := rand.New(rand.NewSource(seed))
-			stA := newState(len(lay.active))
-			if err := runTrial(stA, d, lay, noise, rngA); err != nil {
-				t.Fatal(err)
-			}
-			stB := newState(cp.nq)
-			cp.runStatevector(stB, rngB, true)
-			if !reflect.DeepEqual(stA.amps, stB.amps) {
-				t.Fatalf("noise=%+v seed=%d: compiled statevector diverges from legacy", noise, seed)
-			}
-			if rngA.Int63() != rngB.Int63() {
-				t.Fatalf("noise=%+v seed=%d: compiled path consumed a different number of draws", noise, seed)
+	}
+	d := arch.IBMQ16(0)
+	_, pair, _ := pairSchedule(t)
+	adjacent, _ := adjacentPair16(t, d)
+	corners, _ := corners16(t, d)
+	for _, noise := range noises {
+		jointMatchesFactored(t, "pair", d, pair, noise, 5, 8)
+		jointMatchesFactored(t, "adjacentPair16", d, adjacent, noise, 5, 8)
+		jointMatchesFactored(t, "corners16", d, corners, noise, 5, 8)
+	}
+	apart := 0
+	for seed := int64(0); seed < 8; seed++ {
+		s := entangledSchedule(t, d, seed)
+		lay, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector)
+		for _, m := range s.Measurements {
+			if k := cp.fac.sizes[cp.fac.comp[cp.fac.slot[lay.compact[m.Phys]]]]; m.Program == 0 && k < 4 {
+				t.Fatalf("seed %d: program 0 sits in a component of %d qubits; the bridge must merge its endpoints'", seed, k)
 			}
 		}
+		if len(cp.fac.sizes) > 1 {
+			apart++
+		}
+		for _, noise := range noises {
+			jointMatchesFactored(t, fmt.Sprintf("entangled/%d", seed), d, s, noise, 2, 6)
+		}
+	}
+	if apart < 4 {
+		t.Fatalf("only %d of 8 seeded schedules factor into more than one component", apart)
 	}
 }
 
@@ -209,11 +222,11 @@ func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 func trialAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule) float64 {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
-	reg := newRegister(engine, cp.nq)
+	reg := newRegister(engine, cp)
 	rng := rand.New(rand.NewSource(1))
 	plan := make([]measPoint, 0, len(lay.measures))
 	for _, m := range lay.measures {
-		plan = append(plan, measPoint{q: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys]})
+		plan = append(plan, measPoint{q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]})
 	}
 	flips := 0
 	return testing.AllocsPerRun(50, func() {
@@ -249,9 +262,10 @@ func TestTableauTrialAllocs(t *testing.T) {
 
 // TestSimulateParallelSpeedupAt8Cores asserts the headline claim on
 // machines that can demonstrate it: with >= 8 CPUs, the sharded
-// statevector path must beat sequential by at least 2x on the
-// benchmark workload. Skipped elsewhere — byte-identity tests cover
-// correctness at every core count.
+// statevector path must beat sequential by at least 2x on a workload far
+// above the dispatch threshold — cliffordMix50's four components over 16
+// shards, about a second of sequential work. Skipped elsewhere —
+// byte-identity tests cover correctness at every core count.
 func TestSimulateParallelSpeedupAt8Cores(t *testing.T) {
 	if runtime.NumCPU() < 8 {
 		t.Skipf("need >= 8 CPUs to demonstrate parallel speedup, have %d", runtime.NumCPU())
@@ -259,9 +273,14 @@ func TestSimulateParallelSpeedupAt8Cores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
 	}
-	d, s, progs := pairSchedule(t)
+	d := arch.IBMQ50(0)
+	s, progs := cliffordMix50(t, d)
 	noise := DefaultNoise()
-	trials := 4 * shardTrials
+	trials := 16 * shardTrials
+	_, cp := compiledLay(t, d, s, noise, engineStatevector)
+	if work := int64(trials) * cp.trialWork; work < 100*minParallelWork {
+		t.Fatalf("workload is %d work units, want >= 100x the dispatch threshold %d", work, minParallelWork)
+	}
 	run := func(workers int) time.Duration {
 		start := time.Now()
 		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, noise, workers); err != nil {

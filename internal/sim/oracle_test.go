@@ -4,7 +4,10 @@ package sim
 // nothing outside the tests runs them.
 //
 //   - runTrial / runTrialT: the per-layer interpreters that re-resolve
-//     gate names, crosstalk and busy sets every trial. Oracles for
+//     gate names, crosstalk and busy sets every trial. runTrial runs on
+//     the joint register — one 2^(active qubits) state in which a SWAP
+//     moves amplitudes (applySWAP) — and jointMatchesFactored holds the
+//     factored register to it. Oracles for
 //     TestCompiledTrialMatchesLegacy{Statevector,Tableau} and
 //     TestCompiledMatchesLegacyWithMatrix.
 //   - tableau: the boolean Aaronson-Gottesman tableau. Oracle for
@@ -17,10 +20,191 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/router"
 )
+
+// applySWAP exchanges qubits a and b of the joint register.
+func (s *state) applySWAP(a, b int) {
+	ab, bb := 1<<uint(a), 1<<uint(b)
+	for i := 0; i < len(s.amps); i++ {
+		if i&ab != 0 && i&bb == 0 {
+			j := i&^ab | bb
+			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
+		}
+	}
+}
+
+// jointMatchesFactored runs the schedule on the factored register and
+// on the joint oracle from the same seeds and requires what the driver
+// depends on: the same Correct string per program from the noiseless
+// reference run, the same measured bit at every plan point of every
+// trial, and the same RNG position after every trial.
+func jointMatchesFactored(t *testing.T, name string, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) {
+	t.Helper()
+	lay, cp := compiledLay(t, d, s, noise, engineStatevector)
+	// The driver's plan order: by program, then logical qubit.
+	meas := append([]router.Measurement(nil), lay.measures...)
+	sort.SliceStable(meas, func(i, j int) bool {
+		if meas[i].Program != meas[j].Program {
+			return meas[i].Program < meas[j].Program
+		}
+		return meas[i].Logical < meas[j].Logical
+	})
+	plan := make([]measPoint, len(meas))
+	for i, m := range meas {
+		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]}
+	}
+
+	ref := newFactored(cp.fac)
+	ref.run(cp, nil, false)
+	ref.correctBits(plan)
+	joint := newState(len(lay.active))
+	if err := runTrial(joint, d, lay, NoiseModel{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	modal := joint.modal()
+	var want, got []byte
+	for i, m := range meas {
+		want = append(want, byte('0'+(modal>>uint(lay.compact[m.Phys]))&1))
+		got = append(got, byte('0'+plan[i].correct))
+	}
+	if string(got) != string(want) {
+		t.Fatalf("%s: factored reference outcome %s, joint %s", name, got, want)
+	}
+
+	reg := newFactored(cp.fac)
+	readout := noise.Enabled && noise.Readout
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for trial := 0; trial < trials; trial++ {
+			joint.reset()
+			if err := runTrial(joint, d, lay, noise, rngA); err != nil {
+				t.Fatal(err)
+			}
+			reg.reset()
+			reg.run(cp, rngB, true)
+			for i, m := range meas {
+				a := joint.measure(lay.compact[m.Phys], rngA)
+				b := reg.measure(plan[i].q, rngB)
+				if readout {
+					if rngA.Float64() < plan[i].readout {
+						a ^= 1
+					}
+					if rngB.Float64() < plan[i].readout {
+						b ^= 1
+					}
+				}
+				if a != b {
+					t.Fatalf("%s noise=%+v seed=%d trial=%d: program %d logical %d measures %d, joint %d", name, noise, seed, trial, m.Program, m.Logical, b, a)
+				}
+			}
+			if rngA.Int63() != rngB.Int63() {
+				t.Fatalf("%s noise=%+v seed=%d trial=%d: factored register consumed different draws", name, noise, seed, trial)
+			}
+		}
+	}
+}
+
+// entangledSchedule builds a seeded schedule of 2-4 three-qubit programs
+// on a path of IBMQ16 that holds everything the factoring has to get
+// right: program 0 is a GHZ state with its middle qubit flipped (a modal
+// tie) whose last CNOT runs as a 4-CNOT bridge through a qubit of program
+// 1, after a SWAP between the two programs put it there; from then on
+// only SWAPs move program 0,
+// while the other programs run random gates; SWAPs cross programs and
+// reach free wires; and the last op is a SWAP between two programs'
+// measured wires.
+func entangledSchedule(tb testing.TB, d *arch.Device, seed int64) *router.Schedule {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	path := []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14}
+	for i := 1; i < len(path); i++ {
+		if !d.Coupling.HasEdge(path[i-1], path[i]) {
+			tb.Fatalf("%s has no link %d-%d", d.Name, path[i-1], path[i])
+		}
+	}
+	type owner struct{ prog, logical int }
+	at := map[int]owner{} // wire -> the program qubit on it
+	nprogs := 2 + rng.Intn(3)
+	for p := 0; p < nprogs; p++ {
+		for l := 0; l < 3; l++ {
+			at[path[3*p+l]] = owner{p, l}
+		}
+	}
+	s := &router.Schedule{Device: d}
+	add := func(prog int, name string, qs ...int) {
+		g := circuit.NewGate(name, qs...)
+		if name == circuit.GateRX {
+			g.Params = []float64{rng.Float64() * 3}
+		}
+		s.Ops = append(s.Ops, router.Op{Program: prog, Gate: g, IsSwap: name == circuit.GateSWAP})
+		if name == circuit.GateSWAP {
+			oa, aok := at[qs[0]]
+			ob, bok := at[qs[1]]
+			delete(at, qs[0])
+			delete(at, qs[1])
+			if aok {
+				at[qs[1]] = oa
+			}
+			if bok {
+				at[qs[0]] = ob
+			}
+		}
+	}
+	add(0, circuit.GateH, path[0])
+	add(0, circuit.GateCX, path[0], path[1])
+	add(1, circuit.GateH, path[3])
+	add(-1, circuit.GateSWAP, path[2], path[3])
+	for k := 0; k < 2; k++ {
+		add(0, circuit.GateCX, path[1], path[2])
+		add(0, circuit.GateCX, path[2], path[3])
+	}
+	// |010> + |101>: which branch has the lower index depends on the
+	// order of the wires the SWAPs leave the three qubits on.
+	add(0, circuit.GateX, path[1])
+	for k := 0; k < 3; k++ {
+		i := rng.Intn(3)
+		add(-1, circuit.GateSWAP, path[i], path[i+1])
+	}
+	oneQ := []string{circuit.GateH, circuit.GateT, circuit.GateX, circuit.GateS, circuit.GateRX}
+	for step := 0; step < 30; step++ {
+		i := rng.Intn(len(path) - 1)
+		a, b := path[i], path[i+1]
+		oa, aok := at[a]
+		ob, bok := at[b]
+		switch {
+		case rng.Intn(4) == 0 && (aok || bok):
+			add(-1, circuit.GateSWAP, a, b)
+		case aok && bok && oa.prog == ob.prog && oa.prog != 0:
+			add(oa.prog, []string{circuit.GateCX, circuit.GateCX, circuit.GateCZ}[rng.Intn(3)], a, b)
+		case aok && oa.prog != 0:
+			add(oa.prog, oneQ[rng.Intn(len(oneQ))], a)
+		}
+	}
+	last := -1
+	for i := 0; i+1 < len(path); i++ {
+		oa, aok := at[path[i]]
+		ob, bok := at[path[i+1]]
+		if aok && bok && (last < 0 || oa.prog != ob.prog) {
+			last = i
+		}
+	}
+	if last < 0 {
+		tb.Fatalf("seed %d left no two occupied wires adjacent", seed)
+	}
+	add(-1, circuit.GateSWAP, path[last], path[last+1])
+	for _, w := range path {
+		if o, ok := at[w]; ok {
+			s.Measurements = append(s.Measurements, router.Measurement{Program: o.prog, Logical: o.logical, Phys: w})
+		}
+	}
+	return s
+}
 
 // runTrial executes all layers on st (without final measurements),
 // injecting stochastic errors per the noise model.

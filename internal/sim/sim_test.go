@@ -319,7 +319,16 @@ func TestSimulateScheduleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	d50 := arch.IBMQ50(0)
-	big, bigProgs := cliffordMix50(t, d50)
+	// One 25-qubit entangled program: a single component past the cap.
+	ghz25 := nisqbench.GHZ(25)
+	line := make([]int, 25)
+	for i := range line {
+		line[i] = i
+	}
+	big, err := router.RouteSingle(arch.Linear(25, 0.01, 0.01), ghz25, line, router.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	wide := &router.Schedule{Device: d50}
 	for q := 0; q < 17; q++ {
 		wide.Measurements = append(wide.Measurements, router.Measurement{Logical: q, Phys: q})
@@ -342,7 +351,7 @@ func TestSimulateScheduleErrors(t *testing.T) {
 		{"zero trials", []string{sv, cliff, mit}, live, d, s, one, 0, "sim: trials must be positive, got 0"},
 		{"negative trials", []string{sv, cliff, mit}, live, d, s, one, -3, "sim: trials must be positive, got -3"},
 		{"unknown program", []string{sv, cliff, mit}, live, d, &stray, one, 10, "sim: measurement for unknown program 1"},
-		{"too many active qubits", []string{sv, mit}, live, d50, big, bigProgs, 10, "sim: 28 active qubits exceed the statevector limit"},
+		{"component too large", []string{sv}, live, big.Device, big, []*circuit.Circuit{ghz25}, 10, "sim: an entangled component of 25 qubits exceeds the statevector limit of 24"},
 		{"non-Clifford gate", []string{cliff}, live, d, tofSched, []*circuit.Circuit{tof}, 10, `sim: schedule contains non-Clifford gate "tdg"`},
 		{"too many measured qubits", []string{mit}, live, d50, wide, one, 10, "sim: program 0 measures 17 qubits; mitigation supports <= 16"},
 		{"cancelled context", []string{sv, cliff}, cancelled, d, s, one, 10, context.Canceled.Error()},
@@ -366,9 +375,27 @@ func TestSimulateScheduleErrors(t *testing.T) {
 }
 
 func TestSimulateIdealTooManyQubits(t *testing.T) {
-	c := circuit.New("big", 30)
-	if _, _, err := SimulateIdeal(c); err == nil {
-		t.Fatal("30 qubits must exceed the statevector limit")
+	if _, _, err := SimulateIdeal(nisqbench.GHZ(30)); err == nil {
+		t.Fatal("a 30-qubit entangled component must exceed the statevector limit")
+	}
+	// Three 24-qubit components fit the per-component cap, not a register.
+	chains := circuit.New("chains", 72)
+	for q := 0; q < 72; q++ {
+		if q%24 != 0 {
+			chains.CX(q-1, q)
+		}
+	}
+	if _, _, err := SimulateIdeal(chains); err == nil {
+		t.Fatal("3 x 2^24 amplitudes must exceed the register limit")
+	}
+	// Thirty qubits that never interact are thirty 2-amplitude states.
+	c := circuit.New("wide", 30)
+	for q := 0; q < 30; q += 2 {
+		c.X(q)
+	}
+	out, prob, err := SimulateIdeal(c)
+	if err != nil || out != "101010101010101010101010101010" || math.Abs(prob-1) > 1e-12 {
+		t.Fatalf("30 unentangled qubits: %q, %v, %v", out, prob, err)
 	}
 }
 

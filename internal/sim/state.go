@@ -1,5 +1,6 @@
 // Package sim estimates the fidelity (PST) of compiled schedules by
-// Monte-Carlo statevector simulation over the active physical qubits.
+// Monte-Carlo statevector simulation over the active physical qubits,
+// one dense state per group of qubits the schedule entangles.
 // The noise model composes the same error channels the mapper optimizes
 // against: per-gate stochastic Pauli errors drawn from the device
 // calibration, per-qubit readout flips, idle-layer decoherence (the
@@ -20,7 +21,7 @@ import (
 )
 
 // state is a dense statevector over n qubits (amplitude index bit i is
-// qubit i's value).
+// qubit i's value): one entangled component of the factored register.
 type state struct {
 	n    int
 	amps []complex128
@@ -77,17 +78,6 @@ func (s *state) applyCZ(a, b int) {
 	for i := 0; i < len(s.amps); i++ {
 		if i&ab != 0 && i&bb != 0 {
 			s.amps[i] = -s.amps[i]
-		}
-	}
-}
-
-// applySWAP exchanges qubits a and b.
-func (s *state) applySWAP(a, b int) {
-	ab, bb := 1<<uint(a), 1<<uint(b)
-	for i := 0; i < len(s.amps); i++ {
-		if i&ab != 0 && i&bb == 0 {
-			j := i&^ab | bb
-			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
 		}
 	}
 }

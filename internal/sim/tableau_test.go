@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -225,6 +228,39 @@ func TestCliffordMatchesStatevectorPST(t *testing.T) {
 	}
 	if diff := sv.PST[0] - cl.PST[0]; diff > 0.06 || diff < -0.06 {
 		t.Fatalf("backends disagree: statevector %v vs tableau %v", sv.PST[0], cl.PST[0])
+	}
+}
+
+// TestCliffordMatchesStatevectorAboveOldCap checks the two engines
+// against each other past 24 active qubits, where only a factored
+// register fits: cliffordMix50 has 28, in components of 10, 8, 6 and 4.
+func TestCliffordMatchesStatevectorAboveOldCap(t *testing.T) {
+	d := arch.IBMQ50(0)
+	s, progs := cliffordMix50(t, d)
+	_, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector)
+	sizes := append([]int(nil), cp.fac.sizes...)
+	sort.Ints(sizes)
+	if !reflect.DeepEqual(sizes, []int{4, 6, 8, 10}) {
+		t.Fatalf("components %v, want one per program: 4, 6, 8, 10", sizes)
+	}
+	const trials = 8024
+	sv, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 3, DefaultNoise(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 3, DefaultNoise(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sv.Correct, cl.Correct) {
+		t.Fatalf("reference outcomes differ: statevector %v, tableau %v", sv.Correct, cl.Correct)
+	}
+	for p := range progs {
+		a, b := sv.PST[p], cl.PST[p]
+		sigma := math.Sqrt((a*(1-a) + b*(1-b)) / trials)
+		if math.Abs(a-b) > 4*sigma {
+			t.Errorf("program %d: statevector PST %.4f, tableau %.4f, more than 4 sigma (%.4f) apart", p, a, b, sigma)
+		}
 	}
 }
 
