@@ -196,10 +196,9 @@ func TestKernelMigrateAndFailHead(t *testing.T) {
 // — each kept topped up to its weighted share of the queue, as the
 // daemon's admission caps keep a saturating tenant — and checks that
 // claims follow the weights: Jain's index over weight-normalised claim
-// counts, every flow backlogged throughout. It is the set-up of the
-// service's BenchmarkTenantLoadgen (one program, london + ibmq16,
-// lookahead 8), which needs minutes of wall time to show the same
-// property through the daemon; the kernel shows it in virtual time.
+// counts, every flow backlogged throughout (one program, london +
+// ibmq16, lookahead 8). Through the daemon the same property needs
+// minutes of wall time to show; the kernel shows it in virtual time.
 func TestKernelFairShareVirtualTime(t *testing.T) {
 	const (
 		total = 2400

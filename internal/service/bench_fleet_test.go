@@ -13,9 +13,9 @@ import (
 // benchFleet measures end-to-end service throughput for a fleet of n
 // identically-calibrated 5-qubit chips under the given allocation
 // policy: each iteration boots a fresh service, pushes a fixed tiny
-// workload through it, and drains. Alongside ns/op it reports the
-// custom units benchjson records in BENCH_fleet.json: completed-job
-// throughput (jobs/s) and the p99 submit-to-claim wait (p99_wait_s).
+// workload through it, and drains. Alongside ns/op it reports two
+// custom units: completed-job throughput (jobs/s) and the p99
+// submit-to-claim wait (p99_wait_s).
 //
 // A real QPU occupies wall-clock device time per batch (shots ×
 // readout), which is what a fleet parallelizes; the host-side

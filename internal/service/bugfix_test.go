@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,6 +113,44 @@ func TestShutdownNeverStartedReleasesContext(t *testing.T) {
 	}
 	if svc.wlog != nil {
 		t.Fatal("WAL left open after Shutdown")
+	}
+}
+
+// TestForcedShutdownInterruptsExecDwell is the regression test for the
+// uninterruptible occupancy dwell: a batch that has simulated and is
+// holding its backend for ExecDwell must release it when a forced
+// shutdown cancels the run context, not sleep the dwell out.
+func TestForcedShutdownInterruptsExecDwell(t *testing.T) {
+	cfg := testConfig()
+	cfg.ExecDwell = 3 * time.Second
+	svc := newTestService(t, cfg)
+	svc.Start()
+	rec, err := svc.Submit(nisqbench.MustGet("bv_n3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The job stays "compiling" through compile, simulate and dwell;
+	// the first two take milliseconds, so by the time the 50 ms drain
+	// context below expires the worker is inside the dwell.
+	for stop := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got, _ := svc.Job(rec.ID); got.State == StateCompiling {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatal("job never left the queue")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	began := time.Now()
+	if err := svc.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("forced shutdown returned %v, want the drain context's error", err)
+	}
+	if took := time.Since(began); took >= time.Second {
+		t.Fatalf("forced shutdown took %s: it slept out the %s dwell", took, cfg.ExecDwell)
+	}
+	if got, _ := svc.Job(rec.ID); !got.State.Terminal() {
+		t.Fatalf("job left %s after forced shutdown", got.State)
 	}
 }
 

@@ -398,10 +398,10 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 		return fmt.Errorf("execute: %w", err)
 	}
 	if s.cfg.ExecDwell > 0 {
-		// Emulated hardware occupancy (see Config.ExecDwell): the
-		// backend stays busy for the dwell as a real QPU would across
-		// its shots.
-		time.Sleep(s.cfg.ExecDwell)
+		// Emulated hardware occupancy (see Config.ExecDwell), cut short
+		// only by ctx (forced shutdown, batch deadline), never stopCh:
+		// a graceful drain still holds the chip for the whole dwell.
+		sleepInterruptible(ctx, nil, s.cfg.ExecDwell)
 	}
 	executed := time.Now()
 	// Guard the average before it reaches the adaptive controller: a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -200,5 +201,118 @@ func TestPendingPreservesSubmitOrder(t *testing.T) {
 	}
 	if len(terminal) != 1 || terminal[0].ID != "b" || terminal[0].Error != "boom" {
 		t.Fatalf("terminal = %+v", terminal)
+	}
+}
+
+// TestCrashAtEveryByteOffset kills the writer at every possible point:
+// a real log written through Append is truncated at each byte offset,
+// and every truncation must open, skip at most the one torn line,
+// replay exactly the records whose bytes were all written (a record
+// missing only its newline counts as written — Open's tail repair
+// supplies it), and accept a following append that survives a reopen.
+func TestCrashAtEveryByteOffset(t *testing.T) {
+	recs := []Record{
+		{Type: TypeSubmit, ID: "job-000000", Seq: 0, Tenant: "acme", Name: "bv", QASM: "OPENQASM 2.0;\nqreg q[3];", Arrival: 0.5},
+		{Type: TypeSubmit, ID: "job-000001", Seq: 1, Tenant: "beta", Name: "ghz", QASM: "OPENQASM 2.0;", Idem: "k1", Fingerprint: "abc", SubmittedUnixNano: 17},
+		{Type: TypeSubmit, ID: "job-000002", Seq: 2, Tenant: "acme", Name: "qft", QASM: "OPENQASM 2.0;"},
+		{Type: TypeDone, ID: "job-000000", Backend: "london", PST: 0.91, WaitSeconds: 1.5, ServiceSeconds: 0.2},
+		{Type: TypeSubmit, ID: "job-000003", Seq: 3, Tenant: "beta", Name: "bv", QASM: "OPENQASM 2.0;"},
+		{Type: TypeFailed, ID: "job-000002", Backend: "ibmq16", Error: `compile: no "region" fits`},
+		{Type: TypeSubmit, ID: "job-000004", Seq: 4, Tenant: "acme", Name: "bv", QASM: "OPENQASM 2.0;"},
+		{Type: TypeDone, ID: "job-000001", Backend: "ibmq16", PST: 0.4, WaitSeconds: 2},
+		{Type: TypeSubmit, ID: "job-000005", Seq: 5, Tenant: "beta", Name: "bv", QASM: "OPENQASM 2.0;"},
+		{Type: TypeDone, ID: "job-000004", Backend: "london", PST: 0.8},
+		{Type: TypeDone, ID: "job-000003", Backend: "london", PST: 0.7},
+		{Type: TypeSubmit, ID: "job-000006", Seq: 6, Tenant: "acme", Name: "bv", QASM: "OPENQASM 2.0;"},
+		{Type: TypeDone, ID: "job-000005", Backend: "ibmq16", PST: 0.6},
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "full.jsonl")
+	l, _ := openT(t, src)
+	for _, r := range recs {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// written[k] is the file size once record k's JSON, bar its newline,
+	// is on disk (JSON escapes newlines, so each one ends a record).
+	var written []int
+	for i, b := range full {
+		if b == '\n' {
+			written = append(written, i)
+		}
+	}
+	if len(written) != len(recs) {
+		t.Fatalf("log has %d lines for %d records", len(written), len(recs))
+	}
+
+	path := filepath.Join(dir, "wal.jsonl")
+	after := Record{Type: TypeSubmit, ID: "job-after", Seq: 99}
+	for n := 0; n <= len(full); n++ {
+		whole := 0
+		for whole < len(recs) && written[whole] <= n {
+			whole++
+		}
+		want := recs[:whole]
+		// The tail is torn when some, but by the choice of whole not
+		// all, of the next record's bytes follow the last newline.
+		torn, nextStart := 0, 0
+		if whole > 0 {
+			nextStart = written[whole-1] + 1
+		}
+		if n > nextStart {
+			torn = 1
+		}
+
+		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, rep, err := Open(path)
+		if err != nil {
+			t.Fatalf("offset %d: %v", n, err)
+		}
+		if rep.Skipped != torn || !slices.Equal(rep.Records, want) {
+			t.Fatalf("offset %d: replayed %d records (%d skipped), want the first %d (%d skipped)",
+				n, len(rep.Records), rep.Skipped, whole, torn)
+		}
+		submitted := map[string]bool{}
+		for _, r := range rep.Records {
+			if r.Type == TypeSubmit {
+				submitted[r.ID] = true
+			} else if !submitted[r.ID] {
+				t.Fatalf("offset %d: %s record for %s precedes its submit", n, r.Type, r.ID)
+			}
+		}
+		gotPending, gotTerminal := rep.Pending()
+		wantPending, wantTerminal := Replay{Records: want}.Pending()
+		if !slices.Equal(gotPending, wantPending) || !slices.Equal(gotTerminal, wantTerminal) {
+			t.Fatalf("offset %d: pending/terminal = %d/%d jobs, want %d/%d",
+				n, len(gotPending), len(gotTerminal), len(wantPending), len(wantTerminal))
+		}
+
+		// The next append must land on its own line whatever the tail
+		// looked like.
+		if err := l.Append(after); err != nil {
+			t.Fatalf("offset %d: %v", n, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("offset %d: %v", n, err)
+		}
+		l2, rep2, err := Open(path)
+		if err != nil {
+			t.Fatalf("offset %d: reopen: %v", n, err)
+		}
+		l2.Close()
+		if rep2.Skipped != torn || len(rep2.Records) != whole+1 || rep2.Records[whole] != after {
+			t.Fatalf("offset %d: after append+reopen got %d records (%d skipped), want %d ending in %s",
+				n, len(rep2.Records), rep2.Skipped, whole+1, after.ID)
+		}
 	}
 }
