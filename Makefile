@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-json loc test test-short race chaos bench benchmark benchmark-compare bench-selftest fuzz-smoke cover experiments examples clean
+.PHONY: all build fmt vet lint loc test test-short race chaos bench benchmark benchmark-compare bench-selftest fuzz-smoke cover experiments examples clean
 
 all: build test
 
@@ -17,19 +17,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Domain-specific static checks: determinism (norandglobal,
-# nowallclock, maporder, detflow), float safety (floateq), concurrency
-# hygiene (guardedby, lockorder, atomicmix), cancellation plumbing
-# (ctxflow), and output discipline (noprint); see internal/lint and
-# `go run ./cmd/qulint -list`.
+# Domain-specific static checks over the non-test files, one per
+# invariant: determinism (norandglobal, nowallclock, maporder), float
+# safety (floateq), concurrency hygiene (guardedby, lockorder,
+# atomicmix), cancellation plumbing (ctxflow), and output discipline
+# (noprint); see internal/lint and `go run ./cmd/qulint -list`.
 lint:
 	$(GO) run ./cmd/qulint ./...
-
-# Machine-readable lint artifact: the full check set over ./... as a
-# JSON object (findings with per-check docs, the selected checks, and
-# //lint:ignore suppression counts) written to LINT.json.
-lint-json:
-	$(GO) run ./cmd/qulint -json ./... > LINT.json
 
 # Non-test Go lines outside bench/ and the analyzer fixtures under
 # testdata/: the size ROADMAP asks every PR to report (the delta goes in

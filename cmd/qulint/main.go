@@ -1,29 +1,25 @@
 // Command qulint runs the repository's domain-specific static checks
-// (internal/lint) over every package in the module: determinism
-// (norandglobal, nowallclock, maporder, detflow), numeric safety
-// (floateq), library/concurrency hygiene (noprint, guardedby,
-// lockorder, atomicmix), and cancellation plumbing (ctxflow). The
-// interprocedural checks build a module-wide call graph, so the whole
-// module is always loaded; patterns only filter which packages'
-// findings are reported.
+// (internal/lint) over the non-test files of every package in the
+// module: determinism (norandglobal, nowallclock, maporder), numeric
+// safety (floateq), library/concurrency hygiene (noprint, guardedby,
+// lockorder, atomicmix), and cancellation plumbing (ctxflow). The two
+// interprocedural checks (ctxflow, lockorder) build a module-wide call
+// graph, so the whole module is always loaded; patterns only filter
+// which packages' findings are reported.
 //
 // Usage:
 //
-//	qulint [-checks a,b,c] [-json] [-list] [pattern ...]
+//	qulint [-checks a,b,c] [-list] [-C dir] [pattern ...]
 //
 // Patterns are ./...-style path filters relative to the module root
-// (default ./...). Findings print as file:line:col diagnostics; -json
-// emits an object {"findings": [...], "checks": [...],
-// "suppressions": {...}} where each finding carries the one-line doc
-// of its check and suppressions counts the //lint:ignore directives
-// seen (total / used / unused). The exit status is 1 when any finding
-// survives, 2 on usage, load, or type-check errors. Suppress a
-// finding with //lint:ignore <check> <reason> on or directly above
-// the line.
+// (default ./...). Findings print as file:line:col diagnostics. The
+// exit status is 1 when any finding survives, 2 on usage, load, or
+// type-check errors (no check runs on a module that does not
+// type-check). Suppress a finding with //lint:ignore <check> <reason>
+// on or directly above the line.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,24 +34,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonReport is the -json output shape.
-type jsonReport struct {
-	Findings     []lint.Finding        `json:"findings"`
-	Checks       []jsonCheck           `json:"checks"`
-	Suppressions lint.SuppressionStats `json:"suppressions"`
-}
-
-// jsonCheck names one selected check with its doc line.
-type jsonCheck struct {
-	Name string `json:"name"`
-	Doc  string `json:"doc"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qulint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	checksFlag := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	jsonFlag := fs.Bool("json", false, "emit a JSON report object")
 	listFlag := fs.Bool("list", false, "list available checks and exit")
 	dirFlag := fs.String("C", ".", "directory to resolve the module from")
 	if err := fs.Parse(args); err != nil {
@@ -82,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "qulint:", err)
 		return 2
 	}
-	// Type errors are a hard failure, distinct from findings: dataflow
-	// over a broken type graph would be garbage, so report and bail
-	// before any check runs.
+	// Type errors are a hard failure, distinct from findings: the checks
+	// assume complete type information, so report and bail before any
+	// of them runs.
 	broken := false
 	for _, p := range pkgs {
 		for _, te := range p.TypeErrors {
@@ -100,30 +82,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// need every function's summary); patterns restrict reporting only.
 	patterns := fs.Args()
 	include := func(p *lint.Package) bool { return matchesAny(p.Rel, patterns) }
-	res := lint.Analyze(pkgs, checks, include)
-	findings := res.Findings
-
-	if *jsonFlag {
-		report := jsonReport{
-			Findings:     findings,
-			Suppressions: res.Suppressions,
-		}
-		if report.Findings == nil {
-			report.Findings = []lint.Finding{}
-		}
-		for _, c := range checks {
-			report.Checks = append(report.Checks, jsonCheck{Name: c.Name, Doc: c.Doc})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(stderr, "qulint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f.String())
-		}
+	findings := lint.Analyze(pkgs, checks, include).Findings
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f.String())
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "qulint: %d finding(s)\n", len(findings))
@@ -144,22 +105,6 @@ func matchesAny(rel string, patterns []string) bool {
 		}
 	}
 	return false
-}
-
-// filterPackages keeps packages matching any ./...-style pattern
-// (resolved against the module root). No patterns, "." or "./..."
-// match everything.
-func filterPackages(pkgs []*lint.Package, patterns []string) []*lint.Package {
-	if len(patterns) == 0 {
-		return pkgs
-	}
-	var out []*lint.Package
-	for _, p := range pkgs {
-		if matchesAny(p.Rel, patterns) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // matchPattern implements the subset of go-tool pattern syntax the

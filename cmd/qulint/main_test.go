@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,30 +23,6 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("clean run wrote to stdout:\n%s", stdout.String())
-	}
-}
-
-// TestJSONOutput filters to a single package and asserts the -json
-// encoding is the report object: findings (with docs), the selected
-// checks, and suppression counts.
-func TestJSONOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", "../..", "-json", "-checks", "floateq", "./internal/fp"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
-	}
-	var report jsonReport
-	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
-		t.Fatalf("output is not a JSON report object: %v\n%s", err, stdout.String())
-	}
-	if len(report.Findings) != 0 {
-		t.Errorf("internal/fp should be floateq-clean, got %v", report.Findings)
-	}
-	if len(report.Checks) != 1 || report.Checks[0].Name != "floateq" || report.Checks[0].Doc == "" {
-		t.Errorf("checks section = %+v, want the documented floateq entry", report.Checks)
 	}
 }
 
@@ -151,23 +126,4 @@ func TestMatchPattern(t *testing.T) {
 			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.rel, c.pat, got, c.want)
 		}
 	}
-}
-
-func TestFilterPackages(t *testing.T) {
-	pkgs := []*lint.Package{{Rel: ""}, {Rel: "internal/sim"}, {Rel: "cmd/qulint"}}
-	got := filterPackages(pkgs, []string{"./internal/..."})
-	if len(got) != 1 || got[0].Rel != "internal/sim" {
-		t.Errorf("filter ./internal/... = %v", rels(got))
-	}
-	if got := filterPackages(pkgs, nil); len(got) != 3 {
-		t.Errorf("no patterns should keep all packages, got %v", rels(got))
-	}
-}
-
-func rels(pkgs []*lint.Package) []string {
-	var out []string
-	for _, p := range pkgs {
-		out = append(out, p.Rel)
-	}
-	return out
 }

@@ -61,7 +61,6 @@ func TestGenerateCrosstalkPlantsHostilePairs(t *testing.T) {
 	for _, p := range hostile {
 		rev := d.CrosstalkRatio(p.Aggressor, p.Victim)
 		revCond, _ := d.CrosstalkErr(p.Aggressor, p.Victim)
-		//lint:ignore floateq cap comparison is exact by construction
 		if rev < HostileRatioLo*0.99 && revCond != MaxCondErr {
 			t.Errorf("pair %v hostile but reverse ratio only %v", p, rev)
 		}
@@ -120,12 +119,10 @@ func TestEPSTUnderPenalizesHostileNeighbors(t *testing.T) {
 	a := graph.NewEdge(2, 3)
 	base := d.EPST(region, 10, 5, 2)
 	// No matrix: identical to EPST regardless of busy links.
-	//lint:ignore floateq fallback must be bit-identical
 	if got := d.EPSTUnder(region, 10, 5, 2, []graph.Edge{a}); got != base {
 		t.Errorf("no matrix: EPSTUnder %v != EPST %v", got, base)
 	}
 	d.Crosstalk = CrosstalkMatrix{EdgePair{Victim: v, Aggressor: a}: d.CNOTError(0, 1) * 4}
-	//lint:ignore floateq no busy links must be bit-identical to EPST
 	if got := d.EPSTUnder(region, 10, 5, 2, nil); got != base {
 		t.Errorf("no busy links: EPSTUnder %v != EPST %v", got, base)
 	}
@@ -134,7 +131,6 @@ func TestEPSTUnderPenalizesHostileNeighbors(t *testing.T) {
 		t.Errorf("hostile neighbor did not lower EPST: %v >= %v", hostile, base)
 	}
 	benign := d.EPSTUnder(region, 10, 5, 2, []graph.Edge{graph.NewEdge(12, 13)})
-	//lint:ignore floateq uncharacterized neighbors charge exactly the base error
 	if benign != base {
 		t.Errorf("uncharacterized neighbor changed EPST: %v != %v", benign, base)
 	}

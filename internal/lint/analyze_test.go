@@ -114,7 +114,6 @@ func eq(a, b float64) bool {
 func renderFixtureResults(t *testing.T) []byte {
 	t.Helper()
 	cases := []struct{ file, rel string }{
-		{"detflow.go", "internal/sim"},
 		{"ctxflow.go", "internal/service"},
 		{"lockorder.go", "internal/demo"},
 		{"atomicmix.go", "internal/demo"},
@@ -144,8 +143,8 @@ func renderFixtureResults(t *testing.T) []byte {
 
 // TestOutputDeterminism asserts the analyzer's output is byte-stable:
 // repeated runs over freshly parsed inputs, under different
-// GOMAXPROCS values, must render identically. This is the contract
-// that makes `make lint-json` artifacts diffable.
+// GOMAXPROCS values, must render identically, so two lint logs diff
+// clean.
 func TestOutputDeterminism(t *testing.T) {
 	first := renderFixtureResults(t)
 	for run := 0; run < 3; run++ {

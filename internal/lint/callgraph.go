@@ -7,10 +7,9 @@ import (
 	"sort"
 )
 
-// This file is the interprocedural layer under detflow, ctxflow,
-// lockorder, and atomicmix: a module-wide static call graph plus a
-// deterministic fixpoint driver for propagating per-function facts
-// along it.
+// This file is the interprocedural layer under ctxflow and lockorder:
+// a module-wide static call graph plus a deterministic fixpoint driver
+// for propagating per-function facts along it.
 //
 // The graph is intentionally conservative and simple:
 //
@@ -20,7 +19,7 @@ import (
 //     methods, and reflection are unresolved and contribute no edge;
 //   - a callee is in the graph only if its body lives in this module
 //     (standard-library internals are summarized by the checks
-//     themselves, e.g. "time.Now is a taint source");
+//     themselves, e.g. "time.Sleep blocks");
 //   - iteration order everywhere is source order (package path, file
 //     name, declaration offset), so every analysis built on top is
 //     byte-stable across runs and GOMAXPROCS settings.
@@ -28,13 +27,8 @@ import (
 // FuncInfo is one module function (or method) with a body, as a call
 // graph node.
 type FuncInfo struct {
-	// Obj is the function's type-checker object (the generic origin
-	// for parameterized functions).
-	Obj *types.Func
 	// Pkg is the package the declaration lives in.
 	Pkg *Package
-	// File is the parsed file containing the declaration.
-	File *ast.File
 	// Decl is the declaration; Decl.Body is non-nil.
 	Decl *ast.FuncDecl
 }
@@ -59,8 +53,7 @@ type Module struct {
 }
 
 // NewModule indexes the packages' function declarations into a call
-// graph. It accepts packages with partial type information; calls that
-// do not resolve simply contribute no edges.
+// graph.
 func NewModule(pkgs []*Package) *Module {
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
@@ -72,12 +65,9 @@ func NewModule(pkgs []*Package) *Module {
 				if !ok || fn.Body == nil {
 					continue
 				}
-				fi := &FuncInfo{Pkg: p, File: file, Decl: fn}
-				if p.Info != nil {
-					if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-						fi.Obj = obj
-						m.funcs[obj] = fi
-					}
+				fi := &FuncInfo{Pkg: p, Decl: fn}
+				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
+					m.funcs[obj] = fi
 				}
 				m.order = append(m.order, fi)
 			}
@@ -103,9 +93,6 @@ func (m *Module) FuncOf(obj *types.Func) *FuncInfo {
 // plain function, a package-qualified function, or a concrete method.
 // Calls through function values and interface methods return nil.
 func StaticCallee(p *Package, call *ast.CallExpr) *types.Func {
-	if p.Info == nil {
-		return nil
-	}
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := p.Info.Uses[fun].(*types.Func); ok {

@@ -21,82 +21,26 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true, // math/rand/v2
 }
 
-// randGlobalFuncs is the syntactic fallback denylist used when type
-// information is unavailable (v1 and v2 top-level functions).
-var randGlobalFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "NormFloat64": true,
-	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
-	"Read": true,
-	// math/rand/v2 spellings
-	"N": true, "IntN": true, "Int32": true, "Int32N": true,
-	"Int64": true, "Int64N": true, "Uint": true, "UintN": true,
-	"Uint32N": true, "Uint64N": true,
-}
-
 func checkNoRandGlobal() Check {
 	return Check{
 		Name: "norandglobal",
 		Doc:  "forbid the global math/rand source; randomness must flow through an explicit *rand.Rand",
 		Run: func(p *Package) []Finding {
 			var out []Finding
-			for _, file := range p.Files {
-				ast.Inspect(file, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
+			for _, path := range []string{"math/rand", "math/rand/v2"} {
+				// Any non-constructor package function is a global-state
+				// entry point, called or passed around as a value; types
+				// and conversions (rand.Source(x)) are not functions.
+				p.pkgFuncRefs(path, func(ref ast.Expr, name string) {
+					if !randConstructors[name] {
+						out = append(out, p.finding("norandglobal", ref,
+							"call to global rand.%s: thread an explicit *rand.Rand (rand.New(rand.NewSource(seed))) instead", name))
 					}
-					for _, path := range []string{"math/rand", "math/rand/v2"} {
-						name, ok := p.pkgFuncCall(file, call, path)
-						if !ok || randConstructors[name] {
-							continue
-						}
-						// With type info, any non-constructor package
-						// *function* is a global-state entry point (type
-						// conversions like rand.Source(x) stay clean);
-						// without it, fall back to the known top-level
-						// function names.
-						if p.resolvesToFunc(call.Fun) || (!p.typeResolves(call.Fun) && randGlobalFuncs[name]) {
-							out = append(out, p.finding("norandglobal", call,
-								"call to global rand.%s: thread an explicit *rand.Rand (rand.New(rand.NewSource(seed))) instead", name))
-						}
-					}
-					return true
 				})
 			}
 			return out
 		},
 	}
-}
-
-// typeResolves reports whether the type checker resolved the selector
-// expression's package identifier.
-func (p *Package) typeResolves(fun ast.Expr) bool {
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if p.Info == nil {
-		return false
-	}
-	_, ok = p.Info.Uses[id]
-	return ok
-}
-
-// resolvesToFunc reports whether the selector's member resolved to a
-// package-level function (as opposed to a type or variable).
-func (p *Package) resolvesToFunc(fun ast.Expr) bool {
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || p.Info == nil {
-		return false
-	}
-	_, ok = p.Info.Uses[sel.Sel].(*types.Func)
-	return ok
 }
 
 // --- nowallclock ------------------------------------------------------
@@ -154,19 +98,12 @@ func checkNoWallClock() Check {
 				return nil
 			}
 			var out []Finding
-			for _, file := range p.Files {
-				ast.Inspect(file, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if name, ok := p.pkgFuncCall(file, call, "time"); ok && wallClockFuncs[name] {
-						out = append(out, p.finding("nowallclock", call,
-							"time.%s in deterministic package %s: results must not depend on the wall clock", name, p.Rel))
-					}
-					return true
-				})
-			}
+			p.pkgFuncRefs("time", func(ref ast.Expr, name string) {
+				if wallClockFuncs[name] {
+					out = append(out, p.finding("nowallclock", ref,
+						"time.%s in deterministic package %s: results must not depend on the wall clock", name, p.Rel))
+				}
+			})
 			return out
 		},
 	}
@@ -206,9 +143,6 @@ func checkMapOrder() Check {
 
 // isMapType reports whether the expression's underlying type is a map.
 func (p *Package) isMapType(e ast.Expr) bool {
-	if p.Info == nil {
-		return false
-	}
 	t := p.Info.TypeOf(e)
 	if t == nil {
 		return false
@@ -315,16 +249,10 @@ func sortedLater(rest []ast.Stmt, name string) bool {
 func checkFloatEq() Check {
 	return Check{
 		Name: "floateq",
-		Doc:  "forbid ==/!= between floating-point operands outside tests; use core.FloatEq / fp.Eq",
+		Doc:  "forbid ==/!= between floating-point operands (test files are not analysed); use core.FloatEq / fp.Eq",
 		Run: func(p *Package) []Finding {
-			if p.Info == nil {
-				return nil
-			}
 			var out []Finding
 			for _, file := range p.Files {
-				if p.isTestFile(file) {
-					continue
-				}
 				ast.Inspect(file, func(n ast.Node) bool {
 					be, ok := n.(*ast.BinaryExpr)
 					if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
@@ -381,24 +309,19 @@ func checkNoPrint() Check {
 			}
 			var out []Finding
 			for _, file := range p.Files {
-				if p.isTestFile(file) {
-					continue
-				}
 				ast.Inspect(file, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					if name, ok := p.pkgFuncCall(file, call, "fmt"); ok && stdoutPrinters[name] {
+					if name, ok := p.pkgFuncCall(call, "fmt"); ok && stdoutPrinters[name] {
 						out = append(out, p.finding("noprint", call,
 							"fmt.%s in library package %s writes to stdout: return data or take an io.Writer", name, p.Rel))
 						return true
 					}
 					if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "print" || id.Name == "println") {
-						if p.Info != nil {
-							if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); p.Info.Uses[id] != nil && !isBuiltin {
-								return true // shadowed by a local function
-							}
+						if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); !isBuiltin {
+							return true // shadowed by a local function
 						}
 						out = append(out, p.finding("noprint", call,
 							"builtin %s in library package %s writes to stderr: return data or take an io.Writer", id.Name, p.Rel))
@@ -438,9 +361,6 @@ func checkGuardedBy() Check {
 			}
 			var out []Finding
 			for _, file := range p.Files {
-				if p.isTestFile(file) {
-					continue
-				}
 				for _, decl := range file.Decls {
 					fn, ok := decl.(*ast.FuncDecl)
 					if !ok || fn.Recv == nil || fn.Body == nil {
@@ -583,4 +503,29 @@ func locksInBody(body *ast.BlockStmt) map[string]bool {
 		return true
 	})
 	return locked
+}
+
+// --- atomicmix --------------------------------------------------------
+
+// checkAtomicMix keeps plain and atomic accesses to one variable from
+// mixing — a data race the race detector only catches if both paths run
+// under test — by forbidding the API that allows it: every function of
+// package sync/atomic takes the address of an ordinary variable, which
+// other code can still read or write plainly. The typed atomics
+// (atomic.Int64, atomic.Pointer[T], …) have no plain access to mix
+// with, so with the functions gone the mix is a compile error.
+func checkAtomicMix() Check {
+	return Check{
+		Name: "atomicmix",
+		Doc: "forbid the sync/atomic functions (atomic.AddInt64(&x, 1), …): use the typed atomics " +
+			"(atomic.Int64, atomic.Pointer[T]), which cannot be accessed plainly",
+		Run: func(p *Package) []Finding {
+			var out []Finding
+			p.pkgFuncRefs("sync/atomic", func(ref ast.Expr, name string) {
+				out = append(out, p.finding("atomicmix", ref,
+					"atomic.%s works on a variable that plain loads and stores can still reach: give it a typed atomic (atomic.Int64, atomic.Pointer[T], …)", name))
+			})
+			return out
+		},
+	}
 }

@@ -39,11 +39,30 @@ func checkCtxFlow() Check {
 	}
 }
 
+// blockSource says what a function blocks on: the blocking operation
+// plus the call chain that leads to it (nearest callee first).
+type blockSource struct {
+	desc string
+	via  []string
+}
+
+// through extends the chain by one caller-side hop.
+func (s blockSource) through(callee string) blockSource {
+	return blockSource{desc: s.desc, via: append([]string{callee}, s.via...)}
+}
+
+func (s blockSource) String() string {
+	if len(s.via) == 0 {
+		return s.desc
+	}
+	return s.desc + " via " + strings.Join(s.via, " → ")
+}
+
 // blockSummary is the per-function fact: can a call to this function
 // block the caller, and on what.
 type blockSummary struct {
 	blocks bool
-	src    detSource
+	src    blockSource
 }
 
 func runCtxFlow(m *Module) []Finding {
@@ -88,7 +107,7 @@ func runCtxFlow(m *Module) []Finding {
 				if !ok {
 					return true
 				}
-				if name, ok := p.pkgFuncCall(file, call, "context"); ok && (name == "Background" || name == "TODO") {
+				if name, ok := p.pkgFuncCall(call, "context"); ok && (name == "Background" || name == "TODO") {
 					out = append(out, p.finding("ctxflow", call,
 						"context.%s() in %s: plumb the caller's context instead of minting a root", name, p.Rel))
 				}
@@ -103,9 +122,9 @@ func runCtxFlow(m *Module) []Finding {
 // body on the current thread (skipping go statements and function
 // literals), including calls to module functions already known to
 // block.
-func blockingIn(m *Module, f *FuncInfo, sums map[*FuncInfo]*blockSummary) (detSource, bool) {
+func blockingIn(m *Module, f *FuncInfo, sums map[*FuncInfo]*blockSummary) (blockSource, bool) {
 	if f.Decl.Body == nil {
-		return detSource{}, false
+		return blockSource{}, false
 	}
 
 	// Subtrees whose blocking belongs to someone else: spawned
@@ -139,9 +158,9 @@ func blockingIn(m *Module, f *FuncInfo, sums map[*FuncInfo]*blockSummary) (detSo
 		return false
 	}
 
-	var src detSource
+	var src blockSource
 	found := false
-	report := func(s detSource) {
+	report := func(s blockSource) {
 		if !found {
 			src, found = s, true
 		}
@@ -156,13 +175,13 @@ func blockingIn(m *Module, f *FuncInfo, sums map[*FuncInfo]*blockSummary) (detSo
 		switch v := n.(type) {
 		case *ast.SelectStmt:
 			if !selectHasDefault(v) {
-				report(detSource{desc: "select with no default case"})
+				report(blockSource{desc: "select with no default case"})
 			}
 		case *ast.SendStmt:
-			report(detSource{desc: "channel send " + exprString(v.Chan) + " <- …"})
+			report(blockSource{desc: "channel send " + exprString(v.Chan) + " <- …"})
 		case *ast.UnaryExpr:
 			if v.Op == token.ARROW {
-				report(detSource{desc: "channel receive <-" + exprString(v.X)})
+				report(blockSource{desc: "channel receive <-" + exprString(v.X)})
 			}
 		case *ast.CallExpr:
 			if s, ok := blockingCall(m, f, v, sums); ok {
@@ -185,47 +204,47 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 
 // blockingCall classifies a call as blocking: a curated set of
 // standard-library waits plus any module callee whose summary blocks.
-func blockingCall(m *Module, f *FuncInfo, call *ast.CallExpr, sums map[*FuncInfo]*blockSummary) (detSource, bool) {
-	p, file := f.Pkg, f.File
-	if name, ok := p.pkgFuncCall(file, call, "time"); ok && name == "Sleep" {
-		return detSource{desc: "time.Sleep"}, true
+func blockingCall(m *Module, f *FuncInfo, call *ast.CallExpr, sums map[*FuncInfo]*blockSummary) (blockSource, bool) {
+	p := f.Pkg
+	if name, ok := p.pkgFuncCall(call, "time"); ok && name == "Sleep" {
+		return blockSource{desc: "time.Sleep"}, true
 	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && p.Info != nil {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if s, ok := p.Info.Selections[sel]; ok {
 			recv := s.Recv().String()
 			switch sel.Sel.Name {
 			case "Wait":
 				for _, t := range []string{"sync.Cond", "sync.WaitGroup", "exec.Cmd"} {
 					if strings.Contains(recv, t) {
-						return detSource{desc: t + ".Wait"}, true
+						return blockSource{desc: t + ".Wait"}, true
 					}
 				}
 			case "Do":
 				if strings.Contains(recv, "http.Client") {
-					return detSource{desc: "http.Client.Do"}, true
+					return blockSource{desc: "http.Client.Do"}, true
 				}
 			case "Run", "Output", "CombinedOutput":
 				if strings.Contains(recv, "exec.Cmd") {
-					return detSource{desc: "exec.Cmd." + sel.Sel.Name}, true
+					return blockSource{desc: "exec.Cmd." + sel.Sel.Name}, true
 				}
 			}
 		}
 	}
-	if name, ok := p.pkgFuncCall(file, call, "net/http"); ok {
+	if name, ok := p.pkgFuncCall(call, "net/http"); ok {
 		switch name {
 		case "Get", "Post", "PostForm", "Head":
-			return detSource{desc: "http." + name}, true
+			return blockSource{desc: "http." + name}, true
 		}
 	}
-	if name, ok := p.pkgFuncCall(file, call, "net"); ok && strings.HasPrefix(name, "Dial") {
-		return detSource{desc: "net." + name}, true
+	if name, ok := p.pkgFuncCall(call, "net"); ok && strings.HasPrefix(name, "Dial") {
+		return blockSource{desc: "net." + name}, true
 	}
 	if callee := m.Callee(p, call); callee != nil {
 		if cs := sums[callee]; cs != nil && cs.blocks {
 			return cs.src.through(callee.Name()), true
 		}
 	}
-	return detSource{}, false
+	return blockSource{}, false
 }
 
 // ctxAware reports whether the function already has a cancellation
@@ -233,7 +252,7 @@ func blockingCall(m *Module, f *FuncInfo, call *ast.CallExpr, sums map[*FuncInfo
 // (stop/done channel), or an *http.Request (which carries a context).
 func ctxAware(f *FuncInfo) bool {
 	params := f.Decl.Type.Params
-	if params == nil || f.Pkg.Info == nil {
+	if params == nil {
 		return false
 	}
 	for _, field := range params.List {
@@ -259,7 +278,7 @@ func ctxAware(f *FuncInfo) bool {
 func droppedCtx(f *FuncInfo) []Finding {
 	p := f.Pkg
 	params := f.Decl.Type.Params
-	if params == nil || f.Decl.Body == nil || p.Info == nil {
+	if params == nil || f.Decl.Body == nil {
 		return nil
 	}
 	var out []Finding

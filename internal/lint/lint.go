@@ -1,12 +1,22 @@
 // Package lint is a small stdlib-only static-analysis framework for
-// this repository. It loads every package in the module with
-// go/parser + go/types (no golang.org/x/tools dependency) and runs a
-// set of domain-specific checks that keep the QuCloud reproduction's
-// fidelity numbers trustworthy: determinism (no global math/rand, no
-// wall-clock reads in compiler/simulator packages, no unordered map
-// iteration feeding results), numeric safety (no exact float
-// equality), and concurrency hygiene (fields documented as guarded by
-// a mutex are only touched under it).
+// this repository. It loads every non-test file of every package in the
+// module with go/parser + go/types (no golang.org/x/tools dependency)
+// and runs nine domain-specific checks, one per invariant, that keep the
+// QuCloud reproduction's fidelity numbers trustworthy: determinism (no
+// global math/rand, no wall-clock reads in compiler/simulator packages,
+// no unordered map iteration feeding results — norandglobal,
+// nowallclock, maporder), numeric safety (no exact float equality —
+// floateq), library hygiene (no printing from internal/ — noprint),
+// concurrency hygiene (fields documented as guarded by a mutex are only
+// touched under it, mutexes are acquired in one order and released on
+// every path, atomics are typed — guardedby, lockorder, atomicmix) and
+// cancellation plumbing (ctxflow). ctxflow and lockorder are
+// interprocedural (callgraph.go); the other seven read one package at a
+// time.
+//
+// Checks assume complete type information: a caller must treat any
+// Package.TypeErrors as fatal and run nothing (cmd/qulint exits 2).
+// _test.go files are never loaded, so nothing here applies to tests.
 //
 // Findings can be suppressed per line with
 //
@@ -24,20 +34,16 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // Finding is one diagnostic produced by a check.
 type Finding struct {
-	Check   string `json:"check"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
-	// Doc is the one-line documentation of the check that produced the
-	// finding (filled by Analyze; surfaced in -json output).
-	Doc string `json:"doc,omitempty"`
+	Check   string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -60,14 +66,14 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, with comments.
 	Files []*ast.File
-	// Info holds type information; always non-nil, possibly sparse if
-	// type-checking reported errors.
+	// Info holds type information; always non-nil, complete unless
+	// TypeErrors is non-empty.
 	Info *types.Info
 	// Types is the type-checked package object (may be marked
 	// incomplete if checking failed part-way).
 	Types *types.Package
-	// TypeErrors collects type-checker diagnostics; checks still run
-	// on a package with errors, degrading to syntactic matching.
+	// TypeErrors collects type-checker diagnostics. Checks assume there
+	// are none: callers report them and run no check.
 	TypeErrors []error
 }
 
@@ -94,7 +100,6 @@ func Checks() []Check {
 		checkFloatEq(),
 		checkNoPrint(),
 		checkGuardedBy(),
-		checkDetFlow(),
 		checkCtxFlow(),
 		checkLockOrder(),
 		checkAtomicMix(),
@@ -147,12 +152,12 @@ func SelectChecks(spec string) ([]Check, error) {
 // Analyze pass.
 type SuppressionStats struct {
 	// Directives is the total number of well-formed directives.
-	Directives int `json:"directives"`
+	Directives int
 	// Used counts directives that suppressed at least one finding.
-	Used int `json:"used"`
+	Used int
 	// Unused counts auditable directives that suppressed nothing (each
 	// also produces an "unusedignore" finding).
-	Unused int `json:"unused"`
+	Unused int
 }
 
 // Result is the full output of an Analyze pass.
@@ -161,11 +166,11 @@ type Result struct {
 	Suppressions SuppressionStats
 }
 
-// Docs for the engine-level pseudo-checks (they have no Check entry:
-// the engine itself produces them).
+// Names of the engine-level pseudo-checks (they have no Check entry:
+// the engine itself produces them). Every //lint:ignore directive must
+// name a known check and carry a reason (lintdirective), and one that
+// suppresses nothing is stale and must be removed (unusedignore).
 const (
-	directiveDoc     = "every //lint:ignore directive must name a known check and carry a reason"
-	unusedIgnoreDoc  = "a //lint:ignore directive that suppresses nothing is stale and must be removed"
 	directiveCheck   = "lintdirective"
 	unusedIgnoreName = "unusedignore"
 )
@@ -189,10 +194,8 @@ func Analyze(pkgs []*Package, checks []Check, include func(*Package) bool) Resul
 		include = func(*Package) bool { return true }
 	}
 	known := map[string]bool{"all": true, directiveCheck: true, unusedIgnoreName: true}
-	docs := map[string]string{directiveCheck: directiveDoc, unusedIgnoreName: unusedIgnoreDoc}
 	for _, c := range Checks() {
 		known[c.Name] = true
-		docs[c.Name] = c.Doc
 	}
 
 	var out []Finding
@@ -288,9 +291,6 @@ func Analyze(pkgs []*Package, checks []Check, include func(*Package) bool) Resul
 		})
 	}
 
-	for i := range out {
-		out[i].Doc = docs[out[i].Check]
-	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.File != b.File {
@@ -421,60 +421,53 @@ func (p *Package) finding(check string, n ast.Node, format string, args ...any) 
 	}
 }
 
-// isTestFile reports whether the node sits in a _test.go file.
-func (p *Package) isTestFile(n ast.Node) bool {
-	return strings.HasSuffix(p.Fset.Position(n.Pos()).Filename, "_test.go")
-}
-
-// importLocalName returns the identifier a file binds to the import
-// path ("" if not imported; "_" and "." are returned verbatim).
-func importLocalName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			p = p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
-// pkgFuncCall resolves a call of the form pkgname.Func where pkgname
-// is the file-local name of importPath. It returns the called
-// function's name and true on match. Type information is consulted
-// first (catching aliased imports and rejecting shadowed identifiers);
-// when absent it falls back to matching the import table.
-func (p *Package) pkgFuncCall(file *ast.File, call *ast.CallExpr, importPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// pkgFunc resolves an identifier to the package-level function of
+// importPath it refers to (methods do not count) and returns the
+// function's name. It goes through the type checker's object, so
+// renamed and dot imports match and a shadowing local does not.
+func (p *Package) pkgFunc(id *ast.Ident, importPath string) (string, bool) {
+	fn, ok := p.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != importPath ||
+		fn.Type().(*types.Signature).Recv() != nil {
 		return "", false
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	if p.Info != nil {
-		if obj, ok := p.Info.Uses[id]; ok {
-			pn, ok := obj.(*types.PkgName)
-			if !ok {
-				return "", false
-			}
-			if pn.Imported().Path() != importPath {
-				return "", false
-			}
-			return sel.Sel.Name, true
-		}
-	}
-	if name := importLocalName(file, importPath); name != "" && name == id.Name {
-		return sel.Sel.Name, true
+	return fn.Name(), true
+}
+
+// pkgFuncCall returns the name of the package-level function of
+// importPath that the call invokes directly.
+func (p *Package) pkgFuncCall(call *ast.CallExpr, importPath string) (string, bool) {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return p.pkgFunc(fun, importPath)
+	case *ast.SelectorExpr:
+		return p.pkgFunc(fun.Sel, importPath)
 	}
 	return "", false
+}
+
+// pkgFuncRefs visits every reference in the package to a package-level
+// function of importPath — a call, or the function taken as a value
+// (`var clock = time.Now`), which a call-site match would let escape.
+// ref is the referring expression: the qualified selector, or the bare
+// identifier under a dot import.
+func (p *Package) pkgFuncRefs(importPath string, visit func(ref ast.Expr, name string)) {
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.SelectorExpr:
+				if name, ok := p.pkgFunc(v.Sel, importPath); ok {
+					visit(v, name)
+					return false
+				}
+			case *ast.Ident:
+				if name, ok := p.pkgFunc(v, importPath); ok {
+					visit(v, name)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // exprString renders a (small) expression for messages and lexical

@@ -71,7 +71,6 @@ func TestFixtures(t *testing.T) {
 		{"floateq", "ignore.go", "internal/demo"},
 		{"noprint", "noprint.go", "internal/demo"},
 		{"guardedby", "guardedby.go", "internal/demo"},
-		{"detflow", "detflow.go", "internal/sim"},
 		{"ctxflow", "ctxflow.go", "internal/service"},
 		{"lockorder", "lockorder.go", "internal/demo"},
 		{"atomicmix", "atomicmix.go", "internal/demo"},

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // LoadModule discovers, parses, and type-checks every non-test package
@@ -34,12 +35,10 @@ func LoadModule(dir string) ([]*Package, error) {
 		return nil, err
 	}
 
-	fset := token.NewFileSet()
 	ld := &loader{
-		fset:    fset,
+		fset:    token.NewFileSet(),
 		modPath: modPath,
 		root:    root,
-		std:     importer.ForCompiler(fset, "source", nil),
 		byPath:  map[string]*Package{},
 	}
 	for _, d := range dirs {
@@ -143,11 +142,28 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
+// stdImporter type-checks standard-library packages from source, once
+// per process: every LoadModule and CheckFile call shares its results
+// (type-checked packages are immutable). The source importer keeps an
+// unsynchronised package map, hence the mutex; its file set positions
+// only standard-library objects, which no finding points at.
+type stdImporter struct {
+	mu  sync.Mutex
+	imp types.Importer // guarded by mu
+}
+
+var std = &stdImporter{imp: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.imp.Import(path)
+}
+
 type loader struct {
 	fset    *token.FileSet
 	modPath string
 	root    string
-	std     types.Importer
 	byPath  map[string]*Package
 	stack   []string // import path chain, for cycle reporting
 }
@@ -258,7 +274,7 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return ld.std.Import(path)
+	return std.Import(path)
 }
 
 // CheckFile type-checks a single standalone source file (used by
@@ -285,7 +301,7 @@ func CheckFile(fset *token.FileSet, file *ast.File, modPath, rel string) (*Packa
 		},
 	}
 	conf := types.Config{
-		Importer:    importer.ForCompiler(fset, "source", nil),
+		Importer:    std,
 		FakeImportC: true,
 		Error:       func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}

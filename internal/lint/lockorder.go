@@ -18,11 +18,9 @@ import (
 // deferred closure), branch joins (a lock held on only one arm is
 // dropped at the join), and early returns — so it also reports paths
 // that can return with a mutex still held, and re-acquisition of a
-// mutex already held. `// guarded by <mu>` annotations on fields that
-// are themselves mutexes contribute documentation edges to the same
-// graph. Methods named *Locked (callee runs under the caller's lock)
-// and mutex-wrapper methods named Lock/Unlock/RLock/RUnlock are
-// exempt from the return-with-lock rule.
+// mutex already held. Methods named *Locked (callee runs under the
+// caller's lock) and mutex-wrapper methods named Lock/Unlock/RLock/
+// RUnlock are exempt from the return-with-lock rule.
 func checkLockOrder() Check {
 	return Check{
 		Name: "lockorder",
@@ -45,7 +43,7 @@ const (
 // in package sync count; a custom Lock method is an ordinary call.
 func lockCall(p *Package, call *ast.CallExpr) (string, lockKind) {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || p.Info == nil {
+	if !ok {
 		return "", lockNone
 	}
 	var kind lockKind
@@ -153,7 +151,6 @@ func runLockOrder(m *Module) []Finding {
 	for _, f := range m.Funcs() {
 		w.checkFunc(f)
 	}
-	w.annotationEdges()
 	return append(w.findings, w.cycleFindings()...)
 }
 
@@ -485,43 +482,6 @@ func terminatingCall(call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// annotationEdges adds documentation-derived edges: a field that is
-// itself a mutex and carries `// guarded by <mu>` declares that <mu>
-// is taken first.
-func (w *lockOrderPass) annotationEdges() {
-	for _, p := range w.m.Pkgs {
-		for _, file := range p.Files {
-			pkgName := file.Name.Name
-			ast.Inspect(file, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				structType, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, field := range structType.Fields.List {
-					mu := guardAnnotation(field.Doc, field.Comment)
-					if mu == "" {
-						continue
-					}
-					t := exprString(field.Type)
-					if t != "sync.Mutex" && t != "sync.RWMutex" {
-						continue
-					}
-					for _, name := range field.Names {
-						from := pkgName + "." + ts.Name.Name + "." + mu
-						to := pkgName + "." + ts.Name.Name + "." + name.Name
-						w.addEdge(from, to, name.Pos(), "// guarded by annotation")
-					}
-				}
-				return true
-			})
-		}
-	}
 }
 
 // cycleFindings enumerates each elementary cycle in the acquisition

@@ -18,3 +18,11 @@ func useLocal(seed int64) float64 {
 	var r *rand.Rand = rng                // ok: type reference
 	return r.Float64()                    // ok: method on explicit generator
 }
+
+// The global source taken as a function value draws from it wherever it
+// is later called: the reference itself is the finding.
+var draw = rand.Intn // want "call to global rand.Intn"
+
+func useValue() int {
+	return draw(3)
+}

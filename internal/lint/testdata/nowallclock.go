@@ -18,3 +18,13 @@ func pureDuration() time.Duration {
 func parse(s string) (time.Time, error) {
 	return time.Parse(time.RFC3339, s) // ok: pure function of its input
 }
+
+// A clock taken as a function value reads the wall clock wherever it is
+// later called: the reference itself is the finding.
+var clock = time.Now // want "time.Now in deterministic package internal/sim"
+
+func elapsed(since func(time.Time) time.Duration) time.Duration {
+	return since(clock())
+}
+
+var _ = elapsed(time.Since) // want "time.Since in deterministic package internal/sim"

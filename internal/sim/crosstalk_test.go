@@ -52,17 +52,14 @@ func TestEffective2qErrScalarModel(t *testing.T) {
 	d := arch.IBMQ16(0)
 	noise := DefaultNoise()
 	base := d.CNOTError(0, 1)
-	//lint:ignore floateq fallback must be bit-identical to the legacy expression
 	if got := effective2qErr(d, noise, nil, 0, 1); got != base {
 		t.Errorf("no layer edges: got %v, want base %v", got, base)
 	}
 	withAdj := effective2qErr(d, noise, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(2, 3)}, 0, 1)
-	//lint:ignore floateq same expression, same bits
 	if withAdj != base*(1+noise.CrosstalkFactor) {
 		t.Errorf("adjacent co-fire: got %v, want %v", withAdj, base*(1+noise.CrosstalkFactor))
 	}
 	noise.CrosstalkFactor = 0
-	//lint:ignore floateq zero factor disables the multiplier exactly
 	if got := effective2qErr(d, noise, []graph.Edge{graph.NewEdge(2, 3)}, 0, 1); got != base {
 		t.Errorf("zero factor: got %v, want base %v", got, base)
 	}
@@ -78,22 +75,18 @@ func TestEffective2qErrMatrixSupersedesScalar(t *testing.T) {
 	cond := base * 3
 	d.Crosstalk = arch.CrosstalkMatrix{arch.EdgePair{Victim: v, Aggressor: a}: cond}
 	noise := DefaultNoise() // scalar factor 0.3 must be ignored
-	//lint:ignore floateq matrix lookup returns the stored value exactly
 	if got := effective2qErr(d, noise, []graph.Edge{v, a}, 0, 1); got != cond {
 		t.Errorf("characterized pair: got %v, want conditional %v", got, cond)
 	}
 	// Reversed orientations key the same entry.
-	//lint:ignore floateq matrix lookup returns the stored value exactly
 	if got := effective2qErr(d, noise, []graph.Edge{{U: 3, V: 2}}, 1, 0); got != cond {
 		t.Errorf("reversed orientations: got %v, want %v", got, cond)
 	}
 	// Uncharacterized co-fire: base error, NOT base*(1+factor).
-	//lint:ignore floateq benign pairs charge exactly the base rate
 	if got := effective2qErr(d, noise, []graph.Edge{graph.NewEdge(5, 6)}, 0, 1); got != base {
 		t.Errorf("uncharacterized pair: got %v, want base %v", got, base)
 	}
 	// The victim alone in the layer (any orientation): base error.
-	//lint:ignore floateq a link is not its own aggressor
 	if got := effective2qErr(d, noise, []graph.Edge{{U: 1, V: 0}}, 0, 1); got != base {
 		t.Errorf("self only: got %v, want base %v", got, base)
 	}

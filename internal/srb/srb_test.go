@@ -85,7 +85,6 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("worker-count changed pair count: %d vs %d", len(a), len(b))
 	}
 	for p, v := range a {
-		//lint:ignore floateq determinism contract is bit-identity
 		if b[p] != v {
 			t.Errorf("pair %v: %v (1 worker) vs %v (8 workers)", p, v, b[p])
 		}
@@ -132,7 +131,6 @@ func TestTrainScheduleShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p, pst := range out.PST {
-		//lint:ignore floateq noiseless PST is exactly 1
 		if pst != 1 {
 			t.Errorf("program %d noiseless PST = %v, want 1", p, pst)
 		}
