@@ -23,7 +23,7 @@ func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *rou
 
 // CliffordOutcome computes a logical Clifford circuit's noiseless
 // reference bitstring without any device or routing: all non-measure
-// gates run on a stabilizer tableau in program order, then every
+// gates run in program order on the stabilizer register, then every
 // measured qubit is read in ascending qubit order with random outcomes
 // resolved to 0 — the same convention SimulateScheduleCliffordCtx uses
 // for its reference run. Property tests compare it against routed
@@ -31,8 +31,9 @@ func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *rou
 // measurements are terminal (e.g. MeasureAll), matching the router's
 // measure-deferral semantics.
 func CliffordOutcome(c *circuit.Circuit) (string, error) {
-	tb := newPtab(c.NumQubits)
+	fac := newFactoring(c.NumQubits)
 	measured := make([]bool, c.NumQubits)
+	var ops []compiledOp
 	for _, g := range c.Gates {
 		op, err := lowerGate(g, engineTableau)
 		switch {
@@ -42,17 +43,22 @@ func CliffordOutcome(c *circuit.Circuit) (string, error) {
 			measured[g.Qubits[0]] = true
 		case op.kind == op1Q:
 			return "", fmt.Errorf("sim: gate %s is not Clifford", g.Name)
-		default:
-			tb.apply(&op)
+		case op.kind != opNone:
+			fac.place(&op)
+			ops = append(ops, op)
 		}
 	}
+	_ = fac.finish(engineTableau) // a tableau has no cap, so this cannot fail
+	// The lowered gates run as one noiseless layer of the tableau engine.
+	reg := newStabilizer(fac)
+	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runTableau(reg, nil, false)
 	var buf []byte
 	for q := 0; q < c.NumQubits; q++ {
 		if !measured[q] {
 			continue
 		}
-		b := tb.measure(q, func() bool { return false })
-		buf = append(buf, byte('0'+b))
+		tb, b := reg.at(fac.slot[q])
+		buf = append(buf, byte('0'+tb.measure(b, func() bool { return false })))
 	}
 	return string(buf), nil
 }

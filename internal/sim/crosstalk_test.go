@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -136,8 +135,8 @@ func matrixDevice16(tb testing.TB, seed int64) *arch.Device {
 }
 
 // TestCompiledMatchesLegacyWithMatrix extends the compiled-vs-legacy
-// contract to matrix-carrying devices: both engines must stay
-// bit-identical between the interpreter and the hot path when the
+// contract to matrix-carrying devices: both engines' factored registers
+// must measure what their joint oracles measure, draw for draw, when the
 // pairwise conditional errors are in play.
 func TestCompiledMatchesLegacyWithMatrix(t *testing.T) {
 	d := matrixDevice16(t, 11)
@@ -150,28 +149,15 @@ func TestCompiledMatchesLegacyWithMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	noise := DefaultNoise()
-	jointMatchesFactored(t, "matrix pair", d, s, noise, 5, 8)
+	jointMatchesFactored(t, "matrix pair", engineStatevector, d, s, noise, 5, 8)
 	adjacent, _ := adjacentPair16(t, d)
-	jointMatchesFactored(t, "matrix adjacentPair16", d, adjacent, noise, 5, 8)
+	jointMatchesFactored(t, "matrix adjacentPair16", engineStatevector, d, adjacent, noise, 5, 8)
 	corners, _ := corners16(t, d)
-	jointMatchesFactored(t, "matrix corners16", d, corners, noise, 5, 8)
-	jointMatchesFactored(t, "matrix entangled", d, entangledSchedule(t, d, 1), noise, 2, 6)
-	layT, cpT := compiledLay(t, d, s, noise, engineTableau)
-	for seed := int64(0); seed < 5; seed++ {
-		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		tbA := newPtab(len(layT.active))
-		if err := runTrialT(tbA, d, layT, noise, rngA); err != nil {
-			t.Fatal(err)
-		}
-		tbB := newPtab(cpT.nq)
-		cpT.runTableau(tbB, rngB, true)
-		if !reflect.DeepEqual(tbA.xbits, tbB.xbits) || !reflect.DeepEqual(tbA.zbits, tbB.zbits) || !reflect.DeepEqual(tbA.r, tbB.r) {
-			t.Fatalf("seed=%d: compiled tableau diverges from legacy under matrix", seed)
-		}
-		if rngA.Int63() != rngB.Int63() {
-			t.Fatalf("seed=%d: tableau draw counts diverge under matrix", seed)
-		}
-	}
+	jointMatchesFactored(t, "matrix corners16", engineStatevector, d, corners, noise, 5, 8)
+	jointMatchesFactored(t, "matrix entangled", engineStatevector, d, entangledSchedule(t, d, 1, false), noise, 2, 6)
+	jointMatchesFactored(t, "matrix pair", engineTableau, d, s, noise, 5, 8)
+	jointMatchesFactored(t, "matrix corners16", engineTableau, d, corners, noise, 5, 8)
+	jointMatchesFactored(t, "matrix entangled", engineTableau, d, entangledSchedule(t, d, 1, true), noise, 2, 6)
 }
 
 // TestMatrixCrosstalkLowersPST: co-firing on a hostile pair must cost

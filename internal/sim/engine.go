@@ -241,26 +241,57 @@ func (r *factored) correctBits(plan []measPoint) {
 	}
 }
 
-// tableauRegister adapts *ptab, whose measure takes a pick function.
-type tableauRegister struct{ *ptab }
-
-func (r tableauRegister) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
-	cp.runTableau(r.ptab, rng, noisy)
+// stabilizer is the tableau register: one packed tableau per component
+// of the compiled program's factoring, addressed by slot. It measures
+// what the joint tableau does, draw for draw (DESIGN.md §14).
+type stabilizer struct {
+	*factoring
+	comps []*ptab
 }
 
-func (r tableauRegister) measure(q int, rng *rand.Rand) int { return r.measureT(q, rng) }
+func newStabilizer(f *factoring) *stabilizer {
+	r := &stabilizer{factoring: f, comps: make([]*ptab, len(f.sizes))}
+	for c, k := range f.sizes {
+		r.comps[c] = newPtab(k)
+	}
+	return r
+}
+
+// at resolves a slot to its component's tableau and its qubit there.
+func (r *stabilizer) at(slot int) (*ptab, int) { return r.comps[r.comp[slot]], r.bit[slot] }
+
+func (r *stabilizer) reset() {
+	for _, tb := range r.comps {
+		tb.reset()
+	}
+}
+
+func (r *stabilizer) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
+	cp.runTableau(r, rng, noisy)
+}
+
+func (r *stabilizer) measure(slot int, rng *rand.Rand) int {
+	tb, q := r.at(slot)
+	return tb.measureT(q, rng)
+}
+
+func (r *stabilizer) injectPauli(slot int, rng *rand.Rand) {
+	tb, q := r.at(slot)
+	tb.injectPauliT(q, rng)
+}
 
 // correctBits measures in plan order with random outcomes resolved to
 // 0, matching the statevector engine's lowest-index convention.
-func (r tableauRegister) correctBits(plan []measPoint) {
+func (r *stabilizer) correctBits(plan []measPoint) {
 	for i := range plan {
-		plan[i].correct = r.ptab.measure(plan[i].q, func() bool { return false })
+		tb, q := r.at(plan[i].q)
+		plan[i].correct = tb.measure(q, func() bool { return false })
 	}
 }
 
 func newRegister(engine engineKind, cp *compiledProgram) register {
 	if engine == engineTableau {
-		return tableauRegister{newPtab(cp.nq)}
+		return newStabilizer(cp.fac)
 	}
 	return newFactored(cp.fac)
 }
@@ -310,8 +341,8 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	}
 
 	// Lower the schedule once: operand indices, folded error rates, 1q
-	// matrices, idle lists and the statevector factoring are
-	// trial-invariant (see hotpath.go). This is also where a non-Clifford
+	// matrices, idle lists and the factoring are trial-invariant (see
+	// hotpath.go). This is also where a non-Clifford
 	// gate fails the tableau engine and an entangled component too large
 	// for a register fails the statevector engine.
 	cp, err := compileLayers(d, lay, noise, engine)
@@ -566,7 +597,7 @@ func SimulateIdeal(c *circuit.Circuit) (string, float64, error) {
 			ops = append(ops, op)
 		}
 	}
-	if err := fac.finish(); err != nil {
+	if err := fac.finish(engineStatevector); err != nil {
 		return "", 0, err
 	}
 	// The lowered gates run as one layer of the statevector engine.

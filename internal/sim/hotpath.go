@@ -13,17 +13,18 @@ package sim
 // through it (gateMatrix in state.go is the table of 2x2 unitaries it
 // looks single-qubit gates up in). The package holds one engine per
 // representation — runStatevector over the factored register, runTableau
-// over *ptab.
+// over the stabilizer register.
 //
-// The statevector engine simulates what is entangled, not what is
-// co-located: while it lowers, a factoring follows every wire's state
-// through the SWAPs (a SWAP moves no amplitude, it relabels) and unions
-// the states CX and CZ couple, and the register holds one small dense
-// state per component (DESIGN.md, "Factored register"). The joint
-// 2^(active qubits) register and the per-layer reference interpreters
-// (runTrial, runTrialT) and the boolean tableau live in oracle_test.go,
-// where TestCompiledTrialMatchesLegacy*, TestCompiledMatchesLegacyWithMatrix
-// and TestPackedMatchesBooleanTableau compare against them.
+// Both engines simulate what is entangled, not what is co-located: while
+// the gates are lowered, one factoring follows every wire's state through
+// the SWAPs (a SWAP relabels) and unions the states CX and CZ couple, and
+// each register holds one dense state or packed tableau per component, so
+// a tableau gate is O(k^2) in its component's k qubits (DESIGN.md,
+// "Factored register"). The joint registers, the per-layer reference
+// interpreters (runTrial, runTrialT) and the boolean tableau live in
+// oracle_test.go, where TestCompiledTrialMatchesLegacy*,
+// TestCompiledMatchesLegacyWithMatrix and TestPackedMatchesBooleanTableau
+// compare against them.
 //
 // Determinism contract: a compiled program draws from the RNG in
 // exactly the same order, with the same comparisons, as the reference
@@ -72,8 +73,7 @@ const (
 )
 
 // compiledOp is one gate with every trial-invariant input resolved:
-// operand indices (compact wires for the tableau engine, slots of the
-// factoring for the statevector engine), the noise-draw threshold
+// operand indices (slots of the factoring), the noise-draw threshold
 // (crosstalk multiplier already applied), and the 1q unitary where
 // relevant.
 type compiledOp struct {
@@ -98,10 +98,8 @@ type compiledLayer struct {
 type compiledProgram struct {
 	layers []compiledLayer
 	noise  NoiseModel
-	nq     int // active qubit count
 	// fac maps wires to the operands the ops use: slots and their
-	// components for the statevector engine, the identity for the
-	// tableau engine.
+	// components.
 	fac *factoring
 	// trialWork estimates one trial's cost (ops and idle draws, each
 	// priced at what it touches) for the parallel-dispatch threshold.
@@ -110,11 +108,11 @@ type compiledProgram struct {
 
 // compileLayers lowers the layered schedule for the given engine. All
 // gate-name resolution, crosstalk adjacency scans, busy-set and error
-// arithmetic happen here, once, instead of once per trial — and, for the
-// statevector engine, so does the decision of what to simulate together.
+// arithmetic happen here, once, instead of once per trial — and so does
+// the decision of what to simulate together.
 func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engineKind) (*compiledProgram, error) {
 	fac := newFactoring(len(lay.active))
-	cp := &compiledProgram{noise: noise, nq: len(lay.active), fac: fac}
+	cp := &compiledProgram{noise: noise, fac: fac}
 	for _, layer := range lay.layers {
 		cl := compiledLayer{}
 		// Crosstalk is a property of the layer, not the trial: collect
@@ -158,9 +156,7 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 			} else {
 				co.err = d.Gate1Err[g.Qubits[0]]
 			}
-			if engine == engineStatevector {
-				fac.place(&co)
-			}
+			fac.place(&co)
 			cl.ops = append(cl.ops, co)
 		}
 		// A layer's ops act on disjoint wires and an idle wire is on none
@@ -172,15 +168,18 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		}
 		cp.layers = append(cp.layers, cl)
 	}
-	// Price a trial: a statevector op or idle draw sweeps its component's
-	// amplitudes, a tableau one the 2n rows' words.
-	words := (cp.nq + 63) / 64
-	cost := func(int) int64 { return max(1, int64(2*cp.nq)*int64(words)) }
-	if engine == engineStatevector {
-		if err := fac.finish(); err != nil {
-			return nil, err
+	if err := fac.finish(engine); err != nil {
+		return nil, err
+	}
+	// Price a trial: an op or idle draw touches its component only — a
+	// statevector one sweeps its 2^k amplitudes, a tableau one the words
+	// of its 2k rows.
+	cost := func(slot int) int64 {
+		k := fac.sizes[fac.comp[slot]]
+		if engine == engineTableau {
+			return int64(2*k) * int64((k+63)/64)
 		}
-		cost = func(slot int) int64 { return 1 << uint(fac.sizes[fac.comp[slot]]) }
+		return 1 << uint(k)
 	}
 	for _, cl := range cp.layers {
 		for i := range cl.ops {
@@ -194,21 +193,22 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 }
 
 // maxComponentQubits bounds one entangled component's dense state and
-// maxRegisterAmps the amplitudes of all of a register's components; every
-// shard worker holds one register.
+// maxRegisterAmps the amplitudes of all of a statevector register's
+// components; every shard worker holds one register. A tableau has no
+// cap.
 const (
 	maxComponentQubits = 24
 	maxRegisterAmps    = 1 << 25
 )
 
-// factoring is the statevector engine's decision of what to simulate
-// together, taken while the gates are lowered in schedule order. A slot
-// is one qubit's state; it starts on the wire of the same index. SWAP
-// moves no amplitude: the two wires exchange slots, and every later op,
-// idle draw and measurement on a wire addresses the slot then on it. CX
-// and CZ union their slots; after the last gate each union-find class is
-// one component, simulated as its own dense state, and a product of
-// components is exactly the joint state because nothing else couples
+// factoring is both engines' decision of what to simulate together,
+// taken while the gates are lowered in schedule order. A slot is one
+// qubit's state; it starts on the wire of the same index. SWAP moves no
+// state: the two wires exchange slots, and every later op, idle draw and
+// measurement on a wire addresses the slot then on it. CX and CZ union
+// their slots; after the last gate each union-find class is one
+// component, simulated as its own dense state or tableau, and a product
+// of components is exactly the joint state because nothing else couples
 // qubits (noise is single-qubit Paulis and single-qubit measurement).
 type factoring struct {
 	slot   []int // wire -> slot on it (after the gates lowered so far)
@@ -255,10 +255,11 @@ func (f *factoring) find(s int) int {
 // finish numbers the components, and the bits within each, in ascending
 // order of the wire a slot ends on. A component's basis index therefore
 // orders its outcomes the way the joint index over the final wires does,
-// which is what keeps the reference rule — modal state, lowest joint
-// index on ties — a per-component rule (factored.correctBits). It fails
-// when the factoring does not fit a register.
-func (f *factoring) finish() error {
+// which is what keeps the statevector reference rule — modal state,
+// lowest joint index on ties — a per-component rule
+// (factored.correctBits). For the statevector engine it fails when the
+// factoring does not fit a register.
+func (f *factoring) finish(engine engineKind) error {
 	n := len(f.slot)
 	f.comp, f.bit = make([]int, n), make([]int, n)
 	id := make([]int, n) // union-find root -> component + 1
@@ -271,6 +272,9 @@ func (f *factoring) finish() error {
 		c := id[r] - 1
 		f.comp[s], f.bit[s] = c, f.sizes[c]
 		f.sizes[c]++
+	}
+	if engine == engineTableau {
+		return nil
 	}
 	amps := 0
 	for _, k := range f.sizes {
@@ -384,16 +388,35 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy boo
 	}
 }
 
-// runTableau is runStatevector over the packed stabilizer tableau, with
-// the same draw sequence.
-func (cp *compiledProgram) runTableau(tb *ptab, rng *rand.Rand, noisy bool) {
+// runTableau is runStatevector over the stabilizer register, with the
+// same draw sequence: SWAP was lowered to a relabel, so only its noise is
+// left, and every other gate updates its component's tableau.
+func (cp *compiledProgram) runTableau(r *stabilizer, rng *rand.Rand, noisy bool) {
 	noisy = noisy && cp.noise.Enabled
 	idleErr := cp.noise.IdleErrPerLayer
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
 			op := &cl.ops[oi]
-			tb.apply(op)
+			tb, a := r.at(op.a)
+			switch op.kind {
+			case opCX:
+				tb.cx(a, r.bit[op.b])
+			case opCZ:
+				tb.cz(a, r.bit[op.b])
+			case opH:
+				tb.h(a)
+			case opX:
+				tb.xg(a)
+			case opY:
+				tb.yg(a)
+			case opZ:
+				tb.zg(a)
+			case opS:
+				tb.s(a)
+			case opSdg:
+				tb.sdg(a)
+			}
 			if !noisy {
 				continue
 			}
@@ -401,50 +424,27 @@ func (cp *compiledProgram) runTableau(tb *ptab, rng *rand.Rand, noisy bool) {
 			case opSWAP:
 				for k := 0; k < 3; k++ {
 					if rng.Float64() < op.err {
-						tb.injectPauliT(pick2(op.a, op.b, rng), rng)
+						r.injectPauli(pick2(op.a, op.b, rng), rng)
 					}
 				}
 			case opCX, opCZ:
 				if rng.Float64() < op.err {
-					tb.injectPauliT(pick2(op.a, op.b, rng), rng)
+					r.injectPauli(pick2(op.a, op.b, rng), rng)
 				}
 			default:
 				if rng.Float64() < op.err {
-					tb.injectPauliT(op.a, rng)
+					tb.injectPauliT(a, rng)
 				}
 			}
 		}
 		if noisy && idleErr > 0 {
 			for _, q := range cl.idle {
 				if rng.Float64() < idleErr {
-					tb.decayT(q, rng)
+					tb, a := r.at(q)
+					tb.decayT(a, rng)
 				}
 			}
 		}
-	}
-}
-
-// apply executes one lowered Clifford gate on the tableau.
-func (t *ptab) apply(op *compiledOp) {
-	switch op.kind {
-	case opH:
-		t.h(op.a)
-	case opX:
-		t.xg(op.a)
-	case opY:
-		t.yg(op.a)
-	case opZ:
-		t.zg(op.a)
-	case opS:
-		t.s(op.a)
-	case opSdg:
-		t.sdg(op.a)
-	case opCX:
-		t.cx(op.a, op.b)
-	case opCZ:
-		t.cz(op.a, op.b)
-	case opSWAP:
-		t.swap(op.a, op.b)
 	}
 }
 
@@ -455,7 +455,8 @@ func (t *ptab) apply(op *compiledOp) {
 // machinery dominate. One unit measures 0.2-3 ns on the statevector
 // engine (an amplitude sweep at the low end, the fixed cost of an op on a
 // 2^3 component at the high end), so the threshold sits at 0.2-3 ms of
-// sequential work; two workers already win 1.5x on 0.85 ms. The
+// sequential work; two workers already win 1.5x on 0.85 ms. A tableau
+// unit is one row word of the touched component. The
 // threshold never affects results — worker count only decides where
 // shards run, never what they compute.
 const minParallelWork = 1 << 20

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -60,14 +61,23 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 	adjacent, _ := adjacentPair16(t, d)
 	corners, _ := corners16(t, d)
 	for _, noise := range noises {
-		jointMatchesFactored(t, "pair", d, pair, noise, 5, 8)
-		jointMatchesFactored(t, "adjacentPair16", d, adjacent, noise, 5, 8)
-		jointMatchesFactored(t, "corners16", d, corners, noise, 5, 8)
+		jointMatchesFactored(t, "pair", engineStatevector, d, pair, noise, 5, 8)
+		jointMatchesFactored(t, "adjacentPair16", engineStatevector, d, adjacent, noise, 5, 8)
+		jointMatchesFactored(t, "corners16", engineStatevector, d, corners, noise, 5, 8)
 	}
+	entangledMatch(t, engineStatevector, d, noises)
+}
+
+// entangledMatch holds the engine's factored register to its joint
+// oracle on eight seeded entangledSchedules, and checks that they
+// exercise the factoring: the bridge merges program 0's endpoints, and
+// at least half of them split into more than one component.
+func entangledMatch(t *testing.T, engine engineKind, d *arch.Device, noises []NoiseModel) {
+	t.Helper()
 	apart := 0
 	for seed := int64(0); seed < 8; seed++ {
-		s := entangledSchedule(t, d, seed)
-		lay, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector)
+		s := entangledSchedule(t, d, seed, engine == engineTableau)
+		lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
 		for _, m := range s.Measurements {
 			if k := cp.fac.sizes[cp.fac.comp[cp.fac.slot[lay.compact[m.Phys]]]]; m.Program == 0 && k < 4 {
 				t.Fatalf("seed %d: program 0 sits in a component of %d qubits; the bridge must merge its endpoints'", seed, k)
@@ -77,7 +87,7 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 			apart++
 		}
 		for _, noise := range noises {
-			jointMatchesFactored(t, fmt.Sprintf("entangled/%d", seed), d, s, noise, 2, 6)
+			jointMatchesFactored(t, fmt.Sprintf("entangled/%d", seed), engine, d, s, noise, 2, 6)
 		}
 	}
 	if apart < 4 {
@@ -86,40 +96,31 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 }
 
 // TestCompiledTrialMatchesLegacyTableau is the stabilizer-engine
-// counterpart: identical tableau contents and RNG positions after a
-// noisy trial plus a measurement sweep.
+// counterpart: the stabilizer register, one tableau per component,
+// against one joint tableau over every active qubit driven by runTrialT.
+// cliffordMix50 must factor into one component per program.
 func TestCompiledTrialMatchesLegacyTableau(t *testing.T) {
-	d, s, _ := ghzSchedule(t)
-	for _, noise := range []NoiseModel{
+	noises := []NoiseModel{
 		{},
 		DefaultNoise(),
 		{Enabled: true, IdleErrPerLayer: 0.05, CrosstalkFactor: 0.5, Readout: true, SerializeCrosstalk: true},
-	} {
-		lay, cp := compiledLay(t, d, s, noise, engineTableau)
-		for seed := int64(0); seed < 5; seed++ {
-			rngA := rand.New(rand.NewSource(seed))
-			rngB := rand.New(rand.NewSource(seed))
-			tbA := newPtab(len(lay.active))
-			if err := runTrialT(tbA, d, lay, noise, rngA); err != nil {
-				t.Fatal(err)
-			}
-			tbB := newPtab(cp.nq)
-			cp.runTableau(tbB, rngB, true)
-			for q := 0; q < cp.nq; q++ {
-				a := tbA.measure(q, func() bool { return rngA.Intn(2) == 1 })
-				b := tbB.measure(q, func() bool { return rngB.Intn(2) == 1 })
-				if a != b {
-					t.Fatalf("noise=%+v seed=%d: measurement of qubit %d differs (%d vs %d)", noise, seed, q, a, b)
-				}
-			}
-			if !reflect.DeepEqual(tbA.xbits, tbB.xbits) || !reflect.DeepEqual(tbA.zbits, tbB.zbits) || !reflect.DeepEqual(tbA.r, tbB.r) {
-				t.Fatalf("noise=%+v seed=%d: compiled tableau diverges from legacy", noise, seed)
-			}
-			if rngA.Int63() != rngB.Int63() {
-				t.Fatalf("noise=%+v seed=%d: compiled path consumed a different number of draws", noise, seed)
-			}
-		}
 	}
+	d, ghz, _ := ghzSchedule(t)
+	corners, _ := corners16(t, d)
+	d50 := arch.IBMQ50(0)
+	mix, _ := cliffordMix50(t, d50)
+	_, cp := compiledLay(t, d50, mix, DefaultNoise(), engineTableau)
+	sizes := append([]int(nil), cp.fac.sizes...)
+	sort.Ints(sizes)
+	if !reflect.DeepEqual(sizes, []int{4, 6, 8, 10}) {
+		t.Fatalf("cliffordMix50 components %v, want one per program: 4, 6, 8, 10", sizes)
+	}
+	for _, noise := range noises {
+		jointMatchesFactored(t, "ghz", engineTableau, d, ghz, noise, 5, 8)
+		jointMatchesFactored(t, "corners16", engineTableau, d, corners, noise, 5, 8)
+		jointMatchesFactored(t, "cliffordMix50", engineTableau, d50, mix, noise, 2, 6)
+	}
+	entangledMatch(t, engineTableau, d, noises)
 }
 
 // TestPtabResetMatchesFresh guards the buffer-reuse path: a reset
@@ -188,6 +189,19 @@ func TestCliffordBenchWorkloadGatesSequential(t *testing.T) {
 	_, cpSV := compiledLay(t, dd, ss, DefaultNoise(), engineStatevector)
 	if got := shardWorkers(0, 2*shardTrials, cpSV.trialWork); got != 0 {
 		t.Fatalf("statevector bench workload (trialWork=%d) gated to %d workers, want pool default", cpSV.trialWork, got)
+	}
+}
+
+// TestCliffordMix50KeepsFanout: pricing a tableau op at its component's
+// rows, not the batch's, must not gate a 50-qubit Clifford mix at the
+// benchmark's 8024 trials to one worker — it stays an order of magnitude
+// above the dispatch threshold.
+func TestCliffordMix50KeepsFanout(t *testing.T) {
+	d := arch.IBMQ50(0)
+	s, _ := cliffordMix50(t, d)
+	_, cp := compiledLay(t, d, s, DefaultNoise(), engineTableau)
+	if work := 8024 * cp.trialWork; work < 10*minParallelWork {
+		t.Fatalf("cliffordMix50 at 8024 trials is %d work units (trialWork=%d), want >= 10x the dispatch threshold %d", work, cp.trialWork, minParallelWork)
 	}
 }
 

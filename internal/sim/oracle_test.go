@@ -13,9 +13,11 @@ package sim
 //   - tableau: the boolean Aaronson-Gottesman tableau. Oracle for
 //     TestPackedMatchesBooleanTableau and TestTableauMatchesStatevector,
 //     baseline of BenchmarkPackedVsBooleanTableau.
-//   - cliffordBackend and ptab.applyCliffordGate: the by-name gate
-//     interface runTrialT and the tableau benchmarks drive both
-//     tableaus through.
+//   - cliffordBackend, ptab.applyCliffordGate and ptab.swap: the by-name
+//     gate interface runTrialT and the tableau benchmarks drive both
+//     tableaus through. runTrialT over one joint ptab of every active
+//     qubit is the oracle jointMatchesFactored holds the stabilizer
+//     register to.
 
 import (
 	"fmt"
@@ -39,14 +41,48 @@ func (s *state) applySWAP(a, b int) {
 	}
 }
 
-// jointMatchesFactored runs the schedule on the factored register and
-// on the joint oracle from the same seeds and requires what the driver
-// depends on: the same Correct string per program from the noiseless
-// reference run, the same measured bit at every plan point of every
-// trial, and the same RNG position after every trial.
-func jointMatchesFactored(t *testing.T, name string, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) {
+// jointRegister is an engine's joint oracle: one state or tableau over
+// every active qubit, in which a SWAP moves state.
+type jointRegister struct {
+	// run resets the register and runs one trial's gates and noise.
+	run func(noise NoiseModel, rng *rand.Rand) error
+	// correct reads a wire's bit of the reference outcome, called in plan
+	// order after a noiseless run.
+	correct func(wire int) int
+	measure func(wire int, rng *rand.Rand) int
+}
+
+func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegister {
+	if engine == engineTableau {
+		tb := newPtab(len(lay.active))
+		return jointRegister{
+			run: func(noise NoiseModel, rng *rand.Rand) error {
+				tb.reset()
+				return runTrialT(tb, d, lay, noise, rng)
+			},
+			correct: func(w int) int { return tb.measure(w, func() bool { return false }) },
+			measure: tb.measureT,
+		}
+	}
+	st := newState(len(lay.active))
+	return jointRegister{
+		run: func(noise NoiseModel, rng *rand.Rand) error {
+			st.reset()
+			return runTrial(st, d, lay, noise, rng)
+		},
+		correct: func(w int) int { return (st.modal() >> uint(w)) & 1 },
+		measure: st.measure,
+	}
+}
+
+// jointMatchesFactored runs the schedule on the engine's factored
+// register and on its joint oracle from the same seeds and requires what
+// the driver depends on: the same Correct string per program from the
+// noiseless reference run, the same measured bit at every plan point of
+// every trial, and the same RNG position after every trial.
+func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) {
 	t.Helper()
-	lay, cp := compiledLay(t, d, s, noise, engineStatevector)
+	lay, cp := compiledLay(t, d, s, noise, engine)
 	// The driver's plan order: by program, then logical qubit.
 	meas := append([]router.Measurement(nil), lay.measures...)
 	sort.SliceStable(meas, func(i, j int) bool {
@@ -60,30 +96,28 @@ func jointMatchesFactored(t *testing.T, name string, d *arch.Device, s *router.S
 		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]}
 	}
 
-	ref := newFactored(cp.fac)
+	ref := newRegister(engine, cp)
 	ref.run(cp, nil, false)
 	ref.correctBits(plan)
-	joint := newState(len(lay.active))
-	if err := runTrial(joint, d, lay, NoiseModel{}, nil); err != nil {
+	joint := newJointRegister(engine, d, lay)
+	if err := joint.run(NoiseModel{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	modal := joint.modal()
 	var want, got []byte
 	for i, m := range meas {
-		want = append(want, byte('0'+(modal>>uint(lay.compact[m.Phys]))&1))
+		want = append(want, byte('0'+joint.correct(lay.compact[m.Phys])))
 		got = append(got, byte('0'+plan[i].correct))
 	}
 	if string(got) != string(want) {
 		t.Fatalf("%s: factored reference outcome %s, joint %s", name, got, want)
 	}
 
-	reg := newFactored(cp.fac)
+	reg := newRegister(engine, cp)
 	readout := noise.Enabled && noise.Readout
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for trial := 0; trial < trials; trial++ {
-			joint.reset()
-			if err := runTrial(joint, d, lay, noise, rngA); err != nil {
+			if err := joint.run(noise, rngA); err != nil {
 				t.Fatal(err)
 			}
 			reg.reset()
@@ -118,8 +152,9 @@ func jointMatchesFactored(t *testing.T, name string, d *arch.Device, s *router.S
 // only SWAPs move program 0,
 // while the other programs run random gates; SWAPs cross programs and
 // reach free wires; and the last op is a SWAP between two programs'
-// measured wires.
-func entangledSchedule(tb testing.TB, d *arch.Device, seed int64) *router.Schedule {
+// measured wires. With clifford set the random single-qubit gates are
+// drawn from the Clifford names the tableau engine runs.
+func entangledSchedule(tb testing.TB, d *arch.Device, seed int64, clifford bool) *router.Schedule {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	path := []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14}
@@ -172,6 +207,9 @@ func entangledSchedule(tb testing.TB, d *arch.Device, seed int64) *router.Schedu
 		add(-1, circuit.GateSWAP, path[i], path[i+1])
 	}
 	oneQ := []string{circuit.GateH, circuit.GateT, circuit.GateX, circuit.GateS, circuit.GateRX}
+	if clifford {
+		oneQ = []string{circuit.GateH, circuit.GateX, circuit.GateY, circuit.GateZ, circuit.GateS, circuit.GateSdg}
+	}
 	for step := 0; step < 30; step++ {
 		i := rng.Intn(len(path) - 1)
 		a, b := path[i], path[i+1]
@@ -555,6 +593,10 @@ func (t *tableau) decayT(q int, rng *rand.Rand) {
 		t.xg(q)
 	}
 }
+
+// swap exchanges qubits a and b of a joint ptab (three CNOTs); the
+// stabilizer register relabels instead (factoring.place).
+func (t *ptab) swap(a, b int) { t.cx(a, b); t.cx(b, a); t.cx(a, b) }
 
 // applyCliffordGate applies a named Clifford gate (same contract as the
 // boolean tableau's method).

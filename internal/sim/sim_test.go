@@ -302,7 +302,8 @@ func TestIdleDecoherencePenalizesWaiting(t *testing.T) {
 }
 
 // TestSimulateScheduleErrors walks every rejection the three Monte-Carlo
-// entry points share, with the exact text callers see.
+// entry points share, with the exact text callers see; a row that wants
+// no error pins a limit one engine does not have.
 func TestSimulateScheduleErrors(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n3")
@@ -352,6 +353,8 @@ func TestSimulateScheduleErrors(t *testing.T) {
 		{"negative trials", []string{sv, cliff, mit}, live, d, s, one, -3, "sim: trials must be positive, got -3"},
 		{"unknown program", []string{sv, cliff, mit}, live, d, &stray, one, 10, "sim: measurement for unknown program 1"},
 		{"component too large", []string{sv}, live, big.Device, big, []*circuit.Circuit{ghz25}, 10, "sim: an entangled component of 25 qubits exceeds the statevector limit of 24"},
+		// The caps are the statevector's: a tableau component has none.
+		{"tableau component uncapped", []string{cliff}, live, big.Device, big, []*circuit.Circuit{ghz25}, 10, ""},
 		{"non-Clifford gate", []string{cliff}, live, d, tofSched, []*circuit.Circuit{tof}, 10, `sim: schedule contains non-Clifford gate "tdg"`},
 		{"too many measured qubits", []string{mit}, live, d50, wide, one, 10, "sim: program 0 measures 17 qubits; mitigation supports <= 16"},
 		{"cancelled context", []string{sv, cliff}, cancelled, d, s, one, 10, context.Canceled.Error()},
@@ -367,7 +370,10 @@ func TestSimulateScheduleErrors(t *testing.T) {
 			default:
 				_, err = SimulateScheduleMitigated(c.d, c.sched, c.progs, c.trials, 1, DefaultNoise())
 			}
-			if err == nil || err.Error() != c.want {
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%s, %s: error %v, want success", c.name, engine, err)
+			case c.want != "" && (err == nil || err.Error() != c.want):
 				t.Errorf("%s, %s: error %v, want %q", c.name, engine, err, c.want)
 			}
 		}

@@ -10,9 +10,11 @@ import (
 // row is a Pauli string with a sign bit r, its x/z bits stored in 64-bit
 // words so gate updates and row products run word-parallel (~64 qubits
 // per operation). It simulates Clifford circuits in O(n^2) per gate
-// regardless of entanglement — the engine behind 50-qubit fidelity
-// estimation (SimulateScheduleCliffordCtx, CliffordOutcome). The boolean
-// tableau in oracle_test.go is its cross-validation reference.
+// regardless of entanglement; the stabilizer register holds one per
+// entangled component, so n is a component's qubit count, not the
+// batch's — the engine behind 50-qubit fidelity estimation
+// (SimulateScheduleCliffordCtx, CliffordOutcome). The boolean tableau in
+// oracle_test.go is its cross-validation reference.
 type ptab struct {
 	n     int
 	words int
@@ -101,7 +103,17 @@ func (t *ptab) s(q int) {
 	}
 }
 
-func (t *ptab) sdg(q int) { t.s(q); t.s(q); t.s(q) }
+// sdg applies S-dagger to qubit q in one pass: X -> -Y, Y -> X.
+func (t *ptab) sdg(q int) {
+	w, b := q>>6, uint64(1)<<uint(q&63)
+	for i := 0; i < 2*t.n; i++ {
+		xi := t.x[i][w] & b
+		if xi != 0 && t.z[i][w]&b == 0 {
+			t.r[i] = !t.r[i]
+		}
+		t.z[i][w] ^= xi
+	}
+}
 
 // cx applies a CNOT with control c and target tq.
 func (t *ptab) cx(c, tq int) {
@@ -124,15 +136,41 @@ func (t *ptab) cx(c, tq int) {
 	}
 }
 
-func (t *ptab) xg(q int) { t.h(q); t.zg(q); t.h(q) }
-func (t *ptab) zg(q int) { t.s(q); t.s(q) }
-func (t *ptab) yg(q int) { t.zg(q); t.xg(q) }
-func (t *ptab) cz(a, b int) {
-	t.h(b)
-	t.cx(a, b)
-	t.h(b)
+func (t *ptab) xg(q int) { t.pauli(q, 0, 1) }
+func (t *ptab) zg(q int) { t.pauli(q, 1, 0) }
+func (t *ptab) yg(q int) { t.pauli(q, 1, 1) }
+
+// pauli applies a Pauli to qubit q in one pass: a row's sign flips where
+// the row anticommutes with the Pauli, i.e. where its x bit (counted when
+// onX = 1: Z and Y) XOR its z bit (counted when onZ = 1: X and Y) is set.
+func (t *ptab) pauli(q int, onX, onZ uint64) {
+	w, s := q>>6, uint(q&63)
+	mx, mz := onX<<s, onZ<<s
+	for i := 0; i < 2*t.n; i++ {
+		if (t.x[i][w]&mx)^(t.z[i][w]&mz) != 0 {
+			t.r[i] = !t.r[i]
+		}
+	}
 }
-func (t *ptab) swap(a, b int) { t.cx(a, b); t.cx(b, a); t.cx(a, b) }
+
+// cz applies a controlled-Z to qubits a and b in one pass:
+// r ^= xa·xb·(za⊕zb), za ^= xb, zb ^= xa.
+func (t *ptab) cz(a, b int) {
+	aw, ab := a>>6, uint64(1)<<uint(a&63)
+	bw, bb := b>>6, uint64(1)<<uint(b&63)
+	for i := 0; i < 2*t.n; i++ {
+		xa, xb := t.x[i][aw]&ab != 0, t.x[i][bw]&bb != 0
+		if xa && xb && (t.z[i][aw]&ab != 0) != (t.z[i][bw]&bb != 0) {
+			t.r[i] = !t.r[i]
+		}
+		if xb {
+			t.z[i][aw] ^= ab
+		}
+		if xa {
+			t.z[i][bw] ^= bb
+		}
+	}
+}
 
 // phaseOf returns the i-power exponent (mod 4, as 0 or ±popcount
 // difference) accumulated when multiplying Pauli row (x1,z1) into

@@ -10,7 +10,10 @@ import (
 
 // TestPackedMatchesBooleanTableau drives both stabilizer backends with
 // identical random Clifford gate streams and measurement orders; every
-// outcome (with identical random picks) must agree.
+// outcome (with identical random picks) must agree, and so must every
+// bit and sign of the final tableaus. The boolean tableau composes X, Y,
+// Z, Sdg and CZ from H, S and CX; the packed one updates each in a
+// single pass.
 func TestPackedMatchesBooleanTableau(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -19,7 +22,7 @@ func TestPackedMatchesBooleanTableau(t *testing.T) {
 		b := newPtab(n)
 		for step := 0; step < 60; step++ {
 			q := rng.Intn(n)
-			switch rng.Intn(9) {
+			switch rng.Intn(10) {
 			case 0:
 				a.h(q)
 				b.h(q)
@@ -38,12 +41,15 @@ func TestPackedMatchesBooleanTableau(t *testing.T) {
 			case 5:
 				a.zg(q)
 				b.zg(q)
-			case 6, 7:
-				if n > 1 {
-					r := rng.Intn(n - 1)
-					if r >= q {
-						r++
-					}
+			case 6, 7, 8:
+				r := rng.Intn(n - 1)
+				if r >= q {
+					r++
+				}
+				if step%2 == 0 {
+					a.cz(q, r)
+					b.cz(q, r)
+				} else {
 					a.cx(q, r)
 					b.cx(q, r)
 				}
@@ -54,6 +60,16 @@ func TestPackedMatchesBooleanTableau(t *testing.T) {
 				ma := a.measure(q, pick)
 				mb := b.measure(q, pick)
 				if ma != mb {
+					return false
+				}
+			}
+		}
+		for i := 0; i < 2*n; i++ {
+			if a.r[i] != b.r[i] {
+				return false
+			}
+			for k := 0; k < n; k++ {
+				if a.x[i][k] != b.getx(i, k) || a.z[i][k] != b.getz(i, k) {
 					return false
 				}
 			}
