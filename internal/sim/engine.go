@@ -167,36 +167,55 @@ type measPoint struct {
 
 // register is one shard's reusable engine state: the driver resets it,
 // runs one trial's gates and noise on it, then measures the plan.
-// correctBits is the engine's reference rule, applied to a register
-// that has just run the program noiselessly.
 type register interface {
 	reset()
 	run(cp *compiledProgram, rng *rand.Rand, noisy bool)
 	measure(q int, rng *rand.Rand) int
-	correctBits(plan []measPoint)
+}
+
+// noiselessPrefix is what the statevector reference run records for the
+// trial registers of one compiled program, which only read it (DESIGN.md
+// §14, "Noiseless prefix"). Checkpoint j of component c starts at
+// amps[base[c] + j<<k]; base[c] is -1 when c stays live. tree[c] holds
+// the prob1 threshold of c's next measured qubit, in plan order, after
+// each prefix of outcomes (node n's children: 2n+1 for 0, 2n+2 for 1).
+type noiselessPrefix struct {
+	amps       []complex128
+	base, last []int // last: each component's final checkpoint
+	tree       [][]float64
 }
 
 // factored is the statevector register: one dense state per component of
-// the compiled program's factoring, addressed by slot.
+// the compiled program's factoring, addressed by slot. A trial register
+// (pre set) starts each trial with every component that has checkpoints
+// following them, at the root (node) of its tree; the reference run
+// (record set) and SimulateIdeal keep every component live.
 type factored struct {
 	*factoring
-	comps []*state
+	comps     []*state
+	pre       *noiselessPrefix
+	record    bool
+	following []bool
+	node      []int
 }
 
 func newFactored(f *factoring) *factored {
-	r := &factored{factoring: f, comps: make([]*state, len(f.sizes))}
+	r := &factored{factoring: f, comps: make([]*state, len(f.sizes)),
+		following: make([]bool, len(f.sizes)), node: make([]int, len(f.sizes))}
 	for c, k := range f.sizes {
 		r.comps[c] = newState(k)
 	}
 	return r
 }
 
-// at resolves a slot to its component's state and its bit there.
-func (r *factored) at(slot int) (*state, int) { return r.comps[r.comp[slot]], r.bit[slot] }
-
+// reset starts a trial; awake overwrites a following component's state.
 func (r *factored) reset() {
-	for _, st := range r.comps {
-		st.reset()
+	for c, st := range r.comps {
+		if r.pre != nil && r.pre.base[c] >= 0 {
+			r.following[c], r.node[c] = true, 0
+		} else {
+			st.reset()
+		}
 	}
 }
 
@@ -204,14 +223,35 @@ func (r *factored) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
 	cp.runStatevector(r, rng, noisy)
 }
 
+// measure walks a following component's tree with the Float64 the eager
+// measurement draws, or wakes it at its final checkpoint and measures.
 func (r *factored) measure(slot int, rng *rand.Rand) int {
-	st, q := r.at(slot)
-	return st.measure(q, rng)
+	c := r.comp[slot]
+	if t := r.pre.tree[c]; r.following[c] && t != nil {
+		b, n := 0, r.node[c]
+		if rng.Float64() < t[n] {
+			b = 1
+		}
+		r.node[c] = 2*n + 1 + b
+		return b
+	}
+	return r.awake(c, r.pre.last[c]).measure(r.bit[slot], rng)
 }
 
-func (r *factored) injectPauli(slot int, rng *rand.Rand) {
-	st, q := r.at(slot)
-	st.injectPauli(q, rng)
+// awake returns component c's state, first waking a following one at
+// checkpoint ck: bit for bit the state running every gate would hold, as
+// the same kernels made it from the same inputs in the same order.
+func (r *factored) awake(c, ck int) *state {
+	st := r.comps[c]
+	if r.following[c] {
+		copy(st.amps, r.pre.amps[r.pre.base[c]+ck<<uint(st.n):])
+		r.following[c] = false
+	}
+	return st
+}
+
+func (r *factored) injectPauli(slot, ck int, rng *rand.Rand) {
+	r.awake(r.comp[slot], ck).injectPauli(r.bit[slot], rng)
 }
 
 // modalBits returns the bit every slot takes in the modal basis state,
@@ -289,11 +329,78 @@ func (r *stabilizer) correctBits(plan []measPoint) {
 	}
 }
 
+// prepare is the noiseless reference run, made before any trial register:
+// it fixes every plan point's correct bit and draws from no RNG. The
+// statevector's also records cp.prefix: the checkpoints of each
+// component that, in component order, still fits maxPrefixAmps, and the
+// tree of each of those whose m measured qubits have 2^(m+1) <= trials,
+// so that building it costs no more than measuring eagerly.
+func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials int) {
+	f := cp.fac
+	if engine == engineTableau {
+		ref := newStabilizer(f)
+		ref.run(cp, nil, false)
+		ref.correctBits(plan)
+		return
+	}
+	p := &noiselessPrefix{base: make([]int, len(f.sizes)), last: cp.steps, tree: make([][]float64, len(f.sizes))}
+	size := 0
+	for c, k := range f.sizes {
+		p.base[c] = -1
+		if need := (cp.steps[c] + 1) << uint(k); size+need <= maxPrefixAmps {
+			p.base[c], size = size, size+need
+		}
+	}
+	p.amps = make([]complex128, size)
+	for _, b := range p.base {
+		if b >= 0 {
+			p.amps[b] = 1 // checkpoint 0
+		}
+	}
+	ref := newFactored(f)
+	ref.pre, ref.record = p, true
+	ref.run(cp, nil, false)
+	ref.correctBits(plan)
+	measured := make([][]int, len(f.sizes)) // per component: bits in plan order
+	for _, mp := range plan {
+		measured[f.comp[mp.q]] = append(measured[f.comp[mp.q]], f.bit[mp.q])
+	}
+	for c, bits := range measured {
+		if p.base[c] >= 0 && len(bits) > 0 && trials>>len(bits) >= 2 {
+			path := []*state{ref.comps[c]} // the final state, then one per depth
+			for range bits[1:] {
+				path = append(path, newState(f.sizes[c]))
+			}
+			p.tree[c] = make([]float64, 1<<len(bits)-1)
+			growTree(p.tree[c], 0, bits, path)
+		}
+	}
+	cp.prefix = p
+}
+
+// growTree fills node n of a tree and its subtree from path[0], the
+// state after the outcomes leading to n, with the prob1 and project
+// calls measuring bits in order makes.
+func growTree(tree []float64, n int, bits []int, path []*state) {
+	tree[n] = path[0].prob1(bits[0])
+	if len(bits) == 1 {
+		return
+	}
+	for b := 0; b < 2; b++ {
+		copy(path[1].amps, path[0].amps)
+		path[1].project(bits[0], b)
+		growTree(tree, 2*n+1+b, bits[1:], path[1:])
+	}
+}
+
+// newRegister makes a trial register; prepare must have run on cp.
 func newRegister(engine engineKind, cp *compiledProgram) register {
 	if engine == engineTableau {
 		return newStabilizer(cp.fac)
 	}
-	return newFactored(cp.fac)
+	r := newFactored(cp.fac)
+	r.pre = cp.prefix
+	return r
 }
 
 // histograms asks monteCarlo for each program's dense outcome counts
@@ -354,11 +461,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 		plan[i].q = cp.fac.slot[plan[i].q]
 	}
 
-	// The noiseless reference run fixes the correct outcome; it draws
-	// from no RNG.
-	ref := newRegister(engine, cp)
-	ref.run(cp, nil, false)
-	ref.correctBits(plan)
+	prepare(engine, cp, plan, trials)
 	bufs := make([][]byte, len(progs))
 	for _, mp := range plan {
 		bufs[mp.prog] = append(bufs[mp.prog], byte('0'+mp.correct))

@@ -15,16 +15,16 @@ package sim
 // representation — runStatevector over the factored register, runTableau
 // over the stabilizer register.
 //
-// Both engines simulate what is entangled, not what is co-located: while
-// the gates are lowered, one factoring follows every wire's state through
-// the SWAPs (a SWAP relabels) and unions the states CX and CZ couple, and
-// each register holds one dense state or packed tableau per component, so
-// a tableau gate is O(k^2) in its component's k qubits (DESIGN.md,
-// "Factored register"). The joint registers, the per-layer reference
-// interpreters (runTrial, runTrialT) and the boolean tableau live in
-// oracle_test.go, where TestCompiledTrialMatchesLegacy*,
-// TestCompiledMatchesLegacyWithMatrix and TestPackedMatchesBooleanTableau
-// compare against them.
+// Both engines simulate what is entangled, not what is co-located: one
+// factoring follows every wire's state through the SWAPs (a SWAP
+// relabels) and unions the states CX and CZ couple; each register holds
+// one dense state or packed tableau per component (DESIGN.md, "Factored
+// register"). A statevector trial skips a component's gates until noise
+// first lands on it, then copies in the reference run's checkpoint
+// (DESIGN.md, "Noiseless prefix"). The joint registers, the per-layer
+// reference interpreters (runTrial, runTrialT) and the boolean tableau
+// live in oracle_test.go, where TestCompiledTrialMatchesLegacy*,
+// TestLazyRegisterMatchesJoint and friends compare against them.
 //
 // Determinism contract: a compiled program draws from the RNG in
 // exactly the same order, with the same comparisons, as the reference
@@ -84,14 +84,18 @@ type compiledOp struct {
 	err float64
 	// m is the statevector 2x2 unitary for op1Q.
 	m [2][2]complex128
+	// ck is the checkpoint a noise draw on a wakes a following
+	// statevector component at (ckB: on b, for a SWAP).
+	ck, ckB int
 }
 
 // compiledLayer is one depth layer plus the active qubits idle in it,
 // indexed like the ops' operands (in lay.active order — the idle-error
-// draw order).
+// draw order), with each one's statevector checkpoint.
 type compiledLayer struct {
-	ops  []compiledOp
-	idle []int
+	ops    []compiledOp
+	idle   []int
+	idleCk []int
 }
 
 // compiledProgram is a layered schedule lowered for one engine.
@@ -101,9 +105,11 @@ type compiledProgram struct {
 	// fac maps wires to the operands the ops use: slots and their
 	// components.
 	fac *factoring
-	// trialWork estimates one trial's cost (ops and idle draws, each
-	// priced at what it touches) for the parallel-dispatch threshold.
+	// trialWork prices one trial as if every gate ran (ops and idle draws,
+	// each at what it touches) for the parallel-dispatch threshold.
 	trialWork int64
+	steps     []int            // each component's last checkpoint
+	prefix    *noiselessPrefix // recorded by prepare
 }
 
 // compileLayers lowers the layered schedule for the given engine. All
@@ -173,7 +179,10 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 	}
 	// Price a trial: an op or idle draw touches its component only — a
 	// statevector one sweeps its 2^k amplitudes, a tableau one the words
-	// of its 2k rows.
+	// of its 2k rows. Number the statevector's checkpoints: a component's
+	// state after its j-th non-SWAP op is checkpoint j (0 is |0...0>); a
+	// gate records its component's after it, a SWAP both components'
+	// current ones, an idle entry its component's at the end of the layer.
 	cost := func(slot int) int64 {
 		k := fac.sizes[fac.comp[slot]]
 		if engine == engineTableau {
@@ -181,12 +190,23 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		}
 		return 1 << uint(k)
 	}
-	for _, cl := range cp.layers {
+	cp.steps = make([]int, len(fac.sizes))
+	for li := range cp.layers {
+		cl := &cp.layers[li]
 		for i := range cl.ops {
-			cp.trialWork += cost(cl.ops[i].a)
+			op := &cl.ops[i]
+			cp.trialWork += cost(op.a)
+			if c := fac.comp[op.a]; op.kind == opSWAP {
+				op.ck, op.ckB = cp.steps[c], cp.steps[fac.comp[op.b]]
+			} else {
+				cp.steps[c]++
+				op.ck = cp.steps[c]
+			}
 		}
-		for _, q := range cl.idle {
+		cl.idleCk = make([]int, len(cl.idle))
+		for i, q := range cl.idle {
 			cp.trialWork += cost(q)
+			cl.idleCk[i] = cp.steps[fac.comp[q]]
 		}
 	}
 	return cp, nil
@@ -199,6 +219,7 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 const (
 	maxComponentQubits = 24
 	maxRegisterAmps    = 1 << 25
+	maxPrefixAmps      = 1 << 20 // a compiled program's checkpoints: 16 MiB
 )
 
 // factoring is both engines' decision of what to simulate together,
@@ -340,8 +361,10 @@ func (k opKind) twoQubit() bool { return k == opCX || k == opCZ || k == opSWAP }
 // one Float64 (three for SWAP), then Intn(2)+Intn(3) per injected Pauli,
 // then one Float64 per idle active qubit per layer, and a decay adds a
 // measurement's Float64 — the joint register's sequence, draw for draw;
-// the reference run passes false and a nil RNG and draws nothing. SWAP
-// was lowered to a relabel (factoring.place), so only its noise is left.
+// the reference run passes false and a nil RNG, draws nothing and
+// records the checkpoints. SWAP was lowered to a relabel, so only its
+// noise is left. A following component skips its gates until a Pauli or
+// decay wakes it at the op's or idle entry's checkpoint.
 func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy bool) {
 	noisy = noisy && cp.noise.Enabled
 	idleErr := cp.noise.IdleErrPerLayer
@@ -349,39 +372,45 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy boo
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
 			op := &cl.ops[oi]
-			st, a := r.at(op.a)
-			switch op.kind {
-			case opSWAP:
-				if noisy {
-					// Three physical CNOTs' worth of error on the link.
-					for k := 0; k < 3; k++ {
-						if rng.Float64() < op.err {
-							r.injectPauli(pick2(op.a, op.b, rng), rng)
+			if op.kind == opSWAP {
+				// Three physical CNOTs' worth of error on the link.
+				for k := 0; noisy && k < 3; k++ {
+					if rng.Float64() < op.err {
+						if pick2(op.a, op.b, rng) == op.a {
+							r.injectPauli(op.a, op.ck, rng)
+						} else {
+							r.injectPauli(op.b, op.ckB, rng)
 						}
 					}
 				}
-			case opCX:
-				st.applyCNOT(a, r.bit[op.b])
-				if noisy && rng.Float64() < op.err {
-					r.injectPauli(pick2(op.a, op.b, rng), rng)
+				continue
+			}
+			if c := r.comp[op.a]; !r.following[c] {
+				st, a := r.comps[c], r.bit[op.a]
+				switch op.kind {
+				case opCX:
+					st.applyCNOT(a, r.bit[op.b])
+				case opCZ:
+					st.applyCZ(a, r.bit[op.b])
+				default:
+					st.apply1q(op.m, a)
 				}
-			case opCZ:
-				st.applyCZ(a, r.bit[op.b])
-				if noisy && rng.Float64() < op.err {
-					r.injectPauli(pick2(op.a, op.b, rng), rng)
+				if r.record && r.pre.base[c] >= 0 {
+					copy(r.pre.amps[r.pre.base[c]+op.ck<<uint(st.n):], st.amps)
 				}
-			default:
-				st.apply1q(op.m, a)
-				if noisy && rng.Float64() < op.err {
-					st.injectPauli(a, rng)
+			}
+			if noisy && rng.Float64() < op.err {
+				q := op.a
+				if op.kind != op1Q {
+					q = pick2(op.a, op.b, rng)
 				}
+				r.injectPauli(q, op.ck, rng)
 			}
 		}
 		if noisy && idleErr > 0 {
-			for _, q := range cl.idle {
+			for i, q := range cl.idle {
 				if rng.Float64() < idleErr {
-					st, a := r.at(q)
-					st.decay(a, rng)
+					r.awake(r.comp[q], cl.idleCk[i]).decay(r.bit[q], rng)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,6 +13,8 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/graph"
+	"repro/internal/nisqbench"
 	"repro/internal/router"
 )
 
@@ -66,6 +69,128 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 		jointMatchesFactored(t, "corners16", engineStatevector, d, corners, noise, 5, 8)
 	}
 	entangledMatch(t, engineStatevector, d, noises)
+}
+
+// lazyLine is a hand-built two-program schedule on a 6-qubit line whose
+// noise a device can confine to one channel: CX only on links 0-1 and
+// 3-4, SWAPs only on links 1-2 and 4-5, and program 0 deeper than
+// program 1, whose wires then idle. Program 1's rotations make its
+// qubits' outcome probabilities differ, and it is measured against
+// wire order, so its plan order is not its bit order.
+func lazyLine(d *arch.Device) *router.Schedule {
+	s := &router.Schedule{Device: d}
+	add := func(prog int, name string, theta float64, qs ...int) {
+		g := circuit.NewGate(name, qs...)
+		if name == circuit.GateRX {
+			g.Params = []float64{theta}
+		}
+		s.Ops = append(s.Ops, router.Op{Program: prog, Gate: g, IsSwap: name == circuit.GateSWAP})
+	}
+	add(0, circuit.GateH, 0, 0)
+	add(0, circuit.GateCX, 0, 0, 1)
+	add(0, circuit.GateRX, 0.7, 1)
+	add(-1, circuit.GateSWAP, 0, 1, 2)
+	for _, name := range []string{circuit.GateT, circuit.GateH, circuit.GateS, circuit.GateH} {
+		add(0, name, 0, 0)
+	}
+	add(1, circuit.GateRX, 1.1, 3)
+	add(1, circuit.GateCX, 0, 3, 4)
+	add(1, circuit.GateRX, 0.4, 4)
+	add(-1, circuit.GateSWAP, 0, 4, 5)
+	s.Measurements = []router.Measurement{
+		{Program: 0, Logical: 0, Phys: 0}, {Program: 0, Logical: 1, Phys: 2},
+		{Program: 1, Logical: 0, Phys: 5}, {Program: 1, Logical: 1, Phys: 3},
+	}
+	return s
+}
+
+// TestLazyRegisterMatchesJoint holds the lazy statevector register to
+// the joint oracle on lazyLine with the noise confined, by the device's
+// error rates, to gate noise, SWAP noise or idle decay in turn — each
+// must wake components — and with trial budgets on both sides of the
+// measurement-tree gate: 4 x 8 trials pay for its two-qubit components'
+// trees (2^3 <= 32), 1 x 7 trials do not, so following components are
+// woken at their final checkpoint to be measured.
+func TestLazyRegisterMatchesJoint(t *testing.T) {
+	gate, swap, idle := arch.Linear(6, 0.08, 0), arch.Linear(6, 0, 0), arch.Linear(6, 0, 0)
+	for q := range gate.Gate1Err {
+		gate.Gate1Err[q] = 0.05
+	}
+	for _, e := range []graph.Edge{graph.NewEdge(1, 2), graph.NewEdge(4, 5)} {
+		gate.CNOTErr[e], swap.CNOTErr[e] = 0, 0.1
+	}
+	cases := []struct {
+		name  string
+		d     *arch.Device
+		noise NoiseModel
+	}{
+		{"gate noise", gate, NoiseModel{Enabled: true}},
+		{"SWAP noise", swap, NoiseModel{Enabled: true}},
+		{"idle decay", idle, NoiseModel{Enabled: true, IdleErrPerLayer: 0.1}},
+	}
+	for _, c := range cases {
+		s := lazyLine(c.d)
+		if p := jointMatchesFactored(t, c.name+", trees", engineStatevector, c.d, s, c.noise, 4, 8); p.woken == 0 || p.tree == 0 || p.copied != 0 {
+			t.Errorf("%s, 4 x 8 trials: %+v, want components woken by it and the rest measured through trees", c.name, p)
+		}
+		if p := jointMatchesFactored(t, c.name+", no trees", engineStatevector, c.d, s, c.noise, 1, 7); p.woken == 0 || p.copied == 0 || p.tree != 0 {
+			t.Errorf("%s, 1 x 7 trials: %+v, want components woken by it and the rest at their final checkpoint", c.name, p)
+		}
+	}
+}
+
+// TestPrefixBudget: checkpoints that do not fit maxPrefixAmps leave their
+// component live from the start. A 20-qubit GHZ chain needs 2^20
+// amplitudes per checkpoint, so it runs eagerly and still matches the
+// joint oracle; the pair fixture's components all follow.
+func TestPrefixBudget(t *testing.T) {
+	line := make([]int, 20)
+	for i := range line {
+		line[i] = i
+	}
+	d := arch.Linear(20, 0.01, 0.02)
+	ghz, err := router.RouteSingle(d, nisqbench.GHZ(20), line, router.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jointMatchesFactored(t, "ghz20", engineStatevector, d, ghz, DefaultNoise(), 1, 2)
+	pd, pair, _ := pairSchedule(t)
+	for _, fx := range []struct {
+		name   string
+		d      *arch.Device
+		s      *router.Schedule
+		follow bool
+	}{{"ghz20", d, ghz, false}, {"pair", pd, pair, true}} {
+		_, cp := compiledLay(t, fx.d, fx.s, DefaultNoise(), engineStatevector)
+		prepare(engineStatevector, cp, nil, 8024)
+		for c, b := range cp.prefix.base {
+			if (b >= 0) != fx.follow {
+				t.Errorf("%s: component %d of %d qubits has checkpoints at %d, want following %v", fx.name, c, cp.fac.sizes[c], b, fx.follow)
+			}
+		}
+	}
+}
+
+// TestSimulateBytesPerCall bounds what one SimulateScheduleCtx call on
+// the pair fixture allocates (≈150 KB, of which 6 KB are checkpoints):
+// the checkpoints are one allocation per compiled program, sized to its
+// components — not to maxPrefixAmps, and not per shard or per trial.
+func TestSimulateBytesPerCall(t *testing.T) {
+	d, s, progs := pairSchedule(t)
+	const bound = 192 << 10
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, 8024, 7, DefaultNoise(), 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > bound {
+		t.Fatalf("SimulateScheduleCtx on the pair fixture allocates %d bytes per call, want <= %d", least, bound)
+	}
 }
 
 // entangledMatch holds the engine's factored register to its joint
@@ -236,12 +361,13 @@ func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 func trialAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule) float64 {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
-	reg := newRegister(engine, cp)
 	rng := rand.New(rand.NewSource(1))
 	plan := make([]measPoint, 0, len(lay.measures))
 	for _, m := range lay.measures {
 		plan = append(plan, measPoint{q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]})
 	}
+	prepare(engine, cp, plan, 8024)
+	reg := newRegister(engine, cp)
 	flips := 0
 	return testing.AllocsPerRun(50, func() {
 		reg.reset()

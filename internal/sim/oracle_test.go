@@ -21,12 +21,14 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/fp"
 	"repro/internal/router"
 )
 
@@ -37,6 +39,142 @@ func (s *state) applySWAP(a, b int) {
 		if i&ab != 0 && i&bb == 0 {
 			j := i&^ab | bb
 			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
+		}
+	}
+}
+
+// The index-testing amplitude loops the state's blocked loops replaced:
+// each visits all 2^n indices and tests the qubits' bits.
+
+func (s *state) apply1qRef(m [2][2]complex128, q int) {
+	bit := 1 << uint(q)
+	for i := 0; i < len(s.amps); i++ {
+		if i&bit == 0 {
+			a0, a1 := s.amps[i], s.amps[i|bit]
+			s.amps[i] = m[0][0]*a0 + m[0][1]*a1
+			s.amps[i|bit] = m[1][0]*a0 + m[1][1]*a1
+		}
+	}
+}
+
+func (s *state) applyCNOTRef(c, t int) {
+	cb, tb := 1<<uint(c), 1<<uint(t)
+	for i := 0; i < len(s.amps); i++ {
+		if i&cb != 0 && i&tb == 0 {
+			s.amps[i], s.amps[i|tb] = s.amps[i|tb], s.amps[i]
+		}
+	}
+}
+
+func (s *state) applyCZRef(a, b int) {
+	ab, bb := 1<<uint(a), 1<<uint(b)
+	for i := 0; i < len(s.amps); i++ {
+		if i&ab != 0 && i&bb != 0 {
+			s.amps[i] = -s.amps[i]
+		}
+	}
+}
+
+func (s *state) prob1Ref(q int) float64 {
+	bit := 1 << uint(q)
+	p := 0.0
+	for i, a := range s.amps {
+		if i&bit != 0 {
+			p += real(a)*real(a) + imag(a)*imag(a)
+		}
+	}
+	return p
+}
+
+func (s *state) projectRef(q, outcome int) {
+	bit := 1 << uint(q)
+	norm := 0.0
+	for i := range s.amps {
+		if (i&bit != 0) == (outcome == 1) {
+			norm += real(s.amps[i])*real(s.amps[i]) + imag(s.amps[i])*imag(s.amps[i])
+		} else {
+			s.amps[i] = 0
+		}
+	}
+	if fp.Zero(norm) {
+		s.amps[0] = 0
+		idx := 0
+		if outcome == 1 {
+			idx = bit
+		}
+		s.amps[idx] = 1
+		return
+	}
+	scale := complex(1/math.Sqrt(norm), 0)
+	for i := range s.amps {
+		s.amps[i] *= scale
+	}
+}
+
+// TestAmplitudeLoopsMatchIndexTesting holds the blocked amplitude loops
+// to the index-testing ones bit for bit (Float64bits of every amplitude
+// and probability): on random states of 1 to 10 qubits, for every qubit,
+// every ordered (control, target) pair and both projection outcomes,
+// including a projection onto an outcome of probability zero.
+func TestAmplitudeLoopsMatchIndexTesting(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	random := func(n int) *state {
+		s := newState(n)
+		norm := 0.0
+		for i := range s.amps {
+			s.amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			norm += real(s.amps[i])*real(s.amps[i]) + imag(s.amps[i])*imag(s.amps[i])
+		}
+		for i := range s.amps {
+			s.amps[i] /= complex(math.Sqrt(norm), 0)
+		}
+		return s
+	}
+	same := func(what string, a, b *state) {
+		t.Helper()
+		for i := range a.amps {
+			if math.Float64bits(real(a.amps[i])) != math.Float64bits(real(b.amps[i])) ||
+				math.Float64bits(imag(a.amps[i])) != math.Float64bits(imag(b.amps[i])) {
+				t.Fatalf("%s, n=%d: amplitude %d is %v, index-testing loop %v", what, a.n, i, a.amps[i], b.amps[i])
+			}
+		}
+	}
+	for n := 1; n <= 10; n++ {
+		s := random(n)
+		for q := 0; q < n; q++ {
+			m, err := gateMatrix(circuit.Gate{Name: circuit.GateU3, Params: []float64{rng.Float64() * 3, rng.Float64() * 3, rng.Float64() * 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := s.clone(), s.clone()
+			a.apply1q(m, q)
+			b.apply1qRef(m, q)
+			same(fmt.Sprintf("apply1q(%d)", q), a, b)
+			if p, r := s.prob1(q), s.prob1Ref(q); math.Float64bits(p) != math.Float64bits(r) {
+				t.Fatalf("n=%d: prob1(%d) = %v, index-testing loop %v", n, q, p, r)
+			}
+			for outcome := 0; outcome < 2; outcome++ {
+				a, b := s.clone(), s.clone()
+				a.project(q, outcome)
+				b.projectRef(q, outcome)
+				same(fmt.Sprintf("project(%d, %d)", q, outcome), a, b)
+				// The outcome just projected away has probability zero.
+				a.project(q, 1-outcome)
+				b.projectRef(q, 1-outcome)
+				same(fmt.Sprintf("project(%d, %d) after %d", q, 1-outcome, outcome), a, b)
+			}
+			for c := 0; c < n; c++ {
+				a, b := s.clone(), s.clone()
+				a.applyCNOT(c, q)
+				b.applyCNOTRef(c, q)
+				same(fmt.Sprintf("applyCNOT(%d, %d)", c, q), a, b)
+				if c == q {
+					continue // a CZ needs two qubits
+				}
+				a.applyCZ(c, q)
+				b.applyCZRef(c, q)
+				same(fmt.Sprintf("applyCZ(%d, %d)", c, q), a, b)
+			}
 		}
 	}
 }
@@ -79,8 +217,10 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 // register and on its joint oracle from the same seeds and requires what
 // the driver depends on: the same Correct string per program from the
 // noiseless reference run, the same measured bit at every plan point of
-// every trial, and the same RNG position after every trial.
-func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) {
+// every trial, and the same RNG position after every trial. The register
+// and its reference run come from prepare, as in monteCarlo, with the
+// whole seeds x trials budget gating the measurement trees.
+func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) (paths lazyPaths) {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, noise, engine)
 	// The driver's plan order: by program, then logical qubit.
@@ -96,9 +236,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]}
 	}
 
-	ref := newRegister(engine, cp)
-	ref.run(cp, nil, false)
-	ref.correctBits(plan)
+	prepare(engine, cp, plan, seeds*trials)
 	joint := newJointRegister(engine, d, lay)
 	if err := joint.run(NoiseModel{}, nil); err != nil {
 		t.Fatal(err)
@@ -113,6 +251,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 	}
 
 	reg := newRegister(engine, cp)
+	sv, _ := reg.(*factored)
 	readout := noise.Enabled && noise.Readout
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
@@ -122,7 +261,21 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 			}
 			reg.reset()
 			reg.run(cp, rngB, true)
+			if sv != nil {
+				for c, b := range sv.pre.base {
+					if b >= 0 && !sv.following[c] {
+						paths.woken++
+					}
+				}
+			}
 			for i, m := range meas {
+				if c := cp.fac.comp[plan[i].q]; sv != nil && sv.following[c] {
+					if sv.pre.tree[c] != nil {
+						paths.tree++
+					} else {
+						paths.copied++
+					}
+				}
 				a := joint.measure(lay.compact[m.Phys], rngA)
 				b := reg.measure(plan[i].q, rngB)
 				if readout {
@@ -142,7 +295,15 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 			}
 		}
 	}
+	return paths
 }
+
+// lazyPaths counts how the statevector trial register's components left
+// the noiseless prefix over the trials jointMatchesFactored ran: woken
+// by noise during the gates (per component and trial), measured by
+// walking a tree, or woken at the final checkpoint to be measured (per
+// plan point reached while following).
+type lazyPaths struct{ woken, tree, copied int }
 
 // entangledSchedule builds a seeded schedule of 2-4 three-qubit programs
 // on a path of IBMQ16 that holds everything the factoring has to get

@@ -69,15 +69,20 @@ func pairSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Cir
 
 // TestSimulateWorkersDifferential is the core determinism guarantee:
 // the statevector engine returns byte-identical outcomes no matter how
-// many workers execute the shards.
+// many workers execute the shards. The workload is above the dispatch
+// threshold, so the workers really fan out and share the compiled
+// program's checkpoints and measurement trees (the race sweep runs it).
 func TestSimulateWorkersDifferential(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	trials := 2*shardTrials + 100 // 3 shards, last one partial
+	if _, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector); int64(trials)*cp.trialWork < minParallelWork {
+		t.Fatalf("%d trials of trialWork %d are below the dispatch threshold %d", trials, cp.trialWork, minParallelWork)
+	}
 	want, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{2, 3, 4, 8} {
 		got, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), workers)
 		if err != nil {
 			t.Fatal(err)

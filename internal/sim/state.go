@@ -50,24 +50,36 @@ func (s *state) clone() *state {
 	return c
 }
 
-// apply1q applies the 2x2 unitary m to qubit q.
+// apply1q applies the 2x2 unitary m to qubit q. Like every amplitude loop
+// here it walks only the amplitudes it changes, in blocks of 2·bit (low
+// half qubit clear, high half set): bit for bit the index-testing loop in
+// oracle_test.go.
 func (s *state) apply1q(m [2][2]complex128, q int) {
 	bit := 1 << uint(q)
-	for i := 0; i < len(s.amps); i++ {
-		if i&bit == 0 {
-			a0, a1 := s.amps[i], s.amps[i|bit]
-			s.amps[i] = m[0][0]*a0 + m[0][1]*a1
-			s.amps[i|bit] = m[1][0]*a0 + m[1][1]*a1
+	for lo := 0; lo < len(s.amps); lo += 2 * bit {
+		zero, one := s.amps[lo:lo+bit], s.amps[lo+bit:lo+2*bit]
+		for i := range zero {
+			a0, a1 := zero[i], one[i]
+			zero[i] = m[0][0]*a0 + m[0][1]*a1
+			one[i] = m[1][0]*a0 + m[1][1]*a1
 		}
 	}
 }
 
-// applyCNOT applies a controlled-X with the given control and target.
+// applyCNOT applies a controlled-X with the given control and target; a
+// qubit controlling itself is a no-op.
 func (s *state) applyCNOT(c, t int) {
+	if c == t {
+		return
+	}
 	cb, tb := 1<<uint(c), 1<<uint(t)
-	for i := 0; i < len(s.amps); i++ {
-		if i&cb != 0 && i&tb == 0 {
-			s.amps[i], s.amps[i|tb] = s.amps[i|tb], s.amps[i]
+	lo, hi := min(cb, tb), max(cb, tb)
+	for i0 := 0; i0 < len(s.amps); i0 += 2 * hi {
+		for i := i0 + cb; i < i0+cb+hi; i += 2 * lo {
+			x, y := s.amps[i:i+lo], s.amps[i+tb:i+tb+lo]
+			for j := range x {
+				x[j], y[j] = y[j], x[j]
+			}
 		}
 	}
 }
@@ -75,9 +87,13 @@ func (s *state) applyCNOT(c, t int) {
 // applyCZ applies a controlled-Z between a and b.
 func (s *state) applyCZ(a, b int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
-	for i := 0; i < len(s.amps); i++ {
-		if i&ab != 0 && i&bb != 0 {
-			s.amps[i] = -s.amps[i]
+	lo, hi := min(ab, bb), max(ab, bb)
+	for i0 := 0; i0 < len(s.amps); i0 += 2 * hi {
+		for i := i0 + ab + bb; i < i0+ab+bb+hi; i += 2 * lo {
+			x := s.amps[i : i+lo]
+			for j := range x {
+				x[j] = -x[j]
+			}
 		}
 	}
 }
@@ -86,8 +102,8 @@ func (s *state) applyCZ(a, b int) {
 func (s *state) prob1(q int) float64 {
 	bit := 1 << uint(q)
 	p := 0.0
-	for i, a := range s.amps {
-		if i&bit != 0 {
+	for lo := bit; lo < len(s.amps); lo += 2 * bit {
+		for _, a := range s.amps[lo : lo+bit] {
 			p += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
@@ -109,13 +125,13 @@ func (s *state) measure(q int, rng *rand.Rand) int {
 // project collapses qubit q onto the given outcome and renormalizes.
 func (s *state) project(q, outcome int) {
 	bit := 1 << uint(q)
+	keep, drop := outcome*bit, (1-outcome)*bit // offsets within a block
 	norm := 0.0
-	for i := range s.amps {
-		if (i&bit != 0) == (outcome == 1) {
-			norm += real(s.amps[i])*real(s.amps[i]) + imag(s.amps[i])*imag(s.amps[i])
-		} else {
-			s.amps[i] = 0
+	for lo := 0; lo < len(s.amps); lo += 2 * bit {
+		for _, a := range s.amps[lo+keep : lo+keep+bit] {
+			norm += real(a)*real(a) + imag(a)*imag(a)
 		}
+		clear(s.amps[lo+drop : lo+drop+bit])
 	}
 	if fp.Zero(norm) {
 		// Numerically impossible branch; reset to the projected basis
@@ -129,8 +145,10 @@ func (s *state) project(q, outcome int) {
 		return
 	}
 	scale := complex(1/math.Sqrt(norm), 0)
-	for i := range s.amps {
-		s.amps[i] *= scale
+	for lo := keep; lo < len(s.amps); lo += 2 * bit {
+		for i := lo; i < lo+bit; i++ {
+			s.amps[i] *= scale
+		}
 	}
 }
 
