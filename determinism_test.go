@@ -37,33 +37,50 @@ func withGOMAXPROCS(n int, f func()) {
 // TestCompileSimulateDeterministicAcrossGOMAXPROCS is the PR's central
 // differential guarantee, table-driven over every strategy: with
 // Workers=0 the compiler sizes its fan-out from the pool default
-// (GOMAXPROCS), so running the same workload at GOMAXPROCS 1, 2, and 8
-// exercises the sequential path and two parallel widths — and all three
-// must produce byte-identical CNOT/depth/swap counts and PSTs.
+// (GOMAXPROCS), so running the same workload at GOMAXPROCS 1, 2, and 8,
+// and again at fixed Workers 1 and 4, exercises the sequential path and
+// several parallel widths — and all must produce byte-identical
+// CNOT/depth/swap counts and PSTs. The calibrated IBMQ16 pair is routed
+// without a tie, so most strategies compile one attempt; the uniform
+// grid ties, so its attempts 2..5 fan out.
 func TestCompileSimulateDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	progs := []*circuit.Circuit{nisqbench.MustGet("bv_n3"), nisqbench.MustGet("3_17_13")}
+	workloads := []struct {
+		name     string
+		dev      func() *arch.Device
+		progs    []*circuit.Circuit
+		attempts int
+	}{
+		{"ibmq16", func() *arch.Device { return arch.IBMQ16(0) },
+			[]*circuit.Circuit{nisqbench.MustGet("bv_n3"), nisqbench.MustGet("3_17_13")}, 2},
+		{"grid3x3", func() *arch.Device { return arch.Grid(3, 3, .01, .01) },
+			[]*circuit.Circuit{nisqbench.MustGet("3_17_13"), nisqbench.MustGet("alu-v0_27")}, 5},
+	}
 	const trials = 1100 // spans multiple RNG shards
 	for _, strat := range Strategies {
 		t.Run(strat.String(), func(t *testing.T) {
-			var prints []string
-			for _, gmp := range []int{1, 2, 8} {
-				withGOMAXPROCS(gmp, func() {
-					comp := NewCompiler(arch.IBMQ16(0))
-					comp.Attempts = 2
-					res, err := comp.Compile(progs, strat)
-					if err != nil {
-						t.Fatalf("GOMAXPROCS=%d: Compile: %v", gmp, err)
+			for _, w := range workloads {
+				var prints []string
+				for _, gmp := range []int{1, 2, 8} {
+					for _, workers := range []int{0, 1, 4} {
+						withGOMAXPROCS(gmp, func() {
+							comp := NewCompiler(w.dev())
+							comp.Attempts, comp.Workers = w.attempts, workers
+							res, err := comp.Compile(w.progs, strat)
+							if err != nil {
+								t.Fatalf("%s GOMAXPROCS=%d workers=%d: Compile: %v", w.name, gmp, workers, err)
+							}
+							psts, err := comp.Simulate(res, trials, 9, sim.DefaultNoise())
+							if err != nil {
+								t.Fatalf("%s GOMAXPROCS=%d workers=%d: Simulate: %v", w.name, gmp, workers, err)
+							}
+							prints = append(prints, fingerprint(res, psts))
+						})
 					}
-					psts, err := comp.Simulate(res, trials, 9, sim.DefaultNoise())
-					if err != nil {
-						t.Fatalf("GOMAXPROCS=%d: Simulate: %v", gmp, err)
+				}
+				for i := 1; i < len(prints); i++ {
+					if prints[i] != prints[0] {
+						t.Fatalf("%s: results diverge across GOMAXPROCS/Workers:\n  first: %s\n  other: %s", w.name, prints[0], prints[i])
 					}
-					prints = append(prints, fingerprint(res, psts))
-				})
-			}
-			for i := 1; i < len(prints); i++ {
-				if prints[i] != prints[0] {
-					t.Fatalf("results diverge across GOMAXPROCS:\n  gmp=1: %s\n  other: %s", prints[0], prints[i])
 				}
 			}
 		})

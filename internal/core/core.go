@@ -115,7 +115,10 @@ type Compiler struct {
 	Omega float64
 	// Attempts is the number of seeds tried per compilation; the
 	// schedule with the fewest post-compilation CNOTs wins (the
-	// paper reports the best of 5).
+	// paper reports the best of 5). Except under SABRE and X-SWAP-only,
+	// whose seed also draws the initial mapping, a first attempt that
+	// broke no routing tie is returned alone: every other seed would
+	// compile it identically.
 	Attempts int
 	// Traversals is the number of SABRE reverse-traversal rounds used
 	// to refine merged-circuit initial mappings.
@@ -189,6 +192,10 @@ type Result struct {
 	// and the schedule was routed from the partitioner's unrefined
 	// mapping instead.
 	TraversalFallback bool
+	// tieBreaks totals the tied SWAP decisions of the traversal and the
+	// final route (of every program, for Separate): the decisions where
+	// the attempt's seed was read.
+	tieBreaks int
 }
 
 // Compile compiles the workload under the given strategy, trying
@@ -233,10 +240,22 @@ func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit,
 	// the sequential first-best / last-error semantics exactly.
 	results := make([]*Result, attempts)
 	errs := make([]error, attempts)
-	_ = pool.ForEach(ctx, attempts, c.Workers, func(i int) error {
+	attempt := func(i int) error {
 		results[i], errs[i] = c.compileAttempt(ctx, progs, strat, int64(i)+1)
 		return nil
-	})
+	}
+	// Where the seed reaches only the router's tie-breaks, attempt 1 runs
+	// alone first: if it broke no tie, every seed routes it identically
+	// (DESIGN.md, "Seed-free attempts"), so it is the scan's winner.
+	done := 0
+	if strat != SABRE && strat != XSwapOnly {
+		_ = pool.ForEach(ctx, 1, c.Workers, attempt)
+		if r := results[0]; r != nil && r.tieBreaks == 0 && !r.TraversalFallback {
+			return r, nil
+		}
+		done = 1
+	}
+	_ = pool.ForEach(ctx, attempts-done, c.Workers, func(i int) error { return attempt(done + i) })
 	var best *Result
 	var lastErr error
 	for i := 0; i < attempts; i++ {
@@ -324,11 +343,12 @@ func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit
 	type sepUnit struct {
 		sched   *router.Schedule
 		mapping []int
+		ties    int
 	}
 	units := make([]sepUnit, len(progs))
 	if err := pool.ForEach(ctx, len(progs), c.Workers, func(i int) error {
-		p := progs[i]
-		res, err := partition.CDAP(c.Device, c.Tree(), []*circuit.Circuit{p})
+		p := []*circuit.Circuit{progs[i]}
+		res, err := partition.CDAP(c.Device, c.Tree(), p)
 		if err != nil {
 			return err
 		}
@@ -336,15 +356,15 @@ func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit
 		opts.NoisePenalty = c.NoisePenalty
 		opts.UseBridge = c.Bridge
 		opts.Seed = seed
-		mapping, err := router.ReverseTraversal(c.Device, p, res.Assignments[0].InitialMapping, c.Traversals, opts)
+		refined, err := router.Refine(c.Device, p, [][]int{res.Assignments[0].InitialMapping}, c.Traversals, opts)
 		if err != nil {
 			return err
 		}
-		s, err := router.RouteSingle(c.Device, p, mapping, opts)
+		s, err := router.Route(c.Device, p, refined.FinalMapping, opts)
 		if err != nil {
 			return err
 		}
-		units[i] = sepUnit{sched: s, mapping: mapping}
+		units[i] = sepUnit{sched: s, mapping: refined.FinalMapping[0], ties: refined.TieBreaks + s.TieBreaks}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -353,6 +373,7 @@ func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit
 	for _, u := range units {
 		out.Schedules = append(out.Schedules, u.sched)
 		out.Initial = append(out.Initial, [][]int{u.mapping})
+		out.tieBreaks += u.ties
 		cnots, depth := u.sched.Counts()
 		out.CNOTs += cnots
 		out.Swaps += u.sched.SwapCount
@@ -413,10 +434,10 @@ func (c *Compiler) routeJoint(progs []*circuit.Circuit, res *partition.Result, o
 	// Refine the partitioner's GWEF mapping with joint reverse
 	// traversal under the same SWAP policy that will route the final
 	// pass (Das et al.'s baseline inherits SABRE's traversal too).
-	fallback := false
+	fallback, ties := false, 0
 	if c.Traversals > 0 {
-		if refined, err := router.ReverseTraversalMulti(c.Device, progs, initial, c.Traversals, opts); err == nil {
-			initial = refined
+		if refined, err := router.Refine(c.Device, progs, initial, c.Traversals, opts); err == nil {
+			initial, ties = refined.FinalMapping, refined.TieBreaks
 		} else {
 			fallback = true
 		}
@@ -424,6 +445,7 @@ func (c *Compiler) routeJoint(progs []*circuit.Circuit, res *partition.Result, o
 	out, err := c.routeJointMappings(progs, initial, opts, strat)
 	if err == nil {
 		out.TraversalFallback = fallback
+		out.tieBreaks += ties
 	}
 	return out, err
 }
@@ -443,6 +465,7 @@ func (c *Compiler) routeJointMappings(progs []*circuit.Circuit, initial [][]int,
 		Depth:      depth,
 		Swaps:      s.SwapCount,
 		InterSwaps: s.InterSwapCount,
+		tieBreaks:  s.TieBreaks,
 	}, nil
 }
 

@@ -15,7 +15,7 @@ func testRun(tb testing.TB, opts Options) *run {
 	tb.Helper()
 	d := arch.IBMQ16(0)
 	progs := []*circuit.Circuit{nisqbench.MustGet("bv_n3"), nisqbench.MustGet("3_17_13")}
-	r, err := newRun(d, progs, [][]int{{0, 1, 2}, {5, 6, 7}}, opts)
+	r, err := newRun(d, dagsOf(progs), [][]int{{0, 1, 2}, {5, 6, 7}}, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -160,22 +160,28 @@ func TestSwapCandidatesAllocs(t *testing.T) {
 	}
 }
 
-// mix50Run builds a mid-route X-SWAP run of four programs on IBMQ50 and
-// drains the compliant prefix, leaving every program blocked.
-func mix50Run(tb testing.TB) *run {
-	tb.Helper()
-	d := arch.IBMQ50(0)
+// mix50 is Table III's Mix_1 on IBMQ50, one program per row of the
+// chip's 5x10 grid.
+func mix50() (*arch.Device, []*circuit.Circuit, [][]int) {
 	var progs []*circuit.Circuit
 	var initial [][]int
 	for i, name := range []string{"aj-e11_165", "alu-v2_31", "4gt4-v0_72", "sf_276"} {
 		c := nisqbench.MustGet(name)
 		m := make([]int, c.NumQubits)
 		for l := range m {
-			m[l] = 10*i + l // one row of the chip's 5x10 grid each
+			m[l] = 10*i + l
 		}
 		progs, initial = append(progs, c), append(initial, m)
 	}
-	r, err := newRun(d, progs, initial, XSWAPOptions())
+	return arch.IBMQ50(0), progs, initial
+}
+
+// mix50Run builds a mid-route X-SWAP run of mix50 and drains the
+// compliant prefix, leaving every program blocked.
+func mix50Run(tb testing.TB) *run {
+	tb.Helper()
+	d, progs, initial := mix50()
+	r, err := newRun(d, dagsOf(progs), initial, XSWAPOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -204,6 +210,27 @@ func TestSwapStepAllocs(t *testing.T) {
 	r.sched.Ops = append(make([]Op, 0, len(r.sched.Ops)+1000), r.sched.Ops...)
 	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
 		t.Fatalf("steady-state SWAP step allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestRefinePassAllocs bounds what one reverse-traversal pass allocates
+// beyond Refine's set-up (the DAGs, built once per call): a pass keeps
+// the mapping only, so it pays for its routing state (≈190 allocations
+// on mix50) and not for the ≈1,700 source gates of an emitted schedule.
+func TestRefinePassAllocs(t *testing.T) {
+	d, progs, initial := mix50()
+	opts := XSWAPOptions()
+	opts.NoisePenalty = 2
+	refine := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Refine(d, progs, initial, iters, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	setup := refine(0)
+	if perPass := (refine(3) - setup) / 6; perPass > 500 {
+		t.Fatalf("a traversal pass allocates %.0f times, want <= 500 (set-up alone %.0f)", perPass, setup)
 	}
 }
 

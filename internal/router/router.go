@@ -127,6 +127,9 @@ type Schedule struct {
 	// FinalMapping[p][l] is the physical qubit holding program p's
 	// logical qubit l after all gates executed.
 	FinalMapping [][]int
+	// TieBreaks counts the SWAP decisions whose best score several
+	// candidates shared: the only decisions Options.Seed can change.
+	TieBreaks int
 }
 
 // PhysicalCircuit renders the schedule as one circuit over the device's
@@ -289,7 +292,7 @@ func (s *Schedule) Validate(progs []*circuit.Circuit, initial [][]int) error {
 // logical qubit l). Regions must be disjoint; every physical qubit not
 // in any mapping is free. It returns the complete schedule.
 func Route(d *arch.Device, progs []*circuit.Circuit, initial [][]int, opts Options) (*Schedule, error) {
-	r, err := newRun(d, progs, initial, opts)
+	r, err := newRun(d, dagsOf(progs), initial, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -319,17 +322,28 @@ func Route(d *arch.Device, progs []*circuit.Circuit, initial [][]int, opts Optio
 	return r.sched, nil
 }
 
+// dagsOf builds each program's dependency DAG.
+func dagsOf(progs []*circuit.Circuit) []*circuit.DAG {
+	dags := make([]*circuit.DAG, len(progs))
+	for i, p := range progs {
+		dags[i] = circuit.NewDAG(p)
+	}
+	return dags
+}
+
 // newRun validates the inputs and builds the routing state Route drives
-// to completion (split out so tests can step the loop manually).
-func newRun(d *arch.Device, progs []*circuit.Circuit, initial [][]int, opts Options) (*run, error) {
-	if len(progs) != len(initial) {
-		return nil, fmt.Errorf("router: %d programs but %d mappings", len(progs), len(initial))
+// to completion (split out so tests can step the loop manually). It
+// takes the programs as DAGs so the reverse traversal can build them
+// once for all its passes.
+func newRun(d *arch.Device, dags []*circuit.DAG, initial [][]int, opts Options) (*run, error) {
+	if len(dags) != len(initial) {
+		return nil, fmt.Errorf("router: %d programs but %d mappings", len(dags), len(initial))
 	}
 	r := &run{
 		d:      d,
 		opts:   opts,
 		rng:    rand.New(rand.NewSource(opts.Seed)),
-		sched:  &Schedule{Device: d, SwapsByProgram: make([]int, len(progs))},
+		sched:  &Schedule{Device: d, SwapsByProgram: make([]int, len(dags))},
 		decay:  make([]float64, d.NumQubits()),
 		queue:  make([]int, 0, d.NumQubits()),
 		ownGen: 1,
@@ -353,14 +367,15 @@ func newRun(d *arch.Device, progs []*circuit.Circuit, initial [][]int, opts Opti
 		r.owner[q] = -1
 		r.physLog[q] = -1
 	}
-	for p, prog := range progs {
+	for p, dag := range dags {
+		prog := dag.Circ
 		if prog.NumQubits != len(initial[p]) {
 			return nil, fmt.Errorf("router: program %d has %d qubits, mapping has %d", p, prog.NumQubits, len(initial[p]))
 		}
 		pr := &progCtx{
 			idx:   p,
 			circ:  prog,
-			state: circuit.NewState(circuit.NewDAG(prog)),
+			state: circuit.NewState(dag),
 			l2p:   append([]int(nil), initial[p]...),
 		}
 		for l, phys := range pr.l2p {
@@ -375,8 +390,8 @@ func newRun(d *arch.Device, progs []*circuit.Circuit, initial [][]int, opts Opti
 		}
 		r.progs = append(r.progs, pr)
 	}
-	for p, prog := range progs {
-		if err := measuresAreTerminal(prog); err != nil {
+	for p, pr := range r.progs {
+		if err := measuresAreTerminal(pr.circ); err != nil {
 			return nil, fmt.Errorf("router: program %d: %w", p, err)
 		}
 	}
@@ -443,6 +458,9 @@ type run struct {
 	ownGen int
 	decay  []float64
 	nswaps int
+	// mapOnly marks a reverse-traversal pass, routed only for its final
+	// mapping: it keeps the counters but emits no ops.
+	mapOnly bool
 	// Per-step scratch (see DESIGN.md, "Hot-path memory discipline"):
 	// the candidate/scoring loop runs once per inserted SWAP, so its
 	// working sets are reused instead of reallocated.
@@ -542,13 +560,13 @@ func (r *run) executeCompliant() bool {
 					r.exec(p, gi)
 					progress = true
 				case !g.IsTwoQubit():
-					r.emit(p, gi, g.Remap(func(l int) int { return p.l2p[l] }))
+					r.emitSource(p, gi)
 					r.exec(p, gi)
 					progress = true
 				default:
 					a, b := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
 					if r.d.Coupling.HasEdge(a, b) {
-						r.emit(p, gi, g.Remap(func(l int) int { return p.l2p[l] }))
+						r.emitSource(p, gi)
 						r.exec(p, gi)
 						progress = true
 					}
@@ -564,6 +582,14 @@ func (r *run) executeCompliant() bool {
 
 func (r *run) emit(p *progCtx, gateIndex int, g circuit.Gate) {
 	r.sched.Ops = append(r.sched.Ops, Op{Program: p.idx, Gate: g, GateIndex: gateIndex, TriggerProgram: -1})
+}
+
+// emitSource emits p's source gate gi on its operands' current physical
+// qubits; a mapOnly pass skips the remap along with the op.
+func (r *run) emitSource(p *progCtx, gi int) {
+	if !r.mapOnly {
+		r.emit(p, gi, p.circ.Gates[gi].Remap(func(l int) int { return p.l2p[l] }))
+	}
 }
 
 // tryBridges executes blocked distance-2 CNOTs whose qubit pair does
@@ -590,6 +616,9 @@ func (r *run) tryBridges(hops [][]int) bool {
 			}
 			seq := [4][2]int{{m, t}, {c, m}, {m, t}, {c, m}}
 			for k, cx := range seq {
+				if r.mapOnly {
+					break
+				}
 				r.sched.Ops = append(r.sched.Ops, Op{
 					Program:        p.idx,
 					Gate:           circuit.Gate{Name: circuit.GateCX, Qubits: []int{cx[0], cx[1]}},
@@ -899,7 +928,9 @@ func (r *run) lower(hops [][]int) {
 }
 
 // pickSwap scores every candidate with the heuristic cost function
-// (Equation 3) and returns the minimum; ties break uniformly at random.
+// (Equation 3) and returns the minimum; ties break uniformly at random,
+// the only read of the seeded RNG that can matter (Intn(1) is 0 in every
+// RNG state), and each one is counted in TieBreaks.
 func (r *run) pickSwap(cands []swapCandidate, hops [][]int) swapCandidate {
 	r.lower(hops)
 	best := r.bestBuf[:0]
@@ -916,6 +947,9 @@ func (r *run) pickSwap(cands []swapCandidate, hops [][]int) swapCandidate {
 		}
 	}
 	r.bestBuf = best
+	if len(best) > 1 {
+		r.sched.TieBreaks++
+	}
 	return best[r.rng.Intn(len(best))]
 }
 
@@ -1013,14 +1047,16 @@ func (r *run) operands(a, b int) []int {
 // applySwap emits the SWAP and updates mappings, ownership and decay.
 func (r *run) applySwap(c swapCandidate, hops [][]int) {
 	inter := r.owner[c.a] != -1 && r.owner[c.b] != -1 && r.owner[c.a] != r.owner[c.b]
-	r.sched.Ops = append(r.sched.Ops, Op{
-		Program:        -1,
-		Gate:           circuit.Gate{Name: circuit.GateSWAP, Qubits: r.operands(c.a, c.b)},
-		IsSwap:         true,
-		InterProgram:   inter,
-		GateIndex:      -1,
-		TriggerProgram: c.trigger,
-	})
+	if !r.mapOnly {
+		r.sched.Ops = append(r.sched.Ops, Op{
+			Program:        -1,
+			Gate:           circuit.Gate{Name: circuit.GateSWAP, Qubits: r.operands(c.a, c.b)},
+			IsSwap:         true,
+			InterProgram:   inter,
+			GateIndex:      -1,
+			TriggerProgram: c.trigger,
+		})
+	}
 	r.sched.SwapCount++
 	if inter {
 		r.sched.InterSwapCount++

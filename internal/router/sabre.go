@@ -51,53 +51,60 @@ func RandomInitialMapping(d *arch.Device, prog *circuit.Circuit, seed int64) []i
 // use for the final forward pass. iters counts forward/backward pairs
 // (the paper uses a small constant; 3 by our default callers).
 func ReverseTraversal(d *arch.Device, prog *circuit.Circuit, start []int, iters int, opts Options) ([]int, error) {
-	fwd := stripMeasures(prog)
-	bwd := reversed(fwd)
-	mapping := append([]int(nil), start...)
-	for i := 0; i < iters; i++ {
-		s, err := RouteSingle(d, fwd, mapping, opts)
-		if err != nil {
-			return nil, err
-		}
-		mapping = s.FinalMapping[0]
-		s, err = RouteSingle(d, bwd, mapping, opts)
-		if err != nil {
-			return nil, err
-		}
-		mapping = s.FinalMapping[0]
+	s, err := Refine(d, []*circuit.Circuit{prog}, [][]int{start}, iters, opts)
+	if err != nil {
+		return nil, err
 	}
-	return mapping, nil
+	return s.FinalMapping[0], nil
 }
 
 // ReverseTraversalMulti refines the initial mappings of co-located
-// programs jointly: route all programs forward, reuse the final
-// mappings for the reversed programs, and iterate. The SWAP policy in
-// opts (intra-only vs X-SWAP) is honored throughout, so programs stay
-// within reach of their partitions under intra-only routing.
+// programs jointly; it is Refine's mapping alone.
 func ReverseTraversalMulti(d *arch.Device, progs []*circuit.Circuit, initial [][]int, iters int, opts Options) ([][]int, error) {
-	fwd := make([]*circuit.Circuit, len(progs))
-	bwd := make([]*circuit.Circuit, len(progs))
+	s, err := Refine(d, progs, initial, iters, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.FinalMapping, nil
+}
+
+// Refine is the reverse traversal of co-located programs: route all
+// programs forward, reuse the final mappings for the reversed programs,
+// and iterate iters forward/backward pairs. The SWAP policy in opts
+// (intra-only vs X-SWAP) is honored throughout, so programs stay within
+// reach of their partitions under intra-only routing. The passes are
+// routed for their mappings alone, so the returned Schedule has no ops:
+// FinalMapping is the refined mapping and TieBreaks totals every pass's.
+func Refine(d *arch.Device, progs []*circuit.Circuit, initial [][]int, iters int, opts Options) (*Schedule, error) {
+	fwd := make([]*circuit.DAG, len(progs))
+	bwd := make([]*circuit.DAG, len(progs))
 	for i, p := range progs {
-		fwd[i] = stripMeasures(p)
-		bwd[i] = reversed(fwd[i])
+		f := stripMeasures(p)
+		fwd[i], bwd[i] = circuit.NewDAG(f), circuit.NewDAG(reversed(f))
 	}
-	maps := make([][]int, len(initial))
+	out := &Schedule{Device: d, FinalMapping: make([][]int, len(initial))}
 	for i := range initial {
-		maps[i] = append([]int(nil), initial[i]...)
+		out.FinalMapping[i] = append([]int(nil), initial[i]...)
 	}
-	for it := 0; it < iters; it++ {
-		s, err := Route(d, fwd, maps, opts)
+	for pass := 0; pass < 2*iters; pass++ {
+		dags := fwd
+		if pass%2 == 1 {
+			dags = bwd
+		}
+		r, err := newRun(d, dags, out.FinalMapping, opts)
 		if err != nil {
 			return nil, err
 		}
-		maps = s.FinalMapping
-		s, err = Route(d, bwd, maps, opts)
-		if err != nil {
+		r.mapOnly = true
+		if err := r.route(); err != nil {
 			return nil, err
 		}
-		maps = s.FinalMapping
+		out.TieBreaks += r.sched.TieBreaks
+		for p, pr := range r.progs {
+			out.FinalMapping[p] = pr.l2p // newRun copied the mapping in
+		}
 	}
-	return maps, nil
+	return out, nil
 }
 
 // SABRECompile compiles a single circuit with SABRE: random initial

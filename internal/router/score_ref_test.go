@@ -165,7 +165,7 @@ func randomRun(t *testing.T, seed int64) *run {
 	}
 	opts := refOptionSets[rng.Intn(len(refOptionSets))]()
 	opts.Seed = seed
-	r, err := newRun(d, progs, randomDisjointMappings(rng, d, progs), opts)
+	r, err := newRun(d, dagsOf(progs), randomDisjointMappings(rng, d, progs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,9 @@ type Config struct {
 	// fleet scale-out measurement — unrealistically compute-bound
 	// without it. 0 (the default) disables the dwell.
 	ExecDwell time.Duration
-	// Attempts is the compiler's best-of-N seed count.
+	// Attempts is the compiler's best-of-N seed count
+	// (core.Compiler.Attempts: a batch whose first attempt broke no
+	// routing tie compiles once whatever N is).
 	Attempts int
 	// Workers bounds the goroutines each backend worker's compiler uses
 	// for attempt/simulation fan-out (core.Compiler.Workers): 0 uses
