@@ -333,7 +333,7 @@ func RunFig14(calSeed int64, epsilons []float64, trials int) ([]Fig14Point, erro
 	}
 	points = append(points, Fig14Point{Label: "Separate", Epsilon: -1, AvgPST: sepPST, TRF: sched.TRF(len(jobs), sepBatches)})
 
-	randBatches := sched.RandomPairsRand(jobs, rand.New(rand.NewSource(calSeed+5)))
+	randBatches := sched.RandomPairs(jobs, rand.New(rand.NewSource(calSeed+5)))
 	randPST, err := runBatches(d, jobs, randBatches, trials)
 	if err != nil {
 		return nil, err

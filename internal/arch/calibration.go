@@ -21,7 +21,7 @@ type Calibration struct {
 	// E(victim|aggressor); nil means the day's calibration did not
 	// characterize crosstalk and the device falls back to its scalar
 	// model. GenerateCalibration leaves it nil (so existing seeds stay
-	// byte-identical); pair it with GenerateCrosstalk/CrosstalkSeries.
+	// byte-identical); pair it with GenerateCrosstalk.
 	Crosstalk CrosstalkMatrix
 }
 

@@ -197,8 +197,7 @@ const (
 // seeded ~10% — mirroring how GenerateCalibration plants weak links.
 // Hostility is decided per unordered pair so E(i|j) and E(j|i) are
 // elevated together (interference is mutual even when asymmetric in
-// magnitude). Day-by-day matrices for a calibration series come from
-// CrosstalkSeries.
+// magnitude).
 func GenerateCrosstalk(d *Device, seed int64) CrosstalkMatrix {
 	return generateCrosstalk(d, seed, HostilePairFrac, HostileRatioLo, HostileRatioHi)
 }
@@ -249,33 +248,6 @@ func generateCrosstalk(d *Device, seed int64, hostileFrac, ratioLo, ratioHi floa
 			cond = MaxCondErr
 		}
 		out[p] = cond
-	}
-	return out
-}
-
-// CrosstalkSeries returns one pairwise matrix per day for the same
-// `days`-long window CalibrationSeries generates, using the same
-// base + i*131 seed derivation, so day i's matrix belongs with day i's
-// calibration. Apply them together:
-//
-//	cals := arch.CalibrationSeries(d, base, days)
-//	mats := arch.CrosstalkSeries(d, base, days)
-//	for i := range cals { cals[i].Crosstalk = mats[i] }
-//
-// The matrix must be generated after the day's CNOT errors are known,
-// so CrosstalkSeries applies each day's calibration to a scratch copy
-// of the device before drawing the day's conditional rates; d itself is
-// not modified.
-func CrosstalkSeries(d *Device, base int64, days int) []CrosstalkMatrix {
-	out := make([]CrosstalkMatrix, days)
-	scratch, err := FromSpec(d.Spec())
-	if err != nil {
-		panic(fmt.Sprintf("arch: device %s does not round-trip: %v", d.Name, err))
-	}
-	for i := 0; i < days; i++ {
-		daySeed := base + int64(i)*131
-		ApplyCalibration(scratch, GenerateCalibration(scratch, daySeed))
-		out[i] = GenerateCrosstalk(scratch, daySeed)
 	}
 	return out
 }

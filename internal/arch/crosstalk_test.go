@@ -201,34 +201,3 @@ func TestApplyCalibrationInstallsAndClearsCrosstalk(t *testing.T) {
 		t.Error("calibration without matrix did not clear the previous one")
 	}
 }
-
-func TestCrosstalkSeriesDeterministicAndAligned(t *testing.T) {
-	d := IBMQ16(1)
-	a := CrosstalkSeries(d, 7, 3)
-	b := CrosstalkSeries(d, 7, 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("series not deterministic")
-	}
-	if len(a) != 3 {
-		t.Fatalf("got %d days", len(a))
-	}
-	if reflect.DeepEqual(a[0], a[1]) {
-		t.Error("consecutive days identical")
-	}
-	// Day i's conditional rates must be drawn against day i's base
-	// rates: every benign entry stays within MaxCondErr of that day's
-	// calibration, and installing the pair validates.
-	cals := CalibrationSeries(d, 7, 3)
-	for i := range cals {
-		cals[i].Crosstalk = a[i]
-		scratch := IBMQ16(1)
-		ApplyCalibration(scratch, cals[i])
-		if err := scratch.Validate(); err != nil {
-			t.Fatalf("day %d: %v", i, err)
-		}
-	}
-	// d itself must be untouched by the series generation.
-	if d.HasCrosstalk() {
-		t.Error("CrosstalkSeries mutated the input device")
-	}
-}

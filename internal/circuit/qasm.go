@@ -330,10 +330,6 @@ func parseRegDecl(s string) (string, int, error) {
 	return strings.TrimSpace(s[:open]), size, nil
 }
 
-func splitGateHead(stmt string) (name string, params []float64, rest string, err error) {
-	return splitGateHeadVars(stmt, nil)
-}
-
 // splitGateHeadVars parses "name[(exprs)] operands" with parameter
 // expressions evaluated under the given variable bindings.
 func splitGateHeadVars(stmt string, vars map[string]float64) (name string, params []float64, rest string, err error) {

@@ -263,41 +263,6 @@ func mergeSorted(a, b []int) []int {
 	return out
 }
 
-// Modularity returns Newman's Q for a partition of the device's qubits
-// into the given groups: Q = Σ_i (e_ii − a_i²).
-func Modularity(d *arch.Device, groups [][]int) float64 {
-	m := float64(d.Coupling.M())
-	if d.Coupling.M() == 0 {
-		return 0
-	}
-	groupOf := map[int]int{}
-	for gi, g := range groups {
-		for _, q := range g {
-			groupOf[q] = gi
-		}
-	}
-	eii := make([]float64, len(groups))
-	ai := make([]float64, len(groups))
-	for _, ed := range d.Coupling.Edges() {
-		gu, uok := groupOf[ed.U]
-		gv, vok := groupOf[ed.V]
-		if uok {
-			ai[gu] += 1 / (2 * m)
-		}
-		if vok {
-			ai[gv] += 1 / (2 * m)
-		}
-		if uok && vok && gu == gv {
-			eii[gu] += 1 / m
-		}
-	}
-	q := 0.0
-	for i := range groups {
-		q += eii[i] - ai[i]*ai[i]
-	}
-	return q
-}
-
 // Dendrogram renders the tree as an indented text diagram (for the
 // chip-explorer example and Figure 8 checks).
 func (t *Tree) Dendrogram() string {

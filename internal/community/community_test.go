@@ -1,7 +1,6 @@
 package community
 
 import (
-	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -179,24 +178,6 @@ func TestOmegaSweepRestoresCalibration(t *testing.T) {
 	OmegaSweep(d, days, []float64{0, 1})
 	if !reflect.DeepEqual(before, d.ReadoutErr) {
 		t.Fatal("OmegaSweep must restore the device calibration")
-	}
-}
-
-func TestModularity(t *testing.T) {
-	// Two triangles joined by one edge: strong community structure.
-	d := arch.Grid(1, 2, 0.02, 0.02) // placeholder device; build our own graph below
-	_ = d
-	dev := twoTriangles()
-	groups := [][]int{{0, 1, 2}, {3, 4, 5}}
-	q := Modularity(dev, groups)
-	// e11 = e22 = 3/7, a1 = a2 = 1/2 -> Q = 2*(3/7 - 1/4) = 5/14.
-	want := 2 * (3.0/7.0 - 0.25)
-	if math.Abs(q-want) > 1e-12 {
-		t.Fatalf("Q = %v, want %v", q, want)
-	}
-	// Everything in one group: Q = 1 - 1 = 0.
-	if q := Modularity(dev, [][]int{{0, 1, 2, 3, 4, 5}}); math.Abs(q) > 1e-12 {
-		t.Fatalf("single-group Q = %v, want 0", q)
 	}
 }
 

@@ -2,10 +2,8 @@
 // predicates. Fidelity scores (EPST, PST), modularity values, and
 // calibration error rates are all float64; comparing them with == is
 // exact to the last bit and silently nondeterministic across
-// refactorings that reassociate arithmetic. Every package below
-// internal/core uses these helpers (core re-exports Eq as
-// core.FloatEq for the public API); the floateq lint check enforces
-// it.
+// refactorings that reassociate arithmetic. Every package compares
+// through these helpers; the floateq lint check enforces it.
 package fp
 
 import "math"

@@ -249,7 +249,7 @@ func sortedLater(rest []ast.Stmt, name string) bool {
 func checkFloatEq() Check {
 	return Check{
 		Name: "floateq",
-		Doc:  "forbid ==/!= between floating-point operands (test files are not analysed); use core.FloatEq / fp.Eq",
+		Doc:  "forbid ==/!= between floating-point operands (test files are not analysed); use fp.Eq",
 		Run: func(p *Package) []Finding {
 			var out []Finding
 			for _, file := range p.Files {
@@ -271,7 +271,7 @@ func checkFloatEq() Check {
 						return true
 					}
 					out = append(out, p.finding("floateq", be,
-						"exact float comparison %s: use an epsilon helper (core.FloatEq / fp.Eq) or //lint:ignore with justification",
+						"exact float comparison %s: use an epsilon helper (fp.Eq) or //lint:ignore with justification",
 						exprString(be)))
 					return true
 				})

@@ -14,10 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/circuit"
 )
@@ -323,28 +320,4 @@ func seedFromName(name string) int64 {
 		h *= 1099511628211
 	}
 	return int64(h & math.MaxInt64)
-}
-
-// ExportQASM writes every registered benchmark to dir as
-// "<name>.qasm" in OpenQASM 2.0, returning the file count. Slashes in
-// benchmark names are replaced with dashes.
-func ExportQASM(dir string) (int, error) {
-	n := 0
-	for _, name := range Names() {
-		c := MustGet(name)
-		path := filepath.Join(dir, strings.ReplaceAll(name, "/", "-")+".qasm")
-		f, err := os.Create(path)
-		if err != nil {
-			return n, fmt.Errorf("nisqbench: export %s: %w", name, err)
-		}
-		err = circuit.WriteQASM(f, c)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return n, fmt.Errorf("nisqbench: export %s: %w", name, err)
-		}
-		n++
-	}
-	return n, nil
 }

@@ -1,8 +1,7 @@
 package nisqbench
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
 	"testing"
 
 	"repro/internal/circuit"
@@ -176,39 +175,29 @@ func TestTinyBenchmarksAreTiny(t *testing.T) {
 	}
 }
 
-func TestExportQASMRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	n, err := ExportQASM(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(Names()) {
-		t.Fatalf("exported %d of %d", n, len(Names()))
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != n {
-		t.Fatalf("files = %d", len(entries))
-	}
-	// Round-trip a representative subset through the parser.
-	for _, name := range []string{"bv_n4", "qft_10", "ham7_104", "grover_n2"} {
-		f, err := os.Open(filepath.Join(dir, name+".qasm"))
-		if err != nil {
-			t.Fatal(err)
+// TestQASMRoundTrip writes every registered benchmark as OpenQASM,
+// parses it back and requires the same shape and, written again, the
+// same text.
+func TestQASMRoundTrip(t *testing.T) {
+	for _, name := range Names() {
+		want := MustGet(name)
+		var buf bytes.Buffer
+		if err := circuit.WriteQASM(&buf, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := circuit.ParseQASM(name, f)
-		f.Close()
+		src := buf.String()
+		got, err := circuit.ParseQASM(name, &buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := MustGet(name)
 		if got.NumQubits != want.NumQubits || got.RawCNOTCount() != want.RawCNOTCount() ||
 			got.MeasureCount() != want.MeasureCount() {
 			t.Fatalf("%s round-trip mismatch: %d/%d/%d vs %d/%d/%d", name,
 				got.NumQubits, got.RawCNOTCount(), got.MeasureCount(),
 				want.NumQubits, want.RawCNOTCount(), want.MeasureCount())
+		}
+		if again := circuit.QASMString(got); again != src {
+			t.Fatalf("%s: rewritten QASM differs from the first write", name)
 		}
 	}
 }

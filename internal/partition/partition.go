@@ -578,28 +578,6 @@ func frpFindRegion(d *arch.Device, avail []bool, size int) ([]int, error) {
 	return set, nil
 }
 
-// Trivial places the programs side by side in qubit-index order with
-// identity mappings — the layout a topology- and noise-unaware compiler
-// would use. The plain-SABRE baseline starts from it.
-func Trivial(d *arch.Device, progs []*circuit.Circuit) (*Result, error) {
-	next := 0
-	res := &Result{Assignments: make([]Assignment, len(progs))}
-	for pi, p := range progs {
-		if next+p.NumQubits > d.NumQubits() {
-			return nil, fmt.Errorf("%w: programs need %d+ qubits, chip has %d", ErrNoRegion, next+p.NumQubits, d.NumQubits())
-		}
-		region := make([]int, p.NumQubits)
-		mapping := make([]int, p.NumQubits)
-		for l := 0; l < p.NumQubits; l++ {
-			region[l] = next + l
-			mapping[l] = next + l
-		}
-		res.Assignments[pi] = Assignment{Program: pi, Region: region, InitialMapping: mapping}
-		next += p.NumQubits
-	}
-	return res, nil
-}
-
 func sortedCopy(xs []int) []int {
 	out := append([]int(nil), xs...)
 	sort.Ints(out)

@@ -269,24 +269,6 @@ func TestCDAPTripleNonInferior(t *testing.T) {
 	}
 }
 
-func TestTrivial(t *testing.T) {
-	d := arch.IBMQ16(0)
-	progs := progsPair()
-	res, err := Trivial(d, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Assignments[0].Region[0]; got != 0 {
-		t.Fatalf("first region starts at %d", got)
-	}
-	if got := res.Assignments[1].Region[0]; got != progs[0].NumQubits {
-		t.Fatalf("second region starts at %d", got)
-	}
-	if _, err := Trivial(arch.Linear(3, 0.02, 0.02), progs); !errors.Is(err, ErrNoRegion) {
-		t.Fatal("Trivial must fail when the chip is too small")
-	}
-}
-
 func TestAllocateGWEFMapsHotPairToBestLink(t *testing.T) {
 	d := arch.Linear(4, 0.05, 0.02)
 	d.CNOTErr[graph.NewEdge(2, 3)] = 0.01 // the best link

@@ -248,18 +248,6 @@ func TestReverseTraversalImprovesOrMatches(t *testing.T) {
 	}
 }
 
-func TestSABRECompile(t *testing.T) {
-	d := arch.IBMQ16(0)
-	p := nisqbench.MustGet("4mod5-v1_22")
-	s, err := SABRECompile(d, p, DefaultOptions(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Measurements) != p.NumQubits {
-		t.Fatalf("measurements = %d", len(s.Measurements))
-	}
-}
-
 func TestNoisePenaltyAvoidsWeakLink(t *testing.T) {
 	// Square: 0-1, 1-3, 0-2, 2-3. Logical pair at 0 and 3; both 2-hop
 	// routes; one route's link is terrible. The noise-aware router

@@ -106,15 +106,3 @@ func Refine(d *arch.Device, progs []*circuit.Circuit, initial [][]int, iters int
 	}
 	return out, nil
 }
-
-// SABRECompile compiles a single circuit with SABRE: random initial
-// mapping refined by reverse traversal, then a final forward route. It
-// is the single-program strategy the merged-circuit baseline uses.
-func SABRECompile(d *arch.Device, prog *circuit.Circuit, opts Options, traversals int) (*Schedule, error) {
-	start := RandomInitialMapping(d, prog, opts.Seed)
-	mapping, err := ReverseTraversal(d, prog, start, traversals, opts)
-	if err != nil {
-		return nil, err
-	}
-	return RouteSingle(d, prog, mapping, opts)
-}

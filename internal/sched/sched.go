@@ -250,20 +250,13 @@ func TRF(numJobs int, batches []Batch) float64 {
 }
 
 // RandomPairs is the random-workload baseline of §V-B3: it shuffles the
-// queue with the given seed and pairs consecutive jobs unconditionally
-// (the last job runs alone when the count is odd). It is a convenience
-// wrapper over RandomPairsRand.
-func RandomPairs(jobs []Job, seed int64) []Batch {
-	return RandomPairsRand(jobs, rand.New(rand.NewSource(seed)))
-}
-
-// RandomPairsRand is RandomPairs with a caller-supplied random source.
-// Concurrent schedulers (e.g. one worker goroutine per backend in
-// internal/service) must each own their *rand.Rand: nothing in this
-// package touches the global math/rand state, so schedules stay
-// deterministic and race-free as long as each worker threads its own
-// rng through.
-func RandomPairsRand(jobs []Job, rng *rand.Rand) []Batch {
+// queue with rng and pairs consecutive jobs unconditionally (the last job
+// runs alone when the count is odd). Concurrent schedulers (e.g. one
+// worker goroutine per backend in internal/service) must each own their
+// *rand.Rand: nothing in this package touches the global math/rand
+// state, so schedules stay deterministic and race-free as long as each
+// worker threads its own rng through.
+func RandomPairs(jobs []Job, rng *rand.Rand) []Batch {
 	order := rng.Perm(len(jobs))
 	var batches []Batch
 	for i := 0; i < len(order); i += 2 {

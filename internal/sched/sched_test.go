@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -236,7 +237,7 @@ func TestTRF(t *testing.T) {
 
 func TestRandomPairs(t *testing.T) {
 	jobs := tinyQueue()
-	batches := RandomPairs(jobs, 1)
+	batches := RandomPairs(jobs, rand.New(rand.NewSource(1)))
 	if len(batches) != 5 {
 		t.Fatalf("batches = %d, want 5", len(batches))
 	}
@@ -253,7 +254,7 @@ func TestRandomPairs(t *testing.T) {
 		t.Fatal("pairs must cover all jobs")
 	}
 	// Odd queue: last runs alone.
-	odd := RandomPairs(jobs[:3], 2)
+	odd := RandomPairs(jobs[:3], rand.New(rand.NewSource(2)))
 	total := 0
 	for _, b := range odd {
 		total += len(b.JobIDs)

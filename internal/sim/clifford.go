@@ -18,7 +18,7 @@ import (
 // lowest-index modal convention. workers, ctx and the determinism
 // contract are SimulateScheduleCtx's.
 func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineTableau, nil)
+	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineTableau)
 }
 
 // CliffordOutcome computes a logical Clifford circuit's noiseless
@@ -61,15 +61,4 @@ func CliffordOutcome(c *circuit.Circuit) (string, error) {
 		buf = append(buf, byte('0'+tb.measure(b, func() bool { return false })))
 	}
 	return string(buf), nil
-}
-
-// IsClifford reports whether every gate in the circuit is simulable by
-// the stabilizer engine (Clifford gates, measurements, barriers).
-func IsClifford(c *circuit.Circuit) bool {
-	for _, g := range c.Gates {
-		if op, err := lowerGate(g, engineTableau); err != nil || op.kind == op1Q {
-			return false
-		}
-	}
-	return true
 }

@@ -30,12 +30,6 @@ type NoiseModel struct {
 	// Readout enables measurement bit-flips with the device's
 	// per-qubit readout error.
 	Readout bool
-	// SerializeCrosstalk applies crosstalk-aware scheduling (Murali et
-	// al., ASPLOS'20 — the paper's [22]): CNOTs on adjacent links are
-	// never executed in the same layer, trading extra depth (and idle
-	// error) for the crosstalk penalty. It changes the layering, not
-	// the gates.
-	SerializeCrosstalk bool
 }
 
 // DefaultNoise returns the noise model used throughout the evaluation.
@@ -150,19 +144,17 @@ func layerize(sched *router.Schedule) *layered {
 // checked at shard boundaries, so a service deadline abandons the
 // remaining trial budget and returns the context's error.
 func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineStatevector, nil)
+	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineStatevector)
 }
 
 // measPoint is one measurement with its trial-invariant inputs
-// resolved: the program it belongs to and its position in that program's
-// outcome, the operand index of the measured wire once the schedule has
-// run (compiledProgram.fac), the qubit's readout-error rate, and the
-// reference run's correct bit.
+// resolved: the program it belongs to, the operand index of the measured
+// wire once the schedule has run (compiledProgram.fac), the qubit's
+// readout-error rate, and the reference run's correct bit.
 type measPoint struct {
-	prog, bit int
-	q         int
-	readout   float64
-	correct   int
+	prog, q int
+	readout float64
+	correct int
 }
 
 // register is one shard's reusable engine state: the driver resets it,
@@ -403,32 +395,17 @@ func newRegister(engine engineKind, cp *compiledProgram) register {
 	return r
 }
 
-// histograms asks monteCarlo for each program's dense outcome counts
-// (index bit i = the program's i-th measured qubit in logical order) and
-// for the measurement plan they are indexed by.
-type histograms struct {
-	counts [][]int
-	plan   []measPoint
-}
-
-// maxHistogramBits bounds a program's measured qubits when histograms
-// are requested (they are dense).
-const maxHistogramBits = 16
-
 // monteCarlo is the one Monte-Carlo driver behind every Simulate entry
 // point: validate, layerize, group the measurements into a plan in
 // (program, logical) order — the order every trial measures and draws
 // readout flips in — lower the schedule for the engine, fix the correct
 // outcome with a noiseless reference run, run the trial budget in
 // fixed shards with counter-derived RNGs, and reduce in shard order.
-func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int, engine engineKind, hist *histograms) (*Outcome, error) {
+func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int, engine engineKind) (*Outcome, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
 	}
 	lay := layerize(sched)
-	if noise.Enabled && noise.SerializeCrosstalk {
-		lay = serializeCrosstalk(d, lay)
-	}
 	measOf := make([][]router.Measurement, len(progs))
 	for _, m := range lay.measures {
 		if m.Program < 0 || m.Program >= len(progs) {
@@ -438,12 +415,9 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	}
 	var plan []measPoint
 	for p, ms := range measOf {
-		if hist != nil && len(ms) > maxHistogramBits {
-			return nil, fmt.Errorf("sim: program %d measures %d qubits; mitigation supports <= %d", p, len(ms), maxHistogramBits)
-		}
 		sort.Slice(ms, func(i, j int) bool { return ms[i].Logical < ms[j].Logical })
-		for i, m := range ms {
-			plan = append(plan, measPoint{prog: p, bit: i, q: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys]})
+		for _, m := range ms {
+			plan = append(plan, measPoint{prog: p, q: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys]})
 		}
 	}
 
@@ -472,30 +446,18 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	// counter-derived RNG, so per-shard counts do not depend on how the
 	// shards are spread over goroutines. Each shard reuses one register
 	// across its trials.
-	type shardCounts struct {
-		succ   []int
-		counts [][]int
-	}
 	shards := numShards(trials)
-	perShard := make([]shardCounts, shards)
+	perShard := make([][]int, shards) // per shard, per program: successes
 	ferr := pool.ForEach(ctx, shards, shardWorkers(workers, trials, cp.trialWork), func(s int) error {
 		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
 		lo, hi := shardRange(s, trials)
-		sc := shardCounts{succ: make([]int, len(progs))}
-		if hist != nil {
-			sc.counts = make([][]int, len(progs))
-			for p := range progs {
-				sc.counts[p] = make([]int, 1<<uint(len(measOf[p])))
-			}
-		}
+		succ := make([]int, len(progs))
 		reg := newRegister(engine, cp)
 		wrong := make([]int, len(progs)) // per program: any bit off
-		index := make([]int, len(progs)) // per program: outcome index, for hist
 		for trial := lo; trial < hi; trial++ {
 			reg.reset()
 			reg.run(cp, rng, true)
 			clear(wrong)
-			clear(index)
 			for i := range plan {
 				mp := &plan[i]
 				b := reg.measure(mp.q, rng)
@@ -503,20 +465,14 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 					b ^= 1
 				}
 				wrong[mp.prog] |= b ^ mp.correct
-				if hist != nil {
-					index[mp.prog] |= b << uint(mp.bit)
-				}
 			}
 			for p := range progs {
 				if wrong[p] == 0 {
-					sc.succ[p]++
-				}
-				if hist != nil {
-					sc.counts[p][index[p]]++
+					succ[p]++
 				}
 			}
 		}
-		perShard[s] = sc
+		perShard[s] = succ
 		return nil
 	})
 	if ferr != nil {
@@ -525,23 +481,15 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	// Reduce in shard-index order (integer sums are order-independent,
 	// but the fixed order keeps the pattern uniform).
 	total := perShard[0]
-	for _, sc := range perShard[1:] {
-		for p := range progs {
-			total.succ[p] += sc.succ[p]
-			if hist != nil {
-				for i, c := range sc.counts[p] {
-					total.counts[p][i] += c
-				}
-			}
+	for _, succ := range perShard[1:] {
+		for p, n := range succ {
+			total[p] += n
 		}
 	}
 	out := &Outcome{PST: make([]float64, len(progs)), Correct: make([]string, len(progs)), Trials: trials}
 	for p := range progs {
-		out.PST[p] = float64(total.succ[p]) / float64(trials)
+		out.PST[p] = float64(total[p]) / float64(trials)
 		out.Correct[p] = string(bufs[p])
-	}
-	if hist != nil {
-		hist.counts, hist.plan = total.counts, plan
 	}
 	return out, nil
 }
@@ -615,73 +563,6 @@ func pick2(a, b int, rng *rand.Rand) int {
 		return a
 	}
 	return b
-}
-
-// serializeCrosstalk splits every layer containing CNOTs on adjacent
-// links into conflict-free sub-layers (greedy graph coloring on the
-// adjacency-conflict graph); non-CNOT ops stay in the first sub-layer.
-func serializeCrosstalk(d *arch.Device, lay *layered) *layered {
-	out := &layered{
-		measures: lay.measures,
-		active:   lay.active,
-		compact:  lay.compact,
-	}
-	for _, layer := range lay.layers {
-		var twoq, rest []router.Op
-		for _, op := range layer {
-			if op.Gate.IsTwoQubit() {
-				twoq = append(twoq, op)
-			} else {
-				rest = append(rest, op)
-			}
-		}
-		if len(twoq) <= 1 {
-			out.layers = append(out.layers, layer)
-			continue
-		}
-		// Greedy coloring: assign each CNOT the first sub-layer where
-		// it conflicts with nothing already placed.
-		var groups [][]router.Op
-		for _, op := range twoq {
-			placed := false
-			for gi := range groups {
-				conflict := false
-				for _, other := range groups[gi] {
-					if linksAdjacent(d, op.Gate.Qubits, other.Gate.Qubits) {
-						conflict = true
-						break
-					}
-				}
-				if !conflict {
-					groups[gi] = append(groups[gi], op)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				groups = append(groups, []router.Op{op})
-			}
-		}
-		first := append(append([]router.Op(nil), rest...), groups[0]...)
-		out.layers = append(out.layers, first)
-		for _, g := range groups[1:] {
-			out.layers = append(out.layers, g)
-		}
-	}
-	return out
-}
-
-// linksAdjacent reports whether two 2-qubit ops act on links that share
-// or couple a qubit (the crosstalk condition).
-func linksAdjacent(d *arch.Device, a, b []int) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y || d.Coupling.HasEdge(x, y) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SimulateIdeal runs a plain circuit (logical qubits, no device) without

@@ -10,7 +10,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/nisqbench"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -19,9 +18,8 @@ import (
 // pin the absolute values across commits, so a refactor of the driver,
 // the lowering or an engine that shifts one RNG draw or one float
 // expression fails here. Each literal is the Float64bits of every PST
-// (then every MitigatedPST) and the Correct strings, recorded on the
-// tree before the three drivers were merged and checked in a clean
-// clone of that commit.
+// and the Correct strings, recorded on the tree before the three drivers
+// were merged and checked in a clean clone of that commit.
 
 // goldenTrials spans two shards, the second partial.
 const goldenTrials = 700
@@ -83,58 +81,46 @@ func corners16(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circ
 	return s, progs
 }
 
-func goldenLine(o *Outcome, mitigated []float64) string {
+func goldenLine(o *Outcome) string {
 	var parts []string
 	for _, v := range o.PST {
 		parts = append(parts, fmt.Sprintf("%016x", math.Float64bits(v)))
-	}
-	for _, v := range mitigated {
-		parts = append(parts, fmt.Sprintf("m%016x", math.Float64bits(v)))
 	}
 	return strings.Join(append(parts, o.Correct...), " ")
 }
 
 // goldenPST maps engine/fixture/noise-variant to its recorded line.
 var goldenPST = map[string]string{
-	"clifford/corners16/default":       "3fde2be2be2be2be 3fddfd130463796b 001 10",
-	"clifford/corners16/matrix":        "3fdd41d41d41d41d 3fdccccccccccccd 001 10",
-	"clifford/corners16/noiseless":     "3fe03a83a83a83a8 3fde898231bcb565 001 10",
-	"clifford/corners16/serialized":    "3fdc9dfd13046379 3fdcfb9c86953620 001 10",
-	"clifford/mix50/default":           "3fb1eb851eb851ec 3fc30463796ac9e0 3fcb101767dce435 3fd08c6f2d593bfa 1111111110 00000000 111110 0000",
-	"clifford/mix50/matrix":            "3fb18de5ab277f45 3fc2492492492492 3fcd70a3d70a3d71 3fcdfd130463796b 1111111110 00000000 111110 0000",
-	"clifford/mix50/noiseless":         "3ff0000000000000 3fe03a83a83a83a8 3ff0000000000000 3fde898231bcb565 1111111110 00000000 111110 0000",
-	"clifford/mix50/serialized":        "3fa8de5ab277f44c 3fc6db6db6db6db7 3fc6ac9dfd130463 3fd2608c6f2d593c 1111111110 00000000 111110 0000",
-	"esp/corners16/default":            "3fe7d36276687073 3fea3842ab021e44",
-	"esp/corners16/matrix":             "3fe76d4dce8a3056 3fea2b5557d296d6",
-	"esp/corners16/noiseless":          "3fe806ddc38f4231 3fea70ea3f13eef3",
-	"esp/corners16/serialized":         "3fe7b144e32e463f 3fea12b7878b5fdb",
-	"esp/pair16/default":               "3fe09f6e66704996 3fd5136d9b565276",
-	"esp/pair16/matrix":                "3fe058361d6ded58 3fd5090983fc9c1c",
-	"esp/pair16/noiseless":             "3fe344b0f83eb39d 3fd6161850f99a04",
-	"esp/pair16/serialized":            "3fde200fdc88e93f 3fd46d6da31910e3",
-	"mitigated/corners16/default":      "3fdc9dfd13046379 3fda6c405d9f7391 m3fde9c246c74771a m3fdb8af0cbacffa0 001 10",
-	"mitigated/corners16/matrix":       "3fdbe2be2be2be2c 3fdb6db6db6db6db m3fdd9d98c0e1b891 m3fdccd31b4b7b36c 001 10",
-	"mitigated/corners16/noiseless":    "3fe130463796ac9e 3fe069536202ecfc m3fe130463796ac9e m3fe069536202ecfc 001 10",
-	"mitigated/corners16/serialized":   "3fda2608c6f2d594 3fdd9f7390d2a6c4 m3fdb3b2472f82b83 m3fdf64d7e200ebf9 001 10",
-	"mitigated/pair16/default":         "3fe428f5c28f5c29 3fdbfa2608c6f2d6 m3fe7b421460058cf m3fe01bd6559be01a 110 111",
-	"mitigated/pair16/matrix":          "3fe41d41d41d41d4 3fdeb851eb851eb8 m3fe7a9d6e00011be m3fe1cceff1491292 110 111",
-	"mitigated/pair16/noiseless":       "3ff0000000000000 3ff0000000000000 m3ff0000000000000 m3ff0000000000000 110 111",
-	"mitigated/pair16/serialized":      "3fe2f8af8af8af8b 3fdee721a54d880c m3fe648373b817770 m3fe1e62c9c9cb738 110 111",
-	"statevector/corners16/default":    "3fdc9dfd13046379 3fda6c405d9f7391 001 10",
-	"statevector/corners16/matrix":     "3fdbe2be2be2be2c 3fdb6db6db6db6db 001 10",
-	"statevector/corners16/noiseless":  "3fe130463796ac9e 3fe069536202ecfc 001 10",
-	"statevector/corners16/serialized": "3fda2608c6f2d594 3fdd9f7390d2a6c4 001 10",
-	"statevector/pair16/default":       "3fe428f5c28f5c29 3fdbfa2608c6f2d6 110 111",
-	"statevector/pair16/matrix":        "3fe41d41d41d41d4 3fdeb851eb851eb8 110 111",
-	"statevector/pair16/noiseless":     "3ff0000000000000 3ff0000000000000 110 111",
-	"statevector/pair16/serialized":    "3fe2f8af8af8af8b 3fdee721a54d880c 110 111",
+	"clifford/corners16/default":      "3fde2be2be2be2be 3fddfd130463796b 001 10",
+	"clifford/corners16/matrix":       "3fdd41d41d41d41d 3fdccccccccccccd 001 10",
+	"clifford/corners16/noiseless":    "3fe03a83a83a83a8 3fde898231bcb565 001 10",
+	"clifford/corners16/xtalk":        "3fdbfa2608c6f2d6 3fdd593bfa2608c7 001 10",
+	"clifford/mix50/default":          "3fb1eb851eb851ec 3fc30463796ac9e0 3fcb101767dce435 3fd08c6f2d593bfa 1111111110 00000000 111110 0000",
+	"clifford/mix50/matrix":           "3fb18de5ab277f45 3fc2492492492492 3fcd70a3d70a3d71 3fcdfd130463796b 1111111110 00000000 111110 0000",
+	"clifford/mix50/noiseless":        "3ff0000000000000 3fe03a83a83a83a8 3ff0000000000000 3fde898231bcb565 1111111110 00000000 111110 0000",
+	"clifford/mix50/xtalk":            "3fad41d41d41d41d 3fc8af8af8af8af9 3fc536202ecfb9c8 3fc7f44c118de5ab 1111111110 00000000 111110 0000",
+	"esp/corners16/default":           "3fe7d36276687073 3fea3842ab021e44",
+	"esp/corners16/matrix":            "3fe76d4dce8a3056 3fea2b5557d296d6",
+	"esp/corners16/noiseless":         "3fe806ddc38f4231 3fea70ea3f13eef3",
+	"esp/corners16/xtalk":             "3fe7b144e32e463f 3fea12b7878b5fdb",
+	"esp/pair16/default":              "3fe09f6e66704996 3fd5136d9b565276",
+	"esp/pair16/matrix":               "3fe058361d6ded58 3fd5090983fc9c1c",
+	"esp/pair16/noiseless":            "3fe344b0f83eb39d 3fd6161850f99a04",
+	"esp/pair16/xtalk":                "3fde200fdc88e93f 3fd46d6da31910e3",
+	"statevector/corners16/default":   "3fdc9dfd13046379 3fda6c405d9f7391 001 10",
+	"statevector/corners16/matrix":    "3fdbe2be2be2be2c 3fdb6db6db6db6db 001 10",
+	"statevector/corners16/noiseless": "3fe130463796ac9e 3fe069536202ecfc 001 10",
+	"statevector/corners16/xtalk":     "3fdb851eb851eb85 3fd999999999999a 001 10",
+	"statevector/pair16/default":      "3fe428f5c28f5c29 3fdbfa2608c6f2d6 110 111",
+	"statevector/pair16/matrix":       "3fe41d41d41d41d4 3fdeb851eb851eb8 110 111",
+	"statevector/pair16/noiseless":    "3ff0000000000000 3ff0000000000000 110 111",
+	"statevector/pair16/xtalk":        "3fe202ecfb9c8695 3fdde5ab277f44c1 110 111",
 }
 
 type goldenFixture func(testing.TB, *arch.Device) (*router.Schedule, []*circuit.Circuit)
 
 func TestGoldenPST(t *testing.T) {
-	defer pool.SetDefault(0)
-	serialized := NoiseModel{Enabled: true, IdleErrPerLayer: 0.002, CrosstalkFactor: 0.5, Readout: true, SerializeCrosstalk: true}
+	xtalk := NoiseModel{Enabled: true, IdleErrPerLayer: 0.002, CrosstalkFactor: 0.5, Readout: true}
 	matrix50 := arch.IBMQ50(0)
 	matrix50.Crosstalk = arch.GenerateHostileCrosstalk(matrix50, 5, 0.3, 3, 5)
 	variants := []struct {
@@ -144,7 +130,7 @@ func TestGoldenPST(t *testing.T) {
 	}{
 		{"noiseless", arch.IBMQ16(0), arch.IBMQ50(0), NoiseModel{}},
 		{"default", arch.IBMQ16(0), arch.IBMQ50(0), DefaultNoise()},
-		{"serialized", arch.IBMQ16(0), arch.IBMQ50(0), serialized},
+		{"xtalk", arch.IBMQ16(0), arch.IBMQ50(0), xtalk},
 		{"matrix", matrixDevice16(t, 11), matrix50, DefaultNoise()},
 	}
 	cases := []struct {
@@ -153,9 +139,7 @@ func TestGoldenPST(t *testing.T) {
 		chip50          bool
 	}{
 		{"statevector", "pair16", adjacentPair16, false},
-		{"mitigated", "pair16", adjacentPair16, false},
 		{"statevector", "corners16", corners16, false},
-		{"mitigated", "corners16", corners16, false},
 		{"clifford", "corners16", corners16, false},
 		{"clifford", "mix50", cliffordMix50, true},
 		{"esp", "pair16", adjacentPair16, false},
@@ -177,25 +161,17 @@ func TestGoldenPST(t *testing.T) {
 				case "esp":
 					var e *ESP
 					if e, err = AnalyticESP(d, s, len(progs), v.noise.IdleErrPerLayer); err == nil {
-						line = goldenLine(&Outcome{PST: e.PerProgram}, nil)
+						line = goldenLine(&Outcome{PST: e.PerProgram})
 					}
 				case "statevector":
 					var o *Outcome
 					if o, err = SimulateScheduleCtx(ctx, d, s, progs, goldenTrials, 3, v.noise, workers); err == nil {
-						line = goldenLine(o, nil)
+						line = goldenLine(o)
 					}
 				case "clifford":
 					var o *Outcome
 					if o, err = SimulateScheduleCliffordCtx(ctx, d, s, progs, goldenTrials, 3, v.noise, workers); err == nil {
-						line = goldenLine(o, nil)
-					}
-				default:
-					// The mitigated entry point takes its worker count
-					// from the pool default only.
-					pool.SetDefault(workers)
-					var o *MitigatedOutcome
-					if o, err = SimulateScheduleMitigated(d, s, progs, goldenTrials, 3, v.noise); err == nil {
-						line = goldenLine(&o.Outcome, o.MitigatedPST)
+						line = goldenLine(o)
 					}
 				}
 				if err != nil {

@@ -9,9 +9,9 @@ package sim
 // lookups and zero allocations.
 //
 // lowerGate is the only place a gate name becomes an operation:
-// compileLayers, SimulateIdeal, CliffordOutcome and IsClifford all go
-// through it (gateMatrix in state.go is the table of 2x2 unitaries it
-// looks single-qubit gates up in). The package holds one engine per
+// compileLayers, SimulateIdeal and CliffordOutcome all go through it
+// (gateMatrix in state.go is the table of 2x2 unitaries it looks
+// single-qubit gates up in). The package holds one engine per
 // representation — runStatevector over the factored register, runTableau
 // over the stabilizer register.
 //

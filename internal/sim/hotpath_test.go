@@ -36,9 +36,6 @@ func ghzSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Circ
 func compiledLay(tb testing.TB, d *arch.Device, s *router.Schedule, noise NoiseModel, engine engineKind) (*layered, *compiledProgram) {
 	tb.Helper()
 	lay := layerize(s)
-	if noise.Enabled && noise.SerializeCrosstalk {
-		lay = serializeCrosstalk(d, lay)
-	}
 	cp, err := compileLayers(d, lay, noise, engine)
 	if err != nil {
 		tb.Fatal(err)
@@ -57,7 +54,7 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 	noises := []NoiseModel{
 		{},
 		DefaultNoise(),
-		{Enabled: true, IdleErrPerLayer: 0.01, CrosstalkFactor: 0.5, Readout: true, SerializeCrosstalk: true},
+		{Enabled: true, IdleErrPerLayer: 0.01, CrosstalkFactor: 0.5, Readout: true},
 	}
 	d := arch.IBMQ16(0)
 	_, pair, _ := pairSchedule(t)
@@ -228,7 +225,7 @@ func TestCompiledTrialMatchesLegacyTableau(t *testing.T) {
 	noises := []NoiseModel{
 		{},
 		DefaultNoise(),
-		{Enabled: true, IdleErrPerLayer: 0.05, CrosstalkFactor: 0.5, Readout: true, SerializeCrosstalk: true},
+		{Enabled: true, IdleErrPerLayer: 0.05, CrosstalkFactor: 0.5, Readout: true},
 	}
 	d, ghz, _ := ghzSchedule(t)
 	corners, _ := corners16(t, d)

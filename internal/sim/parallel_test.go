@@ -8,7 +8,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/nisqbench"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -113,32 +112,6 @@ func TestSimulateCliffordWorkersDifferential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d outcome %+v differs from sequential %+v", workers, got, want)
-		}
-	}
-}
-
-// TestSimulateMitigatedWorkersDifferential drives the worker count
-// through the pool default, the only knob the mitigation engine
-// exposes; its per-shard integer histograms must make the reduction
-// exact at any setting.
-func TestSimulateMitigatedWorkersDifferential(t *testing.T) {
-	defer pool.SetDefault(0)
-	d, s, progs := pairSchedule(t)
-	noise := DefaultNoise()
-	trials := shardTrials + 200
-	pool.SetDefault(1)
-	want, err := SimulateScheduleMitigated(d, s, progs, trials, 3, noise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		pool.SetDefault(workers)
-		got, err := SimulateScheduleMitigated(d, s, progs, trials, 3, noise)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d mitigated outcome %+v differs from sequential %+v", workers, got, want)
 		}
 	}
 }

@@ -301,7 +301,7 @@ func TestIdleDecoherencePenalizesWaiting(t *testing.T) {
 	}
 }
 
-// TestSimulateScheduleErrors walks every rejection the three Monte-Carlo
+// TestSimulateScheduleErrors walks every rejection the two Monte-Carlo
 // entry points share, with the exact text callers see; a row that wants
 // no error pins a limit one engine does not have.
 func TestSimulateScheduleErrors(t *testing.T) {
@@ -319,7 +319,6 @@ func TestSimulateScheduleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d50 := arch.IBMQ50(0)
 	// One 25-qubit entangled program: a single component past the cap.
 	ghz25 := nisqbench.GHZ(25)
 	line := make([]int, 25)
@@ -330,15 +329,11 @@ func TestSimulateScheduleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := &router.Schedule{Device: d50}
-	for q := 0; q < 17; q++ {
-		wide.Measurements = append(wide.Measurements, router.Measurement{Logical: q, Phys: q})
-	}
 	live := context.Background()
 	cancelled, cancel := context.WithCancel(live)
 	cancel()
 
-	const sv, cliff, mit = "statevector", "clifford", "mitigated"
+	const sv, cliff = "statevector", "clifford"
 	cases := []struct {
 		name    string
 		engines []string
@@ -349,14 +344,13 @@ func TestSimulateScheduleErrors(t *testing.T) {
 		trials  int
 		want    string
 	}{
-		{"zero trials", []string{sv, cliff, mit}, live, d, s, one, 0, "sim: trials must be positive, got 0"},
-		{"negative trials", []string{sv, cliff, mit}, live, d, s, one, -3, "sim: trials must be positive, got -3"},
-		{"unknown program", []string{sv, cliff, mit}, live, d, &stray, one, 10, "sim: measurement for unknown program 1"},
+		{"zero trials", []string{sv, cliff}, live, d, s, one, 0, "sim: trials must be positive, got 0"},
+		{"negative trials", []string{sv, cliff}, live, d, s, one, -3, "sim: trials must be positive, got -3"},
+		{"unknown program", []string{sv, cliff}, live, d, &stray, one, 10, "sim: measurement for unknown program 1"},
 		{"component too large", []string{sv}, live, big.Device, big, []*circuit.Circuit{ghz25}, 10, "sim: an entangled component of 25 qubits exceeds the statevector limit of 24"},
 		// The caps are the statevector's: a tableau component has none.
 		{"tableau component uncapped", []string{cliff}, live, big.Device, big, []*circuit.Circuit{ghz25}, 10, ""},
 		{"non-Clifford gate", []string{cliff}, live, d, tofSched, []*circuit.Circuit{tof}, 10, `sim: schedule contains non-Clifford gate "tdg"`},
-		{"too many measured qubits", []string{mit}, live, d50, wide, one, 10, "sim: program 0 measures 17 qubits; mitigation supports <= 16"},
 		{"cancelled context", []string{sv, cliff}, cancelled, d, s, one, 10, context.Canceled.Error()},
 	}
 	for _, c := range cases {
@@ -365,10 +359,8 @@ func TestSimulateScheduleErrors(t *testing.T) {
 			switch engine {
 			case sv:
 				_, err = SimulateScheduleCtx(c.ctx, c.d, c.sched, c.progs, c.trials, 1, DefaultNoise(), 0)
-			case cliff:
-				_, err = SimulateScheduleCliffordCtx(c.ctx, c.d, c.sched, c.progs, c.trials, 1, DefaultNoise(), 0)
 			default:
-				_, err = SimulateScheduleMitigated(c.d, c.sched, c.progs, c.trials, 1, DefaultNoise())
+				_, err = SimulateScheduleCliffordCtx(c.ctx, c.d, c.sched, c.progs, c.trials, 1, DefaultNoise(), 0)
 			}
 			switch {
 			case c.want == "" && err != nil:
@@ -519,73 +511,6 @@ func TestExtraBenchmarkIdealOutputs(t *testing.T) {
 		if prob < tc.minProb {
 			t.Errorf("%s modal prob = %v, want >= %v", name, prob, tc.minProb)
 		}
-	}
-}
-
-func TestSerializeCrosstalkImprovesPSTUnderHeavyCrosstalk(t *testing.T) {
-	// Two programs running parallel CNOTs on adjacent links; with a
-	// large crosstalk factor, serializing must raise PST.
-	d := arch.Linear(4, 0.015, 0.01)
-	mk := func(name string) *circuit.Circuit {
-		c := circuit.New(name, 2)
-		c.X(0)
-		for i := 0; i < 12; i++ {
-			c.CX(0, 1)
-		}
-		// Odd CNOT count so the output is deterministic |11>.
-		c.CX(0, 1)
-		return c.MeasureAll()
-	}
-	progs := []*circuit.Circuit{mk("a"), mk("b")}
-	s, err := router.Route(d, progs, [][]int{{0, 1}, {2, 3}}, router.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := NoiseModel{Enabled: true, CrosstalkFactor: 3.0, IdleErrPerLayer: 0.0001, Readout: false}
-	serial := base
-	serial.SerializeCrosstalk = true
-	outBase, err := SimulateScheduleCtx(context.Background(), d, s, progs, 800, 9, base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outSerial, err := SimulateScheduleCtx(context.Background(), d, s, progs, 800, 9, serial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outSerial.AvgPST() <= outBase.AvgPST() {
-		t.Fatalf("serialized PST %v <= parallel PST %v under heavy crosstalk",
-			outSerial.AvgPST(), outBase.AvgPST())
-	}
-}
-
-func TestSerializeCrosstalkPreservesSemantics(t *testing.T) {
-	// Zero calibration: with all stochastic channels at zero rate, the
-	// only effect left is the relayering itself.
-	d := arch.Linear(4, 0, 0)
-	for q := range d.Gate1Err {
-		d.Gate1Err[q] = 0
-	}
-	p1 := circuit.New("p1", 2)
-	p1.X(0).CX(0, 1).MeasureAll()
-	p2 := circuit.New("p2", 2)
-	p2.H(0).CX(0, 1).CX(0, 1).H(0).X(1).MeasureAll()
-	progs := []*circuit.Circuit{p1, p2}
-	s, err := router.Route(d, progs, [][]int{{0, 1}, {2, 3}}, router.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	noise := NoiseModel{Enabled: true, SerializeCrosstalk: true}
-	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 60, 3, noise, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No stochastic channels are configured beyond serialization, so
-	// the results must be perfect.
-	if out.PST[0] != 1 || out.PST[1] != 1 {
-		t.Fatalf("serialization changed semantics: PST %v", out.PST)
-	}
-	if out.Correct[0] != "11" || out.Correct[1] != "01" {
-		t.Fatalf("outcomes = %v", out.Correct)
 	}
 }
 

@@ -177,18 +177,6 @@ func TestTableauMatchesStatevector(t *testing.T) {
 	}
 }
 
-func TestIsClifford(t *testing.T) {
-	if !IsClifford(nisqbench.MustGet("bv_n10")) {
-		t.Fatal("BV is Clifford")
-	}
-	if !IsClifford(nisqbench.GHZ(8)) {
-		t.Fatal("GHZ is Clifford")
-	}
-	if IsClifford(nisqbench.MustGet("toffoli_3")) {
-		t.Fatal("decomposed Toffoli contains T gates")
-	}
-}
-
 func TestSimulateScheduleCliffordNoiseless(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n4")

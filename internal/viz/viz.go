@@ -165,31 +165,3 @@ func Timeline(s *router.Schedule, maxLayers int) string {
 	}
 	return b.String()
 }
-
-// PartitionMap renders qubit ownership after partitioning: one line per
-// program listing its physical qubits, plus the free set.
-func PartitionMap(d *arch.Device, owner []int, names []string) string {
-	var b strings.Builder
-	byProg := map[int][]int{}
-	for q, o := range owner {
-		byProg[o] = append(byProg[o], q)
-	}
-	progIDs := make([]int, 0, len(byProg))
-	for o := range byProg {
-		if o >= 0 {
-			progIDs = append(progIDs, o)
-		}
-	}
-	sort.Ints(progIDs)
-	for _, o := range progIDs {
-		name := fmt.Sprintf("program %d", o)
-		if o < len(names) && names[o] != "" {
-			name = names[o]
-		}
-		fmt.Fprintf(&b, "%-20s %v\n", name, byProg[o])
-	}
-	if free := byProg[-1]; len(free) > 0 {
-		fmt.Fprintf(&b, "%-20s %v\n", "free", free)
-	}
-	return b.String()
-}

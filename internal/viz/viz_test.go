@@ -75,19 +75,3 @@ func TestTimelineTruncation(t *testing.T) {
 		t.Fatalf("truncated timeline must say so:\n%s", tl)
 	}
 }
-
-func TestPartitionMap(t *testing.T) {
-	d := arch.Linear(5, 0.02, 0.02)
-	owner := []int{0, 0, -1, 1, 1}
-	out := PartitionMap(d, owner, []string{"bv_n3", "toffoli"})
-	for _, want := range []string{"bv_n3", "toffoli", "free", "[0 1]", "[3 4]", "[2]"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("partition map missing %q:\n%s", want, out)
-		}
-	}
-	// Missing names fall back to indices.
-	out2 := PartitionMap(d, owner, nil)
-	if !strings.Contains(out2, "program 0") {
-		t.Fatalf("fallback name missing:\n%s", out2)
-	}
-}
