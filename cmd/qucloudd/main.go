@@ -10,53 +10,32 @@
 // Every admitted job is routed across the registered chips by the
 // fleet dispatcher (-fleet-policy speed|fidelity|fairness|balanced);
 // a backends entry may be replicated with "name*N" (e.g. "london*4")
-// to register N identically-calibrated copies.
-//
-// Load generator — replay an internal/nisqbench workload against a
-// running daemon and report end-to-end throughput and latency:
-//
-//	qucloudd loadgen -addr http://127.0.0.1:8080 -n 40 -class tiny
+// to register N identically-calibrated copies. The metrics registry is
+// served as JSON on /metrics.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/circuit"
 	"repro/internal/fleet"
-	"repro/internal/nisqbench"
 	"repro/internal/service"
 )
 
 func main() {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("qucloudd: ")
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "loadgen" {
-		if err := runLoadgen(args[1:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err := runServe(args); err != nil {
+	if err := runServe(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -124,12 +103,15 @@ func runServe(args []string) error {
 		brkCooldown  = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
 		history      = fs.Int("history", 4096, "terminal job records retained per service (negative keeps all)")
 		cacheSize    = fs.Int("cache-size", 1024, "compile-cache entries (0 uses the default, negative disables caching)")
-		crosstalk    = fs.Bool("crosstalk", false, "install a synthetic SRB crosstalk matrix on every backend (CDAP placement and EPST admission become pair-aware)")
+		crosstalk    = fs.Bool("crosstalk", false, "install a synthetic crosstalk matrix (generator ground truth) on every backend (CDAP placement and EPST admission become pair-aware)")
 		dataDir      = fs.String("data-dir", "", "directory for the write-ahead job log (queued jobs survive restart); empty disables")
 		tenantsFile  = fs.String("tenants", "", "JSON file with the tenant key table ([{\"id\":...,\"key\":...,\"weight\":...}]); empty serves a single open tenant")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
 	devices, err := parseBackends(*backends, *calSeed)
@@ -174,15 +156,11 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	svc.Metrics().PublishExpvar()
 	svc.Start()
 
-	mux := http.NewServeMux()
-	mux.Handle("/", svc.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	server := &http.Server{
 		Addr:              *addr,
-		Handler:           mux,
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -214,319 +192,7 @@ func runServe(args []string) error {
 		return err
 	}
 	snap := svc.Metrics().Snapshot()
-	log.Printf("drained: %d completed, %d failed, %d batches (avg size %.2f)",
-		snap.Jobs.Completed, snap.Jobs.Failed, snap.Batches.Executed, snap.Batches.AvgSize)
+	log.Printf("drained: %d completed, %d failed, %d batches (TRF %.2f)",
+		snap.Jobs.Completed, snap.Jobs.Failed, snap.Batches.Executed, snap.Batches.TRF)
 	return nil
-}
-
-// pickBenchmarks selects the loadgen circuit mix: an explicit
-// comma-separated -bench list, or every benchmark of the -class.
-func pickBenchmarks(benchList, class string) ([]*circuit.Circuit, error) {
-	var names []string
-	if benchList != "" {
-		for _, n := range strings.Split(benchList, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	} else {
-		var sc nisqbench.SizeClass
-		switch class {
-		case "tiny":
-			sc = nisqbench.Tiny
-		case "small":
-			sc = nisqbench.Small
-		case "large":
-			sc = nisqbench.Large
-		default:
-			return nil, fmt.Errorf("unknown class %q (tiny, small, large)", class)
-		}
-		names = nisqbench.ByClass(sc)
-	}
-	var circs []*circuit.Circuit
-	for _, n := range names {
-		c, err := nisqbench.Get(n)
-		if err != nil {
-			return nil, err
-		}
-		circs = append(circs, c)
-	}
-	if len(circs) == 0 {
-		return nil, fmt.Errorf("no benchmarks selected")
-	}
-	return circs, nil
-}
-
-// lgStream is one loadgen submission stream: a tenant key driving an
-// independent Poisson arrival process.
-type lgStream struct {
-	key    string
-	weight float64
-
-	tenant   string // tenant ID from the first accepted job (or "anonymous")
-	ids      []string
-	rejected int
-	records  map[string]service.JobRecord
-	err      error
-}
-
-// parseStreams resolves -keys/-weights into submission streams. Empty
-// keys means a single anonymous stream (the open-mode daemon).
-func parseStreams(keys, weights string) ([]*lgStream, error) {
-	if keys == "" {
-		return []*lgStream{{key: "", weight: 1, tenant: "anonymous"}}, nil
-	}
-	ks := strings.Split(keys, ",")
-	var ws []string
-	if weights != "" {
-		ws = strings.Split(weights, ",")
-		if len(ws) != len(ks) {
-			return nil, fmt.Errorf("-weights has %d entries for %d keys", len(ws), len(ks))
-		}
-	}
-	streams := make([]*lgStream, len(ks))
-	for i, k := range ks {
-		k = strings.TrimSpace(k)
-		if k == "" {
-			return nil, fmt.Errorf("-keys entry %d is empty", i)
-		}
-		w := 1.0
-		if ws != nil {
-			v, err := strconv.ParseFloat(strings.TrimSpace(ws[i]), 64)
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("-weights entry %d (%q) is not a positive number", i, ws[i])
-			}
-			w = v
-		}
-		streams[i] = &lgStream{key: k, weight: w}
-	}
-	return streams, nil
-}
-
-// lgDo issues one authenticated request and decodes a JSON body into
-// out (when out is non-nil and the status is 2xx).
-func lgDo(client *http.Client, method, url, key string, body []byte, out any) (int, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if key != "" {
-		req.Header.Set("Authorization", "Bearer "+key)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode/100 == 2 {
-		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-	}
-	b := new(bytes.Buffer)
-	_, _ = b.ReadFrom(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode/100 != 2 && resp.StatusCode != http.StatusTooManyRequests {
-		return resp.StatusCode, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(b.String()))
-	}
-	return resp.StatusCode, nil
-}
-
-// lgSubmit drives one stream: n submissions with exponential
-// inter-arrival gaps, retrying 429 backpressure after the next gap so a
-// throttled tenant keeps offering load (that sustained pressure is what
-// the fairness report measures).
-func (st *lgStream) lgSubmit(client *http.Client, base string, n int, meanGap time.Duration, rng *rand.Rand, circs []*circuit.Circuit, deadline time.Time) error {
-	for i := 0; i < n; {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timeout: %d/%d jobs submitted", i, n)
-		}
-		c := circs[i%len(circs)]
-		body, _ := json.Marshal(service.SubmitRequest{Name: c.Name, QASM: circuit.QASMString(c)})
-		var rec service.JobRecord
-		status, err := lgDo(client, http.MethodPost, base+"/v1/jobs", st.key, body, &rec)
-		if err != nil {
-			return fmt.Errorf("submit %d: %w", i, err)
-		}
-		if status == http.StatusTooManyRequests {
-			st.rejected++
-		} else {
-			st.ids = append(st.ids, rec.ID)
-			if st.tenant == "" {
-				st.tenant = rec.Tenant
-			}
-			i++
-		}
-		if gap := time.Duration(rng.ExpFloat64() * float64(meanGap)); gap > 0 {
-			time.Sleep(gap)
-		}
-	}
-	return nil
-}
-
-// lgPoll waits until every accepted job of the stream is terminal.
-func (st *lgStream) lgPoll(client *http.Client, base string, deadline time.Time) error {
-	st.records = make(map[string]service.JobRecord, len(st.ids))
-	for len(st.records) < len(st.ids) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timeout: %d/%d jobs finished", len(st.records), len(st.ids))
-		}
-		for _, id := range st.ids {
-			if _, done := st.records[id]; done {
-				continue
-			}
-			var rec service.JobRecord
-			if _, err := lgDo(client, http.MethodGet, base+"/v1/jobs/"+id, st.key, nil, &rec); err != nil {
-				return fmt.Errorf("poll %s: %w", id, err)
-			}
-			if rec.State.Terminal() {
-				st.records[id] = rec
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return nil
-}
-
-// percentile returns the p-th percentile (0 < p <= 1) of xs, which it
-// sorts in place.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	i := int(math.Ceil(p*float64(len(xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return xs[i]
-}
-
-// jainIndex is Jain's fairness index over the samples:
-// J = (Σx)² / (k·Σx²), 1.0 when all shares are equal, 1/k when one
-// claims everything.
-func jainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq > 0 {
-		return sum * sum / (float64(len(xs)) * sq)
-	}
-	return 0
-}
-
-func runLoadgen(args []string) error {
-	fs := flag.NewFlagSet("qucloudd loadgen", flag.ExitOnError)
-	var (
-		addr    = fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
-		n       = fs.Int("n", 40, "jobs to submit per stream")
-		class   = fs.String("class", "tiny", "benchmark class: tiny, small, large")
-		bench   = fs.String("bench", "", "explicit comma-separated benchmark names (overrides -class)")
-		meanGap = fs.Duration("mean-gap", 100*time.Millisecond, "mean inter-arrival gap per stream (exponential)")
-		seed    = fs.Int64("seed", 2026, "arrival-stream seed")
-		timeout = fs.Duration("timeout", 5*time.Minute, "max time to wait for all jobs to finish")
-		keys    = fs.String("keys", "", "comma-separated API keys; one concurrent Poisson stream per key (empty runs a single anonymous stream)")
-		weights = fs.String("weights", "", "comma-separated fair-share weights matching -keys (default 1 each); only normalizes the fairness report")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	circs, err := pickBenchmarks(*bench, *class)
-	if err != nil {
-		return err
-	}
-	streams, err := parseStreams(*keys, *weights)
-	if err != nil {
-		return err
-	}
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	base := strings.TrimRight(*addr, "/")
-	deadline := time.Now().Add(*timeout)
-	start := time.Now()
-
-	// One goroutine per stream: submit with independent Poisson gaps,
-	// then poll that stream's jobs to terminal states.
-	var wg sync.WaitGroup
-	for i, st := range streams {
-		wg.Add(1)
-		go func(i int, st *lgStream) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(i)))
-			if err := st.lgSubmit(client, base, *n, *meanGap, rng, circs, deadline); err != nil {
-				st.err = err
-				return
-			}
-			st.err = st.lgPoll(client, base, deadline)
-		}(i, st)
-	}
-	wg.Wait()
-	for _, st := range streams {
-		if st.err != nil {
-			return fmt.Errorf("stream %s: %w", st.tenantLabel(), st.err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	// Per-tenant accounting and the cross-tenant fairness report.
-	var allTotals, shares []float64
-	totalDone, totalFailed, totalRejected := 0, 0, 0
-	for _, st := range streams {
-		done, failed := 0, 0
-		totals := make([]float64, 0, len(st.records))
-		for _, id := range st.ids {
-			rec := st.records[id]
-			if rec.State == service.StateDone {
-				done++
-			} else {
-				failed++
-			}
-			totals = append(totals, rec.WaitSeconds+rec.ServiceSeconds)
-		}
-		allTotals = append(allTotals, totals...)
-		shares = append(shares, float64(done)/st.weight)
-		totalDone += done
-		totalFailed += failed
-		totalRejected += st.rejected
-		fmt.Printf("tenant %-12s weight %.1f: %d done, %d failed, %d throttled (429), p99 total %.2fs\n",
-			st.tenantLabel(), st.weight, done, failed, st.rejected, percentile(totals, 0.99))
-	}
-	fmt.Printf("finished in %.1fs: %d done, %d failed, %d throttled (%.1f jobs/min)\n",
-		elapsed.Seconds(), totalDone, totalFailed, totalRejected,
-		float64(totalDone+totalFailed)/elapsed.Minutes())
-	fmt.Printf("overall p99 total %.2fs", percentile(allTotals, 0.99))
-	if len(streams) > 1 {
-		fmt.Printf(", Jain fairness %.4f over weight-normalized completions", jainIndex(shares))
-	}
-	fmt.Println()
-
-	var snap service.MetricsSnapshot
-	if _, err := lgDo(client, http.MethodGet, base+"/metrics", "", nil, &snap); err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	fmt.Printf("daemon: %d batches, avg size %.2f, co-location rate %.0f%%, queue p99 %.2fs, total p99 %.2fs\n",
-		snap.Batches.Executed, snap.Batches.AvgSize, snap.Batches.ColocationRate*100,
-		snap.LatencySeconds.Queue.P99, snap.LatencySeconds.Total.P99)
-	return nil
-}
-
-// tenantLabel names the stream for reports: the tenant ID once a job
-// was accepted, otherwise a key prefix.
-func (st *lgStream) tenantLabel() string {
-	if st.tenant != "" {
-		return st.tenant
-	}
-	if len(st.key) > 8 {
-		return st.key[:8] + "…"
-	}
-	return st.key
 }

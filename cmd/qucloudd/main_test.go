@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 )
@@ -80,30 +81,21 @@ func TestParseBackendsReplication(t *testing.T) {
 	}
 }
 
-func TestPickBenchmarks(t *testing.T) {
-	circs, err := pickBenchmarks("bv_n3,toffoli_3", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(circs) != 2 {
-		t.Fatalf("got %d circuits", len(circs))
-	}
-	tiny, err := pickBenchmarks("", "tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiny) == 0 {
-		t.Fatal("tiny class is empty")
-	}
-	for _, c := range tiny {
-		if c.NumQubits == 0 {
-			t.Fatalf("benchmark %q has no qubits", c.Name)
+// TestRunServeRejectsPositionalArgs: flag parsing stops at the first
+// non-flag, so a stray word must fail the command instead of silently
+// starting a daemon. The timeout turns a daemon that serves anyway
+// into a failure, not a hang.
+func TestRunServeRejectsPositionalArgs(t *testing.T) {
+	errc := make(chan error, 1)
+	go func() {
+		errc <- runServe([]string{"-addr", "127.0.0.1:0", "-backends", "london", "stray"})
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || err.Error() != `unexpected argument "stray"` {
+			t.Fatalf("runServe = %v, want unexpected argument \"stray\"", err)
 		}
-	}
-	if _, err := pickBenchmarks("", "nosuchclass"); err == nil {
-		t.Fatal("expected error for unknown class")
-	}
-	if _, err := pickBenchmarks("nosuchbench", ""); err == nil {
-		t.Fatal("expected error for unknown benchmark")
+	case <-time.After(2 * time.Second):
+		t.Fatal("runServe served despite a positional argument")
 	}
 }

