@@ -27,9 +27,12 @@ lint:
 
 # Non-test Go lines outside bench/ and the analyzer fixtures under
 # testdata/: the size ROADMAP asks every PR to report (the delta goes in
-# CHANGES.md).
+# CHANGES.md). One line per internal/<pkg>, cmd/<cmd>, examples and the
+# root package (.), then the total.
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*'
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { split($$2, p, "/"); k = p[2] ~ /\.go$$/ ? "." : p[2]; if (k == "internal" || k == "cmd") k = k "/" p[3]; n[k] += $$1 } END { for (k in n) printf "%6d %s\n", n[k], k | "sort -k2" }'
+	@$(LOC_FILES) | xargs wc -l | tail -1
 
 # The default test path runs the fmt gate, vet and qulint first, then
 # the full suite, then the race detector over the concurrent packages

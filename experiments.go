@@ -491,7 +491,7 @@ func RunTreeStaleness(calSeed int64, days int, drift float64) ([]float64, error)
 		}
 		total := 0.0
 		for i, a := range res.Assignments {
-			total += d.EPST(a.Region, progs[i].RawCNOTCount(), progs[i].Gate1Count(), progs[i].NumQubits)
+			total += d.EPST(a.Region, progs[i].RawCNOTCount(), progs[i].Gate1Count(), progs[i].NumQubits, nil)
 		}
 		return total / float64(len(progs)), nil
 	}

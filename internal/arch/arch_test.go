@@ -190,30 +190,6 @@ func TestUtility(t *testing.T) {
 	}
 }
 
-func TestErrWeightedDistance(t *testing.T) {
-	d := Linear(4, 0.05, 0.02)
-	dist := d.ErrWeightedDistance(0)
-	if dist[0][3] != 3 {
-		t.Fatalf("penalty 0 must give hops; got %v", dist[0][3])
-	}
-	distP := d.ErrWeightedDistance(5)
-	if distP[0][3] <= 3 {
-		t.Fatalf("penalty must lengthen noisy paths; got %v", distP[0][3])
-	}
-}
-
-func TestErrWeightedDistancePrefersReliablePath(t *testing.T) {
-	// Square with one very bad direct link 0-3 and a good path 0-1-2-3.
-	d := Grid(2, 2, 0.01, 0.02) // qubits 0,1 / 2,3 with 4 edges
-	d.CNOTErr[graph.NewEdge(1, 3)] = 0.6
-	dist := d.ErrWeightedDistance(10)
-	// With heavy penalty, 1->3 direct costs 1 + 10*(-ln 0.4) ~ 10.2,
-	// while 1-0-2-3 costs ~3.3.
-	if dist[1][3] > 4 {
-		t.Fatalf("noise-aware distance should route around the weak link; got %v", dist[1][3])
-	}
-}
-
 func TestHopsCached(t *testing.T) {
 	d := IBMQ16(0)
 	h1 := d.Hops()
@@ -256,15 +232,6 @@ func TestLinearShape(t *testing.T) {
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBestQubits(t *testing.T) {
-	d := Linear(3, 0.02, 0.02)
-	d.ReadoutErr = []float64{0.3, 0.1, 0.2}
-	got := d.BestQubits()
-	if got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Fatalf("BestQubits = %v", got)
 	}
 }
 

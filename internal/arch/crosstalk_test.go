@@ -2,6 +2,8 @@ package arch
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -112,27 +114,110 @@ func TestAdjacentEdgePairsDisjointAndCoupled(t *testing.T) {
 	}
 }
 
+// TestEPSTUnderPenalizesHostileNeighbors checks EPST under busy links:
+// only a characterized hostile aggressor lowers it.
 func TestEPSTUnderPenalizesHostileNeighbors(t *testing.T) {
 	d := IBMQ16(1)
 	region := []int{0, 1}
 	v := graph.NewEdge(0, 1)
 	a := graph.NewEdge(2, 3)
-	base := d.EPST(region, 10, 5, 2)
-	// No matrix: identical to EPST regardless of busy links.
-	if got := d.EPSTUnder(region, 10, 5, 2, []graph.Edge{a}); got != base {
-		t.Errorf("no matrix: EPSTUnder %v != EPST %v", got, base)
+	base := d.EPST(region, 10, 5, 2, nil)
+	// No matrix: busy links change nothing.
+	if got := d.EPST(region, 10, 5, 2, []graph.Edge{a}); got != base {
+		t.Errorf("no matrix: busy EPST %v != EPST %v", got, base)
 	}
 	d.Crosstalk = CrosstalkMatrix{EdgePair{Victim: v, Aggressor: a}: d.CNOTError(0, 1) * 4}
-	if got := d.EPSTUnder(region, 10, 5, 2, nil); got != base {
-		t.Errorf("no busy links: EPSTUnder %v != EPST %v", got, base)
+	if got := d.EPST(region, 10, 5, 2, nil); got != base {
+		t.Errorf("no busy links: EPST %v != base %v", got, base)
 	}
-	hostile := d.EPSTUnder(region, 10, 5, 2, []graph.Edge{a})
+	hostile := d.EPST(region, 10, 5, 2, []graph.Edge{a})
 	if hostile >= base {
 		t.Errorf("hostile neighbor did not lower EPST: %v >= %v", hostile, base)
 	}
-	benign := d.EPSTUnder(region, 10, 5, 2, []graph.Edge{graph.NewEdge(12, 13)})
+	benign := d.EPST(region, 10, 5, 2, []graph.Edge{graph.NewEdge(12, 13)})
 	if benign != base {
 		t.Errorf("uncharacterized neighbor changed EPST: %v != %v", benign, base)
+	}
+}
+
+// TestEPSTMatchesPreMergeFormulas pins Device.EPST bit for bit to the
+// two Equation 4 implementations it replaced: the scheduler's
+// crosstalk-blind copy and the busy-link variant CDAP and the
+// scheduler's co-location test used on chips with a crosstalk matrix.
+// Both are kept below as references.
+func TestEPSTMatchesPreMergeFormulas(t *testing.T) {
+	blind := func(d *Device, region []int, cnots, gate1s, qubits int) float64 {
+		if len(region) == 0 {
+			return 0
+		}
+		var r2q float64
+		edges := d.Coupling.InducedEdges(region)
+		if len(edges) > 0 {
+			for _, e := range edges {
+				r2q += 1 - d.CNOTErr[e]
+			}
+			r2q /= float64(len(edges))
+		} else {
+			r2q = 1
+		}
+		var r1q, rro float64
+		for _, q := range region {
+			r1q += 1 - d.Gate1Err[q]
+			rro += 1 - d.ReadoutErr[q]
+		}
+		r1q /= float64(len(region))
+		rro /= float64(len(region))
+		return math.Pow(r2q, float64(cnots)) * math.Pow(r1q, float64(gate1s)) * math.Pow(rro, float64(qubits))
+	}
+	under := func(d *Device, region []int, cnots, gate1s, qubits int, busy []graph.Edge) float64 {
+		if len(d.Crosstalk) == 0 || len(busy) == 0 {
+			return blind(d, region, cnots, gate1s, qubits)
+		}
+		if len(region) == 0 {
+			return 0
+		}
+		r2q := 1.0
+		if edges := d.Coupling.InducedEdges(region); len(edges) > 0 {
+			sum := 0.0
+			for _, e := range edges {
+				sum += 1 - d.Worst2qErrUnder(e, busy)
+			}
+			r2q = sum / float64(len(edges))
+		}
+		var r1q, rro float64
+		for _, q := range region {
+			r1q += 1 - d.Gate1Err[q]
+			rro += 1 - d.ReadoutErr[q]
+		}
+		r1q /= float64(len(region))
+		rro /= float64(len(region))
+		return math.Pow(r2q, float64(cnots)) * math.Pow(r1q, float64(gate1s)) * math.Pow(rro, float64(qubits))
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, mk := range []func(int64) *Device{IBMQ16, IBMQ50} {
+		for _, xtalk := range []bool{false, true} {
+			d := mk(3)
+			if xtalk {
+				d.Crosstalk = GenerateHostileCrosstalk(d, 3, 0.3, HostileRatioLo, HostileRatioHi)
+			}
+			edges := d.Coupling.Edges()
+			for trial := 0; trial < 500; trial++ {
+				region := rng.Perm(d.NumQubits())[:rng.Intn(9)]
+				var busy []graph.Edge
+				for _, e := range edges {
+					if rng.Intn(4) == 0 {
+						busy = append(busy, e)
+					}
+				}
+				cnots, gate1s, qubits := rng.Intn(60), rng.Intn(60), len(region)
+				if got, want := d.EPST(region, cnots, gate1s, qubits, nil), blind(d, region, cnots, gate1s, qubits); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s xtalk=%v region %v: EPST %v, blind reference %v", d.Name, xtalk, region, got, want)
+				}
+				if got, want := d.EPST(region, cnots, gate1s, qubits, busy), under(d, region, cnots, gate1s, qubits, busy); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s xtalk=%v region %v: busy EPST %v, reference %v", d.Name, xtalk, region, got, want)
+				}
+			}
+		}
 	}
 }
 

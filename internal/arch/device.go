@@ -50,8 +50,8 @@ type Device struct {
 
 // artifactKey identifies one derived artifact in the device cache: the
 // calibration version it was computed from, a kind tag (e.g.
-// "arch/errdist", "community/tree"), and one numeric parameter (0 when
-// the artifact takes none).
+// "community/tree"), and one numeric parameter (0 when the artifact
+// takes none).
 type artifactKey struct {
 	version uint64
 	kind    string
@@ -216,47 +216,27 @@ func (d *Device) RegionFidelity(qubits []int) float64 {
 // r2q^cnots * r1q^gate1s * rro^qubits, where the r's are the mean
 // reliabilities over the region's internal links and qubits. A region
 // with no internal links scores r2q = 1 (no CNOT can run there anyway).
-func (d *Device) EPST(region []int, cnots, gate1s, qubits int) float64 {
+//
+// busy lists links other programs keep busy concurrently. When the
+// device carries a pairwise crosstalk matrix and busy is non-empty, each
+// internal link contributes its worst conditional error over the busy
+// aggressors (Worst2qErrUnder) instead of its base error, so a region
+// whose boundary is hostile to an already-placed neighbor scores lower.
+// Otherwise the base errors are read directly.
+func (d *Device) EPST(region []int, cnots, gate1s, qubits int, busy []graph.Edge) float64 {
 	if len(region) == 0 {
 		return 0
 	}
+	underXtalk := len(d.Crosstalk) > 0 && len(busy) > 0
 	r2q := 1.0
 	if edges := d.Coupling.InducedEdges(region); len(edges) > 0 {
 		sum := 0.0
 		for _, e := range edges {
-			sum += 1 - d.CNOTErr[e]
-		}
-		r2q = sum / float64(len(edges))
-	}
-	var r1q, rro float64
-	for _, q := range region {
-		r1q += 1 - d.Gate1Err[q]
-		rro += 1 - d.ReadoutErr[q]
-	}
-	r1q /= float64(len(region))
-	rro /= float64(len(region))
-	return math.Pow(r2q, float64(cnots)) * math.Pow(r1q, float64(gate1s)) * math.Pow(rro, float64(qubits))
-}
-
-// EPSTUnder is EPST conditioned on concurrently busy links: when the
-// device carries a pairwise crosstalk matrix, each of the region's
-// internal links contributes its worst conditional error over the busy
-// aggressor links (Worst2qErrUnder) instead of its base error, so a
-// region whose boundary is hostile to an already-placed neighbor scores
-// lower. With no matrix, no busy links, or no internal links it returns
-// exactly EPST — the same float operations in the same order.
-func (d *Device) EPSTUnder(region []int, cnots, gate1s, qubits int, busy []graph.Edge) float64 {
-	if len(d.Crosstalk) == 0 || len(busy) == 0 {
-		return d.EPST(region, cnots, gate1s, qubits)
-	}
-	if len(region) == 0 {
-		return 0
-	}
-	r2q := 1.0
-	if edges := d.Coupling.InducedEdges(region); len(edges) > 0 {
-		sum := 0.0
-		for _, e := range edges {
-			sum += 1 - d.Worst2qErrUnder(e, busy)
+			e2q := d.CNOTErr[e]
+			if underXtalk {
+				e2q = d.Worst2qErrUnder(e, busy)
+			}
+			sum += 1 - e2q
 		}
 		r2q = sum / float64(len(edges))
 	}
@@ -286,52 +266,6 @@ func (d *Device) Utility(q int, free []bool) float64 {
 		return 0
 	}
 	return float64(links) / errSum
-}
-
-// ErrWeightedDistance returns an all-pairs "noise distance" matrix where
-// each link's length is 1 + penalty * (-log(reliability)). Noise-aware
-// SABRE uses it so routes prefer reliable links; with penalty = 0 it
-// degenerates to plain hop counts. The matrix is cached per
-// (calibration version, penalty) and shared: callers must not modify
-// it.
-func (d *Device) ErrWeightedDistance(penalty float64) [][]float64 {
-	return d.Artifact("arch/errdist", penalty, func() any {
-		return d.errWeightedDistance(penalty)
-	}).([][]float64)
-}
-
-func (d *Device) errWeightedDistance(penalty float64) [][]float64 {
-	n := d.NumQubits()
-	g := graph.New(n)
-	for e, errRate := range d.CNOTErr {
-		w := 1.0
-		if penalty > 0 {
-			rel := 1 - errRate
-			if rel < 1e-9 {
-				rel = 1e-9
-			}
-			w += penalty * -math.Log(rel)
-		}
-		g.AddWeightedEdge(e.U, e.V, w)
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = g.Dijkstra(i)
-	}
-	return out
-}
-
-// BestQubits returns the qubit indices sorted by ascending readout error
-// (a simple robustness ranking used in tests and examples).
-func (d *Device) BestQubits() []int {
-	idx := make([]int, d.NumQubits())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return d.ReadoutErr[idx[a]] < d.ReadoutErr[idx[b]]
-	})
-	return idx
 }
 
 // newDevice assembles a Device from an edge list, leaving calibration

@@ -10,8 +10,9 @@
 // Cached values are shared between callers and must be treated as
 // immutable.
 //
-// The package itself is deterministic (no wall clock, no randomness):
-// callers who want lookup-latency metrics time GetOrCompute themselves.
+// The package itself is deterministic (no wall clock, no randomness)
+// and keeps no counters: callers count the Outcome GetOrCompute returns
+// (and OnEvict calls), and time GetOrCompute themselves.
 package ccache
 
 import (
@@ -54,16 +55,6 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Stats is a point-in-time summary of the cache's counters.
-type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"`
-}
-
 // entry is one cache slot. Before ready closes it is an in-flight
 // compute that later arrivals coalesce onto; after ready closes val and
 // err are immutable and may be read without the cache lock.
@@ -95,13 +86,9 @@ type Cache struct {
 
 	cap int
 
-	mu        sync.Mutex
-	entries   map[string]*entry // guarded by mu
-	order     *list.List        // guarded by mu; front = most recent
-	hits      int64             // guarded by mu
-	misses    int64             // guarded by mu
-	coalesced int64             // guarded by mu
-	evictions int64             // guarded by mu
+	mu      sync.Mutex
+	entries map[string]*entry // guarded by mu
+	order   *list.List        // guarded by mu; front = most recent
 }
 
 // New returns a cache bounded to capacity entries. A capacity <= 0
@@ -115,23 +102,6 @@ func New(capacity int) *Cache {
 		cap:     capacity,
 		entries: map[string]*entry{},
 		order:   list.New(),
-	}
-}
-
-// Stats returns the cache's counters. A nil cache reports zeros.
-func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Coalesced: c.coalesced,
-		Evictions: c.evictions,
-		Size:      c.order.Len(),
-		Capacity:  c.cap,
 	}
 }
 
@@ -176,13 +146,11 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(conte
 		select {
 		case <-e.ready:
 			// Stored entry: entries only stay mapped on success.
-			c.hits++
 			c.order.MoveToFront(e.elem)
 			c.mu.Unlock()
 			return e.val, e.err, OutcomeHit
 		default:
 		}
-		c.coalesced++
 		c.mu.Unlock()
 		select {
 		case <-e.ready:
@@ -193,7 +161,6 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(conte
 	}
 	e := &entry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
-	c.misses++
 	c.mu.Unlock()
 
 	v, err := c.runCompute(ctx, e, compute)
@@ -243,7 +210,6 @@ func (c *Cache) publish(e *entry, v any, err error, store bool) {
 			back := c.order.Back()
 			c.order.Remove(back)
 			delete(c.entries, back.Value.(*entry).key)
-			c.evictions++
 			evicted++
 		}
 	} else {

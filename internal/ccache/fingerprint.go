@@ -25,7 +25,6 @@ type Key struct {
 	Attempts     int
 	Traversals   int
 	NoisePenalty float64
-	PreOptimize  bool
 	Bridge       bool
 	Programs     []*circuit.Circuit
 }
@@ -64,7 +63,9 @@ func (k Key) Fingerprint() string {
 	wi(k.Attempts)
 	wi(k.Traversals)
 	wf(k.NoisePenalty)
-	wb(k.PreOptimize)
+	// A retired boolean knob (always false) keeps its slot: WAL
+	// idempotency bindings persist these digests across restarts.
+	wb(false)
 	wb(k.Bridge)
 
 	wi(len(k.Programs))

@@ -226,24 +226,6 @@ func (c *Circuit) InteractionGraph() *graph.Graph {
 	return g
 }
 
-// UsedQubits returns the sorted list of qubits touched by at least one
-// gate.
-func (c *Circuit) UsedQubits() []int {
-	used := make([]bool, c.NumQubits)
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
-			used[q] = true
-		}
-	}
-	var out []int
-	for q, u := range used {
-		if u {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // Validate checks all gate operands are in range and arities are legal.
 func (c *Circuit) Validate() error {
 	for i, g := range c.Gates {
@@ -271,26 +253,4 @@ func (c *Circuit) Compose(other *Circuit, offset int) *Circuit {
 		c.Add(g.Remap(func(q int) int { return q + offset }))
 	}
 	return c
-}
-
-// Stats summarizes a circuit for reporting.
-type Stats struct {
-	Name      string
-	NumQubits int
-	Gates     int
-	CNOTs     int
-	Gate1s    int
-	Depth     int
-}
-
-// Summary returns the circuit's Stats (CNOTs counted with SWAP=3).
-func (c *Circuit) Summary() Stats {
-	return Stats{
-		Name:      c.Name,
-		NumQubits: c.NumQubits,
-		Gates:     len(c.Gates),
-		CNOTs:     c.CNOTCount(),
-		Gate1s:    c.Gate1Count(),
-		Depth:     c.Depth(),
-	}
 }

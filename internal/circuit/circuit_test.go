@@ -91,14 +91,6 @@ func TestInteractionGraph(t *testing.T) {
 	}
 }
 
-func TestUsedQubits(t *testing.T) {
-	c := New("u", 5)
-	c.H(1).CX(3, 1)
-	if got := c.UsedQubits(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Fatalf("used = %v", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	c := New("c", 2).CX(0, 1)
 	d := c.Clone()
@@ -146,14 +138,6 @@ func TestMeasureAll(t *testing.T) {
 	c := New("m", 3).MeasureAll()
 	if c.MeasureCount() != 3 {
 		t.Fatalf("measures = %d", c.MeasureCount())
-	}
-}
-
-func TestSummary(t *testing.T) {
-	c := New("s", 2).H(0).CX(0, 1)
-	st := c.Summary()
-	if st.Name != "s" || st.Gates != 2 || st.CNOTs != 1 || st.Gate1s != 1 || st.Depth != 2 {
-		t.Fatalf("summary = %+v", st)
 	}
 }
 

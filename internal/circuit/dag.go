@@ -67,38 +67,6 @@ func NewDAG(c *Circuit) *DAG {
 	return d
 }
 
-// CriticalPathLen returns the number of gates on the longest dependency
-// chain (the DAG's critical path), which equals the gate-count depth of
-// the circuit when every gate costs one layer.
-func (d *DAG) CriticalPathLen() int {
-	n := len(d.Circ.Gates)
-	memo := make([]int, n)
-	for i := range memo {
-		memo[i] = -1
-	}
-	var longest func(i int) int
-	longest = func(i int) int {
-		if memo[i] >= 0 {
-			return memo[i]
-		}
-		best := 0
-		for _, s := range d.Succ[i] {
-			if l := longest(s); l > best {
-				best = l
-			}
-		}
-		memo[i] = best + 1
-		return memo[i]
-	}
-	max := 0
-	for i := 0; i < n; i++ {
-		if l := longest(i); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // State tracks routing progress over a DAG: which gates have been
 // emitted and which are currently in the front layer (no unexecuted
 // predecessors). It is the per-program "program context" of Algorithm 3.
@@ -154,16 +122,9 @@ func (s *State) DAG() *DAG { return s.dag }
 // Done reports whether every gate has been executed.
 func (s *State) Done() bool { return s.done == len(s.executed) }
 
-// Remaining returns the number of unexecuted gates.
-func (s *State) Remaining() int { return len(s.executed) - s.done }
-
-// Front returns the current front layer as a sorted gate-index slice,
-// freshly allocated.
-func (s *State) Front() []int { return s.AppendFront(make([]int, 0, len(s.front))) }
-
 // AppendFront appends the front layer to dst in ascending order and
-// returns the extended slice: the allocation-free form of Front for
-// callers that execute gates while walking a snapshot of the layer.
+// returns the extended slice, for callers that execute gates while
+// walking a snapshot of the layer.
 func (s *State) AppendFront(dst []int) []int { return append(dst, s.front...) }
 
 // AppendFrontTwoQubit appends the front-layer two-qubit gates (the only

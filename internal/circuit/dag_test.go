@@ -35,11 +35,11 @@ func TestDAGEdges(t *testing.T) {
 
 func TestFrontLayerAndExecute(t *testing.T) {
 	s := NewState(NewDAG(paperFigure11()))
-	if got := s.Front(); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := s.AppendFront(nil); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("front = %v, want [0 1]", got)
 	}
 	s.Execute(0)
-	if got := s.Front(); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := s.AppendFront(nil); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("front after g1 = %v, want [1 2]", got)
 	}
 	s.Execute(1)
@@ -108,20 +108,6 @@ func TestExtendedSet(t *testing.T) {
 	}
 }
 
-func TestCriticalPathLen(t *testing.T) {
-	c := New("c", 3)
-	c.CX(0, 1).CX(1, 2).CX(0, 1)
-	d := NewDAG(c)
-	if got := d.CriticalPathLen(); got != 3 {
-		t.Fatalf("critical path = %d, want 3", got)
-	}
-	par := New("p", 4)
-	par.CX(0, 1).CX(2, 3)
-	if got := NewDAG(par).CriticalPathLen(); got != 1 {
-		t.Fatalf("parallel critical path = %d, want 1", got)
-	}
-}
-
 func TestBarrierOrdersAcrossQubits(t *testing.T) {
 	c := New("b", 2)
 	c.H(0)                         // 0
@@ -157,7 +143,7 @@ func TestStateExhaustionProperty(t *testing.T) {
 		st := NewState(NewDAG(c))
 		steps := 0
 		for !st.Done() {
-			f := st.Front()
+			f := st.AppendFront(nil)
 			if len(f) == 0 {
 				return false // deadlock
 			}

@@ -6,7 +6,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -116,11 +115,4 @@ func (g Gate) String() string {
 		fmt.Fprintf(&b, "q[%d]", q)
 	}
 	return b.String()
-}
-
-// SortedQubits returns the gate's qubits in ascending order (fresh slice).
-func (g Gate) SortedQubits() []int {
-	q := append([]int(nil), g.Qubits...)
-	sort.Ints(q)
-	return q
 }

@@ -152,7 +152,7 @@ func TestStateMatchesReference(t *testing.T) {
 		st, ref := NewState(dag), newRefState(dag)
 		for step := 0; ; step++ {
 			for rep := 0; rep < 2; rep++ {
-				if got, want := st.Front(), ref.Front(); !slices.Equal(got, want) {
+				if got, want := st.AppendFront(nil), ref.Front(); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: Front %v, reference %v", seed, step, got, want)
 				}
 				if got, want := st.AppendFrontTwoQubit(nil), ref.FrontTwoQubit(); !slices.Equal(got, want) {

@@ -55,31 +55,30 @@ type Config struct {
 	// Shots is the number of trials each batch executes (the paper
 	// uses 8024).
 	Shots int
-	// LayerSeconds is the gate-layer duration; ShotOverheadSeconds is
-	// the per-shot reset+readout cost; CompileSeconds is charged once
-	// per batch. Defaults (see DefaultConfig) approximate
-	// superconducting-hardware timescales.
-	LayerSeconds        float64
-	ShotOverheadSeconds float64
-	CompileSeconds      float64
 	// FleetPolicy is the internal/fleet allocation policy that routes
 	// each arriving job to a backend, as qucloudd's -fleet-policy does;
 	// nil is the daemon's default, balanced.
 	FleetPolicy fleet.Policy
 }
 
-// DefaultConfig returns a QuCloud-policy configuration with hardware-
-// plausible timing (300 ns layers, 1 ms per-shot overhead).
+// The service-time model, at superconducting-hardware timescales: a
+// gate layer takes layerSeconds, each shot adds shotOverheadSeconds of
+// reset and readout, and compileSeconds is charged once per batch.
+const (
+	layerSeconds        = 300e-9
+	shotOverheadSeconds = 1e-3
+	compileSeconds      = 2
+)
+
+// DefaultConfig returns the QuCloud policy at the paper's ε = 0.15 and
+// 8024 shots per batch.
 func DefaultConfig() Config {
 	return Config{
-		Policy:              QuCloud,
-		Epsilon:             0.15,
-		Lookahead:           10,
-		MaxColocate:         3,
-		Shots:               8024,
-		LayerSeconds:        300e-9,
-		ShotOverheadSeconds: 1e-3,
-		CompileSeconds:      2,
+		Policy:      QuCloud,
+		Epsilon:     0.15,
+		Lookahead:   10,
+		MaxColocate: 3,
+		Shots:       8024,
 	}
 }
 
@@ -126,7 +125,7 @@ type FleetMetrics struct {
 // queue depths and smoothed service times), and an idle backend claims
 // its next batch, per the policy, from the jobs routed to it — the
 // scheduler kernel qucloudd runs, on virtual time. A batch occupies its
-// backend for CompileSeconds plus Shots executions of the compiled
+// backend for compileSeconds plus Shots executions of the compiled
 // depth. Devices must have distinct names. Returns aggregate metrics
 // plus each backend's batch trace.
 func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, map[string][]BatchRecord, error) {
@@ -171,8 +170,8 @@ func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, ma
 		if err != nil {
 			return 0, fmt.Errorf("cloudsim: job %d unschedulable on %s: %w", batch[0].ID, name, err)
 		}
-		service := cfg.CompileSeconds +
-			float64(cfg.Shots)*(cfg.ShotOverheadSeconds+float64(res.Depth)*cfg.LayerSeconds)
+		service := compileSeconds +
+			float64(cfg.Shots)*(shotOverheadSeconds+float64(res.Depth)*layerSeconds)
 		finish := now + service
 		qubits := 0
 		for _, p := range progs {

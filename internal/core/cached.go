@@ -28,7 +28,6 @@ func (c *Compiler) CacheKey(progs []*circuit.Circuit, strat Strategy) ccache.Key
 		Attempts:     attempts,
 		Traversals:   c.Traversals,
 		NoisePenalty: c.NoisePenalty,
-		PreOptimize:  c.PreOptimize,
 		Bridge:       c.Bridge,
 		Programs:     progs,
 	}

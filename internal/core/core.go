@@ -126,10 +126,6 @@ type Compiler struct {
 	// NoisePenalty is the noise-aware SWAP-cost weight used by the
 	// Separate and Baseline strategies.
 	NoisePenalty float64
-	// PreOptimize runs the peephole optimizer (self-inverse
-	// cancellation, rotation fusion) on every source program before
-	// mapping, as a high-optimization-level toolchain would.
-	PreOptimize bool
 	// Bridge lets the router execute one-off distance-2 CNOTs as
 	// 4-CNOT bridges instead of SWAPs (extension; off by default to
 	// match the paper's SWAP-only accounting).
@@ -162,12 +158,6 @@ func NewCompiler(d *arch.Device) *Compiler {
 func (c *Compiler) Tree() *community.Tree {
 	return community.BuildCached(c.Device, c.Omega)
 }
-
-// InvalidateTree drops every artifact cached for the device's current
-// calibration (the hierarchy tree included); call after changing the
-// device's error data in place. ApplyCalibration invalidates
-// automatically.
-func (c *Compiler) InvalidateTree() { c.Device.InvalidateArtifacts() }
 
 // Result is a compiled workload.
 type Result struct {
@@ -222,13 +212,6 @@ func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit,
 	}
 	if len(progs) == 0 {
 		return nil, errors.New("qucloud: empty workload")
-	}
-	if c.PreOptimize {
-		opt := make([]*circuit.Circuit, len(progs))
-		for i, p := range progs {
-			opt[i] = circuit.Optimize(p)
-		}
-		progs = opt
 	}
 	attempts := c.Attempts
 	if attempts <= 0 {

@@ -282,9 +282,9 @@ func Pick(p Policy, cands []Candidate, j Job) int {
 // concurrency-safe: callers serialize access (the service updates it
 // under its own lock).
 type EWMA struct {
-	alpha float64
-	value float64
-	n     int64
+	alpha  float64
+	value  float64
+	seeded bool
 }
 
 // NewEWMA returns an average with the given smoothing factor in
@@ -302,16 +302,12 @@ func (e *EWMA) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	if e.n == 0 {
-		e.value = v
+	if !e.seeded {
+		e.value, e.seeded = v, true
 	} else {
 		e.value = e.alpha*v + (1-e.alpha)*e.value
 	}
-	e.n++
 }
 
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Samples returns how many observations have been folded in.
-func (e *EWMA) Samples() int64 { return e.n }

@@ -1,6 +1,6 @@
 // Package graph provides small undirected-graph utilities used by the
 // architecture model, the community-detection partitioner, and the
-// routers: adjacency storage, BFS/Dijkstra shortest paths, connectivity
+// routers: adjacency storage, BFS shortest paths, connectivity
 // checks, and subgraph extraction.
 //
 // Vertices are dense integers in [0, N). Edges are undirected and
@@ -10,9 +10,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 )
 
 // Edge is an undirected edge between two vertices. The constructor
@@ -27,18 +25,6 @@ func NewEdge(u, v int) Edge {
 		u, v = v, u
 	}
 	return Edge{U: u, V: v}
-}
-
-// Other returns the endpoint of e that is not x. It panics if x is not
-// an endpoint of e.
-func (e Edge) Other(x int) int {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of %v", x, e))
 }
 
 // Graph is an undirected graph with optional per-edge weights.
@@ -231,40 +217,6 @@ func (g *Graph) RestrictedHopsFrom(src int, allowed []bool, dist, queue []int) {
 	}
 }
 
-// Dijkstra returns weighted shortest-path distances from src using the
-// stored edge weights (which must be non-negative). Unreachable vertices
-// get +Inf.
-func (g *Graph) Dijkstra(src int) []float64 {
-	g.checkVertex(src)
-	dist := make([]float64, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 {
-			return dist
-		}
-		done[u] = true
-		for _, v := range g.adj[u] {
-			w := g.weight[NewEdge(u, v)]
-			if w < 0 {
-				panic("graph: negative edge weight in Dijkstra")
-			}
-			if nd := dist[u] + w; nd < dist[v] {
-				dist[v] = nd
-			}
-		}
-	}
-}
-
 // ShortestPath returns one unweighted shortest path from src to dst as a
 // vertex sequence (inclusive of both endpoints), or nil if dst is
 // unreachable. Ties are broken toward lower-numbered vertices so the
@@ -356,35 +308,6 @@ func (g *Graph) SubsetConnected(verts []int) bool {
 		}
 	}
 	return len(seen) == len(in)
-}
-
-// Components returns the connected components as sorted vertex slices,
-// ordered by their smallest vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // InducedEdges returns the edges of the subgraph induced by verts,

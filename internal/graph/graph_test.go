@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -26,19 +25,6 @@ func TestNewEdgeNormalization(t *testing.T) {
 	if NewEdge(1, 3) != NewEdge(3, 1) {
 		t.Fatal("edge normalization must make order irrelevant")
 	}
-}
-
-func TestEdgeOther(t *testing.T) {
-	e := NewEdge(2, 7)
-	if e.Other(2) != 7 || e.Other(7) != 2 {
-		t.Fatalf("Other: got %d/%d", e.Other(2), e.Other(7))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Other with non-endpoint must panic")
-		}
-	}()
-	e.Other(5)
 }
 
 func TestAddEdgeIdempotent(t *testing.T) {
@@ -159,20 +145,6 @@ func TestRestrictedHopsWrongMaskLen(t *testing.T) {
 	g.RestrictedHopsFrom(0, []bool{true}, make([]int, g.N()), nil)
 }
 
-func TestDijkstra(t *testing.T) {
-	g := New(4)
-	g.AddWeightedEdge(0, 1, 1)
-	g.AddWeightedEdge(1, 2, 1)
-	g.AddWeightedEdge(0, 2, 5)
-	d := g.Dijkstra(0)
-	if d[2] != 2 {
-		t.Fatalf("dijkstra d[2] = %v, want 2", d[2])
-	}
-	if !math.IsInf(d[3], 1) {
-		t.Fatalf("unreachable must be +Inf, got %v", d[3])
-	}
-}
-
 func TestShortestPath(t *testing.T) {
 	g := ladder(5)
 	p := g.ShortestPath(0, 4)
@@ -229,17 +201,6 @@ func TestSubsetConnected(t *testing.T) {
 	}
 	if !g.SubsetConnected(nil) || !g.SubsetConnected([]int{4}) {
 		t.Fatal("empty and singleton subsets are connected")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(3, 4)
-	comps := g.Components()
-	want := [][]int{{0, 1}, {2}, {3, 4}}
-	if !reflect.DeepEqual(comps, want) {
-		t.Fatalf("components = %v, want %v", comps, want)
 	}
 }
 

@@ -38,21 +38,6 @@ type Result struct {
 	Assignments []Assignment
 }
 
-// Occupied returns a physical-qubit occupancy mask: entry q is the
-// program index owning qubit q, or -1.
-func (r *Result) Occupied(numQubits int) []int {
-	owner := make([]int, numQubits)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for _, a := range r.Assignments {
-		for _, q := range a.Region {
-			owner[q] = a.Program
-		}
-	}
-	return owner
-}
-
 // byCNOTDensity returns program indices sorted by descending CNOT
 // density (Algorithm 2 line 1); ties break toward more qubits, then
 // original order, so results are deterministic.
@@ -99,9 +84,10 @@ func CDAP(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) (*Resu
 	// placed accumulates the induced coupling links of already-assigned
 	// regions. On devices with a pairwise crosstalk matrix, candidate
 	// regions whose links are hostile to these neighbors score lower
-	// (EPSTUnder), so CDAP steers later programs away from placements
-	// that would interfere with earlier ones. Without a matrix, placed is
-	// ignored and the walk is byte-identical to the crosstalk-blind CDAP.
+	// (the busy links of Device.EPST), so CDAP steers later programs
+	// away from placements that would interfere with earlier ones.
+	// Without a matrix, placed is ignored and the walk is byte-identical
+	// to the crosstalk-blind CDAP.
 	var placed []graph.Edge
 	for _, pi := range byCNOTDensity(progs) {
 		p := progs[pi]
@@ -130,7 +116,7 @@ func CDAP(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) (*Resu
 // the program-aware EPST (Equation 4), so link reliability is weighted
 // by how CNOT-heavy the program is. placed lists the coupling links of
 // regions already granted to other programs: with a pairwise crosstalk
-// matrix, EPSTUnder charges each candidate link its worst conditional
+// matrix, EPST charges each candidate link its worst conditional
 // error against those neighbors, penalizing hostile adjacency.
 func cdapFindRegion(d *arch.Device, tree *community.Tree, avail []bool, cut map[*community.Node]bool, p *circuit.Circuit, placed []graph.Edge) ([]int, error) {
 	size := p.NumQubits
@@ -146,7 +132,7 @@ func cdapFindRegion(d *arch.Device, tree *community.Tree, avail []bool, cut map[
 	// fidelity differences; §IV-A3's redundant-qubit relabeling has the
 	// same goal.
 	score := func(subset []int) float64 {
-		epst := d.EPSTUnder(subset, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, placed)
+		epst := d.EPST(subset, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, placed)
 		return epst - strandPenalty*float64(strandedAfter(d, avail, subset))
 	}
 	for q := 0; q < d.NumQubits(); q++ {
@@ -286,7 +272,7 @@ const strandPenalty = 0.01
 func bestConnectedSubset(d *arch.Device, avail []bool, pool []int, p *circuit.Circuit, placed []graph.Edge) []int {
 	size := p.NumQubits
 	cnots, g1s := p.RawCNOTCount(), p.Gate1Count()
-	epst := func(set []int) float64 { return d.EPST(set, cnots, g1s, size) }
+	epst := func(set []int) float64 { return d.EPST(set, cnots, g1s, size, nil) }
 	if size <= 0 {
 		return []int{}
 	}
@@ -322,7 +308,7 @@ func bestConnectedSubset(d *arch.Device, avail []bool, pool []int, p *circuit.Ci
 			inSet[cand] = true
 		}
 		if len(set) == size {
-			s := d.EPSTUnder(set, cnots, g1s, size, placed) - strandPenalty*float64(strandedAfter(d, avail, set))
+			s := d.EPST(set, cnots, g1s, size, placed) - strandPenalty*float64(strandedAfter(d, avail, set))
 			if s > bestScore {
 				best, bestScore = sortedCopy(set), s
 			}

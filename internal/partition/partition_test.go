@@ -311,10 +311,18 @@ func TestOccupied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := res.Occupied(d.NumQubits())
+	// Every qubit has at most one owner, and each program owns exactly
+	// its qubit count.
+	owner := map[int]int{}
 	count := map[int]int{}
-	for _, o := range owner {
-		count[o]++
+	for _, a := range res.Assignments {
+		for _, q := range a.Region {
+			if prev, taken := owner[q]; taken {
+				t.Fatalf("qubit %d owned by programs %d and %d", q, prev, a.Program)
+			}
+			owner[q] = a.Program
+			count[a.Program]++
+		}
 	}
 	if count[0] != progs[0].NumQubits || count[1] != progs[1].NumQubits {
 		t.Fatalf("ownership counts = %v", count)

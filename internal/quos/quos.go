@@ -23,16 +23,10 @@ import (
 type Config struct {
 	// InitialEpsilon seeds the co-location threshold.
 	InitialEpsilon float64
-	// MinEpsilon and MaxEpsilon bound the adaptation.
-	MinEpsilon, MaxEpsilon float64
 	// Target is the tolerated achieved-fidelity loss per batch:
 	// observed PST may fall below the separate-execution estimate by
 	// this fraction before the controller reacts.
 	Target float64
-	// Step is the multiplicative adaptation: epsilon /= (1+Step) on
-	// violation, *= (1+Step/2) on success (asymmetric, like congestion
-	// control: back off fast, probe slowly).
-	Step float64
 	// Trials is the Monte-Carlo budget per batch observation.
 	Trials int
 	// Lookahead and MaxColocate pass through to the scheduler.
@@ -45,15 +39,21 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		InitialEpsilon: 0.15,
-		MinEpsilon:     0.01,
-		MaxEpsilon:     0.5,
 		Target:         0.12,
-		Step:           0.5,
 		Trials:         400,
 		Lookahead:      10,
 		MaxColocate:    3,
 	}
 }
+
+// The controller's adaptation: epsilon /= (1+step) on violation and
+// *= (1+step/2) on success (asymmetric, like congestion control: back
+// off fast, probe slowly), kept within [minEpsilon, maxEpsilon].
+const (
+	minEpsilon = 0.01
+	maxEpsilon = 0.5
+	step       = 0.5
+)
 
 // Controller is the epsilon-adaptation rule of the QuOS runtime,
 // factored out of Run so that long-running services (internal/service)
@@ -79,14 +79,14 @@ func (c *Controller) Epsilon() float64 { return c.eps }
 func (c *Controller) Observe(colocated bool, avgPST, separateEstimate float64) bool {
 	violated := colocated && avgPST < separateEstimate*(1-c.cfg.Target)
 	if violated {
-		c.eps /= 1 + c.cfg.Step
-		if c.eps < c.cfg.MinEpsilon {
-			c.eps = c.cfg.MinEpsilon
+		c.eps /= 1 + step
+		if c.eps < minEpsilon {
+			c.eps = minEpsilon
 		}
 	} else if colocated {
-		c.eps *= 1 + c.cfg.Step/2
-		if c.eps > c.cfg.MaxEpsilon {
-			c.eps = c.cfg.MaxEpsilon
+		c.eps *= 1 + step/2
+		if c.eps > maxEpsilon {
+			c.eps = maxEpsilon
 		}
 	}
 	return violated

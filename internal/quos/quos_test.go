@@ -47,7 +47,7 @@ func TestRunProcessesEveryJobOnce(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		if r.EpsilonAfter < cfg.MinEpsilon || r.EpsilonAfter > cfg.MaxEpsilon {
+		if r.EpsilonAfter < minEpsilon || r.EpsilonAfter > maxEpsilon {
 			t.Fatalf("epsilon %v escaped bounds", r.EpsilonAfter)
 		}
 	}

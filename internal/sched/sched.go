@@ -9,7 +9,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/arch"
@@ -54,52 +53,25 @@ func DefaultConfig() Config {
 	return Config{Epsilon: 0.15, Lookahead: 10, MaxColocate: 3, Omega: 0.95}
 }
 
-// EPST computes Equation 4 for a program allocated to the given
-// physical-qubit region: r2q^|CNOTs| * r1q^|1q| * rro^|qubits| where the
-// r's are the mean reliabilities over the region's links and qubits.
-func EPST(d *arch.Device, p *circuit.Circuit, region []int) float64 {
-	if len(region) == 0 {
-		return 0
-	}
-	var r2q float64
-	edges := d.Coupling.InducedEdges(region)
-	if len(edges) > 0 {
-		for _, e := range edges {
-			r2q += 1 - d.CNOTErr[e]
-		}
-		r2q /= float64(len(edges))
-	} else {
-		r2q = 1 // single-qubit region: no CNOTs possible anyway
-	}
-	var r1q, rro float64
-	for _, q := range region {
-		r1q += 1 - d.Gate1Err[q]
-		rro += 1 - d.ReadoutErr[q]
-	}
-	r1q /= float64(len(region))
-	rro /= float64(len(region))
-	return math.Pow(r2q, float64(p.RawCNOTCount())) *
-		math.Pow(r1q, float64(p.Gate1Count())) *
-		math.Pow(rro, float64(p.NumQubits))
-}
-
-// SeparateEPST is a program's best-case EPST: the EPST on the region
-// CDAP allocates when the program runs alone.
+// SeparateEPST is a program's best-case EPST (Equation 4,
+// arch.Device.EPST): the EPST on the region CDAP allocates when the
+// program runs alone.
 func SeparateEPST(d *arch.Device, tree *community.Tree, p *circuit.Circuit) (float64, error) {
 	res, err := partition.CDAP(d, tree, []*circuit.Circuit{p})
 	if err != nil {
 		return 0, err
 	}
-	return EPST(d, p, res.Assignments[0].Region), nil
+	return d.EPST(res.Assignments[0].Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, nil), nil
 }
 
 // ColocatedEPST partitions the chip among all programs with CDAP and
 // returns each program's EPST on its allocated region. On devices with
 // a pairwise crosstalk matrix, each program's estimate charges its
 // region's links their worst conditional error against every other
-// program's links (EPSTUnder), so the scheduler's epsilon test rejects
-// co-locations whose regions interfere even when each region is fine
-// in isolation. Without a matrix the estimates are unchanged.
+// program's links (the busy links of arch.Device.EPST), so the
+// scheduler's epsilon test rejects co-locations whose regions interfere
+// even when each region is fine in isolation. Without a matrix the
+// estimates are the crosstalk-blind ones.
 func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) ([]float64, error) {
 	res, err := partition.CDAP(d, tree, progs)
 	if err != nil {
@@ -107,18 +79,16 @@ func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circui
 	}
 	out := make([]float64, len(progs))
 	for i, a := range res.Assignments {
+		var busy []graph.Edge // only a crosstalk matrix reads them
 		if d.HasCrosstalk() {
-			var busy []graph.Edge
 			for j, b := range res.Assignments {
 				if j != i {
 					busy = append(busy, d.Coupling.InducedEdges(b.Region)...)
 				}
 			}
-			p := progs[i]
-			out[i] = d.EPSTUnder(a.Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, busy)
-			continue
 		}
-		out[i] = EPST(d, progs[i], a.Region)
+		p := progs[i]
+		out[i] = d.EPST(a.Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, busy)
 	}
 	return out, nil
 }

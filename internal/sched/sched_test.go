@@ -21,6 +21,11 @@ func tinyQueue() []Job {
 	return jobs
 }
 
+// epst is Equation 4 for p on region, as SeparateEPST evaluates it.
+func epst(d *arch.Device, p *circuit.Circuit, region []int) float64 {
+	return d.EPST(region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, nil)
+}
+
 func TestEPSTFormula(t *testing.T) {
 	d := arch.Linear(3, 0.1, 0.15)
 	for q := range d.Gate1Err {
@@ -31,14 +36,14 @@ func TestEPSTFormula(t *testing.T) {
 	// r2q = 0.9, r1q = 0.95, rro = 0.85; EPST = 0.9^2 * 0.95 * 0.85^3
 	// (the worked example from §IV-C).
 	want := math.Pow(0.9, 2) * 0.95 * math.Pow(0.85, 3)
-	if got := EPST(d, p, []int{0, 1, 2}); math.Abs(got-want) > 1e-12 {
+	if got := epst(d, p, []int{0, 1, 2}); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("EPST = %v, want %v", got, want)
 	}
 }
 
 func TestEPSTEmptyRegion(t *testing.T) {
 	d := arch.Linear(3, 0.1, 0.1)
-	if EPST(d, circuit.New("p", 1), nil) != 0 {
+	if epst(d, circuit.New("p", 1), nil) != 0 {
 		t.Fatal("empty region EPST must be 0")
 	}
 }
@@ -47,7 +52,7 @@ func TestEPSTSingleQubitRegion(t *testing.T) {
 	d := arch.Linear(3, 0.1, 0.1)
 	p := circuit.New("p", 1)
 	p.H(0).Measure(0)
-	got := EPST(d, p, []int{1})
+	got := epst(d, p, []int{1})
 	want := (1 - d.Gate1Err[1]) * 0.9
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("EPST = %v, want %v", got, want)

@@ -6,12 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/nisqbench"
 )
 
@@ -325,6 +327,27 @@ func TestJobsPaging(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET /v1/jobs%s: expected 400, got %d", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestEpsilonZeroIsHonoured: ε = 0 (Algorithm 4 admitting only
+// loss-free co-locations) reaches the scheduler instead of being
+// rewritten to the default, and an ε no threshold can mean — negative
+// or NaN, under which every violation test fails open — is rejected.
+func TestEpsilonZeroIsHonoured(t *testing.T) {
+	cfg := testConfig()
+	cfg.Epsilon = 0
+	svc := newTestService(t, cfg)
+	for _, b := range svc.Backends() {
+		if b.Epsilon != 0 {
+			t.Errorf("backend %s schedules at eps %v, want 0", b.Name, b.Epsilon)
+		}
+	}
+	for _, eps := range []float64{-0.1, math.NaN()} {
+		cfg.Epsilon = eps
+		if _, err := New([]*arch.Device{arch.London()}, cfg); err == nil {
+			t.Errorf("New accepted epsilon %v", eps)
 		}
 	}
 }

@@ -52,17 +52,6 @@ func (s *Service) setStateLocked(j *job, state State) {
 	}
 }
 
-// Events returns a copy of the job's event history.
-func (s *Service) Events(id string) ([]JobEvent, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return append([]JobEvent(nil), j.events...), true
-}
-
 // watchLocked registers a wakeup channel on the job; the returned
 // cancel removes it. Callers hold s.mu.
 func (s *Service) watchLocked(j *job) (ch chan struct{}, cancel func()) {

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -80,7 +81,9 @@ type Config struct {
 	// each admitted job to a backend (speed, fidelity, fairness,
 	// balanced). Empty selects "balanced".
 	FleetPolicy string
-	// Epsilon is the (initial) EPST violation threshold.
+	// Epsilon is the (initial) EPST violation threshold. Unlike the
+	// other fields its zero is a setting, not "use the default": ε = 0
+	// admits only loss-free co-locations.
 	Epsilon float64
 	// Lookahead and MaxColocate pass through to the EPST scheduler.
 	Lookahead   int
@@ -335,8 +338,9 @@ type Service struct {
 }
 
 // New builds a service over the devices (one worker each). Zero-valued
-// Config fields fall back to DefaultConfig; devices must be non-empty
-// with distinct names.
+// Config fields other than Epsilon fall back to DefaultConfig; a
+// negative or NaN Epsilon is an error. Devices must be non-empty with
+// distinct names.
 //
 //lint:ignore ctxflow construction-time WAL replay visits faults under the run context New itself roots; there is no earlier context to plumb
 func New(devices []*arch.Device, cfg Config) (*Service, error) {
@@ -353,8 +357,8 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 	if cfg.Policy != PolicyStatic && cfg.Policy != PolicyAdaptive {
 		return nil, fmt.Errorf("service: unknown policy %q", cfg.Policy)
 	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = def.Epsilon
+	if cfg.Epsilon < 0 || math.IsNaN(cfg.Epsilon) {
+		return nil, fmt.Errorf("service: epsilon %v must be a non-negative number", cfg.Epsilon)
 	}
 	if cfg.Lookahead <= 0 {
 		cfg.Lookahead = def.Lookahead

@@ -11,29 +11,49 @@ import (
 	"testing"
 )
 
-// testOnlyExports lists the exported internal/ functions that only tests
-// call and that stay on purpose, each with its reason.
+// testOnlyExports lists the exported internal/ functions ("pkg.Name")
+// and methods ("pkg.Type.Name") that only tests call and that stay on
+// purpose, each with its reason.
 var testOnlyExports = map[string]string{
-	"arch.Grid":          "cross-package test fixture",
-	"arch.Linear":        "cross-package test fixture",
-	"arch.Ring":          "cross-package test fixture",
-	"router.RouteSingle": "cross-package test fixture",
-	"fp.Eq":              "the comparison the floateq lint check prescribes",
-	"lint.CheckFile":     "the lint fixtures' loader",
-	"srb.EstimateMatrix": "awaits a consumer or its deletion (ROADMAP, SRB item)",
+	"arch.Grid":                    "cross-package test fixture",
+	"arch.Linear":                  "cross-package test fixture",
+	"arch.Ring":                    "cross-package test fixture",
+	"arch.Device.HostilePairs":     "cross-package test fixture",
+	"circuit.Circuit.S":            "the goldenPST fixtures build circuits with it",
+	"circuit.Circuit.Sdg":          "the goldenPST fixtures build circuits with it",
+	"circuit.Circuit.Z":            "the goldenPST fixtures build circuits with it",
+	"circuit.Circuit.SWAP":         "the goldenPST fixtures build circuits with it",
+	"circuit.Circuit.MeasureCount": "cross-package test fixture",
+	"graph.Graph.Connected":        "cross-package test fixture",
+	"graph.Graph.SubsetConnected":  "cross-package test fixture",
+	"core.Strategy.MarshalJSON":    "encoding/json calls it",
+	"core.Strategy.UnmarshalJSON":  "encoding/json calls it",
+	"router.RouteSingle":           "cross-package test fixture",
+	"fp.Eq":                        "the comparison the floateq lint check prescribes",
+	"lint.CheckFile":               "the lint fixtures' loader",
+	"srb.EstimateMatrix":           "awaits a consumer or its deletion (ROADMAP, SRB item)",
 }
 
-// TestNoTestOnlyExports guards against library surface nothing runs: an
-// exported top-level function under internal/ must be named by some
-// non-test file besides its own declaration. Every non-test .go file in
-// the tree counts as a caller, bench/ (its own module), cmd/ and
-// examples/ included; analyzer fixtures under testdata/ do not. Matching
-// is by identifier name only, so a same-named identifier elsewhere can
-// hide a dead function but never flags a live one.
+// surfaceSkip lists internal/ packages the guard does not inspect.
+var surfaceSkip = map[string]string{
+	"internal/faultinject": "its API belongs to the chaos suite; Config.Faults is nil in production",
+}
+
+// TestNoTestOnlyExports guards against library surface nothing runs.
+// An exported top-level function under internal/ must be named by some
+// non-test file besides its own declaration; an exported method must
+// appear as a selector (x.Name) or as an interface method in some
+// non-test file. Every non-test .go file in the tree counts as a caller,
+// bench/ (its own module), cmd/ and examples/ included; analyzer
+// fixtures under testdata/ do not. Matching is by name only, so a
+// same-named identifier elsewhere can hide dead code but never flags
+// live code.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	used := map[string]bool{}    // identifier names outside those declarations
-	decls := map[string]string{} // "pkg.Name" -> Name, per exported internal/ function
+	used := map[string]bool{}      // identifier names outside those declarations
+	selected := map[string]bool{}  // selector and interface-method names
+	funcs := map[string]string{}   // "pkg.Name" -> Name, per exported function
+	methods := map[string]string{} // "pkg.Type.Name" -> Name, per exported method
 	declIdents := map[*ast.Ident]bool{}
 	var files []*ast.File
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -54,13 +74,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return err
 		}
 		files = append(files, f)
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if _, skip := surfaceSkip[dir]; skip || !strings.HasPrefix(dir, "internal/") {
 			return nil
 		}
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
-				decls[f.Name.Name+"."+fn.Name.Name] = fn.Name.Name
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			if fn.Recv == nil {
+				funcs[f.Name.Name+"."+fn.Name.Name] = fn.Name.Name
 				declIdents[fn.Name] = true
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+				methods[f.Name.Name+"."+id.Name+"."+fn.Name.Name] = fn.Name.Name
 			}
 		}
 		return nil
@@ -70,15 +103,31 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !declIdents[n] {
+					used[n.Name] = true
+				}
+			case *ast.SelectorExpr:
+				selected[n.Sel.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						selected[name.Name] = true
+					}
+				}
 			}
 			return true
 		})
 	}
 	var dead []string
-	for name, ident := range decls {
+	for name, ident := range funcs {
 		if _, ok := testOnlyExports[name]; !ok && !used[ident] {
+			dead = append(dead, name)
+		}
+	}
+	for name, ident := range methods {
+		if _, ok := testOnlyExports[name]; !ok && !selected[ident] {
 			dead = append(dead, name)
 		}
 	}
@@ -87,8 +136,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("%s is exported but no non-test file calls it: delete it, or allowlist it with a reason", name)
 	}
 	for name := range testOnlyExports {
-		if _, ok := decls[name]; !ok {
-			t.Errorf("allowlisted %s is not an exported internal/ function", name)
+		_, isFunc := funcs[name]
+		_, isMethod := methods[name]
+		if !isFunc && !isMethod {
+			t.Errorf("allowlisted %s is not an exported internal/ function or method", name)
 		}
 	}
 }
