@@ -100,6 +100,7 @@ examples: build
 	$(GO) run ./examples/cloudscheduler
 	$(GO) run ./examples/chipexplorer
 	$(GO) run ./examples/cloudservice
+	$(GO) run ./examples/adaptiveruntime
 
 clean:
 	$(GO) clean ./...

@@ -81,30 +81,31 @@ func parseBackends(spec string, seed int64) ([]*arch.Device, error) {
 
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("qucloudd", flag.ExitOnError)
+	cfg := service.DefaultConfig()
+	fs.StringVar((*string)(&cfg.Policy), "policy", string(cfg.Policy), "epsilon policy: static or adaptive")
+	fs.StringVar(&cfg.FleetPolicy, "fleet-policy", cfg.FleetPolicy, "fleet allocation policy: "+strings.Join(fleet.Names(), ", "))
+	fs.DurationVar(&cfg.ExecDwell, "exec-dwell", cfg.ExecDwell, "emulated per-batch hardware occupancy (shot time); 0 disables")
+	fs.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "(initial) EPST violation threshold")
+	fs.IntVar(&cfg.QueueSize, "queue", cfg.QueueSize, "bounded queue capacity (429 when full)")
+	fs.IntVar(&cfg.Trials, "trials", cfg.Trials, "Monte-Carlo trials per batch")
+	fs.IntVar(&cfg.Attempts, "attempts", cfg.Attempts, "compiler best-of-N attempts")
+	fs.IntVar(&cfg.Lookahead, "lookahead", cfg.Lookahead, "scheduler lookahead N")
+	fs.IntVar(&cfg.MaxColocate, "max-colocate", cfg.MaxColocate, "max programs per batch")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed base")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request HTTP timeout")
+	fs.DurationVar(&cfg.BatchTimeout, "batch-timeout", cfg.BatchTimeout, "per-batch compile+simulate deadline (negative disables)")
+	fs.IntVar(&cfg.MaxRetries, "retries", cfg.MaxRetries, "max retries per batch on transient failures")
+	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", cfg.BreakerThreshold, "consecutive batch failures before a backend's breaker opens (negative disables)")
+	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", cfg.BreakerCooldown, "open-breaker cooldown before a half-open probe")
+	fs.IntVar(&cfg.MaxJobHistory, "history", cfg.MaxJobHistory, "terminal job records retained per service (negative keeps all)")
+	fs.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "compile-cache entries (0 uses the default, negative disables caching)")
+	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "directory for the write-ahead job log (queued jobs survive restart); empty disables")
 	var (
 		addr         = fs.String("addr", ":8080", "HTTP listen address")
 		backends     = fs.String("backends", "ibmq16,tokyo", "comma-separated backend chips ("+strings.Join(arch.StandardDevices(), ",")+")")
 		calSeed      = fs.Int64("cal-seed", 0, "calibration seed for the backends")
-		policy       = fs.String("policy", "static", "epsilon policy: static or adaptive")
-		fleetPolicy  = fs.String("fleet-policy", "balanced", "fleet allocation policy: "+strings.Join(fleet.Names(), ", "))
-		execDwell    = fs.Duration("exec-dwell", 0, "emulated per-batch hardware occupancy (shot time); 0 disables")
-		eps          = fs.Float64("eps", 0.15, "(initial) EPST violation threshold")
-		queueSize    = fs.Int("queue", 256, "bounded queue capacity (429 when full)")
-		trials       = fs.Int("trials", 512, "Monte-Carlo trials per batch")
-		attempts     = fs.Int("attempts", 1, "compiler best-of-N attempts")
-		lookahead    = fs.Int("lookahead", 10, "scheduler lookahead N")
-		maxColocate  = fs.Int("max-colocate", 3, "max programs per batch")
-		seed         = fs.Int64("seed", 1, "simulation seed base")
-		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request HTTP timeout")
 		drainTimeout = fs.Duration("drain-timeout", 60*time.Second, "max time to drain the queue on SIGINT/SIGTERM")
-		batchTimeout = fs.Duration("batch-timeout", 2*time.Minute, "per-batch compile+simulate deadline (negative disables)")
-		retries      = fs.Int("retries", 2, "max retries per batch on transient failures")
-		brkThresh    = fs.Int("breaker-threshold", 5, "consecutive batch failures before a backend's breaker opens (negative disables)")
-		brkCooldown  = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
-		history      = fs.Int("history", 4096, "terminal job records retained per service (negative keeps all)")
-		cacheSize    = fs.Int("cache-size", 1024, "compile-cache entries (0 uses the default, negative disables caching)")
 		crosstalk    = fs.Bool("crosstalk", false, "install a synthetic crosstalk matrix (generator ground truth) on every backend (CDAP placement and EPST admission become pair-aware)")
-		dataDir      = fs.String("data-dir", "", "directory for the write-ahead job log (queued jobs survive restart); empty disables")
 		tenantsFile  = fs.String("tenants", "", "JSON file with the tenant key table ([{\"id\":...,\"key\":...,\"weight\":...}]); empty serves a single open tenant")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -126,25 +127,6 @@ func runServe(args []string) error {
 			}
 		}
 	}
-	cfg := service.DefaultConfig()
-	cfg.Policy = service.Policy(*policy)
-	cfg.FleetPolicy = *fleetPolicy
-	cfg.ExecDwell = *execDwell
-	cfg.Epsilon = *eps
-	cfg.QueueSize = *queueSize
-	cfg.Trials = *trials
-	cfg.Attempts = *attempts
-	cfg.Lookahead = *lookahead
-	cfg.MaxColocate = *maxColocate
-	cfg.Seed = *seed
-	cfg.RequestTimeout = *reqTimeout
-	cfg.BatchTimeout = *batchTimeout
-	cfg.MaxRetries = *retries
-	cfg.BreakerThreshold = *brkThresh
-	cfg.BreakerCooldown = *brkCooldown
-	cfg.MaxJobHistory = *history
-	cfg.CacheSize = *cacheSize
-	cfg.DataDir = *dataDir
 	if *tenantsFile != "" {
 		tenants, err := service.LoadTenants(*tenantsFile)
 		if err != nil {

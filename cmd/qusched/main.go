@@ -34,12 +34,13 @@ func main() {
 // list and capture its report from w.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("qusched", flag.ContinueOnError)
+	cfg := sched.DefaultConfig()
+	fs.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "EPST violation threshold")
+	fs.IntVar(&cfg.Lookahead, "lookahead", cfg.Lookahead, "scheduler lookahead N")
+	fs.IntVar(&cfg.MaxColocate, "max-colocate", cfg.MaxColocate, "max programs per batch")
 	var (
 		chip     = fs.String("chip", "ibmq16", "target chip ("+strings.Join(arch.StandardDevices(), ",")+")")
 		seed     = fs.Int64("seed", 0, "calibration seed")
-		eps      = fs.Float64("eps", 0.15, "EPST violation threshold")
-		look     = fs.Int("lookahead", 10, "scheduler lookahead N")
-		maxCo    = fs.Int("max-colocate", 3, "max programs per batch")
 		trials   = fs.Int("trials", 1000, "Monte-Carlo trials per batch")
 		jobNames = fs.String("jobs", "", "comma-separated benchmark names (default: tiny+small suite x2)")
 	)
@@ -72,10 +73,6 @@ func run(args []string, w io.Writer) error {
 		byID[j.ID] = j.Circ
 	}
 
-	cfg := sched.DefaultConfig()
-	cfg.Epsilon = *eps
-	cfg.Lookahead = *look
-	cfg.MaxColocate = *maxCo
 	comp := qucloud.NewCompiler(d)
 	comp.Attempts = 2
 	cfg.Omega = comp.Omega
@@ -85,7 +82,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "chip %s, %d jobs -> %d batches (eps=%.2f, N=%d)\n\n",
-		d.Name, len(jobs), len(batches), *eps, *look)
+		d.Name, len(jobs), len(batches), cfg.Epsilon, cfg.Lookahead)
 	noise := sim.DefaultNoise()
 	totalPST, count := 0.0, 0
 	for bi, b := range batches {

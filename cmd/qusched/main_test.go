@@ -48,6 +48,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-chip", "london", "-jobs", "no_such_bench"}, &out); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
+	for _, eps := range []string{"NaN", "-1"} {
+		if err := run([]string{"-chip", "london", "-jobs", "bv_n3,bv_n3", "-eps", eps}, &out); err == nil {
+			t.Errorf("-eps %s accepted", eps)
+		}
+	}
 	if err := run([]string{"-chip", "london", "stray"}, &out); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
 		t.Errorf("positional argument: got %v", err)
 	}

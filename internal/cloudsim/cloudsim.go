@@ -15,7 +15,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/sched"
 )
 
@@ -45,42 +44,16 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// Config tunes the simulation.
-type Config struct {
-	Policy Policy
-	// Epsilon, Lookahead, MaxColocate configure the QuCloud policy.
-	Epsilon     float64
-	Lookahead   int
-	MaxColocate int
-	// Shots is the number of trials each batch executes (the paper
-	// uses 8024).
-	Shots int
-	// FleetPolicy is the internal/fleet allocation policy that routes
-	// each arriving job to a backend, as qucloudd's -fleet-policy does;
-	// nil is the daemon's default, balanced.
-	FleetPolicy fleet.Policy
-}
-
-// The service-time model, at superconducting-hardware timescales: a
-// gate layer takes layerSeconds, each shot adds shotOverheadSeconds of
-// reset and readout, and compileSeconds is charged once per batch.
+// The service-time model, at superconducting-hardware timescales: each
+// batch executes the paper's shots trials, a gate layer takes
+// layerSeconds, each shot adds shotOverheadSeconds of reset and readout,
+// and compileSeconds is charged once per batch.
 const (
+	shots               = 8024
 	layerSeconds        = 300e-9
 	shotOverheadSeconds = 1e-3
 	compileSeconds      = 2
 )
-
-// DefaultConfig returns the QuCloud policy at the paper's ε = 0.15 and
-// 8024 shots per batch.
-func DefaultConfig() Config {
-	return Config{
-		Policy:      QuCloud,
-		Epsilon:     0.15,
-		Lookahead:   10,
-		MaxColocate: 3,
-		Shots:       8024,
-	}
-}
 
 // Metrics aggregates the simulation outcome.
 type Metrics struct {
@@ -102,15 +75,15 @@ type Metrics struct {
 // schedConfig is the policy as a preset of the one scheduler: separate
 // execution is Algorithm 4 with batches of one, unconditional pairing
 // is Algorithm 4 with no fidelity threshold over a window of two, and
-// QuCloud is the paper's.
-func (cfg Config) schedConfig() sched.Config {
-	switch cfg.Policy {
+// QuCloud is the paper's (sched.DefaultConfig, ε = 0.15).
+func (p Policy) schedConfig() sched.Config {
+	switch p {
 	case FIFOSeparate:
 		return sched.Config{MaxColocate: 1}
 	case FIFOPairs:
 		return sched.Config{Epsilon: math.Inf(1), Lookahead: 2, MaxColocate: 2}
 	}
-	return sched.Config{Epsilon: cfg.Epsilon, Lookahead: cfg.Lookahead, MaxColocate: cfg.MaxColocate}
+	return sched.DefaultConfig()
 }
 
 // FleetMetrics aggregates a multi-backend simulation.
@@ -121,14 +94,14 @@ type FleetMetrics struct {
 }
 
 // RunFleet simulates a cloud service with several backends. Each job is
-// routed to a backend when it arrives (cfg.FleetPolicy over the chips'
-// queue depths and smoothed service times), and an idle backend claims
-// its next batch, per the policy, from the jobs routed to it — the
-// scheduler kernel qucloudd runs, on virtual time. A batch occupies its
-// backend for compileSeconds plus Shots executions of the compiled
-// depth. Devices must have distinct names. Returns aggregate metrics
-// plus each backend's batch trace.
-func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, map[string][]BatchRecord, error) {
+// routed to a backend when it arrives (qucloudd's default balanced
+// fleet policy over the chips' queue depths and smoothed service
+// times), and an idle backend claims its next batch, per the policy,
+// from the jobs routed to it — the scheduler kernel qucloudd runs, on
+// virtual time. A batch occupies its backend for compileSeconds plus
+// shots executions of the compiled depth. Devices must have distinct
+// names. Returns aggregate metrics plus each backend's batch trace.
+func RunFleet(devices []*arch.Device, jobs []Job, policy Policy) (*FleetMetrics, map[string][]BatchRecord, error) {
 	if len(devices) == 0 {
 		return nil, nil, fmt.Errorf("cloudsim: fleet needs at least one device")
 	}
@@ -143,9 +116,6 @@ func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, ma
 	traces := map[string][]BatchRecord{}
 	if len(jobs) == 0 {
 		return m, traces, nil
-	}
-	if cfg.Shots <= 0 {
-		return nil, nil, fmt.Errorf("cloudsim: shots must be positive")
 	}
 
 	comps := make([]*core.Compiler, len(devices))
@@ -171,7 +141,7 @@ func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, ma
 			return 0, fmt.Errorf("cloudsim: job %d unschedulable on %s: %w", batch[0].ID, name, err)
 		}
 		service := compileSeconds +
-			float64(cfg.Shots)*(shotOverheadSeconds+float64(res.Depth)*layerSeconds)
+			shots*(shotOverheadSeconds+float64(res.Depth)*layerSeconds)
 		finish := now + service
 		qubits := 0
 		for _, p := range progs {
@@ -199,7 +169,7 @@ func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, ma
 		}
 		return service, nil
 	}
-	if err := sched.NewKernel(devices, cfg.FleetPolicy, cfg.schedConfig()).Run(arrivals, exec); err != nil {
+	if err := sched.NewKernel(devices, nil, policy.schedConfig()).Run(arrivals, exec); err != nil {
 		return nil, nil, err
 	}
 
@@ -214,11 +184,11 @@ func RunFleet(devices []*arch.Device, jobs []Job, cfg Config) (*FleetMetrics, ma
 	return m, traces, nil
 }
 
-// Run simulates one backend serving the jobs under the configured
-// policy and returns the metrics with the per-batch trace: RunFleet
-// over a fleet of one.
-func Run(d *arch.Device, jobs []Job, cfg Config) (*Metrics, []BatchRecord, error) {
-	fm, traces, err := RunFleet([]*arch.Device{d}, jobs, cfg)
+// Run simulates one backend serving the jobs under the policy and
+// returns the metrics with the per-batch trace: RunFleet over a fleet
+// of one.
+func Run(d *arch.Device, jobs []Job, policy Policy) (*Metrics, []BatchRecord, error) {
+	fm, traces, err := RunFleet([]*arch.Device{d}, jobs, policy)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -48,16 +48,11 @@ func TestPoissonArrivalsDeterministicAndMonotonic(t *testing.T) {
 	}
 }
 
-func TestRunEmptyAndBadConfig(t *testing.T) {
+func TestRunEmpty(t *testing.T) {
 	d := arch.IBMQ16(0)
-	m, recs, err := Run(d, nil, DefaultConfig())
+	m, recs, err := Run(d, nil, QuCloud)
 	if err != nil || len(recs) != 0 || m.Batches != 0 {
 		t.Fatalf("empty run: %v %v %v", m, recs, err)
-	}
-	cfg := DefaultConfig()
-	cfg.Shots = 0
-	if _, _, err := Run(d, PoissonArrivals(suiteCircuits(), 2, 1, 1), cfg); err == nil {
-		t.Fatal("zero shots must error")
 	}
 }
 
@@ -65,10 +60,7 @@ func TestRunServesEveryJobOnce(t *testing.T) {
 	d := arch.IBMQ16(0)
 	jobs := PoissonArrivals(suiteCircuits(), 12, 5, 3)
 	for _, policy := range []Policy{FIFOSeparate, FIFOPairs, QuCloud} {
-		cfg := DefaultConfig()
-		cfg.Policy = policy
-		cfg.Shots = 512
-		m, recs, err := Run(d, jobs, cfg)
+		m, recs, err := Run(d, jobs, policy)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
@@ -96,9 +88,7 @@ func TestRunServesEveryJobOnce(t *testing.T) {
 func TestBatchesDoNotOverlapInTime(t *testing.T) {
 	d := arch.IBMQ16(0)
 	jobs := PoissonArrivals(suiteCircuits(), 10, 2, 5)
-	cfg := DefaultConfig()
-	cfg.Shots = 256
-	_, recs, err := Run(d, jobs, cfg)
+	_, recs, err := Run(d, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +110,7 @@ func TestQuCloudBeatsSeparateOnThroughput(t *testing.T) {
 		jobs = append(jobs, Job{ID: i, Circ: circs[i%len(circs)], Arrival: 0})
 	}
 	run := func(p Policy) *Metrics {
-		cfg := DefaultConfig()
-		cfg.Policy = p
-		cfg.Shots = 1024
-		m, _, err := Run(d, jobs, cfg)
+		m, _, err := Run(d, jobs, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,9 +146,7 @@ func TestIdleBackendWaitsForArrivals(t *testing.T) {
 		{ID: 0, Circ: nisqbench.MustGet("bv_n3"), Arrival: 0},
 		{ID: 1, Circ: nisqbench.MustGet("bv_n3"), Arrival: 1e6},
 	}
-	cfg := DefaultConfig()
-	cfg.Shots = 128
-	_, recs, err := Run(d, jobs, cfg)
+	_, recs, err := Run(d, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}

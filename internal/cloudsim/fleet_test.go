@@ -16,21 +16,16 @@ func saturatedJobs(n int) []Job {
 }
 
 func TestFleetValidation(t *testing.T) {
-	if _, _, err := RunFleet(nil, saturatedJobs(2), DefaultConfig()); err == nil {
+	if _, _, err := RunFleet(nil, saturatedJobs(2), QuCloud); err == nil {
 		t.Fatal("empty fleet must error")
 	}
 	d := arch.IBMQ16(0)
-	if _, _, err := RunFleet([]*arch.Device{d, d}, saturatedJobs(2), DefaultConfig()); err == nil {
+	if _, _, err := RunFleet([]*arch.Device{d, d}, saturatedJobs(2), QuCloud); err == nil {
 		t.Fatal("duplicate device names must error")
 	}
-	m, traces, err := RunFleet([]*arch.Device{d}, nil, DefaultConfig())
+	m, traces, err := RunFleet([]*arch.Device{d}, nil, QuCloud)
 	if err != nil || len(traces) != 0 || m.Batches != 0 {
 		t.Fatalf("empty jobs: %v %v %v", m, traces, err)
-	}
-	cfg := DefaultConfig()
-	cfg.Shots = 0
-	if _, _, err := RunFleet([]*arch.Device{d}, saturatedJobs(2), cfg); err == nil {
-		t.Fatal("zero shots must error")
 	}
 }
 
@@ -38,9 +33,7 @@ func TestFleetServesEveryJobOnce(t *testing.T) {
 	d1 := arch.IBMQ16(0)
 	d2 := arch.Tokyo(1)
 	jobs := saturatedJobs(14)
-	cfg := DefaultConfig()
-	cfg.Shots = 512
-	m, traces, err := RunFleet([]*arch.Device{d1, d2}, jobs, cfg)
+	m, traces, err := RunFleet([]*arch.Device{d1, d2}, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +64,13 @@ func TestFleetServesEveryJobOnce(t *testing.T) {
 
 func TestFleetBeatsSingleBackendOnMakespan(t *testing.T) {
 	jobs := saturatedJobs(16)
-	cfg := DefaultConfig()
-	cfg.Shots = 1024
-	single, _, err := Run(arch.IBMQ16(0), jobs, cfg)
+	single, _, err := Run(arch.IBMQ16(0), jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
 	second := arch.IBMQ16(5)
 	second.Name = "ibmq16-b"
-	fleet, _, err := RunFleet([]*arch.Device{arch.IBMQ16(0), second}, jobs, cfg)
+	fleet, _, err := RunFleet([]*arch.Device{arch.IBMQ16(0), second}, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +84,7 @@ func TestFleetBeatsSingleBackendOnMakespan(t *testing.T) {
 
 func TestFleetBackendsDoNotOverlapPerDevice(t *testing.T) {
 	jobs := saturatedJobs(10)
-	cfg := DefaultConfig()
-	cfg.Shots = 256
-	_, traces, err := RunFleet([]*arch.Device{arch.IBMQ16(0), arch.Tokyo(2)}, jobs, cfg)
+	_, traces, err := RunFleet([]*arch.Device{arch.IBMQ16(0), arch.Tokyo(2)}, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,6 @@ type Config struct {
 	// observed PST may fall below the separate-execution estimate by
 	// this fraction before the controller reacts.
 	Target float64
-	// Trials is the Monte-Carlo budget per batch observation.
-	Trials int
-	// Lookahead and MaxColocate pass through to the scheduler.
-	Lookahead   int
-	MaxColocate int
 }
 
 // DefaultConfig returns a controller with congestion-control-style
@@ -40,11 +35,11 @@ func DefaultConfig() Config {
 	return Config{
 		InitialEpsilon: 0.15,
 		Target:         0.12,
-		Trials:         400,
-		Lookahead:      10,
-		MaxColocate:    3,
 	}
 }
+
+// trials is Run's Monte-Carlo budget per batch observation.
+const trials = 400
 
 // The controller's adaptation: epsilon /= (1+step) on violation and
 // *= (1+step/2) on success (asymmetric, like congestion control: back
@@ -138,25 +133,20 @@ func SeparateEstimate(ctx context.Context, comp *core.Compiler, progs []*circuit
 }
 
 // Run processes the queue adaptively on the scheduler kernel qucloudd
-// runs (one chip, every job queued at time 0): claim the next batch
-// with the current epsilon, compile and "execute" it (Monte-Carlo
-// simulation stands in for hardware), compare the observed fidelity
-// against the separate-execution expectation, and adapt epsilon. A
-// batch that cannot be co-located after all runs its head job alone
-// and returns its tail to the queue.
+// runs (one chip, every job queued at time 0, Algorithm 4's default
+// bounds): claim the next batch with the current epsilon, compile and
+// "execute" it (Monte-Carlo simulation stands in for hardware), compare
+// the observed fidelity against the separate-execution expectation,
+// and adapt epsilon. A batch that cannot be co-located after all runs
+// its head job alone and returns its tail to the queue.
 func Run(d *arch.Device, jobs []sched.Job, cfg Config, seed int64) (*Result, error) {
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("quos: trials must be positive")
-	}
 	ctrl := NewController(cfg)
 	comp := core.NewCompiler(d)
 	comp.Attempts = 2
 	noise := sim.DefaultNoise()
-	k := sched.NewKernel([]*arch.Device{d}, nil, sched.Config{
-		Epsilon:     cfg.InitialEpsilon,
-		Lookahead:   cfg.Lookahead,
-		MaxColocate: cfg.MaxColocate,
-	})
+	scfg := sched.DefaultConfig()
+	scfg.Epsilon = cfg.InitialEpsilon
+	k := sched.NewKernel([]*arch.Device{d}, nil, scfg)
 	arrivals := make([]sched.Arrival, len(jobs))
 	for i, j := range jobs {
 		arrivals[i].Item = &sched.Item{Job: j}
@@ -170,7 +160,7 @@ func Run(d *arch.Device, jobs []sched.Job, cfg Config, seed int64) (*Result, err
 		if err != nil {
 			return 0, fmt.Errorf("quos: job %d unschedulable: %w", batch[0].ID, err)
 		}
-		psts, err := comp.Simulate(res, cfg.Trials, seed+int64(len(out.Reports)), noise)
+		psts, err := comp.Simulate(res, trials, seed+int64(len(out.Reports)), noise)
 		if err != nil {
 			return 0, err
 		}

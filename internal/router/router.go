@@ -21,16 +21,6 @@ import (
 // Options tunes the router. The zero value is not useful; start from
 // DefaultOptions.
 type Options struct {
-	// ExtendedSetSize is the look-ahead window |E| (gates).
-	ExtendedSetSize int
-	// ExtendedSetWeight is SABRE's W: the weight of the extended-set
-	// cost relative to the front-layer cost.
-	ExtendedSetWeight float64
-	// DecayFactor discourages ping-ponging the same qubit; each SWAP
-	// bumps its qubits' decay, which multiplies candidate scores.
-	DecayFactor float64
-	// DecayResetInterval resets decay every this many SWAPs.
-	DecayResetInterval int
 	// NoisePenalty adds -NoisePenalty*log(reliability of the SWAP's 3
 	// CNOTs) to each candidate score, making routes prefer reliable
 	// links (the noise-aware baseline). 0 disables it.
@@ -57,18 +47,23 @@ type Options struct {
 	Seed int64
 }
 
+// SABRE's fixed heuristic weights, shared by every strategy.
+const (
+	// extendedSetSize is the look-ahead window |E| (gates).
+	extendedSetSize = 20
+	// extendedSetWeight is SABRE's W: the weight of the extended-set
+	// cost relative to the front-layer cost.
+	extendedSetWeight = 0.5
+	// decayFactor discourages ping-ponging the same qubit; each SWAP
+	// bumps its qubits' decay, which multiplies candidate scores.
+	decayFactor = 0.001
+	// decayResetInterval resets decay every this many SWAPs.
+	decayResetInterval = 5
+)
+
 // DefaultOptions returns the SABRE-like defaults used by every strategy.
 func DefaultOptions() Options {
-	return Options{
-		ExtendedSetSize:    20,
-		ExtendedSetWeight:  0.5,
-		DecayFactor:        0.001,
-		DecayResetInterval: 5,
-		NoisePenalty:       0,
-		InterProgram:       false,
-		CriticalGatesOnly:  false,
-		Seed:               1,
-	}
+	return Options{Seed: 1}
 }
 
 // XSWAPOptions returns Algorithm 3's configuration: inter-program SWAPs
@@ -641,7 +636,7 @@ func (r *run) pairRecurs(p *progCtx, a, b int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	window := p.state.ExtendedSet(r.opts.ExtendedSetSize)
+	window := p.state.ExtendedSet(extendedSetSize)
 	for _, gi := range window {
 		g := p.circ.Gates[gi]
 		x, y := g.Qubits[0], g.Qubits[1]
@@ -904,9 +899,7 @@ func (r *run) lower(hops [][]int) {
 		snap := progSnapshot{p: p, f0: len(r.gates), g0: len(r.gains)}
 		snap.sumF = lowerGates(p, front, slot)
 		snap.f1 = len(r.gates)
-		if r.opts.ExtendedSetWeight > 0 && r.opts.ExtendedSetSize > 0 {
-			snap.sumE = lowerGates(p, p.state.ExtendedSet(r.opts.ExtendedSetSize), slot+1)
-		}
+		snap.sumE = lowerGates(p, p.state.ExtendedSet(extendedSetSize), slot+1)
 		snap.e1 = len(r.gates)
 		if r.opts.InterProgram && r.opts.GainTerm {
 			for _, g := range r.gates[snap.f0:snap.f1] {
@@ -988,7 +981,7 @@ func (r *run) scoreSwap(c swapCandidate, hops [][]int) float64 {
 		nf := float64(snap.f1 - snap.f0)
 		h += float64(snap.sumF+r.delta[2*si]) / nf
 		if ne := snap.e1 - snap.f1; ne > 0 {
-			h += r.opts.ExtendedSetWeight * float64(snap.sumE+r.delta[2*si+1]) / float64(ne)
+			h += extendedSetWeight * float64(snap.sumE+r.delta[2*si+1]) / float64(ne)
 		}
 		r.delta[2*si], r.delta[2*si+1] = 0, 0
 
@@ -1082,13 +1075,13 @@ func (r *run) applySwap(c swapCandidate, hops [][]int) {
 	}
 
 	r.nswaps++
-	if r.opts.DecayResetInterval > 0 && r.nswaps%r.opts.DecayResetInterval == 0 {
+	if r.nswaps%decayResetInterval == 0 {
 		for i := range r.decay {
 			r.decay[i] = 0
 		}
 	} else {
-		r.decay[c.a] += r.opts.DecayFactor
-		r.decay[c.b] += r.opts.DecayFactor
+		r.decay[c.a] += decayFactor
+		r.decay[c.b] += decayFactor
 	}
 }
 

@@ -57,10 +57,7 @@ func refScoreSwap(r *run, c swapCandidate, hops [][]int, dps [][][]int) float64 
 		if len(front) == 0 {
 			continue
 		}
-		var ext []int
-		if r.opts.ExtendedSetWeight > 0 && r.opts.ExtendedSetSize > 0 {
-			ext = p.state.ExtendedSet(r.opts.ExtendedSetSize)
-		}
+		ext := p.state.ExtendedSet(extendedSetSize)
 		dist := hops
 		if !r.opts.InterProgram {
 			dist = dps[p.idx]
@@ -95,7 +92,7 @@ func refScoreSwap(r *run, c swapCandidate, hops [][]int, dps [][][]int) float64 
 				}
 				esum += float64(dd)
 			}
-			h += r.opts.ExtendedSetWeight * esum / float64(len(ext))
+			h += extendedSetWeight * esum / float64(len(ext))
 		}
 		if r.opts.InterProgram && r.opts.GainTerm {
 			dp := dps[p.idx]
@@ -130,16 +127,16 @@ func refScoreSwap(r *run, c swapCandidate, hops [][]int, dps [][][]int) float64 
 }
 
 // refOptionSets are the SWAP policies the differential test draws from:
-// every scoring term on and off, under both ownership policies.
+// every optional scoring term on and off, under both ownership policies.
 var refOptionSets = []func() Options{
 	DefaultOptions,
 	XSWAPOptions,
 	func() Options { o := DefaultOptions(); o.NoisePenalty = 2; return o },
 	func() Options { o := XSWAPOptions(); o.NoisePenalty = 2; o.UseBridge = true; return o },
 	func() Options { o := XSWAPOptions(); o.GainTerm = false; return o },
-	func() Options { o := XSWAPOptions(); o.CriticalGatesOnly = false; o.DecayResetInterval = 0; return o },
-	func() Options { o := DefaultOptions(); o.CriticalGatesOnly = true; o.ExtendedSetSize = 3; return o },
-	func() Options { o := DefaultOptions(); o.ExtendedSetWeight = 0; o.UseBridge = true; return o },
+	func() Options { o := XSWAPOptions(); o.CriticalGatesOnly = false; return o },
+	func() Options { o := DefaultOptions(); o.CriticalGatesOnly = true; return o },
+	func() Options { o := DefaultOptions(); o.UseBridge = true; return o },
 }
 
 // randomRun draws a device, one to four programs on random disjoint

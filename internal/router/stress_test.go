@@ -81,8 +81,6 @@ func TestRouteStress(t *testing.T) {
 		func() Options {
 			o := DefaultOptions()
 			o.UseBridge = true
-			o.ExtendedSetSize = 0
-			o.ExtendedSetWeight = 0
 			return o
 		},
 	}

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/arch"
@@ -93,15 +94,27 @@ func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circui
 	return out, nil
 }
 
-// withDefaults fills Algorithm 4's zero bounds: N = 10 and pairs.
+// withDefaults fills Algorithm 4's zero bounds from DefaultConfig.
 func (cfg Config) withDefaults() Config {
+	def := DefaultConfig()
 	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 10
+		cfg.Lookahead = def.Lookahead
 	}
 	if cfg.MaxColocate <= 0 {
-		cfg.MaxColocate = 2
+		cfg.MaxColocate = def.MaxColocate
 	}
 	return cfg
+}
+
+// checkEpsilon rejects the thresholds Algorithm 4 cannot test a
+// violation against: a negative ε, and NaN, which no violation exceeds,
+// so it would co-locate everything. +Inf, co-locating whatever fits, is
+// valid.
+func checkEpsilon(eps float64) error {
+	if eps < 0 || math.IsNaN(eps) {
+		return fmt.Errorf("sched: epsilon %v must be a non-negative number", eps)
+	}
+	return nil
 }
 
 // sepEPSTFunc returns a job's separate-execution EPST, memoized per
@@ -126,12 +139,16 @@ func memoSepEPST(d *arch.Device, tree *community.Tree) sepEPSTFunc {
 // Schedule runs Algorithm 4 over the job queue and returns the batches
 // in submission order. Jobs that cannot be co-located within the
 // violation threshold run separately. An error is returned only when a
-// job cannot be placed at all (more qubits than the chip has).
+// job cannot be placed at all (more qubits than the chip has) or ε is
+// negative or NaN.
 //
 // Schedule is deterministic (it draws no randomness) and safe to call
 // from concurrent goroutines as long as each call uses its own queue
 // slice; the device and circuits are only read.
 func Schedule(d *arch.Device, jobs []Job, cfg Config) ([]Batch, error) {
+	if err := checkEpsilon(cfg.Epsilon); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	tree := community.BuildCached(d, cfg.Omega)
 	sepEPST := memoSepEPST(d, tree)
@@ -163,6 +180,9 @@ func Schedule(d *arch.Device, jobs []Job, cfg Config) ([]Batch, error) {
 // instead of scheduling the whole queue and discarding the rest. The
 // queue must be non-empty.
 func Next(d *arch.Device, jobs []Job, cfg Config) (Batch, error) {
+	if err := checkEpsilon(cfg.Epsilon); err != nil {
+		return Batch{}, err
+	}
 	cfg = cfg.withDefaults()
 	tree := community.BuildCached(d, cfg.Omega)
 	return next(d, tree, jobs, cfg, memoSepEPST(d, tree))

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -217,6 +218,59 @@ func TestScheduleLookaheadBounds(t *testing.T) {
 	for _, b := range batches {
 		if len(b.JobIDs) != 1 {
 			t.Fatalf("lookahead=1 must force separate execution, got %v", b.JobIDs)
+		}
+	}
+}
+
+// TestScheduleRejectsBadEpsilon: violation > NaN is never true, so a NaN
+// threshold would co-locate everything, and a negative one nothing;
+// both are errors, while +Inf (co-locate whatever fits) is valid.
+func TestScheduleRejectsBadEpsilon(t *testing.T) {
+	d := arch.IBMQ16(0)
+	jobs := tinyQueue()
+	for _, eps := range []float64{math.NaN(), -1, math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.Epsilon = eps
+		if _, err := Schedule(d, jobs, cfg); err == nil {
+			t.Errorf("Schedule accepted epsilon %v", eps)
+		}
+		if _, err := Next(d, jobs, cfg); err == nil {
+			t.Errorf("Next accepted epsilon %v", eps)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Epsilon = math.Inf(1)
+	if _, err := Schedule(d, jobs, cfg); err != nil {
+		t.Errorf("Schedule rejected epsilon +Inf: %v", err)
+	}
+}
+
+// TestZeroBoundsAreDefaultConfig: a Config that leaves Lookahead and
+// MaxColocate zero schedules the Figure 14 queue (the tiny+small suite
+// twice) exactly as DefaultConfig does.
+func TestZeroBoundsAreDefaultConfig(t *testing.T) {
+	d := arch.IBMQ16(0)
+	var names []string
+	names = append(names, nisqbench.ByClass(nisqbench.Tiny)...)
+	names = append(names, nisqbench.ByClass(nisqbench.Small)...)
+	names = append(names, names...)
+	jobs := make([]Job, len(names))
+	for i, n := range names {
+		jobs[i] = Job{ID: i, Circ: nisqbench.MustGet(n)}
+	}
+	for _, eps := range []float64{0.05, 0.10, 0.15, 0.20} {
+		def := DefaultConfig()
+		def.Epsilon = eps
+		want, err := Schedule(d, jobs, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Schedule(d, jobs, Config{Epsilon: eps, Omega: def.Omega})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("eps %.2f: zero bounds give %v, DefaultConfig %v", eps, got, want)
 		}
 	}
 }

@@ -26,11 +26,9 @@ func newChaosService(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
-// chaosConfig keeps retries/breaker/backoff fast enough for tests.
+// chaosConfig keeps the breaker cooldown fast enough for tests.
 func chaosConfig() Config {
 	cfg := testConfig()
-	cfg.RetryBaseDelay = time.Millisecond
-	cfg.RetryMaxDelay = 5 * time.Millisecond
 	cfg.BreakerCooldown = 50 * time.Millisecond
 	return cfg
 }

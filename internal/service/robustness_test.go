@@ -194,18 +194,17 @@ func TestBreakerDisabled(t *testing.T) {
 
 // TestBackoffDelay pins the deterministic capped backoff schedule.
 func TestBackoffDelay(t *testing.T) {
-	cfg := Config{RetryBaseDelay: 50 * time.Millisecond, RetryMaxDelay: 2 * time.Second}
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
 		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
 		2 * time.Second, 2 * time.Second,
 	}
 	for attempt, w := range want {
-		if got := backoffDelay(cfg, attempt); got != w {
+		if got := backoffDelay(attempt); got != w {
 			t.Fatalf("backoffDelay(%d) = %s, want %s", attempt, got, w)
 		}
 	}
-	if got := backoffDelay(cfg, 64); got != cfg.RetryMaxDelay {
+	if got := backoffDelay(64); got != 2*time.Second {
 		t.Fatalf("overflowing attempt should cap at max, got %s", got)
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/wal"
 )
 
@@ -102,15 +101,8 @@ type Config struct {
 	// (core.Compiler.Attempts: a batch whose first attempt broke no
 	// routing tie compiles once whatever N is).
 	Attempts int
-	// Workers bounds the goroutines each backend worker's compiler uses
-	// for attempt/simulation fan-out (core.Compiler.Workers): 0 uses
-	// the process-wide pool default, 1 forces sequential compilation.
-	// Results are identical at every setting.
-	Workers int
 	// Seed derives each worker's deterministic simulation seeds.
 	Seed int64
-	// Noise is the simulator's noise model.
-	Noise sim.NoiseModel
 	// RequestTimeout bounds each HTTP request (http.TimeoutHandler).
 	RequestTimeout time.Duration
 	// TraceDepth is how many recent batch records each backend keeps.
@@ -127,12 +119,9 @@ type Config struct {
 	// fault-injection harness produces). Permanent failures — compile
 	// errors, panics, deadlines — are never retried: the pipeline is
 	// deterministic, so they would fail identically. 0 selects the
-	// default; negative disables retries.
+	// default; negative disables retries. Retries back off
+	// deterministically: 50ms<<attempt, capped at 2s.
 	MaxRetries int
-	// RetryBaseDelay and RetryMaxDelay shape the deterministic capped
-	// backoff between retries: base<<attempt, capped at max.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// BreakerThreshold opens a backend's circuit breaker after this
 	// many consecutive batch failures; the backend then drains (claims
 	// nothing) for BreakerCooldown before a single half-open probe
@@ -179,20 +168,18 @@ func DefaultConfig() Config {
 	return Config{
 		QueueSize:      256,
 		Policy:         PolicyStatic,
+		FleetPolicy:    "balanced",
 		Epsilon:        0.15,
 		Lookahead:      10,
 		MaxColocate:    3,
 		Trials:         512,
 		Attempts:       1,
 		Seed:           1,
-		Noise:          sim.DefaultNoise(),
 		RequestTimeout: 30 * time.Second,
 		TraceDepth:     64,
 
 		BatchTimeout:     2 * time.Minute,
 		MaxRetries:       2,
-		RetryBaseDelay:   50 * time.Millisecond,
-		RetryMaxDelay:    2 * time.Second,
 		BreakerThreshold: 5,
 		BreakerCooldown:  5 * time.Second,
 		MaxJobHistory:    4096,
@@ -386,12 +373,6 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 		cfg.MaxRetries = def.MaxRetries
 	} else if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = def.RetryBaseDelay
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = def.RetryMaxDelay
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = def.BreakerThreshold

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/quos"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // Circuit-breaker states. A worker's breaker is "closed" in normal
@@ -73,7 +74,6 @@ type worker struct {
 func newWorker(s *Service, index int, dev *arch.Device) *worker {
 	comp := core.NewCompiler(dev)
 	comp.Attempts = s.cfg.Attempts
-	comp.Workers = s.cfg.Workers
 	w := &worker{
 		svc:   s,
 		index: index,
@@ -318,7 +318,7 @@ func (w *worker) executeIsolated(ctx context.Context, batch []*job) {
 }
 
 // execute runs the batch, retrying transient failures with capped
-// deterministic backoff (base<<attempt, capped at RetryMaxDelay) and
+// deterministic backoff (backoffDelay) and
 // feeding the circuit breaker. curp tracks the live batch: the
 // co-location fallback inside an attempt may shrink it.
 func (w *worker) execute(ctx context.Context, curp *[]*job) {
@@ -335,7 +335,7 @@ func (w *worker) execute(ctx context.Context, curp *[]*job) {
 			break
 		}
 		s.metrics.BatchRetries.Inc()
-		sleepInterruptible(ctx, s.stopCh, backoffDelay(s.cfg, attempt))
+		sleepInterruptible(ctx, s.stopCh, backoffDelay(attempt))
 	}
 	if errors.Is(lastErr, context.DeadlineExceeded) {
 		s.metrics.BatchTimeouts.Inc()
@@ -417,7 +417,7 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 	var newEps float64
 	adapted := false
 	if w.ctrl != nil {
-		if sepEst, estErr := quos.SeparateEstimate(ctx, w.comp, progs, s.cfg.Noise); estErr == nil {
+		if sepEst, estErr := quos.SeparateEstimate(ctx, w.comp, progs, sim.DefaultNoise()); estErr == nil {
 			w.ctrl.Observe(len(progs) > 1, avg, sepEst)
 			newEps = w.ctrl.Epsilon()
 			adapted = true
@@ -545,7 +545,7 @@ func (w *worker) simulate(ctx context.Context, res *core.Result) (psts []float64
 	if err := w.svc.cfg.Faults.Visit(ctx, faultinject.SiteSimulate); err != nil {
 		return nil, err
 	}
-	return w.comp.SimulateContext(ctx, res, w.svc.cfg.Trials, w.nextSeed(), w.svc.cfg.Noise)
+	return w.comp.SimulateContext(ctx, res, w.svc.cfg.Trials, w.nextSeed(), sim.DefaultNoise())
 }
 
 // batchAvgPST averages the per-program PSTs, rejecting the count
@@ -638,18 +638,19 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
+// The retry backoff: retryBaseDelay << attempt, capped at retryMaxDelay.
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
+
 // backoffDelay is the deterministic capped retry backoff for the
-// zero-based attempt number: RetryBaseDelay << attempt, capped at
-// RetryMaxDelay.
-func backoffDelay(cfg Config, attempt int) time.Duration {
+// zero-based attempt number.
+func backoffDelay(attempt int) time.Duration {
 	if attempt > 30 {
-		return cfg.RetryMaxDelay
+		return retryMaxDelay
 	}
-	d := cfg.RetryBaseDelay << uint(attempt)
-	if d <= 0 || d > cfg.RetryMaxDelay {
-		d = cfg.RetryMaxDelay
-	}
-	return d
+	return min(retryBaseDelay<<uint(attempt), retryMaxDelay)
 }
 
 // sleepInterruptible sleeps for d or until stop closes or ctx is
