@@ -60,6 +60,28 @@ func cliffordMix50(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.
 	return s, progs
 }
 
+// ghz40 routes a 40-qubit GHZ on IBMQ50 under X-SWAP: one entangled
+// component of 80 tableau rows, so every column spans two words. The
+// chain starts laid out boustrophedon over the grid's first four rows,
+// so only the row turns need SWAPs.
+func ghz40(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circuit) {
+	tb.Helper()
+	progs := []*circuit.Circuit{nisqbench.GHZ(40)}
+	chain := make([]int, 40)
+	for l := range chain {
+		r, c := l/10, l%10
+		if r%2 == 1 {
+			c = 9 - c
+		}
+		chain[l] = r*10 + c
+	}
+	s, err := router.Route(d, progs, [][]int{chain}, router.XSWAPOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, progs
+}
+
 // corners16 is a Clifford pair both engines accept that walks the two
 // places they differ by design — a CZ firing next to another program's
 // two-qubit gate (no crosstalk on the statevector side) and a barrier
@@ -95,6 +117,10 @@ var goldenPST = map[string]string{
 	"clifford/corners16/matrix":       "3fdd41d41d41d41d 3fdccccccccccccd 001 10",
 	"clifford/corners16/noiseless":    "3fe03a83a83a83a8 3fde898231bcb565 001 10",
 	"clifford/corners16/xtalk":        "3fdbfa2608c6f2d6 3fdd593bfa2608c7 001 10",
+	"clifford/ghz40/default":          "3f8d41d41d41d41d 0000000000000000000000000000000000000000",
+	"clifford/ghz40/matrix":           "3f8d41d41d41d41d 0000000000000000000000000000000000000000",
+	"clifford/ghz40/noiseless":        "3fe069536202ecfc 0000000000000000000000000000000000000000",
+	"clifford/ghz40/xtalk":            "3f8767dce434a9b1 0000000000000000000000000000000000000000",
 	"clifford/mix50/default":          "3fb1eb851eb851ec 3fc30463796ac9e0 3fcb101767dce435 3fd08c6f2d593bfa 1111111110 00000000 111110 0000",
 	"clifford/mix50/matrix":           "3fb18de5ab277f45 3fc2492492492492 3fcd70a3d70a3d71 3fcdfd130463796b 1111111110 00000000 111110 0000",
 	"clifford/mix50/noiseless":        "3ff0000000000000 3fe03a83a83a83a8 3ff0000000000000 3fde898231bcb565 1111111110 00000000 111110 0000",
@@ -142,6 +168,7 @@ func TestGoldenPST(t *testing.T) {
 		{"statevector", "corners16", corners16, false},
 		{"clifford", "corners16", corners16, false},
 		{"clifford", "mix50", cliffordMix50, true},
+		{"clifford", "ghz40", ghz40, true},
 		{"esp", "pair16", adjacentPair16, false},
 		{"esp", "corners16", corners16, false},
 	}

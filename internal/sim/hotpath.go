@@ -178,11 +178,12 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		return nil, err
 	}
 	// Price a trial: an op or idle draw touches its component only — a
-	// statevector one sweeps its 2^k amplitudes, a tableau one the words
-	// of its 2k rows. Number the statevector's checkpoints: a component's
-	// state after its j-th non-SWAP op is checkpoint j (0 is |0...0>); a
-	// gate records its component's after it, a SWAP both components'
-	// current ones, an idle entry its component's at the end of the layer.
+	// statevector one sweeps its 2^k amplitudes, a tableau one is priced
+	// at 2k*ceil(k/64) (minParallelWork). Number the statevector's
+	// checkpoints: a component's state after its j-th non-SWAP op is
+	// checkpoint j (0 is |0...0>); a gate records its component's after
+	// it, a SWAP both components' current ones, an idle entry its
+	// component's at the end of the layer.
 	cost := func(slot int) int64 {
 		k := fac.sizes[fac.comp[slot]]
 		if engine == engineTableau {
@@ -484,9 +485,11 @@ func (cp *compiledProgram) runTableau(r *stabilizer, rng *rand.Rand, noisy bool)
 // machinery dominate. One unit measures 0.2-3 ns on the statevector
 // engine (an amplitude sweep at the low end, the fixed cost of an op on a
 // 2^3 component at the high end), so the threshold sits at 0.2-3 ms of
-// sequential work; two workers already win 1.5x on 0.85 ms. A tableau
-// unit is one row word of the touched component. The
-// threshold never affects results — worker count only decides where
+// sequential work; two workers already win 1.5x on 0.85 ms. A tableau op
+// on a k-qubit component is priced at 2k*ceil(k/64) units, the order of
+// one measurement's k*ceil(2k/64) column words; a gate touches only
+// ceil(2k/64) words per column, so the price errs towards fanning out.
+// The threshold never affects results — worker count only decides where
 // shards run, never what they compute.
 const minParallelWork = 1 << 20
 

@@ -256,8 +256,15 @@ func TestPtabResetMatchesFresh(t *testing.T) {
 	used.measure(3, func() bool { return rng.Intn(2) == 1 })
 	used.reset()
 	fresh := newPtab(7)
-	if !reflect.DeepEqual(used.xbits, fresh.xbits) || !reflect.DeepEqual(used.zbits, fresh.zbits) || !reflect.DeepEqual(used.r, fresh.r) {
-		t.Fatal("reset ptab differs from a fresh one")
+	for i := 0; i < 2*used.n; i++ {
+		if used.getr(i) != fresh.getr(i) {
+			t.Fatalf("reset ptab row %d sign differs from a fresh one", i)
+		}
+		for q := 0; q < used.n; q++ {
+			if used.getx(i, q) != fresh.getx(i, q) || used.getz(i, q) != fresh.getz(i, q) {
+				t.Fatalf("reset ptab row %d qubit %d differs from a fresh one", i, q)
+			}
+		}
 	}
 }
 

@@ -6,25 +6,27 @@ import (
 )
 
 // ptab is a bit-packed Aaronson-Gottesman stabilizer tableau over n
-// qubits: rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers; each
-// row is a Pauli string with a sign bit r, its x/z bits stored in 64-bit
-// words so gate updates and row products run word-parallel (~64 qubits
-// per operation). It simulates Clifford circuits in O(n^2) per gate
-// regardless of entanglement; the stabilizer register holds one per
-// entangled component, so n is a component's qubit count, not the
-// batch's — the engine behind 50-qubit fidelity estimation
-// (SimulateScheduleCliffordCtx, CliffordOutcome). The boolean tableau in
-// oracle_test.go is its cross-validation reference.
+// qubits: rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers, each
+// a Pauli string with a sign bit. It is stored qubit-major, the layout
+// Stim uses: qubit q owns an x column and a z column of ⌈2n/64⌉ words
+// over the rows, and the signs are one more such column, so a gate is a
+// few word ops per column word and a measurement O(n·⌈2n/64⌉) word ops.
+// It simulates Clifford circuits regardless of entanglement; the
+// stabilizer register holds one per entangled component, so n is a
+// component's qubit count, not the batch's — the engine behind 50-qubit
+// fidelity estimation (SimulateScheduleCliffordCtx, CliffordOutcome).
+// The boolean tableau in oracle_test.go is its cross-validation
+// reference.
 type ptab struct {
 	n     int
 	words int
-	x, z  [][]uint64
-	r     []bool
-	// xbits/zbits back every row in one contiguous allocation (cache
-	// locality + a single memclr on reset); sx/sz are the deterministic-
-	// measure scratch rows, reused across measurements.
-	xbits, zbits []uint64
-	sx, sz       []uint64
+	// x and z hold every qubit's column back to back (column q is
+	// [q*words, (q+1)*words)), r the sign column: three memclrs on reset.
+	x, z, r []uint64
+	// mask, lo and hi are the measurement scratch columns: the rows a
+	// random outcome rewrites (or the stabilizers a deterministic one
+	// multiplies) and a bit-sliced mod-4 phase counter over the rows.
+	mask, lo, hi []uint64
 	// pickRng/pickFn make measureT's random pick allocation-free: the
 	// closure is built once here instead of once per measurement.
 	pickRng *rand.Rand
@@ -32,21 +34,16 @@ type ptab struct {
 }
 
 func newPtab(n int) *ptab {
-	w := (n + 63) / 64
+	w := (2*n + 63) / 64
 	t := &ptab{
 		n:     n,
 		words: w,
-		x:     make([][]uint64, 2*n),
-		z:     make([][]uint64, 2*n),
-		r:     make([]bool, 2*n),
-		xbits: make([]uint64, 2*n*w),
-		zbits: make([]uint64, 2*n*w),
-		sx:    make([]uint64, w),
-		sz:    make([]uint64, w),
-	}
-	for i := 0; i < 2*n; i++ {
-		t.x[i] = t.xbits[i*w : (i+1)*w : (i+1)*w]
-		t.z[i] = t.zbits[i*w : (i+1)*w : (i+1)*w]
+		x:     make([]uint64, n*w),
+		z:     make([]uint64, n*w),
+		r:     make([]uint64, w),
+		mask:  make([]uint64, w),
+		lo:    make([]uint64, w),
+		hi:    make([]uint64, w),
 	}
 	t.pickFn = func() bool { return t.pickRng.Intn(2) == 1 }
 	t.init()
@@ -56,195 +53,232 @@ func newPtab(n int) *ptab {
 // init sets the identity tableau (destabilizer X_q, stabilizer Z_q).
 func (t *ptab) init() {
 	for q := 0; q < t.n; q++ {
-		t.x[q][q>>6] |= 1 << uint(q&63)
-		t.z[t.n+q][q>>6] |= 1 << uint(q&63)
+		setBit(t.col(t.x, q), q)
+		setBit(t.col(t.z, q), t.n+q)
 	}
 }
 
 // reset restores the identity tableau in place, so per-shard trial
-// loops reuse one ptab instead of reallocating 4n*words words per
-// trial.
+// loops reuse one ptab instead of reallocating it per trial.
 func (t *ptab) reset() {
-	clear(t.xbits)
-	clear(t.zbits)
+	clear(t.x)
+	clear(t.z)
 	clear(t.r)
 	t.init()
 }
 
-func (t *ptab) getx(i, q int) bool { return t.x[i][q>>6]&(1<<uint(q&63)) != 0 }
-func (t *ptab) getz(i, q int) bool { return t.z[i][q>>6]&(1<<uint(q&63)) != 0 }
+// col is qubit q's column of the x or z bits.
+func (t *ptab) col(bits []uint64, q int) []uint64 {
+	return bits[q*t.words : (q+1)*t.words : (q+1)*t.words]
+}
+
+func setBit(c []uint64, i int) { c[i>>6] |= 1 << uint(i&63) }
 
 // h applies a Hadamard to qubit q.
 func (t *ptab) h(q int) {
-	w, b := q>>6, uint64(1)<<uint(q&63)
-	for i := 0; i < 2*t.n; i++ {
-		xi, zi := t.x[i][w]&b, t.z[i][w]&b
-		if xi != 0 && zi != 0 {
-			t.r[i] = !t.r[i]
-		}
-		if (xi != 0) != (zi != 0) {
-			t.x[i][w] ^= b
-			t.z[i][w] ^= b
-		}
+	x, z, r := t.col(t.x, q), t.col(t.z, q), t.r
+	for w := range r {
+		r[w] ^= x[w] & z[w]
+		x[w], z[w] = z[w], x[w]
 	}
 }
 
 // s applies the phase gate to qubit q.
 func (t *ptab) s(q int) {
-	w, b := q>>6, uint64(1)<<uint(q&63)
-	for i := 0; i < 2*t.n; i++ {
-		xi, zi := t.x[i][w]&b, t.z[i][w]&b
-		if xi != 0 && zi != 0 {
-			t.r[i] = !t.r[i]
-		}
-		if xi != 0 {
-			t.z[i][w] ^= b
-		}
+	x, z, r := t.col(t.x, q), t.col(t.z, q), t.r
+	for w := range r {
+		r[w] ^= x[w] & z[w]
+		z[w] ^= x[w]
 	}
 }
 
-// sdg applies S-dagger to qubit q in one pass: X -> -Y, Y -> X.
+// sdg applies S-dagger to qubit q: X -> -Y, Y -> X.
 func (t *ptab) sdg(q int) {
-	w, b := q>>6, uint64(1)<<uint(q&63)
-	for i := 0; i < 2*t.n; i++ {
-		xi := t.x[i][w] & b
-		if xi != 0 && t.z[i][w]&b == 0 {
-			t.r[i] = !t.r[i]
-		}
-		t.z[i][w] ^= xi
+	x, z, r := t.col(t.x, q), t.col(t.z, q), t.r
+	for w := range r {
+		r[w] ^= x[w] &^ z[w]
+		z[w] ^= x[w]
 	}
 }
 
 // cx applies a CNOT with control c and target tq.
 func (t *ptab) cx(c, tq int) {
-	cw, cb := c>>6, uint64(1)<<uint(c&63)
-	tw, tb := tq>>6, uint64(1)<<uint(tq&63)
-	for i := 0; i < 2*t.n; i++ {
-		xc := t.x[i][cw]&cb != 0
-		zt := t.z[i][tw]&tb != 0
-		xt := t.x[i][tw]&tb != 0
-		zc := t.z[i][cw]&cb != 0
-		if xc && zt && (xt == zc) {
-			t.r[i] = !t.r[i]
-		}
-		if xc {
-			t.x[i][tw] ^= tb
-		}
-		if t.z[i][tw]&tb != 0 {
-			t.z[i][cw] ^= cb
-		}
+	xc, zc := t.col(t.x, c), t.col(t.z, c)
+	xt, zt := t.col(t.x, tq), t.col(t.z, tq)
+	r := t.r
+	for w := range r {
+		r[w] ^= xc[w] & zt[w] &^ (xt[w] ^ zc[w])
+		xt[w] ^= xc[w]
+		zc[w] ^= zt[w]
 	}
 }
 
-func (t *ptab) xg(q int) { t.pauli(q, 0, 1) }
-func (t *ptab) zg(q int) { t.pauli(q, 1, 0) }
-func (t *ptab) yg(q int) { t.pauli(q, 1, 1) }
-
-// pauli applies a Pauli to qubit q in one pass: a row's sign flips where
-// the row anticommutes with the Pauli, i.e. where its x bit (counted when
-// onX = 1: Z and Y) XOR its z bit (counted when onZ = 1: X and Y) is set.
-func (t *ptab) pauli(q int, onX, onZ uint64) {
-	w, s := q>>6, uint(q&63)
-	mx, mz := onX<<s, onZ<<s
-	for i := 0; i < 2*t.n; i++ {
-		if (t.x[i][w]&mx)^(t.z[i][w]&mz) != 0 {
-			t.r[i] = !t.r[i]
-		}
-	}
-}
-
-// cz applies a controlled-Z to qubits a and b in one pass:
+// cz applies a controlled-Z to qubits a and b:
 // r ^= xa·xb·(za⊕zb), za ^= xb, zb ^= xa.
 func (t *ptab) cz(a, b int) {
-	aw, ab := a>>6, uint64(1)<<uint(a&63)
-	bw, bb := b>>6, uint64(1)<<uint(b&63)
-	for i := 0; i < 2*t.n; i++ {
-		xa, xb := t.x[i][aw]&ab != 0, t.x[i][bw]&bb != 0
-		if xa && xb && (t.z[i][aw]&ab != 0) != (t.z[i][bw]&bb != 0) {
-			t.r[i] = !t.r[i]
-		}
-		if xb {
-			t.z[i][aw] ^= ab
-		}
-		if xa {
-			t.z[i][bw] ^= bb
-		}
+	xa, za := t.col(t.x, a), t.col(t.z, a)
+	xb, zb := t.col(t.x, b), t.col(t.z, b)
+	r := t.r
+	for w := range r {
+		r[w] ^= xa[w] & xb[w] & (za[w] ^ zb[w])
+		za[w] ^= xb[w]
+		zb[w] ^= xa[w]
 	}
 }
 
-// phaseOf returns the i-power exponent (mod 4, as 0 or ±popcount
-// difference) accumulated when multiplying Pauli row (x1,z1) into
-// (x2,z2), using the word-parallel {X,Y,Z} cycle formula.
-func phaseOf(x1, z1, x2, z2 []uint64) int {
-	plus, minus := 0, 0
-	for w := range x1 {
-		a, b, c, d := x1[w], z1[w], x2[w], z2[w]
-		X1, Y1, Z1 := a&^b, a&b, b&^a
-		X2, Y2, Z2 := c&^d, c&d, d&^c
-		plus += bits.OnesCount64(X1&Y2 | Y1&Z2 | Z1&X2)
-		minus += bits.OnesCount64(Y1&X2 | Z1&Y2 | X1&Z2)
+// A Pauli flips the sign of every row it anticommutes with: X of the
+// rows with a z bit on q, Z of those with an x bit, Y of those with one
+// but not both.
+func (t *ptab) xg(q int) { xorInto(t.r, t.col(t.z, q)) }
+func (t *ptab) zg(q int) { xorInto(t.r, t.col(t.x, q)) }
+func (t *ptab) yg(q int) {
+	x, z, r := t.col(t.x, q), t.col(t.z, q), t.r
+	for w := range r {
+		r[w] ^= x[w] ^ z[w]
 	}
-	return plus - minus
 }
 
-// rowsum multiplies row i into row h.
-func (t *ptab) rowsum(h, i int) {
-	sum := 2*b2i(t.r[h]) + 2*b2i(t.r[i]) + phaseOf(t.x[i], t.z[i], t.x[h], t.z[h])
-	sum = ((sum % 4) + 4) % 4
-	t.r[h] = sum == 2
-	for w := 0; w < t.words; w++ {
-		t.x[h][w] ^= t.x[i][w]
-		t.z[h][w] ^= t.z[i][w]
+func xorInto(dst, src []uint64) {
+	for w := range dst {
+		dst[w] ^= src[w]
 	}
 }
 
 // measure performs a Z-basis measurement of qubit q; pick resolves
-// random outcomes.
+// random outcomes. The result is bit for bit the row-by-row
+// Aaronson-Gottesman procedure the boolean tableau runs.
 func (t *ptab) measure(q int, pick func() bool) int {
-	n := t.n
+	n, xq := t.n, t.col(t.x, q)
+	// The pivot is the first stabilizer row with an x bit on q.
 	p := -1
-	for i := n; i < 2*n; i++ {
-		if t.getx(i, q) {
-			p = i
+	for w := n >> 6; w < t.words; w++ {
+		v := xq[w]
+		if w == n>>6 {
+			v &^= 1<<uint(n&63) - 1
+		}
+		if v != 0 {
+			p = w<<6 + bits.TrailingZeros64(v)
 			break
 		}
 	}
-	if p >= 0 {
-		for i := 0; i < 2*n; i++ {
-			if i != p && t.getx(i, q) {
-				t.rowsum(i, p)
+	if p < 0 {
+		return t.deterministic(q)
+	}
+	// Random: rowsum(i, p) for every other row i with an x bit on q, all
+	// at once. Each target row's i-exponent accumulates in the bit-sliced
+	// counter lo + 2·hi, column by column over the pivot's Paulis, before
+	// that column takes the pivot's bits; then row p moves to row p-n
+	// and becomes Z_q with the picked sign.
+	pw, pb := p>>6, uint(p&63)
+	dw, db := (p-n)>>6, uint((p-n)&63)
+	m, lo, hi := t.mask, t.lo, t.hi
+	copy(m, xq)
+	m[pw] &^= 1 << pb
+	clear(lo)
+	clear(hi)
+	for j := 0; j < n; j++ {
+		x, z := t.col(t.x, j), t.col(t.z, j)
+		px, pz := x[pw]>>pb&1, z[pw]>>pb&1
+		if px|pz != 0 {
+			for w := range m {
+				// The pivot's Pauli times the row's: +i where the row holds
+				// the next of X→Y→Z→X, -i (3 mod 4) where it holds the one
+				// before; lo gets one for either, hi one more for -i.
+				xi, zi := x[w], z[w]
+				var plus, minus uint64
+				switch {
+				case pz == 0: // X
+					plus, minus = xi&zi, zi&^xi
+				case px == 0: // Z
+					plus, minus = xi&^zi, xi&zi
+				default: // Y
+					plus, minus = zi&^xi, xi&^zi
+				}
+				a0 := (plus | minus) & m[w]
+				carry := lo[w] & a0
+				lo[w] ^= a0
+				hi[w] ^= minus&m[w] ^ carry
+				if px != 0 {
+					x[w] ^= m[w]
+				}
+				if pz != 0 {
+					z[w] ^= m[w]
+				}
 			}
 		}
-		copy(t.x[p-n], t.x[p])
-		copy(t.z[p-n], t.z[p])
-		t.r[p-n] = t.r[p]
-		for w := 0; w < t.words; w++ {
-			t.x[p][w] = 0
-			t.z[p][w] = 0
-		}
-		t.z[p][q>>6] |= 1 << uint(q&63)
-		outcome := pick()
-		t.r[p] = outcome
-		return b2i(outcome)
+		x[dw] = x[dw]&^(1<<db) | px<<db
+		z[dw] = z[dw]&^(1<<db) | pz<<db
+		x[pw] &^= 1 << pb
+		z[pw] &^= 1 << pb
 	}
-	// Deterministic: accumulate stabilizer rows into the reusable
-	// scratch row.
-	sx, sz := t.sx, t.sz
-	clear(sx)
-	clear(sz)
-	sr := false
-	for i := 0; i < n; i++ {
-		if t.getx(i, q) {
-			sum := 2*b2i(sr) + 2*b2i(t.r[i+n]) + phaseOf(t.x[i+n], t.z[i+n], sx, sz)
-			sum = ((sum % 4) + 4) % 4
-			sr = sum == 2
-			for w := 0; w < t.words; w++ {
-				sx[w] ^= t.x[i+n][w]
-				sz[w] ^= t.z[i+n][w]
-			}
+	// A row's new sign is whether 2·r_i + 2·r_p + phase ≡ 2 (mod 4).
+	r := t.r
+	rp := -(r[pw] >> pb & 1)
+	for w := range r {
+		sign := (hi[w] ^ r[w] ^ rp) &^ lo[w]
+		r[w] = r[w]&^m[w] | sign&m[w]
+	}
+	r[dw] = r[dw]&^(1<<db) | (rp&1)<<db
+	setBit(t.col(t.z, q), p)
+	outcome := pick()
+	r[pw] &^= 1 << pb
+	if outcome {
+		r[pw] |= 1 << pb
+	}
+	return b2i(outcome)
+}
+
+// deterministic returns the fixed outcome of measuring q: the sign of
+// the product of the stabilizer rows whose destabilizers have an x bit on
+// q. Those rows commute, so the product's i-exponent is, column by
+// column, Σ x·z over the rows plus 2·Σ_{a<b} z_a·x_b (moving each row's
+// X past the earlier rows' Z), plus 2 per negative row; it is ≡ 0 or 2
+// (mod 4), and 2 means outcome 1.
+func (t *ptab) deterministic(q int) int {
+	n, xq, sel := t.n, t.col(t.x, q), t.mask
+	// sel = destabilizer rows 0..n-1 of column q, shifted onto their
+	// stabilizers n..2n-1.
+	clear(sel)
+	sw, sb := n>>6, uint(n&63)
+	for w := 0; w <= (n-1)>>6; w++ {
+		v := xq[w]
+		if w == (n-1)>>6 && n&63 != 0 {
+			v &= 1<<uint(n&63) - 1
+		}
+		sel[w+sw] |= v << sb
+		if sb != 0 && w+sw+1 < t.words {
+			sel[w+sw+1] |= v >> (64 - sb)
 		}
 	}
-	return b2i(sr)
+	sum := 0
+	for w := range sel {
+		sum += 2 * bits.OnesCount64(t.r[w]&sel[w])
+	}
+	x, z := t.x, t.z
+	for base := 0; base < len(x); base += len(sel) {
+		// A column where no selected row holds an x bit adds nothing.
+		var hasX uint64
+		for w, s := range sel {
+			hasX |= x[base+w] & s
+		}
+		if hasX == 0 {
+			continue
+		}
+		var prior uint64 // all ones when the earlier words' z bits have odd parity
+		for w, s := range sel {
+			xs, zs := x[base+w]&s, z[base+w]&s
+			pre := zs // inclusive prefix XOR, bit by bit
+			pre ^= pre << 1
+			pre ^= pre << 2
+			pre ^= pre << 4
+			pre ^= pre << 8
+			pre ^= pre << 16
+			pre ^= pre << 32
+			sum += bits.OnesCount64(xs&zs) + 2*bits.OnesCount64(xs&(pre<<1^prior))
+			prior ^= -(pre >> 63)
+		}
+	}
+	return sum >> 1 & 1
 }
 
 func (t *ptab) injectPauliT(q int, rng *rand.Rand) {
