@@ -66,15 +66,17 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzz pass over the two untrusted-input parsers (QASM source and
-# device-spec JSON) and over the packed stabilizer tableau against the
-# boolean one. Go allows one -fuzz target per invocation, so each gets
-# its own ~10s budget; the checked-in corpora under testdata/fuzz replay
-# on every plain `go test` run as well.
+# Short fuzz pass over the untrusted inputs (QASM source, device-spec
+# JSON, and arbitrary requests against the daemon's HTTP handler) and
+# over the packed stabilizer tableau against the boolean one. Go allows
+# one -fuzz target per invocation, so each gets its own ~10s budget; the
+# checked-in corpora under testdata/fuzz replay on every plain `go test`
+# run as well.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseQASMString -fuzztime 10s ./internal/circuit
 	$(GO) test -run '^$$' -fuzz FuzzDeviceSpec -fuzztime 10s ./internal/arch
 	$(GO) test -run '^$$' -fuzz FuzzPackedTableau -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzHandler -fuzztime 10s ./internal/service
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload untraced into .bench_out; two result files compared under the

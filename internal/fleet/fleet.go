@@ -74,8 +74,9 @@ type Load struct {
 	EWMAServiceSeconds float64 `json:"ewma_service_seconds"`
 	// Dispatched is the cumulative number of jobs routed to the chip.
 	Dispatched int64 `json:"dispatched"`
-	// BreakerOpen marks a chip whose circuit breaker is open or
-	// half-open: Pick avoids it whenever any healthy chip fits.
+	// BreakerOpen marks a chip whose circuit breaker is fully open:
+	// Pick avoids it whenever any healthy chip fits. A half-open chip
+	// stays eligible, or its probe batch would starve.
 	BreakerOpen bool `json:"breaker_open"`
 }
 

@@ -119,9 +119,10 @@ func TestChaosSimulatorTimeout(t *testing.T) {
 }
 
 // TestChaosErrorBurstTripsBreaker drives three consecutive permanent
-// compile failures through a threshold-3 breaker: it must open (423
-// visible in /v1/backends and the metrics gauge), then close again
-// after the cooldown once a healthy probe batch succeeds.
+// compile failures through a threshold-3 breaker: it must open
+// (visible in the /v1/backends row, as breaker.state and breaker_open,
+// and in the metrics gauge), then close again after the cooldown once
+// a healthy probe batch succeeds.
 func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.BreakerThreshold = 3
@@ -142,8 +143,8 @@ func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/backends", &backends); code != http.StatusOK {
 		t.Fatalf("backends: HTTP %d", code)
 	}
-	if backends[0].Breaker.State != breakerOpen {
-		t.Fatalf("breaker should be open after 3 failures, got %+v", backends[0].Breaker)
+	if backends[0].Breaker.State != breakerOpen || !backends[0].BreakerOpen {
+		t.Fatalf("breaker should be open after 3 failures, got %+v (breaker_open %v)", backends[0].Breaker, backends[0].BreakerOpen)
 	}
 	if got := svc.Metrics().BreakerTrips.Value(); got != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", got)
@@ -161,8 +162,8 @@ func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/backends", &backends); code != http.StatusOK {
 		t.Fatalf("backends: HTTP %d", code)
 	}
-	if backends[0].Breaker.State != breakerClosed || backends[0].Breaker.Opens != 1 {
-		t.Fatalf("breaker should have closed after the probe, got %+v", backends[0].Breaker)
+	if backends[0].Breaker.State != breakerClosed || backends[0].Breaker.Opens != 1 || backends[0].BreakerOpen {
+		t.Fatalf("breaker should have closed after the probe, got %+v (breaker_open %v)", backends[0].Breaker, backends[0].BreakerOpen)
 	}
 	if got := svc.Metrics().OpenBreakers.Value(); got != 0 {
 		t.Fatalf("OpenBreakers = %d after recovery, want 0", got)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/fleet"
 	"repro/internal/sched"
 )
 
@@ -12,12 +11,13 @@ import (
 // assignments, and when a backend's circuit breaker opens its queued
 // jobs go back through the dispatcher onto healthy chips. The service
 // calls the kernel under Service.mu, so dispatch is linearized with
-// claims and requeues, and keeps what an operator sees of it: counters,
-// the decision trace and the /v1/fleet view.
+// claims and requeues, and keeps what an operator sees of it: the
+// dispatch counters on /metrics and each backend's recent decisions in
+// its /v1/backends row.
 
-// DispatchDecision is one routing decision in the recent-dispatch
-// trace served on /v1/fleet. Migrated decisions record the backend the
-// job was moved away from.
+// DispatchDecision is one routing decision in a backend's
+// recent_dispatches trace: a job the dispatcher sent to that backend.
+// Migrated decisions record the backend the job was moved away from.
 type DispatchDecision struct {
 	Seq      int     `json:"seq"`
 	Qubits   int     `json:"qubits"`
@@ -25,26 +25,6 @@ type DispatchDecision struct {
 	Score    float64 `json:"score"`
 	Migrated bool    `json:"migrated,omitempty"`
 	From     string  `json:"from,omitempty"`
-}
-
-// FleetDeviceStatus is one chip's row in the /v1/fleet view: its
-// calibration summary plus the live load the dispatcher scores.
-type FleetDeviceStatus struct {
-	fleet.Chip
-	fleet.Load
-	Migrated     int64  `json:"migrated"`
-	BreakerState string `json:"breaker_state"`
-}
-
-// FleetStatus is the GET /v1/fleet document: the active policy, the
-// fleet-wide counters, every chip's dispatch view, and the recent
-// decision trace (oldest first).
-type FleetStatus struct {
-	Policy          string              `json:"policy"`
-	Dispatches      int64               `json:"dispatches"`
-	JobsMigrated    int64               `json:"jobs_migrated"`
-	Devices         []FleetDeviceStatus `json:"devices"`
-	RecentDecisions []DispatchDecision  `json:"recent_decisions,omitempty"`
 }
 
 // enqueueLocked hands an admitted job to the scheduler kernel, which
@@ -61,25 +41,26 @@ func (s *Service) enqueueLocked(j *job, circ *circuit.Circuit) bool {
 }
 
 // dispatchedLocked records one routing decision of the kernel (backend,
-// counter, /v1/fleet decision trace). from is -1 for a fresh submission
-// or the worker the job migrated away from. Callers hold s.mu.
+// counter, the target backend's decision trace). from is -1 for a fresh
+// submission or the worker the job migrated away from. Callers hold
+// s.mu.
 func (s *Service) dispatchedLocked(j *job, from int) {
-	name := s.workers[j.item.Chip].dev.Name
-	j.rec.Backend = name
+	w := s.workers[j.item.Chip]
+	j.rec.Backend = w.dev.Name
 	s.metrics.Dispatches.Inc()
 	d := DispatchDecision{
 		Seq:     j.rec.Seq,
 		Qubits:  j.rec.Qubits,
-		Backend: name,
+		Backend: w.dev.Name,
 		Score:   j.item.Score,
 	}
 	if from >= 0 {
 		d.Migrated = true
 		d.From = s.workers[from].dev.Name
 	}
-	s.decisions = append(s.decisions, d)
-	if len(s.decisions) > s.cfg.TraceDepth {
-		s.decisions = s.decisions[len(s.decisions)-s.cfg.TraceDepth:]
+	w.dispatches = append(w.dispatches, d)
+	if len(w.dispatches) > s.cfg.TraceDepth {
+		w.dispatches = w.dispatches[len(w.dispatches)-s.cfg.TraceDepth:]
 	}
 }
 
@@ -102,49 +83,4 @@ func (s *Service) migrateLocked(from *worker) {
 	if len(moved) > 0 {
 		s.cond.Broadcast()
 	}
-}
-
-// Fleet reports the dispatcher's live view for GET /v1/fleet.
-func (s *Service) Fleet() FleetStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := FleetStatus{
-		Policy:          s.cfg.FleetPolicy,
-		Dispatches:      s.metrics.Dispatches.Value(),
-		JobsMigrated:    s.metrics.JobsMigrated.Value(),
-		RecentDecisions: append([]DispatchDecision(nil), s.decisions...),
-	}
-	st.Devices = make([]FleetDeviceStatus, len(s.workers))
-	for i, w := range s.workers {
-		c := s.kernel.Candidate(i)
-		st.Devices[i] = FleetDeviceStatus{
-			Chip:         c.Chip,
-			Load:         c.Load,
-			Migrated:     w.migrated,
-			BreakerState: w.brk.state,
-		}
-	}
-	return st
-}
-
-// fleetMetrics is the Registry's fleet section source (wired in New,
-// before any worker starts).
-func (s *Service) fleetMetrics() FleetSection {
-	st := s.Fleet()
-	sec := FleetSection{
-		Policy:       st.Policy,
-		Dispatches:   st.Dispatches,
-		JobsMigrated: st.JobsMigrated,
-	}
-	sec.Devices = make([]FleetDeviceMetrics, len(st.Devices))
-	for i, d := range st.Devices {
-		sec.Devices[i] = FleetDeviceMetrics{
-			Name:       d.Chip.Name,
-			Dispatched: d.Load.Dispatched,
-			Migrated:   d.Migrated,
-			QueueDepth: d.Load.QueueDepth,
-			Breaker:    d.BreakerState,
-		}
-	}
-	return sec
 }

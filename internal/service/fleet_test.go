@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -15,9 +17,10 @@ import (
 )
 
 // dispatchTrace submits the same job stream to a fresh, never-started
-// 3-chip service and returns the JSON-encoded dispatch decisions.
-// Workers never run, so the trace depends only on calibration and the
-// evolving queue depths — exactly what must stay deterministic.
+// 3-chip service and returns the JSON-encoded per-backend dispatch
+// traces (each row's recent_dispatches). Workers never run, so the
+// traces depend only on calibration and the evolving queue depths —
+// exactly what must stay deterministic.
 func dispatchTrace(t *testing.T, policy string) []byte {
 	t.Helper()
 	devices := []*arch.Device{arch.London(), arch.IBMQ16(0), arch.Tokyo(1)}
@@ -35,11 +38,19 @@ func dispatchTrace(t *testing.T, policy string) []byte {
 			}
 		}
 	}
-	st := svc.Fleet()
+	traces := map[string][]DispatchDecision{}
+	total := 0
+	for _, b := range svc.Backends() {
+		traces[b.Name] = b.RecentDispatches
+		total += len(b.RecentDispatches)
+	}
 	if err := svc.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := json.Marshal(st.RecentDecisions)
+	if total != 4*len(names) {
+		t.Fatalf("%s: rows hold %d decisions, want %d", policy, total, 4*len(names))
+	}
+	buf, err := json.Marshal(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +58,8 @@ func dispatchTrace(t *testing.T, policy string) []byte {
 }
 
 // TestFleetDispatchDeterministic pins the acceptance criterion: the
-// dispatch trace for one job stream is byte-identical at GOMAXPROCS
-// 1, 2, and 8, for every policy.
+// per-backend dispatch traces for one job stream are byte-identical at
+// GOMAXPROCS 1, 2, and 8, for every policy.
 func TestFleetDispatchDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, policy := range []string{"speed", "fidelity", "fairness", "balanced"} {
@@ -64,54 +75,73 @@ func TestFleetDispatchDeterministic(t *testing.T) {
 				t.Fatalf("%s: GOMAXPROCS=%d trace diverged:\n%s\nvs\n%s", policy, procs, got, want)
 			}
 		}
-		if len(want) <= 2 {
-			t.Fatalf("%s: empty dispatch trace", policy)
-		}
 	}
+}
+
+// traceSeqs checks every decision in the row routed onto the row's own
+// chip and returns their job sequence numbers, oldest first.
+func traceSeqs(t *testing.T, row BackendStatus) []int {
+	t.Helper()
+	var seqs []int
+	for _, d := range row.RecentDispatches {
+		if d.Backend != row.Name {
+			t.Fatalf("%s row holds a decision for %s: %+v", row.Name, d.Backend, d)
+		}
+		seqs = append(seqs, d.Seq)
+	}
+	return seqs
 }
 
 // TestFleetSpreadsAcrossChips: a stream of identical jobs on a fleet
 // of identical chips must alternate between them under balanced (the
-// queue-depth penalty), never pile onto one.
+// queue-depth penalty), never pile onto one. Equal chips tie-break to
+// the smaller name exactly when their queue depths match, so london-a
+// takes the even seqs and london-b the odd ones; each row's trace holds
+// only its own chip's decisions, the last TraceDepth of them.
 func TestFleetSpreadsAcrossChips(t *testing.T) {
-	a, b := arch.London(), arch.London()
-	a.Name, b.Name = "london-a", "london-b"
-	svc, err := New([]*arch.Device{a, b}, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := svc.Submit(nisqbench.MustGet("bv_n3")); err != nil {
+	for _, tc := range []struct {
+		depth int
+		want  map[string]string
+	}{
+		{0, map[string]string{"london-a": "[0 2 4 6]", "london-b": "[1 3 5 7]"}},
+		{2, map[string]string{"london-a": "[4 6]", "london-b": "[5 7]"}},
+	} {
+		a, b := arch.London(), arch.London()
+		a.Name, b.Name = "london-a", "london-b"
+		cfg := testConfig()
+		cfg.TraceDepth = tc.depth
+		svc, err := New([]*arch.Device{a, b}, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := svc.Fleet()
-	if err := svc.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st.Policy != "balanced" {
-		t.Fatalf("default policy = %q, want balanced", st.Policy)
-	}
-	for _, d := range st.Devices {
-		if d.Load.Dispatched != 4 {
-			t.Fatalf("load not alternated: %s got %d of 8", d.Chip.Name, d.Load.Dispatched)
+		for i := 0; i < 8; i++ {
+			if _, err := svc.Submit(nisqbench.MustGet("bv_n3")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// The trace alternates a,b,a,b…: equal chips tie-break to the
-	// smaller name exactly when their queue depths match.
-	for i, dec := range st.RecentDecisions {
-		want := "london-a"
-		if i%2 == 1 {
-			want = "london-b"
+		rows := svc.Backends()
+		if err := svc.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-		if dec.Backend != want {
-			t.Fatalf("decision %d routed to %s, want %s", i, dec.Backend, want)
+		if got := svc.Metrics().Snapshot().Fleet.Policy; got != "balanced" {
+			t.Fatalf("default policy = %q, want balanced", got)
+		}
+		for _, row := range rows {
+			if row.Dispatched != 4 {
+				t.Fatalf("load not alternated: %s got %d of 8", row.Name, row.Dispatched)
+			}
+			if got := fmt.Sprint(traceSeqs(t, row)); got != tc.want[row.Name] {
+				t.Fatalf("TraceDepth %d: %s holds seqs %s, want %s", tc.depth, row.Name, got, tc.want[row.Name])
+			}
 		}
 	}
 }
 
 // TestFleetViewAndMetrics drives a small workload end to end and
-// checks GET /v1/fleet and the /metrics fleet section.
+// checks the per-chip dispatch state in the /v1/backends rows against
+// the service-wide fleet section of /metrics. It also guards the
+// one-row-per-chip rule: no string anywhere in /metrics may name a
+// backend, and the retired /v1/fleet view answers 404.
 func TestFleetViewAndMetrics(t *testing.T) {
 	svc := newTestService(t, testConfig())
 	svc.Start()
@@ -127,30 +157,6 @@ func TestFleetViewAndMetrics(t *testing.T) {
 	}
 	shutdownClean(t, svc)
 
-	var st FleetStatus
-	if code := getJSON(t, ts.URL+"/v1/fleet", &st); code != 200 {
-		t.Fatalf("GET /v1/fleet: HTTP %d", code)
-	}
-	if st.Policy != "balanced" || len(st.Devices) != 2 {
-		t.Fatalf("fleet view: %+v", st)
-	}
-	if st.Dispatches != 3 {
-		t.Fatalf("dispatches = %d, want 3", st.Dispatches)
-	}
-	var perDevice int64
-	for _, d := range st.Devices {
-		perDevice += d.Load.Dispatched
-		if d.BreakerState != "closed" {
-			t.Fatalf("%s breaker %q after healthy run", d.Chip.Name, d.BreakerState)
-		}
-	}
-	if perDevice != st.Dispatches {
-		t.Fatalf("per-device dispatched %d != fleet dispatches %d", perDevice, st.Dispatches)
-	}
-	if len(st.RecentDecisions) != 3 {
-		t.Fatalf("decision trace has %d entries", len(st.RecentDecisions))
-	}
-
 	var snap MetricsSnapshot
 	if code := getJSON(t, ts.URL+"/metrics", &snap); code != 200 {
 		t.Fatalf("GET /metrics: HTTP %d", code)
@@ -158,8 +164,55 @@ func TestFleetViewAndMetrics(t *testing.T) {
 	if snap.Fleet == nil {
 		t.Fatal("metrics snapshot missing fleet section")
 	}
-	if snap.Fleet.Policy != "balanced" || snap.Fleet.Dispatches != 3 || len(snap.Fleet.Devices) != 2 {
+	if snap.Fleet.Policy != "balanced" || snap.Fleet.Dispatches != 3 || snap.Fleet.JobsMigrated != 0 {
 		t.Fatalf("metrics fleet section: %+v", snap.Fleet)
+	}
+
+	var rows []BackendStatus
+	if code := getJSON(t, ts.URL+"/v1/backends", &rows); code != 200 || len(rows) != 2 {
+		t.Fatalf("GET /v1/backends: HTTP %d, %d rows", code, len(rows))
+	}
+	names := map[string]bool{}
+	var perDevice int64
+	decisions := 0
+	for _, row := range rows {
+		names[row.Name] = true
+		perDevice += row.Dispatched
+		decisions += len(traceSeqs(t, row))
+		if row.Breaker.State != breakerClosed || row.BreakerOpen {
+			t.Fatalf("%s breaker %+v (breaker_open %v) after healthy run", row.Name, row.Breaker, row.BreakerOpen)
+		}
+	}
+	if perDevice != snap.Fleet.Dispatches {
+		t.Fatalf("per-device dispatched %d != fleet dispatches %d", perDevice, snap.Fleet.Dispatches)
+	}
+	if decisions != 3 {
+		t.Fatalf("decision traces hold %d entries, want 3", decisions)
+	}
+
+	var doc any
+	getJSON(t, ts.URL+"/metrics", &doc)
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case string:
+			if names[v] {
+				t.Errorf("/metrics%s = %q names a backend", path, v)
+			}
+		case []any:
+			for i, e := range v {
+				walk(fmt.Sprintf("%s[%d]", path, i), e)
+			}
+		case map[string]any:
+			for k, e := range v {
+				walk(path+"."+k, e)
+			}
+		}
+	}
+	walk("", doc)
+	var errBody errorResponse
+	if code := getJSON(t, ts.URL+"/v1/fleet", &errBody); code != http.StatusNotFound || errBody.Error == "" {
+		t.Fatalf("GET /v1/fleet: HTTP %d %+v, want a 404 JSON error", code, errBody)
 	}
 }
 
@@ -237,22 +290,44 @@ func TestChaosBreakerMigration(t *testing.T) {
 		t.Fatalf("%d jobs failed, want exactly the faulted batch", failedN)
 	}
 
-	st := svc.Fleet()
-	if st.JobsMigrated < 1 {
-		t.Fatalf("no jobs migrated off the tripped backend: %+v", st)
+	jobsMigrated := svc.Metrics().JobsMigrated.Value()
+	if jobsMigrated < 1 {
+		t.Fatal("no jobs migrated off the tripped backend")
 	}
-	var perDevice, migrated int64
-	for _, d := range st.Devices {
-		perDevice += d.Load.Dispatched
-		migrated += d.Migrated
+	rows := svc.Backends()
+	tripped, healthy := rows[0], rows[1]
+	if healthy.Breaker.Opens > 0 {
+		tripped, healthy = healthy, tripped
 	}
-	if migrated != st.JobsMigrated {
-		t.Fatalf("per-device migrated %d != fleet counter %d", migrated, st.JobsMigrated)
+	if tripped.Breaker.Opens != 1 || healthy.Breaker.Opens != 0 {
+		t.Fatalf("breakers: %s %+v, %s %+v", tripped.Name, tripped.Breaker, healthy.Name, healthy.Breaker)
+	}
+	if tripped.Migrated != jobsMigrated || healthy.Migrated != 0 {
+		t.Fatalf("row migrated %d/%d != fleet counter %d", tripped.Migrated, healthy.Migrated, jobsMigrated)
+	}
+	// Every migrated decision is in the healthy chip's row, naming the
+	// tripped chip it came from.
+	var migratedIn int64
+	for _, row := range rows {
+		for _, d := range row.RecentDispatches {
+			if !d.Migrated {
+				continue
+			}
+			if row.Name != healthy.Name || d.Backend != healthy.Name || d.From != tripped.Name {
+				t.Fatalf("migrated decision %+v in %s's row; want it in %s's, from %s", d, row.Name, healthy.Name, tripped.Name)
+			}
+			migratedIn++
+		}
+	}
+	if migratedIn != jobsMigrated {
+		t.Fatalf("%d migrated decisions in the rows, jobs_migrated %d", migratedIn, jobsMigrated)
 	}
 	// Every migration re-dispatches, so total routing decisions are
 	// the submissions plus the migrations.
-	if perDevice != int64(jobs)+st.JobsMigrated || st.Dispatches != perDevice {
+	perDevice := tripped.Dispatched + healthy.Dispatched
+	dispatches := svc.Metrics().Dispatches.Value()
+	if perDevice != int64(jobs)+jobsMigrated || dispatches != perDevice {
 		t.Fatalf("dispatch accounting: per-device %d, fleet %d, migrated %d",
-			perDevice, st.Dispatches, st.JobsMigrated)
+			perDevice, dispatches, jobsMigrated)
 	}
 }

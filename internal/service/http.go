@@ -63,10 +63,12 @@ func tenantID(r *http.Request) string {
 //	GET  /v1/jobs             list job records (?limit= / ?after=<job-id>)
 //	GET  /v1/jobs/{id}        one job record (404 when unknown)
 //	GET  /v1/jobs/{id}/events job lifecycle stream (Server-Sent Events)
-//	GET  /v1/backends         per-backend worker status
-//	GET  /v1/fleet            fleet-dispatcher view
-//	GET  /metrics             MetricsSnapshot JSON
+//	GET  /v1/backends         one BackendStatus row per backend
+//	GET  /metrics             service-wide MetricsSnapshot JSON
 //	GET  /healthz             liveness probe
+//
+// A request no route takes gets a JSON error as well: 405 with an
+// Allow header when the path is served under another method, else 404.
 //
 // With Config.Tenants set, every /v1 route requires a tenant API key
 // ("Authorization: Bearer <key>"): missing or unknown keys get 401,
@@ -82,9 +84,22 @@ func (s *Service) Handler() http.Handler {
 	api.HandleFunc("GET /v1/jobs", s.handleJobs)
 	api.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	api.HandleFunc("GET /v1/backends", s.handleBackends)
-	api.HandleFunc("GET /v1/fleet", s.handleFleet)
 	api.HandleFunc("GET /metrics", s.handleMetrics)
 	api.HandleFunc("GET /healthz", s.handleHealth)
+	api.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost} {
+			if _, p := api.Handler(&http.Request{Method: m, Host: r.Host, URL: r.URL}); p != "/" {
+				allow = append(allow, m)
+			}
+		}
+		if len(allow) == 0 {
+			writeError(w, http.StatusNotFound, "no such route")
+			return
+		}
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+	})
 	var h http.Handler = api
 	if s.cfg.RequestTimeout > 0 {
 		h = jsonTimeoutHandler(h, s.cfg.RequestTimeout)
@@ -262,10 +277,6 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Backends())
-}
-
-func (s *Service) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Fleet())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

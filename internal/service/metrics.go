@@ -229,13 +229,13 @@ type Registry struct {
 	WALReplaySkipped Counter
 	WALReplayErrors  Counter
 
-	// fleetSource supplies the per-device fleet section for Snapshot;
-	// the service wires it in New (before any worker starts), so reads
-	// are race-free. nil (registry used standalone in tests) omits the
+	// fleetPolicy names the dispatcher's policy for the fleet section;
+	// the service sets it in New (before any worker starts), so reads
+	// are race-free. "" (registry used standalone in tests) omits the
 	// section.
-	fleetSource func() FleetSection
+	fleetPolicy string
 	// tenantSource supplies the tenancy section (auth mode + per-tenant
-	// rows); wired in New like fleetSource. nil omits the section.
+	// rows); wired in New like fleetPolicy. nil omits the section.
 	tenantSource func() (authRequired bool, tenants []TenantMetrics)
 
 	BatchSize      *Histogram
@@ -334,22 +334,12 @@ type TenancySection struct {
 }
 
 // FleetSection is the /metrics view of the fleet dispatcher: the
-// active policy, fleet-wide routing counters, and one row per device.
+// active policy and the fleet-wide routing counters. Per-chip dispatch
+// state is each backend's row on /v1/backends.
 type FleetSection struct {
-	Policy       string               `json:"policy"`
-	Dispatches   int64                `json:"dispatches"`
-	JobsMigrated int64                `json:"jobs_migrated"`
-	Devices      []FleetDeviceMetrics `json:"devices"`
-}
-
-// FleetDeviceMetrics is one backend's dispatch counters in the
-// /metrics fleet section.
-type FleetDeviceMetrics struct {
-	Name       string `json:"name"`
-	Dispatched int64  `json:"dispatched"`
-	Migrated   int64  `json:"migrated"`
-	QueueDepth int    `json:"queue_depth"`
-	Breaker    string `json:"breaker"`
+	Policy       string `json:"policy"`
+	Dispatches   int64  `json:"dispatches"`
+	JobsMigrated int64  `json:"jobs_migrated"`
 }
 
 // Snapshot assembles the current metric values.
@@ -394,9 +384,12 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.LatencySeconds.Execute = r.ExecLatency.Snapshot()
 	s.LatencySeconds.Total = r.TotalLatency.Snapshot()
 	s.PST = r.PST.Snapshot()
-	if r.fleetSource != nil {
-		sec := r.fleetSource()
-		s.Fleet = &sec
+	if r.fleetPolicy != "" {
+		s.Fleet = &FleetSection{
+			Policy:       r.fleetPolicy,
+			Dispatches:   r.Dispatches.Value(),
+			JobsMigrated: r.JobsMigrated.Value(),
+		}
 	}
 	if r.tenantSource != nil {
 		auth, tenants := r.tenantSource()

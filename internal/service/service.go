@@ -105,7 +105,8 @@ type Config struct {
 	Seed int64
 	// RequestTimeout bounds each HTTP request (http.TimeoutHandler).
 	RequestTimeout time.Duration
-	// TraceDepth is how many recent batch records each backend keeps.
+	// TraceDepth is how many recent batch records and routing decisions
+	// each backend keeps.
 	TraceDepth int
 
 	// BatchTimeout is the per-batch execution deadline: one
@@ -248,29 +249,24 @@ type BreakerStatus struct {
 	Opens               int64  `json:"opens"`
 }
 
-// CacheCounters surfaces one worker's compile-cache traffic for
-// GET /v1/backends (the registry aggregates the same events service-wide
-// on /metrics).
-type CacheCounters struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-}
-
-// BackendStatus describes one worker for GET /v1/backends.
+// BackendStatus is one backend's row on GET /v1/backends, the one
+// document that reports per-chip state: the chip's calibration summary
+// and the dispatcher's live load (embedded from the scheduler kernel),
+// the worker's counters and breaker, and its recent batches and the
+// routing decisions that sent jobs to it, each oldest first.
 type BackendStatus struct {
-	Name            string                 `json:"name"`
-	Qubits          int                    `json:"qubits"`
-	Policy          Policy                 `json:"policy"`
-	Epsilon         float64                `json:"epsilon"`
-	Busy            bool                   `json:"busy"`
-	JobsCompleted   int64                  `json:"jobs_completed"`
-	BatchesExecuted int64                  `json:"batches_executed"`
-	Cache           CacheCounters          `json:"cache"`
-	Breaker         BreakerStatus          `json:"breaker"`
-	SchedulerErrors int64                  `json:"scheduler_errors,omitempty"`
-	LastSchedError  string                 `json:"last_scheduler_error,omitempty"`
-	RecentBatches   []cloudsim.BatchRecord `json:"recent_batches,omitempty"`
+	fleet.Chip
+	fleet.Load
+	Policy           Policy                 `json:"policy"`
+	Epsilon          float64                `json:"epsilon"`
+	JobsCompleted    int64                  `json:"jobs_completed"`
+	BatchesExecuted  int64                  `json:"batches_executed"`
+	Migrated         int64                  `json:"migrated"`
+	Breaker          BreakerStatus          `json:"breaker"`
+	SchedulerErrors  int64                  `json:"scheduler_errors,omitempty"`
+	LastSchedError   string                 `json:"last_scheduler_error,omitempty"`
+	RecentBatches    []cloudsim.BatchRecord `json:"recent_batches,omitempty"`
+	RecentDispatches []DispatchDecision     `json:"recent_dispatches,omitempty"`
 }
 
 // Service is the qucloudd runtime: job store, bounded queue, and one
@@ -312,15 +308,14 @@ type Service struct {
 	cond *sync.Cond // signals queue/lifecycle changes; Wait called with mu held
 	// kernel is the scheduler state machine shared with the offline
 	// simulators: fair queue, per-chip dispatch load, per-chip EPST claim.
-	kernel      *sched.Kernel      // guarded by mu
-	jobs        map[string]*job    // guarded by mu
-	terminalIDs []string           // guarded by mu; terminal job ids, oldest first (eviction order)
-	seq         int                // guarded by mu
-	accepting   bool               // guarded by mu
-	draining    bool               // guarded by mu
-	forced      bool               // guarded by mu
-	started     bool               // guarded by mu
-	decisions   []DispatchDecision // guarded by mu; recent dispatch trace, oldest first
+	kernel      *sched.Kernel   // guarded by mu
+	jobs        map[string]*job // guarded by mu
+	terminalIDs []string        // guarded by mu; terminal job ids, oldest first (eviction order)
+	seq         int             // guarded by mu
+	accepting   bool            // guarded by mu
+	draining    bool            // guarded by mu
+	forced      bool            // guarded by mu
+	started     bool            // guarded by mu
 	wg          sync.WaitGroup
 }
 
@@ -451,7 +446,7 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 		Lookahead:   cfg.Lookahead,
 		MaxColocate: cfg.MaxColocate,
 	})
-	s.metrics.fleetSource = s.fleetMetrics
+	s.metrics.fleetPolicy = cfg.FleetPolicy
 	s.metrics.tenantSource = func() (bool, []TenantMetrics) { return s.authRequired, s.TenantStats() }
 	if cfg.DataDir != "" {
 		if err := s.openWAL(s.runCtx, cfg.DataDir); err != nil {

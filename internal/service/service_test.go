@@ -399,8 +399,8 @@ func TestAdaptivePolicyAdjustsEpsilon(t *testing.T) {
 
 // TestCacheServesRepeatSubmissions drives the cloud-queue replay
 // pattern the cache exists for: the same benchmark circuit submitted
-// twice compiles once — the registry, the /v1/backends counters, and
-// the /metrics cache section must all agree on one miss and one hit.
+// twice compiles once — the registry and the /metrics cache section
+// must agree on one miss and one hit.
 func TestCacheServesRepeatSubmissions(t *testing.T) {
 	svc, err := New([]*arch.Device{arch.London()}, testConfig())
 	if err != nil {
@@ -430,14 +430,6 @@ func TestCacheServesRepeatSubmissions(t *testing.T) {
 	}
 	if got := m.CacheLookup.Snapshot().Count; got != 1 {
 		t.Fatalf("CacheLookup observations = %d, want 1 (hits only)", got)
-	}
-
-	var backends []BackendStatus
-	if code := getJSON(t, ts.URL+"/v1/backends", &backends); code != http.StatusOK {
-		t.Fatalf("backends: HTTP %d", code)
-	}
-	if c := backends[0].Cache; c.Hits != 1 || c.Misses != 1 || c.Coalesced != 0 {
-		t.Fatalf("backend cache counters: %+v, want hits=1 misses=1", c)
 	}
 
 	var snap MetricsSnapshot

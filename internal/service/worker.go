@@ -58,16 +58,14 @@ type worker struct {
 	ctrl  *quos.Controller // nil under PolicyStatic
 	seed  int64            // per-worker deterministic seed counter
 
-	jobsDone       int64                  // guarded by svc.mu
-	batchesDone    int64                  // guarded by svc.mu
-	cacheHits      int64                  // guarded by svc.mu
-	cacheMisses    int64                  // guarded by svc.mu
-	cacheCoalesced int64                  // guarded by svc.mu
-	trace          []cloudsim.BatchRecord // guarded by svc.mu
-	schedErrs      int64                  // guarded by svc.mu
-	lastSchedErr   string                 // guarded by svc.mu
-	brk            breaker                // guarded by svc.mu; setBreakerLocked keeps the kernel's availability in step
-	migrated       int64                  // guarded by svc.mu; jobs moved away after this breaker opened
+	jobsDone     int64                  // guarded by svc.mu
+	batchesDone  int64                  // guarded by svc.mu
+	trace        []cloudsim.BatchRecord // guarded by svc.mu
+	dispatches   []DispatchDecision     // guarded by svc.mu; routing decisions onto this backend, oldest first
+	schedErrs    int64                  // guarded by svc.mu
+	lastSchedErr string                 // guarded by svc.mu
+	brk          breaker                // guarded by svc.mu; setBreakerLocked keeps the kernel's availability in step
+	migrated     int64                  // guarded by svc.mu; jobs moved away after this breaker opened
 }
 
 // newWorker wires a worker for the device.
@@ -502,11 +500,11 @@ func (w *worker) compile(ctx context.Context, progs []*circuit.Circuit, strat co
 	return res, err
 }
 
-// recordCacheOutcome feeds one cached-compile outcome into the shared
-// registry and the per-worker counters shown in /v1/backends. Lookup
-// latency is recorded only when the cache actually served the result
-// (hit or coalesced) — a miss's duration is the compile itself, which
-// CompileLatency already measures.
+// recordCacheOutcome feeds one cached-compile outcome into the
+// registry's service-wide cache counters (a bypass counts nothing).
+// Lookup latency is recorded only when the cache actually served the
+// result (hit or coalesced) — a miss's duration is the compile itself,
+// which CompileLatency already measures.
 func (w *worker) recordCacheOutcome(outcome ccache.Outcome, seconds float64) {
 	m := w.svc.metrics
 	switch outcome {
@@ -518,18 +516,6 @@ func (w *worker) recordCacheOutcome(outcome ccache.Outcome, seconds float64) {
 	case ccache.OutcomeCoalesced:
 		m.CacheCoalesced.Inc()
 		w.svc.observeLatency(m.CacheLookup, seconds)
-	default:
-		return // bypass: caching disabled or faulted out of this call
-	}
-	w.svc.mu.Lock()
-	defer w.svc.mu.Unlock()
-	switch outcome {
-	case ccache.OutcomeHit:
-		w.cacheHits++
-	case ccache.OutcomeMiss:
-		w.cacheMisses++
-	case ccache.OutcomeCoalesced:
-		w.cacheCoalesced++
 	}
 }
 
@@ -671,26 +657,23 @@ func sleepInterruptible(ctx context.Context, stop <-chan struct{}, d time.Durati
 // statusLocked assembles the worker's BackendStatus; callers hold
 // Service.mu.
 func (w *worker) statusLocked() BackendStatus {
+	c := w.svc.kernel.Candidate(w.index)
 	return BackendStatus{
-		Name:            w.dev.Name,
-		Qubits:          w.dev.NumQubits(),
+		Chip:            c.Chip,
+		Load:            c.Load,
 		Policy:          w.svc.cfg.Policy,
 		Epsilon:         w.svc.kernel.Epsilon(w.index),
-		Busy:            w.svc.kernel.Candidate(w.index).Load.Busy,
 		JobsCompleted:   w.jobsDone,
 		BatchesExecuted: w.batchesDone,
-		Cache: CacheCounters{
-			Hits:      w.cacheHits,
-			Misses:    w.cacheMisses,
-			Coalesced: w.cacheCoalesced,
-		},
+		Migrated:        w.migrated,
 		Breaker: BreakerStatus{
 			State:               w.brk.state,
 			ConsecutiveFailures: w.brk.fails,
 			Opens:               w.brk.opens,
 		},
-		SchedulerErrors: w.schedErrs,
-		LastSchedError:  w.lastSchedErr,
-		RecentBatches:   append([]cloudsim.BatchRecord(nil), w.trace...),
+		SchedulerErrors:  w.schedErrs,
+		LastSchedError:   w.lastSchedErr,
+		RecentBatches:    append([]cloudsim.BatchRecord(nil), w.trace...),
+		RecentDispatches: append([]DispatchDecision(nil), w.dispatches...),
 	}
 }
