@@ -38,12 +38,14 @@ loc:
 # the full suite, then the race detector over the concurrent packages
 # (the service, its scheduler dependencies, the daemon, and the sharded
 # simulation/compile engines plus their worker pool), the chaos suite,
-# and last the benchmark harness's own vet + tests: bench/ is its own
+# every example (so one that builds but crashes fails the run), and
+# last the benchmark harness's own vet + tests: bench/ is its own
 # module, so nothing above compiles it against the internal/ packages.
 test: fmt vet lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/service/... ./internal/fleet/... ./internal/sched/... ./internal/cloudsim/... ./internal/quos/... ./cmd/qucloudd/... ./internal/sim/... ./internal/core/... ./internal/pool/... ./internal/ccache/...
+	$(GO) test -race ./internal/service/... ./internal/fleet/... ./internal/sched/... ./internal/cloudsim/... ./cmd/qucloudd/... ./internal/sim/... ./internal/core/... ./internal/pool/... ./internal/ccache/...
 	$(MAKE) chaos
+	$(MAKE) examples
 	$(MAKE) bench-selftest
 
 # Fault-injection chaos suite: drives the full qucloudd HTTP service
@@ -104,7 +106,6 @@ examples: build
 	$(GO) run ./examples/cloudscheduler
 	$(GO) run ./examples/chipexplorer
 	$(GO) run ./examples/cloudservice
-	$(GO) run ./examples/adaptiveruntime
 
 clean:
 	$(GO) clean ./...

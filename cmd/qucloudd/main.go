@@ -5,7 +5,7 @@
 //
 // Serve (default mode):
 //
-//	qucloudd -addr :8080 -backends ibmq16,tokyo -policy static -eps 0.15
+//	qucloudd -addr :8080 -backends ibmq16,tokyo -eps 0.15
 //
 // Every admitted job is routed across the registered chips by the
 // fleet dispatcher (-fleet-policy speed|fidelity|fairness|balanced);
@@ -82,10 +82,9 @@ func parseBackends(spec string, seed int64) ([]*arch.Device, error) {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("qucloudd", flag.ExitOnError)
 	cfg := service.DefaultConfig()
-	fs.StringVar((*string)(&cfg.Policy), "policy", string(cfg.Policy), "epsilon policy: static or adaptive")
 	fs.StringVar(&cfg.FleetPolicy, "fleet-policy", cfg.FleetPolicy, "fleet allocation policy: "+strings.Join(fleet.Names(), ", "))
 	fs.DurationVar(&cfg.ExecDwell, "exec-dwell", cfg.ExecDwell, "emulated per-batch hardware occupancy (shot time); 0 disables")
-	fs.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "(initial) EPST violation threshold")
+	fs.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "EPST violation threshold")
 	fs.IntVar(&cfg.QueueSize, "queue", cfg.QueueSize, "bounded queue capacity (429 when full)")
 	fs.IntVar(&cfg.Trials, "trials", cfg.Trials, "Monte-Carlo trials per batch")
 	fs.IntVar(&cfg.Attempts, "attempts", cfg.Attempts, "compiler best-of-N attempts")
@@ -150,8 +149,8 @@ func runServe(args []string) error {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("serving %d backends on %s (policy=%s fleet=%s eps=%.3f queue=%d)",
-			len(devices), *addr, cfg.Policy, cfg.FleetPolicy, cfg.Epsilon, cfg.QueueSize)
+		log.Printf("serving %d backends on %s (fleet=%s eps=%.3f queue=%d)",
+			len(devices), *addr, cfg.FleetPolicy, cfg.Epsilon, cfg.QueueSize)
 		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("%-15s %9s %9s %10s %8s %6s %6s\n",
 		"policy", "makespan", "avg wait", "jobs/hour", "util(%)", "TRF", "batches")
 	for _, policy := range []cloudsim.Policy{cloudsim.FIFOSeparate, cloudsim.FIFOPairs, cloudsim.QuCloud} {
-		m, _, err := cloudsim.Run(device, jobs, policy)
+		m, _, err := cloudsim.Run([]*arch.Device{device}, jobs, policy)
 		if err != nil {
 			log.Fatal(err)
 		}

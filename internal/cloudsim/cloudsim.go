@@ -70,6 +70,8 @@ type Metrics struct {
 	TRF     float64
 	// QubitUtilization is the time- and qubit-weighted busy fraction.
 	QubitUtilization float64
+	// PerDevice maps device name to the jobs it completed.
+	PerDevice map[string]int
 }
 
 // schedConfig is the policy as a preset of the one scheduler: separate
@@ -86,14 +88,7 @@ func (p Policy) schedConfig() sched.Config {
 	return sched.DefaultConfig()
 }
 
-// FleetMetrics aggregates a multi-backend simulation.
-type FleetMetrics struct {
-	Metrics
-	// PerDevice maps device name to the jobs it completed.
-	PerDevice map[string]int
-}
-
-// RunFleet simulates a cloud service with several backends. Each job is
+// Run simulates a cloud service with one or more backends. Each job is
 // routed to a backend when it arrives (qucloudd's default balanced
 // fleet policy over the chips' queue depths and smoothed service
 // times), and an idle backend claims its next batch, per the policy,
@@ -101,7 +96,7 @@ type FleetMetrics struct {
 // virtual time. A batch occupies its backend for compileSeconds plus
 // shots executions of the compiled depth. Devices must have distinct
 // names. Returns aggregate metrics plus each backend's batch trace.
-func RunFleet(devices []*arch.Device, jobs []Job, policy Policy) (*FleetMetrics, map[string][]BatchRecord, error) {
+func Run(devices []*arch.Device, jobs []Job, policy Policy) (*Metrics, map[string][]BatchRecord, error) {
 	if len(devices) == 0 {
 		return nil, nil, fmt.Errorf("cloudsim: fleet needs at least one device")
 	}
@@ -112,7 +107,7 @@ func RunFleet(devices []*arch.Device, jobs []Job, policy Policy) (*FleetMetrics,
 		}
 		seen[d.Name] = true
 	}
-	m := &FleetMetrics{PerDevice: map[string]int{}}
+	m := &Metrics{PerDevice: map[string]int{}}
 	traces := map[string][]BatchRecord{}
 	if len(jobs) == 0 {
 		return m, traces, nil
@@ -182,17 +177,6 @@ func RunFleet(devices []*arch.Device, jobs []Job, policy Policy) (*FleetMetrics,
 		m.QubitUtilization = busyQS / (float64(totalQubits) * m.Makespan)
 	}
 	return m, traces, nil
-}
-
-// Run simulates one backend serving the jobs under the policy and
-// returns the metrics with the per-batch trace: RunFleet over a fleet
-// of one.
-func Run(d *arch.Device, jobs []Job, policy Policy) (*Metrics, []BatchRecord, error) {
-	fm, traces, err := RunFleet([]*arch.Device{d}, jobs, policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &fm.Metrics, traces[d.Name], nil
 }
 
 // PoissonArrivals generates n jobs with exponential inter-arrival times

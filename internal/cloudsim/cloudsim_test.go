@@ -18,6 +18,16 @@ func suiteCircuits() []*circuit.Circuit {
 	return out
 }
 
+// runOne runs the jobs on a fleet of one and returns that chip's trace.
+func runOne(t *testing.T, d *arch.Device, jobs []Job, p Policy) (*Metrics, []BatchRecord) {
+	t.Helper()
+	m, traces, err := Run([]*arch.Device{d}, jobs, p)
+	if err != nil {
+		t.Fatalf("%s: %v", p, err)
+	}
+	return m, traces[d.Name]
+}
+
 func TestPoissonArrivalsDeterministicAndMonotonic(t *testing.T) {
 	a := PoissonArrivals(suiteCircuits(), 30, 10, 7)
 	b := PoissonArrivals(suiteCircuits(), 30, 10, 7)
@@ -50,9 +60,9 @@ func TestPoissonArrivalsDeterministicAndMonotonic(t *testing.T) {
 
 func TestRunEmpty(t *testing.T) {
 	d := arch.IBMQ16(0)
-	m, recs, err := Run(d, nil, QuCloud)
-	if err != nil || len(recs) != 0 || m.Batches != 0 {
-		t.Fatalf("empty run: %v %v %v", m, recs, err)
+	m, recs := runOne(t, d, nil, QuCloud)
+	if len(recs) != 0 || m.Batches != 0 {
+		t.Fatalf("empty run: %v %v", m, recs)
 	}
 }
 
@@ -60,10 +70,7 @@ func TestRunServesEveryJobOnce(t *testing.T) {
 	d := arch.IBMQ16(0)
 	jobs := PoissonArrivals(suiteCircuits(), 12, 5, 3)
 	for _, policy := range []Policy{FIFOSeparate, FIFOPairs, QuCloud} {
-		m, recs, err := Run(d, jobs, policy)
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
-		}
+		m, recs := runOne(t, d, jobs, policy)
 		seen := map[int]bool{}
 		for _, r := range recs {
 			for _, id := range r.JobIDs {
@@ -88,10 +95,7 @@ func TestRunServesEveryJobOnce(t *testing.T) {
 func TestBatchesDoNotOverlapInTime(t *testing.T) {
 	d := arch.IBMQ16(0)
 	jobs := PoissonArrivals(suiteCircuits(), 10, 2, 5)
-	_, recs, err := Run(d, jobs, QuCloud)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := runOne(t, d, jobs, QuCloud)
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Start < recs[i-1].Finish-1e-9 {
 			t.Fatalf("batch %d starts at %v before batch %d finishes at %v",
@@ -109,15 +113,8 @@ func TestQuCloudBeatsSeparateOnThroughput(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		jobs = append(jobs, Job{ID: i, Circ: circs[i%len(circs)], Arrival: 0})
 	}
-	run := func(p Policy) *Metrics {
-		m, _, err := Run(d, jobs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	sep := run(FIFOSeparate)
-	qc := run(QuCloud)
+	sep, _ := runOne(t, d, jobs, FIFOSeparate)
+	qc, _ := runOne(t, d, jobs, QuCloud)
 	if qc.Makespan >= sep.Makespan {
 		t.Fatalf("qucloud makespan %v >= separate %v", qc.Makespan, sep.Makespan)
 	}
@@ -146,10 +143,7 @@ func TestIdleBackendWaitsForArrivals(t *testing.T) {
 		{ID: 0, Circ: nisqbench.MustGet("bv_n3"), Arrival: 0},
 		{ID: 1, Circ: nisqbench.MustGet("bv_n3"), Arrival: 1e6},
 	}
-	_, recs, err := Run(d, jobs, QuCloud)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := runOne(t, d, jobs, QuCloud)
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -164,5 +158,38 @@ func TestPolicyStrings(t *testing.T) {
 	}
 	if Policy(9).String() == "" {
 		t.Fatal("unknown policy must still format")
+	}
+}
+
+// TestCloudServiceFigures pins the queue figures EXPERIMENTS.md quotes
+// for examples/cloudservice: its nine circuits arriving as a Poisson
+// stream of 60 jobs at a 4 s mean gap on IBMQ16 day 0.
+func TestCloudServiceFigures(t *testing.T) {
+	var circs []*circuit.Circuit
+	for _, name := range []string{"bv_n3", "bv_n4", "peres_3", "toffoli_3",
+		"fredkin_3", "3_17_13", "4mod5-v1_22", "mod5mils_65", "alu-v0_27"} {
+		circs = append(circs, nisqbench.MustGet(name))
+	}
+	jobs := PoissonArrivals(circs, 60, 4, 2026)
+	for _, c := range []struct {
+		policy   Policy
+		batches  int
+		trf      float64
+		makespan float64 // minutes
+	}{
+		{FIFOSeparate, 60, 1.00, 10.1},
+		{FIFOPairs, 31, 1.94, 5.2},
+		{QuCloud, 28, 2.14, 5.0},
+	} {
+		m, _ := runOne(t, arch.IBMQ16(0), jobs, c.policy)
+		if m.Batches != c.batches {
+			t.Errorf("%s: batches = %d, want %d", c.policy, m.Batches, c.batches)
+		}
+		if math.Abs(m.TRF-c.trf) > 0.005 {
+			t.Errorf("%s: TRF = %.3f, want %.2f", c.policy, m.TRF, c.trf)
+		}
+		if math.Abs(m.Makespan/60-c.makespan) > 0.05 {
+			t.Errorf("%s: makespan = %.3f min, want %.1f ± 0.05", c.policy, m.Makespan/60, c.makespan)
+		}
 	}
 }

@@ -16,14 +16,14 @@ func saturatedJobs(n int) []Job {
 }
 
 func TestFleetValidation(t *testing.T) {
-	if _, _, err := RunFleet(nil, saturatedJobs(2), QuCloud); err == nil {
+	if _, _, err := Run(nil, saturatedJobs(2), QuCloud); err == nil {
 		t.Fatal("empty fleet must error")
 	}
 	d := arch.IBMQ16(0)
-	if _, _, err := RunFleet([]*arch.Device{d, d}, saturatedJobs(2), QuCloud); err == nil {
+	if _, _, err := Run([]*arch.Device{d, d}, saturatedJobs(2), QuCloud); err == nil {
 		t.Fatal("duplicate device names must error")
 	}
-	m, traces, err := RunFleet([]*arch.Device{d}, nil, QuCloud)
+	m, traces, err := Run([]*arch.Device{d}, nil, QuCloud)
 	if err != nil || len(traces) != 0 || m.Batches != 0 {
 		t.Fatalf("empty jobs: %v %v %v", m, traces, err)
 	}
@@ -33,7 +33,7 @@ func TestFleetServesEveryJobOnce(t *testing.T) {
 	d1 := arch.IBMQ16(0)
 	d2 := arch.Tokyo(1)
 	jobs := saturatedJobs(14)
-	m, traces, err := RunFleet([]*arch.Device{d1, d2}, jobs, QuCloud)
+	m, traces, err := Run([]*arch.Device{d1, d2}, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,10 @@ func TestFleetServesEveryJobOnce(t *testing.T) {
 
 func TestFleetBeatsSingleBackendOnMakespan(t *testing.T) {
 	jobs := saturatedJobs(16)
-	single, _, err := Run(arch.IBMQ16(0), jobs, QuCloud)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single, _ := runOne(t, arch.IBMQ16(0), jobs, QuCloud)
 	second := arch.IBMQ16(5)
 	second.Name = "ibmq16-b"
-	fleet, _, err := RunFleet([]*arch.Device{arch.IBMQ16(0), second}, jobs, QuCloud)
+	fleet, _, err := Run([]*arch.Device{arch.IBMQ16(0), second}, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +81,7 @@ func TestFleetBeatsSingleBackendOnMakespan(t *testing.T) {
 
 func TestFleetBackendsDoNotOverlapPerDevice(t *testing.T) {
 	jobs := saturatedJobs(10)
-	_, traces, err := RunFleet([]*arch.Device{arch.IBMQ16(0), arch.Tokyo(2)}, jobs, QuCloud)
+	_, traces, err := Run([]*arch.Device{arch.IBMQ16(0), arch.Tokyo(2)}, jobs, QuCloud)
 	if err != nil {
 		t.Fatal(err)
 	}

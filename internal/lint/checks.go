@@ -82,7 +82,6 @@ var deterministicPkgs = map[string]bool{
 var latencyPkgs = map[string]bool{
 	"internal/faultinject": true,
 	"internal/lint":        true,
-	"internal/quos":        true,
 	"internal/service":     true,
 }
 

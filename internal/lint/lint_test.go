@@ -110,7 +110,7 @@ func TestFixtures(t *testing.T) {
 // TestNoWallClockAllowlist re-runs the nowallclock fixture as if it
 // lived in an allowlisted package: service code may read the clock.
 func TestNoWallClockAllowlist(t *testing.T) {
-	for _, rel := range []string{"internal/service", "internal/quos", "cmd/qucloudd", ""} {
+	for _, rel := range []string{"internal/service", "cmd/qucloudd", ""} {
 		findings := runFixtureFile(t, "nowallclock", "nowallclock.go", rel)
 		if len(findings) != 0 {
 			t.Errorf("rel %q: want no findings outside deterministic packages, got %v", rel, findings)

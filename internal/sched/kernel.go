@@ -15,8 +15,8 @@ import (
 // admitted" and "this batch runs on that chip now", as one
 // single-threaded state machine with no clock of its own. qucloudd
 // (internal/service) calls it under its lock with wall-clock seconds;
-// Kernel.Run drives it on virtual time for internal/cloudsim and
-// internal/quos, so both make identical decisions on identical input.
+// Kernel.Run drives it on virtual time for internal/cloudsim, so the
+// daemon and the simulator make identical decisions on identical input.
 // Locking, job states, durability, admission caps, retries, breaker
 // timing and metrics stay with the caller.
 
@@ -83,7 +83,7 @@ func IDs(batch []*Item) []int {
 type chip struct {
 	dev  *arch.Device
 	view fleet.Chip
-	cfg  Config     // Algorithm 4 on this chip: the kernel's bounds, the device's knee ω, the live ε
+	cfg  Config     // Algorithm 4 on this chip: the kernel's bounds and ε, the device's knee ω
 	load fleet.Load // what the dispatcher scores
 	ewma fleet.EWMA // smoothed per-job service seconds
 	// The running batch: when it was claimed, how many jobs it holds.
@@ -103,8 +103,8 @@ type Kernel struct {
 }
 
 // NewKernel builds a kernel over the devices, one chip each, indexed as
-// given. cfg carries Algorithm 4's bounds and the initial ε of every
-// chip; its Omega is ignored, each chip schedules at its device's knee
+// given. cfg carries Algorithm 4's bounds and the ε every chip
+// schedules with; its Omega is ignored, each chip schedules at its device's knee
 // (community.KneeOmega). A nil policy dispatches with fleet.Balanced.
 func NewKernel(devices []*arch.Device, policy fleet.Policy, cfg Config) *Kernel {
 	if policy == nil {
@@ -131,12 +131,6 @@ func (k *Kernel) Len() int { return len(k.queue) }
 func (k *Kernel) Candidate(chip int) fleet.Candidate {
 	return fleet.Candidate{Chip: k.chips[chip].view, Load: k.chips[chip].load}
 }
-
-// Epsilon is the EPST violation threshold the chip's next claim uses.
-func (k *Kernel) Epsilon(chip int) float64 { return k.chips[chip].cfg.Epsilon }
-
-// SetEpsilon changes the chip's threshold (adaptive ε control).
-func (k *Kernel) SetEpsilon(chip int, eps float64) { k.chips[chip].cfg.Epsilon = eps }
 
 // SetAvailable marks a chip (un)available to the dispatcher: Pick
 // avoids an unavailable chip whenever an available one fits the job.

@@ -91,11 +91,10 @@ func arrivalsAtZero(jobs []Job) []Arrival {
 	return out
 }
 
-// TestRunColocationFallback is the regression test for the fallback
-// every driver shares: when the compile step rejects every co-located
-// batch, the head runs alone, the tail is claimed again, and every job
-// is served exactly once — so TRF is jobs ÷ executions. (quos.Run used
-// to run the whole failed batch separately and count it as one.)
+// TestRunColocationFallback is the regression test for Kernel.Run's
+// fallback: when the compile step rejects every co-located batch, the
+// head runs alone, the tail is claimed again, and every job is served
+// exactly once — so TRF is jobs ÷ executions.
 func TestRunColocationFallback(t *testing.T) {
 	d := arch.IBMQ16(0)
 	jobs := tinyQueue()

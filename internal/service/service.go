@@ -6,8 +6,7 @@
 // pluggable allocation policy — speed, fidelity, fairness, or balanced
 // — scored from per-chip calibration summaries, live queue depth, and
 // smoothed service times. Each worker pulls batches of its own jobs
-// with the EPST scheduler (internal/sched) — under a static epsilon or
-// the internal/quos adaptive controller — compiles them through the
+// with the EPST scheduler (internal/sched), compiles them through the
 // QuCloud pipeline (internal/core), "executes" them on the noisy
 // simulator (internal/sim), and records per-job results in an
 // in-memory store with lifecycle states
@@ -57,32 +56,18 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 
-// Policy selects how workers choose the co-location threshold.
-type Policy string
-
-// Batching policies.
-const (
-	// PolicyStatic schedules every batch with Config.Epsilon.
-	PolicyStatic Policy = "static"
-	// PolicyAdaptive gives each worker a quos.Controller that adapts
-	// epsilon from achieved batch fidelity.
-	PolicyAdaptive Policy = "adaptive"
-)
-
 // Config tunes the service.
 type Config struct {
 	// QueueSize bounds the pending-job queue; submissions beyond it
 	// are rejected with ErrQueueFull (HTTP 429).
 	QueueSize int
-	// Policy picks static or adaptive epsilon control.
-	Policy Policy
 	// FleetPolicy names the internal/fleet allocation policy that routes
 	// each admitted job to a backend (speed, fidelity, fairness,
 	// balanced). Empty selects "balanced".
 	FleetPolicy string
-	// Epsilon is the (initial) EPST violation threshold. Unlike the
-	// other fields its zero is a setting, not "use the default": ε = 0
-	// admits only loss-free co-locations.
+	// Epsilon is the EPST violation threshold every backend schedules
+	// with. Unlike the other fields its zero is a setting, not "use the
+	// default": ε = 0 admits only loss-free co-locations.
 	Epsilon float64
 	// Lookahead and MaxColocate pass through to the EPST scheduler.
 	Lookahead   int
@@ -168,7 +153,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		QueueSize:      256,
-		Policy:         PolicyStatic,
 		FleetPolicy:    "balanced",
 		Epsilon:        0.15,
 		Lookahead:      10,
@@ -257,7 +241,6 @@ type BreakerStatus struct {
 type BackendStatus struct {
 	fleet.Chip
 	fleet.Load
-	Policy           Policy                 `json:"policy"`
 	Epsilon          float64                `json:"epsilon"`
 	JobsCompleted    int64                  `json:"jobs_completed"`
 	BatchesExecuted  int64                  `json:"batches_executed"`
@@ -332,12 +315,6 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 	def := DefaultConfig()
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = def.QueueSize
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = def.Policy
-	}
-	if cfg.Policy != PolicyStatic && cfg.Policy != PolicyAdaptive {
-		return nil, fmt.Errorf("service: unknown policy %q", cfg.Policy)
 	}
 	if cfg.Epsilon < 0 || math.IsNaN(cfg.Epsilon) {
 		return nil, fmt.Errorf("service: epsilon %v must be a non-negative number", cfg.Epsilon)

@@ -352,51 +352,6 @@ func TestForcedShutdown(t *testing.T) {
 	}
 }
 
-func TestAdaptivePolicyAdjustsEpsilon(t *testing.T) {
-	cfg := testConfig()
-	cfg.Policy = PolicyAdaptive
-	svc := newTestService(t, cfg)
-	svc.Start()
-
-	for i := 0; i < 6; i++ {
-		if _, err := svc.Submit(nisqbench.MustGet("bv_n3")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range svc.Jobs() {
-		if rec.State != StateDone {
-			t.Fatalf("adaptive run left job %+v", rec)
-		}
-	}
-	// The controller must have kept epsilon inside its bounds; if any
-	// backend co-located a batch, epsilon moved off the initial value.
-	moved := false
-	for _, b := range svc.Backends() {
-		if b.Epsilon <= 0 || b.Epsilon > 0.5 {
-			t.Fatalf("epsilon out of bounds: %+v", b)
-		}
-		if b.Epsilon != cfg.Epsilon {
-			moved = true
-		}
-	}
-	var colocated int64
-	for _, b := range svc.Backends() {
-		for _, r := range b.RecentBatches {
-			if len(r.JobIDs) > 1 {
-				colocated++
-			}
-		}
-	}
-	if colocated > 0 && !moved {
-		t.Fatalf("co-located batches executed but no backend adapted epsilon")
-	}
-}
-
 // TestCacheServesRepeatSubmissions drives the cloud-queue replay
 // pattern the cache exists for: the same benchmark circuit submitted
 // twice compiles once — the registry and the /metrics cache section

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/quos"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -39,8 +38,8 @@ type breaker struct {
 // worker owns one backend device: it claims EPST batches from the
 // scheduler kernel, compiles and simulates them, and writes results
 // back. Mutable fields (counters, trace, breaker) are guarded by
-// Service.mu, as is the kernel, which holds the backend's epsilon, busy
-// flag and dispatch load; comp, ctrl, and the seed counter are touched
+// Service.mu, as is the kernel, which holds the backend's busy flag and
+// dispatch load; comp and the seed counter are touched
 // only by the worker's own goroutine, so each worker is deterministic
 // and race-free without sharing any random state.
 //
@@ -55,8 +54,7 @@ type worker struct {
 	index int
 	dev   *arch.Device
 	comp  *core.Compiler
-	ctrl  *quos.Controller // nil under PolicyStatic
-	seed  int64            // per-worker deterministic seed counter
+	seed  int64 // per-worker deterministic seed counter
 
 	jobsDone     int64                  // guarded by svc.mu
 	batchesDone  int64                  // guarded by svc.mu
@@ -72,7 +70,7 @@ type worker struct {
 func newWorker(s *Service, index int, dev *arch.Device) *worker {
 	comp := core.NewCompiler(dev)
 	comp.Attempts = s.cfg.Attempts
-	w := &worker{
+	return &worker{
 		svc:   s,
 		index: index,
 		dev:   dev,
@@ -80,12 +78,6 @@ func newWorker(s *Service, index int, dev *arch.Device) *worker {
 		seed:  s.cfg.Seed + int64(index)*1_000_003,
 		brk:   breaker{state: breakerClosed},
 	}
-	if s.cfg.Policy == PolicyAdaptive {
-		qcfg := quos.DefaultConfig()
-		qcfg.InitialEpsilon = s.cfg.Epsilon
-		w.ctrl = quos.NewController(qcfg)
-	}
-	return w
 }
 
 // nextSeed returns a fresh deterministic simulation seed; only the
@@ -402,24 +394,11 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 		sleepInterruptible(ctx, nil, s.cfg.ExecDwell)
 	}
 	executed := time.Now()
-	// Guard the average before it reaches the adaptive controller: a
-	// count mismatch or non-finite PST would poison epsilon adaptation
-	// with NaN forever after.
-	avg, err := batchAvgPST(psts, len(batch))
-	if err != nil {
+	// A short PST slice would index out of range below, and a NaN or
+	// ±Inf PST cannot be encoded: encoding/json rejects it, which would
+	// break GET /v1/jobs/{id} and the WAL's terminal record for the job.
+	if err := checkPSTs(psts, len(batch)); err != nil {
 		return fmt.Errorf("execute: %w", err)
-	}
-
-	// Adaptive control: compare achieved fidelity to the
-	// separate-execution estimate and let the controller move epsilon.
-	var newEps float64
-	adapted := false
-	if w.ctrl != nil {
-		if sepEst, estErr := quos.SeparateEstimate(ctx, w.comp, progs, sim.DefaultNoise()); estErr == nil {
-			w.ctrl.Observe(len(progs) > 1, avg, sepEst)
-			newEps = w.ctrl.Epsilon()
-			adapted = true
-		}
 	}
 
 	qubits := 0
@@ -438,9 +417,6 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 			j.rec.ServiceSeconds = executed.Sub(j.claimed).Seconds()
 			s.setStateLocked(j, StateDone)
 			s.markTerminalLocked(j)
-		}
-		if adapted {
-			s.kernel.SetEpsilon(w.index, newEps)
 		}
 		// Frees the backend and feeds the dispatcher's wait estimator.
 		s.kernel.Done(w.index, executed.Sub(s.start).Seconds(), true)
@@ -534,21 +510,18 @@ func (w *worker) simulate(ctx context.Context, res *core.Result) (psts []float64
 	return w.comp.SimulateContext(ctx, res, w.svc.cfg.Trials, w.nextSeed(), sim.DefaultNoise())
 }
 
-// batchAvgPST averages the per-program PSTs, rejecting the count
-// mismatches and non-finite values that would otherwise feed NaN into
-// quos epsilon adaptation.
-func batchAvgPST(psts []float64, want int) (float64, error) {
+// checkPSTs rejects a simulator result that cannot be stored: one PST
+// per program is required, and each must be finite.
+func checkPSTs(psts []float64, want int) error {
 	if len(psts) == 0 || len(psts) != want {
-		return 0, fmt.Errorf("internal: simulator returned %d PSTs for %d programs", len(psts), want)
+		return fmt.Errorf("internal: simulator returned %d PSTs for %d programs", len(psts), want)
 	}
-	sum := 0.0
 	for i, p := range psts {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return 0, fmt.Errorf("internal: simulator returned non-finite PST %v for program %d", p, i)
+			return fmt.Errorf("internal: simulator returned non-finite PST %v for program %d", p, i)
 		}
-		sum += p
 	}
-	return sum / float64(len(psts)), nil
+	return nil
 }
 
 // fail marks every job in the batch failed.
@@ -661,8 +634,7 @@ func (w *worker) statusLocked() BackendStatus {
 	return BackendStatus{
 		Chip:            c.Chip,
 		Load:            c.Load,
-		Policy:          w.svc.cfg.Policy,
-		Epsilon:         w.svc.kernel.Epsilon(w.index),
+		Epsilon:         w.svc.cfg.Epsilon,
 		JobsCompleted:   w.jobsDone,
 		BatchesExecuted: w.batchesDone,
 		Migrated:        w.migrated,

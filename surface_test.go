@@ -173,7 +173,6 @@ func nonTestFiles(t *testing.T) []srcFile {
 // and *Options structs ("pkg.Type.Field") that no program sets and that
 // stay on purpose, each with its reason.
 var testOnlyConfigFields = map[string]string{
-	"quos.Config.Target":    "its tests drive both controller branches with it",
 	"service.Config.Faults": "the chaos suite's fault-injection hook; nil in production",
 	"srb.Config.Length":     "awaits a consumer or its deletion (ROADMAP, SRB item)",
 }
