@@ -36,14 +36,15 @@ loc:
 
 # The default test path runs the fmt gate, vet and qulint first, then
 # the full suite, then the race detector over the concurrent packages
-# (the service, its scheduler dependencies, the daemon, and the sharded
-# simulation/compile engines plus their worker pool), the chaos suite,
+# (the service, its scheduler dependencies and the CDAP region memo they
+# share, the daemon, and the sharded simulation/compile engines plus
+# their worker pool), the chaos suite,
 # every example (so one that builds but crashes fails the run), and
 # last the benchmark harness's own vet + tests: bench/ is its own
 # module, so nothing above compiles it against the internal/ packages.
 test: fmt vet lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/service/... ./internal/fleet/... ./internal/sched/... ./internal/cloudsim/... ./cmd/qucloudd/... ./internal/sim/... ./internal/core/... ./internal/pool/... ./internal/ccache/...
+	$(GO) test -race ./internal/service/... ./internal/fleet/... ./internal/sched/... ./internal/partition/... ./internal/cloudsim/... ./cmd/qucloudd/... ./internal/sim/... ./internal/core/... ./internal/pool/... ./internal/ccache/...
 	$(MAKE) chaos
 	$(MAKE) examples
 	$(MAKE) bench-selftest

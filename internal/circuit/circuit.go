@@ -202,15 +202,6 @@ func (c *Circuit) Depth() int {
 	return maxLevel
 }
 
-// CNOTDensity is the partitioning priority from Algorithm 2:
-// (#CNOT instructions) / (#qubits).
-func (c *Circuit) CNOTDensity() float64 {
-	if c.NumQubits == 0 {
-		return 0
-	}
-	return float64(c.RawCNOTCount()) / float64(c.NumQubits)
-}
-
 // InteractionGraph returns the logical-qubit interaction graph: an edge
 // per qubit pair that shares a two-qubit gate, weighted by the number of
 // such gates. Greatest-Weighted-Edge-First allocation consumes it.

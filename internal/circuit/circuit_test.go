@@ -71,17 +71,6 @@ func TestDepthBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestCNOTDensity(t *testing.T) {
-	c := New("d", 4)
-	c.CX(0, 1).CX(1, 2).CX(2, 3)
-	if got := c.CNOTDensity(); got != 0.75 {
-		t.Fatalf("density = %v, want 0.75", got)
-	}
-	if New("e", 0).CNOTDensity() != 0 {
-		t.Fatal("empty circuit density must be 0")
-	}
-}
-
 func TestInteractionGraph(t *testing.T) {
 	c := New("ig", 3)
 	c.CX(0, 1).CX(0, 1).CX(1, 2)

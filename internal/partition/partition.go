@@ -7,9 +7,11 @@
 package partition
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -38,21 +40,45 @@ type Result struct {
 	Assignments []Assignment
 }
 
+// shape is everything CDAP's region search reads of one program: its
+// width, which sizes the region, and its two-qubit and single-qubit gate
+// counts, which set the CNOT-density order and weight the EPST scoring
+// (Equation 4). The name, the gate order and the interaction graph are
+// read only by AllocateGWEF.
+type shape struct{ qubits, cnots, gate1s int }
+
+func shapesOf(progs []*circuit.Circuit) []shape {
+	out := make([]shape, len(progs))
+	for i, p := range progs {
+		out[i] = shape{qubits: p.NumQubits, cnots: p.RawCNOTCount(), gate1s: p.Gate1Count()}
+	}
+	return out
+}
+
+// cnotDensity is the partitioning priority from Algorithm 2:
+// (#CNOT instructions) / (#qubits).
+func (s shape) cnotDensity() float64 {
+	if s.qubits == 0 {
+		return 0
+	}
+	return float64(s.cnots) / float64(s.qubits)
+}
+
 // byCNOTDensity returns program indices sorted by descending CNOT
 // density (Algorithm 2 line 1); ties break toward more qubits, then
 // original order, so results are deterministic.
-func byCNOTDensity(progs []*circuit.Circuit) []int {
-	idx := make([]int, len(progs))
+func byCNOTDensity(shapes []shape) []int {
+	idx := make([]int, len(shapes))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		da, db := progs[idx[a]].CNOTDensity(), progs[idx[b]].CNOTDensity()
+		da, db := shapes[idx[a]].cnotDensity(), shapes[idx[b]].cnotDensity()
 		//lint:ignore floateq exact tie-break keeps the comparator a strict weak order; an epsilon band would make "equal" intransitive
 		if da != db {
 			return da > db
 		}
-		return progs[idx[a]].NumQubits > progs[idx[b]].NumQubits
+		return shapes[idx[a]].qubits > shapes[idx[b]].qubits
 	})
 	return idx
 }
@@ -62,6 +88,15 @@ func byCNOTDensity(progs []*circuit.Circuit) []int {
 // choosing for each the candidate community with the highest average
 // fidelity, then mapping it inside the region with
 // Greatest-Weighted-Edge-First. The tree must have been built for d.
+//
+// The region search is memoised per device calibration: its answer for
+// an ordered list of program shapes (qubits, CNOTs, single-qubit gates)
+// on a tree is computed once and reused until ApplyCalibration or
+// InvalidateArtifacts retires it, so the scheduler's EPST checks and
+// the accepted batch's compile share one walk. The initial mapping is
+// not memoised: AllocateGWEF reads the program's interaction graph,
+// which two programs of one shape need not share, and runs on every
+// call. Every call returns fresh slices.
 func CDAP(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) (*Result, error) {
 	if len(progs) == 0 {
 		return &Result{}, nil
@@ -73,14 +108,38 @@ func CDAP(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) (*Resu
 	if total > d.NumQubits() {
 		return nil, fmt.Errorf("%w: %d qubits requested, %d on chip", ErrNoRegion, total, d.NumQubits())
 	}
+	plan := cdapMemoFor(d, tree).plan(d, tree, shapesOf(progs))
+	if plan.failed >= 0 {
+		p := progs[plan.failed]
+		return nil, fmt.Errorf("%w: program %q (%d qubits)", ErrNoRegion, p.Name, p.NumQubits)
+	}
+	res := &Result{Assignments: make([]Assignment, len(progs))}
+	for pi, region := range plan.regions {
+		res.Assignments[pi] = Assignment{Program: pi, Region: sortedCopy(region), InitialMapping: AllocateGWEF(d, progs[pi], region)}
+	}
+	return res, nil
+}
 
+// regionPlan is the region search's answer for one ordered list of
+// program shapes: regions[i] is program i's region, or failed is the
+// index of the first program, in placement order, that found none.
+type regionPlan struct {
+	regions [][]int // nil when failed >= 0
+	failed  int     // -1 when every program was placed
+}
+
+// searchRegions is the uncached region search: per program, highest
+// CNOT density first, the tree walk of cdapFindRegion, then Algorithm 2's
+// bookkeeping (the region leaves the available set and isolated
+// siblings are severed).
+func searchRegions(d *arch.Device, tree *community.Tree, shapes []shape) *regionPlan {
 	avail := make([]bool, d.NumQubits())
 	for i := range avail {
 		avail[i] = true
 	}
 	cut := map[*community.Node]bool{} // nodes severed from their parents
 
-	res := &Result{Assignments: make([]Assignment, len(progs))}
+	regions := make([][]int, len(shapes))
 	// placed accumulates the induced coupling links of already-assigned
 	// regions. On devices with a pairwise crosstalk matrix, candidate
 	// regions whose links are hostile to these neighbors score lower
@@ -89,23 +148,72 @@ func CDAP(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) (*Resu
 	// Without a matrix, placed is ignored and the walk is byte-identical
 	// to the crosstalk-blind CDAP.
 	var placed []graph.Edge
-	for _, pi := range byCNOTDensity(progs) {
-		p := progs[pi]
-		region, err := cdapFindRegion(d, tree, avail, cut, p, placed)
+	for _, pi := range byCNOTDensity(shapes) {
+		region, err := cdapFindRegion(d, tree, avail, cut, shapes[pi], placed)
 		if err != nil {
-			return nil, fmt.Errorf("%w: program %q (%d qubits)", ErrNoRegion, p.Name, p.NumQubits)
+			return &regionPlan{failed: pi}
 		}
-		mapping := AllocateGWEF(d, p, region)
 		for _, q := range region {
 			avail[q] = false
 		}
 		if d.HasCrosstalk() {
 			placed = append(placed, d.Coupling.InducedEdges(region)...)
 		}
-		res.Assignments[pi] = Assignment{Program: pi, Region: sortedCopy(region), InitialMapping: mapping}
+		regions[pi] = region
 		pruneIsolatedSiblings(d, tree, avail, cut)
 	}
-	return res, nil
+	return &regionPlan{regions: regions, failed: -1}
+}
+
+// cdapMemoCap bounds one device calibration's region memo, so a stream
+// of ever-new shape lists cannot grow it without limit. A full memo is
+// cleared, not evicted entry by entry: a clear costs one search per list
+// still in use.
+const cdapMemoCap = 4096
+
+// cdapMemo caches searchRegions per (tree, ordered shape list). It is a
+// device artifact, so a recalibration starts an empty one; the tree is
+// part of the key because a caller may hold a tree built for an older
+// calibration. Concurrent misses on one key each search and store the
+// same plan. Plans are shared and never mutated.
+type cdapMemo struct {
+	mu    sync.Mutex
+	plans map[cdapKey]*regionPlan // guarded by mu
+}
+
+type cdapKey struct {
+	tree   *community.Tree
+	shapes string // the shapes' fields as uvarints, in program order
+}
+
+func cdapMemoFor(d *arch.Device, tree *community.Tree) *cdapMemo {
+	return d.Artifact("partition/cdap", tree.Omega, func() any {
+		return &cdapMemo{plans: map[cdapKey]*regionPlan{}}
+	}).(*cdapMemo)
+}
+
+func (m *cdapMemo) plan(d *arch.Device, tree *community.Tree, shapes []shape) *regionPlan {
+	b := make([]byte, 0, 3*binary.MaxVarintLen32*len(shapes))
+	for _, s := range shapes {
+		b = binary.AppendUvarint(b, uint64(s.qubits))
+		b = binary.AppendUvarint(b, uint64(s.cnots))
+		b = binary.AppendUvarint(b, uint64(s.gate1s))
+	}
+	key := cdapKey{tree: tree, shapes: string(b)}
+	m.mu.Lock()
+	plan, ok := m.plans[key]
+	m.mu.Unlock()
+	if ok {
+		return plan
+	}
+	plan = searchRegions(d, tree, shapes)
+	m.mu.Lock()
+	if len(m.plans) >= cdapMemoCap {
+		clear(m.plans)
+	}
+	m.plans[key] = plan
+	m.mu.Unlock()
+	return plan
 }
 
 // cdapFindRegion walks the tree from every available leaf upward to the
@@ -118,8 +226,8 @@ func CDAP(d *arch.Device, tree *community.Tree, progs []*circuit.Circuit) (*Resu
 // regions already granted to other programs: with a pairwise crosstalk
 // matrix, EPST charges each candidate link its worst conditional
 // error against those neighbors, penalizing hostile adjacency.
-func cdapFindRegion(d *arch.Device, tree *community.Tree, avail []bool, cut map[*community.Node]bool, p *circuit.Circuit, placed []graph.Edge) ([]int, error) {
-	size := p.NumQubits
+func cdapFindRegion(d *arch.Device, tree *community.Tree, avail []bool, cut map[*community.Node]bool, s shape, placed []graph.Edge) ([]int, error) {
+	size := s.qubits
 	type candidate struct {
 		subset []int
 		score  float64
@@ -132,7 +240,7 @@ func cdapFindRegion(d *arch.Device, tree *community.Tree, avail []bool, cut map[
 	// fidelity differences; §IV-A3's redundant-qubit relabeling has the
 	// same goal.
 	score := func(subset []int) float64 {
-		epst := d.EPST(subset, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, placed)
+		epst := d.EPST(subset, s.cnots, s.gate1s, s.qubits, placed)
 		return epst - strandPenalty*float64(strandedAfter(d, avail, subset))
 	}
 	for q := 0; q < d.NumQubits(); q++ {
@@ -146,10 +254,10 @@ func cdapFindRegion(d *arch.Device, tree *community.Tree, avail []bool, cut map[
 				found := false
 				if !seen[node] {
 					seen[node] = true
-					if subset := bestConnectedSubset(d, avail, eff, p, placed); subset != nil {
+					if subset := bestConnectedSubset(d, avail, eff, s, placed); subset != nil {
 						found = true
-						if s := score(subset); best == nil || s > best.score {
-							best = &candidate{subset: subset, score: s}
+						if sc := score(subset); best == nil || sc > best.score {
+							best = &candidate{subset: subset, score: sc}
 						}
 					}
 				} else {
@@ -269,9 +377,8 @@ const strandPenalty = 0.01
 // The greedy growth steps use the crosstalk-blind EPST for speed; only
 // the final per-seed score charges conditional errors against placed —
 // enough to choose a benign seed region when one exists.
-func bestConnectedSubset(d *arch.Device, avail []bool, pool []int, p *circuit.Circuit, placed []graph.Edge) []int {
-	size := p.NumQubits
-	cnots, g1s := p.RawCNOTCount(), p.Gate1Count()
+func bestConnectedSubset(d *arch.Device, avail []bool, pool []int, s shape, placed []graph.Edge) []int {
+	size, cnots, g1s := s.qubits, s.cnots, s.gate1s
 	epst := func(set []int) float64 { return d.EPST(set, cnots, g1s, size, nil) }
 	if size <= 0 {
 		return []int{}
@@ -308,9 +415,9 @@ func bestConnectedSubset(d *arch.Device, avail []bool, pool []int, p *circuit.Ci
 			inSet[cand] = true
 		}
 		if len(set) == size {
-			s := d.EPST(set, cnots, g1s, size, placed) - strandPenalty*float64(strandedAfter(d, avail, set))
-			if s > bestScore {
-				best, bestScore = sortedCopy(set), s
+			sc := d.EPST(set, cnots, g1s, size, placed) - strandPenalty*float64(strandedAfter(d, avail, set))
+			if sc > bestScore {
+				best, bestScore = sortedCopy(set), sc
 			}
 		}
 	}
@@ -486,7 +593,7 @@ func FRP(d *arch.Device, progs []*circuit.Circuit) (*Result, error) {
 		avail[i] = true
 	}
 	res := &Result{Assignments: make([]Assignment, len(progs))}
-	for _, pi := range byCNOTDensity(progs) {
+	for _, pi := range byCNOTDensity(shapesOf(progs)) {
 		p := progs[pi]
 		region, err := frpFindRegion(d, avail, p.NumQubits)
 		if err != nil {

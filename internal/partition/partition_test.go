@@ -329,12 +329,23 @@ func TestOccupied(t *testing.T) {
 	}
 }
 
+func TestCNOTDensity(t *testing.T) {
+	c := circuit.New("d", 4)
+	c.CX(0, 1).CX(1, 2).CX(2, 3)
+	if got := shapesOf([]*circuit.Circuit{c})[0].cnotDensity(); got != 0.75 {
+		t.Fatalf("density = %v, want 0.75", got)
+	}
+	if (shape{}).cnotDensity() != 0 {
+		t.Fatal("empty circuit density must be 0")
+	}
+}
+
 func TestByCNOTDensityOrdering(t *testing.T) {
 	a := circuit.New("a", 2) // density 0.5
 	a.CX(0, 1)
 	b := circuit.New("b", 2) // density 1.5
 	b.CX(0, 1).CX(0, 1).CX(0, 1)
-	order := byCNOTDensity([]*circuit.Circuit{a, b})
+	order := byCNOTDensity(shapesOf([]*circuit.Circuit{a, b}))
 	if order[0] != 1 || order[1] != 0 {
 		t.Fatalf("order = %v, want [1 0]", order)
 	}

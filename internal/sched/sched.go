@@ -56,13 +56,14 @@ func DefaultConfig() Config {
 
 // SeparateEPST is a program's best-case EPST (Equation 4,
 // arch.Device.EPST): the EPST on the region CDAP allocates when the
-// program runs alone.
+// program runs alone, which is ColocatedEPST of that one program (a
+// lone program has no busy links).
 func SeparateEPST(d *arch.Device, tree *community.Tree, p *circuit.Circuit) (float64, error) {
-	res, err := partition.CDAP(d, tree, []*circuit.Circuit{p})
+	epst, err := ColocatedEPST(d, tree, []*circuit.Circuit{p})
 	if err != nil {
 		return 0, err
 	}
-	return d.EPST(res.Assignments[0].Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, nil), nil
+	return epst[0], nil
 }
 
 // ColocatedEPST partitions the chip among all programs with CDAP and
@@ -117,25 +118,6 @@ func checkEpsilon(eps float64) error {
 	return nil
 }
 
-// sepEPSTFunc returns a job's separate-execution EPST, memoized per
-// job ID; it fails when the job cannot be placed even alone.
-type sepEPSTFunc func(Job) (float64, error)
-
-func memoSepEPST(d *arch.Device, tree *community.Tree) sepEPSTFunc {
-	cache := map[int]float64{}
-	return func(j Job) (float64, error) {
-		if v, ok := cache[j.ID]; ok {
-			return v, nil
-		}
-		v, err := SeparateEPST(d, tree, j.Circ)
-		if err != nil {
-			return 0, fmt.Errorf("sched: job %d cannot run even alone: %w", j.ID, err)
-		}
-		cache[j.ID] = v
-		return v, nil
-	}
-}
-
 // Schedule runs Algorithm 4 over the job queue and returns the batches
 // in submission order. Jobs that cannot be co-located within the
 // violation threshold run separately. An error is returned only when a
@@ -151,11 +133,10 @@ func Schedule(d *arch.Device, jobs []Job, cfg Config) ([]Batch, error) {
 	}
 	cfg = cfg.withDefaults()
 	tree := community.BuildCached(d, cfg.Omega)
-	sepEPST := memoSepEPST(d, tree)
 	queue := append([]Job(nil), jobs...)
 	var batches []Batch
 	for len(queue) > 0 {
-		b, err := next(d, tree, queue, cfg, sepEPST)
+		b, err := next(d, tree, queue, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -185,17 +166,17 @@ func Next(d *arch.Device, jobs []Job, cfg Config) (Batch, error) {
 	}
 	cfg = cfg.withDefaults()
 	tree := community.BuildCached(d, cfg.Omega)
-	return next(d, tree, jobs, cfg, memoSepEPST(d, tree))
+	return next(d, tree, jobs, cfg)
 }
 
-func next(d *arch.Device, tree *community.Tree, queue []Job, cfg Config, sepEPST sepEPSTFunc) (Batch, error) {
-	if _, err := sepEPST(queue[0]); err != nil {
-		return Batch{}, err
+func next(d *arch.Device, tree *community.Tree, queue []Job, cfg Config) (Batch, error) {
+	if _, err := SeparateEPST(d, tree, queue[0].Circ); err != nil {
+		return Batch{}, fmt.Errorf("sched: job %d cannot run even alone: %w", queue[0].ID, err)
 	}
 	cur := []Job{queue[0]}
 	for idx := 1; idx < len(queue) && idx < cfg.Lookahead && len(cur) < cfg.MaxColocate; idx++ {
 		trial := append(cur[:len(cur):len(cur)], queue[idx])
-		if violationOK(d, tree, trial, sepEPST, cfg.Epsilon) {
+		if violationOK(d, tree, trial, cfg.Epsilon) {
 			cur = trial
 		}
 	}
@@ -207,8 +188,9 @@ func next(d *arch.Device, tree *community.Tree, queue []Job, cfg Config, sepEPST
 }
 
 // violationOK reports whether every job in the trial batch keeps its
-// EPST violation within epsilon; a batch CDAP cannot place is not OK.
-func violationOK(d *arch.Device, tree *community.Tree, trial []Job, sepEPST sepEPSTFunc, epsilon float64) bool {
+// EPST violation within epsilon; a batch CDAP cannot place is not OK,
+// nor is one holding a job that cannot run even alone.
+func violationOK(d *arch.Device, tree *community.Tree, trial []Job, epsilon float64) bool {
 	progs := make([]*circuit.Circuit, len(trial))
 	for i, j := range trial {
 		progs[i] = j.Circ
@@ -218,7 +200,7 @@ func violationOK(d *arch.Device, tree *community.Tree, trial []Job, sepEPST sepE
 		return false
 	}
 	for i, j := range trial {
-		sep, err := sepEPST(j)
+		sep, err := SeparateEPST(d, tree, j.Circ)
 		if err != nil || fp.Zero(sep) {
 			return false
 		}
