@@ -70,8 +70,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short fuzz pass over the untrusted inputs (QASM source, device-spec
-# JSON, and arbitrary requests against the daemon's HTTP handler) and
-# over the packed stabilizer tableau against the boolean one. Go allows
+# JSON, and arbitrary requests against the daemon's HTTP handler), over
+# the packed stabilizer tableau against the boolean one, and over the
+# simulator's random stream against math/rand. Go allows
 # one -fuzz target per invocation, so each gets its own ~10s budget; the
 # checked-in corpora under testdata/fuzz replay on every plain `go test`
 # run as well.
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseQASMString -fuzztime 10s ./internal/circuit
 	$(GO) test -run '^$$' -fuzz FuzzDeviceSpec -fuzztime 10s ./internal/arch
 	$(GO) test -run '^$$' -fuzz FuzzPackedTableau -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzStream -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzHandler -fuzztime 10s ./internal/service
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/arch"
@@ -149,11 +148,11 @@ func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Sche
 
 // measPoint is one measurement with its trial-invariant inputs
 // resolved: the program it belongs to, the operand index of the measured
-// wire once the schedule has run (compiledProgram.fac), the qubit's
-// readout-error rate, and the reference run's correct bit.
+// wire once the schedule has run (compiledProgram.fac), threshold(the
+// qubit's readout-error rate), and the reference run's correct bit.
 type measPoint struct {
 	prog, q int
-	readout float64
+	readout uint64
 	correct int
 }
 
@@ -161,8 +160,8 @@ type measPoint struct {
 // runs one trial's gates and noise on it, then measures the plan.
 type register interface {
 	reset()
-	run(cp *compiledProgram, rng *rand.Rand, noisy bool)
-	measure(q int, rng *rand.Rand) int
+	run(cp *compiledProgram, rng *stream, noisy bool)
+	measure(q int, rng *stream) int
 }
 
 // noiselessPrefix is what the statevector reference run records for the
@@ -211,13 +210,13 @@ func (r *factored) reset() {
 	}
 }
 
-func (r *factored) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
+func (r *factored) run(cp *compiledProgram, rng *stream, noisy bool) {
 	cp.runStatevector(r, rng, noisy)
 }
 
 // measure walks a following component's tree with the Float64 the eager
 // measurement draws, or wakes it at its final checkpoint and measures.
-func (r *factored) measure(slot int, rng *rand.Rand) int {
+func (r *factored) measure(slot int, rng *stream) int {
 	c := r.comp[slot]
 	if t := r.pre.tree[c]; r.following[c] && t != nil {
 		b, n := 0, r.node[c]
@@ -242,7 +241,7 @@ func (r *factored) awake(c, ck int) *state {
 	return st
 }
 
-func (r *factored) injectPauli(slot, ck int, rng *rand.Rand) {
+func (r *factored) injectPauli(slot, ck int, rng prng) {
 	r.awake(r.comp[slot], ck).injectPauli(r.bit[slot], rng)
 }
 
@@ -298,16 +297,16 @@ func (r *stabilizer) reset() {
 	}
 }
 
-func (r *stabilizer) run(cp *compiledProgram, rng *rand.Rand, noisy bool) {
+func (r *stabilizer) run(cp *compiledProgram, rng *stream, noisy bool) {
 	cp.runTableau(r, rng, noisy)
 }
 
-func (r *stabilizer) measure(slot int, rng *rand.Rand) int {
+func (r *stabilizer) measure(slot int, rng *stream) int {
 	tb, q := r.at(slot)
 	return tb.measureT(q, rng)
 }
 
-func (r *stabilizer) injectPauli(slot int, rng *rand.Rand) {
+func (r *stabilizer) injectPauli(slot int, rng prng) {
 	tb, q := r.at(slot)
 	tb.injectPauliT(q, rng)
 }
@@ -385,6 +384,14 @@ func growTree(tree []float64, n int, bits []int, path []*state) {
 	}
 }
 
+// shardWorker is what a shard runs its trials with; monteCarlo passes
+// one from shard to shard.
+type shardWorker struct {
+	rng   *stream
+	reg   register
+	wrong []int
+}
+
 // newRegister makes a trial register; prepare must have run on cp.
 func newRegister(engine engineKind, cp *compiledProgram) register {
 	if engine == engineTableau {
@@ -400,7 +407,7 @@ func newRegister(engine engineKind, cp *compiledProgram) register {
 // (program, logical) order — the order every trial measures and draws
 // readout flips in — lower the schedule for the engine, fix the correct
 // outcome with a noiseless reference run, run the trial budget in
-// fixed shards with counter-derived RNGs, and reduce in shard order.
+// fixed shards with counter-derived streams, and reduce in shard order.
 func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int, engine engineKind) (*Outcome, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
@@ -417,7 +424,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	for p, ms := range measOf {
 		sort.Slice(ms, func(i, j int) bool { return ms[i].Logical < ms[j].Logical })
 		for _, m := range ms {
-			plan = append(plan, measPoint{prog: p, q: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys]})
+			plan = append(plan, measPoint{prog: p, q: lay.compact[m.Phys], readout: threshold(d.ReadoutErr[m.Phys])})
 		}
 	}
 
@@ -443,17 +450,25 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	doReadout := noise.Enabled && noise.Readout
 
 	// Shard the trial budget: shard s runs trials [lo, hi) with its own
-	// counter-derived RNG, so per-shard counts do not depend on how the
-	// shards are spread over goroutines. Each shard reuses one register
-	// across its trials.
+	// counter-derived stream, so per-shard counts do not depend on how
+	// the shards are spread over goroutines. A shard takes a worker off
+	// the free list (or makes one), re-seeds its stream and hands it
+	// back: a re-seeded stream and a reset register keep nothing from the
+	// shard before, and a call makes one worker per shard in flight.
 	shards := numShards(trials)
-	perShard := make([][]int, shards) // per shard, per program: successes
+	perShard := make([][]int, shards)       // per shard, per program: successes
+	free := make(chan *shardWorker, shards) // every send finds room
 	ferr := pool.ForEach(ctx, shards, shardWorkers(workers, trials, cp.trialWork), func(s int) error {
-		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
+		var w *shardWorker
+		select {
+		case w = <-free:
+			w.rng.seed(shardSeed(seed, s))
+		default:
+			w = &shardWorker{rng: newStream(shardSeed(seed, s)), reg: newRegister(engine, cp), wrong: make([]int, len(progs))}
+		}
+		rng, reg, wrong := w.rng, w.reg, w.wrong // wrong: per program, any bit off
 		lo, hi := shardRange(s, trials)
 		succ := make([]int, len(progs))
-		reg := newRegister(engine, cp)
-		wrong := make([]int, len(progs)) // per program: any bit off
 		for trial := lo; trial < hi; trial++ {
 			reg.reset()
 			reg.run(cp, rng, true)
@@ -461,7 +476,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 			for i := range plan {
 				mp := &plan[i]
 				b := reg.measure(mp.q, rng)
-				if doReadout && rng.Float64() < mp.readout {
+				if doReadout && rng.below(mp.readout) {
 					b ^= 1
 				}
 				wrong[mp.prog] |= b ^ mp.correct
@@ -473,6 +488,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 			}
 		}
 		perShard[s] = succ
+		free <- w
 		return nil
 	})
 	if ferr != nil {
@@ -558,7 +574,7 @@ func crosstalkAdjacent(d *arch.Device, layerEdges []graph.Edge, a, b int) bool {
 	return false
 }
 
-func pick2(a, b int, rng *rand.Rand) int {
+func pick2(a, b int, rng prng) int {
 	if rng.Intn(2) == 0 {
 		return a
 	}

@@ -26,14 +26,18 @@ package sim
 // live in oracle_test.go, where TestCompiledTrialMatchesLegacy*,
 // TestLazyRegisterMatchesJoint and friends compare against them.
 //
-// Determinism contract: a compiled program draws from the RNG in
-// exactly the same order, with the same comparisons, as the reference
-// interpreter on the joint register — byte-identical PSTs are a hard
-// invariant (see DESIGN.md, "Hot-path memory discipline").
+// Determinism contract: a compiled program draws in exactly the same
+// order, with the same outcomes, as the reference interpreter on the
+// joint register does from math/rand — byte-identical PSTs are a hard
+// invariant (see DESIGN.md, "Hot-path memory discipline"). The trial
+// path draws from a stream (stream.go), math/rand's generator value for
+// value, and asks each "Float64() < p" as an integer compare against
+// threshold(p), resolved here once per op, once per program for idle
+// decay and once per plan point for readout; the joint interpreters keep
+// drawing from *rand.Rand, so the oracle tests check the stream too.
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -79,9 +83,9 @@ const (
 type compiledOp struct {
 	kind opKind
 	a, b int
-	// err is the probability threshold for this op's Pauli-injection
+	// errT is threshold(error rate) for this op's Pauli-injection
 	// draw(s); it is only read when the compiled noise model is enabled.
-	err float64
+	errT uint64
 	// m is the statevector 2x2 unitary for op1Q.
 	m [2][2]complex128
 	// ck is the checkpoint a noise draw on a wakes a following
@@ -102,6 +106,7 @@ type compiledLayer struct {
 type compiledProgram struct {
 	layers []compiledLayer
 	noise  NoiseModel
+	idleT  uint64 // threshold(noise.IdleErrPerLayer)
 	// fac maps wires to the operands the ops use: slots and their
 	// components.
 	fac *factoring
@@ -118,9 +123,9 @@ type compiledProgram struct {
 // the decision of what to simulate together.
 func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engineKind) (*compiledProgram, error) {
 	fac := newFactoring(len(lay.active))
-	cp := &compiledProgram{noise: noise, fac: fac}
+	cp := &compiledProgram{noise: noise, fac: fac, idleT: threshold(noise.IdleErrPerLayer), layers: make([]compiledLayer, 0, len(lay.layers))}
 	for _, layer := range lay.layers {
-		cl := compiledLayer{}
+		cl := compiledLayer{ops: make([]compiledOp, 0, len(layer))}
 		// Crosstalk is a property of the layer, not the trial: collect
 		// the two-qubit links once and fold the scalar multiplier or the
 		// pairwise conditional error into each op's compiled rate.
@@ -150,23 +155,26 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 				busy[q] = true
 			}
 			co.a = lay.compact[co.a]
+			var errRate float64
 			if co.kind.twoQubit() {
 				co.b = lay.compact[co.b]
-				co.err = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
+				errRate = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
 				// The statevector engine charges CZ its base error with no
 				// crosstalk (scalar or matrix); the tableau engine treats
 				// CZ like any two-qubit gate.
 				if co.kind == opCZ && engine == engineStatevector {
-					co.err = d.CNOTError(g.Qubits[0], g.Qubits[1])
+					errRate = d.CNOTError(g.Qubits[0], g.Qubits[1])
 				}
 			} else {
-				co.err = d.Gate1Err[g.Qubits[0]]
+				errRate = d.Gate1Err[g.Qubits[0]]
 			}
+			co.errT = threshold(errRate)
 			fac.place(&co)
 			cl.ops = append(cl.ops, co)
 		}
 		// A layer's ops act on disjoint wires and an idle wire is on none
 		// of them, so its slot is the same before and after the layer.
+		cl.idle = make([]int, 0, len(lay.active)-len(busy))
 		for _, q := range lay.active {
 			if !busy[q] {
 				cl.idle = append(cl.idle, fac.slot[lay.compact[q]])
@@ -361,14 +369,15 @@ func (k opKind) twoQubit() bool { return k == opCX || k == opCZ || k == opSWAP }
 // With noisy set (and the compiled noise model enabled) it draws per op
 // one Float64 (three for SWAP), then Intn(2)+Intn(3) per injected Pauli,
 // then one Float64 per idle active qubit per layer, and a decay adds a
-// measurement's Float64 — the joint register's sequence, draw for draw;
-// the reference run passes false and a nil RNG, draws nothing and
-// records the checkpoints. SWAP was lowered to a relabel, so only its
-// noise is left. A following component skips its gates until a Pauli or
-// decay wakes it at the op's or idle entry's checkpoint.
-func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy bool) {
+// measurement's Float64 — the joint register's sequence, draw for draw,
+// with each "Float64() < p" asked as below(threshold(p)) and a layer's
+// idle draws scanned by miss; the reference run passes false and a nil
+// stream, draws nothing and records the checkpoints. SWAP was lowered to
+// a relabel, so only its noise is left. A following component skips its
+// gates until a Pauli or decay wakes it at the op's or idle entry's
+// checkpoint.
+func (cp *compiledProgram) runStatevector(r *factored, rng *stream, noisy bool) {
 	noisy = noisy && cp.noise.Enabled
-	idleErr := cp.noise.IdleErrPerLayer
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
@@ -376,7 +385,7 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy boo
 			if op.kind == opSWAP {
 				// Three physical CNOTs' worth of error on the link.
 				for k := 0; noisy && k < 3; k++ {
-					if rng.Float64() < op.err {
+					if rng.below(op.errT) {
 						if pick2(op.a, op.b, rng) == op.a {
 							r.injectPauli(op.a, op.ck, rng)
 						} else {
@@ -400,7 +409,7 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy boo
 					copy(r.pre.amps[r.pre.base[c]+op.ck<<uint(st.n):], st.amps)
 				}
 			}
-			if noisy && rng.Float64() < op.err {
+			if noisy && rng.below(op.errT) {
 				q := op.a
 				if op.kind != op1Q {
 					q = pick2(op.a, op.b, rng)
@@ -408,11 +417,10 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy boo
 				r.injectPauli(q, op.ck, rng)
 			}
 		}
-		if noisy && idleErr > 0 {
-			for i, q := range cl.idle {
-				if rng.Float64() < idleErr {
-					r.awake(r.comp[q], cl.idleCk[i]).decay(r.bit[q], rng)
-				}
+		if noisy && cp.idleT > 0 {
+			idle, n := cl.idle, len(cl.idle)
+			for i := rng.miss(cp.idleT, n); i < n; i += 1 + rng.miss(cp.idleT, n-i-1) {
+				r.awake(r.comp[idle[i]], cl.idleCk[i]).decay(r.bit[idle[i]], rng)
 			}
 		}
 	}
@@ -421,9 +429,8 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *rand.Rand, noisy boo
 // runTableau is runStatevector over the stabilizer register, with the
 // same draw sequence: SWAP was lowered to a relabel, so only its noise is
 // left, and every other gate updates its component's tableau.
-func (cp *compiledProgram) runTableau(r *stabilizer, rng *rand.Rand, noisy bool) {
+func (cp *compiledProgram) runTableau(r *stabilizer, rng *stream, noisy bool) {
 	noisy = noisy && cp.noise.Enabled
-	idleErr := cp.noise.IdleErrPerLayer
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
@@ -453,26 +460,25 @@ func (cp *compiledProgram) runTableau(r *stabilizer, rng *rand.Rand, noisy bool)
 			switch op.kind {
 			case opSWAP:
 				for k := 0; k < 3; k++ {
-					if rng.Float64() < op.err {
+					if rng.below(op.errT) {
 						r.injectPauli(pick2(op.a, op.b, rng), rng)
 					}
 				}
 			case opCX, opCZ:
-				if rng.Float64() < op.err {
+				if rng.below(op.errT) {
 					r.injectPauli(pick2(op.a, op.b, rng), rng)
 				}
 			default:
-				if rng.Float64() < op.err {
+				if rng.below(op.errT) {
 					tb.injectPauliT(a, rng)
 				}
 			}
 		}
-		if noisy && idleErr > 0 {
-			for _, q := range cl.idle {
-				if rng.Float64() < idleErr {
-					tb, a := r.at(q)
-					tb.decayT(a, rng)
-				}
+		if noisy && cp.idleT > 0 {
+			idle, n := cl.idle, len(cl.idle)
+			for i := rng.miss(cp.idleT, n); i < n; i += 1 + rng.miss(cp.idleT, n-i-1) {
+				tb, a := r.at(idle[i])
+				tb.decayT(a, rng)
 			}
 		}
 	}
@@ -482,15 +488,17 @@ func (cp *compiledProgram) runTableau(r *stabilizer, rng *rand.Rand, noisy bool)
 // per-trial cost, compiledProgram.trialWork) below which shard fan-out
 // costs more than it buys: small workloads finish a shard in
 // microseconds, so goroutine dispatch and the pool's cancellation
-// machinery dominate. One unit measures 0.2-3 ns on the statevector
-// engine (an amplitude sweep at the low end, the fixed cost of an op on a
-// 2^3 component at the high end), so the threshold sits at 0.2-3 ms of
-// sequential work; two workers already win 1.5x on 0.85 ms. A tableau op
-// on a k-qubit component is priced at 2k*ceil(k/64) units, the order of
-// one measurement's k*ceil(2k/64) column words; a gate touches only
-// ceil(2k/64) words per column, so the price errs towards fanning out.
-// The threshold never affects results — worker count only decides where
-// shards run, never what they compute.
+// machinery dominate. One unit measures 0.13-1.2 ns on the statevector
+// engine (cliffordMix50's amplitude sweeps at the low end, the fixed cost
+// of ops and draws on the pair fixture's 2^3 components at the high end)
+// and 0.27-3.1 ns on the tableau engine (cliffordMix50, GHZ-4), each
+// sequential at 8024 trials on a 2-vCPU Xeon, so the threshold sits at
+// 0.15-3 ms of sequential work; two workers already win 1.5x on 0.85 ms.
+// A tableau op on a k-qubit component is priced at 2k*ceil(k/64) units,
+// the order of one measurement's k*ceil(2k/64) column words; a gate
+// touches only ceil(2k/64) words per column, so the price errs towards
+// fanning out. The threshold never affects results — worker count only
+// decides where shards run, never what they compute.
 const minParallelWork = 1 << 20
 
 // shardWorkers applies the dispatch threshold: simulations whose total

@@ -169,12 +169,14 @@ func TestPrefixBudget(t *testing.T) {
 }
 
 // TestSimulateBytesPerCall bounds what one SimulateScheduleCtx call on
-// the pair fixture allocates (≈150 KB, of which 6 KB are checkpoints):
-// the checkpoints are one allocation per compiled program, sized to its
-// components — not to maxPrefixAmps, and not per shard or per trial.
+// the pair fixture allocates (≈52 KB, of which 6 KB are checkpoints and
+// 10 KB the one worker's stream): the checkpoints are one allocation per
+// compiled program, sized to its components — not to maxPrefixAmps —
+// and a stream and register are made per worker, not per shard or per
+// trial.
 func TestSimulateBytesPerCall(t *testing.T) {
 	d, s, progs := pairSchedule(t)
-	const bound = 192 << 10
+	const bound = 64 << 10
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
@@ -365,10 +367,10 @@ func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 func trialAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule) float64 {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
-	rng := rand.New(rand.NewSource(1))
+	rng := newStream(1)
 	plan := make([]measPoint, 0, len(lay.measures))
 	for _, m := range lay.measures {
-		plan = append(plan, measPoint{q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]})
+		plan = append(plan, measPoint{q: cp.fac.slot[lay.compact[m.Phys]], readout: threshold(d.ReadoutErr[m.Phys])})
 	}
 	prepare(engine, cp, plan, 8024)
 	reg := newRegister(engine, cp)
@@ -378,7 +380,7 @@ func trialAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Sche
 		reg.run(cp, rng, true)
 		for i := range plan {
 			b := reg.measure(plan[i].q, rng)
-			if rng.Float64() < plan[i].readout {
+			if rng.below(plan[i].readout) {
 				b ^= 1
 			}
 			flips += b

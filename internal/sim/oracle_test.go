@@ -187,7 +187,7 @@ type jointRegister struct {
 	// correct reads a wire's bit of the reference outcome, called in plan
 	// order after a noiseless run.
 	correct func(wire int) int
-	measure func(wire int, rng *rand.Rand) int
+	measure func(wire int, rng prng) int
 }
 
 func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegister {
@@ -217,9 +217,12 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 // register and on its joint oracle from the same seeds and requires what
 // the driver depends on: the same Correct string per program from the
 // noiseless reference run, the same measured bit at every plan point of
-// every trial, and the same RNG position after every trial. The register
-// and its reference run come from prepare, as in monteCarlo, with the
-// whole seeds x trials budget gating the measurement trees.
+// every trial, and the same RNG position after every trial. The oracle
+// draws from math/rand and the register, as in monteCarlo, from a
+// stream with integer thresholds and idle scans, so this checks those
+// too. The register and its reference run come from prepare, as in
+// monteCarlo, with the whole seeds x trials budget gating the
+// measurement trees.
 func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) (paths lazyPaths) {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, noise, engine)
@@ -233,7 +236,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 	})
 	plan := make([]measPoint, len(meas))
 	for i, m := range meas {
-		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: d.ReadoutErr[m.Phys]}
+		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: threshold(d.ReadoutErr[m.Phys])}
 	}
 
 	prepare(engine, cp, plan, seeds*trials)
@@ -254,7 +257,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 	sv, _ := reg.(*factored)
 	readout := noise.Enabled && noise.Readout
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		rngA, rngB := rand.New(rand.NewSource(seed)), newStream(seed)
 		for trial := 0; trial < trials; trial++ {
 			if err := joint.run(noise, rngA); err != nil {
 				t.Fatal(err)
@@ -279,10 +282,10 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 				a := joint.measure(lay.compact[m.Phys], rngA)
 				b := reg.measure(plan[i].q, rngB)
 				if readout {
-					if rngA.Float64() < plan[i].readout {
+					if rngA.Float64() < d.ReadoutErr[m.Phys] {
 						a ^= 1
 					}
-					if rngB.Float64() < plan[i].readout {
+					if rngB.below(plan[i].readout) {
 						b ^= 1
 					}
 				}
@@ -290,7 +293,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 					t.Fatalf("%s noise=%+v seed=%d trial=%d: program %d logical %d measures %d, joint %d", name, noise, seed, trial, m.Program, m.Logical, b, a)
 				}
 			}
-			if rngA.Int63() != rngB.Int63() {
+			if uint64(rngA.Int63()) != rngB.int63() {
 				t.Fatalf("%s noise=%+v seed=%d trial=%d: factored register consumed different draws", name, noise, seed, trial)
 			}
 		}
@@ -478,8 +481,8 @@ func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng *ra
 // kind instead of re-resolving gate names per trial.
 type cliffordBackend interface {
 	applyCliffordGate(g circuit.Gate, qmap func(int) int) error
-	injectPauliT(q int, rng *rand.Rand)
-	decayT(q int, rng *rand.Rand)
+	injectPauliT(q int, rng prng)
+	decayT(q int, rng prng)
 	measure(q int, pick func() bool) int
 	h(q int)
 	s(q int)
@@ -736,7 +739,7 @@ func (t *tableau) applyCliffordGate(g circuit.Gate, qmap func(int) int) error {
 }
 
 // injectPauliT applies a uniformly random non-identity Pauli.
-func (t *tableau) injectPauliT(q int, rng *rand.Rand) {
+func (t *tableau) injectPauliT(q int, rng prng) {
 	switch rng.Intn(3) {
 	case 0:
 		t.xg(q)
@@ -749,7 +752,7 @@ func (t *tableau) injectPauliT(q int, rng *rand.Rand) {
 
 // decayT is the tableau counterpart of state.decay: projective Z
 // measurement followed by relaxation of |1> to |0>.
-func (t *tableau) decayT(q int, rng *rand.Rand) {
+func (t *tableau) decayT(q int, rng prng) {
 	if t.measure(q, func() bool { return rng.Intn(2) == 1 }) == 1 {
 		t.xg(q)
 	}

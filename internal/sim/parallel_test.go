@@ -92,15 +92,17 @@ func TestSimulateWorkersDifferential(t *testing.T) {
 	}
 }
 
+// TestSimulateCliffordWorkersDifferential is the tableau engine's
+// counterpart on cliffordMix50, which is above the dispatch threshold:
+// the workers fan out, and each hands its stream and register on from
+// shard to shard (the race sweep runs it).
 func TestSimulateCliffordWorkersDifferential(t *testing.T) {
-	d := arch.IBMQ16(0)
-	prog := circuit.New("ghz", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
-	s, err := router.RouteSingle(d, prog, []int{0, 1, 2, 3}, router.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	d := arch.IBMQ50(0)
+	s, progs := cliffordMix50(t, d)
+	trials := 3*shardTrials + 1 // 4 shards, last one partial
+	if _, cp := compiledLay(t, d, s, DefaultNoise(), engineTableau); int64(trials)*cp.trialWork < minParallelWork {
+		t.Fatalf("%d trials of trialWork %d are below the dispatch threshold %d", trials, cp.trialWork, minParallelWork)
 	}
-	progs := []*circuit.Circuit{prog}
-	trials := 3*shardTrials + 1
 	want, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 11, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)

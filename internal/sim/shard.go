@@ -3,13 +3,14 @@ package sim
 // Trial sharding for the Monte-Carlo driver (monteCarlo in engine.go).
 //
 // Each simulation's trial budget is split into fixed-size shards and
-// every shard owns a private *rand.Rand whose seed is a pure function of
-// (caller seed, shard index). Shard s always covers the same trial
-// range and always draws the same random stream, so per-shard success
-// counts — and therefore the summed PSTs — are identical whether the
-// shards run on one goroutine or sixteen. The reduction over shards
-// happens in shard-index order, keeping even float aggregation
-// bit-stable (see DESIGN.md, "Shard-seed derivation").
+// every shard draws from a stream (stream.go) seeded, as
+// rand.NewSource would be, by a pure function of (caller seed, shard
+// index); a worker re-seeds one stream from shard to shard. Shard s
+// always covers the same trial range and always draws the same random
+// values, so per-shard success counts — and therefore the summed PSTs —
+// are identical whether the shards run on one goroutine or sixteen. The
+// reduction over shards happens in shard-index order, keeping even float
+// aggregation bit-stable (see DESIGN.md, "Shard-seed derivation").
 
 // shardTrials is the number of Monte-Carlo trials per RNG shard. It is
 // a determinism constant, not a tuning knob: changing it changes which

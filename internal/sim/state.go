@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/fp"
@@ -112,7 +111,7 @@ func (s *state) prob1(q int) float64 {
 
 // measure projectively measures qubit q, collapsing the state, and
 // returns the outcome bit.
-func (s *state) measure(q int, rng *rand.Rand) int {
+func (s *state) measure(q int, rng prng) int {
 	p1 := s.prob1(q)
 	outcome := 0
 	if rng.Float64() < p1 {
@@ -224,7 +223,7 @@ var pauliY = [2][2]complex128{{0, complex(0, -1)}, {complex(0, 1), 0}}
 var pauliZ = [2][2]complex128{{1, 0}, {0, -1}}
 
 // injectPauli applies a uniformly random non-identity Pauli to qubit q.
-func (s *state) injectPauli(q int, rng *rand.Rand) {
+func (s *state) injectPauli(q int, rng prng) {
 	switch rng.Intn(3) {
 	case 0:
 		s.apply1q(pauliX, q)
@@ -238,7 +237,7 @@ func (s *state) injectPauli(q int, rng *rand.Rand) {
 // decay applies one trajectory step of combined T1/T2 decoherence to
 // qubit q: a projective Z-basis measurement (dephasing) followed by a
 // conditional relaxation of |1> to |0>.
-func (s *state) decay(q int, rng *rand.Rand) {
+func (s *state) decay(q int, rng prng) {
 	if s.measure(q, rng) == 1 {
 		s.apply1q(pauliX, q) // relax to |0>
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"math/rand"
-)
+import "math/bits"
 
 // ptab is a bit-packed Aaronson-Gottesman stabilizer tableau over n
 // qubits: rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers, each
@@ -29,7 +26,7 @@ type ptab struct {
 	mask, lo, hi []uint64
 	// pickRng/pickFn make measureT's random pick allocation-free: the
 	// closure is built once here instead of once per measurement.
-	pickRng *rand.Rand
+	pickRng prng
 	pickFn  func() bool
 }
 
@@ -281,7 +278,7 @@ func (t *ptab) deterministic(q int) int {
 	return sum >> 1 & 1
 }
 
-func (t *ptab) injectPauliT(q int, rng *rand.Rand) {
+func (t *ptab) injectPauliT(q int, rng prng) {
 	switch rng.Intn(3) {
 	case 0:
 		t.xg(q)
@@ -293,14 +290,14 @@ func (t *ptab) injectPauliT(q int, rng *rand.Rand) {
 }
 
 // measureT is measure with random outcomes drawn from rng.
-func (t *ptab) measureT(q int, rng *rand.Rand) int {
+func (t *ptab) measureT(q int, rng prng) int {
 	t.pickRng = rng
 	return t.measure(q, t.pickFn)
 }
 
 // decayT is the tableau counterpart of state.decay: projective Z
 // measurement followed by relaxation of |1> to |0>.
-func (t *ptab) decayT(q int, rng *rand.Rand) {
+func (t *ptab) decayT(q int, rng prng) {
 	if t.measureT(q, rng) == 1 {
 		t.xg(q)
 	}
