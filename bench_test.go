@@ -211,8 +211,10 @@ func BenchmarkRouteXSWAP(b *testing.B) { routeBench(b, router.XSWAPOptions()) }
 
 // BenchmarkRouteMix50 is the large-chip router reference: one
 // CDAP+X-SWAP attempt (partition, joint reverse traversal, final route)
-// of a typical Table III mix and of Mix_5, whose reverse-traversal
-// passes spend most of their SWAP decisions in stall windows, on IBMQ50.
+// of a typical Table III mix and of Mix_5, on IBMQ50. Mix_5's
+// reverse-traversal passes livelock in 18 stall windows; the router
+// replays each window's cycle instead of scoring it, so most of its
+// SWAP decisions cost one applySwap.
 func BenchmarkRouteMix50(b *testing.B) {
 	d := arch.IBMQ50(0)
 	d.Hops()

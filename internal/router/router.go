@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -160,10 +161,12 @@ func (s *Schedule) Validate(progs []*circuit.Circuit, initial [][]int) error {
 	for p := range progs {
 		l2p[p] = append([]int(nil), initial[p]...)
 	}
-	next := make([]int, len(progs)) // next expected source gate per program (by DAG order we just check count)
+	next := make([]int, len(progs)) // source gates emitted per program
 	emitted := make([][]bool, len(progs))
+	last := make([][]int, len(progs)) // last source gate emitted per (program, logical qubit)
 	for p := range progs {
 		emitted[p] = make([]bool, len(progs[p].Gates))
+		last[p] = make([]int, progs[p].NumQubits)
 	}
 	p2l := map[int][2]int{} // phys -> (program, logical)
 	bridgeParts := map[[2]int]int{}
@@ -212,6 +215,15 @@ func (s *Schedule) Validate(progs []*circuit.Circuit, initial [][]int) error {
 			return fmt.Errorf("router: op %d bad/duplicate gate index %d", i, gi)
 		}
 		src := progs[p].Gates[gi]
+		if op.BridgePart <= 1 {
+			// Gates sharing a qubit depend on each other in source order.
+			for _, lq := range src.Qubits {
+				if gi < last[p][lq] {
+					return fmt.Errorf("router: op %d emits gate %d of program %d after its successor %d", i, gi, p, last[p][lq])
+				}
+				last[p][lq] = gi
+			}
+		}
 		if src.IsMeasure() {
 			// Measurements are deferred and carry final positions;
 			// verified after the replay completes.
@@ -475,6 +487,15 @@ type run struct {
 	incHead []int // per physical qubit: its first incidence, or -1
 	incNext []int // incidence 2k (2k+1) is gate k's endpoint a (b)
 	delta   []int // per scoring slot: the candidate's distance-sum change
+	// Stall-cycle scratch (see DESIGN.md, "Replaying a stall cycle"): the
+	// untied decisions since the front last moved, and at each decay
+	// reset among them the decision count, a hash of owner/physLog and
+	// a copy of both.
+	swapLog  []swapCandidate
+	resetAt  []int
+	resetSum []uint64
+	resetMap []int
+	replayed int // decisions replayed instead of scored
 }
 
 // exec advances program p past gate gi and invalidates its cached
@@ -504,6 +525,7 @@ func (r *run) route() error {
 		}
 		if progress {
 			stall = 0
+			r.forgetCycle()
 		} else {
 			stall++
 		}
@@ -518,6 +540,7 @@ func (r *run) route() error {
 		}
 		if r.opts.UseBridge && r.tryBridges(hops) {
 			stall = 0
+			r.forgetCycle()
 			continue
 		}
 		cands := r.swapCandidates()
@@ -527,9 +550,54 @@ func (r *run) route() error {
 			}
 			continue
 		}
+		ties := r.sched.TieBreaks
 		best := r.pickSwap(cands, hops)
 		r.applySwap(best, hops)
+		if r.sched.TieBreaks != ties {
+			r.forgetCycle()
+			continue
+		}
+		// A repeated mapping at a decay reset repeats every decision up
+		// to the backstop: replay them, each with pickSwap's untied draw.
+		if period := r.logSwap(best); period != nil {
+			for k := 0; stall < limit; k++ {
+				stall++
+				r.rng.Intn(1)
+				r.applySwap(period[k%len(period)], hops)
+				r.replayed++
+			}
+		}
 	}
+}
+
+// forgetCycle drops the decision log: the front moved, a tie read the
+// RNG, or forceProgress walked a gate home.
+func (r *run) forgetCycle() {
+	r.swapLog, r.resetAt, r.resetSum, r.resetMap = r.swapLog[:0], r.resetAt[:0], r.resetSum[:0], r.resetMap[:0]
+}
+
+// logSwap records an applied untied decision. At a decay reset it
+// snapshots the mapping and, when an earlier reset of the same log held
+// the same mapping, returns the decisions since then: the stall cycle.
+func (r *run) logSwap(c swapCandidate) []swapCandidate {
+	r.swapLog = append(r.swapLog, c)
+	if r.nswaps%decayResetInterval != 0 {
+		return nil
+	}
+	h := uint64(14695981039346656037) // FNV-1a over (owner, physLog)
+	for q, o := range r.owner {
+		h = (h ^ uint64(o+1)<<32 ^ uint64(r.physLog[q]+1)) * 1099511628211
+	}
+	n := len(r.owner)
+	for i, s := range r.resetSum {
+		m := r.resetMap[2*n*i:]
+		if s == h && slices.Equal(m[:n], r.owner) && slices.Equal(m[n:2*n], r.physLog) {
+			return r.swapLog[r.resetAt[i]:]
+		}
+	}
+	r.resetAt, r.resetSum = append(r.resetAt, len(r.swapLog)), append(r.resetSum, h)
+	r.resetMap = append(append(r.resetMap, r.owner...), r.physLog...)
+	return nil
 }
 
 // executeCompliant drains every hardware-compliant gate from all front
@@ -1089,33 +1157,29 @@ func (r *run) applySwap(c swapCandidate, hops [][]int) {
 // one endpoint toward the other along a legal shortest path, emitting
 // the needed SWAPs. Guarantees termination when heuristic search stalls.
 func (r *run) forceProgress(hops [][]int) error {
-	// Pick the blocked gate with the smallest current distance.
-	var (
-		bp   *progCtx
-		bg   = -1
-		bd   = 1 << 30
-		path []int
-	)
+	r.forgetCycle()
+	// Pick the blocked gate with the smallest current distance (distance
+	// reports a pair the policy disconnects as n) and walk its path only.
+	var bp *progCtx
+	bg, bd := -1, r.d.NumQubits()
 	for _, p := range r.progs {
 		for _, gi := range r.blockedFront(p) {
 			g := p.circ.Gates[gi]
-			s, t := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
-			var pth []int
-			if r.opts.InterProgram {
-				pth = r.d.Coupling.ShortestPath(s, t)
-			} else {
-				pth = r.d.Coupling.ShortestPathWithin(s, t, r.ownMask(p))
-			}
-			if pth == nil {
-				continue
-			}
-			if len(pth) < bd {
-				bp, bg, bd, path = p, gi, len(pth), pth
+			if d := r.distance(p, hops, p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]); d < bd {
+				bp, bg, bd = p, gi, d
 			}
 		}
 	}
 	if bg < 0 {
 		return fmt.Errorf("router: no blocked gate is routable; chip regions disconnected")
+	}
+	g := bp.circ.Gates[bg]
+	s, t := bp.l2p[g.Qubits[0]], bp.l2p[g.Qubits[1]]
+	var path []int
+	if r.opts.InterProgram {
+		path = r.d.Coupling.ShortestPath(s, t)
+	} else {
+		path = r.d.Coupling.ShortestPathWithin(s, t, r.ownMask(bp))
 	}
 	// Swap the source endpoint along the path until adjacent.
 	for i := 0; i+2 < len(path); i++ {

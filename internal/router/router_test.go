@@ -288,6 +288,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := s.Validate([]*circuit.Circuit{p}, [][]int{{0, 2}}); err == nil {
 		t.Fatal("Validate must reject op on uncoupled qubits")
 	}
+
+	// Corrupt: emit a gate before the gate it depends on.
+	q := circuit.New("q", 2)
+	q.H(0).CX(0, 1)
+	s = routeAndCheck(t, d, []*circuit.Circuit{q}, [][]int{{0, 1}}, DefaultOptions())
+	if len(s.Ops) != 2 {
+		t.Fatalf("compliant two-gate program routed to %d ops", len(s.Ops))
+	}
+	s.Ops[0], s.Ops[1] = s.Ops[1], s.Ops[0]
+	if err := s.Validate([]*circuit.Circuit{q}, [][]int{{0, 1}}); err == nil {
+		t.Fatal("Validate must reject a gate emitted after its successor")
+	}
 }
 
 func TestXSWAPOnSingleProgramEqualsSABRE(t *testing.T) {
