@@ -71,8 +71,9 @@ bench:
 
 # Short fuzz pass over the untrusted inputs (QASM source, device-spec
 # JSON, and arbitrary requests against the daemon's HTTP handler), over
-# the packed stabilizer tableau against the boolean one, and over the
-# simulator's random stream against math/rand. Go allows
+# the packed stabilizer tableau against the boolean one, over the
+# simulator's random stream against math/rand, and over the tableau
+# engine's Pauli frames against a per-trial tableau. Go allows
 # one -fuzz target per invocation, so each gets its own ~10s budget; the
 # checked-in corpora under testdata/fuzz replay on every plain `go test`
 # run as well.
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeviceSpec -fuzztime 10s ./internal/arch
 	$(GO) test -run '^$$' -fuzz FuzzPackedTableau -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzStream -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLatticeFrames -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzHandler -fuzztime 10s ./internal/service
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every

@@ -16,7 +16,10 @@ import (
 // noiseless run measured in (program, logical) order with random
 // outcomes resolved to 0, matching the statevector engine's
 // lowest-index modal convention. workers, ctx and the determinism
-// contract are SimulateScheduleCtx's.
+// contract are SimulateScheduleCtx's; the trials sample their noise
+// under sampling contract v2 (frame.go): per shard of 512 trials, an
+// error lattice read by bit-sliced Pauli frames over the noiseless
+// reference, with a per-trial tableau only for the pairs a decay hit.
 func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
 	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineTableau)
 }
@@ -51,7 +54,7 @@ func CliffordOutcome(c *circuit.Circuit) (string, error) {
 	_ = fac.finish(engineTableau) // a tableau has no cap, so this cannot fail
 	// The lowered gates run as one noiseless layer of the tableau engine.
 	reg := newStabilizer(fac)
-	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runTableau(reg, nil, false)
+	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runGates(reg)
 	var buf []byte
 	for q := 0; q < c.NumQubits; q++ {
 		if !measured[q] {

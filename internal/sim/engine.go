@@ -148,20 +148,21 @@ func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Sche
 
 // measPoint is one measurement with its trial-invariant inputs
 // resolved: the program it belongs to, the operand index of the measured
-// wire once the schedule has run (compiledProgram.fac), threshold(the
-// qubit's readout-error rate), and the reference run's correct bit.
+// wire once the schedule has run (compiledProgram.fac), the qubit's
+// readout-error rate (err, the tableau's lattice site) and its threshold
+// (readout, the statevector's draw), and the reference run's correct bit.
 type measPoint struct {
 	prog, q int
 	readout uint64
+	err     float64
 	correct int
 }
 
-// register is one shard's reusable engine state: the driver resets it,
-// runs one trial's gates and noise on it, then measures the plan.
+// register is one shard worker's reusable engine state. shard runs the n
+// trials of one shard from rng — their gates, noise and measurements — and
+// adds each program's successful trials to succ.
 type register interface {
-	reset()
-	run(cp *compiledProgram, rng *stream, noisy bool)
-	measure(q int, rng *stream) int
+	shard(cp *compiledProgram, plan []measPoint, n int, rng *stream, succ []int)
 }
 
 // noiselessPrefix is what the statevector reference run records for the
@@ -188,6 +189,7 @@ type factored struct {
 	record    bool
 	following []bool
 	node      []int
+	wrong     []int // per program: any bit off this trial
 }
 
 func newFactored(f *factoring) *factored {
@@ -210,8 +212,29 @@ func (r *factored) reset() {
 	}
 }
 
-func (r *factored) run(cp *compiledProgram, rng *stream, noisy bool) {
-	cp.runStatevector(r, rng, noisy)
+// shard is the statevector's sampling contract: trial by trial, every
+// draw in the joint register's order (hotpath.go), then the plan measured
+// with a readout draw per point.
+func (r *factored) shard(cp *compiledProgram, plan []measPoint, n int, rng *stream, succ []int) {
+	doReadout := cp.noise.Enabled && cp.noise.Readout
+	for trial := 0; trial < n; trial++ {
+		r.reset()
+		cp.runStatevector(r, rng, true)
+		clear(r.wrong)
+		for i := range plan {
+			mp := &plan[i]
+			b := r.measure(mp.q, rng)
+			if doReadout && rng.below(mp.readout) {
+				b ^= 1
+			}
+			r.wrong[mp.prog] |= b ^ mp.correct
+		}
+		for p, bad := range r.wrong {
+			if bad == 0 {
+				succ[p]++
+			}
+		}
+	}
 }
 
 // measure walks a following component's tree with the Float64 the eager
@@ -272,9 +295,9 @@ func (r *factored) correctBits(plan []measPoint) {
 	}
 }
 
-// stabilizer is the tableau register: one packed tableau per component
-// of the compiled program's factoring, addressed by slot. It measures
-// what the joint tableau does, draw for draw (DESIGN.md §14).
+// stabilizer is one packed tableau per component of the compiled
+// program's factoring, addressed by slot: the tableau engine's noiseless
+// reference run and CliffordOutcome's register.
 type stabilizer struct {
 	*factoring
 	comps []*ptab
@@ -291,47 +314,18 @@ func newStabilizer(f *factoring) *stabilizer {
 // at resolves a slot to its component's tableau and its qubit there.
 func (r *stabilizer) at(slot int) (*ptab, int) { return r.comps[r.comp[slot]], r.bit[slot] }
 
-func (r *stabilizer) reset() {
-	for _, tb := range r.comps {
-		tb.reset()
-	}
-}
-
-func (r *stabilizer) run(cp *compiledProgram, rng *stream, noisy bool) {
-	cp.runTableau(r, rng, noisy)
-}
-
-func (r *stabilizer) measure(slot int, rng *stream) int {
-	tb, q := r.at(slot)
-	return tb.measureT(q, rng)
-}
-
-func (r *stabilizer) injectPauli(slot int, rng prng) {
-	tb, q := r.at(slot)
-	tb.injectPauliT(q, rng)
-}
-
-// correctBits measures in plan order with random outcomes resolved to
-// 0, matching the statevector engine's lowest-index convention.
-func (r *stabilizer) correctBits(plan []measPoint) {
-	for i := range plan {
-		tb, q := r.at(plan[i].q)
-		plan[i].correct = tb.measure(q, func() bool { return false })
-	}
-}
-
 // prepare is the noiseless reference run, made before any trial register:
-// it fixes every plan point's correct bit and draws from no RNG. The
-// statevector's also records cp.prefix: the checkpoints of each
+// it fixes every plan point's correct bit (random outcomes resolved to 0,
+// matching the statevector engine's lowest-index convention) and draws
+// from no RNG. The tableau's completes cp.frames (prepareFrames). The
+// statevector's records cp.prefix: the checkpoints of each
 // component that, in component order, still fits maxPrefixAmps, and the
 // tree of each of those whose m measured qubits have 2^(m+1) <= trials,
 // so that building it costs no more than measuring eagerly.
 func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials int) {
 	f := cp.fac
 	if engine == engineTableau {
-		ref := newStabilizer(f)
-		ref.run(cp, nil, false)
-		ref.correctBits(plan)
+		prepareFrames(cp, plan)
 		return
 	}
 	p := &noiselessPrefix{base: make([]int, len(f.sizes)), last: cp.steps, tree: make([][]float64, len(f.sizes))}
@@ -350,7 +344,7 @@ func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials in
 	}
 	ref := newFactored(f)
 	ref.pre, ref.record = p, true
-	ref.run(cp, nil, false)
+	cp.runStatevector(ref, nil, false)
 	ref.correctBits(plan)
 	measured := make([][]int, len(f.sizes)) // per component: bits in plan order
 	for _, mp := range plan {
@@ -387,18 +381,18 @@ func growTree(tree []float64, n int, bits []int, path []*state) {
 // shardWorker is what a shard runs its trials with; monteCarlo passes
 // one from shard to shard.
 type shardWorker struct {
-	rng   *stream
-	reg   register
-	wrong []int
+	rng *stream
+	reg register
 }
 
-// newRegister makes a trial register; prepare must have run on cp.
-func newRegister(engine engineKind, cp *compiledProgram) register {
+// newRegister makes a shard register for progs programs; prepare must
+// have run on cp.
+func newRegister(engine engineKind, cp *compiledProgram, progs int) register {
 	if engine == engineTableau {
-		return newStabilizer(cp.fac)
+		return newPauliFrames(cp, progs)
 	}
 	r := newFactored(cp.fac)
-	r.pre = cp.prefix
+	r.pre, r.wrong = cp.prefix, make([]int, progs)
 	return r
 }
 
@@ -412,42 +406,15 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
 	}
-	lay := layerize(sched)
-	measOf := make([][]router.Measurement, len(progs))
-	for _, m := range lay.measures {
-		if m.Program < 0 || m.Program >= len(progs) {
-			return nil, fmt.Errorf("sim: measurement for unknown program %d", m.Program)
-		}
-		measOf[m.Program] = append(measOf[m.Program], m)
-	}
-	var plan []measPoint
-	for p, ms := range measOf {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Logical < ms[j].Logical })
-		for _, m := range ms {
-			plan = append(plan, measPoint{prog: p, q: lay.compact[m.Phys], readout: threshold(d.ReadoutErr[m.Phys])})
-		}
-	}
-
-	// Lower the schedule once: operand indices, folded error rates, 1q
-	// matrices, idle lists and the factoring are trial-invariant (see
-	// hotpath.go). This is also where a non-Clifford
-	// gate fails the tableau engine and an entangled component too large
-	// for a register fails the statevector engine.
-	cp, err := compileLayers(d, lay, noise, engine)
+	cp, plan, err := lowerSchedule(d, sched, len(progs), noise, engine)
 	if err != nil {
 		return nil, err
 	}
-	// The plan measures wires; the ops have moved their states.
-	for i := range plan {
-		plan[i].q = cp.fac.slot[plan[i].q]
-	}
-
 	prepare(engine, cp, plan, trials)
 	bufs := make([][]byte, len(progs))
 	for _, mp := range plan {
 		bufs[mp.prog] = append(bufs[mp.prog], byte('0'+mp.correct))
 	}
-	doReadout := noise.Enabled && noise.Readout
 
 	// Shard the trial budget: shard s runs trials [lo, hi) with its own
 	// counter-derived stream, so per-shard counts do not depend on how
@@ -464,29 +431,11 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 		case w = <-free:
 			w.rng.seed(shardSeed(seed, s))
 		default:
-			w = &shardWorker{rng: newStream(shardSeed(seed, s)), reg: newRegister(engine, cp), wrong: make([]int, len(progs))}
+			w = &shardWorker{rng: newStream(shardSeed(seed, s)), reg: newRegister(engine, cp, len(progs))}
 		}
-		rng, reg, wrong := w.rng, w.reg, w.wrong // wrong: per program, any bit off
 		lo, hi := shardRange(s, trials)
 		succ := make([]int, len(progs))
-		for trial := lo; trial < hi; trial++ {
-			reg.reset()
-			reg.run(cp, rng, true)
-			clear(wrong)
-			for i := range plan {
-				mp := &plan[i]
-				b := reg.measure(mp.q, rng)
-				if doReadout && rng.below(mp.readout) {
-					b ^= 1
-				}
-				wrong[mp.prog] |= b ^ mp.correct
-			}
-			for p := range progs {
-				if wrong[p] == 0 {
-					succ[p]++
-				}
-			}
-		}
+		w.reg.shard(cp, plan, hi-lo, w.rng, succ)
 		perShard[s] = succ
 		free <- w
 		return nil
@@ -508,6 +457,43 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 		out.Correct[p] = string(bufs[p])
 	}
 	return out, nil
+}
+
+// lowerSchedule is monteCarlo's compile step: layerize, group the
+// measurements into a plan in (program, logical) order, and lower the
+// schedule for the engine, with the plan's points moved to the slots the
+// ops leave the measured wires' states in.
+func lowerSchedule(d *arch.Device, sched *router.Schedule, progs int, noise NoiseModel, engine engineKind) (*compiledProgram, []measPoint, error) {
+	lay := layerize(sched)
+	measOf := make([][]router.Measurement, progs)
+	for _, m := range lay.measures {
+		if m.Program < 0 || m.Program >= progs {
+			return nil, nil, fmt.Errorf("sim: measurement for unknown program %d", m.Program)
+		}
+		measOf[m.Program] = append(measOf[m.Program], m)
+	}
+	var plan []measPoint
+	for p, ms := range measOf {
+		sort.Slice(ms, func(i, j int) bool { return ms[i].Logical < ms[j].Logical })
+		for _, m := range ms {
+			plan = append(plan, measPoint{prog: p, q: lay.compact[m.Phys], readout: threshold(d.ReadoutErr[m.Phys]), err: d.ReadoutErr[m.Phys]})
+		}
+	}
+
+	// Lower the schedule once: operand indices, folded error rates, 1q
+	// matrices, idle lists and the factoring are trial-invariant (see
+	// hotpath.go). This is also where a non-Clifford
+	// gate fails the tableau engine and an entangled component too large
+	// for a register fails the statevector engine.
+	cp, err := compileLayers(d, lay, noise, engine)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The plan measures wires; the ops have moved their states.
+	for i := range plan {
+		plan[i].q = cp.fac.slot[plan[i].q]
+	}
+	return cp, plan, nil
 }
 
 // layer2qEdges collects the normalized links of a layer's two-qubit ops

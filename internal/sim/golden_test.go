@@ -19,7 +19,12 @@ import (
 // the lowering or an engine that shifts one RNG draw or one float
 // expression fails here. Each literal is the Float64bits of every PST
 // and the Correct strings, recorded on the tree before the three drivers
-// were merged and checked in a clean clone of that commit.
+// were merged and checked in a clean clone of that commit. The noisy
+// clifford lines were re-recorded once, when the tableau engine moved to
+// sampling contract v2 (frame.go; TestLatticeAgreesWithV1 holds the new
+// estimates to the old contract's within Monte-Carlo error); ghz40's
+// default and matrix lines came out equal to their v1 values, 10 of 700
+// trials either way.
 
 // goldenTrials spans two shards, the second partial.
 const goldenTrials = 700
@@ -113,18 +118,18 @@ func goldenLine(o *Outcome) string {
 
 // goldenPST maps engine/fixture/noise-variant to its recorded line.
 var goldenPST = map[string]string{
-	"clifford/corners16/default":      "3fde2be2be2be2be 3fddfd130463796b 001 10",
-	"clifford/corners16/matrix":       "3fdd41d41d41d41d 3fdccccccccccccd 001 10",
+	"clifford/corners16/default":      "3fdbfa2608c6f2d6 3fdcb564efe89823 001 10",
+	"clifford/corners16/matrix":       "3fdbb3ee721a54d9 3fdd130463796aca 001 10",
 	"clifford/corners16/noiseless":    "3fe03a83a83a83a8 3fde898231bcb565 001 10",
-	"clifford/corners16/xtalk":        "3fdbfa2608c6f2d6 3fdd593bfa2608c7 001 10",
+	"clifford/corners16/xtalk":        "3fd9b101767dce43 3fdeb851eb851eb8 001 10",
 	"clifford/ghz40/default":          "3f8d41d41d41d41d 0000000000000000000000000000000000000000",
 	"clifford/ghz40/matrix":           "3f8d41d41d41d41d 0000000000000000000000000000000000000000",
 	"clifford/ghz40/noiseless":        "3fe069536202ecfc 0000000000000000000000000000000000000000",
-	"clifford/ghz40/xtalk":            "3f8767dce434a9b1 0000000000000000000000000000000000000000",
-	"clifford/mix50/default":          "3fb1eb851eb851ec 3fc30463796ac9e0 3fcb101767dce435 3fd08c6f2d593bfa 1111111110 00000000 111110 0000",
-	"clifford/mix50/matrix":           "3fb18de5ab277f45 3fc2492492492492 3fcd70a3d70a3d71 3fcdfd130463796b 1111111110 00000000 111110 0000",
+	"clifford/ghz40/xtalk":            "3f7d41d41d41d41d 0000000000000000000000000000000000000000",
+	"clifford/mix50/default":          "3fb64efe898231bd 3fc130463796ac9e 3fc9f7390d2a6c40 3fd1d41d41d41d42 1111111110 00000000 111110 0000",
+	"clifford/mix50/matrix":           "3fb2a6c405d9f739 3fc593bfa2608c6f 3fc9c869536202ed 3fd02ecfb9c86953 1111111110 00000000 111110 0000",
 	"clifford/mix50/noiseless":        "3ff0000000000000 3fe03a83a83a83a8 3ff0000000000000 3fde898231bcb565 1111111110 00000000 111110 0000",
-	"clifford/mix50/xtalk":            "3fad41d41d41d41d 3fc8af8af8af8af9 3fc536202ecfb9c8 3fc7f44c118de5ab 1111111110 00000000 111110 0000",
+	"clifford/mix50/xtalk":            "3fb01767dce434aa 3fc4d880bb3ee722 3fc44c118de5ab27 3fcfa2608c6f2d59 1111111110 00000000 111110 0000",
 	"esp/corners16/default":           "3fe7d36276687073 3fea3842ab021e44",
 	"esp/corners16/matrix":            "3fe76d4dce8a3056 3fea2b5557d296d6",
 	"esp/corners16/noiseless":         "3fe806ddc38f4231 3fea70ea3f13eef3",
@@ -145,36 +150,45 @@ var goldenPST = map[string]string{
 
 type goldenFixture func(testing.TB, *arch.Device) (*router.Schedule, []*circuit.Circuit)
 
-func TestGoldenPST(t *testing.T) {
+// goldenVariant is a noise model with the 16- and 50-qubit chips it runs
+// on.
+type goldenVariant struct {
+	name     string
+	d16, d50 *arch.Device
+	noise    NoiseModel
+}
+
+func goldenVariants(t *testing.T) []goldenVariant {
 	xtalk := NoiseModel{Enabled: true, IdleErrPerLayer: 0.002, CrosstalkFactor: 0.5, Readout: true}
 	matrix50 := arch.IBMQ50(0)
 	matrix50.Crosstalk = arch.GenerateHostileCrosstalk(matrix50, 5, 0.3, 3, 5)
-	variants := []struct {
-		name     string
-		d16, d50 *arch.Device
-		noise    NoiseModel
-	}{
+	return []goldenVariant{
 		{"noiseless", arch.IBMQ16(0), arch.IBMQ50(0), NoiseModel{}},
 		{"default", arch.IBMQ16(0), arch.IBMQ50(0), DefaultNoise()},
 		{"xtalk", arch.IBMQ16(0), arch.IBMQ50(0), xtalk},
 		{"matrix", matrixDevice16(t, 11), matrix50, DefaultNoise()},
 	}
-	cases := []struct {
-		engine, fixture string
-		fx              goldenFixture
-		chip50          bool
-	}{
-		{"statevector", "pair16", adjacentPair16, false},
-		{"statevector", "corners16", corners16, false},
-		{"clifford", "corners16", corners16, false},
-		{"clifford", "mix50", cliffordMix50, true},
-		{"clifford", "ghz40", ghz40, true},
-		{"esp", "pair16", adjacentPair16, false},
-		{"esp", "corners16", corners16, false},
-	}
+}
+
+// goldenCases are the engine/fixture pairs every variant runs.
+var goldenCases = []struct {
+	engine, fixture string
+	fx              goldenFixture
+	chip50          bool
+}{
+	{"statevector", "pair16", adjacentPair16, false},
+	{"statevector", "corners16", corners16, false},
+	{"clifford", "corners16", corners16, false},
+	{"clifford", "mix50", cliffordMix50, true},
+	{"clifford", "ghz40", ghz40, true},
+	{"esp", "pair16", adjacentPair16, false},
+	{"esp", "corners16", corners16, false},
+}
+
+func TestGoldenPST(t *testing.T) {
 	ctx := context.Background()
-	for _, v := range variants {
-		for _, c := range cases {
+	for _, v := range goldenVariants(t) {
+		for _, c := range goldenCases {
 			d := v.d16
 			if c.chip50 {
 				d = v.d50

@@ -12,8 +12,10 @@ package sim
 // compileLayers, SimulateIdeal and CliffordOutcome all go through it
 // (gateMatrix in state.go is the table of 2x2 unitaries it looks
 // single-qubit gates up in). The package holds one engine per
-// representation — runStatevector over the factored register, runTableau
-// over the stabilizer register.
+// representation — runStatevector over the factored register, trial by
+// trial, and the tableau's Pauli frames over a shard of trials against
+// one noiseless runGates reference (frame.go); compileLayers also lists
+// the tableau's error sites, in compiled order, for its lattice.
 //
 // Both engines simulate what is entangled, not what is co-located: one
 // factoring follows every wire's state through the SWAPs (a SWAP
@@ -22,19 +24,22 @@ package sim
 // register"). A statevector trial skips a component's gates until noise
 // first lands on it, then copies in the reference run's checkpoint
 // (DESIGN.md, "Noiseless prefix"). The joint registers, the per-layer
-// reference interpreters (runTrial, runTrialT) and the boolean tableau
-// live in oracle_test.go, where TestCompiledTrialMatchesLegacy*,
+// reference interpreters (runTrial, runTrialT), the boolean tableau and
+// the tableau's per-trial contract v1 (runTableau) live in
+// oracle_test.go, where TestCompiledTrialMatchesLegacy*,
 // TestLazyRegisterMatchesJoint and friends compare against them.
 //
-// Determinism contract: a compiled program draws in exactly the same
-// order, with the same outcomes, as the reference interpreter on the
-// joint register does from math/rand — byte-identical PSTs are a hard
-// invariant (see DESIGN.md, "Hot-path memory discipline"). The trial
-// path draws from a stream (stream.go), math/rand's generator value for
-// value, and asks each "Float64() < p" as an integer compare against
-// threshold(p), resolved here once per op, once per program for idle
-// decay and once per plan point for readout; the joint interpreters keep
-// drawing from *rand.Rand, so the oracle tests check the stream too.
+// Determinism contract: byte-identical PSTs for a given seed are a hard
+// invariant (see DESIGN.md, "Hot-path memory discipline"). A compiled
+// statevector program draws in exactly the same order, with the same
+// outcomes, as the reference interpreter on the joint register does from
+// math/rand. Its trial path draws from a stream (stream.go), math/rand's
+// generator value for value, and asks each "Float64() < p" as an integer
+// compare against threshold(p), resolved here once per op, once per
+// program for idle decay and once per plan point for readout; the joint
+// interpreters keep drawing from *rand.Rand, so the oracle tests check
+// the stream too. The tableau engine samples under contract v2 instead
+// (frame.go, DESIGN.md §17): per shard an error lattice, then the picks.
 
 import (
 	"fmt"
@@ -84,7 +89,9 @@ type compiledOp struct {
 	kind opKind
 	a, b int
 	// errT is threshold(error rate) for this op's Pauli-injection
-	// draw(s); it is only read when the compiled noise model is enabled.
+	// draw(s); it is only read when the compiled noise model is enabled,
+	// and only by the statevector engine (the tableau's lattice keeps the
+	// rate itself: framePlan.sites).
 	errT uint64
 	// m is the statevector 2x2 unitary for op1Q.
 	m [2][2]complex128
@@ -115,6 +122,7 @@ type compiledProgram struct {
 	trialWork int64
 	steps     []int            // each component's last checkpoint
 	prefix    *noiselessPrefix // recorded by prepare
+	frames    *framePlan       // the tableau's lattice and reference
 }
 
 // compileLayers lowers the layered schedule for the given engine. All
@@ -124,6 +132,15 @@ type compiledProgram struct {
 func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engineKind) (*compiledProgram, error) {
 	fac := newFactoring(len(lay.active))
 	cp := &compiledProgram{noise: noise, fac: fac, idleT: threshold(noise.IdleErrPerLayer), layers: make([]compiledLayer, 0, len(lay.layers))}
+	// The tableau's error sites, in compiled order; step counts the ops.
+	var sites *framePlan
+	if engine == engineTableau {
+		cp.frames = &framePlan{}
+		if noise.Enabled {
+			sites = cp.frames
+		}
+	}
+	step := 0
 	for _, layer := range lay.layers {
 		cl := compiledLayer{ops: make([]compiledOp, 0, len(layer))}
 		// Crosstalk is a property of the layer, not the trial: collect
@@ -171,6 +188,19 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 			co.errT = threshold(errRate)
 			fac.place(&co)
 			cl.ops = append(cl.ops, co)
+			step++
+			if sites != nil {
+				kind, draws := site1q, 1
+				if co.kind.twoQubit() {
+					kind = site2q
+				}
+				if co.kind == opSWAP {
+					draws = 3 // three physical CNOTs' worth of error
+				}
+				for range draws {
+					sites.addSite(kind, errRate, step, co.a, co.b)
+				}
+			}
 		}
 		// A layer's ops act on disjoint wires and an idle wire is on none
 		// of them, so its slot is the same before and after the layer.
@@ -178,6 +208,11 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		for _, q := range lay.active {
 			if !busy[q] {
 				cl.idle = append(cl.idle, fac.slot[lay.compact[q]])
+			}
+		}
+		if sites != nil {
+			for _, q := range cl.idle {
+				sites.addSite(siteIdle, noise.IdleErrPerLayer, step, q, 0)
 			}
 		}
 		cp.layers = append(cp.layers, cl)
@@ -426,60 +461,13 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *stream, noisy bool) 
 	}
 }
 
-// runTableau is runStatevector over the stabilizer register, with the
-// same draw sequence: SWAP was lowered to a relabel, so only its noise is
-// left, and every other gate updates its component's tableau.
-func (cp *compiledProgram) runTableau(r *stabilizer, rng *stream, noisy bool) {
-	noisy = noisy && cp.noise.Enabled
+// runGates runs every lowered op noiselessly on the stabilizer register:
+// the tableau engine's reference run, and CliffordOutcome's.
+func (cp *compiledProgram) runGates(r *stabilizer) {
 	for li := range cp.layers {
-		cl := &cp.layers[li]
-		for oi := range cl.ops {
-			op := &cl.ops[oi]
+		for _, op := range cp.layers[li].ops {
 			tb, a := r.at(op.a)
-			switch op.kind {
-			case opCX:
-				tb.cx(a, r.bit[op.b])
-			case opCZ:
-				tb.cz(a, r.bit[op.b])
-			case opH:
-				tb.h(a)
-			case opX:
-				tb.xg(a)
-			case opY:
-				tb.yg(a)
-			case opZ:
-				tb.zg(a)
-			case opS:
-				tb.s(a)
-			case opSdg:
-				tb.sdg(a)
-			}
-			if !noisy {
-				continue
-			}
-			switch op.kind {
-			case opSWAP:
-				for k := 0; k < 3; k++ {
-					if rng.below(op.errT) {
-						r.injectPauli(pick2(op.a, op.b, rng), rng)
-					}
-				}
-			case opCX, opCZ:
-				if rng.below(op.errT) {
-					r.injectPauli(pick2(op.a, op.b, rng), rng)
-				}
-			default:
-				if rng.below(op.errT) {
-					tb.injectPauliT(a, rng)
-				}
-			}
-		}
-		if noisy && cp.idleT > 0 {
-			idle, n := cl.idle, len(cl.idle)
-			for i := rng.miss(cp.idleT, n); i < n; i += 1 + rng.miss(cp.idleT, n-i-1) {
-				tb, a := r.at(idle[i])
-				tb.decayT(a, rng)
-			}
+			tb.apply(op.kind, a, r.bit[op.b])
 		}
 	}
 }
@@ -491,9 +479,14 @@ func (cp *compiledProgram) runTableau(r *stabilizer, rng *stream, noisy bool) {
 // machinery dominate. One unit measures 0.13-1.2 ns on the statevector
 // engine (cliffordMix50's amplitude sweeps at the low end, the fixed cost
 // of ops and draws on the pair fixture's 2^3 components at the high end)
-// and 0.27-3.1 ns on the tableau engine (cliffordMix50, GHZ-4), each
-// sequential at 8024 trials on a 2-vCPU Xeon, so the threshold sits at
-// 0.15-3 ms of sequential work; two workers already win 1.5x on 0.85 ms.
+// and 0.08-1.6 ns on the tableau engine under sampling contract v2
+// (ghz40, cliffordMix50 at 0.16, GHZ-4; 0.5-6.5 ns per-trial before it),
+// each sequential at 8024 trials on a 2-vCPU Xeon, so the threshold sits
+// at 0.1-1.7 ms of sequential work; two workers already win 1.5x on 0.85
+// ms. The tableau's price still counts every op and idle draw of every
+// trial, though a shard now samples its lattice once and re-runs only
+// the pairs a decay hit: it overstates v2's work most where decays are
+// rare, and errs towards fanning out.
 // A tableau op on a k-qubit component is priced at 2k*ceil(k/64) units,
 // the order of one measurement's k*ceil(2k/64) column words; a gate
 // touches only ceil(2k/64) words per column, so the price errs towards

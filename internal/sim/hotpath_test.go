@@ -359,50 +359,47 @@ func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 	}
 }
 
-// trialAllocs counts allocations of one full trial the way the driver's
-// shard loop runs it — through the register interface: reset, gates and
-// noise, then a measurement sweep with a readout draw per point. Once
-// the shard's register exists, none of it may allocate (in particular
-// the tableau adapter must not build a pick closure per measurement).
-func trialAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule) float64 {
+// shardAllocs counts what a warm shard allocates, run the way
+// monteCarlo runs one: once the worker's register and stream exist, a
+// shard of shardTrials trials — gates, noise, measurements and readout
+// flips — may not allocate, so no trial does. In particular the tableau's
+// lattice, frames and hit lists live on its register, and a decay's coin
+// and a measurement's pick go through the tableau's one pick closure.
+func shardAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule, progs int) float64 {
 	t.Helper()
-	lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
-	rng := newStream(1)
-	plan := make([]measPoint, 0, len(lay.measures))
-	for _, m := range lay.measures {
-		plan = append(plan, measPoint{q: cp.fac.slot[lay.compact[m.Phys]], readout: threshold(d.ReadoutErr[m.Phys])})
+	cp, plan, err := lowerSchedule(d, s, progs, DefaultNoise(), engine)
+	if err != nil {
+		t.Fatal(err)
 	}
 	prepare(engine, cp, plan, 8024)
-	reg := newRegister(engine, cp)
-	flips := 0
-	return testing.AllocsPerRun(50, func() {
-		reg.reset()
-		reg.run(cp, rng, true)
-		for i := range plan {
-			b := reg.measure(plan[i].q, rng)
-			if rng.below(plan[i].readout) {
-				b ^= 1
-			}
-			flips += b
-		}
+	reg, rng, succ := newRegister(engine, cp, progs), newStream(1), make([]int, progs)
+	return testing.AllocsPerRun(5, func() {
+		rng.seed(1)
+		reg.shard(cp, plan, shardTrials, rng, succ)
 	})
 }
 
 // TestStatevectorTrialAllocs is the steady-state allocation guard for
 // the statevector register.
 func TestStatevectorTrialAllocs(t *testing.T) {
-	d, s, _ := pairSchedule(t)
-	if allocs := trialAllocs(t, engineStatevector, d, s); allocs > 0 {
-		t.Fatalf("statevector trial allocates %.1f times per run, want 0", allocs)
+	d, s, progs := pairSchedule(t)
+	if allocs := shardAllocs(t, engineStatevector, d, s, len(progs)); allocs > 0 {
+		t.Fatalf("statevector shard allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestTableauTrialAllocs is the stabilizer-engine counterpart,
-// including the randomized-measure and decay paths.
+// TestTableauTrialAllocs is the stabilizer-engine counterpart, on GHZ-4
+// (random measurements) and cliffordMix50 (decays re-run on their
+// tableaus in most shards).
 func TestTableauTrialAllocs(t *testing.T) {
-	d, s, _ := ghzSchedule(t)
-	if allocs := trialAllocs(t, engineTableau, d, s); allocs > 0 {
-		t.Fatalf("tableau trial allocates %.1f times per run, want 0", allocs)
+	d, s, progs := ghzSchedule(t)
+	if allocs := shardAllocs(t, engineTableau, d, s, len(progs)); allocs > 0 {
+		t.Fatalf("tableau shard on GHZ-4 allocates %.1f times per run, want 0", allocs)
+	}
+	d50 := arch.IBMQ50(0)
+	mix, mixProgs := cliffordMix50(t, d50)
+	if allocs := shardAllocs(t, engineTableau, d50, mix, len(mixProgs)); allocs > 0 {
+		t.Fatalf("tableau shard on cliffordMix50 allocates %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -18,6 +18,11 @@ package sim
 //     tableaus through. runTrialT over one joint ptab of every active
 //     qubit is the oracle jointMatchesFactored holds the stabilizer
 //     register to.
+//   - runTableau and the stabilizer register's trial methods: the tableau
+//     engine's sampling contract v1, per trial a draw at every error site
+//     (hotpath.go's draw order). jointMatchesFactored holds it to the
+//     joint tableau, and TestLatticeAgreesWithV1 holds the shard's
+//     lattice-and-frames estimate (frame.go) to its estimate.
 
 import (
 	"fmt"
@@ -179,6 +184,114 @@ func TestAmplitudeLoopsMatchIndexTesting(t *testing.T) {
 	}
 }
 
+// trialRegister is a register that runs one trial at a time: the
+// statevector's factored register, and the stabilizer register under
+// sampling contract v1.
+type trialRegister interface {
+	reset()
+	run(cp *compiledProgram, rng *stream, noisy bool)
+	measure(slot int, rng *stream) int
+}
+
+func (r *factored) run(cp *compiledProgram, rng *stream, noisy bool) {
+	cp.runStatevector(r, rng, noisy)
+}
+
+// newTrialRegister makes a per-trial register; prepare must have run on
+// cp.
+func newTrialRegister(engine engineKind, cp *compiledProgram) trialRegister {
+	if engine == engineTableau {
+		return newStabilizer(cp.fac)
+	}
+	return newRegister(engine, cp, 0).(*factored)
+}
+
+func (r *stabilizer) reset() {
+	for _, tb := range r.comps {
+		tb.reset()
+	}
+}
+
+func (r *stabilizer) run(cp *compiledProgram, rng *stream, noisy bool) {
+	cp.runTableau(r, rng, noisy)
+}
+
+func (r *stabilizer) measure(slot int, rng *stream) int {
+	tb, q := r.at(slot)
+	return tb.measureT(q, rng)
+}
+
+func (r *stabilizer) injectPauli(slot int, rng prng) {
+	tb, q := r.at(slot)
+	tb.injectPauliT(q, rng)
+}
+
+// runTableau is runStatevector over the stabilizer register, with the
+// same draw sequence: SWAP was lowered to a relabel, so only its noise is
+// left, and every other gate updates its component's tableau.
+func (cp *compiledProgram) runTableau(r *stabilizer, rng *stream, noisy bool) {
+	noisy = noisy && cp.noise.Enabled
+	for li := range cp.layers {
+		cl := &cp.layers[li]
+		for oi := range cl.ops {
+			op := &cl.ops[oi]
+			tb, a := r.at(op.a)
+			tb.apply(op.kind, a, r.bit[op.b])
+			if !noisy {
+				continue
+			}
+			switch op.kind {
+			case opSWAP:
+				for k := 0; k < 3; k++ {
+					if rng.below(op.errT) {
+						r.injectPauli(pick2(op.a, op.b, rng), rng)
+					}
+				}
+			case opCX, opCZ:
+				if rng.below(op.errT) {
+					r.injectPauli(pick2(op.a, op.b, rng), rng)
+				}
+			default:
+				if rng.below(op.errT) {
+					tb.injectPauliT(a, rng)
+				}
+			}
+		}
+		if noisy && cp.idleT > 0 {
+			idle, n := cl.idle, len(cl.idle)
+			for i := rng.miss(cp.idleT, n); i < n; i += 1 + rng.miss(cp.idleT, n-i-1) {
+				tb, a := r.at(idle[i])
+				tb.decayT(a, rng)
+			}
+		}
+	}
+}
+
+// trialShard is a shard under a per-trial contract: what monteCarlo ran
+// on every register before the tableau's lattice.
+func trialShard(reg trialRegister, cp *compiledProgram, plan []measPoint, n int, rng *stream, succ []int) {
+	doReadout := cp.noise.Enabled && cp.noise.Readout
+	wrong := make([]int, len(succ))
+	for trial := 0; trial < n; trial++ {
+		reg.reset()
+		reg.run(cp, rng, true)
+		clear(wrong)
+		for i := range plan {
+			mp := &plan[i]
+			b := reg.measure(mp.q, rng)
+			if doReadout && rng.below(mp.readout) {
+				b ^= 1
+			}
+			wrong[mp.prog] |= b ^ mp.correct
+		}
+		for p, bad := range wrong {
+			if bad == 0 {
+				succ[p]++
+			}
+		}
+	}
+}
+
 // jointRegister is an engine's joint oracle: one state or tableau over
 // every active qubit, in which a SWAP moves state.
 type jointRegister struct {
@@ -253,7 +366,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 		t.Fatalf("%s: factored reference outcome %s, joint %s", name, got, want)
 	}
 
-	reg := newRegister(engine, cp)
+	reg := newTrialRegister(engine, cp)
 	sv, _ := reg.(*factored)
 	readout := noise.Enabled && noise.Readout
 	for seed := int64(0); seed < int64(seeds); seed++ {

@@ -11,6 +11,12 @@ package sim
 // are identical whether the shards run on one goroutine or sixteen. The
 // reduction over shards happens in shard-index order, keeping even float
 // aggregation bit-stable (see DESIGN.md, "Shard-seed derivation").
+//
+// A shard is also each engine's unit of work (register.shard): the
+// statevector runs its trials one by one, each drawing at every error
+// site; the tableau samples the shard's error lattice first and then
+// runs all of its trials at once as Pauli frames, 64 to a word
+// (frame.go), so shardTrials also fixes the lattice's extent.
 
 // shardTrials is the number of Monte-Carlo trials per RNG shard. It is
 // a determinism constant, not a tuning knob: changing it changes which

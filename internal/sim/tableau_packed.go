@@ -25,7 +25,8 @@ type ptab struct {
 	// multiplies) and a bit-sliced mod-4 phase counter over the rows.
 	mask, lo, hi []uint64
 	// pickRng/pickFn make measureT's random pick allocation-free: the
-	// closure is built once here instead of once per measurement.
+	// closure is built once here instead of once per measurement, and a
+	// decay's pre-drawn coin (frame.go) goes through it as a prng.
 	pickRng prng
 	pickFn  func() bool
 }
@@ -62,6 +63,36 @@ func (t *ptab) reset() {
 	clear(t.z)
 	clear(t.r)
 	t.init()
+}
+
+// copyFrom makes t a copy of u, a tableau of the same size.
+func (t *ptab) copyFrom(u *ptab) {
+	copy(t.x, u.x)
+	copy(t.z, u.z)
+	copy(t.r, u.r)
+}
+
+// apply runs one lowered Clifford op on qubit a (and b, for a two-qubit
+// op). A SWAP was lowered to a relabel, so it does nothing here.
+func (t *ptab) apply(kind opKind, a, b int) {
+	switch kind {
+	case opCX:
+		t.cx(a, b)
+	case opCZ:
+		t.cz(a, b)
+	case opH:
+		t.h(a)
+	case opX:
+		t.xg(a)
+	case opY:
+		t.yg(a)
+	case opZ:
+		t.zg(a)
+	case opS:
+		t.s(a)
+	case opSdg:
+		t.sdg(a)
+	}
 }
 
 // col is qubit q's column of the x or z bits.
