@@ -93,7 +93,6 @@ func runServe(args []string) error {
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed base")
 	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request HTTP timeout")
 	fs.DurationVar(&cfg.BatchTimeout, "batch-timeout", cfg.BatchTimeout, "per-batch compile+simulate deadline (negative disables)")
-	fs.IntVar(&cfg.MaxRetries, "retries", cfg.MaxRetries, "max retries per batch on transient failures")
 	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", cfg.BreakerThreshold, "consecutive batch failures before a backend's breaker opens (negative disables)")
 	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", cfg.BreakerCooldown, "open-breaker cooldown before a half-open probe")
 	fs.IntVar(&cfg.MaxJobHistory, "history", cfg.MaxJobHistory, "terminal job records retained per service (negative keeps all)")

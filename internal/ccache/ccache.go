@@ -105,17 +105,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Len returns the number of stored entries (in-flight computes are not
-// counted).
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // GetOrCompute returns the cached value for key, or runs compute
 // exactly once per key across concurrent callers and caches its result.
 // Errors are never cached: a failed compute is reported to every

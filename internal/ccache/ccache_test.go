@@ -38,9 +38,6 @@ func TestNilCacheBypasses(t *testing.T) {
 			t.Fatalf("nil cache should recompute every call: got %v on call %d", v, i+1)
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatal("nil Len should be 0")
-	}
 }
 
 func TestHitMissAndLRUOrder(t *testing.T) {
@@ -78,8 +75,8 @@ func TestHitMissAndLRUOrder(t *testing.T) {
 	if out := get("b"); out != OutcomeMiss {
 		t.Fatalf("b should have been evicted, got %v", out)
 	}
-	if evicts != 2 || c.Len() != 2 {
-		t.Fatalf("%d evictions and %d entries, want 2 and 2", evicts, c.Len())
+	if evicts != 2 || c.order.Len() != 2 {
+		t.Fatalf("%d evictions and %d entries, want 2 and 2", evicts, c.order.Len())
 	}
 }
 
@@ -155,8 +152,8 @@ func TestErrorNotCached(t *testing.T) {
 	if _, err, out := c.GetOrCompute(ctx, "k", compute); !errors.Is(err, boom) || out != OutcomeMiss {
 		t.Fatalf("first call: err=%v outcome=%v", err, out)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("error was cached: Len=%d", c.Len())
+	if c.order.Len() != 0 {
+		t.Fatalf("error was cached: Len=%d", c.order.Len())
 	}
 	if v, err, out := c.GetOrCompute(ctx, "k", compute); err != nil || v != "ok" || out != OutcomeMiss {
 		t.Fatalf("retry: v=%v err=%v outcome=%v", v, err, out)
@@ -279,8 +276,8 @@ func TestLookupHookBypass(t *testing.T) {
 	if err != nil || v != 42 || out != OutcomeBypass {
 		t.Fatalf("v=%v err=%v outcome=%v", v, err, out)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("bypass stored an entry: Len=%d", c.Len())
+	if c.order.Len() != 0 {
+		t.Fatalf("bypass stored an entry: Len=%d", c.order.Len())
 	}
 	c.LookupHook = nil
 	if _, _, out := c.GetOrCompute(context.Background(), "k", func(context.Context) (any, error) { return 42, nil }); out != OutcomeMiss {
@@ -299,8 +296,8 @@ func TestStoreHookSkipsStore(t *testing.T) {
 			t.Fatalf("call %d: v=%v err=%v outcome=%v", i, v, err, out)
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("store hook failure still stored: Len=%d", c.Len())
+	if c.order.Len() != 0 {
+		t.Fatalf("store hook failure still stored: Len=%d", c.order.Len())
 	}
 }
 

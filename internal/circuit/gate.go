@@ -42,16 +42,6 @@ type Gate struct {
 	Params []float64
 }
 
-// NewGate builds a gate after validating the operand count for known
-// gate names.
-func NewGate(name string, qubits ...int) Gate {
-	g := Gate{Name: name, Qubits: qubits}
-	if err := g.validateArity(); err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func (g Gate) validateArity() error {
 	want := -1
 	switch g.Name {

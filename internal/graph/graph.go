@@ -140,15 +140,6 @@ func (g *Graph) Edges() []Edge {
 	return append(make([]Edge, 0, len(g.edges)), g.edges...)
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, e := range g.edges {
-		c.AddWeightedEdge(e.U, e.V, g.weight[e])
-	}
-	return c
-}
-
 func (g *Graph) checkVertex(u int) {
 	if u < 0 || u >= g.n {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", u, g.n))

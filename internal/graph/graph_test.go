@@ -213,18 +213,6 @@ func TestInducedEdges(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := ladder(4)
-	c := g.Clone()
-	c.AddEdge(0, 3)
-	if g.HasEdge(0, 3) {
-		t.Fatal("clone must not alias the original")
-	}
-	if c.M() != g.M()+1 {
-		t.Fatalf("clone M = %d", c.M())
-	}
-}
-
 func TestEdgesSorted(t *testing.T) {
 	g := New(4)
 	g.AddEdge(2, 3)
@@ -369,9 +357,5 @@ func TestDerivedIndexesTrackInserts(t *testing.T) {
 	}
 	if got := g.InducedEdges(verts); !reflect.DeepEqual(got, induced) {
 		t.Fatalf("InducedEdges = %v, want %v", got, induced)
-	}
-	c := g.Clone()
-	if !reflect.DeepEqual(c.Edges(), edges) || c.Weight(edges[0].U, edges[0].V) != g.Weight(edges[0].U, edges[0].V) {
-		t.Fatal("Clone lost edges or weights")
 	}
 }

@@ -34,7 +34,7 @@ type FuncInfo struct {
 }
 
 // Name renders the function name with its receiver type, e.g.
-// "(*Service).Submit" or "backoffDelay".
+// "(*Service).SubmitJob" or "checkPSTs".
 func (f *FuncInfo) Name() string {
 	if f.Decl.Recv == nil || len(f.Decl.Recv.List) == 0 {
 		return f.Decl.Name.Name

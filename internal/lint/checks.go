@@ -68,21 +68,19 @@ var deterministicPkgs = map[string]bool{
 	"internal/router":    true,
 	"internal/sched":     true,
 	"internal/sim":       true,
-	"internal/srb":       true,
 	"internal/viz":       true,
 	"internal/wal":       true,
 }
 
 // latencyPkgs are the internal packages deliberately exempt from the
-// determinism discipline: they measure real latency, inject faults, or
-// host the analyzer itself. Every internal/* package must appear in
-// exactly one of deterministicPkgs and latencyPkgs — enforced by
+// determinism discipline: they measure real latency or host the
+// analyzer itself. Every internal/* package must appear in exactly one
+// of deterministicPkgs and latencyPkgs — enforced by
 // TestPackageClassification — so new packages are classified on
 // purpose, not by omission.
 var latencyPkgs = map[string]bool{
-	"internal/faultinject": true,
-	"internal/lint":        true,
-	"internal/service":     true,
+	"internal/lint":    true,
+	"internal/service": true,
 }
 
 // wallClockFuncs are the time package's wall-clock reads.

@@ -175,12 +175,6 @@ const (
 	unusedIgnoreName = "unusedignore"
 )
 
-// Run applies the checks to every package, drops suppressed findings,
-// and returns the remainder sorted by file, line, and column.
-func Run(pkgs []*Package, checks []Check) []Finding {
-	return Analyze(pkgs, checks, nil).Findings
-}
-
 // Analyze runs the checks over the packages and returns findings plus
 // suppression statistics. Module-scope checks (RunModule) always see
 // every package — the call graph needs the whole module — but their

@@ -33,7 +33,7 @@ func runFixtureFile(t *testing.T, checkName, file, rel string) []Finding {
 	if err != nil {
 		t.Fatalf("select %s: %v", checkName, err)
 	}
-	return Run([]*Package{p}, checks)
+	return Analyze([]*Package{p}, checks, nil).Findings
 }
 
 var wantRe = regexp.MustCompile(`// want "([^"]*)"`)
@@ -157,7 +157,7 @@ func eq(a, b float64) bool {
 	return a == b
 }
 `)
-	findings := Run([]*Package{p}, Checks())
+	findings := Analyze([]*Package{p}, Checks(), nil).Findings
 	var checks []string
 	for _, f := range findings {
 		checks = append(checks, f.Check)
@@ -178,7 +178,7 @@ func eq(a, b float64) bool {
 	return a == b
 }
 `)
-	if findings := Run([]*Package{p}, Checks()); len(findings) != 0 {
+	if findings := Analyze([]*Package{p}, Checks(), nil).Findings; len(findings) != 0 {
 		t.Errorf("want all findings suppressed, got %v", findings)
 	}
 }

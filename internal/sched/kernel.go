@@ -17,7 +17,7 @@ import (
 // (internal/service) calls it under its lock with wall-clock seconds;
 // Kernel.Run drives it on virtual time for internal/cloudsim, so the
 // daemon and the simulator make identical decisions on identical input.
-// Locking, job states, durability, admission caps, retries, breaker
+// Locking, job states, durability, admission caps, breaker
 // timing and metrics stay with the caller.
 
 // Flow is one tenant's share of the queue under start-time fair

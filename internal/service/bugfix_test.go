@@ -98,7 +98,7 @@ func TestSSEEventOrdering(t *testing.T) {
 func TestShutdownNeverStartedReleasesContext(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
-	svc := newWALService(t, cfg)
+	svc := newWALService(t, cfg, nil)
 	rec, err := svc.Submit(nisqbench.MustGet("bv_n3"))
 	if err != nil {
 		t.Fatal(err)

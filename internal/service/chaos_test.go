@@ -3,23 +3,134 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/faultinject"
 )
 
-// newChaosService builds a single-backend service so fault-injection
-// visit counters advance in a deterministic order (two workers racing
-// for the same site counter would make "fail visit N" ambiguous).
-func newChaosService(t *testing.T, cfg Config) *Service {
+// injector is the chaos suite's faultHook: each site carries at most
+// one rule, which acts on a window of the site's visits. Every decision
+// is a function of the per-site visit count alone, so a fixed request
+// order injects the same faults on every run.
+type injector struct {
+	mu     sync.Mutex
+	rules  map[string]faultRule // guarded by mu
+	visits map[string]int       // guarded by mu
+}
+
+// faultRule acts on visits from..to of its site, counted from 1; to <= 0
+// means every visit from on.
+type faultRule struct {
+	from, to int
+	act      faultAction
+	delay    time.Duration // actDelay
+	value    float64       // actReplace
+}
+
+type faultAction int
+
+const (
+	actFail    faultAction = iota // the visit returns an error
+	actPanic                      // the visit panics
+	actDelay                      // the visit sleeps (bounded by its ctx), then succeeds
+	actReplace                    // observe returns value instead of the measurement (observation sites only)
+)
+
+func newInjector() *injector {
+	return &injector{rules: map[string]faultRule{}, visits: map[string]int{}}
+}
+
+func (in *injector) set(site string, r faultRule) *injector {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.rules[site] = r
+	return in
+}
+
+// failVisits makes visits [from, to] of site fail with an error.
+func (in *injector) failVisits(site string, from, to int) *injector {
+	return in.set(site, faultRule{from: from, to: to, act: actFail})
+}
+
+// panicVisits makes visits [from, to] of site panic.
+func (in *injector) panicVisits(site string, from, to int) *injector {
+	return in.set(site, faultRule{from: from, to: to, act: actPanic})
+}
+
+// delayVisits delays visits [from, to] of site by d without failing them.
+func (in *injector) delayVisits(site string, from, to int, d time.Duration) *injector {
+	return in.set(site, faultRule{from: from, to: to, act: actDelay, delay: d})
+}
+
+// observeVisits substitutes v for the measurement on visits [from, to]
+// of an observation site.
+func (in *injector) observeVisits(site string, from, to int, v float64) *injector {
+	return in.set(site, faultRule{from: from, to: to, act: actReplace, value: v})
+}
+
+// visitCount returns how many times site has been visited.
+func (in *injector) visitCount(site string) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.visits[site]
+}
+
+// next counts one visit to site and returns its number and the site's
+// rule, if the rule covers it.
+func (in *injector) next(site string) (int, *faultRule) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.visits[site]++
+	n := in.visits[site]
+	r, ok := in.rules[site]
+	if !ok || n < r.from || (r.to > 0 && n > r.to) {
+		return n, nil
+	}
+	return n, &r
+}
+
+func (in *injector) visit(ctx context.Context, site string) error {
+	n, r := in.next(site)
+	if r == nil {
+		return nil
+	}
+	switch r.act {
+	case actPanic:
+		panic(fmt.Sprintf("%s visit %d: injected panic", site, n))
+	case actDelay:
+		t := time.NewTimer(r.delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return fmt.Errorf("%s visit %d: injected failure", site, n)
+}
+
+func (in *injector) observe(site string, measured float64) float64 {
+	if _, r := in.next(site); r != nil && r.act == actReplace {
+		return r.value
+	}
+	return measured
+}
+
+// newChaosService builds a single-backend service with the fault hook
+// (nil for none), so visit counters advance in a deterministic order
+// (two workers racing for the same site counter would make "fail visit
+// N" ambiguous).
+func newChaosService(t *testing.T, cfg Config, faults faultHook) *Service {
 	t.Helper()
-	svc, err := New([]*arch.Device{arch.London()}, cfg)
+	svc, err := newService([]*arch.Device{arch.London()}, cfg, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +175,7 @@ func shutdownClean(t *testing.T, svc *Service) {
 // message), and the worker must keep serving the next job.
 func TestChaosCompilerPanicIsolation(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).PanicVisits(faultinject.SiteCompile, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().panicVisits(siteCompile, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -94,8 +204,7 @@ func TestChaosCompilerPanicIsolation(t *testing.T) {
 func TestChaosSimulatorTimeout(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.BatchTimeout = 100 * time.Millisecond
-	cfg.Faults = faultinject.New(1).DelayVisits(faultinject.SiteSimulate, 1, 1, 10*time.Second)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().delayVisits(siteSimulate, 1, 1, 10*time.Second))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -126,9 +235,7 @@ func TestChaosSimulatorTimeout(t *testing.T) {
 func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.BreakerThreshold = 3
-	cfg.MaxRetries = -1 // disable retries: each failure counts once
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCompile, 1, 3)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().failVisits(siteCompile, 1, 3))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -171,38 +278,12 @@ func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	shutdownClean(t, svc)
 }
 
-// TestChaosTransientRetrySucceeds injects two transient compile
-// failures: the batch must succeed on the third attempt with exactly
-// two recorded retries and no failed jobs.
-func TestChaosTransientRetrySucceeds(t *testing.T) {
-	cfg := chaosConfig()
-	cfg.MaxRetries = 2
-	cfg.Faults = faultinject.New(1).FailTransient(faultinject.SiteCompile, 1, 2)
-	svc := newChaosService(t, cfg)
-	svc.Start()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	rec := waitTerminal(t, ts.URL, submitOK(t, ts.URL).ID, 60*time.Second)
-	if rec.State != StateDone {
-		t.Fatalf("job should succeed after transient retries, got %+v", rec)
-	}
-	if got := svc.Metrics().BatchRetries.Value(); got != 2 {
-		t.Fatalf("BatchRetries = %d, want 2", got)
-	}
-	if got := svc.Metrics().JobsFailed.Value(); got != 0 {
-		t.Fatalf("JobsFailed = %d, want 0", got)
-	}
-	shutdownClean(t, svc)
-}
-
 // TestChaosSchedulerPanicFailsHead injects a panic into batch claiming:
 // the head job is failed (so the queue cannot livelock on it) and the
 // worker loop keeps serving.
 func TestChaosSchedulerPanicFailsHead(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).PanicVisits(faultinject.SiteSchedule, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().panicVisits(siteSchedule, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -224,8 +305,7 @@ func TestChaosSchedulerPanicFailsHead(t *testing.T) {
 // swallowed.
 func TestChaosSchedulerErrorFallback(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteSchedule, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().failVisits(siteSchedule, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -254,8 +334,7 @@ func TestChaosSchedulerErrorFallback(t *testing.T) {
 // (the panicked call stored nothing) and succeeds.
 func TestChaosCacheLookupPanicContained(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).PanicVisits(faultinject.SiteCacheLookup, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().panicVisits(siteCacheLookup, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -281,8 +360,7 @@ func TestChaosCacheLookupPanicContained(t *testing.T) {
 // the uncached path, never to a failed job.
 func TestChaosCacheLookupErrorBypasses(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCacheLookup, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().failVisits(siteCacheLookup, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -317,8 +395,7 @@ func TestChaosCacheLookupErrorBypasses(t *testing.T) {
 // again and only the one after that hits.
 func TestChaosCacheStoreErrorSkipsStore(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCacheStore, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().failVisits(siteCacheStore, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -342,8 +419,7 @@ func TestChaosCacheStoreErrorSkipsStore(t *testing.T) {
 // retryable — the next identical batch compiles fresh and succeeds.
 func TestChaosCacheStorePanicContained(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).PanicVisits(faultinject.SiteCacheStore, 1, 1)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().panicVisits(siteCacheStore, 1, 1))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -369,8 +445,7 @@ func TestChaosCacheStorePanicContained(t *testing.T) {
 // the dropped counters instead of sum/mean/min/max.
 func TestChaosNaNLatencyObservation(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = faultinject.New(1).ObserveVisits(faultinject.SiteLatency, 1, 0, math.NaN())
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().observeVisits(siteLatency, 1, 0, math.NaN()))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()

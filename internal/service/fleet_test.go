@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/faultinject"
 	"repro/internal/nisqbench"
 )
 
@@ -226,11 +225,9 @@ func TestChaosBreakerMigration(t *testing.T) {
 	a.Name, b.Name = "london-a", "london-b"
 	cfg := chaosConfig()
 	cfg.MaxColocate = 1
-	cfg.MaxRetries = -1
 	cfg.BreakerThreshold = 1
 	cfg.BreakerCooldown = time.Minute // stay open for the whole test
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCompile, 1, 1)
-	svc, err := New([]*arch.Device{a, b}, cfg)
+	svc, err := newService([]*arch.Device{a, b}, cfg, newInjector().failVisits(siteCompile, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,14 +184,12 @@ type Registry struct {
 	QueueDepth Gauge
 	InFlight   Gauge
 
-	// Robustness counters: recovered worker panics, batch retries
-	// after transient failures, batches failed by the per-batch
-	// deadline, scheduler errors absorbed by head-of-line fallback,
-	// co-location fallbacks (tail requeued, head run alone), and
-	// circuit-breaker trips. OpenBreakers gauges how many backends are
+	// Robustness counters: recovered worker panics, batches failed by
+	// the per-batch deadline, scheduler errors absorbed by head-of-line
+	// fallback, co-location fallbacks (tail requeued, head run alone),
+	// and circuit-breaker trips. OpenBreakers gauges how many backends are
 	// currently tripped (open or half-open).
 	PanicsRecovered Counter
-	BatchRetries    Counter
 	BatchTimeouts   Counter
 	SchedulerErrors Counter
 	FallbackBatches Counter
@@ -289,6 +287,8 @@ type MetricsSnapshot struct {
 	Robustness struct {
 		JobsEvicted     int64 `json:"jobs_evicted"`
 		PanicsRecovered int64 `json:"panics_recovered"`
+		// BatchRetries is always 0 (batches are not retried); it stays
+		// because the benchmark harness reads batch_retries.
 		BatchRetries    int64 `json:"batch_retries"`
 		BatchTimeouts   int64 `json:"batch_timeouts"`
 		SchedulerErrors int64 `json:"scheduler_errors"`
@@ -365,7 +365,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.Queue.InFlight = r.InFlight.Value()
 	s.Robustness.JobsEvicted = r.JobsEvicted.Value()
 	s.Robustness.PanicsRecovered = r.PanicsRecovered.Value()
-	s.Robustness.BatchRetries = r.BatchRetries.Value()
 	s.Robustness.BatchTimeouts = r.BatchTimeouts.Value()
 	s.Robustness.SchedulerErrors = r.SchedulerErrors.Value()
 	s.Robustness.FallbackBatches = r.FallbackBatches.Value()

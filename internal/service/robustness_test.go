@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/faultinject"
 )
 
 // TestJobHistoryEviction caps the terminal-record store at 3 and runs
@@ -19,7 +18,7 @@ import (
 func TestJobHistoryEviction(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxJobHistory = 3
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, nil)
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -81,9 +80,8 @@ func TestBatchAvgPST(t *testing.T) {
 // every job still completes, and the fallback is counted with each
 // compile call's latency observed separately.
 func TestColocationFallbackMetrics(t *testing.T) {
-	cfg := testConfig()
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCompile, 1, 1)
-	svc, err := New([]*arch.Device{arch.IBMQ16(0)}, cfg)
+	faults := newInjector().failVisits(siteCompile, 1, 1)
+	svc, err := newService([]*arch.Device{arch.IBMQ16(0)}, testConfig(), faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestColocationFallbackMetrics(t *testing.T) {
 	// One observation per compile call: the failed co-located attempt,
 	// its head-alone fallback, and the compiles for the requeued tail —
 	// exactly the number of compiler-site visits.
-	wantCompiles := int64(cfg.Faults.Visits(faultinject.SiteCompile))
+	wantCompiles := int64(faults.visitCount(siteCompile))
 	if got := m.CompileLatency.Snapshot().Count; got != wantCompiles {
 		t.Fatalf("CompileLatency count = %d, want %d (one per compile call)", got, wantCompiles)
 	}
@@ -123,10 +121,7 @@ func TestColocationFallbackMetrics(t *testing.T) {
 // must return to zero. Run under -race this doubles as the
 // requeue/shutdown data-race regression test.
 func TestShutdownDuringRequeueRace(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxRetries = -1
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCompile, 1, 0)
-	svc, err := New([]*arch.Device{arch.IBMQ16(0)}, cfg)
+	svc, err := newService([]*arch.Device{arch.IBMQ16(0)}, testConfig(), newInjector().failVisits(siteCompile, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +165,7 @@ func TestShutdownDuringRequeueRace(t *testing.T) {
 func TestBreakerDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.BreakerThreshold = -1
-	cfg.MaxRetries = -1
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteCompile, 1, 4)
-	svc := newChaosService(t, cfg)
+	svc := newChaosService(t, cfg, newInjector().failVisits(siteCompile, 1, 4))
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -191,21 +184,4 @@ func TestBreakerDisabled(t *testing.T) {
 		t.Fatalf("breaker should stay closed when disabled, got %+v", backends[0].Breaker)
 	}
 	shutdownClean(t, svc)
-}
-
-// TestBackoffDelay pins the deterministic capped backoff schedule.
-func TestBackoffDelay(t *testing.T) {
-	want := []time.Duration{
-		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
-		2 * time.Second, 2 * time.Second,
-	}
-	for attempt, w := range want {
-		if got := backoffDelay(attempt); got != w {
-			t.Fatalf("backoffDelay(%d) = %s, want %s", attempt, got, w)
-		}
-	}
-	if got := backoffDelay(64); got != 2*time.Second {
-		t.Fatalf("overflowing attempt should cap at max, got %s", got)
-	}
 }

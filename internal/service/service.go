@@ -35,7 +35,6 @@ import (
 	"repro/internal/ccache"
 	"repro/internal/circuit"
 	"repro/internal/cloudsim"
-	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/sched"
 	"repro/internal/wal"
@@ -100,14 +99,6 @@ type Config struct {
 	// X-SWAP search fails the batch instead of wedging the backend.
 	// 0 selects the default; negative disables the deadline.
 	BatchTimeout time.Duration
-	// MaxRetries is how many times a batch is re-attempted after a
-	// transient failure (an error advertising Transient() bool, as the
-	// fault-injection harness produces). Permanent failures — compile
-	// errors, panics, deadlines — are never retried: the pipeline is
-	// deterministic, so they would fail identically. 0 selects the
-	// default; negative disables retries. Retries back off
-	// deterministically: 50ms<<attempt, capped at 2s.
-	MaxRetries int
 	// BreakerThreshold opens a backend's circuit breaker after this
 	// many consecutive batch failures; the backend then drains (claims
 	// nothing) for BreakerCooldown before a single half-open probe
@@ -143,9 +134,6 @@ type Config struct {
 	// submission is acknowledged and replayed on the next startup, so
 	// queued jobs survive a restart or kill.
 	DataDir string
-	// Faults is the test-only fault-injection hook set; nil (the
-	// production value) injects nothing.
-	Faults *faultinject.Injector
 }
 
 // DefaultConfig returns production-ish defaults around the paper's
@@ -164,7 +152,6 @@ func DefaultConfig() Config {
 		TraceDepth:     64,
 
 		BatchTimeout:     2 * time.Minute,
-		MaxRetries:       2,
 		BreakerThreshold: 5,
 		BreakerCooldown:  5 * time.Second,
 		MaxJobHistory:    4096,
@@ -275,9 +262,11 @@ type Service struct {
 	authRequired bool
 	// wlog is the write-ahead job log; nil when Config.DataDir is empty.
 	wlog *wal.Log
+	// faults is the chaos tests' fault hook; nil in every program.
+	faults faultHook
 
 	// stopCh closes when Shutdown begins, waking workers out of
-	// breaker-cooldown and retry-backoff sleeps.
+	// breaker-cooldown sleeps and ending SSE streams.
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	// runCtx is the root context every worker loop (and every per-batch
@@ -302,13 +291,52 @@ type Service struct {
 	wg          sync.WaitGroup
 }
 
+// faultHook injects faults at the named sites of the service path. No
+// program installs one: the chaos tests build their service through
+// newService with a scripted hook and drive it through panics,
+// timeouts, error bursts and poisoned observations.
+type faultHook interface {
+	// visit runs before the guarded call at site. It may sleep (bounded
+	// by ctx), panic, or return an error the call then fails with.
+	visit(ctx context.Context, site string) error
+	// observe passes a measured value through an observation site and
+	// returns the value to record in its place.
+	observe(site string, measured float64) float64
+}
+
+// The fault-hook sites. The schedule and WAL-append sites fire under
+// Service.mu, so a hook must not sleep there.
+const (
+	siteCompile     = "compile"      // before each batch compilation
+	siteSimulate    = "simulate"     // before each batch simulation
+	siteSchedule    = "schedule"     // in batch claiming, before the EPST scheduler
+	siteCacheLookup = "cache-lookup" // an error bypasses the cache for that call
+	siteCacheStore  = "cache-store"  // an error serves the result but stores nothing
+	siteWALAppend   = "wal-append"   // an error loses that record's durability only
+	siteWALReplay   = "wal-replay"   // an error discards the replayed records
+	siteLatency     = "latency"      // observation site for every latency reading
+)
+
+// visitFault fires the fault hook at site; without a hook it is a nil
+// check.
+func (s *Service) visitFault(ctx context.Context, site string) error {
+	if s.faults == nil {
+		return nil
+	}
+	return s.faults.visit(ctx, site)
+}
+
 // New builds a service over the devices (one worker each). Zero-valued
 // Config fields other than Epsilon fall back to DefaultConfig; a
 // negative or NaN Epsilon is an error. Devices must be non-empty with
 // distinct names.
-//
-//lint:ignore ctxflow construction-time WAL replay visits faults under the run context New itself roots; there is no earlier context to plumb
 func New(devices []*arch.Device, cfg Config) (*Service, error) {
+	return newService(devices, cfg, nil)
+}
+
+// newService is New with a fault hook (nil for none). The hook is set
+// before the WAL replays, so its replay site fires here.
+func newService(devices []*arch.Device, cfg Config, faults faultHook) (*Service, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("service: need at least one backend device")
 	}
@@ -340,11 +368,6 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 		cfg.BatchTimeout = def.BatchTimeout
 	} else if cfg.BatchTimeout < 0 {
 		cfg.BatchTimeout = 0
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = def.MaxRetries
-	} else if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = def.BreakerThreshold
@@ -389,23 +412,23 @@ func New(devices []*arch.Device, cfg Config) (*Service, error) {
 		tenantsByKey: tenantsByKey,
 		tenantList:   tenantList,
 		authRequired: len(cfg.Tenants) > 0,
+		faults:       faults,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	//lint:ignore ctxflow the service owns its workers' lifetime, so the run context is rooted here; Shutdown cancels it
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
-	// The cache's hooks bind the chaos sites (lookup outage → bypass,
-	// store outage → serve-but-skip-store) and the eviction counter.
-	// faultinject.Visit is nil-injector-safe, so production configs pay
-	// only a nil check.
+	// With a fault hook, the cache's hooks bind its two sites (lookup
+	// outage → bypass, store outage → serve-but-skip-store).
 	s.cache = ccache.New(cfg.CacheSize)
 	if s.cache != nil {
-		faults := cfg.Faults
 		s.cache.OnEvict = s.metrics.CacheEvictions.Inc
-		s.cache.LookupHook = func(ctx context.Context) error {
-			return faults.Visit(ctx, faultinject.SiteCacheLookup)
-		}
-		s.cache.StoreHook = func(ctx context.Context) error {
-			return faults.Visit(ctx, faultinject.SiteCacheStore)
+		if faults != nil {
+			s.cache.LookupHook = func(ctx context.Context) error {
+				return faults.visit(ctx, siteCacheLookup)
+			}
+			s.cache.StoreHook = func(ctx context.Context) error {
+				return faults.visit(ctx, siteCacheStore)
+			}
 		}
 	}
 	for i, d := range devices {
@@ -449,11 +472,12 @@ func (s *Service) openWAL(ctx context.Context, dir string) error {
 		return fmt.Errorf("service: %w", err)
 	}
 	s.wlog = l
-	faults := s.cfg.Faults
-	l.AppendHook = func() error {
-		return faults.Visit(s.runCtx, faultinject.SiteWALAppend)
+	if s.faults != nil {
+		l.AppendHook = func() error {
+			return s.faults.visit(s.runCtx, siteWALAppend)
+		}
 	}
-	if err := faults.Visit(ctx, faultinject.SiteWALReplay); err != nil {
+	if err := s.visitFault(ctx, siteWALReplay); err != nil {
 		s.metrics.WALReplayErrors.Inc()
 		return nil
 	}
@@ -616,11 +640,14 @@ func (s *Service) Start() {
 func (s *Service) Metrics() *Registry { return s.metrics }
 
 // observeLatency funnels a measured duration (in seconds) through the
-// fault-injection observation hook before recording it, so chaos tests
+// fault hook's observation site before recording it, so chaos tests
 // can substitute NaN/Inf readings; Histogram.Observe drops whatever
 // non-finite value comes back instead of letting it poison /metrics.
 func (s *Service) observeLatency(h *Histogram, seconds float64) {
-	h.Observe(s.cfg.Faults.Observe(faultinject.SiteLatency, seconds))
+	if s.faults != nil {
+		seconds = s.faults.observe(siteLatency, seconds)
+	}
+	h.Observe(seconds)
 }
 
 // Uptime is the time since the service was constructed.
@@ -637,14 +664,6 @@ type SubmitOptions struct {
 	// job; the same key with different content is rejected with
 	// ErrIdemConflict.
 	IdempotencyKey string
-}
-
-// Submit enqueues a parsed program for the default tenant. It fails
-// with ErrQueueFull under backpressure, ErrShuttingDown during drain,
-// and ErrTooLarge when no backend can hold the program.
-func (s *Service) Submit(circ *circuit.Circuit) (JobRecord, error) {
-	rec, _, err := s.SubmitJob(circ, SubmitOptions{})
-	return rec, err
 }
 
 // SubmitJob enqueues a parsed program under the given tenant and
@@ -778,11 +797,6 @@ func (s *Service) Job(id string) (JobRecord, bool) {
 		return JobRecord{}, false
 	}
 	return snapshotRecord(j), true
-}
-
-// Jobs lists every record, oldest first.
-func (s *Service) Jobs() []JobRecord {
-	return s.JobsPage("", -1, 0)
 }
 
 // JobsPage lists records oldest (lowest Seq) first: only the given

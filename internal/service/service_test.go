@@ -28,6 +28,18 @@ func testConfig() Config {
 	return cfg
 }
 
+// Submit enqueues a parsed program for the default tenant, as SubmitJob
+// without options does.
+func (s *Service) Submit(circ *circuit.Circuit) (JobRecord, error) {
+	rec, _, err := s.SubmitJob(circ, SubmitOptions{})
+	return rec, err
+}
+
+// Jobs lists every record, oldest first.
+func (s *Service) Jobs() []JobRecord {
+	return s.JobsPage("", -1, 0)
+}
+
 func newTestService(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	devices := []*arch.Device{arch.London(), arch.IBMQ16(0)}

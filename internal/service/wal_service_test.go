@@ -6,15 +6,14 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/faultinject"
 	"repro/internal/nisqbench"
 )
 
-// newWALService builds a service on a WAL-backed data directory. The
-// caller decides whether to Start it.
-func newWALService(t *testing.T, cfg Config) *Service {
+// newWALService builds a service on a WAL-backed data directory with
+// the fault hook (nil for none). The caller decides whether to Start it.
+func newWALService(t *testing.T, cfg Config, faults faultHook) *Service {
 	t.Helper()
-	svc, err := New([]*arch.Device{arch.London(), arch.IBMQ16(0)}, cfg)
+	svc, err := newService([]*arch.Device{arch.London(), arch.IBMQ16(0)}, cfg, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestWALReplayAfterKill(t *testing.T) {
 	// First daemon: accept three jobs, then "die" without Shutdown. The
 	// WAL file descriptor stays open — exactly what a SIGKILL leaves
 	// behind (appends are unbuffered writes, so the log is on disk).
-	first := newWALService(t, cfg)
+	first := newWALService(t, cfg, nil)
 	var ids []string
 	for _, name := range []string{"bv_n3", "bv_n4", "peres_3"} {
 		rec, err := first.Submit(nisqbench.MustGet(name))
@@ -43,7 +42,7 @@ func TestWALReplayAfterKill(t *testing.T) {
 
 	// Second daemon on the same data dir: every queued job must come
 	// back with its identity intact.
-	second := newWALService(t, cfg)
+	second := newWALService(t, cfg, nil)
 	recovered := second.Jobs()
 	if len(recovered) != len(ids) {
 		t.Fatalf("replayed %d jobs, want %d: %+v", len(recovered), len(ids), recovered)
@@ -81,7 +80,7 @@ func TestWALReplayAfterKill(t *testing.T) {
 
 	// Third daemon: the drained jobs replay as terminal history, not as
 	// runnable work.
-	third := newWALService(t, cfg)
+	third := newWALService(t, cfg, nil)
 	third.mu.Lock()
 	depth := third.kernel.Len()
 	third.mu.Unlock()
@@ -105,8 +104,7 @@ func TestWALReplayAfterKill(t *testing.T) {
 func TestWALAppendFaultKeepsServing(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteWALAppend, 1, 1)
-	svc := newWALService(t, cfg)
+	svc := newWALService(t, cfg, newInjector().failVisits(siteWALAppend, 1, 1))
 
 	recLost, err := svc.Submit(nisqbench.MustGet("bv_n3"))
 	if err != nil {
@@ -124,9 +122,7 @@ func TestWALAppendFaultKeepsServing(t *testing.T) {
 
 	// Only the durable job survives a restart — the faulted append was
 	// a real durability loss, visible in the counter above.
-	nextCfg := cfg
-	nextCfg.Faults = nil
-	next := newWALService(t, nextCfg)
+	next := newWALService(t, cfg, nil)
 	if _, ok := next.Job(recLost.ID); ok {
 		t.Fatalf("job %s replayed despite its append having failed", recLost.ID)
 	}
@@ -141,13 +137,12 @@ func TestWALAppendFaultKeepsServing(t *testing.T) {
 func TestWALReplayFaultStartsEmpty(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
-	seed := newWALService(t, cfg)
+	seed := newWALService(t, cfg, nil)
 	if _, err := seed.Submit(nisqbench.MustGet("bv_n3")); err != nil {
 		t.Fatal(err)
 	}
 
-	cfg.Faults = faultinject.New(1).FailVisits(faultinject.SiteWALReplay, 1, 1)
-	svc := newWALService(t, cfg)
+	svc := newWALService(t, cfg, newInjector().failVisits(siteWALReplay, 1, 1))
 	if jobs := svc.Jobs(); len(jobs) != 0 {
 		t.Fatalf("replay fault should start empty, got %+v", jobs)
 	}
@@ -169,7 +164,7 @@ func TestWALReplayFaultStartsEmpty(t *testing.T) {
 func TestWALReplaySkipsUnknownTenant(t *testing.T) {
 	cfg := tenantConfig()
 	cfg.DataDir = t.TempDir()
-	seed := newWALService(t, cfg)
+	seed := newWALService(t, cfg, nil)
 	if _, _, err := seed.SubmitJob(nisqbench.MustGet("bv_n3"), SubmitOptions{Tenant: "alice"}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +174,7 @@ func TestWALReplaySkipsUnknownTenant(t *testing.T) {
 
 	// Alice is offboarded before the restart.
 	cfg.Tenants = cfg.Tenants[1:]
-	svc := newWALService(t, cfg)
+	svc := newWALService(t, cfg, nil)
 	jobs := svc.Jobs()
 	if len(jobs) != 1 || jobs[0].Tenant != "bob" {
 		t.Fatalf("expected only bob's job to replay, got %+v", jobs)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cloudsim"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -46,8 +45,7 @@ type breaker struct {
 // The worker loop is panic-isolated: a panic while claiming fails only
 // the head job, a panic while executing fails only the claimed batch,
 // and in both cases the loop keeps serving. Batch execution runs under
-// the Config.BatchTimeout deadline, transient failures retry with
-// capped deterministic backoff, and repeated failures trip the
+// the Config.BatchTimeout deadline, and repeated failures trip the
 // breaker so a miscalibrated backend drains instead of crash-looping.
 type worker struct {
 	svc   *Service
@@ -235,7 +233,7 @@ func (w *worker) claim(ctx context.Context) []*job {
 // through Kernel.Claim, which has changed nothing yet, into
 // claimIsolated and exercises the failHead path. Service.mu is held.
 func (w *worker) nextBatch(ctx context.Context, d *arch.Device, window []sched.Job, cfg sched.Config) (b sched.Batch, err error) {
-	if err := w.svc.cfg.Faults.Visit(ctx, faultinject.SiteSchedule); err != nil {
+	if err := w.svc.visitFault(ctx, siteSchedule); err != nil {
 		return sched.Batch{}, err
 	}
 	defer func() {
@@ -292,11 +290,10 @@ func (w *worker) requeueFront(tail []*job) {
 	s.cond.Broadcast()
 }
 
-// executeIsolated drives one claimed batch through the retrying
-// executor behind a last-resort recover: whatever escapes the
-// per-phase isolation fails the batch (in its current, possibly
-// fallback-shrunk form) with the recovered message, and the worker
-// loop stays alive.
+// executeIsolated drives one claimed batch through execute behind a
+// last-resort recover: whatever escapes the per-phase isolation fails
+// the batch (in its current, possibly fallback-shrunk form) with the
+// recovered message, and the worker loop stays alive.
 func (w *worker) executeIsolated(ctx context.Context, batch []*job) {
 	cur := batch
 	defer func() {
@@ -309,31 +306,22 @@ func (w *worker) executeIsolated(ctx context.Context, batch []*job) {
 	w.execute(ctx, &cur)
 }
 
-// execute runs the batch, retrying transient failures with capped
-// deterministic backoff (backoffDelay) and
-// feeding the circuit breaker. curp tracks the live batch: the
-// co-location fallback inside an attempt may shrink it.
+// execute runs the batch once and feeds the circuit breaker. The
+// pipeline is deterministic, so a failed batch is not retried: it
+// would fail the same way. curp tracks the live batch: the co-location
+// fallback inside the attempt may shrink it.
 func (w *worker) execute(ctx context.Context, curp *[]*job) {
 	s := w.svc
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := w.attempt(ctx, curp)
-		if err == nil {
-			w.breakerSuccess()
-			return
-		}
-		lastErr = err
-		if attempt >= s.cfg.MaxRetries || !isTransient(err) {
-			break
-		}
-		s.metrics.BatchRetries.Inc()
-		sleepInterruptible(ctx, s.stopCh, backoffDelay(attempt))
+	err := w.attempt(ctx, curp)
+	if err == nil {
+		w.breakerSuccess()
+		return
 	}
-	if errors.Is(lastErr, context.DeadlineExceeded) {
+	if errors.Is(err, context.DeadlineExceeded) {
 		s.metrics.BatchTimeouts.Inc()
-		lastErr = fmt.Errorf("batch deadline (%s) exceeded: %w", s.cfg.BatchTimeout, lastErr)
+		err = fmt.Errorf("batch deadline (%s) exceeded: %w", s.cfg.BatchTimeout, err)
 	}
-	w.fail(*curp, lastErr)
+	w.fail(*curp, err)
 	w.breakerFailure()
 }
 
@@ -341,7 +329,7 @@ func (w *worker) execute(ctx context.Context, curp *[]*job) {
 // the per-batch deadline, which descends from the service's run
 // context so a forced shutdown cancels the attempt mid-flight. On
 // success it records results and returns nil; any error leaves the
-// batch claimed for the caller's retry/fail decision.
+// batch claimed for the caller to fail.
 func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 	s := w.svc
 	batch := *curp
@@ -469,7 +457,7 @@ func (w *worker) compile(ctx context.Context, progs []*circuit.Circuit, strat co
 			res, err = nil, fmt.Errorf("compiler panic: %v", r)
 		}
 	}()
-	if err := w.svc.cfg.Faults.Visit(ctx, faultinject.SiteCompile); err != nil {
+	if err := w.svc.visitFault(ctx, siteCompile); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -506,7 +494,7 @@ func (w *worker) simulate(ctx context.Context, res *core.Result) (psts []float64
 			psts, err = nil, fmt.Errorf("simulator panic: %v", r)
 		}
 	}()
-	if err := w.svc.cfg.Faults.Visit(ctx, faultinject.SiteSimulate); err != nil {
+	if err := w.svc.visitFault(ctx, siteSimulate); err != nil {
 		return nil, err
 	}
 	return w.comp.SimulateContext(ctx, res, w.svc.cfg.Trials, w.nextSeed(), sim.DefaultNoise())
@@ -589,29 +577,6 @@ func (w *worker) breakerFailure() {
 			s.migrateLocked(w)
 		}
 	}
-}
-
-// isTransient reports whether the error advertises itself as
-// retryable via a Transient() bool method (net.Error style; the
-// fault-injection harness' burst errors do).
-func isTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
-// The retry backoff: retryBaseDelay << attempt, capped at retryMaxDelay.
-const (
-	retryBaseDelay = 50 * time.Millisecond
-	retryMaxDelay  = 2 * time.Second
-)
-
-// backoffDelay is the deterministic capped retry backoff for the
-// zero-based attempt number.
-func backoffDelay(attempt int) time.Duration {
-	if attempt > 30 {
-		return retryMaxDelay
-	}
-	return min(retryBaseDelay<<uint(attempt), retryMaxDelay)
 }
 
 // sleepInterruptible sleeps for d or until stop closes or ctx is

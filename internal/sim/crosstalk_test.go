@@ -97,9 +97,9 @@ func TestEffective2qErrMatrixSupersedesScalar(t *testing.T) {
 func TestLayer2qEdgesGating(t *testing.T) {
 	d := arch.IBMQ16(0)
 	layer := []router.Op{
-		{Program: 0, Gate: circuit.NewGate(circuit.GateCX, 0, 1)},
-		{Program: 0, Gate: circuit.NewGate(circuit.GateH, 2)},
-		{Program: 1, Gate: circuit.NewGate(circuit.GateSWAP, 5, 6), IsSwap: true},
+		{Program: 0, Gate: circuit.Gate{Name: circuit.GateCX, Qubits: []int{0, 1}}},
+		{Program: 0, Gate: circuit.Gate{Name: circuit.GateH, Qubits: []int{2}}},
+		{Program: 1, Gate: circuit.Gate{Name: circuit.GateSWAP, Qubits: []int{5, 6}}, IsSwap: true},
 	}
 	want := []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(5, 6)}
 	if got := layer2qEdges(d, layer, DefaultNoise()); !reflect.DeepEqual(got, want) {

@@ -52,18 +52,6 @@ type Outcome struct {
 	Trials int
 }
 
-// AvgPST returns the mean PST across programs.
-func (o *Outcome) AvgPST() float64 {
-	if len(o.PST) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range o.PST {
-		sum += p
-	}
-	return sum / float64(len(o.PST))
-}
-
 // layered is the schedule flattened into depth layers; measurements are
 // deferred to the very end (co-located programs cannot be measured until
 // every program's gates have run, §III-C).

@@ -135,10 +135,10 @@ func cluster66() (*arch.Device, *router.Schedule) {
 	d := arch.Linear(66, 0.01, 0.02)
 	s := &router.Schedule{Device: d}
 	for q := 0; q < 66; q++ {
-		s.Ops = append(s.Ops, router.Op{Gate: circuit.NewGate(circuit.GateH, q)})
+		s.Ops = append(s.Ops, router.Op{Gate: circuit.Gate{Name: circuit.GateH, Qubits: []int{q}}})
 	}
 	for q := 0; q+1 < 66; q++ {
-		s.Ops = append(s.Ops, router.Op{Gate: circuit.NewGate(circuit.GateCZ, q, q+1)})
+		s.Ops = append(s.Ops, router.Op{Gate: circuit.Gate{Name: circuit.GateCZ, Qubits: []int{q, q + 1}}})
 	}
 	for q := 0; q < 66; q++ {
 		s.Measurements = append(s.Measurements, router.Measurement{Logical: q, Phys: q})
@@ -211,10 +211,10 @@ func randomClifford(n int, ops []byte) (*arch.Device, *router.Schedule) {
 			if i%2 == 1 {
 				a, c = c, a
 			}
-			s.Ops = append(s.Ops, router.Op{Gate: circuit.NewGate(name, a, c), IsSwap: name == circuit.GateSWAP})
+			s.Ops = append(s.Ops, router.Op{Gate: circuit.Gate{Name: name, Qubits: []int{a, c}}, IsSwap: name == circuit.GateSWAP})
 			continue
 		}
-		s.Ops = append(s.Ops, router.Op{Gate: circuit.NewGate(name, q)})
+		s.Ops = append(s.Ops, router.Op{Gate: circuit.Gate{Name: name, Qubits: []int{q}}})
 	}
 	logical := [2]int{}
 	for q := 0; q < n; q++ {

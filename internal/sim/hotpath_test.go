@@ -77,7 +77,7 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 func lazyLine(d *arch.Device) *router.Schedule {
 	s := &router.Schedule{Device: d}
 	add := func(prog int, name string, theta float64, qs ...int) {
-		g := circuit.NewGate(name, qs...)
+		g := circuit.Gate{Name: name, Qubits: qs}
 		if name == circuit.GateRX {
 			g.Params = []float64{theta}
 		}

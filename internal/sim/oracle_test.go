@@ -450,7 +450,7 @@ func entangledSchedule(tb testing.TB, d *arch.Device, seed int64, clifford bool)
 	}
 	s := &router.Schedule{Device: d}
 	add := func(prog int, name string, qs ...int) {
-		g := circuit.NewGate(name, qs...)
+		g := circuit.Gate{Name: name, Qubits: qs}
 		if name == circuit.GateRX {
 			g.Params = []float64{rng.Float64() * 3}
 		}

@@ -397,16 +397,6 @@ func TestSimulateIdealTooManyQubits(t *testing.T) {
 	}
 }
 
-func TestOutcomeAvgPST(t *testing.T) {
-	o := &Outcome{PST: []float64{0.4, 0.6}}
-	if got := o.AvgPST(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("avg = %v", got)
-	}
-	if (&Outcome{}).AvgPST() != 0 {
-		t.Fatal("empty outcome avg must be 0")
-	}
-}
-
 func TestDeterministicWithSeed(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n4")

@@ -262,17 +262,6 @@ func (l *Log) Compact(live []Record) error {
 	return nil
 }
 
-// Sync flushes the file to stable storage (fsync). The service exposes
-// it for tests and shutdown; the append path deliberately skips it.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
 // Close syncs and closes the underlying file. Further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()

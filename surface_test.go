@@ -4,11 +4,14 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // testOnlyExports lists the exported internal/ functions ("pkg.Name")
@@ -21,91 +24,76 @@ var testOnlyExports = map[string]string{
 	"arch.Device.HostilePairs":     "cross-package test fixture",
 	"circuit.Circuit.S":            "the goldenPST fixtures build circuits with it",
 	"circuit.Circuit.Sdg":          "the goldenPST fixtures build circuits with it",
+	"circuit.Circuit.Y":            "the goldenPST fixtures build circuits with it",
 	"circuit.Circuit.Z":            "the goldenPST fixtures build circuits with it",
 	"circuit.Circuit.SWAP":         "the goldenPST fixtures build circuits with it",
 	"circuit.Circuit.MeasureCount": "cross-package test fixture",
 	"graph.Graph.Connected":        "cross-package test fixture",
 	"graph.Graph.SubsetConnected":  "cross-package test fixture",
-	"core.Strategy.MarshalJSON":    "encoding/json calls it",
-	"core.Strategy.UnmarshalJSON":  "encoding/json calls it",
 	"router.RouteSingle":           "cross-package test fixture",
 	"fp.Eq":                        "the comparison the floateq lint check prescribes",
 	"lint.CheckFile":               "the lint fixtures' loader",
-	"srb.EstimateMatrix":           "awaits a consumer or its deletion (ROADMAP, SRB item)",
-}
-
-// surfaceSkip lists internal/ packages the guard does not inspect.
-var surfaceSkip = map[string]string{
-	"internal/faultinject": "its API belongs to the chaos suite; Config.Faults is nil in production",
 }
 
 // TestNoTestOnlyExports guards against library surface nothing runs.
-// An exported top-level function under internal/ must be named by some
-// non-test file besides its own declaration; an exported method must
-// appear as a selector (x.Name) or as an interface method in some
-// non-test file. Every non-test .go file in the tree counts as a caller,
-// bench/ (its own module), cmd/ and examples/ included; analyzer
-// fixtures under testdata/ do not. Matching is by name only, so a
-// same-named identifier elsewhere can hide dead code but never flags
-// live code.
+// An exported top-level function or method under internal/ must be
+// referenced by some non-test file besides its own declaration, or, for
+// a method, its receiver type must implement an interface that has the
+// method (fmt.Stringer, fleet.Policy, ...: callers reach it through
+// the interface). References and implementations are resolved by type,
+// so a same-named function or method elsewhere never hides a dead one.
+// Every non-test package that lint.LoadModule loads counts as a caller:
+// cmd/, examples/ and bench/ (its own module, type-checked here from
+// the same source) included; analyzer fixtures under testdata/ do not.
 func TestNoTestOnlyExports(t *testing.T) {
-	used := map[string]bool{}      // identifier names outside those declarations
-	selected := map[string]bool{}  // selector and interface-method names
-	funcs := map[string]string{}   // "pkg.Name" -> Name, per exported function
-	methods := map[string]string{} // "pkg.Type.Name" -> Name, per exported method
-	declIdents := map[*ast.Ident]bool{}
-	files := nonTestFiles(t)
-	for _, sf := range files {
-		if !sf.inspected() {
+	t.Parallel()
+	pkgs, err := lint.LoadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[*types.Func]string{} // exported internal/ funcs and methods -> "pkg.Name" / "pkg.Type.Name"
+	used := map[*types.Func]bool{}    // referenced outside their declaration
+	for _, p := range pkgs {
+		if len(p.TypeErrors) > 0 {
+			t.Fatalf("%s: %v", p.Rel, p.TypeErrors[0])
+		}
+		for _, obj := range p.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
+		if !strings.HasPrefix(p.Rel, "internal/") {
 			continue
 		}
-		f := sf.f
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			if fn.Recv == nil {
-				funcs[f.Name.Name+"."+fn.Name.Name] = fn.Name.Name
-				declIdents[fn.Name] = true
-				continue
-			}
-			recv := fn.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
-				methods[f.Name.Name+"."+id.Name+"."+fn.Name.Name] = fn.Name.Name
-			}
-		}
-	}
-	for _, sf := range files {
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if !declIdents[n] {
-					used[n.Name] = true
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
 				}
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						selected[name.Name] = true
+				fn := p.Info.Defs[fd.Name].(*types.Func)
+				name := fn.Pkg().Name() + "." + fn.Name()
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					typ := recv.Type()
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
 					}
+					named := typ.(*types.Named).Obj()
+					if !named.Exported() {
+						continue
+					}
+					name = fn.Pkg().Name() + "." + named.Name() + "." + fn.Name()
 				}
+				decls[fn] = name
 			}
-			return true
-		})
-	}
-	var dead []string
-	for name, ident := range funcs {
-		if _, ok := testOnlyExports[name]; !ok && !used[ident] {
-			dead = append(dead, name)
 		}
 	}
-	for name, ident := range methods {
-		if _, ok := testOnlyExports[name]; !ok && !selected[ident] {
+	ifaces := interfacesByMethod(pkgs)
+	listed := map[string]bool{}
+	var dead []string
+	for fn, name := range decls {
+		listed[name] = true
+		if _, ok := testOnlyExports[name]; !ok && !used[fn] && !implementsWith(fn, ifaces[fn.Name()]) {
 			dead = append(dead, name)
 		}
 	}
@@ -114,12 +102,67 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("%s is exported but no non-test file calls it: delete it, or allowlist it with a reason", name)
 	}
 	for name := range testOnlyExports {
-		_, isFunc := funcs[name]
-		_, isMethod := methods[name]
-		if !isFunc && !isMethod {
+		if !listed[name] {
 			t.Errorf("allowlisted %s is not an exported internal/ function or method", name)
 		}
 	}
+}
+
+// interfacesByMethod indexes, by method name, the named interfaces of
+// the loaded packages and of everything they import, standard library
+// included. Generic interfaces are left out: go/types cannot test an
+// uninstantiated one.
+func interfacesByMethod(pkgs []*lint.Package) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.Types)
+	}
+	return byName
+}
+
+// implementsWith reports whether fn is a method whose receiver type, as
+// a value or a pointer, implements one of the interfaces.
+func implementsWith(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	for _, it := range ifaces {
+		if types.Implements(typ, it) || types.Implements(types.NewPointer(typ), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // srcFile is one parsed non-test Go file and its slash-separated
@@ -129,11 +172,9 @@ type srcFile struct {
 	f   *ast.File
 }
 
-// inspected reports whether the file belongs to an internal/ package
-// the guards inspect.
+// inspected reports whether the file belongs to an internal/ package.
 func (sf srcFile) inspected() bool {
-	_, skip := surfaceSkip[sf.dir]
-	return !skip && strings.HasPrefix(sf.dir, "internal/")
+	return strings.HasPrefix(sf.dir, "internal/")
 }
 
 // nonTestFiles parses every non-test .go file in the tree, bench/ (its
@@ -172,10 +213,7 @@ func nonTestFiles(t *testing.T) []srcFile {
 // testOnlyConfigFields lists the exported fields of internal/ Config
 // and *Options structs ("pkg.Type.Field") that no program sets and that
 // stay on purpose, each with its reason.
-var testOnlyConfigFields = map[string]string{
-	"service.Config.Faults": "the chaos suite's fault-injection hook; nil in production",
-	"srb.Config.Length":     "awaits a consumer or its deletion (ROADMAP, SRB item)",
-}
+var testOnlyConfigFields = map[string]string{}
 
 // TestNoConfigFieldOnlyTestsSet guards against knobs no program turns.
 // Every exported field of an internal/ struct named Config or *Options
