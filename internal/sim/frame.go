@@ -17,18 +17,30 @@ package sim
 //     order. With noise off there are no sites and this is the per-trial
 //     tableau's draw sequence exactly.
 //
-// A (trial, component) pair takes one of three tiers. Clean: no hit, the
+// A (trial, component) pair takes one of five tiers. Clean: no hit, the
 // outcomes are the reference's affine function of the trial's picks.
 // Frame-only: Pauli hits, which the frame carries through the gates and
-// which flip the outcomes their X part reaches. Decayed: a decay is a
-// reset, which no Pauli frame represents, so the pair re-runs from reset on
-// its own tableau with the trial's hits in site order. A component with
-// more than 64 random measurements always re-runs. Every tier measures bit
-// for bit what a per-trial tableau fed the same hits and picks would.
+// which flip the outcomes their X part reaches. Decay-as-frame: decays
+// too, each where the reference holds its qubit in a Z eigenstate |v>, so
+// the decay leaves the trial's state a Pauli frame times the reference
+// with the slot's X bit set to v. Branch: one decay where the reference's
+// qubit is random, and none after it on the component. Prepare built that
+// site a branch reference — the reference projected to Z_q = 0, then run
+// through the remaining ops — and the reference stabilizer g that
+// anticommutes with Z_q; since Π₁|ψ> = g·Π₀|ψ>, the decay multiplies the
+// frame by g when coin ⊕ x_q is 1, sets x_q ^= coin, and the pair reads
+// the branch's affine outcomes. Re-run: any other decay — a random one
+// without a branch, or one after a branch decay — is a reset no frame
+// over those references represents, so the pair re-runs from reset on its
+// own tableau with the trial's hits in site order. A component with more
+// than 64 random measurements always re-runs, and a branch with that many
+// is not built. Every tier measures bit for bit what a per-trial tableau
+// fed the same hits and picks would.
 
 import (
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // siteKind is what a lattice hit draws after its gap, and what it does.
@@ -37,7 +49,9 @@ type siteKind uint8
 const (
 	site2q      siteKind = iota // a two-qubit op's Pauli: pick2, then Intn(3)
 	site1q                      // a one-qubit op's Pauli: Intn(3)
-	siteIdle                    // an idle qubit's decay: its coin, Intn(2)
+	siteIdle                    // an idle qubit's decay: its coin, Intn(2); the pair re-runs
+	siteSet                     // a decay on a Z-deterministic qubit: its coin; b is its outcome
+	siteBranch                  // a decay on a random qubit: its coin; b is its branch
 	siteReadout                 // a plan point's readout flip: nothing
 )
 
@@ -49,11 +63,11 @@ type latticeSite struct {
 	a, b int32 // slots (b: a two-qubit op's second); a readout's plan index
 }
 
-// latticeHit is one hit of a shard's lattice. what holds a Pauli's frame
-// bits (X 1, Z 2, Y 3) or hitDecay plus the decay's coin.
+// latticeHit is one hit of a shard's lattice, on site. what holds a
+// Pauli's frame bits (X 1, Z 2, Y 3) or hitDecay plus the decay's coin.
 type latticeHit struct {
-	step, trial, slot int32
-	what              uint8
+	step, trial, slot, site int32
+	what                    uint8
 }
 
 const hitDecay = 4
@@ -69,13 +83,34 @@ type frameOp struct {
 	a, b, step int32
 }
 
-// framePoint is a plan point's noiseless outcome as an affine function of
-// its component's random picks: its correct bit (all picks 0) ^
+// framePoint is a plan point's qubit: its component, its bit there, and
+// its index among that component's points in plan order.
+type framePoint struct {
+	comp, bit, idx int32
+}
+
+// outcome is a plan point's noiseless outcome on a reference as an affine
+// function of its component's random picks: correct (all picks 0) ^
 // parity(dep & picks), or the pick of rank when the point is itself
 // random (rank -1 when it is not).
-type framePoint struct {
-	comp, bit, rank int32
-	dep             uint64
+type outcome struct {
+	correct, rank int32
+	dep           uint64
+}
+
+// slotPauli is one qubit of a Pauli on a component: its slot and frame
+// bits (X 1, Z 2, Y 3).
+type slotPauli struct {
+	slot int32
+	what uint8
+}
+
+// branch is what a random decay site moves a pair onto: g, the reference
+// stabilizer that anticommutes with Z_q there, and the outcomes of the
+// reference projected to Z_q = 0, per point of the component.
+type branch struct {
+	g   []slotPauli
+	out []outcome
 }
 
 // framePlan is what every shard of a compiled tableau program reads:
@@ -85,6 +120,9 @@ type framePlan struct {
 	ops    []frameOp   // the ops that move a frame: H, S, S†, CX, CZ
 	comps  [][]frameOp // per component, every op its tableau runs
 	points []framePoint
+	ref    [][]outcome // per component: its points' outcomes on the reference
+	// branches are the siteBranch sites' references.
+	branches []branch
 	// measured lists the components with plan points, the only ones a
 	// trial re-runs; perTrial marks those with more than 64 random
 	// measurements, which re-run every trial.
@@ -102,8 +140,8 @@ func (fp *framePlan) addSite(kind siteKind, p float64, step, a, b int) {
 }
 
 // prepareFrames is prepare for the tableau engine: the noiseless reference
-// run, each plan point's correct bit and affine outcome, the readout sites
-// and the op lists the shards walk.
+// run, each plan point's correct bit and affine outcome, the readout sites,
+// the op lists the shards walk and each idle site's resolution.
 func prepareFrames(cp *compiledProgram, plan []measPoint) {
 	f, fp := cp.fac, cp.frames
 	step := 0
@@ -127,52 +165,149 @@ func prepareFrames(cp *compiledProgram, plan []measPoint) {
 		}
 	}
 
+	fp.points = make([]framePoint, len(plan))
+	measured := make([][]int32, len(f.sizes)) // per component: its points' bits, in plan order
+	for i := range plan {
+		c, b := f.comp[plan[i].q], int32(f.bit[plan[i].q])
+		fp.points[i] = framePoint{comp: int32(c), bit: b, idx: int32(len(measured[c]))}
+		measured[c] = append(measured[c], b)
+	}
 	ref := newStabilizer(f)
 	cp.runGates(ref)
-	fp.points = make([]framePoint, len(plan))
+	fp.ref = make([][]outcome, len(f.sizes))
 	fp.perTrial = make([]bool, len(f.sizes))
-	byComp := make([][]int, len(f.sizes)) // plan indices, in plan order
-	for i := range plan {
-		c := f.comp[plan[i].q]
-		byComp[c] = append(byComp[c], i)
-		fp.points[i] = framePoint{comp: int32(c), bit: int32(f.bit[plan[i].q]), rank: -1}
-	}
-	for c, pts := range byComp {
-		if len(pts) == 0 {
-			continue
+	for c, bits := range measured {
+		if len(bits) > 0 {
+			fp.measured = append(fp.measured, int32(c))
+			var ok bool
+			fp.ref[c], ok = outcomes(ref.comps[c], newPtab(f.sizes[c]), bits)
+			fp.perTrial[c] = !ok
 		}
-		fp.measured = append(fp.measured, int32(c))
-		// One pass measures c's points in plan order on a copy of the
-		// reference, the j-th random outcome picked as bit j of picks.
-		work, out := newPtab(f.sizes[c]), make([]int, len(pts))
-		var picks uint64
-		drawn := 0
-		pick := func() bool { b := picks>>uint(drawn)&1 == 1; drawn++; return b }
-		pass := func(p uint64) {
-			picks, drawn = p, 0
-			work.copyFrom(ref.comps[c])
-			for n, i := range pts {
-				before := drawn
-				out[n] = work.measure(int(fp.points[i].bit), pick)
-				if p == 0 && drawn > before && drawn <= 64 {
-					fp.points[i].rank = int32(before)
+	}
+	for i, pt := range fp.points {
+		plan[i].correct = int(fp.ref[pt.comp][pt.idx].correct)
+	}
+	resolveDecays(cp, measured)
+}
+
+// outcomes measures a component's points, bits in plan order, on copies
+// of tab made in work, the j-th random outcome picked as bit j of picks:
+// once with every pick 0, which gives each point's correct bit and each
+// random point's rank, then once per pick with that pick alone set.
+// Outcomes are affine over GF(2) in the picks, so that gives each point's
+// dep. It reports false, with the correct bits only, when more than 64
+// outcomes are random.
+func outcomes(tab, work *ptab, bits []int32) ([]outcome, bool) {
+	out := make([]outcome, len(bits))
+	var picks uint64
+	drawn := 0
+	pick := func() bool { b := picks>>uint(drawn)&1 == 1; drawn++; return b }
+	work.copyFrom(tab)
+	for n, q := range bits {
+		before := drawn
+		out[n] = outcome{correct: int32(work.measure(int(q), pick)), rank: -1}
+		if drawn > before {
+			out[n].rank = int32(before)
+		}
+	}
+	random := drawn
+	if random > 64 {
+		return out, false
+	}
+	for k := range random {
+		picks, drawn = 1<<uint(k), 0
+		work.copyFrom(tab)
+		for n, q := range bits {
+			out[n].dep |= uint64(work.measure(int(q), pick)^int(out[n].correct)) << uint(k)
+		}
+	}
+	return out, true
+}
+
+// resolveDecays walks the reference op by op and resolves each idle site
+// of a measured component that does not re-run every trial, at its step:
+// a qubit the reference holds in a Z eigenstate makes it a siteSet with
+// that outcome; a random one a siteBranch, with the pivot row as g and
+// the projected reference's outcomes, unless those have more than 64
+// random picks. A slot's random sites share one branch until its
+// component's next op, which is all a branch depends on. Every other idle
+// site stays a siteIdle.
+func resolveDecays(cp *compiledProgram, measured [][]int32) {
+	f, fp := cp.fac, cp.frames
+	slots := make([][]int32, len(f.sizes)) // per component: each bit's slot
+	for c, k := range f.sizes {
+		slots[c] = make([]int32, k)
+	}
+	for s, c := range f.comp {
+		slots[c][f.bit[s]] = int32(s)
+	}
+	ref := newStabilizer(f)
+	proj, work := make([]*ptab, len(f.sizes)), make([]*ptab, len(f.sizes))
+	zero := func() bool { return false }
+	// A slot's branch holds until its component's next op: ran counts each
+	// component's ops run, last each slot's branch and the count it was
+	// built at.
+	ran := make([]int, len(f.sizes))
+	type built struct{ ran, b int }
+	last := make([]built, len(f.slot))
+	for s := range last {
+		last[s].ran = -1
+	}
+	e, step := 0, 0
+	resolve := func() {
+		for ; e < len(fp.sites) && int(fp.sites[e].step) <= step; e++ {
+			st := &fp.sites[e]
+			c := f.comp[st.a]
+			if st.kind != siteIdle || len(measured[c]) == 0 || fp.perTrial[c] {
+				continue
+			}
+			if l := last[st.a]; l.ran == ran[c] {
+				st.kind, st.b = siteBranch, int32(l.b)
+				continue
+			}
+			tb, q := ref.at(int(st.a))
+			p := tb.pivot(q)
+			if p < 0 {
+				st.kind, st.b = siteSet, int32(tb.deterministic(q))
+				continue
+			}
+			var br branch
+			pw, pb := p>>6, uint(p&63)
+			for j, slot := range slots[c] {
+				x, z := tb.col(tb.x, j)[pw]>>pb&1, tb.col(tb.z, j)[pw]>>pb&1
+				if x|z != 0 {
+					br.g = append(br.g, slotPauli{slot, uint8(x | z<<1)})
 				}
 			}
-		}
-		pass(0)
-		for n, i := range pts {
-			plan[i].correct = out[n]
-		}
-		if fp.perTrial[c] = drawn > 64; fp.perTrial[c] {
-			continue
-		}
-		for k := range drawn {
-			pass(1 << uint(k))
-			for n, i := range pts {
-				fp.points[i].dep |= uint64(out[n]^plan[i].correct) << uint(k)
+			if proj[c] == nil {
+				proj[c], work[c] = newPtab(f.sizes[c]), newPtab(f.sizes[c])
+			}
+			pr, ops := proj[c], fp.comps[c]
+			pr.copyFrom(tb)
+			pr.measure(q, zero)
+			for _, op := range ops[sort.Search(len(ops), func(i int) bool { return int(ops[i].step) >= step }):] {
+				pr.apply(op.kind, int(op.a), int(op.b))
+			}
+			var ok bool
+			if br.out, ok = outcomes(pr, work[c], measured[c]); ok {
+				st.kind, st.b = siteBranch, int32(len(fp.branches))
+				last[st.a] = built{ran[c], len(fp.branches)}
+				fp.branches = append(fp.branches, br)
 			}
 		}
 	}
+	for li := range cp.layers {
+		for _, op := range cp.layers[li].ops {
+			resolve()
+			tb, a := ref.at(op.a)
+			tb.apply(op.kind, a, ref.bit[op.b])
+			if op.kind != opSWAP {
+				ran[f.comp[op.a]]++
+			}
+			step++
+		}
+	}
+	resolve()
 }
 
 // pauliFrames is the tableau engine's shard register: the shard's lattice
@@ -180,15 +315,19 @@ func prepareFrames(cp *compiledProgram, plan []measPoint) {
 type pauliFrames struct {
 	f *factoring
 	// x and z hold each slot's frame bits, ⌈n/64⌉ words per slot; dec each
-	// component's decayed trials and ro each plan point's readout flips,
+	// component's re-run trials and ro each plan point's readout flips,
 	// laid out alike.
 	x, z, dec, ro []uint64
+	// br holds each measured (component, trial) pair's branch plus one, 0
+	// when it is on the reference, at component*shardTrials + trial.
+	br            []int32
 	hits, byTrial []latticeHit
-	ends          []int32  // trial t's hits are byTrial[ends[t-1]:ends[t]]
-	tabs          []*ptab  // per measured component
-	rerun         []bool   // per component: this trial runs on its tableau
-	picks         []uint64 // per component: this trial's picks, each ^ its frame bit
-	out           []int    // this trial's outcome per plan point
+	ends          []int32     // trial t's hits are byTrial[ends[t-1]:ends[t]]
+	tabs          []*ptab     // per measured component
+	rerun         []bool      // per component: this trial runs on its tableau
+	table         [][]outcome // per component: the outcomes this trial reads
+	picks         []uint64    // per component: this trial's picks, each ^ its frame bit
+	out           []int       // this trial's outcome per plan point
 	wrong         []int
 }
 
@@ -198,8 +337,9 @@ func newPauliFrames(cp *compiledProgram, progs int) *pauliFrames {
 	r := &pauliFrames{f: f,
 		x: make([]uint64, len(f.slot)*w), z: make([]uint64, len(f.slot)*w),
 		dec: make([]uint64, len(f.sizes)*w), ro: make([]uint64, len(cp.frames.points)*w),
+		br:   make([]int32, len(f.sizes)*shardTrials),
 		ends: make([]int32, shardTrials+1), tabs: make([]*ptab, len(f.sizes)),
-		rerun: make([]bool, len(f.sizes)), picks: make([]uint64, len(f.sizes)),
+		rerun: make([]bool, len(f.sizes)), table: make([][]outcome, len(f.sizes)), picks: make([]uint64, len(f.sizes)),
 		out: make([]int, len(cp.frames.points)), wrong: make([]int, progs)}
 	for _, c := range cp.frames.measured {
 		r.tabs[c] = newPtab(f.sizes[c])
@@ -225,13 +365,16 @@ func (r *pauliFrames) shard(cp *compiledProgram, plan []measPoint, n int, rng *s
 }
 
 // sample draws the shard's lattice over its n trials: the hits in site
-// order (a trial's in byTrial too), the decayed pairs and the readout
-// flips.
+// order (a trial's in byTrial too), the branch and re-run pairs and the
+// readout flips.
 func (r *pauliFrames) sample(cp *compiledProgram, n int, rng *stream) {
 	fp, words := cp.frames, (n+63)>>6
 	r.hits = r.hits[:0]
 	clear(r.dec)
 	clear(r.ro)
+	for _, c := range fp.measured {
+		clear(r.br[int(c)*shardTrials : int(c)*shardTrials+n])
+	}
 	for i := range fp.sites {
 		st := &fp.sites[i]
 		for t := 0; t < n; t++ {
@@ -241,19 +384,28 @@ func (r *pauliFrames) sample(cp *compiledProgram, n int, rng *stream) {
 			}
 			t += int(g)
 			w, bit := t>>6, uint64(1)<<uint(t&63)
-			h := latticeHit{step: st.step, trial: int32(t), slot: st.a}
+			h := latticeHit{step: st.step, trial: int32(t), slot: st.a, site: int32(i)}
 			switch st.kind {
 			case site2q:
 				h.slot = int32(pick2(int(st.a), int(st.b), rng))
 				h.what = pauliOf[rng.Intn(3)]
 			case site1q:
 				h.what = pauliOf[rng.Intn(3)]
-			case siteIdle:
-				h.what = hitDecay | uint8(rng.Intn(2))
-				r.dec[r.f.comp[st.a]*words+w] |= bit
 			case siteReadout:
 				r.ro[int(st.a)*words+w] |= bit
 				continue
+			default:
+				// A decay re-runs its pair when it has no frame update or
+				// follows the pair's branch decay; the first branch decay
+				// moves the pair onto its branch.
+				h.what = hitDecay | uint8(rng.Intn(2))
+				c := r.f.comp[st.a]
+				switch br := &r.br[c*shardTrials+t]; {
+				case st.kind == siteIdle || *br != 0:
+					r.dec[c*words+w] |= bit
+				case st.kind == siteBranch:
+					*br = st.b + 1
+				}
 			}
 			r.hits = append(r.hits, h)
 		}
@@ -275,9 +427,13 @@ func (r *pauliFrames) sample(cp *compiledProgram, n int, rng *stream) {
 }
 
 // propagate runs the frame pass: every frame starts at the identity, each
-// op moves the frames of its slots (64 trials a word) and each Pauli hit
-// flips its trial's bits where it lands. SWAP was lowered to a relabel and
-// X, Y, Z leave a frame alone.
+// op moves the frames of its slots (64 trials a word) and each hit acts on
+// its trial's bits where it lands — a Pauli flips them, a siteSet decay
+// sets the X bit to the reference's outcome, and a siteBranch decay
+// multiplies the frame by its g when coin ⊕ x_q is 1, then flips x_q by
+// the coin. A siteIdle decay leaves the frame alone, and a re-run pair's
+// frame is never read, whatever its decays did to it. SWAP was lowered to
+// a relabel and X, Y, Z leave a frame alone.
 func (r *pauliFrames) propagate(fp *framePlan, n int) {
 	words := (n + 63) >> 6
 	x, z := r.x[:len(r.f.slot)*words], r.z[:len(r.f.slot)*words]
@@ -285,15 +441,30 @@ func (r *pauliFrames) propagate(fp *framePlan, n int) {
 	clear(z)
 	hits, e := r.hits, 0
 	flip := func(h latticeHit) {
-		if h.what >= hitDecay {
+		tw, bit := int(h.trial>>6), uint64(1)<<uint(h.trial&63)
+		i := int(h.slot)*words + tw
+		if h.what < hitDecay {
+			if h.what&1 != 0 {
+				x[i] ^= bit
+			}
+			if h.what&2 != 0 {
+				z[i] ^= bit
+			}
 			return
 		}
-		i, bit := int(h.slot)*words+int(h.trial>>6), uint64(1)<<uint(h.trial&63)
-		if h.what&1 != 0 {
-			x[i] ^= bit
-		}
-		if h.what&2 != 0 {
-			z[i] ^= bit
+		switch st := &fp.sites[h.site]; st.kind {
+		case siteSet:
+			x[i] = x[i]&^bit | -uint64(st.b)&bit
+		case siteBranch:
+			coin := -uint64(h.what&1) & bit
+			if (x[i]^coin)&bit != 0 {
+				for _, g := range fp.branches[st.b].g {
+					j := int(g.slot)*words + tw
+					x[j] ^= -uint64(g.what&1) & bit
+					z[j] ^= -uint64(g.what>>1) & bit
+				}
+			}
+			x[i] ^= coin
 		}
 	}
 	for _, op := range fp.ops {
@@ -334,7 +505,8 @@ func (r *pauliFrames) propagate(fp *framePlan, n int) {
 
 // measure fills r.out with trial t's outcomes, readout flips included,
 // drawing its picks from rng: a re-run pair measures its tableau, any
-// other point reads the reference's affine outcome and its frame's X bit.
+// other point reads its reference's affine outcome — the branch's for a
+// pair on one — and its frame's X bit.
 func (r *pauliFrames) measure(cp *compiledProgram, plan []measPoint, n, t int, rng *stream) {
 	fp, words := cp.frames, (n+63)>>6
 	w, sh := t>>6, uint(t&63)
@@ -344,21 +516,24 @@ func (r *pauliFrames) measure(cp *compiledProgram, plan []measPoint, n, t int, r
 	}
 	for _, c := range fp.measured {
 		r.rerun[c] = fp.perTrial[c] || r.dec[int(c)*words+w]>>sh&1 != 0
+		r.table[c] = fp.ref[c]
 		if r.rerun[c] {
 			r.replay(fp, int(c), r.byTrial[lo:r.ends[t]])
+		} else if b := r.br[int(c)*shardTrials+t]; b != 0 {
+			r.table[c] = fp.branches[b-1].out
 		}
 	}
 	clear(r.picks)
 	for i := range plan {
 		pt, b := &fp.points[i], 0
-		switch xb := int(r.x[plan[i].q*words+w] >> sh & 1); {
-		case r.rerun[pt.comp]:
+		xb := int(r.x[plan[i].q*words+w] >> sh & 1)
+		if r.rerun[pt.comp] {
 			b = r.tabs[pt.comp].measureT(int(pt.bit), rng)
-		case pt.rank >= 0:
+		} else if o := &r.table[pt.comp][pt.idx]; o.rank >= 0 {
 			b = rng.Intn(2)
-			r.picks[pt.comp] |= uint64(b^xb) << uint(pt.rank)
-		default:
-			b = plan[i].correct ^ bits.OnesCount64(pt.dep&r.picks[pt.comp])&1 ^ xb
+			r.picks[pt.comp] |= uint64(b^xb) << uint(o.rank)
+		} else {
+			b = int(o.correct) ^ bits.OnesCount64(o.dep&r.picks[pt.comp])&1 ^ xb
 		}
 		r.out[i] = b ^ int(r.ro[i*words+w]>>sh&1)
 	}

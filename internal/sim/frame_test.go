@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,9 +18,19 @@ import (
 )
 
 // latticeTiers counts the (trial, measured component) pairs of each tier
-// over the shards latticeMatches ran: no hit, Pauli hits only, and re-run
-// on the component's tableau.
-type latticeTiers struct{ clean, frame, rerun int }
+// over the shards latticeMatches ran: no hit, Pauli hits only, decays on
+// Z-deterministic qubits only (frame updates), one random decay that
+// moves the pair onto its branch with no decay after it, and re-run on
+// the component's tableau.
+type latticeTiers struct{ clean, frame, decayFrame, branch, rerun int }
+
+func (a *latticeTiers) add(b latticeTiers) {
+	a.clean, a.frame, a.decayFrame, a.branch, a.rerun = a.clean+b.clean, a.frame+b.frame, a.decayFrame+b.decayFrame, a.branch+b.branch, a.rerun+b.rerun
+}
+
+func (a latticeTiers) all() bool {
+	return a.clean > 0 && a.frame > 0 && a.decayFrame > 0 && a.branch > 0 && a.rerun > 0
+}
 
 // latticeMatches holds the shard's fast path to a per-trial tableau fed
 // the same lattice: for each seed it samples one shard of n trials, then
@@ -53,17 +64,27 @@ func latticeMatches(t testing.TB, name string, d *arch.Device, s *router.Schedul
 					hits = append(hits, h)
 				}
 			}
-			// The pair's tier, from the lattice alone.
+			// The pair's tier, from the lattice and its sites alone.
 			paulis := make([]bool, len(f.sizes))
+			decays := make([][]siteKind, len(f.sizes)) // per component, in site order
 			for _, h := range hits {
+				c := f.comp[h.slot]
 				if h.what < hitDecay {
-					paulis[f.comp[h.slot]] = true
+					paulis[c] = true
+				} else {
+					decays[c] = append(decays[c], cp.frames.sites[h.site].kind)
 				}
 			}
 			for _, c := range cp.frames.measured {
+				d := decays[c]
+				at := slices.Index(d, siteBranch)
 				switch {
-				case cp.frames.perTrial[c] || fast.dec[int(c)*words+trial>>6]>>uint(trial&63)&1 != 0:
+				case cp.frames.perTrial[c] || slices.Contains(d, siteIdle) || at >= 0 && at < len(d)-1:
 					tiers.rerun++
+				case at >= 0:
+					tiers.branch++
+				case len(d) > 0:
+					tiers.decayFrame++
 				case paulis[c]:
 					tiers.frame++
 				default:
@@ -151,7 +172,7 @@ func cluster66() (*arch.Device, *router.Schedule) {
 // 80-row columns span two words; corners16), a grid pair with a raised
 // idle rate, and a component past 64 random measurements, the frames
 // measure what a per-trial tableau fed the same hits and picks measures,
-// trial by trial, and every tier occurs.
+// trial by trial, and all five tiers occur, on the grid pair alone too.
 func TestLatticeMatchesPerTrialTableau(t *testing.T) {
 	d16, d50 := arch.IBMQ16(0), arch.IBMQ50(0)
 	mix, mixProgs := cliffordMix50(t, d50)
@@ -176,12 +197,13 @@ func TestLatticeMatchesPerTrialTableau(t *testing.T) {
 		{"cluster66", cd, cluster, 1, DefaultNoise(), 70},
 	} {
 		tiers := latticeMatches(t, fx.name, fx.d, fx.s, fx.progs, fx.noise, 2, fx.n)
-		if fx.name == "grid" && (tiers.clean == 0 || tiers.frame == 0 || tiers.rerun == 0) {
+		t.Logf("%s: tiers %+v", fx.name, tiers)
+		if fx.name == "grid" && !tiers.all() {
 			t.Errorf("grid: tiers %+v, want every tier", tiers)
 		}
-		all.clean, all.frame, all.rerun = all.clean+tiers.clean, all.frame+tiers.frame, all.rerun+tiers.rerun
+		all.add(tiers)
 	}
-	if all.clean == 0 || all.frame == 0 || all.rerun == 0 {
+	if !all.all() {
 		t.Fatalf("tiers %+v, want every tier", all)
 	}
 	cp, plan, err := lowerSchedule(cd, cluster, 1, DefaultNoise(), engineTableau)
@@ -191,6 +213,54 @@ func TestLatticeMatchesPerTrialTableau(t *testing.T) {
 	prepare(engineTableau, cp, plan, 1)
 	if !cp.frames.perTrial[0] {
 		t.Fatal("cluster66's component has more than 64 random measurements but does not re-run every trial")
+	}
+}
+
+// TestDecayTiersAtRateOne pins the two decay tiers on a schedule where
+// every idle site fires in every trial. Wire 0 is flipped to |1> by X and
+// wire 1 put in |+> by H; both idle while wire 2 runs a second H. Wire
+// 0's decay is a frame update that sets its X bit to the reference's 1,
+// so it measures 0 in every trial; wire 1's moves the pair onto its
+// branch, which measures 0 too. No pair re-runs.
+func TestDecayTiersAtRateOne(t *testing.T) {
+	d := arch.Linear(3, 0, 0)
+	s := &router.Schedule{Device: d}
+	for _, g := range []circuit.Gate{
+		{Name: circuit.GateX, Qubits: []int{0}},
+		{Name: circuit.GateH, Qubits: []int{1}},
+		{Name: circuit.GateH, Qubits: []int{2}},
+		{Name: circuit.GateH, Qubits: []int{2}},
+	} {
+		s.Ops = append(s.Ops, router.Op{Gate: g})
+	}
+	s.Measurements = []router.Measurement{{Program: 0, Phys: 0}, {Program: 1, Phys: 1}}
+	noise := NoiseModel{Enabled: true, IdleErrPerLayer: 1}
+	tiers := latticeMatches(t, "rate1", d, s, 2, noise, 2, shardTrials)
+	if want := (latticeTiers{decayFrame: 2 * shardTrials, branch: 2 * shardTrials}); tiers != want {
+		t.Fatalf("tiers %+v, want %+v", tiers, want)
+	}
+
+	cp, plan, err := lowerSchedule(d, s, 2, noise, engineTableau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare(engineTableau, cp, plan, shardTrials)
+	var kinds []siteKind
+	for _, st := range cp.frames.sites {
+		kinds = append(kinds, st.kind)
+	}
+	if want := []siteKind{siteSet, siteBranch}; !reflect.DeepEqual(kinds, want) || cp.frames.sites[0].b != 1 {
+		t.Fatalf("sites %+v, want a siteSet to 1 on wire 0, then a siteBranch on wire 1", cp.frames.sites)
+	}
+	r, succ := newPauliFrames(cp, 2), make([]int, 2)
+	r.shard(cp, plan, shardTrials, newStream(7), succ)
+	if want := []int{0, shardTrials}; !reflect.DeepEqual(succ, want) {
+		t.Errorf("successes %v, want %v: wire 0 measures 0 against its correct 1, wire 1 its correct 0", succ, want)
+	}
+	for c, v := range r.dec {
+		if v != 0 {
+			t.Fatalf("component word %d re-runs trials %#x, want none", c, v)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -220,26 +221,25 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 	if err := fac.finish(engine); err != nil {
 		return nil, err
 	}
-	// Price a trial: an op or idle draw touches its component only — a
-	// statevector one sweeps its 2^k amplitudes, a tableau one is priced
-	// at 2k*ceil(k/64) (minParallelWork). Number the statevector's
+	// Price a statevector trial: an op or idle draw sweeps its own
+	// component's 2^k amplitudes (minParallelWork); the tableau is priced
+	// by what its shards do (tableauWork). Number the statevector's
 	// checkpoints: a component's state after its j-th non-SWAP op is
 	// checkpoint j (0 is |0...0>); a gate records its component's after
 	// it, a SWAP both components' current ones, an idle entry its
 	// component's at the end of the layer.
-	cost := func(slot int) int64 {
-		k := fac.sizes[fac.comp[slot]]
+	sweep := func(slot int) int64 {
 		if engine == engineTableau {
-			return int64(2*k) * int64((k+63)/64)
+			return 0
 		}
-		return 1 << uint(k)
+		return 1 << uint(fac.sizes[fac.comp[slot]])
 	}
 	cp.steps = make([]int, len(fac.sizes))
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for i := range cl.ops {
 			op := &cl.ops[i]
-			cp.trialWork += cost(op.a)
+			cp.trialWork += sweep(op.a)
 			if c := fac.comp[op.a]; op.kind == opSWAP {
 				op.ck, op.ckB = cp.steps[c], cp.steps[fac.comp[op.b]]
 			} else {
@@ -249,11 +249,67 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		}
 		cl.idleCk = make([]int, len(cl.idle))
 		for i, q := range cl.idle {
-			cp.trialWork += cost(q)
+			cp.trialWork += sweep(q)
 			cl.idleCk[i] = cp.steps[fac.comp[q]]
 		}
 	}
+	if engine == engineTableau {
+		cp.trialWork = cp.tableauWork(d, lay)
+	}
 	return cp, nil
+}
+
+// The tableau's prices, in the units of minParallelWork: an expected
+// lattice draw (a site's gap, once per shard, or a hit's gap and
+// payload), a plan point's outcome per trial, and a word op of a re-run.
+const (
+	drawWork  = 60
+	pointWork = 35
+	rerunWork = 4
+)
+
+// tableauWork prices one tableau trial by what a shard spends on it: its
+// share of the lattice's draws, every plan point's outcome, and each
+// measured component's re-run — its ops and its points' measurements, a
+// k-qubit component's at ⌈2k/64⌉ word ops per op and k per measurement —
+// at the chance of two or more decays landing on it, where a pair leaves
+// the frames. A pair with one decay is priced as staying on them, which
+// holds unless its branch has more than 64 random picks. Which components
+// re-run every trial is only known after prepare's reference run, so
+// those are priced as if they did not, and gate towards one worker.
+func (cp *compiledProgram) tableauWork(d *arch.Device, lay *layered) int64 {
+	f, fp := cp.fac, cp.frames
+	var draws float64
+	decays := make([]float64, len(f.sizes)) // per component: expected decays per trial
+	for _, st := range fp.sites {
+		p := -math.Expm1(1 / st.inv)
+		draws += 1.0/shardTrials + p
+		if st.kind == siteIdle {
+			decays[f.comp[st.a]] += p
+		}
+	}
+	ops, points := make([]int, len(f.sizes)), make([]int, len(f.sizes))
+	for li := range cp.layers {
+		for _, op := range cp.layers[li].ops {
+			if op.kind != opSWAP {
+				ops[f.comp[op.a]]++
+			}
+		}
+	}
+	for _, m := range lay.measures {
+		if p := d.ReadoutErr[m.Phys]; cp.noise.Enabled && cp.noise.Readout && p > 0 {
+			draws += 1.0/shardTrials + min(p, 1)
+		}
+		points[f.comp[f.slot[lay.compact[m.Phys]]]]++
+	}
+	work := drawWork*draws + pointWork*float64(len(lay.measures))
+	for c, k := range f.sizes {
+		if points[c] > 0 {
+			rerun := 1 - math.Exp(-decays[c])*(1+decays[c])
+			work += rerunWork * rerun * float64(ops[c]+k*points[c]) * float64((2*k+63)/64)
+		}
+	}
+	return int64(work)
 }
 
 // maxComponentQubits bounds one entangled component's dense state and
@@ -479,18 +535,11 @@ func (cp *compiledProgram) runGates(r *stabilizer) {
 // machinery dominate. One unit measures 0.13-1.2 ns on the statevector
 // engine (cliffordMix50's amplitude sweeps at the low end, the fixed cost
 // of ops and draws on the pair fixture's 2^3 components at the high end)
-// and 0.08-1.6 ns on the tableau engine under sampling contract v2
-// (ghz40, cliffordMix50 at 0.16, GHZ-4; 0.5-6.5 ns per-trial before it),
-// each sequential at 8024 trials on a 2-vCPU Xeon, so the threshold sits
-// at 0.1-1.7 ms of sequential work; two workers already win 1.5x on 0.85
-// ms. The tableau's price still counts every op and idle draw of every
-// trial, though a shard now samples its lattice once and re-runs only
-// the pairs a decay hit: it overstates v2's work most where decays are
-// rare, and errs towards fanning out.
-// A tableau op on a k-qubit component is priced at 2k*ceil(k/64) units,
-// the order of one measurement's k*ceil(2k/64) column words; a gate
-// touches only ceil(2k/64) words per column, so the price errs towards
-// fanning out. The threshold never affects results — worker count only
+// and 0.7-1.6 ns on the tableau engine (ghz40's re-runs at the low end,
+// GHZ-4 in between, cliffordMix50's lattice and plan points at the high
+// end), each sequential at 8024 trials on a 2-vCPU Xeon, so the threshold
+// sits at 0.1-1.7 ms of sequential work; two workers already win 1.5x on
+// 0.85 ms. The threshold never affects results — worker count only
 // decides where shards run, never what they compute.
 const minParallelWork = 1 << 20
 

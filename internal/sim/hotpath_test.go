@@ -389,8 +389,8 @@ func TestStatevectorTrialAllocs(t *testing.T) {
 }
 
 // TestTableauTrialAllocs is the stabilizer-engine counterpart, on GHZ-4
-// (random measurements) and cliffordMix50 (decays re-run on their
-// tableaus in most shards).
+// (random measurements), cliffordMix50 and ghz40 (every decay tier in
+// most shards: frame updates, branches and re-runs on their tableaus).
 func TestTableauTrialAllocs(t *testing.T) {
 	d, s, progs := ghzSchedule(t)
 	if allocs := shardAllocs(t, engineTableau, d, s, len(progs)); allocs > 0 {
@@ -400,6 +400,10 @@ func TestTableauTrialAllocs(t *testing.T) {
 	mix, mixProgs := cliffordMix50(t, d50)
 	if allocs := shardAllocs(t, engineTableau, d50, mix, len(mixProgs)); allocs > 0 {
 		t.Fatalf("tableau shard on cliffordMix50 allocates %.1f times per run, want 0", allocs)
+	}
+	ghz, ghzProgs := ghz40(t, d50)
+	if allocs := shardAllocs(t, engineTableau, d50, ghz, len(ghzProgs)); allocs > 0 {
+		t.Fatalf("tableau shard on ghz40 allocates %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -177,18 +177,7 @@ func xorInto(dst, src []uint64) {
 // Aaronson-Gottesman procedure the boolean tableau runs.
 func (t *ptab) measure(q int, pick func() bool) int {
 	n, xq := t.n, t.col(t.x, q)
-	// The pivot is the first stabilizer row with an x bit on q.
-	p := -1
-	for w := n >> 6; w < t.words; w++ {
-		v := xq[w]
-		if w == n>>6 {
-			v &^= 1<<uint(n&63) - 1
-		}
-		if v != 0 {
-			p = w<<6 + bits.TrailingZeros64(v)
-			break
-		}
-	}
+	p := t.pivot(q)
 	if p < 0 {
 		return t.deterministic(q)
 	}
@@ -254,6 +243,23 @@ func (t *ptab) measure(q int, pick func() bool) int {
 		r[pw] |= 1 << pb
 	}
 	return b2i(outcome)
+}
+
+// pivot is the first stabilizer row with an x bit on q: a stabilizer
+// that anticommutes with Z_q, the row a random measurement of q rewrites
+// the others with. It is -1 when measuring q is deterministic.
+func (t *ptab) pivot(q int) int {
+	n, xq := t.n, t.col(t.x, q)
+	for w := n >> 6; w < t.words; w++ {
+		v := xq[w]
+		if w == n>>6 {
+			v &^= 1<<uint(n&63) - 1
+		}
+		if v != 0 {
+			return w<<6 + bits.TrailingZeros64(v)
+		}
+	}
+	return -1
 }
 
 // deterministic returns the fixed outcome of measuring q: the sign of
