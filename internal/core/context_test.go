@@ -35,7 +35,7 @@ func TestSimulateContextCanceled(t *testing.T) {
 	if _, err := comp.SimulateContext(ctx, res, 32, 1, sim.DefaultNoise()); err == nil {
 		t.Fatal("canceled context should fail simulation")
 	}
-	if _, err := comp.SimulateCliffordContext(ctx, res, 32, 1, sim.DefaultNoise()); err == nil {
+	if _, err := comp.simulate(ctx, res, 32, 1, sim.DefaultNoise(), sim.SimulateScheduleCliffordCtx); err == nil {
 		t.Fatal("canceled context should fail Clifford simulation")
 	}
 }

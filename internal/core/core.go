@@ -516,11 +516,5 @@ func (r *Result) Validate() error {
 // supports any chip size (including the 50-qubit device) but requires
 // every program to be a Clifford circuit.
 func (c *Compiler) SimulateClifford(r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
-	return c.SimulateCliffordContext(context.Background(), r, trials, seed, noise)
-}
-
-// SimulateCliffordContext is SimulateClifford with a caller-supplied
-// context, checked at shard boundaries like SimulateContext.
-func (c *Compiler) SimulateCliffordContext(ctx context.Context, r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
-	return c.simulate(ctx, r, trials, seed, noise, sim.SimulateScheduleCliffordCtx)
+	return c.simulate(context.Background(), r, trials, seed, noise, sim.SimulateScheduleCliffordCtx)
 }

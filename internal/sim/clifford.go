@@ -15,12 +15,18 @@ import (
 // every gate in the schedule is Clifford. The reference outcome is the
 // noiseless run measured in (program, logical) order with random
 // outcomes resolved to 0, matching the statevector engine's
-// lowest-index modal convention. workers, ctx and the determinism
-// contract are SimulateScheduleCtx's; the trials sample their noise
-// under sampling contract v2 (frame.go): per shard of 512 trials, an
-// error lattice read by bit-sliced Pauli frames over the noiseless
-// reference, with a per-trial tableau only for the pairs a decay hit.
+// lowest-index modal convention. workers, ctx, the noise rule set and
+// the determinism contract are SimulateScheduleCtx's; the trials sample
+// their noise under sampling contract v2 (frame.go): per shard of 512
+// trials, an error lattice read by bit-sliced Pauli frames over the
+// noiseless reference, with a per-trial tableau only for the pairs a
+// decay hit.
 func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
+	for _, op := range sched.Ops {
+		if opKinds[op.Gate.Name] == op1Q {
+			return nil, fmt.Errorf("sim: schedule contains non-Clifford gate %q", op.Gate.Name)
+		}
+	}
 	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineTableau)
 }
 
@@ -34,34 +40,23 @@ func SimulateScheduleCliffordCtx(ctx context.Context, d *arch.Device, sched *rou
 // measurements are terminal (e.g. MeasureAll), matching the router's
 // measure-deferral semantics.
 func CliffordOutcome(c *circuit.Circuit) (string, error) {
-	fac := newFactoring(c.NumQubits)
-	measured := make([]bool, c.NumQubits)
-	var ops []compiledOp
 	for _, g := range c.Gates {
-		op, err := lowerGate(g, engineTableau)
-		switch {
-		case err != nil:
-			return "", err
-		case g.IsMeasure():
-			measured[g.Qubits[0]] = true
-		case op.kind == op1Q:
+		if opKinds[g.Name] == op1Q {
 			return "", fmt.Errorf("sim: gate %s is not Clifford", g.Name)
-		case op.kind != opNone:
-			fac.place(&op)
-			ops = append(ops, op)
 		}
 	}
-	_ = fac.finish(engineTableau) // a tableau has no cap, so this cannot fail
-	// The lowered gates run as one noiseless layer of the tableau engine.
-	reg := newStabilizer(fac)
-	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runGates(reg)
+	cp, measured, err := lowerCircuit(c)
+	if err != nil {
+		return "", err
+	}
+	reg := newStabilizer(cp.fac)
+	cp.runGates(reg)
 	var buf []byte
-	for q := 0; q < c.NumQubits; q++ {
-		if !measured[q] {
-			continue
+	for q, m := range measured {
+		if m {
+			tb, b := reg.at(cp.fac.slot[q])
+			buf = append(buf, byte('0'+tb.measure(b, func() bool { return false })))
 		}
-		tb, b := reg.at(fac.slot[q])
-		buf = append(buf, byte('0'+tb.measure(b, func() bool { return false })))
 	}
 	return string(buf), nil
 }

@@ -302,19 +302,45 @@ func newStabilizer(f *factoring) *stabilizer {
 // at resolves a slot to its component's tableau and its qubit there.
 func (r *stabilizer) at(slot int) (*ptab, int) { return r.comps[r.comp[slot]], r.bit[slot] }
 
-// prepare is the noiseless reference run, made before any trial register:
-// it fixes every plan point's correct bit (random outcomes resolved to 0,
-// matching the statevector engine's lowest-index convention) and draws
-// from no RNG. The tableau's completes cp.frames (prepareFrames). The
-// statevector's records cp.prefix: the checkpoints of each
-// component that, in component order, still fits maxPrefixAmps, and the
-// tree of each of those whose m measured qubits have 2^(m+1) <= trials,
-// so that building it costs no more than measuring eagerly.
-func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials int) {
+// prepare is the engine's noiseless reference run, made before any trial
+// register: it fixes every plan point's correct bit (random outcomes
+// resolved to 0, matching the statevector engine's lowest-index
+// convention) and draws from no RNG. The tableau's builds cp.frames
+// (prepareFrames). The statevector's fails when the factoring does not
+// fit a register; otherwise it numbers the checkpoints and records
+// cp.prefix: the checkpoints of each component that, in component order,
+// still fits maxPrefixAmps, and the tree of each of those whose m
+// measured qubits have 2^(m+1) <= trials, so that building it costs no
+// more than measuring eagerly.
+func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials int) error {
 	f := cp.fac
 	if engine == engineTableau {
 		prepareFrames(cp, plan)
-		return
+		return nil
+	}
+	if err := f.fitsRegister(); err != nil {
+		return err
+	}
+	// A component's state after its j-th non-SWAP op is checkpoint j (0 is
+	// |0...0>); a gate records its component's after it, a SWAP both
+	// components' current ones, an idle entry its component's at the end of
+	// the layer.
+	cp.steps = make([]int, len(f.sizes))
+	for li := range cp.layers {
+		cl := &cp.layers[li]
+		for i := range cl.ops {
+			op := &cl.ops[i]
+			if c := f.comp[op.a]; op.kind == opSWAP {
+				op.ck, op.ckB = cp.steps[c], cp.steps[f.comp[op.b]]
+			} else {
+				cp.steps[c]++
+				op.ck = cp.steps[c]
+			}
+		}
+		cl.idleCk = make([]int, len(cl.idle))
+		for i, q := range cl.idle {
+			cl.idleCk[i] = cp.steps[f.comp[q]]
+		}
 	}
 	p := &noiselessPrefix{base: make([]int, len(f.sizes)), last: cp.steps, tree: make([][]float64, len(f.sizes))}
 	size := 0
@@ -349,6 +375,7 @@ func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials in
 		}
 	}
 	cp.prefix = p
+	return nil
 }
 
 // growTree fills node n of a tree and its subtree from path[0], the
@@ -387,18 +414,23 @@ func newRegister(engine engineKind, cp *compiledProgram, progs int) register {
 // monteCarlo is the one Monte-Carlo driver behind every Simulate entry
 // point: validate, layerize, group the measurements into a plan in
 // (program, logical) order — the order every trial measures and draws
-// readout flips in — lower the schedule for the engine, fix the correct
-// outcome with a noiseless reference run, run the trial budget in
-// fixed shards with counter-derived streams, and reduce in shard order.
+// readout flips in — lower the schedule, fix the correct outcome with the
+// engine's noiseless reference run, run the trial budget in fixed shards
+// with counter-derived streams on the engine's registers, and reduce in
+// shard order. workers goes to pool.ForEach as is, which never starts
+// more workers than there are shards, so a one-shard call runs on the
+// caller's goroutine.
 func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int, engine engineKind) (*Outcome, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
 	}
-	cp, plan, err := lowerSchedule(d, sched, len(progs), noise, engine)
+	cp, plan, err := lowerSchedule(d, sched, len(progs), noise)
 	if err != nil {
 		return nil, err
 	}
-	prepare(engine, cp, plan, trials)
+	if err := prepare(engine, cp, plan, trials); err != nil {
+		return nil, err
+	}
 	bufs := make([][]byte, len(progs))
 	for _, mp := range plan {
 		bufs[mp.prog] = append(bufs[mp.prog], byte('0'+mp.correct))
@@ -413,7 +445,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	shards := numShards(trials)
 	perShard := make([][]int, shards)       // per shard, per program: successes
 	free := make(chan *shardWorker, shards) // every send finds room
-	ferr := pool.ForEach(ctx, shards, shardWorkers(workers, trials, cp.trialWork), func(s int) error {
+	ferr := pool.ForEach(ctx, shards, workers, func(s int) error {
 		var w *shardWorker
 		select {
 		case w = <-free:
@@ -449,9 +481,9 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 
 // lowerSchedule is monteCarlo's compile step: layerize, group the
 // measurements into a plan in (program, logical) order, and lower the
-// schedule for the engine, with the plan's points moved to the slots the
-// ops leave the measured wires' states in.
-func lowerSchedule(d *arch.Device, sched *router.Schedule, progs int, noise NoiseModel, engine engineKind) (*compiledProgram, []measPoint, error) {
+// schedule, with the plan's points moved to the slots the ops leave the
+// measured wires' states in.
+func lowerSchedule(d *arch.Device, sched *router.Schedule, progs int, noise NoiseModel) (*compiledProgram, []measPoint, error) {
 	lay := layerize(sched)
 	measOf := make([][]router.Measurement, progs)
 	for _, m := range lay.measures {
@@ -470,10 +502,8 @@ func lowerSchedule(d *arch.Device, sched *router.Schedule, progs int, noise Nois
 
 	// Lower the schedule once: operand indices, folded error rates, 1q
 	// matrices, idle lists and the factoring are trial-invariant (see
-	// hotpath.go). This is also where a non-Clifford
-	// gate fails the tableau engine and an entangled component too large
-	// for a register fails the statevector engine.
-	cp, err := compileLayers(d, lay, noise, engine)
+	// hotpath.go).
+	cp, err := compileLayers(d, lay, noise)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -559,28 +589,42 @@ func pick2(a, b int, rng prng) int {
 // noise and returns its modal output bitstring over measured qubits (in
 // qubit order) plus that outcome's probability.
 func SimulateIdeal(c *circuit.Circuit) (string, float64, error) {
+	cp, _, err := lowerCircuit(c)
+	if err != nil {
+		return "", 0, err
+	}
+	if err := cp.fac.fitsRegister(); err != nil {
+		return "", 0, err
+	}
+	reg := newFactored(cp.fac)
+	cp.runStatevector(reg, nil, false)
+	bits, prob := reg.modalBits()
+	buf := make([]byte, c.NumQubits)
+	for q := range buf {
+		buf[q] = byte('0' + bits[cp.fac.slot[q]])
+	}
+	return string(buf), prob, nil
+}
+
+// lowerCircuit lowers a plain circuit's gates in program order into one
+// noiseless layer over its factoring, and marks the qubits it measures:
+// SimulateIdeal's program and CliffordOutcome's.
+func lowerCircuit(c *circuit.Circuit) (*compiledProgram, []bool, error) {
 	fac := newFactoring(c.NumQubits)
+	measured := make([]bool, c.NumQubits)
 	var ops []compiledOp
 	for _, g := range c.Gates {
-		op, err := lowerGate(g, engineStatevector)
-		if err != nil {
-			return "", 0, err
-		}
-		if op.kind != opNone {
+		op, err := lowerGate(g)
+		switch {
+		case err != nil:
+			return nil, nil, err
+		case g.IsMeasure():
+			measured[g.Qubits[0]] = true
+		case op.kind != opNone:
 			fac.place(&op)
 			ops = append(ops, op)
 		}
 	}
-	if err := fac.finish(engineStatevector); err != nil {
-		return "", 0, err
-	}
-	// The lowered gates run as one layer of the statevector engine.
-	reg := newFactored(fac)
-	(&compiledProgram{layers: []compiledLayer{{ops: ops}}}).runStatevector(reg, nil, false)
-	bits, prob := reg.modalBits()
-	buf := make([]byte, c.NumQubits)
-	for q := range buf {
-		buf[q] = byte('0' + bits[fac.slot[q]])
-	}
-	return string(buf), prob, nil
+	fac.finish()
+	return &compiledProgram{fac: fac, layers: []compiledLayer{{ops: ops}}}, measured, nil
 }

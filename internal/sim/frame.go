@@ -113,8 +113,8 @@ type branch struct {
 	out []outcome
 }
 
-// framePlan is what every shard of a compiled tableau program reads:
-// compileLayers fills in the op and idle sites, prepare the rest.
+// framePlan is what every shard of a compiled tableau program reads;
+// prepareFrames builds it.
 type framePlan struct {
 	sites  []latticeSite
 	ops    []frameOp   // the ops that move a frame: H, S, S†, CX, CZ
@@ -139,15 +139,18 @@ func (fp *framePlan) addSite(kind siteKind, p float64, step, a, b int) {
 	fp.sites = append(fp.sites, latticeSite{inv: 1 / math.Log1p(-min(p, 1)), kind: kind, step: int32(step), a: int32(a), b: int32(b)})
 }
 
-// prepareFrames is prepare for the tableau engine: the noiseless reference
-// run, each plan point's correct bit and affine outcome, the readout sites,
-// the op lists the shards walk and each idle site's resolution.
+// prepareFrames is prepare for the tableau engine: the op lists the shards
+// walk, the lattice's sites in compiled order — each op's at the count of
+// ops run through it, a layer's idle ones after its last op, the readout
+// ones last — the noiseless reference run, each plan point's correct bit
+// and affine outcome, and each idle site's resolution.
 func prepareFrames(cp *compiledProgram, plan []measPoint) {
-	f, fp := cp.fac, cp.frames
-	step := 0
-	fp.comps = make([][]frameOp, len(f.sizes))
+	f, fp := cp.fac, &framePlan{comps: make([][]frameOp, len(cp.fac.sizes))}
+	cp.frames = fp
+	noisy, step := cp.noise.Enabled, 0
 	for li := range cp.layers {
-		for _, op := range cp.layers[li].ops {
+		cl := &cp.layers[li]
+		for _, op := range cl.ops {
 			switch op.kind {
 			case opH, opS, opSdg, opCX, opCZ:
 				fp.ops = append(fp.ops, frameOp{op.kind, int32(op.a), int32(op.b), int32(step)})
@@ -157,9 +160,27 @@ func prepareFrames(cp *compiledProgram, plan []measPoint) {
 				fp.comps[c] = append(fp.comps[c], frameOp{op.kind, int32(f.bit[op.a]), int32(f.bit[op.b]), int32(step)})
 			}
 			step++
+			if !noisy {
+				continue
+			}
+			kind, draws := site1q, 1
+			if op.kind.twoQubit() {
+				kind = site2q
+			}
+			if op.kind == opSWAP {
+				draws = 3 // three physical CNOTs' worth of error
+			}
+			for range draws {
+				fp.addSite(kind, op.err, step, op.a, op.b)
+			}
+		}
+		if noisy {
+			for _, q := range cl.idle {
+				fp.addSite(siteIdle, cp.noise.IdleErrPerLayer, step, q, 0)
+			}
 		}
 	}
-	if cp.noise.Enabled && cp.noise.Readout {
+	if noisy && cp.noise.Readout {
 		for i := range plan {
 			fp.addSite(siteReadout, plan[i].err, step, i, 0)
 		}

@@ -43,7 +43,7 @@ func (a latticeTiers) all() bool {
 // draw from each stream after the shard.
 func latticeMatches(t testing.TB, name string, d *arch.Device, s *router.Schedule, progs int, noise NoiseModel, seeds, n int) latticeTiers {
 	t.Helper()
-	cp, plan, err := lowerSchedule(d, s, progs, noise, engineTableau)
+	cp, plan, err := lowerSchedule(d, s, progs, noise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestLatticeMatchesPerTrialTableau(t *testing.T) {
 	if !all.all() {
 		t.Fatalf("tiers %+v, want every tier", all)
 	}
-	cp, plan, err := lowerSchedule(cd, cluster, 1, DefaultNoise(), engineTableau)
+	cp, plan, err := lowerSchedule(cd, cluster, 1, DefaultNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDecayTiersAtRateOne(t *testing.T) {
 		t.Fatalf("tiers %+v, want %+v", tiers, want)
 	}
 
-	cp, plan, err := lowerSchedule(d, s, 2, noise, engineTableau)
+	cp, plan, err := lowerSchedule(d, s, 2, noise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestLatticeSiteRates(t *testing.T) {
 	const shards = 400
 	for _, p := range []float64{0, math.Copysign(0, -1), math.NaN(), 5e-324, 0.0012, 0.5, 1, 1.3} {
 		cp := &compiledProgram{fac: newFactoring(1), frames: &framePlan{points: make([]framePoint, 1)}}
-		_ = cp.fac.finish(engineTableau)
+		cp.fac.finish()
 		cp.frames.addSite(siteReadout, p, 0, 0, 0)
 		if !(p > 0) {
 			if len(cp.frames.sites) != 0 {
@@ -377,7 +377,7 @@ func TestLatticeSiteRates(t *testing.T) {
 // (runTableau), from the same shard streams.
 func v1Simulate(t *testing.T, d *arch.Device, s *router.Schedule, progs, trials int, seed int64, noise NoiseModel) []float64 {
 	t.Helper()
-	cp, plan, err := lowerSchedule(d, s, progs, noise, engineTableau)
+	cp, plan, err := lowerSchedule(d, s, progs, noise)
 	if err != nil {
 		t.Fatal(err)
 	}

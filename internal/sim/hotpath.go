@@ -8,14 +8,18 @@ package sim
 // per-trial loop becomes a branch on a small op kind with zero map
 // lookups and zero allocations.
 //
-// lowerGate is the only place a gate name becomes an operation:
-// compileLayers, SimulateIdeal and CliffordOutcome all go through it
-// (gateMatrix in state.go is the table of 2x2 unitaries it looks
-// single-qubit gates up in). The package holds one engine per
-// representation — runStatevector over the factored register, trial by
-// trial, and the tableau's Pauli frames over a shard of trials against
-// one noiseless runGates reference (frame.go); compileLayers also lists
-// the tableau's error sites, in compiled order, for its lattice.
+// lowerGate is the only place a gate becomes an operation, and opKinds
+// the only place a name becomes a kind: compileLayers, SimulateIdeal and
+// CliffordOutcome all lower through it, and the tableau's entry points
+// reject through opKinds (gateMatrix in state.go is the table of 2x2
+// unitaries lowerGate looks single-qubit gates up in). The lowering is
+// one for both engines, and so is its noise rule set (compileLayers):
+// each compiled op carries its error rate and each layer its idle
+// qubits. The package holds one engine per representation —
+// runStatevector over the factored register, trial by trial, and the
+// tableau's Pauli frames over a shard of trials against one noiseless
+// runGates reference (frame.go), whose prepare lists the compiled rates
+// as its lattice's sites.
 //
 // Both engines simulate what is entangled, not what is co-located: one
 // factoring follows every wire's state through the SWAPs (a SWAP
@@ -43,17 +47,15 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
 )
 
-// engineKind selects which interpreter's semantics a compiled program
-// bakes in. The two engines differ in two documented corners: the
-// statevector path applies no crosstalk multiplier to CZ gates, and it
-// counts barrier operands as busy for the idle-error channel while the
-// tableau path does not.
+// engineKind is monteCarlo's choice of engine: which reference run
+// prepare makes and which register newRegister gives a shard. Everything
+// before it — the lowering, its noise rule set and the factoring — is one
+// for both engines.
 type engineKind uint8
 
 const (
@@ -61,11 +63,11 @@ const (
 	engineTableau
 )
 
-// opKind is a compiled operation tag. Single-qubit gates compile to
-// their named Clifford kind for the tableau engine and to op1Q (matrix
-// apply) for the statevector engine; a gate that is still op1Q after a
-// tableau lowering is not Clifford. opNone marks measurements and
-// barriers, which carry no operation.
+// opKind is a compiled operation tag. Every single-qubit gate lowers to
+// its named Clifford kind, or op1Q when it has none, and carries its
+// matrix either way: the statevector applies the matrix, the tableau
+// runs the named kind and rejects op1Q at its entry. opNone marks
+// measurements and barriers, which carry no operation.
 type opKind uint8
 
 const (
@@ -83,18 +85,18 @@ const (
 )
 
 // compiledOp is one gate with every trial-invariant input resolved:
-// operand indices (slots of the factoring), the noise-draw threshold
-// (crosstalk multiplier already applied), and the 1q unitary where
+// operand indices (slots of the factoring), the error rate with the
+// crosstalk multiplier already applied, and the 1q unitary where
 // relevant.
 type compiledOp struct {
 	kind opKind
 	a, b int
-	// errT is threshold(error rate) for this op's Pauli-injection
-	// draw(s); it is only read when the compiled noise model is enabled,
-	// and only by the statevector engine (the tableau's lattice keeps the
-	// rate itself: framePlan.sites).
+	// err is the op's error rate, a site of the tableau's lattice
+	// (prepareFrames); errT is threshold(err), the statevector's draw.
+	// Both are only read when the compiled noise model is enabled.
+	err  float64
 	errT uint64
-	// m is the statevector 2x2 unitary for op1Q.
+	// m is the 2x2 unitary of a single-qubit op.
 	m [2][2]complex128
 	// ck is the checkpoint a noise draw on a wakes a following
 	// statevector component at (ckB: on b, for a SWAP).
@@ -110,38 +112,30 @@ type compiledLayer struct {
 	idleCk []int
 }
 
-// compiledProgram is a layered schedule lowered for one engine.
+// compiledProgram is a layered schedule lowered for either engine; the
+// engine's prepare adds what only it reads.
 type compiledProgram struct {
 	layers []compiledLayer
 	noise  NoiseModel
 	idleT  uint64 // threshold(noise.IdleErrPerLayer)
 	// fac maps wires to the operands the ops use: slots and their
 	// components.
-	fac *factoring
-	// trialWork prices one trial as if every gate ran (ops and idle draws,
-	// each at what it touches) for the parallel-dispatch threshold.
-	trialWork int64
-	steps     []int            // each component's last checkpoint
-	prefix    *noiselessPrefix // recorded by prepare
-	frames    *framePlan       // the tableau's lattice and reference
+	fac    *factoring
+	steps  []int            // each component's last checkpoint
+	prefix *noiselessPrefix // the statevector's, recorded by prepare
+	frames *framePlan       // the tableau's lattice and reference
 }
 
-// compileLayers lowers the layered schedule for the given engine. All
-// gate-name resolution, crosstalk adjacency scans, busy-set and error
-// arithmetic happen here, once, instead of once per trial — and so does
-// the decision of what to simulate together.
-func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engineKind) (*compiledProgram, error) {
+// compileLayers lowers the layered schedule under the one noise rule set
+// both engines sample: a one-qubit op errs at its qubit's rate, a
+// two-qubit op (CX, CZ or a SWAP's three draws) at effective2qErr's, and
+// a qubit idles in a layer unless a gate acts on it — a barrier is no
+// gate. All gate-name resolution, crosstalk adjacency scans, busy-set and
+// error arithmetic happen here, once, instead of once per trial — and so
+// does the decision of what to simulate together.
+func compileLayers(d *arch.Device, lay *layered, noise NoiseModel) (*compiledProgram, error) {
 	fac := newFactoring(len(lay.active))
 	cp := &compiledProgram{noise: noise, fac: fac, idleT: threshold(noise.IdleErrPerLayer), layers: make([]compiledLayer, 0, len(lay.layers))}
-	// The tableau's error sites, in compiled order; step counts the ops.
-	var sites *framePlan
-	if engine == engineTableau {
-		cp.frames = &framePlan{}
-		if noise.Enabled {
-			sites = cp.frames
-		}
-	}
-	step := 0
 	for _, layer := range lay.layers {
 		cl := compiledLayer{ops: make([]compiledOp, 0, len(layer))}
 		// Crosstalk is a property of the layer, not the trial: collect
@@ -151,57 +145,26 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 		busy := map[int]bool{}
 		for _, op := range layer {
 			g := op.Gate
-			co, err := lowerGate(g, engine)
+			co, err := lowerGate(g)
 			if err != nil {
 				return nil, err
 			}
 			if co.kind == opNone {
-				// Measurements are deferred to the plan. The statevector
-				// engine counts a barrier's operands busy for the idle
-				// channel, the tableau engine does not.
-				if engine == engineStatevector {
-					for _, q := range g.Qubits {
-						busy[q] = true
-					}
-				}
-				continue
-			}
-			if engine == engineTableau && co.kind == op1Q {
-				return nil, fmt.Errorf("sim: schedule contains non-Clifford gate %q", g.Name)
+				continue // measurements are deferred to the plan
 			}
 			for _, q := range g.Qubits {
 				busy[q] = true
 			}
 			co.a = lay.compact[co.a]
-			var errRate float64
 			if co.kind.twoQubit() {
 				co.b = lay.compact[co.b]
-				errRate = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
-				// The statevector engine charges CZ its base error with no
-				// crosstalk (scalar or matrix); the tableau engine treats
-				// CZ like any two-qubit gate.
-				if co.kind == opCZ && engine == engineStatevector {
-					errRate = d.CNOTError(g.Qubits[0], g.Qubits[1])
-				}
+				co.err = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
 			} else {
-				errRate = d.Gate1Err[g.Qubits[0]]
+				co.err = d.Gate1Err[g.Qubits[0]]
 			}
-			co.errT = threshold(errRate)
+			co.errT = threshold(co.err)
 			fac.place(&co)
 			cl.ops = append(cl.ops, co)
-			step++
-			if sites != nil {
-				kind, draws := site1q, 1
-				if co.kind.twoQubit() {
-					kind = site2q
-				}
-				if co.kind == opSWAP {
-					draws = 3 // three physical CNOTs' worth of error
-				}
-				for range draws {
-					sites.addSite(kind, errRate, step, co.a, co.b)
-				}
-			}
 		}
 		// A layer's ops act on disjoint wires and an idle wire is on none
 		// of them, so its slot is the same before and after the layer.
@@ -211,105 +174,10 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 				cl.idle = append(cl.idle, fac.slot[lay.compact[q]])
 			}
 		}
-		if sites != nil {
-			for _, q := range cl.idle {
-				sites.addSite(siteIdle, noise.IdleErrPerLayer, step, q, 0)
-			}
-		}
 		cp.layers = append(cp.layers, cl)
 	}
-	if err := fac.finish(engine); err != nil {
-		return nil, err
-	}
-	// Price a statevector trial: an op or idle draw sweeps its own
-	// component's 2^k amplitudes (minParallelWork); the tableau is priced
-	// by what its shards do (tableauWork). Number the statevector's
-	// checkpoints: a component's state after its j-th non-SWAP op is
-	// checkpoint j (0 is |0...0>); a gate records its component's after
-	// it, a SWAP both components' current ones, an idle entry its
-	// component's at the end of the layer.
-	sweep := func(slot int) int64 {
-		if engine == engineTableau {
-			return 0
-		}
-		return 1 << uint(fac.sizes[fac.comp[slot]])
-	}
-	cp.steps = make([]int, len(fac.sizes))
-	for li := range cp.layers {
-		cl := &cp.layers[li]
-		for i := range cl.ops {
-			op := &cl.ops[i]
-			cp.trialWork += sweep(op.a)
-			if c := fac.comp[op.a]; op.kind == opSWAP {
-				op.ck, op.ckB = cp.steps[c], cp.steps[fac.comp[op.b]]
-			} else {
-				cp.steps[c]++
-				op.ck = cp.steps[c]
-			}
-		}
-		cl.idleCk = make([]int, len(cl.idle))
-		for i, q := range cl.idle {
-			cp.trialWork += sweep(q)
-			cl.idleCk[i] = cp.steps[fac.comp[q]]
-		}
-	}
-	if engine == engineTableau {
-		cp.trialWork = cp.tableauWork(d, lay)
-	}
+	fac.finish()
 	return cp, nil
-}
-
-// The tableau's prices, in the units of minParallelWork: an expected
-// lattice draw (a site's gap, once per shard, or a hit's gap and
-// payload), a plan point's outcome per trial, and a word op of a re-run.
-const (
-	drawWork  = 60
-	pointWork = 35
-	rerunWork = 4
-)
-
-// tableauWork prices one tableau trial by what a shard spends on it: its
-// share of the lattice's draws, every plan point's outcome, and each
-// measured component's re-run — its ops and its points' measurements, a
-// k-qubit component's at ⌈2k/64⌉ word ops per op and k per measurement —
-// at the chance of two or more decays landing on it, where a pair leaves
-// the frames. A pair with one decay is priced as staying on them, which
-// holds unless its branch has more than 64 random picks. Which components
-// re-run every trial is only known after prepare's reference run, so
-// those are priced as if they did not, and gate towards one worker.
-func (cp *compiledProgram) tableauWork(d *arch.Device, lay *layered) int64 {
-	f, fp := cp.fac, cp.frames
-	var draws float64
-	decays := make([]float64, len(f.sizes)) // per component: expected decays per trial
-	for _, st := range fp.sites {
-		p := -math.Expm1(1 / st.inv)
-		draws += 1.0/shardTrials + p
-		if st.kind == siteIdle {
-			decays[f.comp[st.a]] += p
-		}
-	}
-	ops, points := make([]int, len(f.sizes)), make([]int, len(f.sizes))
-	for li := range cp.layers {
-		for _, op := range cp.layers[li].ops {
-			if op.kind != opSWAP {
-				ops[f.comp[op.a]]++
-			}
-		}
-	}
-	for _, m := range lay.measures {
-		if p := d.ReadoutErr[m.Phys]; cp.noise.Enabled && cp.noise.Readout && p > 0 {
-			draws += 1.0/shardTrials + min(p, 1)
-		}
-		points[f.comp[f.slot[lay.compact[m.Phys]]]]++
-	}
-	work := drawWork*draws + pointWork*float64(len(lay.measures))
-	for c, k := range f.sizes {
-		if points[c] > 0 {
-			rerun := 1 - math.Exp(-decays[c])*(1+decays[c])
-			work += rerunWork * rerun * float64(ops[c]+k*points[c]) * float64((2*k+63)/64)
-		}
-	}
-	return int64(work)
 }
 
 // maxComponentQubits bounds one entangled component's dense state and
@@ -378,9 +246,8 @@ func (f *factoring) find(s int) int {
 // orders its outcomes the way the joint index over the final wires does,
 // which is what keeps the statevector reference rule — modal state,
 // lowest joint index on ties — a per-component rule
-// (factored.correctBits). For the statevector engine it fails when the
-// factoring does not fit a register.
-func (f *factoring) finish(engine engineKind) error {
+// (factored.correctBits).
+func (f *factoring) finish() {
 	n := len(f.slot)
 	f.comp, f.bit = make([]int, n), make([]int, n)
 	id := make([]int, n) // union-find root -> component + 1
@@ -394,9 +261,11 @@ func (f *factoring) finish(engine engineKind) error {
 		f.comp[s], f.bit[s] = c, f.sizes[c]
 		f.sizes[c]++
 	}
-	if engine == engineTableau {
-		return nil
-	}
+}
+
+// fitsRegister fails when the factoring does not fit a statevector
+// register.
+func (f *factoring) fitsRegister() error {
 	amps := 0
 	for _, k := range f.sizes {
 		if k > maxComponentQubits {
@@ -410,48 +279,30 @@ func (f *factoring) finish(engine engineKind) error {
 	return nil
 }
 
-// lowerGate resolves a gate's name to its operation for the given
-// engine, with a and b set to the gate's own operands (compileLayers
-// replaces them with compact indices and adds the error rate). The
-// statevector engine runs every single-qubit gate as a matrix and fails
-// on a name gateMatrix does not know; the tableau engine keeps the named
-// Clifford kinds and leaves any other single-qubit gate as op1Q, which
-// it cannot run — callers reject it with their own message.
-func lowerGate(g circuit.Gate, engine engineKind) (compiledOp, error) {
-	var co compiledOp
-	switch g.Name {
-	case circuit.GateMeasure, circuit.GateBarrier:
-		co.kind = opNone
-		return co, nil
-	case circuit.GateSWAP:
-		co.kind = opSWAP
-	case circuit.GateCX:
-		co.kind = opCX
-	case circuit.GateCZ:
-		co.kind = opCZ
-	case circuit.GateH:
-		co.kind = opH
-	case circuit.GateX:
-		co.kind = opX
-	case circuit.GateY:
-		co.kind = opY
-	case circuit.GateZ:
-		co.kind = opZ
-	case circuit.GateS:
-		co.kind = opS
-	case circuit.GateSdg:
-		co.kind = opSdg
-	}
-	co.a = g.Qubits[0]
-	if co.kind.twoQubit() {
-		co.b = g.Qubits[1]
-	} else if engine == engineStatevector {
-		var err error
-		co.kind = op1Q
+// opKinds resolves a gate name to its operation kind. A name it lacks —
+// a single-qubit gate with no Clifford kind, or one the lowering does not
+// know — reads op1Q, the zero kind.
+var opKinds = map[string]opKind{
+	circuit.GateMeasure: opNone, circuit.GateBarrier: opNone,
+	circuit.GateSWAP: opSWAP, circuit.GateCX: opCX, circuit.GateCZ: opCZ,
+	circuit.GateH: opH, circuit.GateX: opX, circuit.GateY: opY, circuit.GateZ: opZ,
+	circuit.GateS: opS, circuit.GateSdg: opSdg,
+}
+
+// lowerGate resolves a gate to its operation, with a and b set to the
+// gate's own operands (compileLayers replaces them with compact indices
+// and adds the error rate) and a single-qubit gate's matrix; it fails on
+// a single-qubit name gateMatrix does not know.
+func lowerGate(g circuit.Gate) (co compiledOp, err error) {
+	switch co.kind = opKinds[g.Name]; {
+	case co.kind == opNone:
+	case co.kind.twoQubit():
+		co.a, co.b = g.Qubits[0], g.Qubits[1]
+	default:
+		co.a = g.Qubits[0]
 		co.m, err = gateMatrix(g)
-		return co, err
 	}
-	return co, nil
+	return co, err
 }
 
 func (k opKind) twoQubit() bool { return k == opCX || k == opCZ || k == opSWAP }
@@ -502,7 +353,7 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *stream, noisy bool) 
 			}
 			if noisy && rng.below(op.errT) {
 				q := op.a
-				if op.kind != op1Q {
+				if op.kind.twoQubit() {
 					q = pick2(op.a, op.b, rng)
 				}
 				r.injectPauli(q, op.ck, rng)
@@ -526,32 +377,4 @@ func (cp *compiledProgram) runGates(r *stabilizer) {
 			tb.apply(op.kind, a, r.bit[op.b])
 		}
 	}
-}
-
-// minParallelWork is the estimated whole-simulation work (trials x
-// per-trial cost, compiledProgram.trialWork) below which shard fan-out
-// costs more than it buys: small workloads finish a shard in
-// microseconds, so goroutine dispatch and the pool's cancellation
-// machinery dominate. One unit measures 0.13-1.2 ns on the statevector
-// engine (cliffordMix50's amplitude sweeps at the low end, the fixed cost
-// of ops and draws on the pair fixture's 2^3 components at the high end)
-// and 0.7-1.6 ns on the tableau engine (ghz40's re-runs at the low end,
-// GHZ-4 in between, cliffordMix50's lattice and plan points at the high
-// end), each sequential at 8024 trials on a 2-vCPU Xeon, so the threshold
-// sits at 0.1-1.7 ms of sequential work; two workers already win 1.5x on
-// 0.85 ms. The threshold never affects results — worker count only
-// decides where shards run, never what they compute.
-const minParallelWork = 1 << 20
-
-// shardWorkers applies the dispatch threshold: simulations whose total
-// estimated work is too small run on one worker regardless of the
-// requested fan-out.
-func shardWorkers(workers, trials int, perTrialWork int64) int {
-	if workers == 1 {
-		return 1
-	}
-	if int64(trials)*perTrialWork < minParallelWork {
-		return 1
-	}
-	return workers
 }

@@ -19,8 +19,7 @@ import (
 )
 
 // ghzSchedule routes a 4-qubit GHZ circuit on IBMQ16 — the Clifford
-// engine's benchmark workload, small enough to sit below the parallel
-// dispatch threshold.
+// engine's benchmark workload, whose shards take microseconds.
 func ghzSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Circuit) {
 	tb.Helper()
 	d := arch.IBMQ16(0)
@@ -33,10 +32,10 @@ func ghzSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Circ
 }
 
 // compiledLay lowers a schedule the way the simulate entry points do.
-func compiledLay(tb testing.TB, d *arch.Device, s *router.Schedule, noise NoiseModel, engine engineKind) (*layered, *compiledProgram) {
+func compiledLay(tb testing.TB, d *arch.Device, s *router.Schedule, noise NoiseModel) (*layered, *compiledProgram) {
 	tb.Helper()
 	lay := layerize(s)
-	cp, err := compileLayers(d, lay, noise, engine)
+	cp, err := compileLayers(d, lay, noise)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -158,8 +157,10 @@ func TestPrefixBudget(t *testing.T) {
 		s      *router.Schedule
 		follow bool
 	}{{"ghz20", d, ghz, false}, {"pair", pd, pair, true}} {
-		_, cp := compiledLay(t, fx.d, fx.s, DefaultNoise(), engineStatevector)
-		prepare(engineStatevector, cp, nil, 8024)
+		_, cp := compiledLay(t, fx.d, fx.s, DefaultNoise())
+		if err := prepare(engineStatevector, cp, nil, 8024); err != nil {
+			t.Fatal(err)
+		}
 		for c, b := range cp.prefix.base {
 			if (b >= 0) != fx.follow {
 				t.Errorf("%s: component %d of %d qubits has checkpoints at %d, want following %v", fx.name, c, cp.fac.sizes[c], b, fx.follow)
@@ -201,7 +202,7 @@ func entangledMatch(t *testing.T, engine engineKind, d *arch.Device, noises []No
 	apart := 0
 	for seed := int64(0); seed < 8; seed++ {
 		s := entangledSchedule(t, d, seed, engine == engineTableau)
-		lay, cp := compiledLay(t, d, s, DefaultNoise(), engine)
+		lay, cp := compiledLay(t, d, s, DefaultNoise())
 		for _, m := range s.Measurements {
 			if k := cp.fac.sizes[cp.fac.comp[cp.fac.slot[lay.compact[m.Phys]]]]; m.Program == 0 && k < 4 {
 				t.Fatalf("seed %d: program 0 sits in a component of %d qubits; the bridge must merge its endpoints'", seed, k)
@@ -233,7 +234,7 @@ func TestCompiledTrialMatchesLegacyTableau(t *testing.T) {
 	corners, _ := corners16(t, d)
 	d50 := arch.IBMQ50(0)
 	mix, _ := cliffordMix50(t, d50)
-	_, cp := compiledLay(t, d50, mix, DefaultNoise(), engineTableau)
+	_, cp := compiledLay(t, d50, mix, DefaultNoise())
 	sizes := append([]int(nil), cp.fac.sizes...)
 	sort.Ints(sizes)
 	if !reflect.DeepEqual(sizes, []int{4, 6, 8, 10}) {
@@ -284,61 +285,9 @@ func TestStateResetMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestShardWorkersGating(t *testing.T) {
-	cases := []struct {
-		name         string
-		workers      int
-		trials       int
-		perTrialWork int64
-		want         int
-	}{
-		{"explicit sequential stays sequential", 1, 1 << 20, 1 << 20, 1},
-		{"tiny clifford workload gates to one", 8, 4 * shardTrials, 100, 1},
-		{"big statevector workload keeps fanout", 8, 1024, 25600, 8},
-		{"default workers kept above threshold", 0, 1024, 25600, 0},
-		{"default workers gated below threshold", 0, 512, 10, 1},
-	}
-	for _, c := range cases {
-		if got := shardWorkers(c.workers, c.trials, c.perTrialWork); got != c.want {
-			t.Errorf("%s: shardWorkers(%d, %d, %d) = %d, want %d", c.name, c.workers, c.trials, c.perTrialWork, got, c.want)
-		}
-	}
-}
-
-// TestCliffordBenchWorkloadGatesSequential pins the satellite fix: the
-// GHZ-4 benchmark workload's estimated work sits below the dispatch
-// threshold, so SimulateCliffordParallel no longer pays shard fan-out
-// for microsecond shards.
-func TestCliffordBenchWorkloadGatesSequential(t *testing.T) {
-	d, s, _ := ghzSchedule(t)
-	_, cp := compiledLay(t, d, s, DefaultNoise(), engineTableau)
-	if got := shardWorkers(0, 4*shardTrials, cp.trialWork); got != 1 {
-		t.Fatalf("GHZ-4 bench workload (trialWork=%d) dispatches %d workers, want gated to 1", cp.trialWork, got)
-	}
-	// The statevector benchmark workload must NOT be gated.
-	dd, ss, _ := pairSchedule(t)
-	_, cpSV := compiledLay(t, dd, ss, DefaultNoise(), engineStatevector)
-	if got := shardWorkers(0, 2*shardTrials, cpSV.trialWork); got != 0 {
-		t.Fatalf("statevector bench workload (trialWork=%d) gated to %d workers, want pool default", cpSV.trialWork, got)
-	}
-}
-
-// TestCliffordMix50KeepsFanout: pricing a tableau op at its component's
-// rows, not the batch's, must not gate a 50-qubit Clifford mix at the
-// benchmark's 8024 trials to one worker — it stays an order of magnitude
-// above the dispatch threshold.
-func TestCliffordMix50KeepsFanout(t *testing.T) {
-	d := arch.IBMQ50(0)
-	s, _ := cliffordMix50(t, d)
-	_, cp := compiledLay(t, d, s, DefaultNoise(), engineTableau)
-	if work := 8024 * cp.trialWork; work < 10*minParallelWork {
-		t.Fatalf("cliffordMix50 at 8024 trials is %d work units (trialWork=%d), want >= 10x the dispatch threshold %d", work, cp.trialWork, minParallelWork)
-	}
-}
-
-// TestCliffordGatedFingerprintAcrossWorkers checks byte-identity on
-// both sides of the dispatch threshold: a small workload (coerced
-// sequential) and a large one (genuinely sharded) must return identical
+// TestCliffordGatedFingerprintAcrossWorkers checks byte-identity across
+// worker counts on a small workload (two shards, the second of three
+// trials) and a large one (40 shards): each must return identical
 // outcomes at every requested worker count.
 func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 	d, s, progs := ghzSchedule(t)
@@ -367,11 +316,13 @@ func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 // and a measurement's pick go through the tableau's one pick closure.
 func shardAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule, progs int) float64 {
 	t.Helper()
-	cp, plan, err := lowerSchedule(d, s, progs, DefaultNoise(), engine)
+	cp, plan, err := lowerSchedule(d, s, progs, DefaultNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepare(engine, cp, plan, 8024)
+	if err := prepare(engine, cp, plan, 8024); err != nil {
+		t.Fatal(err)
+	}
 	reg, rng, succ := newRegister(engine, cp, progs), newStream(1), make([]int, progs)
 	return testing.AllocsPerRun(5, func() {
 		rng.seed(1)
@@ -409,9 +360,9 @@ func TestTableauTrialAllocs(t *testing.T) {
 
 // TestSimulateParallelSpeedupAt8Cores asserts the headline claim on
 // machines that can demonstrate it: with >= 8 CPUs, the sharded
-// statevector path must beat sequential by at least 2x on a workload far
-// above the dispatch threshold — cliffordMix50's four components over 16
-// shards, about a second of sequential work. Skipped elsewhere —
+// statevector path must beat sequential by at least 2x on a large
+// workload — cliffordMix50's four components over 16 shards, about a
+// second of sequential work. Skipped elsewhere —
 // byte-identity tests cover correctness at every core count.
 func TestSimulateParallelSpeedupAt8Cores(t *testing.T) {
 	if runtime.NumCPU() < 8 {
@@ -424,10 +375,6 @@ func TestSimulateParallelSpeedupAt8Cores(t *testing.T) {
 	s, progs := cliffordMix50(t, d)
 	noise := DefaultNoise()
 	trials := 16 * shardTrials
-	_, cp := compiledLay(t, d, s, noise, engineStatevector)
-	if work := int64(trials) * cp.trialWork; work < 100*minParallelWork {
-		t.Fatalf("workload is %d work units, want >= 100x the dispatch threshold %d", work, minParallelWork)
-	}
 	run := func(workers int) time.Duration {
 		start := time.Now()
 		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, noise, workers); err != nil {

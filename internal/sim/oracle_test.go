@@ -338,7 +338,7 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 // measurement trees.
 func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) (paths lazyPaths) {
 	t.Helper()
-	lay, cp := compiledLay(t, d, s, noise, engine)
+	lay, cp := compiledLay(t, d, s, noise)
 	// The driver's plan order: by program, then logical qubit.
 	meas := append([]router.Measurement(nil), lay.measures...)
 	sort.SliceStable(meas, func(i, j int) bool {
@@ -352,7 +352,9 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: threshold(d.ReadoutErr[m.Phys])}
 	}
 
-	prepare(engine, cp, plan, seeds*trials)
+	if err := prepare(engine, cp, plan, seeds*trials); err != nil {
+		t.Fatal(err)
+	}
 	joint := newJointRegister(engine, d, lay)
 	if err := joint.run(NoiseModel{}, nil); err != nil {
 		t.Fatal(err)
@@ -530,6 +532,9 @@ func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng *ra
 		busy := map[int]bool{}
 		for _, op := range layer {
 			g := op.Gate
+			if g.IsMeasure() || g.IsBarrier() {
+				continue // measures are deferred; a barrier leaves its qubits idle
+			}
 			for _, q := range g.Qubits {
 				busy[q] = true
 			}
@@ -559,12 +564,11 @@ func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng *ra
 				a, b := lay.compact[g.Qubits[0]], lay.compact[g.Qubits[1]]
 				st.applyCZ(a, b)
 				if noise.Enabled {
-					if rng.Float64() < d.CNOTError(g.Qubits[0], g.Qubits[1]) {
+					errRate := effective2qErr(d, noise, cnotEdges, g.Qubits[0], g.Qubits[1])
+					if rng.Float64() < errRate {
 						st.injectPauli(pick2(a, b, rng), rng)
 					}
 				}
-			case g.IsMeasure() || g.IsBarrier():
-				// Measures are deferred; barriers are no-ops here.
 			default:
 				m, err := gateMatrix(g)
 				if err != nil {

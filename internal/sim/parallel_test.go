@@ -68,15 +68,12 @@ func pairSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Cir
 
 // TestSimulateWorkersDifferential is the core determinism guarantee:
 // the statevector engine returns byte-identical outcomes no matter how
-// many workers execute the shards. The workload is above the dispatch
-// threshold, so the workers really fan out and share the compiled
-// program's checkpoints and measurement trees (the race sweep runs it).
+// many workers execute the shards. The workers fan out over its three
+// shards and share the compiled program's checkpoints and measurement
+// trees (the race sweep runs it).
 func TestSimulateWorkersDifferential(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	trials := 2*shardTrials + 100 // 3 shards, last one partial
-	if _, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector); int64(trials)*cp.trialWork < minParallelWork {
-		t.Fatalf("%d trials of trialWork %d are below the dispatch threshold %d", trials, cp.trialWork, minParallelWork)
-	}
 	want, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,16 +90,12 @@ func TestSimulateWorkersDifferential(t *testing.T) {
 }
 
 // TestSimulateCliffordWorkersDifferential is the tableau engine's
-// counterpart on cliffordMix50, which is above the dispatch threshold:
-// the workers fan out, and each hands its stream and register on from
-// shard to shard (the race sweep runs it).
+// counterpart on cliffordMix50: the workers fan out, and each hands its
+// stream and register on from shard to shard (the race sweep runs it).
 func TestSimulateCliffordWorkersDifferential(t *testing.T) {
 	d := arch.IBMQ50(0)
 	s, progs := cliffordMix50(t, d)
 	trials := 3*shardTrials + 1 // 4 shards, last one partial
-	if _, cp := compiledLay(t, d, s, DefaultNoise(), engineTableau); int64(trials)*cp.trialWork < minParallelWork {
-		t.Fatalf("%d trials of trialWork %d are below the dispatch threshold %d", trials, cp.trialWork, minParallelWork)
-	}
 	want, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 11, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -225,7 +225,7 @@ func TestCliffordMatchesStatevectorPST(t *testing.T) {
 func TestCliffordMatchesStatevectorAboveOldCap(t *testing.T) {
 	d := arch.IBMQ50(0)
 	s, progs := cliffordMix50(t, d)
-	_, cp := compiledLay(t, d, s, DefaultNoise(), engineStatevector)
+	_, cp := compiledLay(t, d, s, DefaultNoise())
 	sizes := append([]int(nil), cp.fac.sizes...)
 	sort.Ints(sizes)
 	if !reflect.DeepEqual(sizes, []int{4, 6, 8, 10}) {
@@ -248,6 +248,46 @@ func TestCliffordMatchesStatevectorAboveOldCap(t *testing.T) {
 		sigma := math.Sqrt((a*(1-a) + b*(1-b)) / trials)
 		if math.Abs(a-b) > 4*sigma {
 			t.Errorf("program %d: statevector PST %.4f, tableau %.4f, more than 4 sigma (%.4f) apart", p, a, b, sigma)
+		}
+	}
+}
+
+// TestEnginesAgreeWithNoise holds the two engines to one noise rule set:
+// on corners16 (CZs, a barrier) and cliffordMix50, under every noisy
+// variant of TestGoldenPST, each
+// program's statevector and tableau PSTs at 8024 trials must agree
+// within four standard errors of their difference.
+func TestEnginesAgreeWithNoise(t *testing.T) {
+	const trials = 8024
+	ctx := context.Background()
+	for _, v := range goldenVariants(t) {
+		if !v.noise.Enabled {
+			continue
+		}
+		for _, fx := range []struct {
+			name string
+			d    *arch.Device
+			fx   goldenFixture
+		}{{"corners16", v.d16, corners16}, {"mix50", v.d50, cliffordMix50}} {
+			s, progs := fx.fx(t, fx.d)
+			sv, err := SimulateScheduleCtx(ctx, fx.d, s, progs, trials, 21, v.noise, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := SimulateScheduleCliffordCtx(ctx, fx.d, s, progs, trials, 22, v.noise, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := range progs {
+				a, b := sv.PST[p], cl.PST[p]
+				pool := (a + b) / 2
+				se := math.Sqrt(pool * (1 - pool) * 2 / trials)
+				if z := (a - b) / se; math.Abs(z) > 4 || se == 0 && a != b {
+					t.Errorf("%s/%s program %d: statevector PST %.4f, tableau %.4f (z = %.2f)", fx.name, v.name, p, a, b, z)
+				} else {
+					t.Logf("%s/%s program %d: statevector %.4f, tableau %.4f, z = %+.2f", fx.name, v.name, p, a, b, z)
+				}
+			}
 		}
 	}
 }
