@@ -38,20 +38,20 @@ loc:
 # the full suite, then the race detector over the concurrent packages
 # (the service, its scheduler dependencies and the CDAP region memo they
 # share, the daemon, and the sharded simulation/compile engines plus
-# their worker pool), the chaos suite,
+# their worker pool; the service's sweep runs the chaos suite too),
 # every example (so one that builds but crashes fails the run), and
 # last the benchmark harness's own vet + tests: bench/ is its own
 # module, so nothing above compiles it against the internal/ packages.
 test: fmt vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/service/... ./internal/fleet/... ./internal/sched/... ./internal/partition/... ./internal/cloudsim/... ./cmd/qucloudd/... ./internal/sim/... ./internal/core/... ./internal/pool/... ./internal/ccache/...
-	$(MAKE) chaos
 	$(MAKE) examples
 	$(MAKE) bench-selftest
 
-# Fault-injection chaos suite: drives the full qucloudd HTTP service
-# through injected panics, timeouts, and error bursts under the race
-# detector (see internal/service/chaos_test.go and DESIGN.md §10).
+# Fault-injection chaos suite on its own: drives the full qucloudd HTTP
+# service through injected panics, timeouts, and error bursts under the
+# race detector (see internal/service/chaos_test.go and DESIGN.md §10).
+# `make test` runs it already, inside its race sweep.
 chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/service/...
 

@@ -10,8 +10,8 @@
 // Every admitted job is routed across the registered chips by the
 // fleet dispatcher (-fleet-policy speed|fidelity|fairness|balanced);
 // a backends entry may be replicated with "name*N" (e.g. "london*4")
-// to register N identically-calibrated copies. The metrics registry is
-// served as JSON on /metrics.
+// to register N identically-calibrated copies. The service's metrics
+// are served as JSON on /metrics.
 package main
 
 import (
@@ -171,7 +171,7 @@ func runServe(args []string) error {
 	if err := server.Shutdown(shutCtx); err != nil {
 		return err
 	}
-	snap := svc.Metrics().Snapshot()
+	snap := svc.MetricsSnapshot()
 	log.Printf("drained: %d completed, %d failed, %d batches (TRF %.2f)",
 		snap.Jobs.Completed, snap.Jobs.Failed, snap.Batches.Executed, snap.Batches.TRF)
 	return nil

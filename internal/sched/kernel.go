@@ -127,6 +127,16 @@ func NewKernel(devices []*arch.Device, policy fleet.Policy, cfg Config) *Kernel 
 // Len is the number of queued (unclaimed) items over all chips.
 func (k *Kernel) Len() int { return len(k.queue) }
 
+// Running is the number of claimed items over all chips: those in a
+// batch neither Done nor requeued.
+func (k *Kernel) Running() int {
+	n := 0
+	for i := range k.chips {
+		n += k.chips[i].running
+	}
+	return n
+}
+
 // Candidate is the dispatcher's view of a chip: calibration and load.
 func (k *Kernel) Candidate(chip int) fleet.Candidate {
 	return fleet.Candidate{Chip: k.chips[chip].view, Load: k.chips[chip].load}

@@ -253,11 +253,12 @@ func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	if backends[0].Breaker.State != breakerOpen || !backends[0].BreakerOpen {
 		t.Fatalf("breaker should be open after 3 failures, got %+v (breaker_open %v)", backends[0].Breaker, backends[0].BreakerOpen)
 	}
-	if got := svc.Metrics().BreakerTrips.Value(); got != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", got)
+	snap := svc.MetricsSnapshot()
+	if got := snap.Robustness.BreakerTrips; got != 1 {
+		t.Fatalf("breaker_trips = %d, want 1", got)
 	}
-	if got := svc.Metrics().OpenBreakers.Value(); got != 1 {
-		t.Fatalf("OpenBreakers = %d, want 1", got)
+	if got := snap.Robustness.OpenBreakers; got != 1 {
+		t.Fatalf("open_breakers = %d, want 1", got)
 	}
 
 	// The backend is healthy again (the burst window has passed): after
@@ -272,8 +273,8 @@ func TestChaosErrorBurstTripsBreaker(t *testing.T) {
 	if backends[0].Breaker.State != breakerClosed || backends[0].Breaker.Opens != 1 || backends[0].BreakerOpen {
 		t.Fatalf("breaker should have closed after the probe, got %+v (breaker_open %v)", backends[0].Breaker, backends[0].BreakerOpen)
 	}
-	if got := svc.Metrics().OpenBreakers.Value(); got != 0 {
-		t.Fatalf("OpenBreakers = %d after recovery, want 0", got)
+	if got := svc.MetricsSnapshot().Robustness.OpenBreakers; got != 0 {
+		t.Fatalf("open_breakers = %d after recovery, want 0", got)
 	}
 	shutdownClean(t, svc)
 }
@@ -314,8 +315,8 @@ func TestChaosSchedulerErrorFallback(t *testing.T) {
 	if rec.State != StateDone {
 		t.Fatalf("head-of-line fallback should still run the job, got %+v", rec)
 	}
-	if got := svc.Metrics().SchedulerErrors.Value(); got != 1 {
-		t.Fatalf("SchedulerErrors = %d, want 1", got)
+	if got := svc.MetricsSnapshot().Robustness.SchedulerErrors; got != 1 {
+		t.Fatalf("scheduler_errors = %d, want 1", got)
 	}
 	var backends []BackendStatus
 	if code := getJSON(t, ts.URL+"/v1/backends", &backends); code != http.StatusOK {

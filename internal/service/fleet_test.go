@@ -122,7 +122,7 @@ func TestFleetSpreadsAcrossChips(t *testing.T) {
 		if err := svc.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if got := svc.Metrics().Snapshot().Fleet.Policy; got != "balanced" {
+		if got := svc.MetricsSnapshot().Fleet.Policy; got != "balanced" {
 			t.Fatalf("default policy = %q, want balanced", got)
 		}
 		for _, row := range rows {
@@ -287,7 +287,8 @@ func TestChaosBreakerMigration(t *testing.T) {
 		t.Fatalf("%d jobs failed, want exactly the faulted batch", failedN)
 	}
 
-	jobsMigrated := svc.Metrics().JobsMigrated.Value()
+	snap := svc.MetricsSnapshot()
+	jobsMigrated := snap.Fleet.JobsMigrated
 	if jobsMigrated < 1 {
 		t.Fatal("no jobs migrated off the tripped backend")
 	}
@@ -322,7 +323,7 @@ func TestChaosBreakerMigration(t *testing.T) {
 	// Every migration re-dispatches, so total routing decisions are
 	// the submissions plus the migrations.
 	perDevice := tripped.Dispatched + healthy.Dispatched
-	dispatches := svc.Metrics().Dispatches.Value()
+	dispatches := snap.Fleet.Dispatches
 	if perDevice != int64(jobs)+jobsMigrated || dispatches != perDevice {
 		t.Fatalf("dispatch accounting: per-device %d, fleet %d, migrated %d",
 			perDevice, dispatches, jobsMigrated)

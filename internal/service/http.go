@@ -280,7 +280,7 @@ func (s *Service) handleBackends(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
+	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -20,18 +20,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value, safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram accumulates float64 observations into fixed buckets. The
 // bounds are upper-inclusive bucket edges; observations above the last
 // bound land in an implicit overflow bucket.
@@ -161,40 +149,28 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	return h.max
 }
 
-// Registry is the service's metric set: everything qucloudd exposes as
-// JSON on /metrics.
+// Registry holds what /metrics reports that no other service state
+// owns: event counters and latency/size histograms. Every other count
+// on /metrics (jobs, queue, batches, breakers, dispatches) is read from
+// the state that owns it by Service.MetricsSnapshot.
 type Registry struct {
-	start time.Time
-
-	JobsAccepted  Counter
-	JobsRejected  Counter
-	JobsCompleted Counter
-	JobsFailed    Counter
 	// JobsEvicted counts terminal job records dropped by the
 	// MaxJobHistory retention cap.
 	JobsEvicted Counter
 
-	BatchesExecuted Counter
 	// ColocatedBatches counts batches with >1 program; ColocatedJobs
 	// counts the jobs that ran in such batches (numerator of the
-	// co-location rate).
+	// co-location rate). Both are bumped under Service.mu together with
+	// the batch's jobs turning done, so one snapshot sees them agree.
 	ColocatedBatches Counter
 	ColocatedJobs    Counter
 
-	QueueDepth Gauge
-	InFlight   Gauge
-
 	// Robustness counters: recovered worker panics, batches failed by
-	// the per-batch deadline, scheduler errors absorbed by head-of-line
-	// fallback, co-location fallbacks (tail requeued, head run alone),
-	// and circuit-breaker trips. OpenBreakers gauges how many backends are
-	// currently tripped (open or half-open).
+	// the per-batch deadline, and co-location fallbacks (tail requeued,
+	// head run alone).
 	PanicsRecovered Counter
 	BatchTimeouts   Counter
-	SchedulerErrors Counter
 	FallbackBatches Counter
-	BreakerTrips    Counter
-	OpenBreakers    Gauge
 
 	// Compile-cache counters: fingerprint hits and misses, entries
 	// evicted by the LRU bound, and requests coalesced onto an
@@ -204,14 +180,8 @@ type Registry struct {
 	CacheEvictions Counter
 	CacheCoalesced Counter
 
-	// Fleet-dispatch counters: routing decisions made by the
-	// internal/fleet dispatcher and jobs migrated off a backend whose
-	// circuit breaker opened.
-	Dispatches   Counter
-	JobsMigrated Counter
-
 	// Multi-tenant front-end counters: submissions rejected by a
-	// tenant's admission quota (a subset of JobsRejected) and
+	// tenant's admission quota (a subset of jobs.rejected) and
 	// submissions collapsed onto an existing job by their idempotency
 	// key.
 	TenantRejected Counter
@@ -227,15 +197,6 @@ type Registry struct {
 	WALReplaySkipped Counter
 	WALReplayErrors  Counter
 
-	// fleetPolicy names the dispatcher's policy for the fleet section;
-	// the service sets it in New (before any worker starts), so reads
-	// are race-free. "" (registry used standalone in tests) omits the
-	// section.
-	fleetPolicy string
-	// tenantSource supplies the tenancy section (auth mode + per-tenant
-	// rows); wired in New like fleetPolicy. nil omits the section.
-	tenantSource func() (authRequired bool, tenants []TenantMetrics)
-
 	BatchSize      *Histogram
 	QueueLatency   *Histogram // seconds from submit to batch claim
 	CompileLatency *Histogram // seconds compiling a batch
@@ -245,15 +206,14 @@ type Registry struct {
 	CacheLookup    *Histogram // seconds per served cache hit/coalesce
 }
 
-// NewRegistry returns a registry with the service's bucket layout.
-func NewRegistry() *Registry {
+// newRegistry returns a registry with the service's bucket layout.
+func newRegistry() *Registry {
 	latency := []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300}
 	pst := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 	// Cache lookups are microseconds, not seconds: their buckets sit
 	// three orders of magnitude below the batch-latency layout.
 	lookup := []float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2, 0.1}
 	return &Registry{
-		start:          time.Now(),
 		BatchSize:      NewHistogram([]float64{1, 2, 3, 4, 6, 8}),
 		QueueLatency:   NewHistogram(latency),
 		CompileLatency: NewHistogram(latency),
@@ -342,67 +302,85 @@ type FleetSection struct {
 	JobsMigrated int64  `json:"jobs_migrated"`
 }
 
-// Snapshot assembles the current metric values.
-func (r *Registry) Snapshot() MetricsSnapshot {
-	var s MetricsSnapshot
-	s.UptimeSeconds = time.Since(r.start).Seconds()
-	s.Jobs.Accepted = r.JobsAccepted.Value()
-	s.Jobs.Rejected = r.JobsRejected.Value()
-	s.Jobs.Completed = r.JobsCompleted.Value()
-	s.Jobs.Failed = r.JobsFailed.Value()
-	s.Batches.Executed = r.BatchesExecuted.Value()
-	s.Batches.Colocated = r.ColocatedBatches.Value()
-	s.Batches.ColocatedJobs = r.ColocatedJobs.Value()
-	s.BatchSize = r.BatchSize.Snapshot()
-	done := s.Jobs.Completed + s.Jobs.Failed
-	if s.Batches.Executed > 0 {
-		s.Batches.TRF = float64(done) / float64(s.Batches.Executed)
+// MetricsSnapshot assembles the /metrics document. Each count the
+// service state owns is read from its owner — the kernel's queue and
+// per-chip load, the workers' batch, breaker and migration counts, the
+// tenants' job outcomes — all under one Service.mu acquisition, so the
+// document agrees with every job record and /v1/backends row a client
+// could have read before it. The registry supplies the rest.
+func (s *Service) MetricsSnapshot() MetricsSnapshot {
+	r := s.metrics
+	var m MetricsSnapshot
+	m.Fleet = &FleetSection{Policy: s.cfg.FleetPolicy}
+	m.Tenancy = &TenancySection{AuthRequired: s.authRequired, Tenants: make([]TenantMetrics, len(s.tenantList))}
+
+	s.mu.Lock()
+	m.UptimeSeconds = time.Since(s.start).Seconds()
+	m.Queue.Depth = int64(s.kernel.Len())
+	m.Queue.InFlight = int64(s.kernel.Running())
+	for _, w := range s.workers {
+		m.Batches.Executed += w.batchesDone
+		m.Robustness.SchedulerErrors += w.schedErrs
+		m.Robustness.BreakerTrips += w.brk.opens
+		if w.brk.state != breakerClosed {
+			m.Robustness.OpenBreakers++
+		}
+		m.Fleet.Dispatches += s.kernel.Candidate(w.index).Load.Dispatched
+		m.Fleet.JobsMigrated += w.migrated
+	}
+	for i, t := range s.tenantList {
+		m.Tenancy.Tenants[i] = TenantMetrics{
+			ID:        t.cfg.ID,
+			Weight:    t.weight,
+			MaxQueued: t.maxQueued,
+			Queued:    t.flow.Queued(),
+			Submitted: t.submitted,
+			Completed: t.completed,
+			Failed:    t.failed,
+			Rejected:  t.rejected,
+		}
+		m.Jobs.Accepted += t.submitted
+		m.Jobs.Rejected += t.rejected
+		m.Jobs.Completed += t.completed
+		m.Jobs.Failed += t.failed
+	}
+	// The registry's counters are read under the lock too: those bumped
+	// under it (co-location, quota, WAL) then agree with the counts above.
+	m.Batches.Colocated = r.ColocatedBatches.Value()
+	m.Batches.ColocatedJobs = r.ColocatedJobs.Value()
+	m.Robustness.JobsEvicted = r.JobsEvicted.Value()
+	m.Robustness.PanicsRecovered = r.PanicsRecovered.Value()
+	m.Robustness.BatchTimeouts = r.BatchTimeouts.Value()
+	m.Robustness.FallbackBatches = r.FallbackBatches.Value()
+	m.Cache.Hits = r.CacheHits.Value()
+	m.Cache.Misses = r.CacheMisses.Value()
+	m.Cache.Evictions = r.CacheEvictions.Value()
+	m.Cache.Coalesced = r.CacheCoalesced.Value()
+	m.Tenancy.QuotaRejected = r.TenantRejected.Value()
+	m.Tenancy.IdempotentHits = r.IdempotentHits.Value()
+	m.WAL.Appends = r.WALAppends.Value()
+	m.WAL.AppendErrors = r.WALAppendErrors.Value()
+	m.WAL.ReplayedJobs = r.WALReplayedJobs.Value()
+	m.WAL.ReplaySkipped = r.WALReplaySkipped.Value()
+	m.WAL.ReplayErrors = r.WALReplayErrors.Value()
+	s.mu.Unlock()
+
+	done := m.Jobs.Completed + m.Jobs.Failed
+	if m.Batches.Executed > 0 {
+		m.Batches.TRF = float64(done) / float64(m.Batches.Executed)
 	}
 	if done > 0 {
-		s.Batches.ColocationRate = float64(s.Batches.ColocatedJobs) / float64(done)
+		m.Batches.ColocationRate = float64(m.Batches.ColocatedJobs) / float64(done)
 	}
-	s.Queue.Depth = r.QueueDepth.Value()
-	s.Queue.InFlight = r.InFlight.Value()
-	s.Robustness.JobsEvicted = r.JobsEvicted.Value()
-	s.Robustness.PanicsRecovered = r.PanicsRecovered.Value()
-	s.Robustness.BatchTimeouts = r.BatchTimeouts.Value()
-	s.Robustness.SchedulerErrors = r.SchedulerErrors.Value()
-	s.Robustness.FallbackBatches = r.FallbackBatches.Value()
-	s.Robustness.BreakerTrips = r.BreakerTrips.Value()
-	s.Robustness.OpenBreakers = r.OpenBreakers.Value()
-	s.Cache.Hits = r.CacheHits.Value()
-	s.Cache.Misses = r.CacheMisses.Value()
-	s.Cache.Evictions = r.CacheEvictions.Value()
-	s.Cache.Coalesced = r.CacheCoalesced.Value()
-	if total := s.Cache.Hits + s.Cache.Misses + s.Cache.Coalesced; total > 0 {
-		s.Cache.HitRate = float64(s.Cache.Hits+s.Cache.Coalesced) / float64(total)
+	if total := m.Cache.Hits + m.Cache.Misses + m.Cache.Coalesced; total > 0 {
+		m.Cache.HitRate = float64(m.Cache.Hits+m.Cache.Coalesced) / float64(total)
 	}
-	s.Cache.LookupSeconds = r.CacheLookup.Snapshot()
-	s.LatencySeconds.Queue = r.QueueLatency.Snapshot()
-	s.LatencySeconds.Compile = r.CompileLatency.Snapshot()
-	s.LatencySeconds.Execute = r.ExecLatency.Snapshot()
-	s.LatencySeconds.Total = r.TotalLatency.Snapshot()
-	s.PST = r.PST.Snapshot()
-	if r.fleetPolicy != "" {
-		s.Fleet = &FleetSection{
-			Policy:       r.fleetPolicy,
-			Dispatches:   r.Dispatches.Value(),
-			JobsMigrated: r.JobsMigrated.Value(),
-		}
-	}
-	if r.tenantSource != nil {
-		auth, tenants := r.tenantSource()
-		s.Tenancy = &TenancySection{
-			AuthRequired:   auth,
-			QuotaRejected:  r.TenantRejected.Value(),
-			IdempotentHits: r.IdempotentHits.Value(),
-			Tenants:        tenants,
-		}
-	}
-	s.WAL.Appends = r.WALAppends.Value()
-	s.WAL.AppendErrors = r.WALAppendErrors.Value()
-	s.WAL.ReplayedJobs = r.WALReplayedJobs.Value()
-	s.WAL.ReplaySkipped = r.WALReplaySkipped.Value()
-	s.WAL.ReplayErrors = r.WALReplayErrors.Value()
-	return s
+	m.Cache.LookupSeconds = r.CacheLookup.Snapshot()
+	m.LatencySeconds.Queue = r.QueueLatency.Snapshot()
+	m.LatencySeconds.Compile = r.CompileLatency.Snapshot()
+	m.LatencySeconds.Execute = r.ExecLatency.Snapshot()
+	m.LatencySeconds.Total = r.TotalLatency.Snapshot()
+	m.BatchSize = r.BatchSize.Snapshot()
+	m.PST = r.PST.Snapshot()
+	return m
 }

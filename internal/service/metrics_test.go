@@ -1,15 +1,20 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/nisqbench"
 )
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
-	var g Gauge
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -17,8 +22,6 @@ func TestCounterAndGauge(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 			}
 		}()
 	}
@@ -26,12 +29,9 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Value() != 800 {
 		t.Fatalf("counter: got %d, want 800", c.Value())
 	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge: got %d, want 0", g.Value())
-	}
-	g.Set(42)
-	if g.Value() != 42 {
-		t.Fatalf("gauge set: got %d", g.Value())
+	c.Add(42)
+	if c.Value() != 842 {
+		t.Fatalf("counter add: got %d", c.Value())
 	}
 }
 
@@ -179,17 +179,22 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.JobsAccepted.Add(10)
-	r.JobsCompleted.Add(8)
-	r.JobsFailed.Add(2)
-	r.BatchesExecuted.Add(5)
-	r.ColocatedBatches.Add(3)
-	r.ColocatedJobs.Add(6)
-	r.BatchSize.Observe(2)
-	r.PST.Observe(0.9)
-	s := r.Snapshot()
+// TestMetricsSnapshotJSON checks the ratios /metrics derives from the
+// counts it reads off the service state, and that the document survives
+// a JSON round trip.
+func TestMetricsSnapshotJSON(t *testing.T) {
+	svc := newTestService(t, testConfig())
+	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
+	svc.mu.Lock()
+	tn := svc.tenants[DefaultTenantID]
+	tn.submitted, tn.completed, tn.failed = 10, 8, 2
+	svc.workers[0].batchesDone = 5
+	svc.metrics.ColocatedBatches.Add(3)
+	svc.metrics.ColocatedJobs.Add(6)
+	svc.mu.Unlock()
+	svc.metrics.BatchSize.Observe(2)
+	svc.metrics.PST.Observe(0.9)
+	s := svc.MetricsSnapshot()
 	if s.Batches.TRF != 2 {
 		t.Fatalf("derived batch stats: %+v", s.Batches)
 	}
@@ -204,7 +209,114 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Jobs.Accepted != 10 {
-		t.Fatalf("round trip lost data: %+v", back.Jobs)
+	if back.Jobs.Accepted != 10 || back.Tenancy.Tenants[0].Completed != 8 {
+		t.Fatalf("round trip lost data: %+v %+v", back.Jobs, back.Tenancy)
+	}
+}
+
+// parkHook is a fault hook that parks the nth latency observation until
+// release closes. It takes no service lock: the queue-latency
+// observation fires under Service.mu.
+type parkHook struct {
+	n       int
+	mu      sync.Mutex
+	seen    int // guarded by mu
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (h *parkHook) visit(context.Context, string) error { return nil }
+
+func (h *parkHook) observe(site string, v float64) float64 {
+	if site != siteLatency {
+		return v
+	}
+	h.mu.Lock()
+	h.seen++
+	n := h.seen
+	h.mu.Unlock()
+	if n == h.n {
+		close(h.parked)
+		<-h.release
+	}
+	return v
+}
+
+// TestMetricsAgreeWithJobStates takes a /metrics snapshot while a
+// one-job run is parked on its execute-latency observation — the third
+// (queue, compile, execute), made after the job turned done and outside
+// Service.mu. Every count must already agree with the job's record and
+// its tenant's row.
+func TestMetricsAgreeWithJobStates(t *testing.T) {
+	hook := &parkHook{n: 3, parked: make(chan struct{}), release: make(chan struct{})}
+	svc, err := newService([]*arch.Device{arch.London()}, testConfig(), hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	if _, err := svc.Submit(nisqbench.MustGet("bv_n3")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hook.parked:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the execute-latency observation never came")
+	}
+	snap := svc.MetricsSnapshot()
+	var done int64
+	for _, rec := range svc.Jobs() {
+		if rec.State == StateDone {
+			done++
+		}
+	}
+	close(hook.release)
+	shutdownClean(t, svc)
+
+	row := snap.Tenancy.Tenants[0]
+	if done != 1 || snap.Jobs.Completed != done || row.Completed != done {
+		t.Fatalf("jobs.completed %d, tenant row completed %d, done jobs %d: want all 1",
+			snap.Jobs.Completed, row.Completed, done)
+	}
+	if snap.Batches.Executed != 1 || snap.Batches.TRF != 1 || snap.Queue.InFlight != 0 || snap.Queue.Depth != 0 {
+		t.Fatalf("batches %+v, queue %+v after one done job", snap.Batches, snap.Queue)
+	}
+}
+
+// TestMetricsBalanceUnderLoad scrapes /metrics's snapshot from another
+// goroutine while two backends work through a burst: every snapshot
+// must balance, each accepted job queued, in flight or terminal.
+func TestMetricsBalanceUnderLoad(t *testing.T) {
+	svc := newTestService(t, testConfig())
+	svc.Start()
+	stop := make(chan struct{})
+	scraped := make(chan string, 1)
+	go func() {
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				scraped <- ""
+				return
+			default:
+			}
+			m := svc.MetricsSnapshot()
+			if got := m.Queue.Depth + m.Queue.InFlight + m.Jobs.Completed + m.Jobs.Failed; got != m.Jobs.Accepted {
+				scraped <- fmt.Sprintf("snapshot %d: queued %d + in flight %d + completed %d + failed %d != accepted %d",
+					n, m.Queue.Depth, m.Queue.InFlight, m.Jobs.Completed, m.Jobs.Failed, m.Jobs.Accepted)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 16; i++ {
+		if _, err := svc.Submit(nisqbench.MustGet("bv_n3")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shutdownClean(t, svc)
+	close(stop)
+	if msg := <-scraped; msg != "" {
+		t.Fatal(msg)
+	}
+	if m := svc.MetricsSnapshot(); m.Jobs.Completed != 16 {
+		t.Fatalf("jobs %+v after the drain, want 16 completed", m.Jobs)
 	}
 }

@@ -151,12 +151,12 @@ func TestShutdownDuringRequeueRace(t *testing.T) {
 			t.Fatalf("failed job %s has no error message", id)
 		}
 	}
-	m := svc.Metrics()
-	if got := m.InFlight.Value(); got != 0 {
-		t.Fatalf("InFlight = %d after shutdown, want 0", got)
+	snap := svc.MetricsSnapshot()
+	if got := snap.Queue.InFlight; got != 0 {
+		t.Fatalf("in_flight = %d after shutdown, want 0", got)
 	}
-	if got := m.QueueDepth.Value(); got != 0 {
-		t.Fatalf("QueueDepth = %d after shutdown, want 0", got)
+	if got := snap.Queue.Depth; got != 0 {
+		t.Fatalf("queue depth = %d after shutdown, want 0", got)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestBreakerDisabled(t *testing.T) {
 			t.Fatalf("job %d: %+v", i, rec)
 		}
 	}
-	if got := svc.Metrics().BreakerTrips.Value(); got != 0 {
-		t.Fatalf("BreakerTrips = %d with breaker disabled, want 0", got)
+	if got := svc.MetricsSnapshot().Robustness.BreakerTrips; got != 0 {
+		t.Fatalf("breaker_trips = %d with breaker disabled, want 0", got)
 	}
 	backends := svc.Backends()
 	if backends[0].Breaker.State != breakerClosed {

@@ -404,7 +404,7 @@ func newService(devices []*arch.Device, cfg Config, faults faultHook) (*Service,
 	s := &Service{
 		cfg:          cfg,
 		start:        time.Now(),
-		metrics:      NewRegistry(),
+		metrics:      newRegistry(),
 		jobs:         map[string]*job{},
 		stopCh:       make(chan struct{}),
 		accepting:    true,
@@ -446,8 +446,6 @@ func newService(devices []*arch.Device, cfg Config, faults faultHook) (*Service,
 		Lookahead:   cfg.Lookahead,
 		MaxColocate: cfg.MaxColocate,
 	})
-	s.metrics.fleetPolicy = cfg.FleetPolicy
-	s.metrics.tenantSource = func() (bool, []TenantMetrics) { return s.authRequired, s.TenantStats() }
 	if cfg.DataDir != "" {
 		if err := s.openWAL(s.runCtx, cfg.DataDir); err != nil {
 			return nil, err
@@ -544,11 +542,8 @@ func (s *Service) restoreTerminalLocked(t wal.Record) {
 		idemKey: t.Idem,
 	}
 	s.setStateLocked(j, state)
-	s.jobs[t.ID] = j
+	s.storeLocked(j, t.Fingerprint)
 	s.terminalIDs = append(s.terminalIDs, t.ID)
-	if tn != nil && t.Idem != "" {
-		tn.idem[t.Idem] = idemEntry{jobID: t.ID, fingerprint: t.Fingerprint}
-	}
 	if t.Seq >= s.seq {
 		s.seq = t.Seq + 1
 	}
@@ -592,9 +587,6 @@ func (s *Service) restorePendingLocked(p wal.Record) {
 		idemKey:    p.Idem,
 		lastQueued: submitted,
 	}
-	if p.Idem != "" {
-		tn.idem[p.Idem] = idemEntry{jobID: p.ID, fingerprint: p.Fingerprint}
-	}
 	circ, err := circuit.ParseQASMString(p.Name, p.QASM)
 	if err == nil && circ.NumQubits > s.maxQubits {
 		err = fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
@@ -603,22 +595,18 @@ func (s *Service) restorePendingLocked(p wal.Record) {
 	if err == nil {
 		j.rec.Qubits = circ.NumQubits
 		j.rec.Gates = len(circ.Gates)
-		if !s.enqueueLocked(j, circ) {
+		if !s.admitLocked(j, circ, p.Fingerprint) {
 			err = fmt.Errorf("%w: program %q needs %d qubits", ErrTooLarge, p.Name, circ.NumQubits)
 		}
 	}
-	s.jobs[p.ID] = j
 	if err != nil {
 		j.rec.Error = "replay: " + err.Error()
 		s.setStateLocked(j, StateFailed)
+		s.storeLocked(j, p.Fingerprint)
 		s.markTerminalLocked(j)
-		s.metrics.JobsFailed.Inc()
 		return
 	}
-	s.setStateLocked(j, StateQueued)
-	tn.submitted++
 	s.metrics.WALReplayedJobs.Inc()
-	s.metrics.JobsAccepted.Inc()
 }
 
 // Start launches the backend workers. It is idempotent.
@@ -635,9 +623,6 @@ func (s *Service) Start() {
 		go w.run(s.runCtx)
 	}
 }
-
-// Metrics exposes the service's metric registry.
-func (s *Service) Metrics() *Registry { return s.metrics }
 
 // observeLatency funnels a measured duration (in seconds) through the
 // fault hook's observation site before recording it, so chaos tests
@@ -706,17 +691,14 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		}
 	}
 	if !s.accepting {
-		s.metrics.JobsRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, ErrShuttingDown
 	}
 	if s.kernel.Len() >= s.cfg.QueueSize {
-		s.metrics.JobsRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, ErrQueueFull
 	}
 	if queued := t.flow.Queued(); queued >= t.maxQueued {
-		s.metrics.JobsRejected.Inc()
 		s.metrics.TenantRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, fmt.Errorf("%w: tenant %q has %d jobs queued (cap %d)",
@@ -741,26 +723,44 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		idemKey:    opts.IdempotencyKey,
 		lastQueued: now,
 	}
-	if !s.enqueueLocked(j, circ) {
+	if !s.admitLocked(j, circ, fp) {
 		s.seq-- // roll back: the job was never admitted
-		s.metrics.JobsRejected.Inc()
 		t.rejected++
 		return JobRecord{}, false, fmt.Errorf("%w: program %q needs %d qubits",
 			ErrTooLarge, circ.Name, circ.NumQubits)
 	}
-	s.setStateLocked(j, StateQueued)
 	// Log before acknowledging: once SubmitJob returns, the job must
 	// survive a process kill. An append failure is counted but does not
 	// reject the job — availability over durability.
 	s.walSubmitLocked(j, circ, fp)
-	s.jobs[j.rec.ID] = j
-	t.submitted++
-	if opts.IdempotencyKey != "" {
-		t.idem[opts.IdempotencyKey] = idemEntry{jobID: j.rec.ID, fingerprint: fp}
-	}
-	s.metrics.JobsAccepted.Inc()
 	s.cond.Broadcast()
 	return snapshotRecord(j), false, nil
+}
+
+// admitLocked is the admission SubmitJob and the WAL replay share: the
+// scheduler kernel routes, tags and queues the job, which then turns
+// queued, enters the store, counts as its tenant's submission and holds
+// its idempotency key (fp is the key's content fingerprint). false, with
+// nothing changed, means no backend can take the job. Callers hold s.mu.
+func (s *Service) admitLocked(j *job, circ *circuit.Circuit, fp string) bool {
+	j.item = sched.Item{Job: sched.Job{ID: j.rec.Seq, Circ: circ}, Flow: j.tenant.flow, Owner: j}
+	if !s.kernel.Submit(&j.item) {
+		return false
+	}
+	s.dispatchedLocked(j, -1)
+	s.setStateLocked(j, StateQueued)
+	s.storeLocked(j, fp)
+	j.tenant.submitted++
+	return true
+}
+
+// storeLocked puts the job in the store and binds its idempotency key,
+// if it has one, to it. Callers hold s.mu.
+func (s *Service) storeLocked(j *job, fp string) {
+	s.jobs[j.rec.ID] = j
+	if j.idemKey != "" && j.tenant != nil {
+		j.tenant.idem[j.idemKey] = idemEntry{jobID: j.rec.ID, fingerprint: fp}
+	}
 }
 
 // walSubmitLocked appends the job's admission record to the WAL (no-op
@@ -904,10 +904,8 @@ func (s *Service) failRemaining(msg string) {
 		j.rec.Error = msg
 		s.setStateLocked(j, StateFailed)
 		s.markTerminalLocked(j)
-		s.metrics.JobsFailed.Inc()
 		s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
 	}
-	s.metrics.QueueDepth.Set(0)
 }
 
 // markTerminalLocked records that the job reached a terminal state:

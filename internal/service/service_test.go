@@ -35,6 +35,9 @@ func (s *Service) Submit(circ *circuit.Circuit) (JobRecord, error) {
 	return rec, err
 }
 
+// Metrics exposes the service's event counters and histograms.
+func (s *Service) Metrics() *Registry { return s.metrics }
+
 // Jobs lists every record, oldest first.
 func (s *Service) Jobs() []JobRecord {
 	return s.JobsPage("", -1, 0)

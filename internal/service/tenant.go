@@ -191,23 +191,3 @@ type TenantMetrics struct {
 	Failed    int64   `json:"failed"`
 	Rejected  int64   `json:"rejected"`
 }
-
-// TenantStats reports every tenant's accounting, ordered by ID.
-func (s *Service) TenantStats() []TenantMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TenantMetrics, len(s.tenantList))
-	for i, t := range s.tenantList {
-		out[i] = TenantMetrics{
-			ID:        t.cfg.ID,
-			Weight:    t.weight,
-			MaxQueued: t.maxQueued,
-			Queued:    t.flow.Queued(),
-			Submitted: t.submitted,
-			Completed: t.completed,
-			Failed:    t.failed,
-			Rejected:  t.rejected,
-		}
-	}
-	return out
-}

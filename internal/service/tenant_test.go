@@ -174,7 +174,7 @@ func TestTenantQuota(t *testing.T) {
 		t.Fatalf("expected ErrTenantDisabled, got %v", err)
 	}
 
-	for _, tm := range svc.TenantStats() {
+	for _, tm := range svc.MetricsSnapshot().Tenancy.Tenants {
 		switch tm.ID {
 		case "alice":
 			if tm.Queued != 6 || tm.Rejected != 1 || tm.MaxQueued != 6 {

@@ -199,7 +199,6 @@ func (w *worker) claim(ctx context.Context) []*job {
 		// metrics snapshot.
 		w.schedErrs++
 		w.lastSchedErr = err.Error()
-		s.metrics.SchedulerErrors.Inc()
 	}
 
 	seqs := sched.IDs(items)
@@ -221,8 +220,6 @@ func (w *worker) claim(ctx context.Context) []*job {
 		}
 		s.setStateLocked(j, StateBatched)
 	}
-	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
-	s.metrics.InFlight.Add(int64(len(batch)))
 	return batch
 }
 
@@ -261,9 +258,7 @@ func (w *worker) failHead(msg string) {
 	j.rec.Backend = w.dev.Name
 	s.setStateLocked(j, StateFailed)
 	s.markTerminalLocked(j)
-	s.metrics.JobsFailed.Inc()
 	s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
-	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
 }
 
 // requeueFront returns unexecuted jobs to the queue (used when a
@@ -285,8 +280,6 @@ func (w *worker) requeueFront(tail []*job) {
 		s.setStateLocked(j, StateQueued)
 	}
 	s.kernel.Requeue(items)
-	s.metrics.QueueDepth.Set(int64(s.kernel.Len()))
-	s.metrics.InFlight.Add(-int64(len(tail)))
 	s.cond.Broadcast()
 }
 
@@ -412,6 +405,10 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 		s.kernel.Done(w.index, executed.Sub(s.start).Seconds(), true)
 		w.jobsDone += int64(len(batch))
 		w.batchesDone++
+		if len(batch) > 1 {
+			m.ColocatedBatches.Inc()
+			m.ColocatedJobs.Add(int64(len(batch)))
+		}
 		w.trace = append(w.trace, cloudsim.BatchRecord{
 			JobIDs:     seqs,
 			Start:      start.Sub(s.start).Seconds(),
@@ -426,16 +423,9 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 		}
 	}()
 
-	m.BatchesExecuted.Inc()
 	m.BatchSize.Observe(float64(len(batch)))
-	if len(batch) > 1 {
-		m.ColocatedBatches.Inc()
-		m.ColocatedJobs.Add(int64(len(batch)))
-	}
 	s.observeLatency(m.ExecLatency, executed.Sub(simStart).Seconds())
-	m.InFlight.Add(-int64(len(batch)))
 	for i, j := range batch {
-		m.JobsCompleted.Inc()
 		s.observeLatency(m.TotalLatency, executed.Sub(j.rec.SubmittedAt).Seconds())
 		m.PST.Observe(psts[i])
 	}
@@ -530,11 +520,8 @@ func (w *worker) fail(batch []*job, err error) {
 		s.kernel.Done(w.index, now.Sub(s.start).Seconds(), false)
 		w.batchesDone++
 	}()
-	s.metrics.BatchesExecuted.Inc()
 	s.metrics.BatchSize.Observe(float64(len(batch)))
-	s.metrics.InFlight.Add(-int64(len(batch)))
 	for _, j := range batch {
-		s.metrics.JobsFailed.Inc()
 		s.observeLatency(s.metrics.TotalLatency, now.Sub(j.rec.SubmittedAt).Seconds())
 	}
 }
@@ -545,10 +532,7 @@ func (w *worker) breakerSuccess() {
 	s := w.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w.brk.state != breakerClosed {
-		w.setBreakerLocked(breakerClosed)
-		s.metrics.OpenBreakers.Add(-1)
-	}
+	w.setBreakerLocked(breakerClosed)
 	w.brk.fails = 0
 }
 
@@ -560,22 +544,13 @@ func (w *worker) breakerFailure() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w.brk.fails++
-	switch w.brk.state {
-	case breakerHalfOpen:
+	trip := w.brk.state == breakerHalfOpen ||
+		w.brk.state == breakerClosed && s.cfg.BreakerThreshold > 0 && w.brk.fails >= s.cfg.BreakerThreshold
+	if trip {
 		w.setBreakerLocked(breakerOpen)
 		w.brk.openedAt = time.Now()
 		w.brk.opens++
-		s.metrics.BreakerTrips.Inc()
 		s.migrateLocked(w)
-	case breakerClosed:
-		if s.cfg.BreakerThreshold > 0 && w.brk.fails >= s.cfg.BreakerThreshold {
-			w.setBreakerLocked(breakerOpen)
-			w.brk.openedAt = time.Now()
-			w.brk.opens++
-			s.metrics.BreakerTrips.Inc()
-			s.metrics.OpenBreakers.Add(1)
-			s.migrateLocked(w)
-		}
 	}
 }
 

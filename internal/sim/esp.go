@@ -111,10 +111,15 @@ func AnalyticESP(d *arch.Device, sched *router.Schedule, numPrograms int, idlePe
 	if idlePerLayer > 0 {
 		total := len(lay.layers)
 		// busySum[q] is the number of layers q spends in a gate; every
-		// other layer of the co-located schedule it idles.
+		// other layer of the co-located schedule it idles. A barrier is
+		// no gate: its operands idle through its layer, as on both
+		// Monte-Carlo engines.
 		busySum := map[int]int{}
 		for _, layer := range lay.layers {
 			for _, op := range layer {
+				if op.Gate.IsBarrier() {
+					continue
+				}
 				cost := 1
 				if op.Gate.Name == circuit.GateSWAP {
 					cost = 3

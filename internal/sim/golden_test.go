@@ -27,7 +27,10 @@ import (
 // trials either way. The noisy statevector corners16 lines were
 // re-recorded once, when the statevector took the tableau's noise rules
 // for a CZ and a barrier (TestEnginesAgreeWithNoise holds the two
-// engines to each other).
+// engines to each other). Every corners16 line was re-recorded once
+// more when the fixture was laid out to put a CZ beside the other
+// program's link, together with AnalyticESP's idle walk no longer
+// counting a barrier's operands busy.
 
 // goldenTrials spans two shards, the second partial.
 const goldenTrials = 700
@@ -91,15 +94,13 @@ func ghz40(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circuit)
 }
 
 // corners16 is a Clifford pair both engines accept that walks the two
-// noise rules the engines once differed on — CZs firing in the same layer
-// as another program's two-qubit gate, and a barrier (its operands idle)
-// — plus every Clifford gate name the lowering knows. Its CZs' links are
-// not adjacent to the other program's on IBMQ16, so their crosstalk is
-// pinned by the oracle tests' seeded schedules, not here. Analytic ESPs
-// are pinned on it too.
+// noise rules the engines once differed on — a CZ firing in the same
+// layer as a crosstalk-adjacent two-qubit gate of the other program, and
+// a barrier (its operands idle) — plus every Clifford gate name the
+// lowering knows. Analytic ESPs are pinned on it too.
 func corners16(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circuit) {
 	tb.Helper()
-	a := circuit.New("a", 3).H(0).CZ(0, 1).S(1).Y(2).CX(1, 2).Sdg(0).SWAP(0, 1).MeasureAll()
+	a := circuit.New("a", 3).H(0).Y(2).CZ(1, 2).S(1).CX(0, 1).Sdg(0).SWAP(0, 1).MeasureAll()
 	b := circuit.New("b", 2).X(0).CZ(0, 1).H(1).CX(0, 1).Z(0).CZ(0, 1).MeasureAll()
 	progs := []*circuit.Circuit{a, b}
 	s, err := router.Route(d, progs, [][]int{{0, 1, 2}, {3, 4}}, router.DefaultOptions())
@@ -110,7 +111,32 @@ func corners16(tb testing.TB, d *arch.Device) (*router.Schedule, []*circuit.Circ
 	mid := len(s.Ops) / 2
 	barrier := router.Op{Gate: circuit.Gate{Name: circuit.GateBarrier, Qubits: []int{0, 1, 2}}}
 	s.Ops = append(s.Ops[:mid:mid], append([]router.Op{barrier}, s.Ops[mid:]...)...)
+	if !czBesideOtherProgram(d, s) {
+		tb.Fatal("corners16: no CZ shares a layer with an adjacent two-qubit op of the other program")
+	}
 	return s, progs
+}
+
+// czBesideOtherProgram reports whether some CZ of the schedule fires in
+// a layer where another program's two-qubit op is crosstalk-adjacent.
+func czBesideOtherProgram(d *arch.Device, s *router.Schedule) bool {
+	for _, layer := range layerize(s).layers {
+		for _, cz := range layer {
+			if cz.Gate.Name != circuit.GateCZ {
+				continue
+			}
+			var others []router.Op
+			for _, op := range layer {
+				if op.Program != cz.Program {
+					others = append(others, op)
+				}
+			}
+			if crosstalkAdjacent(d, twoQubitLinks(others), cz.Gate.Qubits[0], cz.Gate.Qubits[1]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func goldenLine(o *Outcome) string {
@@ -123,10 +149,10 @@ func goldenLine(o *Outcome) string {
 
 // goldenPST maps engine/fixture/noise-variant to its recorded line.
 var goldenPST = map[string]string{
-	"clifford/corners16/default":      "3fdbfa2608c6f2d6 3fdcb564efe89823 001 10",
-	"clifford/corners16/matrix":       "3fdbb3ee721a54d9 3fdd130463796aca 001 10",
+	"clifford/corners16/default":      "3fd7c57c57c57c58 3fdd9f7390d2a6c4 001 10",
+	"clifford/corners16/matrix":       "3fd8af8af8af8af9 3fdc118de5ab277f 001 10",
 	"clifford/corners16/noiseless":    "3fe03a83a83a83a8 3fde898231bcb565 001 10",
-	"clifford/corners16/xtalk":        "3fd9b101767dce43 3fdeb851eb851eb8 001 10",
+	"clifford/corners16/xtalk":        "3fd7c57c57c57c58 3fdd70a3d70a3d71 001 10",
 	"clifford/ghz40/default":          "3f8d41d41d41d41d 0000000000000000000000000000000000000000",
 	"clifford/ghz40/matrix":           "3f8d41d41d41d41d 0000000000000000000000000000000000000000",
 	"clifford/ghz40/noiseless":        "3fe069536202ecfc 0000000000000000000000000000000000000000",
@@ -135,18 +161,18 @@ var goldenPST = map[string]string{
 	"clifford/mix50/matrix":           "3fb2a6c405d9f739 3fc593bfa2608c6f 3fc9c869536202ed 3fd02ecfb9c86953 1111111110 00000000 111110 0000",
 	"clifford/mix50/noiseless":        "3ff0000000000000 3fe03a83a83a83a8 3ff0000000000000 3fde898231bcb565 1111111110 00000000 111110 0000",
 	"clifford/mix50/xtalk":            "3fb01767dce434aa 3fc4d880bb3ee722 3fc44c118de5ab27 3fcfa2608c6f2d59 1111111110 00000000 111110 0000",
-	"esp/corners16/default":           "3fe7d36276687073 3fea3842ab021e44",
-	"esp/corners16/matrix":            "3fe76d4dce8a3056 3fea2b5557d296d6",
+	"esp/corners16/default":           "3fe7a799c002d45e 3fea2829212dd453",
+	"esp/corners16/matrix":            "3fe74240af94f0f7 3fea1b43be05ccd7",
 	"esp/corners16/noiseless":         "3fe806ddc38f4231 3fea70ea3f13eef3",
-	"esp/corners16/xtalk":             "3fe7b144e32e463f 3fea12b7878b5fdb",
+	"esp/corners16/xtalk":             "3fe768d94b955e1b 3fe9f80b744a8ef5",
 	"esp/pair16/default":              "3fe09f6e66704996 3fd5136d9b565276",
 	"esp/pair16/matrix":               "3fe058361d6ded58 3fd5090983fc9c1c",
 	"esp/pair16/noiseless":            "3fe344b0f83eb39d 3fd6161850f99a04",
 	"esp/pair16/xtalk":                "3fde200fdc88e93f 3fd46d6da31910e3",
-	"statevector/corners16/default":   "3fdd880bb3ee721a 3fdbe2be2be2be2c 001 10",
-	"statevector/corners16/matrix":    "3fde434a9b101768 3fdd70a3d70a3d71 001 10",
-	"statevector/corners16/noiseless": "3fe130463796ac9e 3fe069536202ecfc 001 10",
-	"statevector/corners16/xtalk":     "3fdcb564efe89823 3fdcfb9c86953620 001 10",
+	"statevector/corners16/default":   "3fd8c6f2d593bfa2 3fdce434a9b10176 001 10",
+	"statevector/corners16/matrix":    "3fd93bfa2608c6f3 3fdb3ee721a54d88 001 10",
+	"statevector/corners16/noiseless": "3fdf2d593bfa2609 3fe069536202ecfc 001 10",
+	"statevector/corners16/xtalk":     "3fd69536202ecfba 3fdc6f2d593bfa26 001 10",
 	"statevector/pair16/default":      "3fe428f5c28f5c29 3fdbfa2608c6f2d6 110 111",
 	"statevector/pair16/matrix":       "3fe41d41d41d41d4 3fdeb851eb851eb8 110 111",
 	"statevector/pair16/noiseless":    "3ff0000000000000 3ff0000000000000 110 111",
