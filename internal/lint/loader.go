@@ -142,17 +142,19 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// stdImporter type-checks standard-library packages from source, once
-// per process: every LoadModule and CheckFile call shares its results
-// (type-checked packages are immutable). The source importer keeps an
-// unsynchronised package map, hence the mutex; its file set positions
-// only standard-library objects, which no finding points at.
+// stdImporter loads standard-library packages once per process from
+// the compiler's export data, which the "gc" importer reads from the
+// local build cache through `go list -export`: every LoadModule and
+// CheckFile call shares its results (imported packages are immutable).
+// The importer keeps an unsynchronised package map, hence the mutex;
+// its file set positions only standard-library objects, which no
+// finding points at.
 type stdImporter struct {
 	mu  sync.Mutex
 	imp types.Importer // guarded by mu
 }
 
-var std = &stdImporter{imp: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+var std = &stdImporter{imp: importer.ForCompiler(token.NewFileSet(), "gc", nil)}
 
 func (s *stdImporter) Import(path string) (*types.Package, error) {
 	s.mu.Lock()

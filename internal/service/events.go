@@ -8,7 +8,8 @@ import (
 )
 
 // This file is the job lifecycle event stream: every state transition
-// appends a JobEvent to the job's history, and GET
+// (transitionLocked) appends a JobEvent to the job's history and wakes
+// the job's watchers, and GET
 // /v1/jobs/{id}/events serves that history — then live updates — as
 // Server-Sent Events. History plus notification (rather than a
 // per-subscriber event channel) means a subscriber can connect at any
@@ -26,30 +27,6 @@ type JobEvent struct {
 	Backend string    `json:"backend,omitempty"`
 	PST     float64   `json:"pst,omitempty"`
 	Error   string    `json:"error,omitempty"`
-}
-
-// setStateLocked transitions the job's state and appends the matching
-// event, waking any SSE subscribers. Every state assignment in the
-// service goes through here so the event history is complete by
-// construction. Callers hold s.mu and have already set the fields the
-// event snapshots (Backend, PST, Error).
-func (s *Service) setStateLocked(j *job, state State) {
-	j.rec.State = state
-	j.events = append(j.events, JobEvent{
-		Seq:     len(j.events) + 1,
-		JobID:   j.rec.ID,
-		State:   state,
-		At:      time.Now(),
-		Backend: j.rec.Backend,
-		PST:     j.rec.PST,
-		Error:   j.rec.Error,
-	})
-	for _, ch := range j.watchers {
-		select {
-		case ch <- struct{}{}:
-		default: // subscriber already has a wakeup pending
-		}
-	}
 }
 
 // watchLocked registers a wakeup channel on the job; the returned

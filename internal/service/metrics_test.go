@@ -243,12 +243,12 @@ func (h *parkHook) observe(site string, v float64) float64 {
 }
 
 // TestMetricsAgreeWithJobStates takes a /metrics snapshot while a
-// one-job run is parked on its execute-latency observation — the third
-// (queue, compile, execute), made after the job turned done and outside
-// Service.mu. Every count must already agree with the job's record and
-// its tenant's row.
+// one-job run is parked on its execute-latency observation — the fourth
+// (queue, compile, total at the done transition, execute), made after
+// the job turned done and outside Service.mu. Every count must already
+// agree with the job's record and its tenant's row.
 func TestMetricsAgreeWithJobStates(t *testing.T) {
-	hook := &parkHook{n: 3, parked: make(chan struct{}), release: make(chan struct{})}
+	hook := &parkHook{n: 4, parked: make(chan struct{}), release: make(chan struct{})}
 	svc, err := newService([]*arch.Device{arch.London()}, testConfig(), hook)
 	if err != nil {
 		t.Fatal(err)

@@ -194,7 +194,7 @@ type JobRecord struct {
 // job pairs the client-visible record with the job's scheduler-kernel
 // item (item.Owner points back at the job; item.Chip is the worker the
 // dispatcher routed it to). All fields are guarded by Service.mu except
-// tenant/idemKey, which are immutable after admission.
+// tenant, idemKey, fp and logged, which are immutable after admission.
 type job struct {
 	rec     JobRecord
 	item    sched.Item
@@ -202,6 +202,8 @@ type job struct {
 
 	tenant  *tenantState // owning tenant; immutable after admission
 	idemKey string       // idempotency key binding to release on eviction; immutable
+	fp      string       // the key's content fingerprint; immutable
+	logged  walHas       // what the WAL held when the job entered the store; immutable
 
 	lastQueued   time.Time // guarded by mu; when the job last entered the queue
 	waitObserved bool      // guarded by mu; QueueLatency recorded (once per job)
@@ -209,6 +211,17 @@ type job struct {
 	events   []JobEvent      // guarded by mu; lifecycle events, Seq ascending
 	watchers []chan struct{} // guarded by mu; SSE subscriber wakeups (cap 1)
 }
+
+// walHas says which of a job's records the write-ahead log already
+// held when the job entered this process's store; transitionLocked
+// neither logs nor counts them again.
+type walHas uint8
+
+const (
+	walNone   walHas = iota // a live submission: both records are logged here
+	walSubmit               // a replayed pending job: only its outcome is logged here
+	walBoth                 // a restored terminal record: it counts only as replayed
+)
 
 // BreakerStatus surfaces a worker's circuit-breaker state: "closed"
 // (normal), "open" (draining after BreakerThreshold consecutive batch
@@ -454,13 +467,13 @@ func newService(devices []*arch.Device, cfg Config, faults faultHook) (*Service,
 	return s, nil
 }
 
-// openWAL opens (or creates) the write-ahead job log under dir and
-// restores its state: terminal records re-enter the job store, pending
-// records — jobs admitted before the previous process died — are
-// re-parsed and re-enqueued with their original identity. Afterwards
-// the log is compacted to exactly the restored state. A fault injected
-// at the replay site discards the replayed records (availability over
-// durability) but keeps the log open for new appends.
+// openWAL opens (or creates) the write-ahead job log under dir,
+// restores the store the previous process left through restoreLocked —
+// its history (the last MaxJobHistory terminal records, in the order
+// the jobs ended), then its pending jobs — and compacts the log to
+// exactly that store. A fault injected at the replay site discards the
+// replayed records (availability over durability) but keeps the log
+// open for new appends.
 func (s *Service) openWAL(ctx context.Context, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("service: data dir: %w", err)
@@ -475,92 +488,61 @@ func (s *Service) openWAL(ctx context.Context, dir string) error {
 			return s.faults.visit(s.runCtx, siteWALAppend)
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq = rep.NextSeq() // even a discarded replay's IDs are never reissued
 	if err := s.visitFault(ctx, siteWALReplay); err != nil {
 		s.metrics.WALReplayErrors.Inc()
 		return nil
 	}
 	s.metrics.WALReplaySkipped.Add(int64(rep.Skipped))
 	pending, terminal := rep.Pending()
-	// Compact first, so replay cost tracks live state rather than the
-	// previous daemon's lifetime; terminal records appended during the
-	// restore below (e.g. a pending job whose QASM no longer parses)
-	// then land after the compacted content.
-	live := make([]wal.Record, 0, len(terminal)*2+len(pending))
-	for _, t := range terminal {
-		sub := t
-		sub.Type = wal.TypeSubmit
-		sub.Backend, sub.Error, sub.PST, sub.WaitSeconds, sub.ServiceSeconds = "", "", 0, 0, 0
-		// QASM is not retained for terminal jobs: they are never requeued.
-		sub.QASM = ""
-		live = append(live, sub, wal.Record{
-			Type: t.Type, ID: t.ID, Backend: t.Backend, Error: t.Error,
-			PST: t.PST, WaitSeconds: t.WaitSeconds, ServiceSeconds: t.ServiceSeconds,
-		})
+	if n := s.cfg.MaxJobHistory; n > 0 && len(terminal) > n {
+		terminal = terminal[len(terminal)-n:] // evicted before the restart
 	}
-	live = append(live, pending...)
-	if err := l.Compact(live); err != nil {
-		s.metrics.WALAppendErrors.Inc()
+	for _, r := range terminal {
+		s.restoreLocked(r)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range terminal {
-		s.restoreTerminalLocked(t)
+	for _, r := range pending {
+		s.restoreLocked(r)
+	}
+	// Shrink the log to the store: the sequence mark (dropped records'
+	// IDs are never issued again), a submit/outcome pair per retained
+	// terminal record, without QASM, and each requeued job's submit.
+	live := make([]wal.Record, 0, 1+2*len(s.terminalIDs)+len(pending))
+	if s.seq > 0 {
+		live = append(live, wal.Record{Type: wal.TypeSeq, ID: "seq", Seq: s.seq - 1})
+	}
+	for _, id := range s.terminalIDs {
+		j := s.jobs[id]
+		live = append(live, submitRecord(j, ""), terminalRecord(j))
 	}
 	for _, p := range pending {
-		s.restorePendingLocked(p)
+		if j := s.jobs[p.ID]; j != nil && !j.rec.State.Terminal() {
+			live = append(live, submitRecord(j, p.QASM))
+		}
+	}
+	if err := l.Compact(live); err != nil {
+		s.metrics.WALAppendErrors.Inc()
 	}
 	return nil
 }
 
-// restoreTerminalLocked rebuilds a finished job's record from its
-// merged WAL submit+terminal pair so GET /v1/jobs/{id} keeps answering
-// across a restart. Callers hold s.mu.
-func (s *Service) restoreTerminalLocked(t wal.Record) {
-	if _, exists := s.jobs[t.ID]; exists {
+// restoreLocked re-enters one replayed record through transitionLocked.
+// A terminal record (merged with its submit) joins the store and the
+// history as it was. A pending submit — a job the previous process
+// accepted but never finished — is re-parsed and re-admitted with its
+// original ID, sequence, tenant, and submission instant (so its
+// measured wait honestly includes the downtime); one that no longer
+// parses or fits any backend fails instead of vanishing. A record of a
+// tenant no longer in the key table is skipped and counted in auth
+// mode, and belongs to the default tenant in open mode. Callers hold
+// s.mu.
+func (s *Service) restoreLocked(r wal.Record) {
+	if _, exists := s.jobs[r.ID]; exists {
 		return
 	}
-	state := StateDone
-	if t.Type == wal.TypeFailed {
-		state = StateFailed
-	}
-	tn := s.tenants[t.Tenant]
-	j := &job{
-		rec: JobRecord{
-			ID:             t.ID,
-			Seq:            t.Seq,
-			Tenant:         t.Tenant,
-			Name:           t.Name,
-			Backend:        t.Backend,
-			SubmittedAt:    time.Unix(0, t.SubmittedUnixNano),
-			ArrivalSeconds: t.Arrival,
-			WaitSeconds:    t.WaitSeconds,
-			ServiceSeconds: t.ServiceSeconds,
-			PST:            t.PST,
-			Error:          t.Error,
-		},
-		tenant:  tn,
-		idemKey: t.Idem,
-	}
-	s.setStateLocked(j, state)
-	s.storeLocked(j, t.Fingerprint)
-	s.terminalIDs = append(s.terminalIDs, t.ID)
-	if t.Seq >= s.seq {
-		s.seq = t.Seq + 1
-	}
-	s.metrics.WALReplayedJobs.Inc()
-}
-
-// restorePendingLocked re-admits a job the previous process accepted
-// but never finished: the QASM source is re-parsed and the job
-// re-enters the queue with its original ID, sequence, tenant, and
-// submission instant (so its measured wait honestly includes the
-// downtime). Jobs that no longer parse or fit any backend are restored
-// as failed instead of silently dropped. Callers hold s.mu.
-func (s *Service) restorePendingLocked(p wal.Record) {
-	if _, exists := s.jobs[p.ID]; exists {
-		return
-	}
-	tn := s.tenants[p.Tenant]
+	tn := s.tenants[r.Tenant]
 	if tn == nil {
 		// The tenant table changed across the restart; default-tenant
 		// jobs (open mode) land here too when tenants were added.
@@ -570,43 +552,47 @@ func (s *Service) restorePendingLocked(p wal.Record) {
 		}
 		tn = s.tenants[DefaultTenantID]
 	}
-	if p.Seq >= s.seq {
-		s.seq = p.Seq + 1
-	}
-	submitted := time.Unix(0, p.SubmittedUnixNano)
+	submitted := time.Unix(0, r.SubmittedUnixNano)
 	j := &job{
 		rec: JobRecord{
-			ID:             p.ID,
-			Seq:            p.Seq,
+			ID:             r.ID,
+			Seq:            r.Seq,
 			Tenant:         tn.cfg.ID,
-			Name:           p.Name,
+			Name:           r.Name,
+			Qubits:         r.Qubits,
+			Gates:          r.Gates,
+			Backend:        r.Backend,
 			SubmittedAt:    submitted,
-			ArrivalSeconds: p.Arrival,
+			ArrivalSeconds: r.Arrival,
+			WaitSeconds:    r.WaitSeconds,
+			ServiceSeconds: r.ServiceSeconds,
+			PST:            r.PST,
+			Error:          r.Error,
 		},
 		tenant:     tn,
-		idemKey:    p.Idem,
+		idemKey:    r.Idem,
+		fp:         r.Fingerprint,
+		logged:     walSubmit,
 		lastQueued: submitted,
 	}
-	circ, err := circuit.ParseQASMString(p.Name, p.QASM)
-	if err == nil && circ.NumQubits > s.maxQubits {
-		err = fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
-			ErrTooLarge, p.Name, circ.NumQubits, s.maxQubits)
-	}
-	if err == nil {
-		j.rec.Qubits = circ.NumQubits
-		j.rec.Gates = len(circ.Gates)
-		if !s.admitLocked(j, circ, p.Fingerprint) {
-			err = fmt.Errorf("%w: program %q needs %d qubits", ErrTooLarge, p.Name, circ.NumQubits)
-		}
-	}
-	if err != nil {
-		j.rec.Error = "replay: " + err.Error()
-		s.setStateLocked(j, StateFailed)
-		s.storeLocked(j, p.Fingerprint)
-		s.markTerminalLocked(j)
+	if r.Type != wal.TypeSubmit {
+		j.logged = walBoth
+		s.transitionLocked(j, State(r.Type)) // an outcome record's type names its state
+		s.metrics.WALReplayedJobs.Inc()
 		return
 	}
-	s.metrics.WALReplayedJobs.Inc()
+	circ, err := circuit.ParseQASMString(r.Name, r.QASM)
+	if err == nil {
+		j.rec.Qubits, j.rec.Gates = circ.NumQubits, len(circ.Gates)
+		if s.admitLocked(j, circ) {
+			s.metrics.WALReplayedJobs.Inc()
+			return
+		}
+		err = fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
+			ErrTooLarge, r.Name, circ.NumQubits, s.maxQubits)
+	}
+	j.rec.Error = "replay: " + err.Error()
+	s.transitionLocked(j, StateFailed)
 }
 
 // Start launches the backend workers. It is idempotent.
@@ -704,14 +690,12 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		return JobRecord{}, false, fmt.Errorf("%w: tenant %q has %d jobs queued (cap %d)",
 			ErrTenantQuota, t.cfg.ID, queued, t.maxQueued)
 	}
-	seq := s.seq
-	s.seq++
 	now := time.Now()
 	arrival := now.Sub(s.start).Seconds()
 	j := &job{
 		rec: JobRecord{
-			ID:             fmt.Sprintf("job-%06d", seq),
-			Seq:            seq,
+			ID:             fmt.Sprintf("job-%06d", s.seq),
+			Seq:            s.seq,
 			Tenant:         t.cfg.ID,
 			Name:           circ.Name,
 			Qubits:         circ.NumQubits,
@@ -721,71 +705,152 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		},
 		tenant:     t,
 		idemKey:    opts.IdempotencyKey,
+		fp:         fp,
 		lastQueued: now,
 	}
-	if !s.admitLocked(j, circ, fp) {
-		s.seq-- // roll back: the job was never admitted
+	// Admission logs the job before SubmitJob acknowledges it, so once
+	// SubmitJob returns the job survives a process kill.
+	if !s.admitLocked(j, circ) {
 		t.rejected++
 		return JobRecord{}, false, fmt.Errorf("%w: program %q needs %d qubits",
 			ErrTooLarge, circ.Name, circ.NumQubits)
 	}
-	// Log before acknowledging: once SubmitJob returns, the job must
-	// survive a process kill. An append failure is counted but does not
-	// reject the job — availability over durability.
-	s.walSubmitLocked(j, circ, fp)
+	s.seq++
 	s.cond.Broadcast()
 	return snapshotRecord(j), false, nil
 }
 
 // admitLocked is the admission SubmitJob and the WAL replay share: the
 // scheduler kernel routes, tags and queues the job, which then turns
-// queued, enters the store, counts as its tenant's submission and holds
-// its idempotency key (fp is the key's content fingerprint). false, with
-// nothing changed, means no backend can take the job. Callers hold s.mu.
-func (s *Service) admitLocked(j *job, circ *circuit.Circuit, fp string) bool {
+// queued through transitionLocked. false, with nothing changed, means
+// no backend can take the job. Callers hold s.mu.
+func (s *Service) admitLocked(j *job, circ *circuit.Circuit) bool {
 	j.item = sched.Item{Job: sched.Job{ID: j.rec.Seq, Circ: circ}, Flow: j.tenant.flow, Owner: j}
 	if !s.kernel.Submit(&j.item) {
 		return false
 	}
 	s.dispatchedLocked(j, -1)
-	s.setStateLocked(j, StateQueued)
-	s.storeLocked(j, fp)
-	j.tenant.submitted++
+	s.transitionLocked(j, StateQueued)
 	return true
 }
 
-// storeLocked puts the job in the store and binds its idempotency key,
-// if it has one, to it. Callers hold s.mu.
-func (s *Service) storeLocked(j *job, fp string) {
-	s.jobs[j.rec.ID] = j
-	if j.idemKey != "" && j.tenant != nil {
-		j.tenant.idem[j.idemKey] = idemEntry{jobID: j.rec.ID, fingerprint: fp}
+// transitionLocked moves j to state to and applies every side effect of
+// the move; every state change in the service goes through it, live or
+// replayed. Each one records the state and appends the SSE event. A job
+// entering the store (from no state) is stored, binds its idempotency
+// key, counts as its tenant's submission and logs its submit record. A
+// terminal move counts the outcome, logs it, observes TotalLatency and
+// joins the history, whose oldest records beyond MaxJobHistory are
+// evicted along with their key bindings. What the log already held
+// (j.logged) is neither logged nor counted again, and a restored
+// terminal record's eviction is not counted either. Callers hold s.mu
+// and have set the fields the event snapshots (Backend, PST, Error).
+func (s *Service) transitionLocked(j *job, to State) {
+	now := time.Now()
+	from := j.rec.State
+	j.rec.State = to
+	j.events = append(j.events, JobEvent{
+		Seq:     len(j.events) + 1,
+		JobID:   j.rec.ID,
+		State:   to,
+		At:      now,
+		Backend: j.rec.Backend,
+		PST:     j.rec.PST,
+		Error:   j.rec.Error,
+	})
+	for _, ch := range j.watchers {
+		select {
+		case ch <- struct{}{}:
+		default: // subscriber already has a wakeup pending
+		}
+	}
+	if from == "" {
+		s.jobs[j.rec.ID] = j
+		if j.idemKey != "" {
+			j.tenant.idem[j.idemKey] = idemEntry{jobID: j.rec.ID, fingerprint: j.fp}
+		}
+		if j.logged != walBoth {
+			j.tenant.submitted++
+		}
+		if j.logged == walNone && s.wlog != nil {
+			// An append failure is counted but does not reject the job:
+			// availability over durability.
+			s.walAppendLocked(submitRecord(j, circuit.QASMString(j.item.Circ)))
+		}
+	}
+	if !to.Terminal() {
+		return
+	}
+	if j.logged != walBoth {
+		if to == StateDone {
+			j.tenant.completed++
+		} else {
+			j.tenant.failed++
+		}
+		s.walAppendLocked(terminalRecord(j))
+		s.observeLatency(s.metrics.TotalLatency, now.Sub(j.rec.SubmittedAt).Seconds())
+	}
+	s.terminalIDs = append(s.terminalIDs, j.rec.ID)
+	for s.cfg.MaxJobHistory > 0 && len(s.terminalIDs) > s.cfg.MaxJobHistory {
+		id := s.terminalIDs[0]
+		s.terminalIDs = s.terminalIDs[1:]
+		old := s.jobs[id]
+		// Release the evicted job's idempotency-key binding so the key
+		// can be reused once the job it named is gone.
+		if old.idemKey != "" && old.tenant.idem[old.idemKey].jobID == id {
+			delete(old.tenant.idem, old.idemKey)
+		}
+		delete(s.jobs, id)
+		if old.logged != walBoth {
+			s.metrics.JobsEvicted.Inc()
+		}
 	}
 }
 
-// walSubmitLocked appends the job's admission record to the WAL (no-op
-// without a data dir). Callers hold s.mu.
-func (s *Service) walSubmitLocked(j *job, circ *circuit.Circuit, fp string) {
+// walAppendLocked appends one record to the WAL (no-op without a data
+// dir) and counts the outcome. Callers hold s.mu.
+func (s *Service) walAppendLocked(rec wal.Record) {
 	if s.wlog == nil {
 		return
 	}
-	err := s.wlog.Append(wal.Record{
+	if err := s.wlog.Append(rec); err != nil {
+		s.metrics.WALAppendErrors.Inc()
+		return
+	}
+	s.metrics.WALAppends.Inc()
+}
+
+// submitRecord is the job's WAL admission record with the given QASM
+// source (empty for a job that never runs again).
+func submitRecord(j *job, qasm string) wal.Record {
+	return wal.Record{
 		Type:              wal.TypeSubmit,
 		ID:                j.rec.ID,
 		Seq:               j.rec.Seq,
 		Tenant:            j.rec.Tenant,
 		Name:              j.rec.Name,
-		QASM:              circuit.QASMString(circ),
+		QASM:              qasm,
 		Idem:              j.idemKey,
-		Fingerprint:       fp,
+		Fingerprint:       j.fp,
 		SubmittedUnixNano: j.rec.SubmittedAt.UnixNano(),
 		Arrival:           j.rec.ArrivalSeconds,
-	})
-	if err != nil {
-		s.metrics.WALAppendErrors.Inc()
-		return
+		Qubits:            j.rec.Qubits,
+		Gates:             j.rec.Gates,
 	}
-	s.metrics.WALAppends.Inc()
+}
+
+// terminalRecord is the job's WAL outcome record, typed by the name of
+// its terminal state (wal.TypeDone or wal.TypeFailed).
+func terminalRecord(j *job) wal.Record {
+	return wal.Record{
+		Type:           string(j.rec.State),
+		ID:             j.rec.ID,
+		Backend:        j.rec.Backend,
+		Error:          j.rec.Error,
+		PST:            j.rec.PST,
+		WaitSeconds:    j.rec.WaitSeconds,
+		ServiceSeconds: j.rec.ServiceSeconds,
+	}
 }
 
 // Job returns the record for the given public id.
@@ -836,8 +901,9 @@ func (s *Service) Backends() []BackendStatus {
 
 // Shutdown stops accepting jobs, drains the queue, and waits for the
 // workers to finish every remaining batch. If ctx is canceled first,
-// workers stop after their current batch, leftover queued jobs are
-// marked failed, and ctx's error is returned.
+// workers stop after their current batch and ctx's error is returned.
+// Either way leftover queued jobs are marked failed and the WAL is
+// closed after their terminal appends.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.mu.Lock()
@@ -847,116 +913,49 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	if !started {
-		// The run context must be cancelled on this path too: nothing
-		// ever started from it, but leaving it live leaks the context
-		// (and any future derivation from it would never be released).
-		s.runCancel()
-		s.failRemaining("service shut down before execution")
-		s.closeWAL()
-		return nil
+	var err error
+	if started {
+		done := make(chan struct{})
+		go func() {
+			s.wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			s.mu.Lock()
+			s.forced = true
+			s.cond.Broadcast()
+			s.mu.Unlock()
+			// Cancel the run context so the current batch's compile/simulate
+			// aborts at its next deadline check instead of finishing a result
+			// nobody will read.
+			s.runCancel()
+			<-done
+			err = ctx.Err()
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.runCancel()
-		s.failRemaining("service shut down before execution")
-		s.closeWAL()
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		s.forced = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		// Cancel the run context so the current batch's compile/simulate
-		// aborts at its next deadline check instead of finishing a result
-		// nobody will read.
-		s.runCancel()
-		<-done
-		s.failRemaining("service shut down before execution")
-		s.closeWAL()
-		return ctx.Err()
-	}
+	// Nothing runs from the run context any more; cancelling it releases
+	// it on every path, including a service that never started.
+	s.runCancel()
+	s.failRemaining("service shut down before execution")
+	return err
 }
 
-// closeWAL syncs and closes the write-ahead log after the last
-// terminal append of a shutdown (no-op without a data dir).
-func (s *Service) closeWAL() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wlog != nil {
-		_ = s.wlog.Close()
-		s.wlog = nil
-	}
-}
-
-// failRemaining marks every still-queued job failed (used when a
-// shutdown leaves jobs behind).
+// failRemaining marks every still-queued job failed (a shutdown leaves
+// them behind), then syncs and closes the write-ahead log after their
+// terminal appends.
 func (s *Service) failRemaining(msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, it := range s.kernel.Drain() {
 		j := it.Owner.(*job)
 		j.rec.Error = msg
-		s.setStateLocked(j, StateFailed)
-		s.markTerminalLocked(j)
-		s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
-	}
-}
-
-// markTerminalLocked records that the job reached a terminal state:
-// per-tenant outcome counters, the WAL terminal append, and eviction
-// of the oldest terminal records beyond Config.MaxJobHistory, so the
-// in-memory store cannot grow without bound under a long-running
-// daemon. Callers hold s.mu and have already set a terminal state.
-func (s *Service) markTerminalLocked(j *job) {
-	if j.tenant != nil {
-		if j.rec.State == StateDone {
-			j.tenant.completed++
-		} else {
-			j.tenant.failed++
-		}
+		s.transitionLocked(j, StateFailed)
 	}
 	if s.wlog != nil {
-		typ := wal.TypeDone
-		if j.rec.State == StateFailed {
-			typ = wal.TypeFailed
-		}
-		err := s.wlog.Append(wal.Record{
-			Type:           typ,
-			ID:             j.rec.ID,
-			Backend:        j.rec.Backend,
-			Error:          j.rec.Error,
-			PST:            j.rec.PST,
-			WaitSeconds:    j.rec.WaitSeconds,
-			ServiceSeconds: j.rec.ServiceSeconds,
-		})
-		if err != nil {
-			s.metrics.WALAppendErrors.Inc()
-		} else {
-			s.metrics.WALAppends.Inc()
-		}
-	}
-	s.terminalIDs = append(s.terminalIDs, j.rec.ID)
-	if s.cfg.MaxJobHistory <= 0 {
-		return
-	}
-	for len(s.terminalIDs) > s.cfg.MaxJobHistory {
-		id := s.terminalIDs[0]
-		s.terminalIDs = s.terminalIDs[1:]
-		// Release the evicted job's idempotency-key binding so the key
-		// can be reused once the job it named is gone.
-		if old := s.jobs[id]; old != nil && old.idemKey != "" && old.tenant != nil {
-			if e := old.tenant.idem[old.idemKey]; e.jobID == id {
-				delete(old.tenant.idem, old.idemKey)
-			}
-		}
-		delete(s.jobs, id)
-		s.metrics.JobsEvicted.Inc()
+		_ = s.wlog.Close()
+		s.wlog = nil
 	}
 }
 

@@ -32,12 +32,14 @@ func TestWALReplayAfterKill(t *testing.T) {
 	// behind (appends are unbuffered writes, so the log is on disk).
 	first := newWALService(t, cfg, nil)
 	var ids []string
+	live := map[string]JobRecord{}
 	for _, name := range []string{"bv_n3", "bv_n4", "peres_3"} {
 		rec, err := first.Submit(nisqbench.MustGet(name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, rec.ID)
+		live[rec.ID] = rec
 	}
 
 	// Second daemon on the same data dir: every queued job must come
@@ -79,7 +81,7 @@ func TestWALReplayAfterKill(t *testing.T) {
 	}
 
 	// Third daemon: the drained jobs replay as terminal history, not as
-	// runnable work.
+	// runnable work, and read as they did live.
 	third := newWALService(t, cfg, nil)
 	third.mu.Lock()
 	depth := third.kernel.Len()
@@ -91,6 +93,9 @@ func TestWALReplayAfterKill(t *testing.T) {
 		rec, ok := third.Job(id)
 		if !ok || rec.State != StateDone {
 			t.Fatalf("terminal record %s not replayed: %+v (found %v)", id, rec, ok)
+		}
+		if want := live[id]; rec.Qubits != want.Qubits || rec.Gates != want.Gates {
+			t.Fatalf("restored %s reports %d qubits, %d gates; live %d, %d", id, rec.Qubits, rec.Gates, want.Qubits, want.Gates)
 		}
 	}
 	if err := third.Shutdown(context.Background()); err != nil {
@@ -138,7 +143,8 @@ func TestWALReplayFaultStartsEmpty(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
 	seed := newWALService(t, cfg, nil)
-	if _, err := seed.Submit(nisqbench.MustGet("bv_n3")); err != nil {
+	first, err := seed.Submit(nisqbench.MustGet("bv_n3"))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,12 +155,18 @@ func TestWALReplayFaultStartsEmpty(t *testing.T) {
 	if got := svc.Metrics().WALReplayErrors.Value(); got != 1 {
 		t.Fatalf("WALReplayErrors = %d, want 1", got)
 	}
-	// The log stays live: new submissions are accepted and appended.
-	if _, err := svc.Submit(nisqbench.MustGet("bv_n4")); err != nil {
+	// The log stays live: new submissions are accepted and appended,
+	// under IDs the discarded records do not hold, so the next restart
+	// replays both jobs.
+	second, err := svc.Submit(nisqbench.MustGet("bv_n4"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.Metrics().WALAppends.Value(); got != 1 {
 		t.Fatalf("post-fault appends = %d, want 1", got)
+	}
+	if jobs := newWALService(t, cfg, nil).Jobs(); len(jobs) != 2 || first.ID == second.ID {
+		t.Fatalf("after the fault %s reissued %s; the next restart holds %+v", second.ID, first.ID, jobs)
 	}
 }
 

@@ -218,7 +218,7 @@ func (w *worker) claim(ctx context.Context) []*job {
 			j.waitObserved = true
 			s.observeLatency(s.metrics.QueueLatency, j.rec.WaitSeconds)
 		}
-		s.setStateLocked(j, StateBatched)
+		s.transitionLocked(j, StateBatched)
 	}
 	return batch
 }
@@ -256,9 +256,7 @@ func (w *worker) failHead(msg string) {
 	j := it.Owner.(*job)
 	j.rec.Error = msg
 	j.rec.Backend = w.dev.Name
-	s.setStateLocked(j, StateFailed)
-	s.markTerminalLocked(j)
-	s.observeLatency(s.metrics.TotalLatency, time.Since(j.rec.SubmittedAt).Seconds())
+	s.transitionLocked(j, StateFailed)
 }
 
 // requeueFront returns unexecuted jobs to the queue (used when a
@@ -277,7 +275,7 @@ func (w *worker) requeueFront(tail []*job) {
 		items[i] = &j.item
 		j.rec.CoJobs = nil
 		j.lastQueued = now
-		s.setStateLocked(j, StateQueued)
+		s.transitionLocked(j, StateQueued)
 	}
 	s.kernel.Requeue(items)
 	s.cond.Broadcast()
@@ -338,7 +336,7 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for i, j := range batch {
-			s.setStateLocked(j, StateCompiling)
+			s.transitionLocked(j, StateCompiling)
 			progs[i] = j.item.Circ
 		}
 	}()
@@ -398,8 +396,7 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 		for i, j := range batch {
 			j.rec.PST = psts[i]
 			j.rec.ServiceSeconds = executed.Sub(j.claimed).Seconds()
-			s.setStateLocked(j, StateDone)
-			s.markTerminalLocked(j)
+			s.transitionLocked(j, StateDone)
 		}
 		// Frees the backend and feeds the dispatcher's wait estimator.
 		s.kernel.Done(w.index, executed.Sub(s.start).Seconds(), true)
@@ -425,9 +422,8 @@ func (w *worker) attempt(ctx context.Context, curp *[]*job) error {
 
 	m.BatchSize.Observe(float64(len(batch)))
 	s.observeLatency(m.ExecLatency, executed.Sub(simStart).Seconds())
-	for i, j := range batch {
-		s.observeLatency(m.TotalLatency, executed.Sub(j.rec.SubmittedAt).Seconds())
-		m.PST.Observe(psts[i])
+	for _, p := range psts {
+		m.PST.Observe(p)
 	}
 	return nil
 }
@@ -508,22 +504,16 @@ func checkPSTs(psts []float64, want int) error {
 func (w *worker) fail(batch []*job, err error) {
 	s := w.svc
 	now := time.Now()
-	func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, j := range batch {
-			j.rec.Error = err.Error()
-			j.rec.ServiceSeconds = now.Sub(j.claimed).Seconds()
-			s.setStateLocked(j, StateFailed)
-			s.markTerminalLocked(j)
-		}
-		s.kernel.Done(w.index, now.Sub(s.start).Seconds(), false)
-		w.batchesDone++
-	}()
 	s.metrics.BatchSize.Observe(float64(len(batch)))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, j := range batch {
-		s.observeLatency(s.metrics.TotalLatency, now.Sub(j.rec.SubmittedAt).Seconds())
+		j.rec.Error = err.Error()
+		j.rec.ServiceSeconds = now.Sub(j.claimed).Seconds()
+		s.transitionLocked(j, StateFailed)
 	}
+	s.kernel.Done(w.index, now.Sub(s.start).Seconds(), false)
+	w.batchesDone++
 }
 
 // breakerSuccess records a successful batch: the failure streak resets

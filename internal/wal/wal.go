@@ -12,8 +12,9 @@
 // skipped and counted, never fatal: the log is an availability
 // mechanism, and refusing to start over one ragged tail would invert
 // its purpose. Compact rewrites the file atomically (temp file +
-// rename) so replay cost stays proportional to live state, not to the
-// daemon's lifetime.
+// rename); the service compacts once per startup to exactly the store
+// it restored, so a log holds one process's appends on top of the
+// retained state, never the daemon's whole history.
 //
 // The package itself is deterministic: it never reads the wall clock
 // or draws randomness — timestamps arrive in the records the caller
@@ -31,15 +32,22 @@ import (
 	"sync"
 )
 
-// Record types: a job admission and its two terminal outcomes.
+// Record types: a job admission, its two terminal outcomes, and a
+// compacted log's sequence mark.
 const (
 	// TypeSubmit logs an admitted job with everything needed to requeue
 	// it after a restart (tenant, QASM source, idempotency key).
 	TypeSubmit = "submit"
 	// TypeDone logs a successful completion with its result summary.
+	// The two outcome types are the names of the service's terminal
+	// states.
 	TypeDone = "done"
 	// TypeFailed logs a terminal failure with its error.
 	TypeFailed = "failed"
+	// TypeSeq carries the highest job sequence number ever admitted, so
+	// a compacted log that dropped that job's records never lets a
+	// later process reissue its ID.
+	TypeSeq = "seq"
 )
 
 // Record is one WAL line. Submit records carry the replayable job
@@ -63,6 +71,11 @@ type Record struct {
 	// logging service's start, mirroring cloudsim.Job.Arrival).
 	SubmittedUnixNano int64   `json:"sub,omitempty"`
 	Arrival           float64 `json:"arr,omitempty"`
+	// Qubits and Gates are the parsed program's size, so a restored
+	// terminal record, whose submit record carries no QASM, still
+	// reports it.
+	Qubits int `json:"q,omitempty"`
+	Gates  int `json:"g,omitempty"`
 	// Terminal-record result summary.
 	Backend        string  `json:"bk,omitempty"`
 	Error          string  `json:"err,omitempty"`
@@ -80,36 +93,51 @@ type Replay struct {
 }
 
 // Pending folds a replay into the jobs that must be requeued (admitted
-// but never terminal) and the terminal records worth restoring, both in
-// original submit order. Terminal records are joined with their submit
-// record so the restored JobRecord keeps its identity fields.
+// but never terminal), in submit order, and the terminal records worth
+// restoring, in the order they were logged, which is the order the
+// jobs ended: a store that evicts its oldest terminal records replays
+// them to the same survivors. Each terminal record is joined with its
+// submit record so the restored JobRecord keeps its identity fields; a
+// terminal record without a submit record, or after the job's first,
+// is dropped.
 func (r Replay) Pending() (pending []Record, terminal []Record) {
-	done := map[string]Record{}
+	submits := map[string]Record{}
 	for _, rec := range r.Records {
-		if rec.Type == TypeDone || rec.Type == TypeFailed {
-			done[rec.ID] = rec
+		if rec.Type == TypeSubmit {
+			submits[rec.ID] = rec
 		}
 	}
 	for _, rec := range r.Records {
-		if rec.Type != TypeSubmit {
+		sub, ok := submits[rec.ID]
+		if rec.Type != TypeDone && rec.Type != TypeFailed || !ok {
 			continue
 		}
-		if term, ok := done[rec.ID]; ok {
-			// Merge: the submit record's identity plus the terminal
-			// record's outcome.
-			term.Seq = rec.Seq
-			term.Tenant = rec.Tenant
-			term.Name = rec.Name
-			term.Idem = rec.Idem
-			term.Fingerprint = rec.Fingerprint
-			term.SubmittedUnixNano = rec.SubmittedUnixNano
-			term.Arrival = rec.Arrival
-			terminal = append(terminal, term)
-		} else {
+		delete(submits, rec.ID) // the job has ended
+		// Merge: the submit record's identity (not its source) plus the
+		// terminal record's outcome.
+		sub.Type, sub.QASM, sub.Backend, sub.Error = rec.Type, "", rec.Backend, rec.Error
+		sub.PST, sub.WaitSeconds, sub.ServiceSeconds = rec.PST, rec.WaitSeconds, rec.ServiceSeconds
+		terminal = append(terminal, sub)
+	}
+	for _, rec := range r.Records {
+		if _, open := submits[rec.ID]; open && rec.Type == TypeSubmit {
 			pending = append(pending, rec)
 		}
 	}
 	return pending, terminal
+}
+
+// NextSeq is one past the highest job sequence number a submit record
+// or a sequence mark holds (0 for a log with neither): the first
+// sequence number a restarted service may issue.
+func (r Replay) NextSeq() int {
+	next := 0
+	for _, rec := range r.Records {
+		if (rec.Type == TypeSubmit || rec.Type == TypeSeq) && rec.Seq >= next {
+			next = rec.Seq + 1
+		}
+	}
+	return next
 }
 
 // Log is an open write-ahead log. Append is safe for concurrent use;
@@ -218,7 +246,7 @@ func (l *Log) Append(rec Record) error {
 // Compact atomically replaces the log's contents with the given
 // records (temp file in the same directory + rename), then reopens for
 // append. The service calls it after replay so the file holds exactly
-// the restored state instead of every line ever written.
+// the restored store instead of every line ever written.
 func (l *Log) Compact(live []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -187,20 +187,32 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 // TestPendingPreservesSubmitOrder: requeue order after replay is the
-// original admission order regardless of terminal interleaving.
+// original admission order regardless of terminal interleaving, the
+// terminal records come back in the order the jobs ended (the order a
+// capped history evicts in), and NextSeq clears every logged sequence
+// number, a compaction's mark included.
 func TestPendingPreservesSubmitOrder(t *testing.T) {
 	rep := Replay{Records: []Record{
 		{Type: TypeSubmit, ID: "a", Seq: 0},
 		{Type: TypeSubmit, ID: "b", Seq: 1},
 		{Type: TypeSubmit, ID: "c", Seq: 2},
+		{Type: TypeSubmit, ID: "d", Seq: 3},
 		{Type: TypeFailed, ID: "b", Error: "boom"},
+		{Type: TypeDone, ID: "a", PST: 0.5},
 	}}
 	pending, terminal := rep.Pending()
-	if len(pending) != 2 || pending[0].ID != "a" || pending[1].ID != "c" {
+	if len(pending) != 2 || pending[0].ID != "c" || pending[1].ID != "d" {
 		t.Fatalf("pending = %+v", pending)
 	}
-	if len(terminal) != 1 || terminal[0].ID != "b" || terminal[0].Error != "boom" {
+	if len(terminal) != 2 || terminal[0].ID != "b" || terminal[0].Error != "boom" || terminal[1].ID != "a" || terminal[1].Seq != 0 {
 		t.Fatalf("terminal = %+v", terminal)
+	}
+	if got := rep.NextSeq(); got != 4 {
+		t.Fatalf("NextSeq = %d, want 4", got)
+	}
+	rep.Records = append(rep.Records, Record{Type: TypeSeq, ID: "seq", Seq: 9})
+	if got := rep.NextSeq(); got != 10 {
+		t.Fatalf("NextSeq after a mark for 9 = %d, want 10", got)
 	}
 }
 
