@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		chip     = flag.String("chip", "ibmq16", "target chip: ibmq16, ibmq50, tokyo, falcon27, london")
+		chip     = flag.String("chip", "ibmq16", "target chip ("+strings.Join(arch.StandardDevices(), ",")+")")
 		seed     = flag.Int64("seed", 0, "calibration seed (the synthetic 'calibration day')")
 		strategy = flag.String("strategy", "cdap+xswap", "separate, sabre, baseline, cdap+xswap, cdap, xswap")
 		trials   = flag.Int("trials", 2000, "Monte-Carlo trials for PST estimation (0 to skip)")
@@ -61,7 +61,7 @@ func main() {
 		d, err = arch.LoadDevice(f)
 		f.Close()
 	} else {
-		d, err = device(*chip, *seed)
+		d, err = arch.ByName(*chip, *seed)
 	}
 	if err != nil {
 		fatal(err)
@@ -160,10 +160,6 @@ type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-func device(name string, seed int64) (*arch.Device, error) {
-	return arch.ByName(name, seed)
-}
 
 func parseStrategy(s string) (qucloud.Strategy, error) {
 	switch strings.ToLower(s) {

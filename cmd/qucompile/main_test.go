@@ -28,18 +28,6 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-func TestDeviceLookup(t *testing.T) {
-	for _, name := range []string{"ibmq16", "ibmq50", "tokyo", "falcon27", "london"} {
-		d, err := device(name, 0)
-		if err != nil || d == nil {
-			t.Fatalf("device(%q): %v", name, err)
-		}
-	}
-	if _, err := device("bogus", 0); err == nil {
-		t.Fatal("unknown device must error")
-	}
-}
-
 func TestMultiFlag(t *testing.T) {
 	var m multiFlag
 	if err := m.Set("a.qasm"); err != nil {

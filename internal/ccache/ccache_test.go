@@ -369,7 +369,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{"attempts", func(k *Key) { k.Attempts = 3 }},
 		{"traversals", func(k *Key) { k.Traversals = 5 }},
 		{"noisepenalty", func(k *Key) { k.NoisePenalty = 2.0 }},
-		{"bridge", func(k *Key) { k.Bridge = true }},
 		{"gate-name", func(k *Key) { k.Programs[0].Gates[0].Name = "x" }},
 		{"gate-qubit", func(k *Key) { k.Programs[0].Gates[2].Qubits[1] = 1 }},
 		{"gate-param", func(k *Key) { k.Programs[0].Gates[3].Params[0] = 0.5 }},
@@ -425,7 +424,7 @@ func negZero() float64 {
 // bindings persist these digests across restarts, so any change to the
 // byte stream Fingerprint hashes would orphan every recorded binding.
 // The first key is what the service's idempotency identity hashes (the
-// program alone); the second sets every field.
+// program alone); the second sets every field that is not retired.
 func TestFingerprintPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -442,9 +441,8 @@ func TestFingerprintPinned(t *testing.T) {
 			Attempts:     5,
 			Traversals:   3,
 			NoisePenalty: 1.5,
-			Bridge:       true,
 			Programs:     []*circuit.Circuit{nisqbench.MustGet("bv_n3"), nisqbench.MustGet("3_17_13")},
-		}, "c2ace638f88880edcc7f69610b5f45ca8ba9f00315210e205143cca6d062ebdf"},
+		}, "cc4e9cee55f331c1ebb5cab62db598760341dd32d016edaa3c6cc137b6866e98"},
 	}
 	for _, c := range cases {
 		if got := c.key.Fingerprint(); got != c.want {

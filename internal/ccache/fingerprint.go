@@ -25,7 +25,6 @@ type Key struct {
 	Attempts     int
 	Traversals   int
 	NoisePenalty float64
-	Bridge       bool
 	Programs     []*circuit.Circuit
 }
 
@@ -63,10 +62,10 @@ func (k Key) Fingerprint() string {
 	wi(k.Attempts)
 	wi(k.Traversals)
 	wf(k.NoisePenalty)
-	// A retired boolean knob (always false) keeps its slot: WAL
+	// Two retired boolean knobs (always false) keep their slots: WAL
 	// idempotency bindings persist these digests across restarts.
 	wb(false)
-	wb(k.Bridge)
+	wb(false)
 
 	wi(len(k.Programs))
 	for _, p := range k.Programs {

@@ -65,9 +65,6 @@ func (g Gate) validateArity() error {
 // IsTwoQubit reports whether the gate acts on exactly two qubits.
 func (g Gate) IsTwoQubit() bool { return len(g.Qubits) == 2 && g.Name != GateBarrier }
 
-// IsCNOT reports whether the gate is a CX.
-func (g Gate) IsCNOT() bool { return g.Name == GateCX }
-
 // IsMeasure reports whether the gate is a measurement.
 func (g Gate) IsMeasure() bool { return g.Name == GateMeasure }
 

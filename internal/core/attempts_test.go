@@ -60,26 +60,24 @@ func digest(res *Result) string {
 // ties, and untied SABRE-style attempts whose seed still moves the
 // initial mapping — each with a later seed that beats attempt 1.
 func TestSeedFreeAttemptsMatchAllAttempts(t *testing.T) {
-	type device struct {
-		name   string
-		dev    *arch.Device
-		bridge bool
+	devices := []struct {
+		name string
+		dev  *arch.Device
+	}{
+		{"ibmq16", arch.IBMQ16(0)},
+		{"grid3x3", arch.Grid(3, 3, .01, .01)},
+		{"grid2x4", arch.Grid(2, 4, .01, .01)},
+		{"linear8", arch.Linear(8, .01, .01)},
 	}
-	devices := []device{
-		{"ibmq16", arch.IBMQ16(0), false},
-		{"grid3x3", arch.Grid(3, 3, .01, .01), false},
-		{"grid3x3/bridge", arch.Grid(3, 3, .01, .01), true},
-		{"grid2x4", arch.Grid(2, 4, .01, .01), false},
-		{"linear8", arch.Linear(8, .01, .01), false},
-	}
-	pairs := append(slices.Clone(goldenPairs), [2]string{"bv_n3", "bv_n4"})
+	// toffoli_3+3_17_13 gives grid2x4 a CDAP+X-SWAP attempt whose ties
+	// are all in the traversal.
+	pairs := append(slices.Clone(goldenPairs), [2]string{"bv_n3", "bv_n4"}, [2]string{"toffoli_3", "3_17_13"})
 	exercised := map[string]int{}
 	for _, dv := range devices {
 		for _, pair := range pairs {
 			progs := mustProgs(pair[0], pair[1])
 			for _, strat := range Strategies {
 				c := NewCompiler(dv.dev)
-				c.Bridge = dv.bridge
 				first, err := c.compileOnce(context.Background(), progs, strat, 1)
 				if err != nil {
 					t.Fatalf("%s %s %v: attempt 1: %v", dv.name, strat, pair, err)

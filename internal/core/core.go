@@ -126,9 +126,11 @@ type Compiler struct {
 	// NoisePenalty is the noise-aware SWAP-cost weight used by the
 	// Separate and Baseline strategies.
 	NoisePenalty float64
-	// Bridge lets the router execute one-off distance-2 CNOTs as
-	// 4-CNOT bridges instead of SWAPs (extension; off by default to
-	// match the paper's SWAP-only accounting).
+	// Bridge selects nothing: the router inserts SWAPs only, and
+	// CompileContext rejects it.
+	//
+	// Deprecated: it stays only because bench/offline.go:387 still
+	// reads it.
 	Bridge bool
 	// Workers bounds the goroutines used for compilation attempts,
 	// per-program separate compilation, and simulation trial shards:
@@ -213,6 +215,9 @@ func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit,
 	if len(progs) == 0 {
 		return nil, errors.New("qucloud: empty workload")
 	}
+	if c.Bridge {
+		return nil, errors.New("qucloud: bridge gates were removed; the router inserts SWAPs only")
+	}
 	attempts := c.Attempts
 	if attempts <= 0 {
 		attempts = 1
@@ -289,7 +294,6 @@ func (c *Compiler) compileOnce(ctx context.Context, progs []*circuit.Circuit, st
 		}
 		opts := router.DefaultOptions()
 		opts.NoisePenalty = c.NoisePenalty
-		opts.UseBridge = c.Bridge
 		opts.Seed = seed
 		return c.routeJoint(progs, res, opts, Baseline)
 	case CDAPOnly:
@@ -301,7 +305,6 @@ func (c *Compiler) compileOnce(ctx context.Context, progs []*circuit.Circuit, st
 		// isolates the initial-mapping contribution.
 		opts := router.DefaultOptions()
 		opts.NoisePenalty = c.NoisePenalty
-		opts.UseBridge = c.Bridge
 		opts.Seed = seed
 		return c.routeJoint(progs, res, opts, CDAPOnly)
 	case CDAPXSwap:
@@ -311,7 +314,6 @@ func (c *Compiler) compileOnce(ctx context.Context, progs []*circuit.Circuit, st
 		}
 		opts := router.XSWAPOptions()
 		opts.NoisePenalty = c.NoisePenalty
-		opts.UseBridge = c.Bridge
 		opts.Seed = seed
 		return c.routeJoint(progs, res, opts, CDAPXSwap)
 	}
@@ -337,7 +339,6 @@ func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit
 		}
 		opts := router.DefaultOptions()
 		opts.NoisePenalty = c.NoisePenalty
-		opts.UseBridge = c.Bridge
 		opts.Seed = seed
 		refined, err := router.Refine(c.Device, p, [][]int{res.Assignments[0].InitialMapping}, c.Traversals, opts)
 		if err != nil {
@@ -401,7 +402,6 @@ func (c *Compiler) compileMergedSABRE(progs []*circuit.Circuit, seed int64, xswa
 		ropts = router.XSWAPOptions()
 		ropts.Seed = seed
 	}
-	ropts.UseBridge = c.Bridge
 	strat := SABRE
 	if xswap {
 		strat = XSwapOnly

@@ -224,29 +224,29 @@ func TestSeparateBeatsColocationOnAverageFidelity(t *testing.T) {
 	}
 }
 
-func TestBridgeOptionReducesOrMatchesCNOTs(t *testing.T) {
-	d := arch.IBMQ16(2)
-	progs := []*circuit.Circuit{
-		nisqbench.MustGet("bv_n4"), // one-shot CX pairs: bridge-friendly
-		nisqbench.MustGet("bv_n3"),
+// TestRetiredBridgeFlagsRejected: the router inserts SWAPs only, so the
+// two bridge flags that remain for old callers fail loudly instead of
+// being ignored.
+func TestRetiredBridgeFlagsRejected(t *testing.T) {
+	d := arch.IBMQ16(0)
+	progs := pairWorkload()
+	initial := [][]int{{0, 1, 2}, {3, 4, 5}}
+	opts := router.XSWAPOptions()
+	opts.UseBridge = true
+	rejected := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "bridge") {
+			t.Errorf("%s: err = %v, want the bridge rejection", what, err)
+		}
 	}
-	with := NewCompiler(d)
-	with.Bridge = true
-	without := NewCompiler(d)
-	rw, err := with.Compile(progs, CDAPXSwap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ro, err := without.Compile(progs, CDAPXSwap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rw.CNOTs > ro.CNOTs {
-		t.Fatalf("bridge-enabled CNOTs %d > swap-only %d", rw.CNOTs, ro.CNOTs)
-	}
+	_, err := router.Route(d, progs, initial, opts)
+	rejected("Route", err)
+	_, err = router.Refine(d, progs, initial, 1, opts)
+	rejected("Refine", err)
+	c := NewCompiler(d)
+	c.Bridge = true
+	_, err = c.Compile(progs, CDAPXSwap)
+	rejected("Compile", err)
 }
 
 // TestTraversalFallbackIsCounted pins the one silent path in routeJoint:

@@ -106,14 +106,13 @@ func checkCliffordEquivalence(t *testing.T, d *arch.Device, s *router.Schedule, 
 }
 
 // routerVariants covers the strategy-relevant option sets: plain SABRE,
-// X-SWAP (inter-program with gain term), and bridging.
+// X-SWAP (inter-program with gain term).
 var routerVariants = []struct {
 	name string
 	opts router.Options
 }{
 	{"default", router.DefaultOptions()},
 	{"xswap", router.XSWAPOptions()},
-	{"bridge", func() router.Options { o := router.XSWAPOptions(); o.UseBridge = true; return o }()},
 }
 
 func TestRouteSingleProperties(t *testing.T) {
@@ -128,9 +127,9 @@ func TestRouteSingleProperties(t *testing.T) {
 				for l := range initial {
 					initial[l] = l
 				}
-				s, err := router.RouteSingle(d, prog, initial, v.opts)
+				s, err := router.Route(d, []*circuit.Circuit{prog}, [][]int{initial}, v.opts)
 				if err != nil {
-					t.Fatalf("RouteSingle: %v", err)
+					t.Fatalf("Route: %v", err)
 				}
 				checkSchedule(t, d, s, []*circuit.Circuit{prog}, [][]int{initial})
 				checkCliffordEquivalence(t, d, s, []*circuit.Circuit{prog}, int64(trial))

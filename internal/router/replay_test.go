@@ -43,10 +43,6 @@ func refRoute(r *run) (backstops int, err error) {
 			stall = 0
 			continue
 		}
-		if r.opts.UseBridge && r.tryBridges(hops) {
-			stall = 0
-			continue
-		}
 		cands := r.swapCandidates()
 		if len(cands) == 0 {
 			if err := r.forceProgress(hops); err != nil {
@@ -108,9 +104,9 @@ func routeBoth(t *testing.T, name string, d *arch.Device, dags []*circuit.DAG, i
 		t.Fatalf("%s: %d ops, reference %d, or an op differs", name, len(g.Ops), len(w.Ops))
 	case !reflect.DeepEqual(mapping(got), mapping(want)):
 		t.Fatalf("%s: final mapping %v, reference %v", name, mapping(got), mapping(want))
-	case g.SwapCount != w.SwapCount || g.InterSwapCount != w.InterSwapCount || g.BridgeCount != w.BridgeCount:
-		t.Fatalf("%s: swaps/inter/bridges %d/%d/%d, reference %d/%d/%d", name,
-			g.SwapCount, g.InterSwapCount, g.BridgeCount, w.SwapCount, w.InterSwapCount, w.BridgeCount)
+	case g.SwapCount != w.SwapCount || g.InterSwapCount != w.InterSwapCount:
+		t.Fatalf("%s: swaps/inter %d/%d, reference %d/%d", name,
+			g.SwapCount, g.InterSwapCount, w.SwapCount, w.InterSwapCount)
 	case !reflect.DeepEqual(g.SwapsByProgram, w.SwapsByProgram):
 		t.Fatalf("%s: swaps by program %v, reference %v", name, g.SwapsByProgram, w.SwapsByProgram)
 	case g.TieBreaks != w.TieBreaks:

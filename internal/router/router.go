@@ -37,11 +37,11 @@ type Options struct {
 	// gates (front gates with second-layer successors), as X-SWAP does.
 	// When no critical gates exist, all front gates are used.
 	CriticalGatesOnly bool
-	// UseBridge executes distance-2 CNOTs as a 4-CNOT bridge (the
-	// middle qubit is restored) instead of SWAPping, when the same
-	// qubit pair does not recur in the look-ahead window. Bridges never
-	// change the mapping; under InterProgram the middle qubit may
-	// belong to another program (it is returned to its state).
+	// UseBridge selects nothing: the router inserts SWAPs only, and
+	// Route and Refine reject it.
+	//
+	// Deprecated: it stays only because bench/offline.go:387 still
+	// assigns it.
 	UseBridge bool
 	// Seed drives random tie-breaking among equal-score candidates
 	// ("best of 5 attempts" in the paper's methodology).
@@ -95,9 +95,6 @@ type Op struct {
 	// TriggerProgram is, for SWAPs, the program whose blocked gate
 	// caused the SWAP (-1 for non-SWAP ops; cost attribution).
 	TriggerProgram int
-	// BridgePart is 1..4 for the CNOTs of a bridged source CNOT
-	// (GateIndex then names the source gate), 0 otherwise.
-	BridgePart int
 }
 
 // Measurement records where a program's logical qubit was measured.
@@ -112,11 +109,9 @@ type Schedule struct {
 	Device       *arch.Device
 	Ops          []Op
 	Measurements []Measurement
-	// SwapCount and InterSwapCount total the inserted SWAPs;
-	// BridgeCount totals the CNOTs executed as 4-CNOT bridges.
+	// SwapCount and InterSwapCount total the inserted SWAPs.
 	SwapCount      int
 	InterSwapCount int
-	BridgeCount    int
 	// SwapsByProgram attributes each SWAP to the program whose gate
 	// triggered it (inter-program SWAPs count for that program too).
 	SwapsByProgram []int
@@ -169,7 +164,6 @@ func (s *Schedule) Validate(progs []*circuit.Circuit, initial [][]int) error {
 		last[p] = make([]int, progs[p].NumQubits)
 	}
 	p2l := map[int][2]int{} // phys -> (program, logical)
-	bridgeParts := map[[2]int]int{}
 	for p, m := range l2p {
 		for l, phys := range m {
 			if prev, ok := p2l[phys]; ok {
@@ -215,14 +209,12 @@ func (s *Schedule) Validate(progs []*circuit.Circuit, initial [][]int) error {
 			return fmt.Errorf("router: op %d bad/duplicate gate index %d", i, gi)
 		}
 		src := progs[p].Gates[gi]
-		if op.BridgePart <= 1 {
-			// Gates sharing a qubit depend on each other in source order.
-			for _, lq := range src.Qubits {
-				if gi < last[p][lq] {
-					return fmt.Errorf("router: op %d emits gate %d of program %d after its successor %d", i, gi, p, last[p][lq])
-				}
-				last[p][lq] = gi
+		// Gates sharing a qubit depend on each other in source order.
+		for _, lq := range src.Qubits {
+			if gi < last[p][lq] {
+				return fmt.Errorf("router: op %d emits gate %d of program %d after its successor %d", i, gi, p, last[p][lq])
 			}
+			last[p][lq] = gi
 		}
 		if src.IsMeasure() {
 			// Measurements are deferred and carry final positions;
@@ -230,31 +222,6 @@ func (s *Schedule) Validate(progs []*circuit.Circuit, initial [][]int) error {
 			measChecks = append(measChecks, measCheck{i, p, src.Qubits[0], op.Gate.Qubits[0]})
 			emitted[p][gi] = true
 			next[p]++
-			continue
-		}
-		if op.BridgePart > 0 {
-			key := [2]int{p, gi}
-			if op.BridgePart != bridgeParts[key]+1 {
-				return fmt.Errorf("router: op %d bridge part %d out of order", i, op.BridgePart)
-			}
-			bridgeParts[key] = op.BridgePart
-			// Parts 2 and 4 carry the control on the source's control
-			// qubit; parts 1 and 3 carry the target on the source's
-			// target qubit.
-			switch op.BridgePart {
-			case 2, 4:
-				if op.Gate.Qubits[0] != l2p[p][src.Qubits[0]] {
-					return fmt.Errorf("router: op %d bridge control mismatch", i)
-				}
-			default:
-				if op.Gate.Qubits[1] != l2p[p][src.Qubits[1]] {
-					return fmt.Errorf("router: op %d bridge target mismatch", i)
-				}
-			}
-			if op.BridgePart == 4 {
-				emitted[p][gi] = true
-				next[p]++
-			}
 			continue
 		}
 		for k, lq := range src.Qubits {
@@ -346,6 +313,9 @@ func newRun(d *arch.Device, dags []*circuit.DAG, initial [][]int, opts Options) 
 	if len(dags) != len(initial) {
 		return nil, fmt.Errorf("router: %d programs but %d mappings", len(dags), len(initial))
 	}
+	if opts.UseBridge {
+		return nil, fmt.Errorf("router: bridge gates were removed; the router inserts SWAPs only")
+	}
 	r := &run{
 		d:      d,
 		opts:   opts,
@@ -435,7 +405,7 @@ type progCtx struct {
 	// gates, valid while fbOK. It is invalidated whenever the front
 	// layer advances (run.exec) or the program's mapping moves
 	// (applySwap). Routing asks for the blocked front several times per
-	// SWAP step (bridges, candidates, scoring) — the cache makes all but
+	// SWAP step (candidates, scoring) — the cache makes all but
 	// the first ask free. frontBuf is executeCompliant's snapshot of the
 	// whole front layer.
 	fb       []int
@@ -536,11 +506,6 @@ func (r *run) route() error {
 				return err
 			}
 			stall = 0
-			continue
-		}
-		if r.opts.UseBridge && r.tryBridges(hops) {
-			stall = 0
-			r.forgetCycle()
 			continue
 		}
 		cands := r.swapCandidates()
@@ -653,88 +618,6 @@ func (r *run) emitSource(p *progCtx, gi int) {
 	if !r.mapOnly {
 		r.emit(p, gi, p.circ.Gates[gi].Remap(func(l int) int { return p.l2p[l] }))
 	}
-}
-
-// tryBridges executes blocked distance-2 CNOTs whose qubit pair does
-// not recur in the look-ahead window as 4-CNOT bridges (middle qubit
-// restored, mapping unchanged). Returns whether any gate executed.
-func (r *run) tryBridges(hops [][]int) bool {
-	any := false
-	for _, p := range r.progs {
-		for _, gi := range r.blockedFront(p) {
-			g := p.circ.Gates[gi]
-			if !g.IsCNOT() {
-				continue
-			}
-			c, t := p.l2p[g.Qubits[0]], p.l2p[g.Qubits[1]]
-			if hops[c][t] != 2 {
-				continue
-			}
-			if r.pairRecurs(p, g.Qubits[0], g.Qubits[1]) {
-				continue // SWAPping pays off for recurring pairs
-			}
-			m := r.bridgeMiddle(c, t, p.idx)
-			if m < 0 {
-				continue
-			}
-			seq := [4][2]int{{m, t}, {c, m}, {m, t}, {c, m}}
-			for k, cx := range seq {
-				if r.mapOnly {
-					break
-				}
-				r.sched.Ops = append(r.sched.Ops, Op{
-					Program:        p.idx,
-					Gate:           circuit.Gate{Name: circuit.GateCX, Qubits: []int{cx[0], cx[1]}},
-					GateIndex:      gi,
-					BridgePart:     k + 1,
-					TriggerProgram: -1,
-				})
-			}
-			r.sched.BridgeCount++
-			r.exec(p, gi)
-			any = true
-		}
-	}
-	return any
-}
-
-// pairRecurs reports whether the logical pair (a,b) appears in another
-// unexecuted two-qubit gate within the program's look-ahead window.
-func (r *run) pairRecurs(p *progCtx, a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	window := p.state.ExtendedSet(extendedSetSize)
-	for _, gi := range window {
-		g := p.circ.Gates[gi]
-		x, y := g.Qubits[0], g.Qubits[1]
-		if x > y {
-			x, y = y, x
-		}
-		if x == a && y == b {
-			return true
-		}
-	}
-	return false
-}
-
-// bridgeMiddle returns the most reliable qubit adjacent to both c and t
-// that the inter-program policy allows as a bridge middle, or -1.
-func (r *run) bridgeMiddle(c, t, prog int) int {
-	best, bestRel := -1, -1.0
-	for _, m := range r.d.Coupling.Neighbors(c) {
-		if !r.d.Coupling.HasEdge(m, t) {
-			continue
-		}
-		if !r.opts.InterProgram && r.owner[m] != -1 && r.owner[m] != prog {
-			continue
-		}
-		rel := (1 - r.d.CNOTError(c, m)) * (1 - r.d.CNOTError(m, t))
-		if rel > bestRel {
-			best, bestRel = m, rel
-		}
-	}
-	return best
 }
 
 // swapCandidate is one candidate SWAP on a coupling edge.

@@ -213,11 +213,11 @@ func TestDeterminismWithSameSeed(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("alu-v0_27")
 	m := RandomInitialMapping(d, p, 7)
-	s1, err := RouteSingle(d, p, m, DefaultOptions())
+	s1, err := Route(d, []*circuit.Circuit{p}, [][]int{m}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RouteSingle(d, p, m, DefaultOptions())
+	s2, err := Route(d, []*circuit.Circuit{p}, [][]int{m}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestReverseTraversalImprovesOrMatches(t *testing.T) {
 	p := nisqbench.MustGet("3_17_13")
 	opts := DefaultOptions()
 	start := RandomInitialMapping(d, p, 42)
-	before, err := RouteSingle(d, stripMeasures(p), start, opts)
+	before, err := Route(d, []*circuit.Circuit{stripMeasures(p)}, [][]int{start}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestReverseTraversalImprovesOrMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := RouteSingle(d, stripMeasures(p), refined, opts)
+	after, err := Route(d, []*circuit.Circuit{stripMeasures(p)}, [][]int{refined}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	s := routeAndCheck(t, d, []*circuit.Circuit{p}, [][]int{{0, 2}}, DefaultOptions())
 	// Corrupt: retarget the cx op onto uncoupled qubits.
 	for i := range s.Ops {
-		if !s.Ops[i].IsSwap && s.Ops[i].Gate.IsCNOT() {
+		if !s.Ops[i].IsSwap && s.Ops[i].Gate.Name == circuit.GateCX {
 			s.Ops[i].Gate = circuit.Gate{Name: circuit.GateCX, Qubits: []int{0, 2}}
 		}
 	}

@@ -7,12 +7,6 @@ import (
 	"repro/internal/circuit"
 )
 
-// RouteSingle routes one program (e.g. a merged multi-program circuit)
-// with the given initial mapping.
-func RouteSingle(d *arch.Device, prog *circuit.Circuit, initial []int, opts Options) (*Schedule, error) {
-	return Route(d, []*circuit.Circuit{prog}, [][]int{initial}, opts)
-}
-
 // stripMeasures returns the circuit without measurement gates (reverse
 // traversal must not replay measurements).
 func stripMeasures(c *circuit.Circuit) *circuit.Circuit {

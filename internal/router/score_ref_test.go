@@ -132,11 +132,10 @@ var refOptionSets = []func() Options{
 	DefaultOptions,
 	XSWAPOptions,
 	func() Options { o := DefaultOptions(); o.NoisePenalty = 2; return o },
-	func() Options { o := XSWAPOptions(); o.NoisePenalty = 2; o.UseBridge = true; return o },
+	func() Options { o := XSWAPOptions(); o.NoisePenalty = 2; return o },
 	func() Options { o := XSWAPOptions(); o.GainTerm = false; return o },
 	func() Options { o := XSWAPOptions(); o.CriticalGatesOnly = false; return o },
 	func() Options { o := DefaultOptions(); o.CriticalGatesOnly = true; return o },
-	func() Options { o := DefaultOptions(); o.UseBridge = true; return o },
 }
 
 // randomRun draws a device, one to four programs on random disjoint
@@ -193,9 +192,6 @@ func TestScoreSwapMatchesReference(t *testing.T) {
 			}
 			if done {
 				break
-			}
-			if r.opts.UseBridge && r.tryBridges(hops) {
-				continue
 			}
 			cands := r.swapCandidates()
 			if len(cands) == 0 || step%23 == 22 {

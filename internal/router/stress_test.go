@@ -73,16 +73,6 @@ func TestRouteStress(t *testing.T) {
 			o.NoisePenalty = 3
 			return o
 		},
-		func() Options {
-			o := XSWAPOptions()
-			o.UseBridge = true
-			return o
-		},
-		func() Options {
-			o := DefaultOptions()
-			o.UseBridge = true
-			return o
-		},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -31,38 +31,7 @@ func TestSSEEventOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + rec.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events stream: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events Content-Type = %q", ct)
-	}
-
-	// The server closes the stream after the terminal event, so reading
-	// to EOF collects the complete history.
-	var events []JobEvent
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			continue
-		}
-		var ev JobEvent
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("bad event payload %q: %v", data, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-
+	events := streamEvents(t, ts.URL, rec.ID)
 	if len(events) < 2 {
 		t.Fatalf("expected a full lifecycle, got %+v", events)
 	}
@@ -89,6 +58,41 @@ func TestSSEEventOrdering(t *testing.T) {
 			t.Fatalf("terminal state before the last event: %+v", events)
 		}
 	}
+}
+
+// streamEvents reads a job's SSE stream from the server at base to
+// EOF. The server closes the stream after the terminal event, so that
+// is the complete history.
+func streamEvents(t *testing.T, base, id string) []JobEvent {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events stream: HTTP %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("events Content-Type = %q", ct)
+	}
+	var events []JobEvent
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev JobEvent
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("bad event payload %q: %v", data, err)
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 // TestShutdownNeverStartedReleasesContext is the regression test for

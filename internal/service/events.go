@@ -17,8 +17,10 @@ import (
 // in order.
 
 // JobEvent is one lifecycle transition of a job. Seq is 1-based and
-// strictly increasing per job, so clients can resume a dropped stream
-// with SSE's Last-Event-ID semantics.
+// strictly increasing per job, and is the SSE event id. A job restored
+// from the WAL as a terminal record keeps only its terminal event,
+// under the Seq it had live. Every connection replays the whole
+// history: Last-Event-ID is not honoured.
 type JobEvent struct {
 	Seq     int       `json:"seq"`
 	JobID   string    `json:"job_id"`

@@ -204,11 +204,13 @@ type job struct {
 	idemKey string       // idempotency key binding to release on eviction; immutable
 	fp      string       // the key's content fingerprint; immutable
 	logged  walHas       // what the WAL held when the job entered the store; immutable
+	qasm    string       // the submit record's source, serialized before s.mu; dropped once logged
 
 	lastQueued   time.Time // guarded by mu; when the job last entered the queue
 	waitObserved bool      // guarded by mu; QueueLatency recorded (once per job)
 
 	events   []JobEvent      // guarded by mu; lifecycle events, Seq ascending
+	eventSeq int             // guarded by mu; Seq of the latest event
 	watchers []chan struct{} // guarded by mu; SSE subscriber wakeups (cap 1)
 }
 
@@ -577,7 +579,10 @@ func (s *Service) restoreLocked(r wal.Record) {
 	}
 	if r.Type != wal.TypeSubmit {
 		j.logged = walBoth
-		s.transitionLocked(j, State(r.Type)) // an outcome record's type names its state
+		// The outcome record's type names the state, and its terminal
+		// event keeps the Seq it had live.
+		j.eventSeq = max(r.Event-1, 0)
+		s.transitionLocked(j, State(r.Type))
 		s.metrics.WALReplayedJobs.Inc()
 		return
 	}
@@ -653,6 +658,12 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		return JobRecord{}, false, fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
 			ErrTooLarge, circ.Name, circ.NumQubits, s.maxQubits)
 	}
+	var qasm string
+	if s.cfg.DataDir != "" {
+		// The WAL's copy of the source, serialized outside the lock the
+		// workers claim under.
+		qasm = circuit.QASMString(circ)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, err := s.tenantLocked(opts.Tenant)
@@ -706,6 +717,7 @@ func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecor
 		tenant:     t,
 		idemKey:    opts.IdempotencyKey,
 		fp:         fp,
+		qasm:       qasm,
 		lastQueued: now,
 	}
 	// Admission logs the job before SubmitJob acknowledges it, so once
@@ -749,8 +761,9 @@ func (s *Service) transitionLocked(j *job, to State) {
 	now := time.Now()
 	from := j.rec.State
 	j.rec.State = to
+	j.eventSeq++
 	j.events = append(j.events, JobEvent{
-		Seq:     len(j.events) + 1,
+		Seq:     j.eventSeq,
 		JobID:   j.rec.ID,
 		State:   to,
 		At:      now,
@@ -775,7 +788,8 @@ func (s *Service) transitionLocked(j *job, to State) {
 		if j.logged == walNone && s.wlog != nil {
 			// An append failure is counted but does not reject the job:
 			// availability over durability.
-			s.walAppendLocked(submitRecord(j, circuit.QASMString(j.item.Circ)))
+			s.walAppendLocked(submitRecord(j, j.qasm))
+			j.qasm = ""
 		}
 	}
 	if !to.Terminal() {
@@ -850,6 +864,7 @@ func terminalRecord(j *job) wal.Record {
 		PST:            j.rec.PST,
 		WaitSeconds:    j.rec.WaitSeconds,
 		ServiceSeconds: j.rec.ServiceSeconds,
+		Event:          j.eventSeq,
 	}
 }
 

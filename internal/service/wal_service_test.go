@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -100,6 +101,42 @@ func TestWALReplayAfterKill(t *testing.T) {
 	}
 	if err := third.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoredJobKeepsEventSeq: a job restored from the WAL serves its
+// terminal SSE event under the Seq it had live, after the restart that
+// restores it and after the next one, which reads the compacted log.
+func TestRestoredJobKeepsEventSeq(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	first := newWALService(t, cfg, nil)
+	first.Start()
+	rec, err := first.Submit(nisqbench.MustGet("bv_n3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(first.Handler())
+	live := streamEvents(t, ts.URL, rec.ID)
+	ts.Close()
+	want := live[len(live)-1]
+	if want.State != StateDone || want.Seq < 2 {
+		t.Fatalf("live history %+v, want it to end on done after other events", live)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		svc := newWALService(t, cfg, nil)
+		ts := httptest.NewServer(svc.Handler())
+		got := streamEvents(t, ts.URL, rec.ID)
+		ts.Close()
+		if len(got) != 1 || got[0].Seq != want.Seq || got[0].State != want.State {
+			t.Fatalf("restart %d: history %+v, want the done event as seq %d", restart, got, want.Seq)
+		}
+		if err := svc.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

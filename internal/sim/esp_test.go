@@ -18,7 +18,7 @@ func TestAnalyticESPSimpleCircuit(t *testing.T) {
 	}
 	p := circuit.New("p", 2)
 	p.H(0).CX(0, 1).MeasureAll()
-	s, err := router.RouteSingle(d, p, []int{0, 1}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestAnalyticESPCountsSwapAsThreeCNOTs(t *testing.T) {
 	}
 	p := circuit.New("p", 2)
 	p.CX(0, 1)
-	s, err := router.RouteSingle(d, p, []int{0, 2}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAnalyticESPTracksMonteCarloOrdering(t *testing.T) {
 	bad := arch.Linear(3, 0.09, 0.09)
 	p := nisqbench.MustGet("bv_n3")
 	run := func(d *arch.Device) (float64, float64) {
-		s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+		s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestAnalyticESPErrors(t *testing.T) {
 	d := arch.Linear(3, 0.05, 0.05)
 	p := circuit.New("p", 2)
 	p.CX(0, 1)
-	s, err := router.RouteSingle(d, p, []int{0, 2}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func ghzSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Circ
 	tb.Helper()
 	d := arch.IBMQ16(0)
 	prog := circuit.New("ghz", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
-	s, err := router.RouteSingle(d, prog, []int{0, 1, 2, 3}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{prog}, [][]int{[]int{0, 1, 2, 3}}, router.DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPrefixBudget(t *testing.T) {
 		line[i] = i
 	}
 	d := arch.Linear(20, 0.01, 0.02)
-	ghz, err := router.RouteSingle(d, nisqbench.GHZ(20), line, router.DefaultOptions())
+	ghz, err := router.Route(d, []*circuit.Circuit{nisqbench.GHZ(20)}, [][]int{line}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

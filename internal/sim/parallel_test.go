@@ -128,7 +128,7 @@ func BenchmarkSimulateParallel(b *testing.B)   { benchSimulate(b, 0) }
 func benchSimulateClifford(b *testing.B, workers int) {
 	d := arch.IBMQ16(0)
 	prog := circuit.New("ghz", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
-	s, err := router.RouteSingle(d, prog, []int{0, 1, 2, 3}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{prog}, [][]int{[]int{0, 1, 2, 3}}, router.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

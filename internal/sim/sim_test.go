@@ -195,7 +195,7 @@ func compilePair(t *testing.T, d *arch.Device, p1, p2 *circuit.Circuit, m1, m2 [
 func TestSimulateScheduleNoiselessIsPerfect(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n3")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSimulateScheduleNoiselessIsPerfect(t *testing.T) {
 func TestSimulateScheduleNoiseLowersPST(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("toffoli_3")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestWorseLinksLowerPST(t *testing.T) {
 	bad := arch.Linear(3, 0.10, 0.10)
 	p := nisqbench.MustGet("bv_n3")
 	run := func(d *arch.Device) float64 {
-		s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+		s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestIdleDecoherencePenalizesWaiting(t *testing.T) {
 func TestSimulateScheduleErrors(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n3")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSimulateScheduleErrors(t *testing.T) {
 	stray := *s
 	stray.Measurements = append(append([]router.Measurement(nil), s.Measurements...), router.Measurement{Program: 1, Phys: 3})
 	tof := nisqbench.MustGet("toffoli_3")
-	tofSched, err := router.RouteSingle(d, tof, []int{0, 1, 2}, router.DefaultOptions())
+	tofSched, err := router.Route(d, []*circuit.Circuit{tof}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSimulateScheduleErrors(t *testing.T) {
 	for i := range line {
 		line[i] = i
 	}
-	big, err := router.RouteSingle(arch.Linear(25, 0.01, 0.01), ghz25, line, router.DefaultOptions())
+	big, err := router.Route(arch.Linear(25, 0.01, 0.01), []*circuit.Circuit{ghz25}, [][]int{line}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestSimulateIdealTooManyQubits(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n4")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2, 3}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2, 3}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,68 +414,6 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 	if a.PST[0] != b.PST[0] {
 		t.Fatalf("same seed gave %v vs %v", a.PST[0], b.PST[0])
-	}
-}
-
-func TestBridgedScheduleSemanticsMatchSwapped(t *testing.T) {
-	// The 4-CNOT bridge must implement exactly the same unitary as the
-	// SWAP-based route: identical noiseless modal outcomes, PST 1.
-	d := arch.Linear(3, 0.02, 0.02)
-	p := circuit.New("p", 2)
-	p.X(0).CX(0, 1).MeasureAll() // |1> control -> target flips
-
-	swapOpts := router.DefaultOptions()
-	bridgeOpts := router.DefaultOptions()
-	bridgeOpts.UseBridge = true
-
-	run := func(opts router.Options) (string, float64, int) {
-		s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{{0, 2}}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.Correct[0], out.PST[0], s.BridgeCount
-	}
-	swCorrect, swPST, swBridges := run(swapOpts)
-	brCorrect, brPST, brBridges := run(bridgeOpts)
-	if swBridges != 0 || brBridges != 1 {
-		t.Fatalf("bridge counts = %d, %d", swBridges, brBridges)
-	}
-	if swPST != 1 || brPST != 1 {
-		t.Fatalf("noiseless PSTs = %v, %v", swPST, brPST)
-	}
-	if swCorrect != brCorrect || brCorrect != "11" {
-		t.Fatalf("outcomes differ: swap=%q bridge=%q (want 11)", swCorrect, brCorrect)
-	}
-}
-
-func TestInterProgramBridgeRestoresOtherProgram(t *testing.T) {
-	// Bridging through another program's qubit must leave that
-	// program's state untouched (noiseless PST 1 for both).
-	d := arch.Grid(2, 2, 0.02, 0.02)
-	p1 := circuit.New("p1", 2)
-	p1.X(0).CX(0, 1).MeasureAll()
-	p2 := circuit.New("p2", 1)
-	p2.X(0).Measure(0)
-	opts := router.DefaultOptions()
-	opts.UseBridge = true
-	opts.InterProgram = true
-	s, err := router.Route(d, []*circuit.Circuit{p1, p2}, [][]int{{0, 3}, {1}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p1, p2}, 50, 2, NoiseModel{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.PST[0] != 1 || out.PST[1] != 1 {
-		t.Fatalf("noiseless PSTs = %v", out.PST)
-	}
-	if out.Correct[0] != "11" || out.Correct[1] != "1" {
-		t.Fatalf("outcomes = %v", out.Correct)
 	}
 }
 
@@ -511,7 +449,7 @@ func TestPSTMonotonicInGateError(t *testing.T) {
 	prev := 1.1
 	for _, cnotErr := range []float64{0.005, 0.03, 0.09} {
 		d := arch.Linear(3, cnotErr, 0.01)
-		s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+		s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +469,7 @@ func TestPSTMonotonicInReadoutError(t *testing.T) {
 	prev := 1.1
 	for _, roErr := range []float64{0.01, 0.06, 0.15} {
 		d := arch.Linear(3, 0.01, roErr)
-		s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+		s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

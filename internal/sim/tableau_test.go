@@ -180,7 +180,7 @@ func TestTableauMatchesStatevector(t *testing.T) {
 func TestSimulateScheduleCliffordNoiseless(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n4")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2, 3}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2, 3}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCliffordMatchesStatevectorPST(t *testing.T) {
 	// the same schedule and noise model.
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("bv_n4")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2, 3}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2, 3}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestEnginesAgreeWithNoise(t *testing.T) {
 func TestCliffordRejectsNonClifford(t *testing.T) {
 	d := arch.IBMQ16(0)
 	p := nisqbench.MustGet("toffoli_3")
-	s, err := router.RouteSingle(d, p, []int{0, 1, 2}, router.DefaultOptions())
+	s, err := router.Route(d, []*circuit.Circuit{p}, [][]int{[]int{0, 1, 2}}, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,6 +82,10 @@ type Record struct {
 	PST            float64 `json:"pst,omitempty"`
 	WaitSeconds    float64 `json:"wait,omitempty"`
 	ServiceSeconds float64 `json:"svc,omitempty"`
+	// Event is the Seq of the job's terminal lifecycle event, so a
+	// restored job serves it under the number it had live (0 in logs
+	// written before the field: the event restores as Seq 1).
+	Event int `json:"ev,omitempty"`
 }
 
 // Replay is the result of reading an existing log: the parsed records
@@ -116,7 +120,7 @@ func (r Replay) Pending() (pending []Record, terminal []Record) {
 		// Merge: the submit record's identity (not its source) plus the
 		// terminal record's outcome.
 		sub.Type, sub.QASM, sub.Backend, sub.Error = rec.Type, "", rec.Backend, rec.Error
-		sub.PST, sub.WaitSeconds, sub.ServiceSeconds = rec.PST, rec.WaitSeconds, rec.ServiceSeconds
+		sub.PST, sub.WaitSeconds, sub.ServiceSeconds, sub.Event = rec.PST, rec.WaitSeconds, rec.ServiceSeconds, rec.Event
 		terminal = append(terminal, sub)
 	}
 	for _, rec := range r.Records {

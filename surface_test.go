@@ -30,7 +30,6 @@ var testOnlyExports = map[string]string{
 	"circuit.Circuit.MeasureCount": "cross-package test fixture",
 	"graph.Graph.Connected":        "cross-package test fixture",
 	"graph.Graph.SubsetConnected":  "cross-package test fixture",
-	"router.RouteSingle":           "cross-package test fixture",
 	"fp.Eq":                        "the comparison the floateq lint check prescribes",
 	"lint.CheckFile":               "the lint fixtures' loader",
 }
