@@ -53,6 +53,9 @@ type Table2Row struct {
 	W1, W2 string
 	// PST[strategy] = {program 1 PST, program 2 PST}, in percent.
 	PST map[Strategy][2]float64
+	// exact is PST without sampling error: the exact PSTs the estimates
+	// converge to, in percent, which the ordering tests assert on.
+	exact map[Strategy][2]float64
 }
 
 // Avg returns the row's mean PST (percent) under the strategy.
@@ -86,7 +89,7 @@ func RunTable2Subset(calSeed int64, trials int, workloadIndices []int) ([]Table2
 		wi := workloadIndices[ri]
 		w := Table2Workloads[wi]
 		progs := []*circuit.Circuit{nisqbench.MustGet(w[0]), nisqbench.MustGet(w[1])}
-		row := Table2Row{W1: w[0], W2: w[1], PST: map[Strategy][2]float64{}}
+		row := Table2Row{W1: w[0], W2: w[1], PST: map[Strategy][2]float64{}, exact: map[Strategy][2]float64{}}
 		for _, strat := range Strategies {
 			comp := NewCompiler(d)
 			comp.Workers = 1 // rows already fan out; keep inner work sequential
@@ -103,6 +106,10 @@ func RunTable2Subset(calSeed int64, trials int, workloadIndices []int) ([]Table2
 				return fmt.Errorf("table2 %s+%s %s: %w", w[0], w[1], strat, err)
 			}
 			row.PST[strat] = [2]float64{psts[0] * 100, psts[1] * 100}
+			if psts, err = comp.ExactPST(res, noise); err != nil {
+				return fmt.Errorf("table2 %s+%s %s: %w", w[0], w[1], strat, err)
+			}
+			row.exact[strat] = [2]float64{psts[0] * 100, psts[1] * 100}
 		}
 		rows[ri] = row
 		return nil

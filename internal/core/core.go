@@ -469,6 +469,19 @@ func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, s
 	return c.simulate(ctx, r, trials, seed, noise, sim.SimulateScheduleCtx)
 }
 
+// ExactPST returns the per-program PSTs the statevector Monte-Carlo
+// estimate of Simulate converges to under the noise model, computed
+// exactly (sim.ExactPST): for Separate per program, otherwise over the
+// joint schedule. It fails when a program's measured qubits span more
+// entangled qubits than the exact evaluator takes.
+func (c *Compiler) ExactPST(r *Result, noise sim.NoiseModel) ([]float64, error) {
+	exact := func(_ context.Context, d *arch.Device, s *router.Schedule, progs []*circuit.Circuit, _ int, _ int64, noise sim.NoiseModel, _ int) (*sim.Outcome, error) {
+		pst, err := sim.ExactPST(d, s, progs, noise)
+		return &sim.Outcome{PST: pst}, err
+	}
+	return c.simulate(context.Background(), r, 0, 0, noise, exact)
+}
+
 // simEngine is the shape of sim's two Monte-Carlo entry points.
 type simEngine func(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise sim.NoiseModel, workers int) (*sim.Outcome, error)
 

@@ -532,8 +532,9 @@ func (s *Service) openWAL(ctx context.Context, dir string) error {
 
 // restoreLocked re-enters one replayed record through transitionLocked.
 // A terminal record (merged with its submit) joins the store and the
-// history as it was. A pending submit — a job the previous process
-// accepted but never finished — is re-parsed and re-admitted with its
+// history as it was, its terminal event under the Seq and time it had
+// live. A pending submit — a job the previous process accepted but
+// never finished — is re-parsed and re-admitted with its
 // original ID, sequence, tenant, and submission instant (so its
 // measured wait honestly includes the downtime); one that no longer
 // parses or fits any backend fails instead of vanishing. A record of a
@@ -583,6 +584,9 @@ func (s *Service) restoreLocked(r wal.Record) {
 		// event keeps the Seq it had live.
 		j.eventSeq = max(r.Event-1, 0)
 		s.transitionLocked(j, State(r.Type))
+		if r.EndedUnixNano != 0 {
+			j.events[len(j.events)-1].At = time.Unix(0, r.EndedUnixNano)
+		}
 		s.metrics.WALReplayedJobs.Inc()
 		return
 	}
@@ -854,7 +858,8 @@ func submitRecord(j *job, qasm string) wal.Record {
 }
 
 // terminalRecord is the job's WAL outcome record, typed by the name of
-// its terminal state (wal.TypeDone or wal.TypeFailed).
+// its terminal state (wal.TypeDone or wal.TypeFailed), with its terminal
+// event's number and time.
 func terminalRecord(j *job) wal.Record {
 	return wal.Record{
 		Type:           string(j.rec.State),
@@ -865,6 +870,7 @@ func terminalRecord(j *job) wal.Record {
 		WaitSeconds:    j.rec.WaitSeconds,
 		ServiceSeconds: j.rec.ServiceSeconds,
 		Event:          j.eventSeq,
+		EndedUnixNano:  j.events[len(j.events)-1].At.UnixNano(),
 	}
 }
 

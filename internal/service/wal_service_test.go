@@ -105,8 +105,9 @@ func TestWALReplayAfterKill(t *testing.T) {
 }
 
 // TestRestoredJobKeepsEventSeq: a job restored from the WAL serves its
-// terminal SSE event under the Seq it had live, after the restart that
-// restores it and after the next one, which reads the compacted log.
+// terminal SSE event under the Seq and with the time it had live, after
+// the restart that restores it and after the next one, which reads the
+// compacted log.
 func TestRestoredJobKeepsEventSeq(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
@@ -133,6 +134,9 @@ func TestRestoredJobKeepsEventSeq(t *testing.T) {
 		ts.Close()
 		if len(got) != 1 || got[0].Seq != want.Seq || got[0].State != want.State {
 			t.Fatalf("restart %d: history %+v, want the done event as seq %d", restart, got, want.Seq)
+		}
+		if !got[0].At.Equal(want.At) {
+			t.Fatalf("restart %d: done event at %v, want the live %v", restart, got[0].At, want.At)
 		}
 		if err := svc.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)

@@ -123,7 +123,10 @@ func layerize(sched *router.Schedule) *layered {
 // The correct answer per program is its modal bitstring under a
 // noiseless run of the same schedule (lowest basis index on ties). progs
 // must be the source programs the schedule was built from (for qubit
-// counts); seed drives all stochastic channels.
+// counts); seed drives all stochastic channels. When every program is
+// narrow (exactSpans), each program's success count is drawn from its
+// exact PST, the distribution the trials' count has, instead of running
+// the trials.
 //
 // workers is the shard fan-out (0 selects pool.Default(), 1 forces
 // sequential execution); the outcome is a pure function of the other
@@ -400,11 +403,15 @@ type shardWorker struct {
 	reg register
 }
 
-// newRegister makes a shard register for progs programs; prepare must
-// have run on cp.
+// newRegister makes a shard register for progs programs; prepare (or,
+// for the statevector's binomial sampler, prepareExact) must have run on
+// cp.
 func newRegister(engine engineKind, cp *compiledProgram, progs int) register {
 	if engine == engineTableau {
 		return newPauliFrames(cp, progs)
+	}
+	if cp.pstT != nil {
+		return cp.pstT
 	}
 	r := newFactored(cp.fac)
 	r.pre, r.wrong = cp.prefix, make([]int, progs)
@@ -415,7 +422,8 @@ func newRegister(engine engineKind, cp *compiledProgram, progs int) register {
 // point: validate, layerize, group the measurements into a plan in
 // (program, logical) order — the order every trial measures and draws
 // readout flips in — lower the schedule, fix the correct outcome with the
-// engine's noiseless reference run, run the trial budget in fixed shards
+// engine's noiseless reference run (and, for narrow programs on the
+// statevector, their exact PSTs), run the trial budget in fixed shards
 // with counter-derived streams on the engine's registers, and reduce in
 // shard order. workers goes to pool.ForEach as is, which never starts
 // more workers than there are shards, so a one-shard call runs on the
@@ -428,7 +436,16 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	if err != nil {
 		return nil, err
 	}
-	if err := prepare(engine, cp, plan, trials); err != nil {
+	var spans [][]int
+	if engine == engineStatevector {
+		spans = exactSpans(cp.fac, plan, len(progs), maxExactQubits)
+	}
+	if spans != nil {
+		err = prepareExact(cp, plan, spans)
+	} else {
+		err = prepare(engine, cp, plan, trials)
+	}
+	if err != nil {
 		return nil, err
 	}
 	bufs := make([][]byte, len(progs))

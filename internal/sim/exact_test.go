@@ -1,0 +1,321 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/circuit"
+	"repro/internal/graph"
+	"repro/internal/nisqbench"
+	"repro/internal/router"
+)
+
+// handSchedule builds a schedule op by op, as the router would emit it.
+type handSchedule struct{ *router.Schedule }
+
+func (h handSchedule) op(prog int, name string, qs ...int) handSchedule {
+	h.Ops = append(h.Ops, router.Op{Program: prog, Gate: circuit.Gate{Name: name, Qubits: qs}, IsSwap: name == circuit.GateSWAP})
+	return h
+}
+
+func (h handSchedule) measure(prog, logical, phys int) handSchedule {
+	h.Measurements = append(h.Measurements, router.Measurement{Program: prog, Logical: logical, Phys: phys})
+	return h
+}
+
+// routeSideBySide routes programs laid out on consecutive device
+// qubits, the first from qubit 0.
+func routeSideBySide(tb testing.TB, d *arch.Device, progs ...*circuit.Circuit) *router.Schedule {
+	tb.Helper()
+	initial, err := newTestCompiler(d)(progs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := router.Route(d, progs, initial, router.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// flip is a bit's population after a draw that flips it with
+// probability f.
+func flip(p1, f float64) float64 { return p1*(1-f) + (1-p1)*f }
+
+// readoutPST is a 1-qubit PST: P(1) read against a correct 1 with
+// readout error e.
+func readoutPST(p1, e float64) float64 { return p1*(1-e) + (1-p1)*e }
+
+// TestExactPSTOneQubitByHand: X, S, a barrier, then a SWAP onto a free
+// wire, measured there. Every step is a population update: a Pauli error
+// at rate g flips the bit with probability 2g/3 (S keeps the populations,
+// but its column half is conj(S), or the population would change sign);
+// each idle layer resets 1 to 0 with probability p — the barrier's, and
+// the two layers the SWAP's second and third CNOT occupy; each of the
+// SWAP's three draws lands on the program's slot half the time; and
+// readout flips the bit with probability e.
+func TestExactPSTOneQubitByHand(t *testing.T) {
+	const g, c, p, e = 0.03, 0.06, 0.02, 0.05
+	d := arch.Linear(2, c, 0)
+	d.Gate1Err[0], d.ReadoutErr[1] = g, e
+	s := handSchedule{&router.Schedule{Device: d}}.
+		op(0, circuit.GateX, 0).op(0, circuit.GateS, 0).op(0, circuit.GateBarrier, 0).
+		op(-1, circuit.GateSWAP, 0, 1).measure(0, 0, 1)
+	got, err := ExactPST(d, s.Schedule, []*circuit.Circuit{circuit.New("one", 1)}, NoiseModel{Enabled: true, IdleErrPerLayer: p, Readout: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := flip(1, 2*g/3) // X
+	p1 = flip(p1, 2*g/3) // S
+	p1 *= 1 - p          // the barrier's idle layer
+	for range 3 {
+		p1 = flip(p1, 2*(c/2)/3)
+	}
+	p1 *= (1 - p) * (1 - p)
+	if want := readoutPST(p1, e); math.Abs(got[0]-want) > 1e-12 {
+		t.Fatalf("PST %.15f, want %.15f by hand", got[0], want)
+	}
+}
+
+// TestExactPSTTwoQubitByHand: two programs X(0) CX(0,1) on neighbouring
+// links of a line, the second written X(0) H(1) CZ(0,1) H(1), whose CX
+// and CZ share a layer, so each errs at its link's rate times
+// 1 + CrosstalkFactor (the depolarizing draw commutes with the closing
+// H, so the second program is the first). After X at rate g the state
+// is 1·0 with probability u = 1 − 2g/3, CX maps it to 1·1, and the
+// gate's error, a Pauli on one of its two qubits, moves 2c/3 of that
+// weight to 1·0 and 0·1, half each, and likewise from 0·0; readout
+// weighs every outcome.
+func TestExactPSTTwoQubitByHand(t *testing.T) {
+	const xf = 0.5
+	d := arch.Linear(4, 0, 0)
+	gate := []float64{0.02, 0, 0.04, 0}
+	readout := []float64{0.03, 0.05, 0.01, 0.07}
+	copy(d.Gate1Err, gate)
+	copy(d.ReadoutErr, readout)
+	d.CNOTErr[graph.NewEdge(0, 1)], d.CNOTErr[graph.NewEdge(2, 3)] = 0.05, 0.08
+	d.CNOTErr[graph.NewEdge(1, 2)] = 0.5 // unused
+	s := handSchedule{&router.Schedule{Device: d}}.
+		op(0, circuit.GateX, 0).op(1, circuit.GateX, 2).op(1, circuit.GateH, 3).
+		op(0, circuit.GateCX, 0, 1).op(1, circuit.GateCZ, 2, 3).op(1, circuit.GateH, 3).
+		measure(0, 0, 0).measure(0, 1, 1).measure(1, 0, 2).measure(1, 1, 3)
+	progs := []*circuit.Circuit{circuit.New("a", 2), circuit.New("b", 2)}
+	got, err := ExactPST(d, s.Schedule, progs, NoiseModel{Enabled: true, CrosstalkFactor: xf, Readout: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, q0 := range []int{0, 2} {
+		g, e0, e1 := gate[q0], readout[q0], readout[q0+1]
+		c := d.CNOTError(q0, q0+1) * (1 + xf)
+		u := 1 - 2*g/3
+		both, none, one := (1-2*c/3)*u, (1-2*c/3)*(1-u), c/3
+		want := both*(1-e0)*(1-e1) + none*e0*e1 + one*(1-e0)*e1 + one*e0*(1-e1)
+		if math.Abs(got[p]-want) > 1e-12 {
+			t.Errorf("program %d: PST %.15f, want %.15f by hand", p, got[p], want)
+		}
+	}
+}
+
+// TestExactPSTRefuses: a program wider than maxExactQubits, and one
+// whose measured component holds another program's measured qubit.
+func TestExactPSTRefuses(t *testing.T) {
+	d := arch.Linear(maxExactQubits+1, 0.01, 0.01)
+	wide := nisqbench.GHZ(maxExactQubits + 1)
+	s := routeSideBySide(t, d, wide)
+	if _, err := ExactPST(d, s, []*circuit.Circuit{wide}, DefaultNoise()); err == nil {
+		t.Error("a program wider than maxExactQubits was evaluated")
+	}
+	shared := handSchedule{&router.Schedule{Device: d}}.
+		op(0, circuit.GateH, 0).op(0, circuit.GateCX, 0, 1).measure(0, 0, 0).measure(1, 0, 1)
+	if _, err := ExactPST(d, shared.Schedule, []*circuit.Circuit{circuit.New("a", 1), circuit.New("b", 1)}, DefaultNoise()); err == nil {
+		t.Error("a component holding two programs' measured qubits was evaluated")
+	}
+}
+
+// trialLoop runs the engine's Monte-Carlo trial loop over every shard,
+// as monteCarlo does without exact sampling, and returns each program's
+// success count.
+func trialLoop(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedule, progs int, noise NoiseModel, trials int, seed int64) []int {
+	t.Helper()
+	cp, plan, err := lowerSchedule(d, s, progs, noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prepare(engine, cp, plan, trials); err != nil {
+		t.Fatal(err)
+	}
+	reg, rng, succ := newRegister(engine, cp, progs), newStream(seed), make([]int, progs)
+	for sh := 0; sh < numShards(trials); sh++ {
+		rng.seed(shardSeed(seed, sh))
+		lo, hi := shardRange(sh, trials)
+		reg.shard(cp, plan, hi-lo, rng, succ)
+	}
+	return succ
+}
+
+// zTrialLoop holds one trial loop's success counts to the exact PSTs:
+// |z| <= 4 per program, or an exact count when the PST is 0 or 1. It
+// returns the worst |z|.
+func zTrialLoop(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, progs []*circuit.Circuit, noise NoiseModel, trials int) float64 {
+	t.Helper()
+	exact, err := ExactPST(d, s, progs, noise)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	worst := 0.0
+	for p, n := range trialLoop(t, engine, d, s, len(progs), noise, trials, 11) {
+		mean := exact[p] * float64(trials)
+		sd := math.Sqrt(max(mean*(1-exact[p]), 0))
+		if sd < 1e-6 {
+			if math.Abs(float64(n)-mean) > 1e-6 {
+				t.Errorf("%s program %d: %d of %d trials succeed, exact PST %v", name, p, n, trials, exact[p])
+			}
+			continue
+		}
+		z := (float64(n) - mean) / sd
+		worst = max(worst, math.Abs(z))
+		if math.Abs(z) > 4 {
+			t.Errorf("%s program %d: %d of %d trials succeed, exact PST %.5f: z = %.2f", name, p, n, trials, exact[p], z)
+		}
+	}
+	return worst
+}
+
+// table2Pairs are the paper's Table II workloads (the root package's
+// Table2Workloads).
+var table2Pairs = [][2]string{
+	{"bv_n3", "bv_n3"}, {"bv_n3", "bv_n4"}, {"bv_n3", "peres_3"}, {"bv_n3", "toffoli_3"}, {"bv_n3", "fredkin_3"},
+	{"3_17_13", "3_17_13"}, {"3_17_13", "4mod5-v1_22"}, {"3_17_13", "mod5mils_65"}, {"3_17_13", "alu-v0_27"}, {"3_17_13", "decod24-v2_43"},
+}
+
+// TestTrialLoopsMatchExactPST is the oracle test of both Monte-Carlo
+// trial loops: at 8024 trials each program's success count lies within
+// four standard errors of trials·PST. It covers the statevector on
+// pair16 and corners16 under every golden variant, the tableau on
+// corners16 (the Clifford fixture whose programs are narrow enough), and
+// the statevector on the ten Table II pairs, routed side by side on
+// IBMQ16.
+func TestTrialLoopsMatchExactPST(t *testing.T) {
+	const trials = 8024
+	worst := 0.0
+	for _, v := range goldenVariants(t) {
+		for _, c := range []struct {
+			engine engineKind
+			name   string
+			fx     goldenFixture
+		}{
+			{engineStatevector, "statevector/pair16", adjacentPair16},
+			{engineStatevector, "statevector/corners16", corners16},
+			{engineTableau, "clifford/corners16", corners16},
+		} {
+			s, progs := c.fx(t, v.d16)
+			worst = max(worst, zTrialLoop(t, c.name+"/"+v.name, c.engine, v.d16, s, progs, v.noise, trials))
+		}
+	}
+	d := arch.IBMQ16(0)
+	for _, w := range table2Pairs {
+		progs := []*circuit.Circuit{nisqbench.MustGet(w[0]), nisqbench.MustGet(w[1])}
+		s := routeSideBySide(t, d, progs...)
+		name := fmt.Sprintf("table2/%s+%s", w[0], w[1])
+		worst = max(worst, zTrialLoop(t, name, engineStatevector, d, s, progs, DefaultNoise(), trials))
+	}
+	t.Logf("worst |z| %.2f", worst)
+}
+
+// TestExactSamplingMatchesExactPST: a schedule of narrow programs
+// samples from the exact PST (the same Correct strings as the trial
+// loop's reference, counts within four standard errors), and a warm
+// sampling shard allocates nothing.
+func TestExactSamplingMatchesExactPST(t *testing.T) {
+	d, s, progs := pairSchedule(t)
+	const trials = 8024
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 5, DefaultNoise(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := ExactPST(d, s, progs, DefaultNoise())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, v := range out.PST {
+		if z := (v - exact[p]) * trials / math.Sqrt(trials*exact[p]*(1-exact[p])); math.Abs(z) > 4 {
+			t.Errorf("program %d: sampled PST %.5f, exact %.5f: z = %.2f", p, v, exact[p], z)
+		}
+	}
+	cp, plan, err := lowerSchedule(d, s, len(progs), DefaultNoise())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prepare(engineStatevector, cp, plan, trials); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range out.Correct {
+		var want []byte
+		for _, mp := range plan {
+			if mp.prog == i {
+				want = append(want, byte('0'+mp.correct))
+			}
+		}
+		if c != string(want) {
+			t.Errorf("program %d: correct %s, trial loop's reference %s", i, c, want)
+		}
+	}
+	spans := exactSpans(cp.fac, plan, len(progs), maxExactQubits)
+	if spans == nil {
+		t.Fatal("the pair fixture's programs are not narrow")
+	}
+	if err := prepareExact(cp, plan, spans); err != nil {
+		t.Fatal(err)
+	}
+	reg, rng, succ := newRegister(engineStatevector, cp, len(progs)), newStream(1), make([]int, len(progs))
+	if _, ok := reg.(binomial); !ok {
+		t.Fatalf("register %T, want the binomial sampler", reg)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		rng.seed(1)
+		reg.shard(cp, plan, shardTrials, rng, succ)
+	}); allocs > 0 {
+		t.Fatalf("sampling shard allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkExactVsShard measures what maxExactQubits is set from: one
+// program's exact evaluation (reference run included) against one
+// shardTrials shard of its trial loop, each program routed alone on
+// IBMQ16 from the identity layout, under the default noise.
+func BenchmarkExactVsShard(b *testing.B) {
+	d := arch.IBMQ16(0)
+	for _, name := range []string{"bv_n3", "3_17_13", "decod24-v2_43", "4mod5-v1_22", "alu-v2_31", "qaoa_n6", "4gt4-v0_72", "alu-bdd_288", "ham7_104"} {
+		prog := nisqbench.MustGet(name)
+		s := routeSideBySide(b, d, prog)
+		cp, plan, err := lowerSchedule(d, s, 1, DefaultNoise())
+		if err != nil {
+			b.Fatal(err)
+		}
+		spans := exactSpans(cp.fac, plan, 1, prog.NumQubits)
+		if spans == nil {
+			b.Fatalf("%s: not one program's components", name)
+		}
+		id := fmt.Sprintf("%dq/%s", prog.NumQubits, name)
+		b.Run("exact/"+id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := exactPSTs(cp, plan, spans); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("shard/"+id, func(b *testing.B) {
+			if err := prepare(engineStatevector, cp, plan, 8024); err != nil {
+				b.Fatal(err)
+			}
+			reg, rng, succ := newRegister(engineStatevector, cp, 1), newStream(1), make([]int, 1)
+			for i := 0; i < b.N; i++ {
+				rng.seed(int64(i))
+				reg.shard(cp, plan, shardTrials, rng, succ)
+			}
+		})
+	}
+}

@@ -44,6 +44,12 @@ package sim
 // interpreters keep drawing from *rand.Rand, so the oracle tests check
 // the stream too. The tableau engine samples under contract v2 instead
 // (frame.go, DESIGN.md §17): per shard an error lattice, then the picks.
+// And when every program's measured components span at most
+// maxExactQubits qubits and hold no other program's measured qubit, the
+// statevector samples under contract v3 (exact.go, DESIGN.md §17): the
+// trial loop never runs, and each shard draws program p's success count
+// as n below(threshold(PST_p)) draws, program by program, PST_p being
+// the exact PST the trial loop's estimate converges to.
 
 import (
 	"fmt"
@@ -123,6 +129,7 @@ type compiledProgram struct {
 	fac    *factoring
 	steps  []int            // each component's last checkpoint
 	prefix *noiselessPrefix // the statevector's, recorded by prepare
+	pstT   binomial         // or its exact PSTs' thresholds, set by prepareExact
 	frames *framePlan       // the tableau's lattice and reference
 }
 

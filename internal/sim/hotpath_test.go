@@ -170,14 +170,36 @@ func TestPrefixBudget(t *testing.T) {
 }
 
 // TestSimulateBytesPerCall bounds what one SimulateScheduleCtx call on
-// the pair fixture allocates (≈52 KB, of which 6 KB are checkpoints and
-// 10 KB the one worker's stream): the checkpoints are one allocation per
-// compiled program, sized to its components — not to maxPrefixAmps —
-// and a stream and register are made per worker, not per shard or per
-// trial.
+// the pair fixture allocates (≈41 KB, of which 10 KB are the one
+// worker's stream): its programs are narrow, so the call lowers the
+// schedule, runs one reference and evaluates each program's ρ (a
+// 6-qubit state), and a stream and sampler are made per worker, not per
+// shard.
 func TestSimulateBytesPerCall(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	const bound = 64 << 10
+	if least := leastBytesPerCall(t, d, s, progs); least > bound {
+		t.Fatalf("SimulateScheduleCtx on the pair fixture allocates %d bytes per call, want <= %d", least, bound)
+	}
+}
+
+// TestSimulateBytesPerCallTrialLoop bounds the same for a 7-qubit GHZ,
+// which keeps the trial loop (≈ 52 KB per call): its checkpoints, 16 KB,
+// are one allocation sized to its component, not to maxPrefixAmps.
+func TestSimulateBytesPerCallTrialLoop(t *testing.T) {
+	d := arch.IBMQ16(0)
+	progs := []*circuit.Circuit{nisqbench.GHZ(maxExactQubits + 1)}
+	s := routeSideBySide(t, d, progs...)
+	const bound = 96 << 10
+	if least := leastBytesPerCall(t, d, s, progs); least > bound {
+		t.Fatalf("SimulateScheduleCtx on a 7-qubit GHZ allocates %d bytes per call, want <= %d", least, bound)
+	}
+}
+
+// leastBytesPerCall is the fewest bytes one of three sequential
+// 8024-trial SimulateScheduleCtx calls allocates.
+func leastBytesPerCall(t *testing.T, d *arch.Device, s *router.Schedule, progs []*circuit.Circuit) uint64 {
+	t.Helper()
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
@@ -188,9 +210,7 @@ func TestSimulateBytesPerCall(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if least > bound {
-		t.Fatalf("SimulateScheduleCtx on the pair fixture allocates %d bytes per call, want <= %d", least, bound)
-	}
+	return least
 }
 
 // entangledMatch holds the engine's factored register to its joint

@@ -69,8 +69,9 @@ func pairSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Cir
 // TestSimulateWorkersDifferential is the core determinism guarantee:
 // the statevector engine returns byte-identical outcomes no matter how
 // many workers execute the shards. The workers fan out over its three
-// shards and share the compiled program's checkpoints and measurement
-// trees (the race sweep runs it).
+// shards and share the compiled program's exact PSTs (the race sweep
+// runs it); TestSimulateWorkersDifferentialTrialLoop covers the trial
+// loop.
 func TestSimulateWorkersDifferential(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	trials := 2*shardTrials + 100 // 3 shards, last one partial
@@ -79,6 +80,30 @@ func TestSimulateWorkersDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
+		got, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d outcome %+v differs from sequential %+v", workers, got, want)
+		}
+	}
+}
+
+// TestSimulateWorkersDifferentialTrialLoop is the same guarantee for a
+// program wider than maxExactQubits, which keeps the trial loop: the
+// workers fan out over its three shards and share the compiled
+// program's checkpoints and measurement trees.
+func TestSimulateWorkersDifferentialTrialLoop(t *testing.T) {
+	d := arch.IBMQ16(0)
+	progs := []*circuit.Circuit{nisqbench.GHZ(maxExactQubits + 1)}
+	s := routeSideBySide(t, d, progs...)
+	trials := 2*shardTrials + 100
+	want, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
 		got, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), workers)
 		if err != nil {
 			t.Fatal(err)

@@ -86,6 +86,10 @@ type Record struct {
 	// restored job serves it under the number it had live (0 in logs
 	// written before the field: the event restores as Seq 1).
 	Event int `json:"ev,omitempty"`
+	// EndedUnixNano is when that event happened, so a restored job
+	// serves it with the time it had live (0 in logs written before the
+	// field: the event restores stamped with the restart time).
+	EndedUnixNano int64 `json:"end,omitempty"`
 }
 
 // Replay is the result of reading an existing log: the parsed records
@@ -120,7 +124,8 @@ func (r Replay) Pending() (pending []Record, terminal []Record) {
 		// Merge: the submit record's identity (not its source) plus the
 		// terminal record's outcome.
 		sub.Type, sub.QASM, sub.Backend, sub.Error = rec.Type, "", rec.Backend, rec.Error
-		sub.PST, sub.WaitSeconds, sub.ServiceSeconds, sub.Event = rec.PST, rec.WaitSeconds, rec.ServiceSeconds, rec.Event
+		sub.PST, sub.WaitSeconds, sub.ServiceSeconds = rec.PST, rec.WaitSeconds, rec.ServiceSeconds
+		sub.Event, sub.EndedUnixNano = rec.Event, rec.EndedUnixNano
 		terminal = append(terminal, sub)
 	}
 	for _, rec := range r.Records {
