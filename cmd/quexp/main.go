@@ -55,12 +55,12 @@ func main() {
 	run("scale", func() error { return scale(*seed) })
 	run("clifford", func() error { return clifford(*seed, *trials) })
 	run("staleness", func() error { return staleness(*seed) })
-	run("crosstalk", func() error { return crosstalk(*seed, *trials) })
+	run("crosstalk", func() error { return crosstalk(*seed) })
 }
 
-func crosstalk(seed int64, trials int) error {
-	fmt.Printf("== Extension: crosstalk-aware co-location on adversarial IBMQ16 (day %d, %d trials)\n\n", seed, trials)
-	rows, err := qucloud.RunCrosstalkAware(seed, trials)
+func crosstalk(seed int64) error {
+	fmt.Printf("== Extension: crosstalk-aware co-location on adversarial IBMQ16 (day %d, exact PST)\n\n", seed)
+	rows, err := qucloud.RunCrosstalkAware(seed)
 	if err != nil {
 		return err
 	}

@@ -620,8 +620,9 @@ func (r CrosstalkRow) Delta() float64 { return r.AwarePST - r.BlindPST }
 // the matrix-carrying device (CDAP penalizes hostile co-location and
 // the simulator is the same physical truth) and once on a matrix-free
 // copy with identical base calibration (the pre-SRB compiler) — and
-// both schedules are then simulated on the matrix-carrying chip.
-func RunCrosstalkAware(calSeed int64, trials int) ([]CrosstalkRow, error) {
+// both schedules' exact PSTs are then evaluated on the matrix-carrying
+// chip (every mix's programs are narrow enough for Compiler.ExactPST).
+func RunCrosstalkAware(calSeed int64) ([]CrosstalkRow, error) {
 	aware := arch.IBMQ16(calSeed)
 	aware.Crosstalk = arch.GenerateHostileCrosstalk(aware, calSeed+1, 0.5, 8, 12)
 	if err := aware.Validate(); err != nil {
@@ -653,11 +654,9 @@ func RunCrosstalkAware(calSeed int64, trials int) ([]CrosstalkRow, error) {
 			if err != nil {
 				return fmt.Errorf("crosstalk mix %d: %w", wi, err)
 			}
-			// Simulate on the matrix chip either way: the hardware has
+			// Evaluate on the matrix chip either way: the hardware has
 			// the crosstalk whether or not the compiler modeled it.
-			truth := NewCompiler(aware)
-			truth.Workers = 1
-			psts, err := truth.Simulate(res, trials, 4200+int64(wi), noise)
+			psts, err := NewCompiler(aware).ExactPST(res, noise)
 			if err != nil {
 				return fmt.Errorf("crosstalk mix %d: %w", wi, err)
 			}

@@ -346,3 +346,38 @@ func TestRunCliffordFidelityShape(t *testing.T) {
 		t.Fatalf("separate avg %v clearly below qucloud %v", byStrat[Separate].Avg, byStrat[CDAPXSwap].Avg)
 	}
 }
+
+// TestCrosstalkAwareExact pins what the crosstalk-awareness experiment
+// finds on its exact PSTs: awareness never adds hostile adjacency and
+// wins on average, and each row's sign is what it is — blind ahead on
+// rows 1 and 4, a tie on row 2, whose placements are identical.
+func TestCrosstalkAwareExact(t *testing.T) {
+	rows, err := RunCrosstalkAware(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(CrosstalkMixes) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(CrosstalkMixes))
+	}
+	signs := []int{1, -1, 0, 1, -1, 1}
+	var sumA, sumB float64
+	for i, r := range rows {
+		if r.AwareHostile > r.BlindHostile {
+			t.Errorf("row %d %v: aware placement has %d hostile pairs, blind %d", i, r.Programs, r.AwareHostile, r.BlindHostile)
+		}
+		sign := 0
+		if d := r.Delta(); d > 1e-9 {
+			sign = 1
+		} else if d < -1e-9 {
+			sign = -1
+		}
+		if sign != signs[i] {
+			t.Errorf("row %d %v: aware %.3f, blind %.3f: delta sign %d, want %d", i, r.Programs, r.AwarePST, r.BlindPST, sign, signs[i])
+		}
+		sumA += r.AwarePST
+		sumB += r.BlindPST
+	}
+	if sumA <= sumB {
+		t.Errorf("mean aware PST %.3f not above blind %.3f", sumA/float64(len(rows)), sumB/float64(len(rows)))
+	}
+}

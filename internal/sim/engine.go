@@ -128,11 +128,12 @@ func layerize(sched *router.Schedule) *layered {
 // exact PST, the distribution the trials' count has, instead of running
 // the trials.
 //
-// workers is the shard fan-out (0 selects pool.Default(), 1 forces
-// sequential execution); the outcome is a pure function of the other
-// arguments at every worker count and GOMAXPROCS. Cancellation of ctx is
-// checked at shard boundaries, so a service deadline abandons the
-// remaining trial budget and returns the context's error.
+// workers is the trial loop's shard fan-out (0 selects pool.Default(),
+// 1 forces sequential execution; exact sampling is always sequential);
+// the outcome is a pure function of the other arguments at every worker
+// count and GOMAXPROCS. Cancellation of ctx is checked at shard
+// boundaries, so a service deadline abandons the remaining trial budget
+// and returns the context's error.
 func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
 	return monteCarlo(ctx, d, sched, progs, trials, seed, noise, workers, engineStatevector)
 }
@@ -156,50 +157,26 @@ type register interface {
 	shard(cp *compiledProgram, plan []measPoint, n int, rng *stream, succ []int)
 }
 
-// noiselessPrefix is what the statevector reference run records for the
-// trial registers of one compiled program, which only read it (DESIGN.md
-// §14, "Noiseless prefix"). Checkpoint j of component c starts at
-// amps[base[c] + j<<k]; base[c] is -1 when c stays live. tree[c] holds
-// the prob1 threshold of c's next measured qubit, in plan order, after
-// each prefix of outcomes (node n's children: 2n+1 for 0, 2n+2 for 1).
-type noiselessPrefix struct {
-	amps       []complex128
-	base, last []int // last: each component's final checkpoint
-	tree       [][]float64
-}
-
 // factored is the statevector register: one dense state per component of
-// the compiled program's factoring, addressed by slot. A trial register
-// (pre set) starts each trial with every component that has checkpoints
-// following them, at the root (node) of its tree; the reference run
-// (record set) and SimulateIdeal keep every component live.
+// the compiled program's factoring, addressed by slot.
 type factored struct {
 	*factoring
-	comps     []*state
-	pre       *noiselessPrefix
-	record    bool
-	following []bool
-	node      []int
-	wrong     []int // per program: any bit off this trial
+	comps []*state
+	wrong []int // per program: any bit off this trial
 }
 
 func newFactored(f *factoring) *factored {
-	r := &factored{factoring: f, comps: make([]*state, len(f.sizes)),
-		following: make([]bool, len(f.sizes)), node: make([]int, len(f.sizes))}
+	r := &factored{factoring: f, comps: make([]*state, len(f.sizes))}
 	for c, k := range f.sizes {
 		r.comps[c] = newState(k)
 	}
 	return r
 }
 
-// reset starts a trial; awake overwrites a following component's state.
+// reset starts a trial from |0...0>.
 func (r *factored) reset() {
-	for c, st := range r.comps {
-		if r.pre != nil && r.pre.base[c] >= 0 {
-			r.following[c], r.node[c] = true, 0
-		} else {
-			st.reset()
-		}
+	for _, st := range r.comps {
+		st.reset()
 	}
 }
 
@@ -228,35 +205,12 @@ func (r *factored) shard(cp *compiledProgram, plan []measPoint, n int, rng *stre
 	}
 }
 
-// measure walks a following component's tree with the Float64 the eager
-// measurement draws, or wakes it at its final checkpoint and measures.
 func (r *factored) measure(slot int, rng *stream) int {
-	c := r.comp[slot]
-	if t := r.pre.tree[c]; r.following[c] && t != nil {
-		b, n := 0, r.node[c]
-		if rng.Float64() < t[n] {
-			b = 1
-		}
-		r.node[c] = 2*n + 1 + b
-		return b
-	}
-	return r.awake(c, r.pre.last[c]).measure(r.bit[slot], rng)
+	return r.comps[r.comp[slot]].measure(r.bit[slot], rng)
 }
 
-// awake returns component c's state, first waking a following one at
-// checkpoint ck: bit for bit the state running every gate would hold, as
-// the same kernels made it from the same inputs in the same order.
-func (r *factored) awake(c, ck int) *state {
-	st := r.comps[c]
-	if r.following[c] {
-		copy(st.amps, r.pre.amps[r.pre.base[c]+ck<<uint(st.n):])
-		r.following[c] = false
-	}
-	return st
-}
-
-func (r *factored) injectPauli(slot, ck int, rng prng) {
-	r.awake(r.comp[slot], ck).injectPauli(r.bit[slot], rng)
+func (r *factored) injectPauli(slot int, rng prng) {
+	r.comps[r.comp[slot]].injectPauli(r.bit[slot], rng)
 }
 
 // modalBits returns the bit every slot takes in the modal basis state,
@@ -310,90 +264,19 @@ func (r *stabilizer) at(slot int) (*ptab, int) { return r.comps[r.comp[slot]], r
 // resolved to 0, matching the statevector engine's lowest-index
 // convention) and draws from no RNG. The tableau's builds cp.frames
 // (prepareFrames). The statevector's fails when the factoring does not
-// fit a register; otherwise it numbers the checkpoints and records
-// cp.prefix: the checkpoints of each component that, in component order,
-// still fits maxPrefixAmps, and the tree of each of those whose m
-// measured qubits have 2^(m+1) <= trials, so that building it costs no
-// more than measuring eagerly.
-func prepare(engine engineKind, cp *compiledProgram, plan []measPoint, trials int) error {
-	f := cp.fac
+// fit a register.
+func prepare(engine engineKind, cp *compiledProgram, plan []measPoint) error {
 	if engine == engineTableau {
 		prepareFrames(cp, plan)
 		return nil
 	}
-	if err := f.fitsRegister(); err != nil {
+	if err := cp.fac.fitsRegister(); err != nil {
 		return err
 	}
-	// A component's state after its j-th non-SWAP op is checkpoint j (0 is
-	// |0...0>); a gate records its component's after it, a SWAP both
-	// components' current ones, an idle entry its component's at the end of
-	// the layer.
-	cp.steps = make([]int, len(f.sizes))
-	for li := range cp.layers {
-		cl := &cp.layers[li]
-		for i := range cl.ops {
-			op := &cl.ops[i]
-			if c := f.comp[op.a]; op.kind == opSWAP {
-				op.ck, op.ckB = cp.steps[c], cp.steps[f.comp[op.b]]
-			} else {
-				cp.steps[c]++
-				op.ck = cp.steps[c]
-			}
-		}
-		cl.idleCk = make([]int, len(cl.idle))
-		for i, q := range cl.idle {
-			cl.idleCk[i] = cp.steps[f.comp[q]]
-		}
-	}
-	p := &noiselessPrefix{base: make([]int, len(f.sizes)), last: cp.steps, tree: make([][]float64, len(f.sizes))}
-	size := 0
-	for c, k := range f.sizes {
-		p.base[c] = -1
-		if need := (cp.steps[c] + 1) << uint(k); size+need <= maxPrefixAmps {
-			p.base[c], size = size, size+need
-		}
-	}
-	p.amps = make([]complex128, size)
-	for _, b := range p.base {
-		if b >= 0 {
-			p.amps[b] = 1 // checkpoint 0
-		}
-	}
-	ref := newFactored(f)
-	ref.pre, ref.record = p, true
+	ref := newFactored(cp.fac)
 	cp.runStatevector(ref, nil, false)
 	ref.correctBits(plan)
-	measured := make([][]int, len(f.sizes)) // per component: bits in plan order
-	for _, mp := range plan {
-		measured[f.comp[mp.q]] = append(measured[f.comp[mp.q]], f.bit[mp.q])
-	}
-	for c, bits := range measured {
-		if p.base[c] >= 0 && len(bits) > 0 && trials>>len(bits) >= 2 {
-			path := []*state{ref.comps[c]} // the final state, then one per depth
-			for range bits[1:] {
-				path = append(path, newState(f.sizes[c]))
-			}
-			p.tree[c] = make([]float64, 1<<len(bits)-1)
-			growTree(p.tree[c], 0, bits, path)
-		}
-	}
-	cp.prefix = p
 	return nil
-}
-
-// growTree fills node n of a tree and its subtree from path[0], the
-// state after the outcomes leading to n, with the prob1 and project
-// calls measuring bits in order makes.
-func growTree(tree []float64, n int, bits []int, path []*state) {
-	tree[n] = path[0].prob1(bits[0])
-	if len(bits) == 1 {
-		return
-	}
-	for b := 0; b < 2; b++ {
-		copy(path[1].amps, path[0].amps)
-		path[1].project(bits[0], b)
-		growTree(tree, 2*n+1+b, bits[1:], path[1:])
-	}
 }
 
 // shardWorker is what a shard runs its trials with; monteCarlo passes
@@ -414,7 +297,7 @@ func newRegister(engine engineKind, cp *compiledProgram, progs int) register {
 		return cp.pstT
 	}
 	r := newFactored(cp.fac)
-	r.pre, r.wrong = cp.prefix, make([]int, progs)
+	r.wrong = make([]int, progs)
 	return r
 }
 
@@ -425,9 +308,10 @@ func newRegister(engine engineKind, cp *compiledProgram, progs int) register {
 // engine's noiseless reference run (and, for narrow programs on the
 // statevector, their exact PSTs), run the trial budget in fixed shards
 // with counter-derived streams on the engine's registers, and reduce in
-// shard order. workers goes to pool.ForEach as is, which never starts
-// more workers than there are shards, so a one-shard call runs on the
-// caller's goroutine.
+// shard order. workers goes to pool.ForEach, which never starts more
+// workers than there are shards, so a one-shard call runs on the
+// caller's goroutine; so does every call that samples exact PSTs, whose
+// shards take microseconds, less than handing one to a goroutine.
 func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int, engine engineKind) (*Outcome, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
@@ -442,8 +326,9 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 	}
 	if spans != nil {
 		err = prepareExact(cp, plan, spans)
+		workers = 1
 	} else {
-		err = prepare(engine, cp, plan, trials)
+		err = prepare(engine, cp, plan)
 	}
 	if err != nil {
 		return nil, err

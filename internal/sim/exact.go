@@ -68,9 +68,9 @@ func exactSpans(f *factoring, plan []measPoint, progs, limit int) [][]int {
 }
 
 // prepareExact is the statevector's preparation when exactSpans allows
-// it: the noiseless reference run fixes every plan point's correct bit,
-// recording no checkpoints or trees, and then each program's exact PST
-// fixes the threshold its shards draw its successes with.
+// it: the noiseless reference run (prepare) fixes every plan point's
+// correct bit, and then each program's exact PST fixes the threshold its
+// shards draw its successes with.
 func prepareExact(cp *compiledProgram, plan []measPoint, spans [][]int) error {
 	pst, err := exactPSTs(cp, plan, spans)
 	if err != nil {
@@ -85,12 +85,9 @@ func prepareExact(cp *compiledProgram, plan []measPoint, spans [][]int) error {
 
 // exactPSTs runs the reference and evaluates every program's ρ.
 func exactPSTs(cp *compiledProgram, plan []measPoint, spans [][]int) ([]float64, error) {
-	if err := cp.fac.fitsRegister(); err != nil {
+	if err := prepare(engineStatevector, cp, plan); err != nil {
 		return nil, err
 	}
-	ref := newFactored(cp.fac)
-	cp.runStatevector(ref, nil, false)
-	ref.correctBits(plan)
 	k := 0
 	for _, span := range spans {
 		for _, q := range span {

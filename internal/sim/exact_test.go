@@ -144,7 +144,7 @@ func trialLoop(t *testing.T, engine engineKind, d *arch.Device, s *router.Schedu
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prepare(engine, cp, plan, trials); err != nil {
+	if err := prepare(engine, cp, plan); err != nil {
 		t.Fatal(err)
 	}
 	reg, rng, succ := newRegister(engine, cp, progs), newStream(seed), make([]int, progs)
@@ -249,7 +249,7 @@ func TestExactSamplingMatchesExactPST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prepare(engineStatevector, cp, plan, trials); err != nil {
+	if err := prepare(engineStatevector, cp, plan); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range out.Correct {
@@ -308,7 +308,7 @@ func BenchmarkExactVsShard(b *testing.B) {
 			}
 		})
 		b.Run("shard/"+id, func(b *testing.B) {
-			if err := prepare(engineStatevector, cp, plan, 8024); err != nil {
+			if err := prepare(engineStatevector, cp, plan); err != nil {
 				b.Fatal(err)
 			}
 			reg, rng, succ := newRegister(engineStatevector, cp, 1), newStream(1), make([]int, 1)

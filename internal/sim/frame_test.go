@@ -47,7 +47,7 @@ func latticeMatches(t testing.TB, name string, d *arch.Device, s *router.Schedul
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepare(engineTableau, cp, plan, n)
+	prepare(engineTableau, cp, plan)
 	fast, ref := newPauliFrames(cp, progs), newStabilizer(cp.fac)
 	f, words := cp.fac, (n+63)>>6
 	var tiers latticeTiers
@@ -210,7 +210,7 @@ func TestLatticeMatchesPerTrialTableau(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepare(engineTableau, cp, plan, 1)
+	prepare(engineTableau, cp, plan)
 	if !cp.frames.perTrial[0] {
 		t.Fatal("cluster66's component has more than 64 random measurements but does not re-run every trial")
 	}
@@ -244,7 +244,7 @@ func TestDecayTiersAtRateOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepare(engineTableau, cp, plan, shardTrials)
+	prepare(engineTableau, cp, plan)
 	var kinds []siteKind
 	for _, st := range cp.frames.sites {
 		kinds = append(kinds, st.kind)
@@ -381,7 +381,7 @@ func v1Simulate(t *testing.T, d *arch.Device, s *router.Schedule, progs, trials 
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepare(engineTableau, cp, plan, trials)
+	prepare(engineTableau, cp, plan)
 	reg, succ := newTrialRegister(engineTableau, cp), make([]int, progs)
 	for sh := range numShards(trials) {
 		lo, hi := shardRange(sh, trials)

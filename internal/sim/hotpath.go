@@ -25,13 +25,11 @@ package sim
 // factoring follows every wire's state through the SWAPs (a SWAP
 // relabels) and unions the states CX and CZ couple; each register holds
 // one dense state or packed tableau per component (DESIGN.md, "Factored
-// register"). A statevector trial skips a component's gates until noise
-// first lands on it, then copies in the reference run's checkpoint
-// (DESIGN.md, "Noiseless prefix"). The joint registers, the per-layer
-// reference interpreters (runTrial, runTrialT), the boolean tableau and
-// the tableau's per-trial contract v1 (runTableau) live in
-// oracle_test.go, where TestCompiledTrialMatchesLegacy*,
-// TestLazyRegisterMatchesJoint and friends compare against them.
+// register"). A statevector trial runs every gate of every component
+// from |0...0>. The joint registers, the per-layer reference interpreters
+// (runTrial, runTrialT), the boolean tableau and the tableau's per-trial
+// contract v1 (runTableau) live in oracle_test.go, where
+// TestCompiledTrialMatchesLegacy* and friends compare against them.
 //
 // Determinism contract: byte-identical PSTs for a given seed are a hard
 // invariant (see DESIGN.md, "Hot-path memory discipline"). A compiled
@@ -104,18 +102,14 @@ type compiledOp struct {
 	errT uint64
 	// m is the 2x2 unitary of a single-qubit op.
 	m [2][2]complex128
-	// ck is the checkpoint a noise draw on a wakes a following
-	// statevector component at (ckB: on b, for a SWAP).
-	ck, ckB int
 }
 
 // compiledLayer is one depth layer plus the active qubits idle in it,
 // indexed like the ops' operands (in lay.active order — the idle-error
-// draw order), with each one's statevector checkpoint.
+// draw order).
 type compiledLayer struct {
-	ops    []compiledOp
-	idle   []int
-	idleCk []int
+	ops  []compiledOp
+	idle []int
 }
 
 // compiledProgram is a layered schedule lowered for either engine; the
@@ -127,10 +121,8 @@ type compiledProgram struct {
 	// fac maps wires to the operands the ops use: slots and their
 	// components.
 	fac    *factoring
-	steps  []int            // each component's last checkpoint
-	prefix *noiselessPrefix // the statevector's, recorded by prepare
-	pstT   binomial         // or its exact PSTs' thresholds, set by prepareExact
-	frames *framePlan       // the tableau's lattice and reference
+	pstT   binomial   // the statevector's exact PSTs' thresholds, set by prepareExact
+	frames *framePlan // the tableau's lattice and reference
 }
 
 // compileLayers lowers the layered schedule under the one noise rule set
@@ -194,7 +186,6 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel) (*compiledPro
 const (
 	maxComponentQubits = 24
 	maxRegisterAmps    = 1 << 25
-	maxPrefixAmps      = 1 << 20 // a compiled program's checkpoints: 16 MiB
 )
 
 // factoring is both engines' decision of what to simulate together,
@@ -321,10 +312,8 @@ func (k opKind) twoQubit() bool { return k == opCX || k == opCZ || k == opSWAP }
 // measurement's Float64 — the joint register's sequence, draw for draw,
 // with each "Float64() < p" asked as below(threshold(p)) and a layer's
 // idle draws scanned by miss; the reference run passes false and a nil
-// stream, draws nothing and records the checkpoints. SWAP was lowered to
-// a relabel, so only its noise is left. A following component skips its
-// gates until a Pauli or decay wakes it at the op's or idle entry's
-// checkpoint.
+// stream and draws nothing. SWAP was lowered to a relabel, so only its
+// noise is left.
 func (cp *compiledProgram) runStatevector(r *factored, rng *stream, noisy bool) {
 	noisy = noisy && cp.noise.Enabled
 	for li := range cp.layers {
@@ -335,41 +324,32 @@ func (cp *compiledProgram) runStatevector(r *factored, rng *stream, noisy bool) 
 				// Three physical CNOTs' worth of error on the link.
 				for k := 0; noisy && k < 3; k++ {
 					if rng.below(op.errT) {
-						if pick2(op.a, op.b, rng) == op.a {
-							r.injectPauli(op.a, op.ck, rng)
-						} else {
-							r.injectPauli(op.b, op.ckB, rng)
-						}
+						r.injectPauli(pick2(op.a, op.b, rng), rng)
 					}
 				}
 				continue
 			}
-			if c := r.comp[op.a]; !r.following[c] {
-				st, a := r.comps[c], r.bit[op.a]
-				switch op.kind {
-				case opCX:
-					st.applyCNOT(a, r.bit[op.b])
-				case opCZ:
-					st.applyCZ(a, r.bit[op.b])
-				default:
-					st.apply1q(op.m, a)
-				}
-				if r.record && r.pre.base[c] >= 0 {
-					copy(r.pre.amps[r.pre.base[c]+op.ck<<uint(st.n):], st.amps)
-				}
+			st, a := r.comps[r.comp[op.a]], r.bit[op.a]
+			switch op.kind {
+			case opCX:
+				st.applyCNOT(a, r.bit[op.b])
+			case opCZ:
+				st.applyCZ(a, r.bit[op.b])
+			default:
+				st.apply1q(op.m, a)
 			}
 			if noisy && rng.below(op.errT) {
 				q := op.a
 				if op.kind.twoQubit() {
 					q = pick2(op.a, op.b, rng)
 				}
-				r.injectPauli(q, op.ck, rng)
+				r.injectPauli(q, rng)
 			}
 		}
 		if noisy && cp.idleT > 0 {
 			idle, n := cl.idle, len(cl.idle)
 			for i := rng.miss(cp.idleT, n); i < n; i += 1 + rng.miss(cp.idleT, n-i-1) {
-				r.awake(r.comp[idle[i]], cl.idleCk[i]).decay(r.bit[idle[i]], rng)
+				r.comps[r.comp[idle[i]]].decay(r.bit[idle[i]], rng)
 			}
 		}
 	}

@@ -67,13 +67,30 @@ func TestCompiledTrialMatchesLegacyStatevector(t *testing.T) {
 	entangledMatch(t, engineStatevector, d, noises)
 }
 
-// lazyLine is a hand-built two-program schedule on a 6-qubit line whose
+// TestPrefixBudget holds the widest component the tests run to the
+// joint oracle: a 20-qubit GHZ chain, 2^20 amplitudes (16 MiB) in one
+// component, well inside maxRegisterAmps. Every component runs every
+// gate from |0…0⟩, so this wide one takes the same path as the narrow.
+func TestPrefixBudget(t *testing.T) {
+	line := make([]int, 20)
+	for i := range line {
+		line[i] = i
+	}
+	d := arch.Linear(20, 0.01, 0.02)
+	ghz, err := router.Route(d, []*circuit.Circuit{nisqbench.GHZ(20)}, [][]int{line}, router.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jointMatchesFactored(t, "ghz20", engineStatevector, d, ghz, DefaultNoise(), 1, 2)
+}
+
+// confinedLine is a hand-built two-program schedule on a 6-qubit line whose
 // noise a device can confine to one channel: CX only on links 0-1 and
 // 3-4, SWAPs only on links 1-2 and 4-5, and program 0 deeper than
 // program 1, whose wires then idle. Program 1's rotations make its
 // qubits' outcome probabilities differ, and it is measured against
 // wire order, so its plan order is not its bit order.
-func lazyLine(d *arch.Device) *router.Schedule {
+func confinedLine(d *arch.Device) *router.Schedule {
 	s := &router.Schedule{Device: d}
 	add := func(prog int, name string, theta float64, qs ...int) {
 		g := circuit.Gate{Name: name, Qubits: qs}
@@ -100,14 +117,10 @@ func lazyLine(d *arch.Device) *router.Schedule {
 	return s
 }
 
-// TestLazyRegisterMatchesJoint holds the lazy statevector register to
-// the joint oracle on lazyLine with the noise confined, by the device's
-// error rates, to gate noise, SWAP noise or idle decay in turn — each
-// must wake components — and with trial budgets on both sides of the
-// measurement-tree gate: 4 x 8 trials pay for its two-qubit components'
-// trees (2^3 <= 32), 1 x 7 trials do not, so following components are
-// woken at their final checkpoint to be measured.
-func TestLazyRegisterMatchesJoint(t *testing.T) {
+// TestConfinedNoiseMatchesJoint holds the statevector register to the
+// joint oracle on confinedLine with the noise confined, by the device's
+// error rates, to gate noise, SWAP noise or idle decay in turn.
+func TestConfinedNoiseMatchesJoint(t *testing.T) {
 	gate, swap, idle := arch.Linear(6, 0.08, 0), arch.Linear(6, 0, 0), arch.Linear(6, 0, 0)
 	for q := range gate.Gate1Err {
 		gate.Gate1Err[q] = 0.05
@@ -125,47 +138,7 @@ func TestLazyRegisterMatchesJoint(t *testing.T) {
 		{"idle decay", idle, NoiseModel{Enabled: true, IdleErrPerLayer: 0.1}},
 	}
 	for _, c := range cases {
-		s := lazyLine(c.d)
-		if p := jointMatchesFactored(t, c.name+", trees", engineStatevector, c.d, s, c.noise, 4, 8); p.woken == 0 || p.tree == 0 || p.copied != 0 {
-			t.Errorf("%s, 4 x 8 trials: %+v, want components woken by it and the rest measured through trees", c.name, p)
-		}
-		if p := jointMatchesFactored(t, c.name+", no trees", engineStatevector, c.d, s, c.noise, 1, 7); p.woken == 0 || p.copied == 0 || p.tree != 0 {
-			t.Errorf("%s, 1 x 7 trials: %+v, want components woken by it and the rest at their final checkpoint", c.name, p)
-		}
-	}
-}
-
-// TestPrefixBudget: checkpoints that do not fit maxPrefixAmps leave their
-// component live from the start. A 20-qubit GHZ chain needs 2^20
-// amplitudes per checkpoint, so it runs eagerly and still matches the
-// joint oracle; the pair fixture's components all follow.
-func TestPrefixBudget(t *testing.T) {
-	line := make([]int, 20)
-	for i := range line {
-		line[i] = i
-	}
-	d := arch.Linear(20, 0.01, 0.02)
-	ghz, err := router.Route(d, []*circuit.Circuit{nisqbench.GHZ(20)}, [][]int{line}, router.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jointMatchesFactored(t, "ghz20", engineStatevector, d, ghz, DefaultNoise(), 1, 2)
-	pd, pair, _ := pairSchedule(t)
-	for _, fx := range []struct {
-		name   string
-		d      *arch.Device
-		s      *router.Schedule
-		follow bool
-	}{{"ghz20", d, ghz, false}, {"pair", pd, pair, true}} {
-		_, cp := compiledLay(t, fx.d, fx.s, DefaultNoise())
-		if err := prepare(engineStatevector, cp, nil, 8024); err != nil {
-			t.Fatal(err)
-		}
-		for c, b := range cp.prefix.base {
-			if (b >= 0) != fx.follow {
-				t.Errorf("%s: component %d of %d qubits has checkpoints at %d, want following %v", fx.name, c, cp.fac.sizes[c], b, fx.follow)
-			}
-		}
+		jointMatchesFactored(t, c.name, engineStatevector, c.d, confinedLine(c.d), c.noise, 4, 8)
 	}
 }
 
@@ -184,13 +157,14 @@ func TestSimulateBytesPerCall(t *testing.T) {
 }
 
 // TestSimulateBytesPerCallTrialLoop bounds the same for a 7-qubit GHZ,
-// which keeps the trial loop (≈ 52 KB per call): its checkpoints, 16 KB,
-// are one allocation sized to its component, not to maxPrefixAmps.
+// which keeps the trial loop (≈ 21 KB per call, of which 10 KB are the
+// one worker's stream): the call lowers the schedule, runs one reference
+// and makes one register and stream per worker, not per shard or trial.
 func TestSimulateBytesPerCallTrialLoop(t *testing.T) {
 	d := arch.IBMQ16(0)
 	progs := []*circuit.Circuit{nisqbench.GHZ(maxExactQubits + 1)}
 	s := routeSideBySide(t, d, progs...)
-	const bound = 96 << 10
+	const bound = 32 << 10
 	if least := leastBytesPerCall(t, d, s, progs); least > bound {
 		t.Fatalf("SimulateScheduleCtx on a 7-qubit GHZ allocates %d bytes per call, want <= %d", least, bound)
 	}
@@ -340,7 +314,7 @@ func shardAllocs(t *testing.T, engine engineKind, d *arch.Device, s *router.Sche
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prepare(engine, cp, plan, 8024); err != nil {
+	if err := prepare(engine, cp, plan); err != nil {
 		t.Fatal(err)
 	}
 	reg, rng, succ := newRegister(engine, cp, progs), newStream(1), make([]int, progs)

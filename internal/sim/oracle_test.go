@@ -334,9 +334,8 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 // draws from math/rand and the register, as in monteCarlo, from a
 // stream with integer thresholds and idle scans, so this checks those
 // too. The register and its reference run come from prepare, as in
-// monteCarlo, with the whole seeds x trials budget gating the
-// measurement trees.
-func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) (paths lazyPaths) {
+// monteCarlo.
+func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, noise)
 	// The driver's plan order: by program, then logical qubit.
@@ -352,7 +351,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 		plan[i] = measPoint{prog: m.Program, q: cp.fac.slot[lay.compact[m.Phys]], readout: threshold(d.ReadoutErr[m.Phys])}
 	}
 
-	if err := prepare(engine, cp, plan, seeds*trials); err != nil {
+	if err := prepare(engine, cp, plan); err != nil {
 		t.Fatal(err)
 	}
 	joint := newJointRegister(engine, d, lay)
@@ -369,7 +368,6 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 	}
 
 	reg := newTrialRegister(engine, cp)
-	sv, _ := reg.(*factored)
 	readout := noise.Enabled && noise.Readout
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rngA, rngB := rand.New(rand.NewSource(seed)), newStream(seed)
@@ -379,21 +377,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 			}
 			reg.reset()
 			reg.run(cp, rngB, true)
-			if sv != nil {
-				for c, b := range sv.pre.base {
-					if b >= 0 && !sv.following[c] {
-						paths.woken++
-					}
-				}
-			}
 			for i, m := range meas {
-				if c := cp.fac.comp[plan[i].q]; sv != nil && sv.following[c] {
-					if sv.pre.tree[c] != nil {
-						paths.tree++
-					} else {
-						paths.copied++
-					}
-				}
 				a := joint.measure(lay.compact[m.Phys], rngA)
 				b := reg.measure(plan[i].q, rngB)
 				if readout {
@@ -413,15 +397,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 			}
 		}
 	}
-	return paths
 }
-
-// lazyPaths counts how the statevector trial register's components left
-// the noiseless prefix over the trials jointMatchesFactored ran: woken
-// by noise during the gates (per component and trial), measured by
-// walking a tree, or woken at the final checkpoint to be measured (per
-// plan point reached while following).
-type lazyPaths struct{ woken, tree, copied int }
 
 // entangledSchedule builds a seeded schedule of 2-4 three-qubit programs
 // on a path of IBMQ16 that holds everything the factoring has to get

@@ -68,10 +68,10 @@ func pairSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Cir
 
 // TestSimulateWorkersDifferential is the core determinism guarantee:
 // the statevector engine returns byte-identical outcomes no matter how
-// many workers execute the shards. The workers fan out over its three
-// shards and share the compiled program's exact PSTs (the race sweep
-// runs it); TestSimulateWorkersDifferentialTrialLoop covers the trial
-// loop.
+// many workers are asked for. Its programs are narrow, so its three
+// shards sample their exact PSTs on the caller's goroutine at every
+// worker count; TestSimulateWorkersDifferentialTrialLoop covers the
+// trial loop, whose shards fan out (the race sweep runs both).
 func TestSimulateWorkersDifferential(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	trials := 2*shardTrials + 100 // 3 shards, last one partial
@@ -92,8 +92,8 @@ func TestSimulateWorkersDifferential(t *testing.T) {
 
 // TestSimulateWorkersDifferentialTrialLoop is the same guarantee for a
 // program wider than maxExactQubits, which keeps the trial loop: the
-// workers fan out over its three shards and share the compiled
-// program's checkpoints and measurement trees.
+// workers fan out over its three shards, each on its own register, and
+// share the compiled program read-only.
 func TestSimulateWorkersDifferentialTrialLoop(t *testing.T) {
 	d := arch.IBMQ16(0)
 	progs := []*circuit.Circuit{nisqbench.GHZ(maxExactQubits + 1)}
@@ -149,6 +149,23 @@ func benchSimulate(b *testing.B, workers int) {
 
 func BenchmarkSimulateSequential(b *testing.B) { benchSimulate(b, 1) }
 func BenchmarkSimulateParallel(b *testing.B)   { benchSimulate(b, 0) }
+
+// BenchmarkSimulateTrialLoop times the statevector trial loop, which
+// only programs wider than maxExactQubits still run: one sequential
+// 8024-trial call on a 7-qubit GHZ.
+func BenchmarkSimulateTrialLoop(b *testing.B) {
+	d := arch.IBMQ16(0)
+	progs := []*circuit.Circuit{nisqbench.GHZ(maxExactQubits + 1)}
+	s := routeSideBySide(b, d, progs...)
+	noise := DefaultNoise()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, 8024, 7, noise, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func benchSimulateClifford(b *testing.B, workers int) {
 	d := arch.IBMQ16(0)
