@@ -31,7 +31,7 @@ import (
 // (percent) for the QuCloud configuration and the two baselines.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable2(0, 400)
+		rows, err := RunTable2(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func BenchmarkFig9_IBMQ50(b *testing.B) {
 // against the separate-execution and random-pairing baselines.
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := RunFig14(0, []float64{0.05, 0.10, 0.15, 0.20}, 250)
+		points, err := RunFig14(0, []float64{0.05, 0.10, 0.15, 0.20})
 		if err != nil {
 			b.Fatal(err)
 		}

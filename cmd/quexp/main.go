@@ -24,38 +24,49 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses a quexp command line (without the program name) and prints
+// the experiments it selects to stdout.
+func run(args []string) error {
+	fs := flag.NewFlagSet("quexp", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2, table3, table3pst, fig8, fig9, fig14, scale, clifford, staleness, crosstalk, all")
-		seed     = flag.Int64("seed", 0, "calibration seed")
-		trials   = flag.Int("trials", 2000, "Monte-Carlo trials per PST estimate")
-		days     = flag.Int("days", 21, "calibration days for the fig9 sweep")
-		parallel = flag.Int("parallel", 0, "worker goroutines for compile/simulate fan-out (0 = GOMAXPROCS, 1 = sequential); results are identical at every setting")
+		exp      = fs.String("exp", "all", "experiment: table2, table3, table3pst, fig8, fig9, fig14, scale, clifford, staleness, crosstalk, all")
+		seed     = fs.Int64("seed", 0, "calibration seed")
+		trials   = fs.Int("trials", 2000, "Monte-Carlo trials per PST estimate (table3pst, clifford)")
+		days     = fs.Int("days", 21, "calibration days for the fig9 sweep")
+		parallel = fs.Int("parallel", 0, "worker goroutines for compile/simulate fan-out (0 = GOMAXPROCS, 1 = sequential); results are identical at every setting")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits, so Parse returns no error
 	if *parallel > 0 {
 		pool.SetDefault(*parallel)
 	}
 
-	run := func(name string, f func() error) {
+	var err error
+	do := func(name string, f func() error) {
 		// table3pst simulates 16-qubit components for minutes: by name only.
-		if *exp != name && (*exp != "all" || name == "table3pst") {
+		if err != nil || *exp != name && (*exp != "all" || name == "table3pst") {
 			return
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "quexp %s: %v\n", name, err)
-			os.Exit(1)
+		if err = f(); err != nil {
+			err = fmt.Errorf("quexp %s: %w", name, err)
 		}
 	}
-	run("table2", func() error { return table2(*seed, *trials) })
-	run("table3", func() error { return table3(*seed) })
-	run("table3pst", func() error { return table3PST(*seed, *trials) })
-	run("fig8", func() error { return fig8() })
-	run("fig9", func() error { return fig9(*seed, *days) })
-	run("fig14", func() error { return fig14(*seed, *trials) })
-	run("scale", func() error { return scale(*seed) })
-	run("clifford", func() error { return clifford(*seed, *trials) })
-	run("staleness", func() error { return staleness(*seed) })
-	run("crosstalk", func() error { return crosstalk(*seed) })
+	do("table2", func() error { return table2(*seed) })
+	do("table3", func() error { return table3(*seed) })
+	do("table3pst", func() error { return table3PST(*seed, *trials) })
+	do("fig8", func() error { return fig8() })
+	do("fig9", func() error { return fig9(*seed, *days) })
+	do("fig14", func() error { return fig14(*seed) })
+	do("scale", func() error { return scale(*seed) })
+	do("clifford", func() error { return clifford(*seed, *trials) })
+	do("staleness", func() error { return staleness(*seed) })
+	do("crosstalk", func() error { return crosstalk(*seed) })
+	return err
 }
 
 func crosstalk(seed int64) error {
@@ -131,9 +142,9 @@ func scale(seed int64) error {
 	return nil
 }
 
-func table2(seed int64, trials int) error {
-	fmt.Printf("== Table II: PST (%%) of two-program workloads on IBMQ16 (calibration day %d, %d trials)\n\n", seed, trials)
-	rows, err := qucloud.RunTable2(seed, trials)
+func table2(seed int64) error {
+	fmt.Printf("== Table II: exact PST (%%) of two-program workloads on IBMQ16 (calibration day %d)\n\n", seed)
+	rows, err := qucloud.RunTable2(seed)
 	if err != nil {
 		return err
 	}
@@ -148,22 +159,12 @@ func table2(seed int64, trials int) error {
 		for _, s := range qucloud.Strategies {
 			fmt.Printf(" | %4.1f %4.1f ", r.PST[s][0], r.PST[s][1])
 			v := sums[s]
-			if i < 5 {
-				v[0] += r.Avg(s) / 5
-			} else {
-				v[1] += r.Avg(s) / 5
-			}
+			v[i/5] += r.Avg(s) / 5
 			sums[s] = v
 		}
 		fmt.Println()
-		if i == 4 || i == 9 {
-			label := "tiny avg"
-			idx := 0
-			if i == 9 {
-				label = "small avg"
-				idx = 1
-			}
-			fmt.Printf("%-25s", label)
+		if idx := i / 5; i%5 == 4 {
+			fmt.Printf("%-25s", [2]string{"tiny avg", "small avg"}[idx])
 			for _, s := range qucloud.Strategies {
 				fmt.Printf(" |   %5.1f   ", sums[s][idx])
 			}
@@ -279,9 +280,9 @@ func fig9(seed int64, days int) error {
 	return nil
 }
 
-func fig14(seed int64, trials int) error {
-	fmt.Printf("== Figure 14: task-scheduler fidelity/throughput trade-off (day %d, %d trials)\n\n", seed, trials)
-	points, err := qucloud.RunFig14(seed, []float64{0.05, 0.10, 0.15, 0.20}, trials)
+func fig14(seed int64) error {
+	fmt.Printf("== Figure 14: task-scheduler fidelity/throughput trade-off (day %d, exact PST)\n\n", seed)
+	points, err := qucloud.RunFig14(seed, []float64{0.05, 0.10, 0.15, 0.20})
 	if err != nil {
 		return err
 	}

@@ -58,3 +58,57 @@ func TestFig8Golden(t *testing.T) {
 		t.Fatalf("fig8 output differs across runs:\n--- first\n%s\n--- second\n%s", first, second)
 	}
 }
+
+// TestExperimentsDocCurrent holds EXPERIMENTS.md to quexp: a fenced
+// block whose info string is a quexp command line ("```quexp -exp
+// table2 -seed 0") must be that command's output, line for line with
+// trailing blanks trimmed, so the report cannot drift from the code.
+func TestExperimentsDocCurrent(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	blocks := 0
+	for i := 0; i < len(lines); i++ {
+		cmd, ok := strings.CutPrefix(lines[i], "```quexp ")
+		if !ok {
+			continue
+		}
+		blocks++
+		start := i + 1
+		for i++; i < len(lines) && lines[i] != "```"; i++ {
+		}
+		want := trimBlanks(lines[start:i])
+		got := trimBlanks(strings.Split(captureStdout(t, func() error { return run(strings.Fields(cmd)) }), "\n"))
+		for k := 0; k < len(want) || k < len(got); k++ {
+			var w, g string
+			if k < len(want) {
+				w = want[k]
+			}
+			if k < len(got) {
+				g = got[k]
+			}
+			if w != g {
+				t.Errorf("EXPERIMENTS.md:%d, block %q: doc says\n\t%q\nquexp prints\n\t%q", start+1+k, "quexp "+cmd, w, g)
+				break
+			}
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("EXPERIMENTS.md has no quexp-tagged block")
+	}
+}
+
+// trimBlanks trims each line's trailing blanks and drops trailing empty
+// lines.
+func trimBlanks(lines []string) []string {
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = strings.TrimRight(l, " \t")
+	}
+	for len(out) > 0 && out[len(out)-1] == "" {
+		out = out[:len(out)-1]
+	}
+	return out
+}

@@ -51,11 +51,9 @@ var Table3Mixes = [][]string{
 // Table2Row is one workload's PSTs (percent) under every strategy.
 type Table2Row struct {
 	W1, W2 string
-	// PST[strategy] = {program 1 PST, program 2 PST}, in percent.
+	// PST[strategy] = {program 1 PST, program 2 PST}, in percent: the
+	// exact PSTs, without sampling error.
 	PST map[Strategy][2]float64
-	// exact is PST without sampling error: the exact PSTs the estimates
-	// converge to, in percent, which the ordering tests assert on.
-	exact map[Strategy][2]float64
 }
 
 // Avg returns the row's mean PST (percent) under the strategy.
@@ -66,30 +64,19 @@ func (r Table2Row) Avg(s Strategy) float64 {
 
 // RunTable2 reproduces Table II: for each two-program workload on the
 // given IBMQ16 calibration, it compiles under all six strategies and
-// estimates PST with `trials` Monte-Carlo trials per run. Strategies
-// that fail to co-locate a workload fall back to separate execution, as
-// Algorithm 2 prescribes. Workloads run in parallel across the worker
-// pool; the simulation seed is a function of the workload index, so the
-// table is identical at every parallelism level.
-func RunTable2(calSeed int64, trials int) ([]Table2Row, error) {
-	all := make([]int, len(Table2Workloads))
-	for i := range all {
-		all[i] = i
-	}
-	return RunTable2Subset(calSeed, trials, all)
-}
-
-// RunTable2Subset runs only the given workload indices (0-based into
-// Table2Workloads); tests and quick benchmarks use it to bound runtime.
-func RunTable2Subset(calSeed int64, trials int, workloadIndices []int) ([]Table2Row, error) {
+// evaluates each program's exact PST (Compiler.ExactPST; every Table II
+// program is narrow enough). Strategies that fail to co-locate a
+// workload fall back to separate execution, as Algorithm 2 prescribes.
+// Workloads run in parallel across the worker pool, and the table is
+// identical at every parallelism level.
+func RunTable2(calSeed int64) ([]Table2Row, error) {
 	d := arch.IBMQ16(calSeed)
 	noise := sim.DefaultNoise()
-	rows := make([]Table2Row, len(workloadIndices))
-	err := pool.ForEach(context.Background(), len(workloadIndices), 0, func(ri int) error {
-		wi := workloadIndices[ri]
+	rows := make([]Table2Row, len(Table2Workloads))
+	err := pool.ForEach(context.Background(), len(Table2Workloads), 0, func(wi int) error {
 		w := Table2Workloads[wi]
 		progs := []*circuit.Circuit{nisqbench.MustGet(w[0]), nisqbench.MustGet(w[1])}
-		row := Table2Row{W1: w[0], W2: w[1], PST: map[Strategy][2]float64{}, exact: map[Strategy][2]float64{}}
+		row := Table2Row{W1: w[0], W2: w[1], PST: map[Strategy][2]float64{}}
 		for _, strat := range Strategies {
 			comp := NewCompiler(d)
 			comp.Workers = 1 // rows already fan out; keep inner work sequential
@@ -101,17 +88,13 @@ func RunTable2Subset(calSeed int64, trials int, workloadIndices []int) ([]Table2
 					return fmt.Errorf("table2 %s+%s %s: %w", w[0], w[1], strat, err)
 				}
 			}
-			psts, err := comp.Simulate(res, trials, 1000+int64(wi), noise)
+			psts, err := comp.ExactPST(res, noise)
 			if err != nil {
 				return fmt.Errorf("table2 %s+%s %s: %w", w[0], w[1], strat, err)
 			}
 			row.PST[strat] = [2]float64{psts[0] * 100, psts[1] * 100}
-			if psts, err = comp.ExactPST(res, noise); err != nil {
-				return fmt.Errorf("table2 %s+%s %s: %w", w[0], w[1], strat, err)
-			}
-			row.exact[strat] = [2]float64{psts[0] * 100, psts[1] * 100}
 		}
-		rows[ri] = row
+		rows[wi] = row
 		return nil
 	})
 	if err != nil {
@@ -325,23 +308,23 @@ func Fig14Queue(copies int) []sched.Job {
 
 // RunFig14 reproduces Figure 14: it schedules the queue under each ε,
 // compiles every batch with CDAP+X-SWAP (falling back to separate
-// execution when a batch cannot be co-located), simulates PST, and
-// reports PST and TRF, together with the separate-execution and
-// random-pairing baselines.
-func RunFig14(calSeed int64, epsilons []float64, trials int) ([]Fig14Point, error) {
+// execution when a batch cannot be co-located), evaluates each job's
+// exact PST, and reports PST and TRF, together with the
+// separate-execution and random-pairing baselines.
+func RunFig14(calSeed int64, epsilons []float64) ([]Fig14Point, error) {
 	d := arch.IBMQ16(calSeed)
 	jobs := Fig14Queue(2)
 	var points []Fig14Point
 
 	sepBatches := sched.SeparateAll(jobs)
-	sepPST, err := runBatches(d, jobs, sepBatches, trials)
+	sepPST, err := runBatches(d, jobs, sepBatches)
 	if err != nil {
 		return nil, err
 	}
 	points = append(points, Fig14Point{Label: "Separate", Epsilon: -1, AvgPST: sepPST, TRF: sched.TRF(len(jobs), sepBatches)})
 
 	randBatches := sched.RandomPairs(jobs, rand.New(rand.NewSource(calSeed+5)))
-	randPST, err := runBatches(d, jobs, randBatches, trials)
+	randPST, err := runBatches(d, jobs, randBatches)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +337,7 @@ func RunFig14(calSeed int64, epsilons []float64, trials int) ([]Fig14Point, erro
 		if err != nil {
 			return nil, fmt.Errorf("fig14 eps=%v: %w", eps, err)
 		}
-		pst, err := runBatches(d, jobs, batches, trials)
+		pst, err := runBatches(d, jobs, batches)
 		if err != nil {
 			return nil, fmt.Errorf("fig14 eps=%v: %w", eps, err)
 		}
@@ -368,13 +351,13 @@ func RunFig14(calSeed int64, epsilons []float64, trials int) ([]Fig14Point, erro
 	return points, nil
 }
 
-// runBatches compiles and simulates every batch (CDAP+X-SWAP for
-// multi-program batches, separate otherwise) and returns the mean PST
-// over all jobs, in percent. Batches run in parallel (the Compiler is
+// runBatches compiles every batch (CDAP+X-SWAP for multi-program
+// batches, separate otherwise) and returns the mean exact PST over all
+// jobs, in percent. Batches run in parallel (the Compiler is
 // safe for concurrent use); each batch writes its PSTs to its own index
 // and the float accumulation happens in batch order afterwards, so the
 // mean is bit-identical at every parallelism level.
-func runBatches(d *arch.Device, jobs []sched.Job, batches []sched.Batch, trials int) (float64, error) {
+func runBatches(d *arch.Device, jobs []sched.Job, batches []sched.Batch) (float64, error) {
 	byID := map[int]*circuit.Circuit{}
 	for _, j := range jobs {
 		byID[j.ID] = j.Circ
@@ -398,7 +381,7 @@ func runBatches(d *arch.Device, jobs []sched.Job, batches []sched.Batch, trials 
 				return err
 			}
 		}
-		psts, err := comp.Simulate(res, trials, 4000+int64(bi), noise)
+		psts, err := comp.ExactPST(res, noise)
 		if err != nil {
 			return err
 		}

@@ -406,14 +406,9 @@ func parseOperand(op, qreg string) (int, error) {
 	return idx, nil
 }
 
-// evalExpr evaluates QASM parameter arithmetic: numbers, pi, + - * /,
-// unary minus, and parentheses.
-func evalExpr(s string) (float64, error) {
-	return evalExprVars(s, nil)
-}
-
-// evalExprVars is evalExpr with named variable bindings (gate-body
-// formal parameters).
+// evalExprVars evaluates QASM parameter arithmetic: numbers, pi,
+// + - * /, unary minus, parentheses, and the named variable bindings
+// (gate-body formal parameters).
 func evalExprVars(s string, vars map[string]float64) (float64, error) {
 	p := &exprParser{s: strings.TrimSpace(s), vars: vars}
 	v, err := p.parseSum()

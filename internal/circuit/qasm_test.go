@@ -209,21 +209,21 @@ func TestEvalExpr(t *testing.T) {
 		"(0.1+0.2)*10": (0.1 + 0.2) * 10,
 	}
 	for src, want := range cases {
-		got, err := evalExpr(src)
+		got, err := evalExprVars(src, nil)
 		if err != nil {
-			t.Errorf("evalExpr(%q): %v", src, err)
+			t.Errorf("evalExprVars(%q): %v", src, err)
 			continue
 		}
 		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("evalExpr(%q) = %v, want %v", src, got, want)
+			t.Errorf("evalExprVars(%q) = %v, want %v", src, got, want)
 		}
 	}
 }
 
 func TestEvalExprErrors(t *testing.T) {
 	for _, src := range []string{"", "1+", "(1", "1)", "1//2", "abc", "1 2", "*3", "1/(2-2)"} {
-		if _, err := evalExpr(src); err == nil {
-			t.Errorf("evalExpr(%q) must error", src)
+		if _, err := evalExprVars(src, nil); err == nil {
+			t.Errorf("evalExprVars(%q) must error", src)
 		}
 	}
 }

@@ -13,9 +13,9 @@ package sim
 //   - tableau: the boolean Aaronson-Gottesman tableau. Oracle for
 //     TestPackedMatchesBooleanTableau and TestTableauMatchesStatevector,
 //     baseline of BenchmarkPackedVsBooleanTableau.
-//   - cliffordBackend, ptab.applyCliffordGate and ptab.swap: the by-name
-//     gate interface runTrialT and the tableau benchmarks drive both
-//     tableaus through. runTrialT over one joint ptab of every active
+//   - cliffordBackend, ptab.applyCliffordGate, ptab.injectPauliT and
+//     ptab.swap: the by-name gate interface runTrialT and the tableau
+//     benchmarks drive both tableaus through. runTrialT over one joint ptab of every active
 //     qubit is the oracle jointMatchesFactored holds the stabilizer
 //     register to.
 //   - runTableau and the stabilizer register's trial methods: the tableau
@@ -36,6 +36,13 @@ import (
 	"repro/internal/fp"
 	"repro/internal/router"
 )
+
+// clone returns an independent copy of the state.
+func (s *state) clone() *state {
+	c := &state{n: s.n, amps: make([]complex128, len(s.amps))}
+	copy(c.amps, s.amps)
+	return c
+}
 
 // applySWAP exchanges qubits a and b of the joint register.
 func (s *state) applySWAP(a, b int) {
@@ -848,6 +855,19 @@ func (t *tableau) injectPauliT(q int, rng prng) {
 func (t *tableau) decayT(q int, rng prng) {
 	if t.measure(q, func() bool { return rng.Intn(2) == 1 }) == 1 {
 		t.xg(q)
+	}
+}
+
+// injectPauliT applies a uniformly random non-identity Pauli (same
+// contract as the boolean tableau's method).
+func (t *ptab) injectPauliT(q int, rng prng) {
+	switch rng.Intn(3) {
+	case 0:
+		t.xg(q)
+	case 1:
+		t.yg(q)
+	default:
+		t.zg(q)
 	}
 }
 

@@ -43,12 +43,6 @@ func (s *state) reset() {
 	s.amps[0] = 1
 }
 
-func (s *state) clone() *state {
-	c := &state{n: s.n, amps: make([]complex128, len(s.amps))}
-	copy(c.amps, s.amps)
-	return c
-}
-
 // apply1q applies the 2x2 unitary m to qubit q. Like every amplitude loop
 // here it walks only the amplitudes it changes, in blocks of 2·bit (low
 // half qubit clear, high half set): bit for bit the index-testing loop in

@@ -315,17 +315,6 @@ func (t *ptab) deterministic(q int) int {
 	return sum >> 1 & 1
 }
 
-func (t *ptab) injectPauliT(q int, rng prng) {
-	switch rng.Intn(3) {
-	case 0:
-		t.xg(q)
-	case 1:
-		t.yg(q)
-	default:
-		t.zg(q)
-	}
-}
-
 // measureT is measure with random outcomes drawn from rng.
 func (t *ptab) measureT(q int, rng prng) int {
 	t.pickRng = rng

@@ -34,12 +34,13 @@ var testOnlyExports = map[string]string{
 	"lint.CheckFile":               "the lint fixtures' loader",
 }
 
-// TestNoTestOnlyExports guards against library surface nothing runs.
-// An exported top-level function or method under internal/ must be
-// referenced by some non-test file besides its own declaration, or, for
-// a method, its receiver type must implement an interface that has the
-// method (fmt.Stringer, fleet.Policy, ...: callers reach it through
-// the interface). References and implementations are resolved by type,
+// TestNoTestOnlyExports guards against library code nothing runs. A
+// top-level function or method under internal/, exported or not, must
+// be referenced by some non-test file besides its own declaration, or,
+// for a method, its receiver type must implement an interface that has
+// the method (fmt.Stringer, fleet.Policy, sim.register, ...: callers
+// reach it through the interface). Only exported ones may be
+// allowlisted; an unexported one that only tests call moves into them. References and implementations are resolved by type,
 // so a same-named function or method elsewhere never hides a dead one.
 // Every non-test package that lint.LoadModule loads counts as a caller:
 // cmd/, examples/ and bench/ (its own module, type-checked here from
@@ -50,7 +51,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls := map[*types.Func]string{} // exported internal/ funcs and methods -> "pkg.Name" / "pkg.Type.Name"
+	decls := map[*types.Func]string{} // internal/ funcs and methods -> "pkg.Name" / "pkg.Type.Name"
 	used := map[*types.Func]bool{}    // referenced outside their declaration
 	for _, p := range pkgs {
 		if len(p.TypeErrors) > 0 {
@@ -67,7 +68,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
 					continue
 				}
 				fn := p.Info.Defs[fd.Name].(*types.Func)
@@ -77,11 +78,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 					if ptr, ok := typ.(*types.Pointer); ok {
 						typ = ptr.Elem()
 					}
-					named := typ.(*types.Named).Obj()
-					if !named.Exported() {
-						continue
-					}
-					name = fn.Pkg().Name() + "." + named.Name() + "." + fn.Name()
+					name = fn.Pkg().Name() + "." + typ.(*types.Named).Obj().Name() + "." + fn.Name()
 				}
 				decls[fn] = name
 			}
@@ -91,14 +88,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 	listed := map[string]bool{}
 	var dead []string
 	for fn, name := range decls {
-		listed[name] = true
+		if fn.Exported() {
+			listed[name] = true
+		}
 		if _, ok := testOnlyExports[name]; !ok && !used[fn] && !implementsWith(fn, ifaces[fn.Name()]) {
 			dead = append(dead, name)
 		}
 	}
 	sort.Strings(dead)
 	for _, name := range dead {
-		t.Errorf("%s is exported but no non-test file calls it: delete it, or allowlist it with a reason", name)
+		t.Errorf("%s is declared in production code but no non-test file calls it: delete it, move it into the tests, or, if exported, allowlist it with a reason", name)
 	}
 	for name := range testOnlyExports {
 		if !listed[name] {
