@@ -1,20 +1,13 @@
 // Command quexp regenerates the tables and figures of the paper's
-// evaluation section as text tables:
-//
-//	quexp -exp table2            # Table II: PST on IBMQ16
-//	quexp -exp table3            # Table III: compilation overheads on IBMQ50
-//	quexp -exp table3pst         # Table III mixes: PST on IBMQ50 (minutes; not part of all)
-//	quexp -exp fig8              # Figure 8: IBM Q London dendrogram
-//	quexp -exp fig9              # Figure 9: omega sweep + knee (both chips)
-//	quexp -exp fig14             # Figure 14: scheduler PST / TRF
-//	quexp -exp crosstalk         # SRB-matrix-aware vs blind co-location
-//	quexp -exp all
+// evaluation section, and the repository's extensions, as text tables:
+// `quexp -exp <name>` runs one, and `quexp -h` lists them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	qucloud "repro"
@@ -35,38 +28,50 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("quexp", flag.ExitOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table2, table3, table3pst, fig8, fig9, fig14, scale, clifford, staleness, crosstalk, all")
 		seed     = fs.Int64("seed", 0, "calibration seed")
-		trials   = fs.Int("trials", 2000, "Monte-Carlo trials per PST estimate (table3pst, clifford)")
+		trials   = fs.Int("trials", 2000, "Monte-Carlo trials per PST estimate (table3pst)")
 		days     = fs.Int("days", 21, "calibration days for the fig9 sweep")
 		parallel = fs.Int("parallel", 0, "worker goroutines for compile/simulate fan-out (0 = GOMAXPROCS, 1 = sequential); results are identical at every setting")
 	)
+	// The experiments, in the order -exp all runs them.
+	exps := []struct {
+		name, what string
+		f          func() error
+	}{
+		{"table2", "Table II: exact PST on IBMQ16", func() error { return table2(*seed) }},
+		{"table3", "Table III: compilation overheads on IBMQ50", func() error { return table3(*seed) }},
+		{"table3pst", "Table III mixes: PST on IBMQ50 (minutes)", func() error { return table3PST(*seed, *trials) }},
+		{"fig8", "Figure 8: IBM Q London dendrogram", fig8},
+		{"fig9", "Figure 9: omega sweep + knee (both chips)", func() error { return fig9(*seed, *days) }},
+		{"fig14", "Figure 14: scheduler PST / TRF", func() error { return fig14(*seed) }},
+		{"scale", "overheads and compile time across chip sizes", func() error { return scale(*seed) }},
+		{"clifford", "exact PST of a Clifford mix on IBMQ50", func() error { return clifford(*seed) }},
+		{"staleness", "hierarchy-tree reuse under calibration drift", func() error { return staleness(*seed) }},
+		{"crosstalk", "SRB-matrix-aware vs blind co-location", func() error { return crosstalk(*seed) }},
+	}
+	usage, names := "experiment, one of:", []string{"all"}
+	for _, e := range exps {
+		usage += fmt.Sprintf("\n  %-10s %s", e.name, e.what)
+		names = append(names, e.name)
+	}
+	exp := fs.String("exp", "all", usage+"\n  all        every experiment above but table3pst")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits, so Parse returns no error
+	if !slices.Contains(names, *exp) {
+		return fmt.Errorf("quexp: unknown experiment %q; valid: %s", *exp, strings.Join(names, ", "))
+	}
 	if *parallel > 0 {
 		pool.SetDefault(*parallel)
 	}
-
-	var err error
-	do := func(name string, f func() error) {
+	for _, e := range exps {
 		// table3pst simulates 16-qubit components for minutes: by name only.
-		if err != nil || *exp != name && (*exp != "all" || name == "table3pst") {
-			return
+		if *exp != e.name && (*exp != "all" || e.name == "table3pst") {
+			continue
 		}
-		if err = f(); err != nil {
-			err = fmt.Errorf("quexp %s: %w", name, err)
+		if err := e.f(); err != nil {
+			return fmt.Errorf("quexp %s: %w", e.name, err)
 		}
 	}
-	do("table2", func() error { return table2(*seed) })
-	do("table3", func() error { return table3(*seed) })
-	do("table3pst", func() error { return table3PST(*seed, *trials) })
-	do("fig8", func() error { return fig8() })
-	do("fig9", func() error { return fig9(*seed, *days) })
-	do("fig14", func() error { return fig14(*seed) })
-	do("scale", func() error { return scale(*seed) })
-	do("clifford", func() error { return clifford(*seed, *trials) })
-	do("staleness", func() error { return staleness(*seed) })
-	do("crosstalk", func() error { return crosstalk(*seed) })
-	return err
+	return nil
 }
 
 func crosstalk(seed int64) error {
@@ -88,9 +93,9 @@ func crosstalk(seed int64) error {
 	return nil
 }
 
-func clifford(seed int64, trials int) error {
-	fmt.Printf("== Extension: exact per-program PST on IBMQ50 (Clifford workload, %d trials)\n\n", trials)
-	rows, err := qucloud.RunCliffordFidelity(seed, trials)
+func clifford(seed int64) error {
+	fmt.Printf("== Extension: exact per-program PST on IBMQ50 (Clifford workload, day %d)\n\n", seed)
+	rows, err := qucloud.RunCliffordFidelity(seed)
 	if err != nil {
 		return err
 	}
@@ -153,20 +158,18 @@ func table2(seed int64) error {
 		fmt.Printf(" | %-11s", s)
 	}
 	fmt.Println()
-	sums := map[qucloud.Strategy][2]float64{} // tiny, small
+	sums := [2]map[qucloud.Strategy]float64{{}, {}} // tiny, small
 	for i, r := range rows {
 		fmt.Printf("%-10s %-14s", r.W1, r.W2)
 		for _, s := range qucloud.Strategies {
 			fmt.Printf(" | %4.1f %4.1f ", r.PST[s][0], r.PST[s][1])
-			v := sums[s]
-			v[i/5] += r.Avg(s) / 5
-			sums[s] = v
+			sums[i/5][s] += r.Avg(s) / 5
 		}
 		fmt.Println()
 		if idx := i / 5; i%5 == 4 {
 			fmt.Printf("%-25s", [2]string{"tiny avg", "small avg"}[idx])
 			for _, s := range qucloud.Strategies {
-				fmt.Printf(" |   %5.1f   ", sums[s][idx])
+				fmt.Printf(" |   %5.1f   ", sums[idx][s])
 			}
 			fmt.Println()
 		}
@@ -186,26 +189,24 @@ func table3(seed int64) error {
 		fmt.Printf(" | %-12s", s)
 	}
 	fmt.Println("   (CNOTs/depth)")
-	tot := map[qucloud.Strategy][2]int{}
+	cnots, depth := map[qucloud.Strategy]int{}, map[qucloud.Strategy]int{}
 	for _, r := range rows {
 		fmt.Printf("%-8s", r.Mix)
 		for _, s := range qucloud.Table3Strategies {
 			fmt.Printf(" | %5d/%-6d", r.CNOTs[s], r.Depth[s])
-			v := tot[s]
-			v[0] += r.CNOTs[s]
-			v[1] += r.Depth[s]
-			tot[s] = v
+			cnots[s] += r.CNOTs[s]
+			depth[s] += r.Depth[s]
 		}
 		fmt.Println()
 	}
 	fmt.Printf("%-8s", "total")
 	for _, s := range qucloud.Table3Strategies {
-		fmt.Printf(" | %5d/%-6d", tot[s][0], tot[s][1])
+		fmt.Printf(" | %5d/%-6d", cnots[s], depth[s])
 	}
 	fmt.Println()
-	base := float64(tot[qucloud.Baseline][0])
-	qc := float64(tot[qucloud.CDAPXSwap][0])
-	sab := float64(tot[qucloud.SABRE][0])
+	base := float64(cnots[qucloud.Baseline])
+	qc := float64(cnots[qucloud.CDAPXSwap])
+	sab := float64(cnots[qucloud.SABRE])
 	fmt.Printf("\nCDAP+X-SWAP vs Baseline: %+.1f%% CNOTs; vs SABRE: %+.1f%% CNOTs\n\n",
 		(qc-base)/base*100, (qc-sab)/sab*100)
 	return nil
@@ -261,13 +262,12 @@ func fig9(seed int64, days int) error {
 	for _, tc := range []struct {
 		name string
 		dev  *arch.Device
-		days int
 	}{
-		{"IBMQ16", arch.IBMQ16(seed), days},
-		{"IBMQ50", arch.IBMQ50(seed), days},
+		{"IBMQ16", arch.IBMQ16(seed)},
+		{"IBMQ50", arch.IBMQ50(seed)},
 	} {
-		fmt.Printf("== Figure 9: avg redundant qubits vs omega on %s (%d days)\n\n", tc.name, tc.days)
-		res := qucloud.RunFig9(tc.dev, tc.days, 0.05)
+		fmt.Printf("== Figure 9: avg redundant qubits vs omega on %s (%d days)\n\n", tc.name, days)
+		res := qucloud.RunFig9(tc.dev, days, 0.05)
 		for i, w := range res.Omegas {
 			marker := ""
 			if i == res.KneeIndex {

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -59,10 +60,20 @@ func TestFig8Golden(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownExperiment: a mistyped -exp is an error that
+// names the valid experiments, not a silent run of nothing.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	err := run([]string{"-exp", "tabel2"})
+	if err == nil || !strings.Contains(err.Error(), `"tabel2"`) || !strings.Contains(err.Error(), "table2, table3") {
+		t.Fatalf("run -exp tabel2: error %v, want one naming it and the valid experiments", err)
+	}
+}
+
 // TestExperimentsDocCurrent holds EXPERIMENTS.md to quexp: a fenced
 // block whose info string is a quexp command line ("```quexp -exp
 // table2 -seed 0") must be that command's output, line for line with
-// trailing blanks trimmed, so the report cannot drift from the code.
+// trailing blanks trimmed and wall times masked, so the report cannot
+// drift from the code.
 func TestExperimentsDocCurrent(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -100,12 +111,16 @@ func TestExperimentsDocCurrent(t *testing.T) {
 	}
 }
 
-// trimBlanks trims each line's trailing blanks and drops trailing empty
-// lines.
+// wallTime is a wall-time token ("   5.2ms") with the blanks that pad
+// it: the one part of quexp's text that differs from run to run.
+var wallTime = regexp.MustCompile(`\s+[0-9.]+ms\b`)
+
+// trimBlanks trims each line's trailing blanks, masks its wall-time
+// tokens and drops trailing empty lines.
 func trimBlanks(lines []string) []string {
 	out := make([]string, len(lines))
 	for i, l := range lines {
-		out[i] = strings.TrimRight(l, " \t")
+		out[i] = wallTime.ReplaceAllString(strings.TrimRight(l, " \t"), " ?ms")
 	}
 	for len(out) > 0 && out[len(out)-1] == "" {
 		out = out[:len(out)-1]

@@ -513,9 +513,9 @@ type CliffordRow struct {
 	Depth    int
 }
 
-// CliffordWorkload is the 4-program Clifford workload used by
-// RunCliffordFidelity: 28 qubits of Bernstein-Vazirani, GHZ and
-// Deutsch-Jozsa circuits (all stabilizer-simulable).
+// CliffordWorkload is RunCliffordFidelity's 4-program Clifford workload:
+// 28 qubits of Bernstein-Vazirani, GHZ and Deutsch-Jozsa circuits, each
+// at most 10 qubits wide, so the exact evaluator takes every program.
 func CliffordWorkload() []*circuit.Circuit {
 	return []*circuit.Circuit{
 		nisqbench.MustGet("bv_n10"),
@@ -527,12 +527,11 @@ func CliffordWorkload() []*circuit.Circuit {
 
 // RunCliffordFidelity extends the paper's evaluation beyond what real
 // hardware allowed: per-program PST on the simulated 50-qubit chip,
-// computed exactly with the stabilizer backend, for separate execution,
-// the FRP baseline, and QuCloud.
-func RunCliffordFidelity(calSeed int64, trials int) ([]CliffordRow, error) {
+// computed exactly by Compiler.ExactPST (the density-matrix evaluator),
+// for separate execution, the FRP baseline, and QuCloud.
+func RunCliffordFidelity(calSeed int64) ([]CliffordRow, error) {
 	d := arch.IBMQ50(calSeed)
 	progs := CliffordWorkload()
-	noise := sim.DefaultNoise()
 	strategies := []Strategy{Separate, Baseline, CDAPXSwap}
 	rows := make([]CliffordRow, len(strategies))
 	err := pool.ForEach(context.Background(), len(strategies), 0, func(si int) error {
@@ -544,17 +543,16 @@ func RunCliffordFidelity(calSeed int64, trials int) ([]CliffordRow, error) {
 		if err != nil {
 			return fmt.Errorf("clifford %s: %w", strat, err)
 		}
-		psts, err := comp.SimulateClifford(res, trials, 7000, noise)
+		psts, err := comp.ExactPST(res, sim.DefaultNoise())
 		if err != nil {
 			return fmt.Errorf("clifford %s: %w", strat, err)
 		}
 		row := CliffordRow{Strategy: strat, CNOTs: res.CNOTs, Depth: res.Depth}
-		sum := 0.0
 		for _, p := range psts {
 			row.PST = append(row.PST, p*100)
-			sum += p * 100
+			row.Avg += p * 100
 		}
-		row.Avg = sum / float64(len(psts))
+		row.Avg /= float64(len(psts))
 		rows[si] = row
 		return nil
 	})

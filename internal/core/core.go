@@ -525,9 +525,9 @@ func (r *Result) Validate() error {
 	return r.Schedules[0].Validate(r.Programs, r.Initial[0])
 }
 
-// SimulateClifford is Simulate with the stabilizer-tableau backend: it
-// supports any chip size (including the 50-qubit device) but requires
-// every program to be a Clifford circuit.
+// SimulateClifford is Simulate on the stabilizer-tableau engine, for
+// Clifford programs on any chip size. Its one caller outside tests is
+// the benchmark harness's cliff50_sim workload (bench/offline.go).
 func (c *Compiler) SimulateClifford(r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
 	return c.simulate(context.Background(), r, trials, seed, noise, sim.SimulateScheduleCliffordCtx)
 }

@@ -48,8 +48,6 @@ type Outcome struct {
 	// Correct[p] is program p's noiseless modal bitstring (logical
 	// qubit order, logical 0 first).
 	Correct []string
-	// Trials is the number of Monte-Carlo trials run.
-	Trials int
 }
 
 // layered is the schedule flattened into depth layers; measurements are
@@ -373,7 +371,7 @@ func monteCarlo(ctx context.Context, d *arch.Device, sched *router.Schedule, pro
 			total[p] += n
 		}
 	}
-	out := &Outcome{PST: make([]float64, len(progs)), Correct: make([]string, len(progs)), Trials: trials}
+	out := &Outcome{PST: make([]float64, len(progs)), Correct: make([]string, len(progs))}
 	for p := range progs {
 		out.PST[p] = float64(total[p]) / float64(trials)
 		out.Correct[p] = string(bufs[p])

@@ -24,13 +24,17 @@ import (
 	"repro/internal/router"
 )
 
-// maxExactQubits is K: the widest ρ, in qubits, that a program's PST is
-// evaluated exactly over. It is the widest program whose exact
-// evaluation costs less than one shardTrials shard of the trial loop
-// (BenchmarkExactVsShard; DESIGN.md §17 has the measurement), so from
-// one shard's worth of trials up, sampling from the exact PST costs less
-// than the trial loop it replaces.
+// maxExactQubits is K: the widest ρ, in qubits, that monteCarlo samples
+// a program's successes from its exact PST over. It is the widest
+// program whose exact evaluation costs less than one shardTrials shard
+// of the trial loop (BenchmarkExactVsShard; DESIGN.md §17 has the
+// measurement), so from one shard's worth of trials up, sampling from
+// the exact PST costs less than the trial loop it replaces.
 const maxExactQubits = 6
+
+// maxRhoQubits is ExactPST's own bound, set by memory alone: ρ over 10
+// qubits is 4^10 complex128 entries, 16 MiB.
+const maxRhoQubits = 10
 
 // exactSpans returns, per program, each slot's qubit in the program's ρ
 // (−1 outside it), or nil when some program's ρ would be wider than
@@ -105,16 +109,16 @@ func exactPSTs(cp *compiledProgram, plan []measPoint, spans [][]int) ([]float64,
 // ExactPST returns each program's exact probability of a successful
 // trial on the statevector engine's noise model: the PST its
 // Monte-Carlo estimate converges to. It fails when a program's measured
-// qubits span more than maxExactQubits entangled qubits, or share a
+// qubits span more than maxRhoQubits entangled qubits, or share a
 // component with another program's.
 func ExactPST(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, noise NoiseModel) ([]float64, error) {
 	cp, plan, err := lowerSchedule(d, sched, len(progs), noise)
 	if err != nil {
 		return nil, err
 	}
-	spans := exactSpans(cp.fac, plan, len(progs), maxExactQubits)
+	spans := exactSpans(cp.fac, plan, len(progs), maxRhoQubits)
 	if spans == nil {
-		return nil, fmt.Errorf("sim: exact PST needs every program's measured qubits in components of its own, at most %d qubits", maxExactQubits)
+		return nil, fmt.Errorf("sim: exact PST needs every program's measured qubits in components of its own, at most %d qubits", maxRhoQubits)
 	}
 	return exactPSTs(cp, plan, spans)
 }

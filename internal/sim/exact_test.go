@@ -119,14 +119,19 @@ func TestExactPSTTwoQubitByHand(t *testing.T) {
 	}
 }
 
-// TestExactPSTRefuses: a program wider than maxExactQubits, and one
-// whose measured component holds another program's measured qubit.
+// TestExactPSTRefuses: a program wider than maxRhoQubits, and one whose
+// measured component holds another program's measured qubit, are
+// refused; a program wider than the sampler's maxExactQubits is not.
 func TestExactPSTRefuses(t *testing.T) {
-	d := arch.Linear(maxExactQubits+1, 0.01, 0.01)
-	wide := nisqbench.GHZ(maxExactQubits + 1)
+	d := arch.Linear(maxRhoQubits+1, 0.01, 0.01)
+	wide := nisqbench.GHZ(maxRhoQubits + 1)
 	s := routeSideBySide(t, d, wide)
 	if _, err := ExactPST(d, s, []*circuit.Circuit{wide}, DefaultNoise()); err == nil {
-		t.Error("a program wider than maxExactQubits was evaluated")
+		t.Error("a program wider than maxRhoQubits was evaluated")
+	}
+	seven := nisqbench.GHZ(maxExactQubits + 1)
+	if _, err := ExactPST(d, routeSideBySide(t, d, seven), []*circuit.Circuit{seven}, DefaultNoise()); err != nil {
+		t.Errorf("a %d-qubit program was refused: %v", seven.NumQubits, err)
 	}
 	shared := handSchedule{&router.Schedule{Device: d}}.
 		op(0, circuit.GateH, 0).op(0, circuit.GateCX, 0, 1).measure(0, 0, 0).measure(1, 0, 1)
@@ -165,8 +170,14 @@ func zTrialLoop(t *testing.T, name string, engine engineKind, d *arch.Device, s 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	return zCounts(t, name, exact, trialLoop(t, engine, d, s, len(progs), noise, trials, 11), trials)
+}
+
+// zCounts is zTrialLoop's check of success counts against exact PSTs.
+func zCounts(t *testing.T, name string, exact []float64, counts []int, trials int) float64 {
+	t.Helper()
 	worst := 0.0
-	for p, n := range trialLoop(t, engine, d, s, len(progs), noise, trials, 11) {
+	for p, n := range counts {
 		mean := exact[p] * float64(trials)
 		sd := math.Sqrt(max(mean*(1-exact[p]), 0))
 		if sd < 1e-6 {
@@ -195,9 +206,9 @@ var table2Pairs = [][2]string{
 // trial loops: at 8024 trials each program's success count lies within
 // four standard errors of trials·PST. It covers the statevector on
 // pair16 and corners16 under every golden variant, the tableau on
-// corners16 (the Clifford fixture whose programs are narrow enough), and
-// the statevector on the ten Table II pairs, routed side by side on
-// IBMQ16.
+// corners16, the statevector on the ten Table II pairs, routed side by
+// side on IBMQ16, and, above the sampler's maxExactQubits, both engines
+// on single programs of 7 to 10 qubits routed on IBMQ50.
 func TestTrialLoopsMatchExactPST(t *testing.T) {
 	const trials = 8024
 	worst := 0.0
@@ -221,6 +232,24 @@ func TestTrialLoopsMatchExactPST(t *testing.T) {
 		s := routeSideBySide(t, d, progs...)
 		name := fmt.Sprintf("table2/%s+%s", w[0], w[1])
 		worst = max(worst, zTrialLoop(t, name, engineStatevector, d, s, progs, DefaultNoise(), trials))
+	}
+	d50 := arch.IBMQ50(0)
+	for _, c := range []struct {
+		prog     string
+		clifford bool
+	}{{"alu-bdd_288", false}, {"ghz_n8", true}, {"bv_n10", true}} {
+		progs := []*circuit.Circuit{nisqbench.MustGet(c.prog)}
+		s := routeSideBySide(t, d50, progs...)
+		exact, err := ExactPST(d50, s, progs, DefaultNoise())
+		if err != nil {
+			t.Fatalf("%s: %v", c.prog, err)
+		}
+		counts := trialLoop(t, engineStatevector, d50, s, 1, DefaultNoise(), trials, 11)
+		worst = max(worst, zCounts(t, "statevector/ibmq50/"+c.prog, exact, counts, trials))
+		if c.clifford {
+			counts = trialLoop(t, engineTableau, d50, s, 1, DefaultNoise(), trials, 11)
+			worst = max(worst, zCounts(t, "clifford/ibmq50/"+c.prog, exact, counts, trials))
+		}
 	}
 	t.Logf("worst |z| %.2f", worst)
 }
