@@ -102,21 +102,21 @@ func TestLayer2qEdgesGating(t *testing.T) {
 		{Program: 1, Gate: circuit.Gate{Name: circuit.GateSWAP, Qubits: []int{5, 6}}, IsSwap: true},
 	}
 	want := []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(5, 6)}
-	if got := layer2qEdges(d, layer, DefaultNoise()); !reflect.DeepEqual(got, want) {
+	if got := layer2qEdges(nil, d, layer, DefaultNoise()); !reflect.DeepEqual(got, want) {
 		t.Errorf("scalar model: got %v, want %v", got, want)
 	}
 	off := DefaultNoise()
 	off.Enabled = false
-	if got := layer2qEdges(d, layer, off); got != nil {
+	if got := layer2qEdges(nil, d, layer, off); got != nil {
 		t.Errorf("noise disabled: got %v, want nil", got)
 	}
 	noFactor := DefaultNoise()
 	noFactor.CrosstalkFactor = 0
-	if got := layer2qEdges(d, layer, noFactor); got != nil {
+	if got := layer2qEdges(nil, d, layer, noFactor); got != nil {
 		t.Errorf("no crosstalk model: got %v, want nil", got)
 	}
 	d.Crosstalk = arch.GenerateCrosstalk(d, 1)
-	if got := layer2qEdges(d, layer, noFactor); !reflect.DeepEqual(got, want) {
+	if got := layer2qEdges(nil, d, layer, noFactor); !reflect.DeepEqual(got, want) {
 		t.Errorf("matrix with zero factor: got %v, want %v", got, want)
 	}
 }

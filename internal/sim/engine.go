@@ -56,48 +56,41 @@ type Outcome struct {
 type layered struct {
 	layers   [][]router.Op
 	measures []router.Measurement
-	active   []int       // sorted physical qubits in play
-	compact  map[int]int // phys -> dense index
+	active   []int // sorted physical qubits in play
+	compact  []int // phys -> dense index, −1 for a qubit not in play
 }
 
 // layerize builds ASAP layers from the schedule ops over active qubits.
 func layerize(sched *router.Schedule) *layered {
-	activeSet := map[int]bool{}
+	n := 0 // one past the highest physical qubit in play
 	for _, op := range sched.Ops {
 		for _, q := range op.Gate.Qubits {
-			activeSet[q] = true
+			n = max(n, q+1)
 		}
 	}
 	for _, m := range sched.Measurements {
-		activeSet[m.Phys] = true
+		n = max(n, m.Phys+1)
+	}
+	compact := make([]int, n)
+	for _, op := range sched.Ops {
+		for _, q := range op.Gate.Qubits {
+			compact[q] = 1
+		}
+	}
+	for _, m := range sched.Measurements {
+		compact[m.Phys] = 1
 	}
 	var active []int
-	for q := range activeSet {
-		active = append(active, q)
-	}
-	sort.Ints(active)
-	compact := map[int]int{}
-	for i, q := range active {
-		compact[q] = i
+	for q, in := range compact {
+		compact[q] = -1
+		if in != 0 {
+			compact[q] = len(active)
+			active = append(active, q)
+		}
 	}
 
-	level := map[int]int{} // phys -> next free layer
+	level := make([]int, n) // phys -> next free layer
 	var layers [][]router.Op
-	place := func(op router.Op, cost int) {
-		start := 0
-		for _, q := range op.Gate.Qubits {
-			if level[q] > start {
-				start = level[q]
-			}
-		}
-		for len(layers) < start+cost {
-			layers = append(layers, nil)
-		}
-		layers[start] = append(layers[start], op)
-		for _, q := range op.Gate.Qubits {
-			level[q] = start + cost
-		}
-	}
 	for _, op := range sched.Ops {
 		if op.Gate.IsMeasure() {
 			continue // deferred
@@ -106,7 +99,17 @@ func layerize(sched *router.Schedule) *layered {
 		if op.Gate.Name == circuit.GateSWAP {
 			cost = 3
 		}
-		place(op, cost)
+		start := 0
+		for _, q := range op.Gate.Qubits {
+			start = max(start, level[q])
+		}
+		for len(layers) < start+cost {
+			layers = append(layers, nil)
+		}
+		layers[start] = append(layers[start], op)
+		for _, q := range op.Gate.Qubits {
+			level[q] = start + cost
+		}
 	}
 	return &layered{
 		layers:   layers,
@@ -140,12 +143,15 @@ func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Sche
 // resolved: the program it belongs to, the operand index of the measured
 // wire once the schedule has run (compiledProgram.fac), the qubit's
 // readout-error rate (err, the tableau's lattice site) and its threshold
-// (readout, the statevector's draw), and the reference run's correct bit.
+// (readout, the statevector's draw), the reference run's correct bit,
+// and whether it is its component's last (final: no later point reads
+// the component's state, so a trial need not collapse it).
 type measPoint struct {
 	prog, q int
 	readout uint64
 	err     float64
 	correct int
+	final   bool
 }
 
 // register is one shard worker's reusable engine state. shard runs the n
@@ -189,7 +195,13 @@ func (r *factored) shard(cp *compiledProgram, plan []measPoint, n int, rng *stre
 		clear(r.wrong)
 		for i := range plan {
 			mp := &plan[i]
-			b := r.measure(mp.q, rng)
+			st, q := r.comps[r.comp[mp.q]], r.bit[mp.q]
+			var b int
+			if mp.final {
+				b = st.sample(q, rng)
+			} else {
+				b = st.measure(q, rng)
+			}
 			if doReadout && rng.below(mp.readout) {
 				b ^= 1
 			}
@@ -201,10 +213,6 @@ func (r *factored) shard(cp *compiledProgram, plan []measPoint, n int, rng *stre
 			}
 		}
 	}
-}
-
-func (r *factored) measure(slot int, rng *stream) int {
-	return r.comps[r.comp[slot]].measure(r.bit[slot], rng)
 }
 
 func (r *factored) injectPauli(slot int, rng prng) {
@@ -411,24 +419,31 @@ func lowerSchedule(d *arch.Device, sched *router.Schedule, progs int, noise Nois
 	for i := range plan {
 		plan[i].q = cp.fac.slot[plan[i].q]
 	}
+	seen := make([]bool, len(cp.fac.sizes))
+	for i := len(plan) - 1; i >= 0; i-- {
+		if c := cp.fac.comp[plan[i].q]; !seen[c] {
+			seen[c], plan[i].final = true, true
+		}
+	}
 	return cp, plan, nil
 }
 
 // layer2qEdges collects the normalized links of a layer's two-qubit ops
-// when the noise model needs them for crosstalk — either the legacy
-// scalar factor or the device's pairwise matrix. Returns nil otherwise
-// so the per-layer scan is skipped entirely on crosstalk-free runs.
-func layer2qEdges(d *arch.Device, layer []router.Op, noise NoiseModel) []graph.Edge {
+// into buf[:0] when the noise model needs them for crosstalk — either
+// the legacy scalar factor or the device's pairwise matrix. Returns nil
+// otherwise so the per-layer scan is skipped entirely on crosstalk-free
+// runs.
+func layer2qEdges(buf []graph.Edge, d *arch.Device, layer []router.Op, noise NoiseModel) []graph.Edge {
 	if !noise.Enabled || (noise.CrosstalkFactor <= 0 && !d.HasCrosstalk()) {
 		return nil
 	}
-	return twoQubitLinks(layer)
+	return twoQubitLinks(buf, layer)
 }
 
 // twoQubitLinks returns the normalized links a layer's two-qubit ops
-// fire on, in op order.
-func twoQubitLinks(layer []router.Op) []graph.Edge {
-	var edges []graph.Edge
+// fire on, in op order, in buf[:0].
+func twoQubitLinks(buf []graph.Edge, layer []router.Op) []graph.Edge {
+	edges := buf[:0]
 	for _, op := range layer {
 		if op.Gate.IsTwoQubit() {
 			edges = append(edges, graph.NewEdge(op.Gate.Qubits[0], op.Gate.Qubits[1]))

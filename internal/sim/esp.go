@@ -92,8 +92,9 @@ func AnalyticESP(d *arch.Device, sched *router.Schedule, numPrograms int, idlePe
 		lay = layerize(sched)
 	}
 	if useMatrix {
+		var edges []graph.Edge
 		for _, layer := range lay.layers {
-			edges := twoQubitLinks(layer)
+			edges = twoQubitLinks(edges, layer)
 			for _, op := range layer {
 				if !op.Gate.IsTwoQubit() {
 					continue

@@ -10,9 +10,10 @@ package sim
 //
 // A program's ρ spans every slot of the components that hold its plan
 // points, so a SWAP noise site between two of them is exact without
-// merging anything. ρ over k qubits is a 2k-qubit state whose index is
-// row | col<<k: the state kernels apply a gate U as U on the row half and
-// conj(U) on the column half (ρ ↦ UρU†).
+// merging anything. ρ over k qubits is held in the Pauli basis, 4^k real
+// coefficients (pauliRho), where every gate and channel the lowering
+// emits is a 4×4 matrix on one qubit or a signed permutation with a
+// diagonal factor on two.
 
 import (
 	"fmt"
@@ -33,7 +34,7 @@ import (
 const maxExactQubits = 6
 
 // maxRhoQubits is ExactPST's own bound, set by memory alone: ρ over 10
-// qubits is 4^10 complex128 entries, 16 MiB.
+// qubits is 4^10 float64 coefficients, 8 MiB.
 const maxRhoQubits = 10
 
 // exactSpans returns, per program, each slot's qubit in the program's ρ
@@ -98,7 +99,7 @@ func exactPSTs(cp *compiledProgram, plan []measPoint, spans [][]int) ([]float64,
 			k = max(k, q+1)
 		}
 	}
-	rho := &density{state: newState(2 * k), idle: make([]int, k)}
+	rho := &pauliRho{c: make([]float64, 1<<uint(2*k)), pend: make([]int, k), tm: make([]transfer, k), dirty: make([]bool, k)}
 	pst := make([]float64, len(spans))
 	for p, span := range spans {
 		pst[p] = cp.exactPST(rho, span, plan, p)
@@ -125,44 +126,278 @@ func ExactPST(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, 
 
 // binomial is the statevector register when every program's PST is
 // exact: a shard draws program p's count as n below(t[p]) draws, program
-// by program, scanned with miss.
+// by program, counted with hits.
 type binomial []uint64
 
 func (b binomial) shard(_ *compiledProgram, _ []measPoint, n int, rng *stream, succ []int) {
 	for p, t := range b {
-		for i := rng.miss(t, n); i < n; i += 1 + rng.miss(t, n-i-1) {
-			succ[p]++
+		succ[p] += rng.hits(t, n)
+	}
+}
+
+// pauliRho is one program's ρ over k qubits in the Pauli basis: c[i]
+// is tr(P_i ρ), real because every P_i is Hermitian, where bit q of i
+// is qubit q's X part and bit q+k its Z part, both set for Y. Per qubit
+// the local index x + 2z orders the basis I, X, Z, Y. Every channel
+// the evaluator applies maps each coefficient to a few others:
+//
+//   - a one-qubit gate, its Pauli draw and a run of idle decays act on
+//     one qubit's four coefficients at a time, each as a 4×4 transfer
+//     matrix; tm[q] composes qubit q's until a two-qubit op on q, or
+//     the end, applies them in one pass (pend counts its idle layers not
+//     yet folded in: a decay commutes with every channel on the other
+//     qubits, so a run of them is one matrix);
+//   - CX and CZ permute the Paulis with a sign, and a two-qubit op's
+//     Pauli draw scales each by a factor of how many of its two
+//     operands it acts on, both folded into that same pass (pair);
+//   - the readout is a sum over the {I,Z}^k coefficients (pst).
+type pauliRho struct {
+	k     int
+	c     []float64
+	idleP float64
+	pend  []int
+	tm    []transfer
+	dirty []bool // tm[q] is not the identity
+}
+
+// transfer is a one-qubit channel in the Pauli basis: c′_P = Σ_Q t[P][Q]
+// c_Q over I, X, Z, Y. Every channel here preserves the trace, so row I
+// is (1, 0, 0, 0).
+type transfer [4][4]float64
+
+var identityTransfer = transfer{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
+
+// after sets m to the channel t after m.
+func (m *transfer) after(t *transfer) {
+	for j := range 4 {
+		c0, c1, c2, c3 := m[0][j], m[1][j], m[2][j], m[3][j]
+		for i := 1; i < 4; i++ { // row I is t's and m's: (1, 0, 0, 0)
+			m[i][j] = t[i][0]*c0 + t[i][1]*c1 + t[i][2]*c2 + t[i][3]*c3
 		}
 	}
 }
 
-// density is one program's ρ over k qubits. idle counts each qubit's
-// idle layers not yet applied at rate idleP: a decay commutes with every
-// channel on the other qubits, so a run of them is applied at once,
-// before the next op on the qubit.
-type density struct {
-	*state
-	k     int
-	idleP float64
-	idle  []int
+// depolarize sets m to n draws of a uniform X, Y or Z at rate w after
+// m: each of the three Paulis commutes with itself and anticommutes with
+// the other two, so a draw leaves c_P for P ≠ I 1 − w + (w/3)(1 − 2) =
+// 1 − 4w/3 of itself.
+func (m *transfer) depolarize(w float64, n int) {
+	f := draws(1-4*w/3, n)
+	for i := 1; i < 4; i++ {
+		for j := range 4 {
+			m[i][j] *= f
+		}
+	}
 }
 
-// exactPST evaluates program p's ρ (reusing rho's buffer) through every
-// op, noise site and idle layer touching its span, then weighs the final
-// diagonal against p's plan points' correct bits and readout errors.
-func (cp *compiledProgram) exactPST(rho *density, span []int, plan []measPoint, p int) float64 {
+// draws is f^n, the factor n draws that each leave f leave.
+func draws(f float64, n int) float64 {
+	g := 1.0
+	for range n {
+		g *= f
+	}
+	return g
+}
+
+// unitaryTransfer is ρ ↦ UρU†: t[P][Q] = tr(P·U Q U†)/2. For Q = X, Z,
+// Y, UQU† is Hermitian with diagonal m00, m11 and corner m01, whose X,
+// Z and Y parts are Re m01, (m00 − m11)/2 and −Im m01.
+func unitaryTransfer(u [2][2]complex128) transfer {
+	a, b, c, d := u[0][0], u[0][1], u[1][0], u[1][1]
+	ac, bc, cc, dc := cmplx.Conj(a), cmplx.Conj(b), cmplx.Conj(c), cmplx.Conj(d)
+	t := transfer{{1, 0, 0, 0}}
+	for i, m := range [3]struct {
+		m00, m11 float64
+		m01      complex128
+	}{
+		{2 * real(b*ac), 2 * real(d*cc), b*cc + a*dc},          // X
+		{real(a*ac - b*bc), real(c*cc - d*dc), a*cc - b*dc},    // Z
+		{-2 * imag(b*ac), -2 * imag(d*cc), 1i * (b*cc - a*dc)}, // Y
+	} {
+		t[1][i+1], t[2][i+1], t[3][i+1] = real(m.m01), (m.m00-m.m11)/2, -imag(m.m01)
+	}
+	return t
+}
+
+// compose queues a one-qubit op on q: its pending idle layers, then
+// the gate t (nil for none), then n Pauli draws at rate w.
+func (r *pauliRho) compose(q int, t *transfer, w float64, n int) {
+	r.settle(q)
+	m := &r.tm[q]
+	if t != nil {
+		m.after(t)
+	}
+	m.depolarize(w, n)
+	r.dirty[q] = true
+}
+
+// settle folds qubit q's pending idle layers into its transfer: n idle
+// layers of rate p compose to one decay of rate d = 1 − (1−p)^n, which
+// with probability d measures the qubit and resets it to |0⟩. That
+// zeroes X and Y and sets Z to I: X, Y and Z keep 1 − d, and Z takes d
+// of I.
+func (r *pauliRho) settle(q int) {
+	if r.pend[q] == 0 {
+		return
+	}
+	d := 1 - math.Pow(1-r.idleP, float64(r.pend[q]))
+	r.pend[q] = 0
+	m := &r.tm[q]
+	for j := range 4 {
+		m[1][j] *= 1 - d
+		m[2][j] = d*m[0][j] + (1-d)*m[2][j]
+		m[3][j] *= 1 - d
+	}
+	r.dirty[q] = true
+}
+
+// pairTable is a two-qubit op's signed permutation on the 16 local
+// indices l = x_a + 2z_a + 4x_b + 8z_b: U P_l U† = sign[l]·P_src[l], U
+// being self-inverse, and n[l] of P_l's two factors are not I.
+type pairTable struct {
+	src  [16]uint8
+	sign [16]float64
+	n    [16]uint8
+}
+
+func newPairTable(conj func(xa, za, xb, zb int) (int, bool)) *pairTable {
+	var t pairTable
+	for l := range 16 {
+		src, neg := conj(l&1, l>>1&1, l>>2&1, l>>3&1)
+		t.src[l], t.sign[l] = uint8(src), 1
+		if neg {
+			t.sign[l] = -1
+		}
+		t.n[l] = uint8(min(l&3, 1) + min(l>>2, 1))
+	}
+	return &t
+}
+
+var (
+	// cxTable is CX with control a and target b in Aaronson and
+	// Gottesman's rule: x_b ^= x_a, z_a ^= z_b, and the sign flips when
+	// x_a·z_b·(x_b ⊕ z_a ⊕ 1).
+	cxTable = newPairTable(func(xa, za, xb, zb int) (int, bool) {
+		return xa | (za^zb)<<1 | (xb^xa)<<2 | zb<<3, xa&zb&(xb^za^1) == 1
+	})
+	// czTable is CZ: z_a ^= x_b, z_b ^= x_a, and the sign flips when
+	// x_a·x_b·(z_a ⊕ z_b).
+	czTable = newPairTable(func(xa, za, xb, zb int) (int, bool) {
+		return xa | (za^xb)<<1 | xb<<2 | (zb^xa)<<3, xa&xb&(za^zb) == 1
+	})
+	// swapTable is a SWAP's noise alone: the relabel moved no state.
+	swapTable = newPairTable(func(xa, za, xb, zb int) (int, bool) {
+		return xa | za<<1 | xb<<2 | zb<<3, false
+	})
+)
+
+// pair applies qubits a's and b's pending transfers, then the op tab,
+// then n draws of its Pauli error at rate w per operand, in one pass
+// over ρ, 16 coefficients at a time. A draw, (1−2w)ρ + w·(P_a + P_b)(ρ),
+// leaves each c_P 1 − (4w/3)·m of itself, m being how many of a and b P
+// acts on.
+func (r *pauliRho) pair(a, b int, tab *pairTable, w float64, n int) {
+	r.settle(a)
+	r.settle(b)
+	f := [3]float64{1, draws(1-4*w/3, n), draws(1-8*w/3, n)}
+	var coef [16]float64
+	for i := range coef {
+		coef[i] = tab.sign[i] * f[tab.n[i]]
+	}
+	k := r.k
+	xa, za, xb, zb := 1<<uint(a), 1<<uint(a+k), 1<<uint(b), 1<<uint(b+k)
+	offA, offB := [4]int{0, xa, za, xa | za}, [4]int{0, xb, zb, xb | zb}
+	var off [16]int
+	for i := range off {
+		off[i] = offA[i&3] + offB[i>>2]
+	}
+	// Rows X, Z and Y of each pending transfer (row I is the identity),
+	// or nil when it is the identity itself.
+	var ta, tb *[3][4]float64
+	if r.dirty[a] {
+		ta = (*[3][4]float64)(r.tm[a][1:])
+	}
+	if r.dirty[b] {
+		tb = (*[3][4]float64)(r.tm[b][1:])
+	}
+	mask := xa | za | xb | zb
+	c := r.c
+	for base := 0; base < len(c); base = ((base | mask) + 1) &^ mask {
+		var v [16]float64
+		for i, o := range off {
+			v[i] = c[base+o]
+		}
+		if ta != nil {
+			for h := range 4 {
+				apply4(ta, (*[4]float64)(v[4*h:]))
+			}
+		}
+		if tb != nil {
+			for h := range 4 {
+				u := [4]float64{v[h], v[h+4], v[h+8], v[h+12]}
+				apply4(tb, &u)
+				v[h+4], v[h+8], v[h+12] = u[1], u[2], u[3]
+			}
+		}
+		for i, o := range off {
+			c[base+o] = coef[i] * v[tab.src[i]]
+		}
+	}
+	r.tm[a], r.tm[b] = identityTransfer, identityTransfer
+	r.dirty[a], r.dirty[b] = false, false
+}
+
+// apply4 applies a transfer, given by its rows X, Z and Y, to one
+// qubit's four coefficients.
+func apply4(t *[3][4]float64, v *[4]float64) {
+	i, x, z, y := v[0], v[1], v[2], v[3]
+	v[1] = t[0][0]*i + t[0][1]*x + t[0][2]*z + t[0][3]*y
+	v[2] = t[1][0]*i + t[1][1]*x + t[1][2]*z + t[1][3]*y
+	v[3] = t[2][0]*i + t[2][1]*x + t[2][2]*z + t[2][3]*y
+}
+
+// flush applies qubit q's pending idle layers and transfer.
+func (r *pauliRho) flush(q int) {
+	r.settle(q)
+	if !r.dirty[q] {
+		return
+	}
+	t := (*[3][4]float64)(r.tm[q][1:])
+	xb, zb := 1<<uint(q), 1<<uint(q+r.k)
+	c := r.c
+	for base := 0; base < len(c); base = ((base | xb | zb) + 1) &^ (xb | zb) {
+		v := [4]float64{c[base], c[base|xb], c[base|zb], c[base|xb|zb]}
+		apply4(t, &v)
+		c[base|xb], c[base|zb], c[base|xb|zb] = v[1], v[2], v[3]
+	}
+	r.tm[q], r.dirty[q] = identityTransfer, false
+}
+
+// exactPST evaluates program p's ρ (reusing r's buffers) through every
+// op, noise site and idle layer touching its span, then weighs the
+// outcome distribution against p's plan points' correct bits and
+// readout errors.
+func (cp *compiledProgram) exactPST(r *pauliRho, span []int, plan []measPoint, p int) float64 {
 	k := 0
 	for _, q := range span {
 		k = max(k, q+1)
 	}
 	noisy := cp.noise.Enabled
-	rho.k, rho.idle, rho.idleP = k, rho.idle[:k], 0
-	clear(rho.idle)
-	if noisy {
-		rho.idleP = rate(cp.noise.IdleErrPerLayer)
+	r.k, r.c = k, r.c[:1<<uint(2*k)]
+	r.pend, r.tm, r.dirty = r.pend[:k], r.tm[:k], r.dirty[:k]
+	clear(r.c)
+	for z := range 1 << uint(k) { // |0…0⟩: tr(Pρ) = 1 on {I,Z}^k
+		r.c[z<<uint(k)] = 1
 	}
-	rho.n, rho.amps = 2*k, rho.amps[:1<<uint(2*k)]
-	rho.reset()
+	clear(r.pend)
+	clear(r.dirty)
+	for q := range r.tm {
+		r.tm[q] = identityTransfer
+	}
+	r.idleP = 0
+	if noisy {
+		r.idleP = rate(cp.noise.IdleErrPerLayer)
+	}
 	for li := range cp.layers {
 		cl := &cp.layers[li]
 		for oi := range cl.ops {
@@ -174,8 +409,6 @@ func (cp *compiledProgram) exactPST(rho *density, span []int, plan []measPoint, 
 			if a < 0 && b < 0 {
 				continue
 			}
-			rho.settle(a)
-			rho.settle(b)
 			errP := 0.0
 			if noisy {
 				errP = rate(op.err)
@@ -183,62 +416,72 @@ func (cp *compiledProgram) exactPST(rho *density, span []int, plan []measPoint, 
 			switch op.kind {
 			case opSWAP:
 				// A relabel: three draws, each a Pauli on one of the two
-				// slots.
-				for range 3 {
-					rho.pauli(a, b, errP/2)
+				// slots; with one slot outside ρ, half of them act on the
+				// other.
+				if a < 0 || b < 0 {
+					r.compose(max(a, b), nil, errP/2, 3)
+				} else {
+					r.pair(a, b, swapTable, errP/2, 3)
 				}
-				continue
 			case opCX:
-				rho.applyCNOT(a, b)
-				rho.applyCNOT(a+k, b+k)
+				r.pair(a, b, cxTable, errP/2, 1)
 			case opCZ:
-				rho.applyCZ(a, b)
-				rho.applyCZ(a+k, b+k)
+				r.pair(a, b, czTable, errP/2, 1)
 			default:
-				m := op.m
-				rho.apply1q(m, a)
-				for i := range m {
-					for j := range m[i] {
-						m[i][j] = cmplx.Conj(m[i][j])
-					}
-				}
-				rho.apply1q(m, a+k)
-			}
-			if b >= 0 {
-				rho.pauli(a, b, errP/2)
-			} else {
-				rho.pauli(a, -1, errP)
+				u := unitaryTransfer(op.m)
+				r.compose(a, &u, errP, 1)
 			}
 		}
-		if rho.idleP > 0 {
+		if r.idleP > 0 {
 			for _, s := range cl.idle {
 				if q := span[s]; q >= 0 {
-					rho.idle[q]++
+					r.pend[q]++
 				}
 			}
 		}
 	}
 	for q := range k {
-		rho.settle(q)
+		r.flush(q)
 	}
-	readout := noisy && cp.noise.Readout
-	pst := 0.0
-	for x := 0; x < 1<<uint(k); x++ {
-		w := real(rho.amps[x|x<<uint(k)])
-		for i := range plan {
-			if mp := &plan[i]; mp.prog == p {
-				e := 0.0
-				if readout {
-					e = rate(mp.err)
-				}
-				if (x>>uint(span[mp.q]))&1 == mp.correct {
-					w *= 1 - e
-				} else {
-					w *= e
-				}
+	return r.pst(span, plan, p, noisy && cp.noise.Readout)
+}
+
+// pst reads program p's PST off the {I,Z}^k coefficients. Each qubit's
+// plan points weigh its outcome b by f(b), a product of 1 − e for a
+// correct bit and e for a wrong one (1 unmeasured), and
+// Σ_x ρ_xx Π_q f_q(x_q) = Σ_z c_{Z^z} Π_q g_q(z_q) with
+// g(0) = (f(0)+f(1))/2 and g(1) = (f(0)−f(1))/2.
+func (r *pauliRho) pst(span []int, plan []measPoint, p int, readout bool) float64 {
+	f := make([][2]float64, r.k)
+	for q := range f {
+		f[q] = [2]float64{1, 1}
+	}
+	for i := range plan {
+		if mp := &plan[i]; mp.prog == p {
+			e := 0.0
+			if readout {
+				e = rate(mp.err)
 			}
+			q := span[mp.q]
+			f[q][mp.correct] *= 1 - e
+			f[q][1-mp.correct] *= e
 		}
-		pst += w
+	}
+	// g over z doubles one qubit at a time: weights for z < 2^q, then
+	// the same times g_q(1) for z with bit q set.
+	w := make([]float64, 1<<uint(r.k))
+	w[0] = 1
+	for q, fq := range f {
+		h := 1 << uint(q)
+		g0, g1 := (fq[0]+fq[1])/2, (fq[0]-fq[1])/2
+		for z := range h {
+			w[z|h] = w[z] * g1
+			w[z] *= g0
+		}
+	}
+	pst := 0.0
+	for z, wz := range w {
+		pst += wz * r.c[z<<uint(r.k)]
 	}
 	return pst
 }
@@ -250,90 +493,4 @@ func rate(p float64) float64 {
 		return 0
 	}
 	return min(p, 1)
-}
-
-// scale is v·f for a real f.
-func scale(v complex128, f float64) complex128 { return complex(real(v)*f, imag(v)*f) }
-
-// settle applies qubit q's pending idle layers (none for q < 0): n idle
-// layers of rate p compose to one of rate 1 − (1−p)^n, which maps each
-// (row q, col q) block [[a,b],[c,d]] to a′ = a + p·d and b, c, d × (1−p).
-func (r *density) settle(q int) {
-	if q < 0 || r.idle[q] == 0 {
-		return
-	}
-	p := 1 - math.Pow(1-r.idleP, float64(r.idle[q]))
-	r.idle[q] = 0
-	row, col := 1<<uint(q), 1<<uint(q+r.k)
-	for lo := 0; lo < len(r.amps); lo += 2 * row {
-		for x := lo; x < lo+row; x++ { // x has row q clear
-			if x&col == 0 { // a, with d at x|row|col
-				r.amps[x] += scale(r.amps[x|row|col], p)
-				r.amps[x|row|col] = scale(r.amps[x|row|col], 1-p)
-			} else { // b, with c at x^col|row
-				r.amps[x] = scale(r.amps[x], 1-p)
-				r.amps[x^col|row] = scale(r.amps[x^col|row], 1-p)
-			}
-		}
-	}
-}
-
-// pauli applies one draw of an op's Pauli error at rate w per operand,
-// ρ + w·Σ_q (P_q(ρ) − ρ) over the operands a and b inside ρ (−1 is
-// outside), P_q being the uniform X/Y/Z conjugation of qubit q, which
-// maps each (row q, col q) block [[a,b],[c,d]] to a′ = (a+2d)/3,
-// d′ = (2a+d)/3, b′ = −b/3 and c′ = −c/3. A one-qubit op's draw is
-// w = p on its qubit; a two-qubit op's, (1−p)ρ + p/2·(P_a+P_b)(ρ), is
-// w = p/2 on each, and so is each of a SWAP's three draws, which with
-// one operand outside ρ is (1−p/2)ρ + p/2·P_a(ρ).
-func (r *density) pauli(a, b int, w float64) {
-	if a < 0 {
-		a, b = b, a
-	}
-	if a < 0 || !(w > 0) {
-		return
-	}
-	// Entry x moves with x^flip for each operand: the entry with both
-	// its row and column bit of the operand flipped. Diagonal in the
-	// operand, it keeps 1 − 2w/3 of itself and takes 2w/3 of that
-	// partner; off-diagonal, it keeps 1 − 4w/3. Each group x, x^flipA
-	// (and x^flipB, x^flipA^flipB when b is in ρ) is visited from the x
-	// whose operands' row bits are clear.
-	f := 2 * w / 3
-	rowA, flipA := 1<<uint(a), 1<<uint(a)|1<<uint(a+r.k)
-	rowB, flipB := 0, 0
-	if b >= 0 {
-		rowB, flipB = 1<<uint(b), 1<<uint(b)|1<<uint(b+r.k)
-	}
-	for x := range r.amps {
-		if x&(rowA|rowB) != 0 {
-			continue
-		}
-		self, crossA, crossB := 1.0, 0.0, 0.0
-		if x&flipA == 0 {
-			self, crossA = self-f, f
-		} else {
-			self -= 2 * f
-		}
-		if flipB != 0 {
-			if x&flipB == 0 {
-				self, crossB = self-f, f
-			} else {
-				self -= 2 * f
-			}
-		}
-		xa := x ^ flipA
-		v0, v1 := r.amps[x], r.amps[xa]
-		if flipB == 0 {
-			r.amps[x] = scale(v0, self) + scale(v1, crossA)
-			r.amps[xa] = scale(v1, self) + scale(v0, crossA)
-			continue
-		}
-		xb, xab := x^flipB, xa^flipB
-		v2, v3 := r.amps[xb], r.amps[xab]
-		r.amps[x] = scale(v0, self) + scale(v1, crossA) + scale(v2, crossB)
-		r.amps[xa] = scale(v1, self) + scale(v0, crossA) + scale(v3, crossB)
-		r.amps[xb] = scale(v2, self) + scale(v3, crossA) + scale(v0, crossB)
-		r.amps[xab] = scale(v3, self) + scale(v2, crossA) + scale(v1, crossB)
-	}
 }

@@ -311,13 +311,146 @@ func TestExactSamplingMatchesExactPST(t *testing.T) {
 	}
 }
 
+// exactVsShardProgs are BenchmarkExactVsShard's programs, 3 to 7 qubits.
+var exactVsShardProgs = []string{"bv_n3", "3_17_13", "decod24-v2_43", "4mod5-v1_22", "alu-v2_31", "qaoa_n6", "4gt4-v0_72", "alu-bdd_288", "ham7_104"}
+
+// TestPauliBasisMatchesDensity holds the Pauli-basis evaluator to the
+// complex density matrix it replaced (densityPST, oracle_test.go):
+// every program's exact PST within 1e-12 on pair16 and corners16 under
+// every golden variant, the ten Table II pairs and BenchmarkExactVsShard's
+// programs on IBMQ16, and TestTrialLoopsMatchExactPST's 7- to 10-qubit
+// programs on IBMQ50.
+func TestPauliBasisMatchesDensity(t *testing.T) {
+	worst := 0.0
+	check := func(name string, d *arch.Device, s *router.Schedule, progs []*circuit.Circuit, noise NoiseModel) {
+		t.Helper()
+		cp, plan, err := lowerSchedule(d, s, len(progs), noise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := exactSpans(cp.fac, plan, len(progs), maxRhoQubits)
+		if spans == nil {
+			t.Fatalf("%s: not narrow", name)
+		}
+		got, err := exactPSTs(cp, plan, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := densityPSTs(cp, plan, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range want {
+			worst = max(worst, math.Abs(got[p]-want[p]))
+			if math.Abs(got[p]-want[p]) > 1e-12 {
+				t.Errorf("%s program %d: Pauli basis %.17g, density matrix %.17g", name, p, got[p], want[p])
+			}
+		}
+	}
+	for _, v := range goldenVariants(t) {
+		for name, fx := range map[string]goldenFixture{"pair16": adjacentPair16, "corners16": corners16} {
+			s, progs := fx(t, v.d16)
+			check(name+"/"+v.name, v.d16, s, progs, v.noise)
+		}
+	}
+	d := arch.IBMQ16(0)
+	for _, w := range table2Pairs {
+		progs := []*circuit.Circuit{nisqbench.MustGet(w[0]), nisqbench.MustGet(w[1])}
+		check("table2/"+w[0]+"+"+w[1], d, routeSideBySide(t, d, progs...), progs, DefaultNoise())
+	}
+	for _, name := range exactVsShardProgs {
+		prog := nisqbench.MustGet(name)
+		check("ibmq16/"+name, d, routeSideBySide(t, d, prog), []*circuit.Circuit{prog}, DefaultNoise())
+	}
+	d50 := arch.IBMQ50(0)
+	for _, name := range []string{"alu-bdd_288", "ghz_n8", "bv_n10"} {
+		prog := nisqbench.MustGet(name)
+		check("ibmq50/"+name, d50, routeSideBySide(t, d50, prog), []*circuit.Circuit{prog}, DefaultNoise())
+	}
+	t.Logf("worst |Δ| %.2g", worst)
+}
+
+// TestPauliSignTablesByHand: H, S and Sdg's transfer matrices, and the
+// pair pass under CX and CZ, send each single Pauli where conjugation
+// by hand does: H swaps X and Z and negates Y; S takes X to Y and Y to
+// −X; CX (control a) spreads X_a to X_aX_b and Z_b to Z_aZ_b and turns
+// X_aZ_b into −Y_aY_b; CZ spreads X_a to X_aZ_b and X_b to Z_aX_b and
+// turns X_aY_b into −Y_aX_b. A one-qubit index is x + 2z (I, X, Z, Y), a
+// pair's la + 4·lb.
+func TestPauliSignTablesByHand(t *testing.T) {
+	const I, X, Z, Y = 0, 1, 2, 3
+	type image struct{ to, sign int }
+	for _, c := range []struct {
+		gate string
+		want map[int]image
+	}{
+		{circuit.GateH, map[int]image{I: {I, 1}, X: {Z, 1}, Z: {X, 1}, Y: {Y, -1}}},
+		{circuit.GateS, map[int]image{I: {I, 1}, X: {Y, 1}, Z: {Z, 1}, Y: {X, -1}}},
+		{circuit.GateSdg, map[int]image{I: {I, 1}, X: {Y, -1}, Z: {Z, 1}, Y: {X, 1}}},
+	} {
+		m, err := gateMatrix(circuit.Gate{Name: c.gate, Qubits: []int{0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := unitaryTransfer(m)
+		for q, im := range c.want {
+			for p := range 4 { // column q of the transfer is where Q goes
+				want := 0.0
+				if p == im.to {
+					want = float64(im.sign)
+				}
+				if math.Abs(tm[p][q]-want) > 1e-15 {
+					t.Errorf("%s: t[%d][%d] = %v, want %v", c.gate, p, q, tm[p][q], want)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		tab  *pairTable
+		want map[int]image
+	}{
+		{"cx", cxTable, map[int]image{
+			X: {X + 4*X, 1}, Z: {Z, 1}, Y: {Y + 4*X, 1},
+			4 * X: {4 * X, 1}, 4 * Z: {Z + 4*Z, 1}, 4 * Y: {Z + 4*Y, 1},
+			X + 4*Z: {Y + 4*Y, -1}, Y + 4*Y: {X + 4*Z, -1}, X + 4*Y: {Y + 4*Z, 1},
+		}},
+		{"cz", czTable, map[int]image{
+			X: {X + 4*Z, 1}, Z: {Z, 1}, Y: {Y + 4*Z, 1},
+			4 * X: {Z + 4*X, 1}, 4 * Z: {4 * Z, 1}, 4 * Y: {Z + 4*Y, 1},
+			X + 4*X: {Y + 4*Y, 1}, X + 4*Y: {Y + 4*X, -1},
+		}},
+	} {
+		// Qubits a = 2 and b = 0 of three, so the pass's offsets are
+		// not the local index's bit order.
+		const k, a, b = 3, 2, 0
+		index := func(l int) int {
+			return (l&1)<<a | (l>>1&1)<<(a+k) | (l>>2&1)<<b | (l>>3&1)<<(b+k)
+		}
+		for from, im := range c.want {
+			r := &pauliRho{k: k, c: make([]float64, 1<<(2*k)), pend: make([]int, k), tm: make([]transfer, k), dirty: make([]bool, k)}
+			r.c[index(from)] = 1
+			r.pair(a, b, c.tab, 0, 1)
+			for i, v := range r.c {
+				want := 0.0
+				if i == index(im.to) {
+					want = float64(im.sign)
+				}
+				if v != want {
+					t.Errorf("%s: Pauli %d goes to %v at index %d, want %d·Pauli %d", c.name, from, v, i, im.sign, im.to)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkExactVsShard measures what maxExactQubits is set from: one
 // program's exact evaluation (reference run included) against one
 // shardTrials shard of its trial loop, each program routed alone on
 // IBMQ16 from the identity layout, under the default noise.
 func BenchmarkExactVsShard(b *testing.B) {
 	d := arch.IBMQ16(0)
-	for _, name := range []string{"bv_n3", "3_17_13", "decod24-v2_43", "4mod5-v1_22", "alu-v2_31", "qaoa_n6", "4gt4-v0_72", "alu-bdd_288", "ham7_104"} {
+	for _, name := range exactVsShardProgs {
 		prog := nisqbench.MustGet(name)
 		s := routeSideBySide(b, d, prog)
 		cp, plan, err := lowerSchedule(d, s, 1, DefaultNoise())

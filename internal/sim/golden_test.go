@@ -135,7 +135,7 @@ func czBesideOtherProgram(d *arch.Device, s *router.Schedule) bool {
 					others = append(others, op)
 				}
 			}
-			if crosstalkAdjacent(d, twoQubitLinks(others), cz.Gate.Qubits[0], cz.Gate.Qubits[1]) {
+			if crosstalkAdjacent(d, twoQubitLinks(nil, others), cz.Gate.Qubits[0], cz.Gate.Qubits[1]) {
 				return true
 			}
 		}

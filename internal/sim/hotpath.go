@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/graph"
 )
 
 // engineKind is monteCarlo's choice of engine: which reference run
@@ -135,13 +136,23 @@ type compiledProgram struct {
 func compileLayers(d *arch.Device, lay *layered, noise NoiseModel) (*compiledProgram, error) {
 	fac := newFactoring(len(lay.active))
 	cp := &compiledProgram{noise: noise, fac: fac, idleT: threshold(noise.IdleErrPerLayer), layers: make([]compiledLayer, 0, len(lay.layers))}
+	busy := make([]bool, len(lay.active)) // per dense index: a gate acts on it in this layer
+	// Every layer's ops and idle slots are cut from one array each.
+	nops := 0
 	for _, layer := range lay.layers {
-		cl := compiledLayer{ops: make([]compiledOp, 0, len(layer))}
+		nops += len(layer)
+	}
+	ops := make([]compiledOp, 0, nops)
+	idle := make([]int, 0, len(lay.layers)*len(lay.active))
+	var edges []graph.Edge // this layer's two-qubit links, for crosstalk
+	for _, layer := range lay.layers {
+		var cl compiledLayer
+		from := len(ops)
 		// Crosstalk is a property of the layer, not the trial: collect
 		// the two-qubit links once and fold the scalar multiplier or the
 		// pairwise conditional error into each op's compiled rate.
-		layerEdges := layer2qEdges(d, layer, noise)
-		busy := map[int]bool{}
+		edges = layer2qEdges(edges, d, layer, noise)
+		clear(busy)
 		for _, op := range layer {
 			g := op.Gate
 			co, err := lowerGate(g)
@@ -152,27 +163,29 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel) (*compiledPro
 				continue // measurements are deferred to the plan
 			}
 			for _, q := range g.Qubits {
-				busy[q] = true
+				busy[lay.compact[q]] = true
 			}
 			co.a = lay.compact[co.a]
 			if co.kind.twoQubit() {
 				co.b = lay.compact[co.b]
-				co.err = effective2qErr(d, noise, layerEdges, g.Qubits[0], g.Qubits[1])
+				co.err = effective2qErr(d, noise, edges, g.Qubits[0], g.Qubits[1])
 			} else {
 				co.err = d.Gate1Err[g.Qubits[0]]
 			}
 			co.errT = threshold(co.err)
 			fac.place(&co)
-			cl.ops = append(cl.ops, co)
+			ops = append(ops, co)
 		}
+		cl.ops = ops[from:len(ops):len(ops)]
 		// A layer's ops act on disjoint wires and an idle wire is on none
 		// of them, so its slot is the same before and after the layer.
-		cl.idle = make([]int, 0, len(lay.active)-len(busy))
-		for _, q := range lay.active {
-			if !busy[q] {
-				cl.idle = append(cl.idle, fac.slot[lay.compact[q]])
+		from = len(idle)
+		for i := range lay.active {
+			if !busy[i] {
+				idle = append(idle, fac.slot[i])
 			}
 		}
+		cl.idle = idle[from:len(idle):len(idle)]
 		cp.layers = append(cp.layers, cl)
 	}
 	fac.finish()

@@ -18,6 +18,10 @@ package sim
 //     benchmarks drive both tableaus through. runTrialT over one joint ptab of every active
 //     qubit is the oracle jointMatchesFactored holds the stabilizer
 //     register to.
+//   - density: the complex density matrix ρ over k qubits stored as a
+//     2k-qubit state, with its channels (settle, pauli) applied in
+//     place. densityPST over it is the oracle TestPauliBasisMatchesDensity
+//     holds exactPST's Pauli-basis evaluator to.
 //   - runTableau and the stabilizer register's trial methods: the tableau
 //     engine's sampling contract v1, per trial a draw at every error site
 //     (hotpath.go's draw order). jointMatchesFactored holds it to the
@@ -27,6 +31,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,6 +39,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/fp"
+	"repro/internal/nisqbench"
 	"repro/internal/router"
 )
 
@@ -204,6 +210,10 @@ func (r *factored) run(cp *compiledProgram, rng *stream, noisy bool) {
 	cp.runStatevector(r, rng, noisy)
 }
 
+func (r *factored) measure(slot int, rng *stream) int {
+	return r.comps[r.comp[slot]].measure(r.bit[slot], rng)
+}
+
 // newTrialRegister makes a per-trial register; prepare must have run on
 // cp.
 func newTrialRegister(engine engineKind, cp *compiledProgram) trialRegister {
@@ -294,6 +304,46 @@ func trialShard(reg trialRegister, cp *compiledProgram, plan []measPoint, n int,
 		for p, bad := range wrong {
 			if bad == 0 {
 				succ[p]++
+			}
+		}
+	}
+}
+
+// TestFactoredShardMatchesTrialShard: the statevector register's shard,
+// which samples each component's last plan point without collapsing
+// it, draws what trialShard draws, every point measured and collapsed:
+// the same success counts and then the same next word, on the eight
+// seeded entangledSchedules and a 7-qubit GHZ, under the default noise
+// and a heavy one.
+func TestFactoredShardMatchesTrialShard(t *testing.T) {
+	d := arch.IBMQ16(0)
+	ghz := nisqbench.GHZ(maxExactQubits + 1)
+	scheds := []*router.Schedule{routeSideBySide(t, d, ghz)}
+	for seed := int64(0); seed < 8; seed++ {
+		scheds = append(scheds, entangledSchedule(t, d, seed, false))
+	}
+	for i, s := range scheds {
+		progs := 0
+		for _, m := range s.Measurements {
+			progs = max(progs, m.Program+1)
+		}
+		for _, noise := range []NoiseModel{DefaultNoise(), {Enabled: true, IdleErrPerLayer: 0.05, CrosstalkFactor: 0.5, Readout: true}} {
+			cp, plan, err := lowerSchedule(d, s, progs, noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prepare(engineStatevector, cp, plan); err != nil {
+				t.Fatal(err)
+			}
+			reg, ref := newRegister(engineStatevector, cp, progs), newTrialRegister(engineStatevector, cp)
+			for seed := int64(0); seed < 2; seed++ {
+				rngA, rngB := newStream(seed), newStream(seed)
+				got, want := make([]int, progs), make([]int, progs)
+				reg.shard(cp, plan, 64, rngA, got)
+				trialShard(ref, cp, plan, 64, rngB, want)
+				if fmt.Sprint(got) != fmt.Sprint(want) || rngA.int63() != rngB.int63() {
+					t.Fatalf("schedule %d seed %d noise %+v: shard succeeds %v, trialShard %v, or their draws differ", i, seed, noise, got, want)
+				}
 			}
 		}
 	}
@@ -511,7 +561,7 @@ func entangledSchedule(tb testing.TB, d *arch.Device, seed int64, clifford bool)
 func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng *rand.Rand) error {
 	for _, layer := range lay.layers {
 		// Count CNOT-layer adjacency for crosstalk.
-		cnotEdges := layer2qEdges(d, layer, noise)
+		cnotEdges := layer2qEdges(nil, d, layer, noise)
 		busy := map[int]bool{}
 		for _, op := range layer {
 			g := op.Gate
@@ -601,7 +651,7 @@ func runTrialT(tb cliffordBackend, d *arch.Device, lay *layered, noise NoiseMode
 		return func(q int) int { return lay.compact[q] }
 	}
 	for _, layer := range lay.layers {
-		cnotEdges := layer2qEdges(d, layer, noise)
+		cnotEdges := layer2qEdges(nil, d, layer, noise)
 		busy := map[int]bool{}
 		for _, op := range layer {
 			g := op.Gate
@@ -911,3 +961,218 @@ func errNotClifford(name string) error {
 type notCliffordError struct{ gate string }
 
 func (e *notCliffordError) Error() string { return "sim: gate " + e.gate + " is not Clifford" }
+
+// densityPSTs is exactPSTs on the complex density matrix.
+func densityPSTs(cp *compiledProgram, plan []measPoint, spans [][]int) ([]float64, error) {
+	if err := prepare(engineStatevector, cp, plan); err != nil {
+		return nil, err
+	}
+	k := 0
+	for _, span := range spans {
+		for _, q := range span {
+			k = max(k, q+1)
+		}
+	}
+	rho := &density{state: newState(2 * k), idle: make([]int, k)}
+	pst := make([]float64, len(spans))
+	for p, span := range spans {
+		pst[p] = cp.densityPST(rho, span, plan, p)
+	}
+	return pst, nil
+}
+
+// density is one program's ρ over k qubits as a 2k-qubit state whose
+// index is row | col<<k: the state kernels apply a gate U as U on the
+// row half and conj(U) on the column half (ρ ↦ UρU†). idle counts each qubit's
+// idle layers not yet applied at rate idleP: a decay commutes with every
+// channel on the other qubits, so a run of them is applied at once,
+// before the next op on the qubit.
+type density struct {
+	*state
+	k     int
+	idleP float64
+	idle  []int
+}
+
+// densityPST is exactPST on the complex density matrix: program p's ρ
+// (reusing rho's buffer) through every op, noise site and idle layer
+// touching its span, then the final diagonal weighed against p's plan
+// points' correct bits and readout errors.
+func (cp *compiledProgram) densityPST(rho *density, span []int, plan []measPoint, p int) float64 {
+	k := 0
+	for _, q := range span {
+		k = max(k, q+1)
+	}
+	noisy := cp.noise.Enabled
+	rho.k, rho.idle, rho.idleP = k, rho.idle[:k], 0
+	clear(rho.idle)
+	if noisy {
+		rho.idleP = rate(cp.noise.IdleErrPerLayer)
+	}
+	rho.n, rho.amps = 2*k, rho.amps[:1<<uint(2*k)]
+	rho.reset()
+	for li := range cp.layers {
+		cl := &cp.layers[li]
+		for oi := range cl.ops {
+			op := &cl.ops[oi]
+			a, b := span[op.a], -1
+			if op.kind.twoQubit() {
+				b = span[op.b]
+			}
+			if a < 0 && b < 0 {
+				continue
+			}
+			rho.settle(a)
+			rho.settle(b)
+			errP := 0.0
+			if noisy {
+				errP = rate(op.err)
+			}
+			switch op.kind {
+			case opSWAP:
+				// A relabel: three draws, each a Pauli on one of the two
+				// slots.
+				for range 3 {
+					rho.pauli(a, b, errP/2)
+				}
+				continue
+			case opCX:
+				rho.applyCNOT(a, b)
+				rho.applyCNOT(a+k, b+k)
+			case opCZ:
+				rho.applyCZ(a, b)
+				rho.applyCZ(a+k, b+k)
+			default:
+				m := op.m
+				rho.apply1q(m, a)
+				for i := range m {
+					for j := range m[i] {
+						m[i][j] = cmplx.Conj(m[i][j])
+					}
+				}
+				rho.apply1q(m, a+k)
+			}
+			if b >= 0 {
+				rho.pauli(a, b, errP/2)
+			} else {
+				rho.pauli(a, -1, errP)
+			}
+		}
+		if rho.idleP > 0 {
+			for _, s := range cl.idle {
+				if q := span[s]; q >= 0 {
+					rho.idle[q]++
+				}
+			}
+		}
+	}
+	for q := range k {
+		rho.settle(q)
+	}
+	readout := noisy && cp.noise.Readout
+	pst := 0.0
+	for x := 0; x < 1<<uint(k); x++ {
+		w := real(rho.amps[x|x<<uint(k)])
+		for i := range plan {
+			if mp := &plan[i]; mp.prog == p {
+				e := 0.0
+				if readout {
+					e = rate(mp.err)
+				}
+				if (x>>uint(span[mp.q]))&1 == mp.correct {
+					w *= 1 - e
+				} else {
+					w *= e
+				}
+			}
+		}
+		pst += w
+	}
+	return pst
+}
+
+// scale is v·f for a real f.
+func scale(v complex128, f float64) complex128 { return complex(real(v)*f, imag(v)*f) }
+
+// settle applies qubit q's pending idle layers (none for q < 0): n idle
+// layers of rate p compose to one of rate 1 − (1−p)^n, which maps each
+// (row q, col q) block [[a,b],[c,d]] to a′ = a + p·d and b, c, d × (1−p).
+func (r *density) settle(q int) {
+	if q < 0 || r.idle[q] == 0 {
+		return
+	}
+	p := 1 - math.Pow(1-r.idleP, float64(r.idle[q]))
+	r.idle[q] = 0
+	row, col := 1<<uint(q), 1<<uint(q+r.k)
+	for lo := 0; lo < len(r.amps); lo += 2 * row {
+		for x := lo; x < lo+row; x++ { // x has row q clear
+			if x&col == 0 { // a, with d at x|row|col
+				r.amps[x] += scale(r.amps[x|row|col], p)
+				r.amps[x|row|col] = scale(r.amps[x|row|col], 1-p)
+			} else { // b, with c at x^col|row
+				r.amps[x] = scale(r.amps[x], 1-p)
+				r.amps[x^col|row] = scale(r.amps[x^col|row], 1-p)
+			}
+		}
+	}
+}
+
+// pauli applies one draw of an op's Pauli error at rate w per operand,
+// ρ + w·Σ_q (P_q(ρ) − ρ) over the operands a and b inside ρ (−1 is
+// outside), P_q being the uniform X/Y/Z conjugation of qubit q, which
+// maps each (row q, col q) block [[a,b],[c,d]] to a′ = (a+2d)/3,
+// d′ = (2a+d)/3, b′ = −b/3 and c′ = −c/3. A one-qubit op's draw is
+// w = p on its qubit; a two-qubit op's, (1−p)ρ + p/2·(P_a+P_b)(ρ), is
+// w = p/2 on each, and so is each of a SWAP's three draws, which with
+// one operand outside ρ is (1−p/2)ρ + p/2·P_a(ρ).
+func (r *density) pauli(a, b int, w float64) {
+	if a < 0 {
+		a, b = b, a
+	}
+	if a < 0 || !(w > 0) {
+		return
+	}
+	// Entry x moves with x^flip for each operand: the entry with both
+	// its row and column bit of the operand flipped. Diagonal in the
+	// operand, it keeps 1 − 2w/3 of itself and takes 2w/3 of that
+	// partner; off-diagonal, it keeps 1 − 4w/3. Each group x, x^flipA
+	// (and x^flipB, x^flipA^flipB when b is in ρ) is visited from the x
+	// whose operands' row bits are clear.
+	f := 2 * w / 3
+	rowA, flipA := 1<<uint(a), 1<<uint(a)|1<<uint(a+r.k)
+	rowB, flipB := 0, 0
+	if b >= 0 {
+		rowB, flipB = 1<<uint(b), 1<<uint(b)|1<<uint(b+r.k)
+	}
+	for x := range r.amps {
+		if x&(rowA|rowB) != 0 {
+			continue
+		}
+		self, crossA, crossB := 1.0, 0.0, 0.0
+		if x&flipA == 0 {
+			self, crossA = self-f, f
+		} else {
+			self -= 2 * f
+		}
+		if flipB != 0 {
+			if x&flipB == 0 {
+				self, crossB = self-f, f
+			} else {
+				self -= 2 * f
+			}
+		}
+		xa := x ^ flipA
+		v0, v1 := r.amps[x], r.amps[xa]
+		if flipB == 0 {
+			r.amps[x] = scale(v0, self) + scale(v1, crossA)
+			r.amps[xa] = scale(v1, self) + scale(v0, crossA)
+			continue
+		}
+		xb, xab := x^flipB, xa^flipB
+		v2, v3 := r.amps[xb], r.amps[xab]
+		r.amps[x] = scale(v0, self) + scale(v1, crossA) + scale(v2, crossB)
+		r.amps[xa] = scale(v1, self) + scale(v0, crossA) + scale(v3, crossB)
+		r.amps[xb] = scale(v2, self) + scale(v3, crossA) + scale(v0, crossB)
+		r.amps[xab] = scale(v3, self) + scale(v2, crossA) + scale(v1, crossB)
+	}
+}

@@ -3,9 +3,10 @@ package sim
 // Trial sharding for the Monte-Carlo driver (monteCarlo in engine.go).
 //
 // Each simulation's trial budget is split into fixed-size shards and
-// every shard draws from a stream (stream.go) seeded, as
-// rand.NewSource would be, by a pure function of (caller seed, shard
-// index); a worker re-seeds one stream from shard to shard. Shard s
+// every shard draws from a stream (stream.go) seeded by a pure function
+// of (caller seed, shard index) to the state rand.NewSource would start
+// from, without going through a rand.Source; a worker re-seeds one
+// stream from shard to shard. Shard s
 // always covers the same trial range and always draws the same random
 // values, so per-shard success counts — and therefore the summed PSTs —
 // are identical whether the shards run on one goroutine or sixteen. The

@@ -106,13 +106,18 @@ func (s *state) prob1(q int) float64 {
 // measure projectively measures qubit q, collapsing the state, and
 // returns the outcome bit.
 func (s *state) measure(q int, rng prng) int {
-	p1 := s.prob1(q)
-	outcome := 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
+	outcome := s.sample(q, rng)
 	s.project(q, outcome)
 	return outcome
+}
+
+// sample is measure's outcome, drawn alike, without the collapse: for a
+// qubit whose state nothing reads afterwards.
+func (s *state) sample(q int, rng prng) int {
+	if rng.Float64() < s.prob1(q) {
+		return 1
+	}
+	return 0
 }
 
 // project collapses qubit q onto the given outcome and renormalizes.

@@ -16,21 +16,22 @@ import (
 var streamProbs = []float64{0, 5e-324, 1e-4, 0.0012, 0.01, 0.05, 0.3, 0.5, 0.99, 1 - 0x1p-53, 1, 2, math.NaN()}
 
 // compareStream runs ops on s and on ref, two bytes per operation: the
-// first picks one of Float64, Intn(2), Intn(3), below(threshold(p)) and
-// miss(threshold(p), n) and a p from streamProbs, the second is miss's
-// n. ref answers each with its own Float64 and Intn; the two must agree
-// on every answer and, after the last, on one more Int63.
+// first picks one of Float64, Intn(2), Intn(3), below(threshold(p)),
+// miss(threshold(p), n) and hits(threshold(p), n) and a p from
+// streamProbs, the second is n. ref answers each with its own Float64
+// and Intn; the two must agree on every answer and, after the last, on
+// one more Int63.
 func compareStream(ref *rand.Rand, s *stream, ops []byte) error {
 	for k := 0; k+1 < len(ops); k += 2 {
 		a, n := ops[k], int(ops[k+1])
-		p := streamProbs[int(a/5)%len(streamProbs)]
-		switch a % 5 {
+		p := streamProbs[int(a/6)%len(streamProbs)]
+		switch a % 6 {
 		case 0:
 			if w, g := ref.Float64(), s.Float64(); math.Float64bits(w) != math.Float64bits(g) {
 				return fmt.Errorf("op %d: Float64 %v, math/rand %v", k/2, g, w)
 			}
 		case 1, 2:
-			m := int(a%5) + 1
+			m := int(a%6) + 1
 			if w, g := ref.Intn(m), s.Intn(m); w != g {
 				return fmt.Errorf("op %d: Intn(%d) %d, math/rand %d", k/2, m, g, w)
 			}
@@ -38,7 +39,7 @@ func compareStream(ref *rand.Rand, s *stream, ops []byte) error {
 			if w, g := ref.Float64() < p, s.below(threshold(p)); w != g {
 				return fmt.Errorf("op %d: below(threshold(%v)) %v, math/rand %v", k/2, p, g, w)
 			}
-		default:
+		case 4:
 			w := n
 			for i := 0; i < n; i++ {
 				if ref.Float64() < p {
@@ -48,6 +49,16 @@ func compareStream(ref *rand.Rand, s *stream, ops []byte) error {
 			}
 			if g := s.miss(threshold(p), n); g != w {
 				return fmt.Errorf("op %d: miss(threshold(%v), %d) %d, math/rand %d", k/2, p, n, g, w)
+			}
+		default:
+			w := 0
+			for range n {
+				if ref.Float64() < p {
+					w++
+				}
+			}
+			if g := s.hits(threshold(p), n); g != w {
+				return fmt.Errorf("op %d: hits(threshold(%v), %d) %d, math/rand %d", k/2, p, n, g, w)
 			}
 		}
 	}
@@ -164,8 +175,58 @@ func TestThresholdExact(t *testing.T) {
 	}
 }
 
+// thresholdBisect is threshold by bisection over all of [0, 2^63]: the
+// oracle TestThresholdMatchesBisection holds threshold's one-ulp range
+// to.
+func thresholdBisect(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	lo, hi := uint64(0), uint64(1<<63) // lo misses; hi fires or is 2^63
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// TestThresholdMatchesBisection: threshold agrees with a bisection over
+// the whole Int63 range on float64 edge cases, on every binade's ends
+// and on probabilities drawn across all exponents and mantissas.
+func TestThresholdMatchesBisection(t *testing.T) {
+	probs := []float64{0, math.Copysign(0, -1), 5e-324, math.SmallestNonzeroFloat64 * 3, 0x1p-1022, 0x1p-63, 0x1p-64, 0x1p-52, 0.5, 1 - 0x1p-53, 1, 1 + 0x1p-52, 2, math.Inf(1), math.Inf(-1), math.NaN(), -0.5}
+	for e := -80; e <= 0; e++ {
+		v := math.Ldexp(1, e)
+		probs = append(probs, v, math.Nextafter(v, 0), math.Nextafter(v, 2))
+	}
+	check := func(bits uint64) bool {
+		p := math.Float64frombits(bits&(1<<52-1) | uint64(1023-bits>>58)<<52) // exponent −63..0
+		q := math.Float64frombits(bits >> 2)                                  // anywhere in [0, 2)
+		for _, v := range []float64{p, q} {
+			if got, want := threshold(v), thresholdBisect(v); got != want {
+				t.Errorf("threshold(%v) = %d, bisection %d", v, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	for _, p := range probs {
+		if got, want := threshold(p), thresholdBisect(p); got != want {
+			t.Errorf("threshold(%v) = %d, bisection %d", p, got, want)
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 20000, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzStream holds the stream to math/rand on a seed and a sequence of
-// operations the fuzzer chooses (compareStream's encoding).
+// operations the fuzzer chooses (compareStream's encoding): the
+// stream's own seeding against rand.NewSource's, and every draw after.
 func FuzzStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 1<<10 {
@@ -173,6 +234,28 @@ func FuzzStream(f *testing.F) {
 		}
 		if err := compareStream(rand.New(rand.NewSource(seed)), newStream(seed), ops); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+	})
+}
+
+// BenchmarkStreamSeed times what a shard pays before its first draw:
+// re-seeding its stream, against rand.NewSource's Seed and a 607-word
+// fill, the path a stream seeded through a rand.Source takes.
+func BenchmarkStreamSeed(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
+		s := newStream(1)
+		for i := 0; i < b.N; i++ {
+			s.seed(shardSeed(int64(i), i))
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		src := rand.NewSource(1).(rand.Source64)
+		var buf [rngLen]uint64
+		for i := 0; i < b.N; i++ {
+			src.Seed(shardSeed(int64(i), i))
+			for j := range buf {
+				buf[j] = src.Uint64()
+			}
 		}
 	})
 }
