@@ -72,8 +72,8 @@ bench:
 # Short fuzz pass over the untrusted inputs (QASM source, device-spec
 # JSON, and arbitrary requests against the daemon's HTTP handler), over
 # the packed stabilizer tableau against the boolean one, over the
-# simulator's random stream against math/rand, and over the tableau
-# engine's Pauli frames against a per-trial tableau. Go allows
+# simulator's random stream against a reference splitmix64, and over
+# the tableau engine's Pauli frames against a per-trial tableau. Go allows
 # one -fuzz target per invocation, so each gets its own ~10s budget; the
 # checked-in corpora under testdata/fuzz replay on every plain `go test`
 # run as well.

@@ -9,7 +9,8 @@ package sim
 //   - Lattice. The error sites are walked in compiled order — each op's
 //     draw sites (three for a SWAP), then the layer's idle sites, then one
 //     readout site per plan point. A site of rate p hits the trials that
-//     geometric gaps ⌊ln(1−U)·inv⌋, inv = 1/ln(1−p), land on; each hit
+//     geometric gaps ⌊ln(1−U)·inv⌋, inv = 1/ln(1−p), land on, U a
+//     Float64 of the shard's splitmix64 stream (stream.go); each hit
 //     then draws its payload: pick2 and Intn(3) for a two-qubit op's
 //     Pauli, Intn(3) for a one-qubit op's, the decay's coin Intn(2) for an
 //     idle site, nothing for a readout flip.

@@ -129,7 +129,7 @@ func latticeMatches(t testing.TB, name string, d *arch.Device, s *router.Schedul
 				}
 			}
 		}
-		if a, b := rng.int63(), refRng.int63(); a != b {
+		if a, b := rng.next(), refRng.next(); a != b {
 			t.Fatalf("%s seed %d: the frames and the per-trial tableau drew differently (next draws %d, %d)", name, seed, a, b)
 		}
 	}

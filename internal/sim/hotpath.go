@@ -35,12 +35,12 @@ package sim
 // invariant (see DESIGN.md, "Hot-path memory discipline"). A compiled
 // statevector program draws in exactly the same order, with the same
 // outcomes, as the reference interpreter on the joint register does from
-// math/rand. Its trial path draws from a stream (stream.go), math/rand's
-// generator value for value, and asks each "Float64() < p" as an integer
-// compare against threshold(p), resolved here once per op, once per
-// program for idle decay and once per plan point for readout; the joint
-// interpreters keep drawing from *rand.Rand, so the oracle tests check
-// the stream too. The tableau engine samples under contract v2 instead
+// the same seed. Its trial path draws from a splitmix64 stream
+// (stream.go) and asks each "Float64() < p" as an integer compare against
+// threshold(p), resolved here once per op, once per program for idle
+// decay and once per plan point for readout; the joint interpreters draw
+// from the tests' one-word-at-a-time splitmix64, so the oracle tests
+// check the stream too. The tableau engine samples under contract v2 instead
 // (frame.go, DESIGN.md §17): per shard an error lattice, then the picks.
 // And when every program's measured components span at most
 // maxExactQubits qubits and hold no other program's measured qubit, the

@@ -341,7 +341,7 @@ func TestFactoredShardMatchesTrialShard(t *testing.T) {
 				got, want := make([]int, progs), make([]int, progs)
 				reg.shard(cp, plan, 64, rngA, got)
 				trialShard(ref, cp, plan, 64, rngB, want)
-				if fmt.Sprint(got) != fmt.Sprint(want) || rngA.int63() != rngB.int63() {
+				if fmt.Sprint(got) != fmt.Sprint(want) || rngA.next() != rngB.next() {
 					t.Fatalf("schedule %d seed %d noise %+v: shard succeeds %v, trialShard %v, or their draws differ", i, seed, noise, got, want)
 				}
 			}
@@ -353,7 +353,7 @@ func TestFactoredShardMatchesTrialShard(t *testing.T) {
 // every active qubit, in which a SWAP moves state.
 type jointRegister struct {
 	// run resets the register and runs one trial's gates and noise.
-	run func(noise NoiseModel, rng *rand.Rand) error
+	run func(noise NoiseModel, rng prng) error
 	// correct reads a wire's bit of the reference outcome, called in plan
 	// order after a noiseless run.
 	correct func(wire int) int
@@ -364,7 +364,7 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 	if engine == engineTableau {
 		tb := newPtab(len(lay.active))
 		return jointRegister{
-			run: func(noise NoiseModel, rng *rand.Rand) error {
+			run: func(noise NoiseModel, rng prng) error {
 				tb.reset()
 				return runTrialT(tb, d, lay, noise, rng)
 			},
@@ -374,7 +374,7 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 	}
 	st := newState(len(lay.active))
 	return jointRegister{
-		run: func(noise NoiseModel, rng *rand.Rand) error {
+		run: func(noise NoiseModel, rng prng) error {
 			st.reset()
 			return runTrial(st, d, lay, noise, rng)
 		},
@@ -388,10 +388,10 @@ func newJointRegister(engine engineKind, d *arch.Device, lay *layered) jointRegi
 // the driver depends on: the same Correct string per program from the
 // noiseless reference run, the same measured bit at every plan point of
 // every trial, and the same RNG position after every trial. The oracle
-// draws from math/rand and the register, as in monteCarlo, from a
-// stream with integer thresholds and idle scans, so this checks those
-// too. The register and its reference run come from prepare, as in
-// monteCarlo.
+// draws from the reference splitmix64 (stream_test.go) and the register,
+// as in monteCarlo, from a stream with integer thresholds and idle
+// scans, so this checks those too. The register and its reference run
+// come from prepare, as in monteCarlo.
 func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.Device, s *router.Schedule, noise NoiseModel, seeds, trials int) {
 	t.Helper()
 	lay, cp := compiledLay(t, d, s, noise)
@@ -427,7 +427,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 	reg := newTrialRegister(engine, cp)
 	readout := noise.Enabled && noise.Readout
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		rngA, rngB := rand.New(rand.NewSource(seed)), newStream(seed)
+		rngA, rngB := newSplitmix(seed), newStream(seed)
 		for trial := 0; trial < trials; trial++ {
 			if err := joint.run(noise, rngA); err != nil {
 				t.Fatal(err)
@@ -449,7 +449,7 @@ func jointMatchesFactored(t *testing.T, name string, engine engineKind, d *arch.
 					t.Fatalf("%s noise=%+v seed=%d trial=%d: program %d logical %d measures %d, joint %d", name, noise, seed, trial, m.Program, m.Logical, b, a)
 				}
 			}
-			if uint64(rngA.Int63()) != rngB.int63() {
+			if rngA.word() != rngB.next() {
 				t.Fatalf("%s noise=%+v seed=%d trial=%d: factored register consumed different draws", name, noise, seed, trial)
 			}
 		}
@@ -558,7 +558,7 @@ func entangledSchedule(tb testing.TB, d *arch.Device, seed int64, clifford bool)
 
 // runTrial executes all layers on st (without final measurements),
 // injecting stochastic errors per the noise model.
-func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng *rand.Rand) error {
+func runTrial(st *state, d *arch.Device, lay *layered, noise NoiseModel, rng prng) error {
 	for _, layer := range lay.layers {
 		// Count CNOT-layer adjacency for crosstalk.
 		cnotEdges := layer2qEdges(nil, d, layer, noise)
@@ -646,7 +646,7 @@ type cliffordBackend interface {
 }
 
 // runTrialT is runTrial over a stabilizer backend.
-func runTrialT(tb cliffordBackend, d *arch.Device, lay *layered, noise NoiseModel, rng *rand.Rand) error {
+func runTrialT(tb cliffordBackend, d *arch.Device, lay *layered, noise NoiseModel, rng prng) error {
 	qmapOf := func(g circuit.Gate) func(int) int {
 		return func(q int) int { return lay.compact[q] }
 	}

@@ -3,10 +3,9 @@ package sim
 // Trial sharding for the Monte-Carlo driver (monteCarlo in engine.go).
 //
 // Each simulation's trial budget is split into fixed-size shards and
-// every shard draws from a stream (stream.go) seeded by a pure function
-// of (caller seed, shard index) to the state rand.NewSource would start
-// from, without going through a rand.Source; a worker re-seeds one
-// stream from shard to shard. Shard s
+// every shard draws from a splitmix64 counter stream (stream.go) seeded
+// by a pure function of (caller seed, shard index); a worker re-seeds
+// one stream from shard to shard. Shard s
 // always covers the same trial range and always draws the same random
 // values, so per-shard success counts — and therefore the summed PSTs —
 // are identical whether the shards run on one goroutine or sixteen. The
@@ -24,15 +23,13 @@ package sim
 // RNG stream each trial draws from and hence every simulated PST.
 const shardTrials = 512
 
-// shardSeed derives shard s's RNG seed from the caller's seed with a
-// splitmix64-style finalizer, so neighboring (seed, shard) pairs map to
-// decorrelated streams. The +2 offset keeps shard 0 off the raw seed
+// shardSeed derives shard s's RNG seed from the caller's seed with the
+// stream's own finalizer, so neighboring (seed, shard) pairs map to
+// decorrelated streams whose counters start far apart
+// (TestShardStreamsDisjoint). The +2 offset keeps shard 0 off the raw seed
 // (reserved for the noiseless reference run, which draws nothing).
 func shardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(int64(shard)+2)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(mix(uint64(seed) + gamma*uint64(int64(shard)+2)))
 }
 
 // numShards returns how many shards cover the trial budget.

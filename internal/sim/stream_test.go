@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,6 +11,39 @@ import (
 
 	"repro/internal/arch"
 )
+
+// splitmix is the reference the stream is held to: splitmix64 as
+// published, one word at a time, with Float64 and Intn written out
+// plainly. It counts the words it yields.
+type splitmix struct {
+	z uint64
+	n int
+}
+
+func newSplitmix(seed int64) *splitmix { return &splitmix{z: uint64(seed)} }
+
+func (r *splitmix) word() uint64 {
+	r.n++
+	r.z += 0x9e3779b97f4a7c15
+	z := r.z
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Float64 is the word's top 53 bits scaled into [0, 1).
+func (r *splitmix) Float64() float64 { return math.Ldexp(float64(r.word()>>11), -53) }
+
+// Intn keeps the first word x whose product x·n has a low half of at
+// least 2^64 mod n, and returns the high half.
+func (r *splitmix) Intn(n int) int {
+	for {
+		hi, lo := bits.Mul64(r.word(), uint64(n))
+		if lo >= -uint64(n)%uint64(n) {
+			return int(hi)
+		}
+	}
+}
 
 // streamProbs are the probabilities the stream checks draw against:
 // threshold's edge cases and rates of the calibrations' order.
@@ -20,24 +54,24 @@ var streamProbs = []float64{0, 5e-324, 1e-4, 0.0012, 0.01, 0.05, 0.3, 0.5, 0.99,
 // miss(threshold(p), n) and hits(threshold(p), n) and a p from
 // streamProbs, the second is n. ref answers each with its own Float64
 // and Intn; the two must agree on every answer and, after the last, on
-// one more Int63.
-func compareStream(ref *rand.Rand, s *stream, ops []byte) error {
+// one more word.
+func compareStream(ref *splitmix, s *stream, ops []byte) error {
 	for k := 0; k+1 < len(ops); k += 2 {
 		a, n := ops[k], int(ops[k+1])
 		p := streamProbs[int(a/6)%len(streamProbs)]
 		switch a % 6 {
 		case 0:
 			if w, g := ref.Float64(), s.Float64(); math.Float64bits(w) != math.Float64bits(g) {
-				return fmt.Errorf("op %d: Float64 %v, math/rand %v", k/2, g, w)
+				return fmt.Errorf("op %d: Float64 %v, reference %v", k/2, g, w)
 			}
 		case 1, 2:
 			m := int(a%6) + 1
 			if w, g := ref.Intn(m), s.Intn(m); w != g {
-				return fmt.Errorf("op %d: Intn(%d) %d, math/rand %d", k/2, m, g, w)
+				return fmt.Errorf("op %d: Intn(%d) %d, reference %d", k/2, m, g, w)
 			}
 		case 3:
 			if w, g := ref.Float64() < p, s.below(threshold(p)); w != g {
-				return fmt.Errorf("op %d: below(threshold(%v)) %v, math/rand %v", k/2, p, g, w)
+				return fmt.Errorf("op %d: below(threshold(%v)) %v, reference %v", k/2, p, g, w)
 			}
 		case 4:
 			w := n
@@ -48,7 +82,7 @@ func compareStream(ref *rand.Rand, s *stream, ops []byte) error {
 				}
 			}
 			if g := s.miss(threshold(p), n); g != w {
-				return fmt.Errorf("op %d: miss(threshold(%v), %d) %d, math/rand %d", k/2, p, n, g, w)
+				return fmt.Errorf("op %d: miss(threshold(%v), %d) %d, reference %d", k/2, p, n, g, w)
 			}
 		default:
 			w := 0
@@ -58,32 +92,33 @@ func compareStream(ref *rand.Rand, s *stream, ops []byte) error {
 				}
 			}
 			if g := s.hits(threshold(p), n); g != w {
-				return fmt.Errorf("op %d: hits(threshold(%v), %d) %d, math/rand %d", k/2, p, n, g, w)
+				return fmt.Errorf("op %d: hits(threshold(%v), %d) %d, reference %d", k/2, p, n, g, w)
 			}
 		}
 	}
-	if w, g := uint64(ref.Int63()), s.int63(); w != g {
-		return fmt.Errorf("after %d ops: Int63 %d, math/rand %d", len(ops)/2, g, w)
+	if w, g := ref.word(), s.next(); w != g {
+		return fmt.Errorf("after %d ops: word %#x, reference %#x", len(ops)/2, g, w)
 	}
 	return nil
 }
 
-// countingSource counts the Int63s a rand.Rand draws from it.
-type countingSource struct {
-	rand.Source64
-	n int
+// TestSplitmixPublished pins the reference and the stream to the
+// published splitmix64 outputs from seed 0.
+func TestSplitmixPublished(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	ref, s := newSplitmix(0), newStream(0)
+	for i, w := range want {
+		if a, b := ref.word(), s.next(); a != w || b != w {
+			t.Fatalf("word %d: reference %#x, stream %#x, want %#x", i+1, a, b, w)
+		}
+	}
 }
 
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.Source64.Int63()
-}
-
-// TestStreamMatchesMathRand is the stream's exactness check: seeded
-// alike, it answers every draw the way rand.New(rand.NewSource(seed))
-// does, over seeds at the edges of NewSource's seed reduction and long
-// enough runs of operations to refill the buffer at least 20 times.
-func TestStreamMatchesMathRand(t *testing.T) {
+// TestStreamMatchesReference is the stream's exactness check: seeded
+// alike, it answers every draw the way the reference does, over seeds
+// at the edges of int64 and runs of operations long enough to refill
+// the buffer at least 20 times.
+func TestStreamMatchesReference(t *testing.T) {
 	seeds := []int64{0, -7, 1<<31 + 5, math.MinInt64, math.MaxInt64}
 	cfg := &quick.Config{MaxCount: 16, Rand: rand.New(rand.NewSource(1)), Values: func(v []reflect.Value, r *rand.Rand) {
 		seed := r.Int63() - r.Int63()
@@ -97,13 +132,13 @@ func TestStreamMatchesMathRand(t *testing.T) {
 		v[0], v[1] = reflect.ValueOf(seed), reflect.ValueOf(ops)
 	}}
 	check := func(seed int64, ops []byte) bool {
-		src := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
-		if err := compareStream(rand.New(src), newStream(seed), ops); err != nil {
+		ref := newSplitmix(seed)
+		if err := compareStream(ref, newStream(seed), ops); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 			return false
 		}
-		if src.n < 20*rngLen {
-			t.Errorf("seed %d: %d draws refill the buffer fewer than 20 times", seed, src.n)
+		if ref.n < 20*streamLen {
+			t.Errorf("seed %d: %d draws refill the buffer fewer than 20 times", seed, ref.n)
 			return false
 		}
 		return true
@@ -113,47 +148,14 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
-// streamSource serves a stream's words to rand.New, so math/rand's own
-// Float64 and Intn run on whatever the stream holds.
-type streamSource struct{ s *stream }
-
-func (w streamSource) Int63() int64 { return int64(w.s.int63()) }
-func (w streamSource) Seed(int64)   {}
-
-// TestStreamRedrawsLikeMathRand plants the words a seeded stream almost
-// never yields — Int63s that Float64 and below draw again, Int31s that
-// Intn(3) draws again, the largest of each that they keep, and words with
-// the top bit set — across the buffer, the last word included, and holds
-// every operation to math/rand's on a copy of the same buffer.
-func TestStreamRedrawsLikeMathRand(t *testing.T) {
-	planted := []uint64{rejectInt63, 1<<64 - 1, 1<<63 | (rejectInt63 - 1), (1<<31 - 1) << 32, (1<<31-2)<<32 | 7, (1<<31 - 3) << 32, 1 << 63}
-	r := rand.New(rand.NewSource(2))
-	for c := 0; c < 8; c++ {
-		s := newStream(int64(c))
-		for i := c; i < rngLen; i += 5 + c {
-			s.buf[i] = planted[(i+c)%len(planted)]
-		}
-		s.buf[rngLen-1] = rejectInt63
-		ref := *s
-		ops := make([]byte, 2000)
-		for i := range ops {
-			ops[i] = byte(r.Intn(256))
-		}
-		if err := compareStream(rand.New(streamSource{&ref}), s, ops); err != nil {
-			t.Fatalf("case %d: %v", c, err)
-		}
-	}
-}
-
-// TestThresholdExact: x < threshold(p) exactly when float64(x)/2^63 < p,
-// at the threshold and its neighbours and at the largest Int63s Float64
-// keeps and draws again, for every error rate of the calibrated devices
-// (with the crosstalk multiplier, too) and the edge cases of float64.
+// TestThresholdExact: threshold(p)−1 is the largest top-53-bit value k
+// whose Float64 k/2^53 fires against p, at float64's edge cases and
+// every error rate of the calibrated devices (with the crosstalk
+// multiplier, too). When threshold(p) is 0 nothing fires; when it is
+// 2^53 everything does.
 func TestThresholdExact(t *testing.T) {
-	if got := threshold(math.NaN()); got != 0 {
-		t.Fatalf("threshold(NaN) = %d, want 0: Float64() < NaN never holds", got)
-	}
-	probs := []float64{0, math.Copysign(0, -1), 5e-324, 0.5, 1 - 0x1p-53, 1, 2, math.Inf(1), math.NaN(), DefaultNoise().IdleErrPerLayer}
+	fires := func(k uint64, p float64) bool { return float64(k)/(1<<53) < p }
+	probs := []float64{5e-324, 0x1p-53, 0.0012, 0.5, math.Nextafter(1, 0), 1, 1.3, math.Copysign(0, -1), math.NaN(), DefaultNoise().IdleErrPerLayer}
 	for _, d := range []*arch.Device{arch.IBMQ16(0), arch.IBMQ50(0), arch.Tokyo(0)} {
 		probs = append(probs, d.Gate1Err...)
 		probs = append(probs, d.ReadoutErr...)
@@ -163,99 +165,70 @@ func TestThresholdExact(t *testing.T) {
 	}
 	for _, p := range probs {
 		th := threshold(p)
-		xs := []uint64{rejectInt63 - 1, rejectInt63}
-		for x := th - min(th, 2); x <= th+2 && x <= int63Mask; x++ {
-			xs = append(xs, x)
+		if th > 1<<53 {
+			t.Fatalf("threshold(%v) = %d, above 2^53", p, th)
 		}
-		for _, x := range xs {
-			if got, want := x < th, float64(x)/(1<<63) < p; got != want {
-				t.Fatalf("p=%v threshold %d: x=%d below it is %v, float64(x)/2^63 < p is %v", p, th, x, got, want)
+		if th > 0 && !fires(th-1, p) {
+			t.Fatalf("threshold(%v) = %d: %d does not fire", p, th, th-1)
+		}
+		if th < 1<<53 && fires(th, p) {
+			t.Fatalf("threshold(%v) = %d fires", p, th)
+		}
+	}
+}
+
+// TestShardStreamsDisjoint holds the property sharding relies on: no two
+// shards of one call share a word. Shard s's word k is mix(z_s + k·γ),
+// so shards a and b meet only where k_a − k_b ≡ (z_b − z_a)·γ⁻¹ (mod
+// 2^64); that offset lying at least 2^32 from 0 either way keeps every
+// shard that draws fewer than 2^32 words clear of the others. Checked
+// for shards 0–63 of the seeds the goldens, the examples, the
+// experiments, the service's first worker seeds and the benchmark's
+// passes use.
+func TestShardStreamsDisjoint(t *testing.T) {
+	inv := uint64(gamma) // Newton's iteration doubles the correct low bits
+	for range 6 {
+		inv *= 2 - gamma*inv
+	}
+	if inv*gamma != 1 {
+		t.Fatalf("γ⁻¹ = %#x is no inverse", inv)
+	}
+	seeds := []int64{1, 3, 7, 99}
+	for mi := int64(0); mi < 12; mi++ {
+		seeds = append(seeds, 3000+mi) // RunTable3PST
+	}
+	for w := int64(0); w < 4; w++ {
+		for k := int64(1); k <= 16; k++ {
+			seeds = append(seeds, 1+w*1_000_003+k) // service workers
+		}
+	}
+	for pass := int64(0); pass < 16; pass++ {
+		for input := int64(0); input < 12; input++ {
+			seeds = append(seeds, pass*1009+input+1) // the benchmark's mcSeed at seed 0
+		}
+	}
+	const shards, gap = 64, uint64(1 << 32)
+	for _, seed := range seeds {
+		for a := range shards {
+			for b := a + 1; b < shards; b++ {
+				d := (uint64(shardSeed(seed, b)) - uint64(shardSeed(seed, a))) * inv
+				if d < gap || -d < gap {
+					t.Fatalf("seed %d: shards %d and %d start %#x words apart", seed, a, b, d)
+				}
 			}
 		}
 	}
 }
 
-// thresholdBisect is threshold by bisection over all of [0, 2^63]: the
-// oracle TestThresholdMatchesBisection holds threshold's one-ulp range
-// to.
-func thresholdBisect(p float64) uint64 {
-	if !(p > 0) {
-		return 0
-	}
-	lo, hi := uint64(0), uint64(1<<63) // lo misses; hi fires or is 2^63
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if float64(mid)/(1<<63) >= p {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
-// TestThresholdMatchesBisection: threshold agrees with a bisection over
-// the whole Int63 range on float64 edge cases, on every binade's ends
-// and on probabilities drawn across all exponents and mantissas.
-func TestThresholdMatchesBisection(t *testing.T) {
-	probs := []float64{0, math.Copysign(0, -1), 5e-324, math.SmallestNonzeroFloat64 * 3, 0x1p-1022, 0x1p-63, 0x1p-64, 0x1p-52, 0.5, 1 - 0x1p-53, 1, 1 + 0x1p-52, 2, math.Inf(1), math.Inf(-1), math.NaN(), -0.5}
-	for e := -80; e <= 0; e++ {
-		v := math.Ldexp(1, e)
-		probs = append(probs, v, math.Nextafter(v, 0), math.Nextafter(v, 2))
-	}
-	check := func(bits uint64) bool {
-		p := math.Float64frombits(bits&(1<<52-1) | uint64(1023-bits>>58)<<52) // exponent −63..0
-		q := math.Float64frombits(bits >> 2)                                  // anywhere in [0, 2)
-		for _, v := range []float64{p, q} {
-			if got, want := threshold(v), thresholdBisect(v); got != want {
-				t.Errorf("threshold(%v) = %d, bisection %d", v, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	for _, p := range probs {
-		if got, want := threshold(p), thresholdBisect(p); got != want {
-			t.Errorf("threshold(%v) = %d, bisection %d", p, got, want)
-		}
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20000, Rand: rand.New(rand.NewSource(3))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// FuzzStream holds the stream to math/rand on a seed and a sequence of
-// operations the fuzzer chooses (compareStream's encoding): the
-// stream's own seeding against rand.NewSource's, and every draw after.
+// FuzzStream holds the stream to the reference on a seed and a sequence
+// of operations the fuzzer chooses (compareStream's encoding).
 func FuzzStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 1<<10 {
 			ops = ops[:1<<10]
 		}
-		if err := compareStream(rand.New(rand.NewSource(seed)), newStream(seed), ops); err != nil {
+		if err := compareStream(newSplitmix(seed), newStream(seed), ops); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-	})
-}
-
-// BenchmarkStreamSeed times what a shard pays before its first draw:
-// re-seeding its stream, against rand.NewSource's Seed and a 607-word
-// fill, the path a stream seeded through a rand.Source takes.
-func BenchmarkStreamSeed(b *testing.B) {
-	b.Run("stream", func(b *testing.B) {
-		s := newStream(1)
-		for i := 0; i < b.N; i++ {
-			s.seed(shardSeed(int64(i), i))
-		}
-	})
-	b.Run("math-rand", func(b *testing.B) {
-		src := rand.NewSource(1).(rand.Source64)
-		var buf [rngLen]uint64
-		for i := 0; i < b.N; i++ {
-			src.Seed(shardSeed(int64(i), i))
-			for j := range buf {
-				buf[j] = src.Uint64()
-			}
 		}
 	})
 }
